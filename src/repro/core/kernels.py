@@ -1,10 +1,14 @@
-"""Vectorized update kernels shared by all three implementations.
+"""Vectorized update kernels shared by every execution backend.
 
 Each kernel is a pure function over ghost-padded arrays and a region
 selector, so the same code runs as:
 
-- whole-domain updates (sequential reference);
-- per-rank updates between RPC waves (SIMCoV-CPU);
+- active-region updates of one undivided block — the sequential
+  reference, or a whole ensemble stacked on a leading member axis (the
+  spatial offsets of :func:`_offset` are right-aligned, so no kernel knows
+  which);
+- per-rank updates between RPC waves (SIMCoV-CPU) or shared-memory halo
+  pulls (``repro.dist``);
 - per-active-tile kernel launches between halo waves (SIMCoV-GPU).
 
 All randomness is keyed by global voxel id (or attempt index), so results
@@ -45,7 +49,9 @@ def _shift(region: tuple[slice, ...], offset) -> tuple[slice, ...]:
     The offset is right-aligned against the region: leading axes beyond
     ``len(offset)`` (an ensemble batch axis) are left untouched, so the
     same kernel source shifts solo ``(ny, nx)`` and batched ``(B, ny, nx)``
-    regions identically per member.
+    regions identically per member.  The slice-view counterpart of
+    :func:`_offset`, for kernels that sweep a region densely (the model
+    in ``examples/ant_foraging.py`` builds its intents this way).
     """
     offs = (0,) * (len(region) - len(offset)) + tuple(int(o) for o in offset)
     return tuple(
@@ -88,6 +94,47 @@ def _mask_members(value, mask, block, xp):
     if not isinstance(value, np.ndarray) or mask.ndim <= block.spec.ndim:
         return value
     return _member_param(value, xp.nonzero(mask)[0])
+
+
+def _agents(mask, region: tuple[slice, ...], xp) -> tuple:
+    """Padded-array index tuple (one vector per axis, a leading member axis
+    included) of the True elements of a mask taken over ``region``.
+
+    The T-cell kernels find their agents with one mask over the region and
+    then work on this gathered list, so their cost follows the number of
+    T cells, not the volume they are spread over.
+    """
+    return tuple(i + s.start for i, s in zip(xp.nonzero(mask), region))
+
+
+def _pick(at: tuple, keep) -> tuple:
+    """The elements of an index tuple selected by a boolean vector."""
+    return tuple(i[keep] for i in at)
+
+
+def _offset(at: tuple, offs) -> tuple:
+    """``at`` moved by spatial offsets ``offs`` (trailing axis = spatial
+    dimension; any leading axes broadcast against the index vectors).
+    Right-aligned: the index vector of a leading member axis is left
+    untouched, so solo ``(ny, nx)`` and batched ``(B, ny, nx)`` blocks
+    shift identically per member."""
+    lead = len(at) - offs.shape[-1]
+    return at[:lead] + tuple(i + offs[..., d] for d, i in enumerate(at[lead:]))
+
+
+def _members(at: tuple, block):
+    """Member index of each gathered element, or None on a solo block."""
+    return at[0] if len(at) > block.spec.ndim else None
+
+
+def _tally(at: tuple, region: tuple[slice, ...], block):
+    """Gathered elements counted: a scalar, or one count per member of
+    ``region`` when the block is batched."""
+    members = _members(at, block)
+    if members is None:
+        return len(at[0])
+    lo, hi = region[0].start, region[0].stop
+    return np.bincount(block.xp.asnumpy(members) - lo, minlength=hi - lo)
 
 
 def _slab_union(
@@ -472,68 +519,65 @@ def tcell_intents(
     the paper's single-communication tiebreak.
     """
     xp = block.xp
-    movers = (block.tcell[region] != 0) & (block.tcell_bound_time[region] == 0)
-    if not movers.any():
+    at = _agents(
+        (block.tcell[region] != 0) & (block.tcell_bound_time[region] == 0),
+        region, xp,
+    )
+    if len(at[0]) == 0:
         return
-    gid = block.gid[region]
-    bids = rng.bids(step, gid)
+    members = _members(at, block)
+    gid = block.gid[at]
+    bids = rng.bids(step, gid, member=members)
     ndim = block.spec.ndim
-    bstencil = bind_stencil(ndim)
-    nb = len(bstencil)
+    bstencil = xp.asarray(bind_stencil(ndim))
 
     # --- binding choice ----------------------------------------------------
-    bindable = xp.zeros(movers.shape + (nb,), dtype=bool)
-    for k, off in enumerate(bstencil):
-        nb_state = block.epi_state[_shift(region, off)]
-        ok = xp.zeros_like(movers)
-        for s in BINDABLE:
-            ok |= nb_state == s
-        bindable[..., k] = ok
+    # One gather of every agent's stencil: (agents, stencil) states.
+    nb_state = block.epi_state[
+        _offset(tuple(i[:, None] for i in at), bstencil[None])
+    ]
+    bindable = xp.zeros(nb_state.shape, dtype=bool)
+    for s in BINDABLE:
+        bindable |= nb_state == s
     n_candidates = bindable.sum(axis=-1)
-    binder = movers & (n_candidates > 0)
+    binder = n_candidates > 0
     if binder.any():
-        j = rng.words(Stream.TCELL_BIND_SELECT, step, gid) % xp.maximum(
-            xp.astype(n_candidates, np.uint64), 1
-        )
+        j = rng.words(
+            Stream.TCELL_BIND_SELECT, step, gid, member=members
+        ) % xp.maximum(xp.astype(n_candidates, np.uint64), 1)
         # Index of the (j+1)-th True along the stencil axis.
         cum = xp.cumsum(bindable, axis=-1)
         sel = xp.argmax(cum == (xp.astype(j, np.int64) + 1)[..., None], axis=-1)
-        intents.bind_dir[region][binder] = xp.astype(sel[binder], np.int8)
-        intents.bid_self[region][binder] = bids[binder]
+        src = _pick(at, binder)
+        intents.bind_dir[src] = xp.astype(sel[binder], np.int8)
+        intents.bid_self[src] = bids[binder]
         # Scatter-max onto targets, one direction at a time (within one
         # direction all targets are distinct, so a masked max suffices).
-        for k, off in enumerate(bstencil):
+        for k in np.unique(xp.asnumpy(sel[binder])):
             mask = binder & (sel == k)
-            if not mask.any():
-                continue
-            view = intents.bind_bid[_shift(region, off)]
-            view[mask] = xp.maximum(view[mask], bids[mask])
+            tgt = _offset(_pick(at, mask), bstencil[k])
+            intents.bind_bid[tgt] = xp.maximum(intents.bind_bid[tgt], bids[mask])
 
     # --- movement choice -------------------------------------------------------
-    mover = movers & (n_candidates == 0)
+    mover = ~binder
     if mover.any():
-        offsets = moore_offsets(ndim)
+        offsets = xp.asarray(moore_offsets(ndim))
         k_choice = xp.astype(
-            rng.randint(Stream.TCELL_DIRECTION, step, gid, len(offsets)),
+            rng.randint(
+                Stream.TCELL_DIRECTION, step, gid, len(offsets), member=members
+            ),
             np.int8,
         )
-        blocked = xp.zeros_like(mover)
-        for k, off in enumerate(offsets):
-            sel_k = mover & (k_choice == k)
-            if not sel_k.any():
-                continue
-            tgt_occupied = block.tcell[_shift(region, off)] != 0
-            tgt_outside = ~block.in_domain[_shift(region, off)]
-            blocked |= sel_k & (tgt_occupied | tgt_outside)
-        ok = mover & ~blocked
-        intents.move_dir[region][ok] = k_choice[ok]
-        intents.bid_self[region][ok] = bids[ok]
-        for k, off in enumerate(offsets):
+        tgt = _offset(at, offsets[xp.astype(k_choice, np.int64)])
+        # Blocked: target occupied at the start of the phase, or outside.
+        ok = mover & (block.tcell[tgt] == 0) & block.in_domain[tgt]
+        src = _pick(at, ok)
+        intents.move_dir[src] = k_choice[ok]
+        intents.bid_self[src] = bids[ok]
+        for k in np.unique(xp.asnumpy(k_choice[ok])):
             mask = ok & (k_choice == k)
-            if not mask.any():
-                continue
-            view = intents.move_bid[_shift(region, off)]
-            view[mask] = xp.maximum(view[mask], bids[mask])
+            to = _pick(tgt, mask)
+            intents.move_bid[to] = xp.maximum(intents.move_bid[to], bids[mask])
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +589,9 @@ class MoveSet:
     """One region's resolved moves: the 'set flips' of Fig 2 — who leaves,
     who arrives, and the arriving payload — computed against pristine state
     so that commits can happen in any order (Jacobi semantics, as one GPU
-    kernel launch over all tiles would behave)."""
+    kernel launch over all tiles would behave).  ``moved_out`` and
+    ``arriving`` are padded-array index tuples, ``new_life`` the tissue
+    time each arrival carries."""
 
     __slots__ = ("region", "moved_out", "arriving", "new_life")
 
@@ -569,64 +615,49 @@ def compute_moves(
     it, no duplication and no loss.
     """
     xp = block.xp
-    ndim = block.spec.ndim
-    offsets = moore_offsets(ndim)
-    md = intents.move_dir[region]
+    offsets = xp.asarray(moore_offsets(block.spec.ndim))
     # Outgoing: my cells that won their bid at the target.
-    moved_out = xp.zeros(md.shape, dtype=bool)
-    for k, off in enumerate(offsets):
-        cand = md == k
-        if not cand.any():
-            continue
-        tgt_max = intents.move_bid[_shift(region, off)]
-        won = cand & (intents.bid_self[region] == tgt_max) & (tgt_max > 0)
-        moved_out |= won
-    # Incoming: neighbor cells (possibly ghosts) that won a bid on my voxel.
-    arriving = xp.zeros(md.shape, dtype=bool)
-    new_life = xp.zeros(md.shape, dtype=np.int32)
-    my_max = intents.move_bid[region]
-    for k, off in enumerate(offsets):
-        src = _shift(region, [-o for o in off])
-        src_won = (
-            (intents.move_dir[src] == k)
-            & (intents.bid_self[src] == my_max)
-            & (my_max > 0)
-        )
-        fresh = src_won & ~arriving
-        arriving |= src_won
-        new_life[fresh] = block.tcell_tissue_time[src][fresh]
+    out = _agents(intents.move_dir[region] >= 0, region, xp)
+    tgt_max = intents.move_bid[
+        _offset(out, offsets[xp.astype(intents.move_dir[out], np.int64)])
+    ]
+    moved_out = _pick(out, (intents.bid_self[out] == tgt_max) & (tgt_max > 0))
+    # Incoming: neighbor cells (possibly ghosts) that won a bid on my voxel;
+    # per bid-on voxel, the (voxels, directions) table of its sources.
+    bid_on = _agents(intents.move_bid[region] > 0, region, xp)
+    src = _offset(tuple(i[:, None] for i in bid_on), -offsets[None])
+    src_won = (intents.move_dir[src] == xp.arange(len(offsets))[None]) & (
+        intents.bid_self[src] == intents.move_bid[bid_on][:, None]
+    )
+    arrived = src_won.any(axis=-1)
+    arriving = _pick(bid_on, arrived)
+    # The first winning direction supplies the payload.
+    first = xp.argmax(src_won, axis=-1)[arrived]
+    new_life = block.tcell_tissue_time[_offset(arriving, -offsets[first])]
     return MoveSet(region, moved_out, arriving, new_life)
 
 
-def commit_moves(block: VoxelBlock, moves: MoveSet, member_counts: bool = False):
+def commit_moves(block: VoxelBlock, moves: MoveSet):
     """Execute one region's flips: erase movers-out, instantiate arrivals.
     Must run only after *all* regions' :func:`compute_moves` finished (the
     separate 'Move Agents' kernel of Fig 2).  Returns arrivals — a scalar,
-    or a per-member vector with ``member_counts=True`` (batched blocks;
-    sums over every non-batch axis)."""
-    region = moves.region
-    tc = block.tcell[region]
-    tt = block.tcell_tissue_time[region]
-    bt = block.tcell_bound_time[region]
-    tc[moves.moved_out] = 0
-    tt[moves.moved_out] = 0
-    bt[moves.moved_out] = 0
-    tc[moves.arriving] = 1
-    tt[moves.arriving] = moves.new_life[moves.arriving]
-    bt[moves.arriving] = 0
-    if member_counts:
-        arr = moves.arriving
-        return block.xp.asnumpy(arr.reshape(arr.shape[0], -1).sum(axis=1))
-    return int(moves.arriving.sum())
+    or a per-member vector on a batched block."""
+    block.tcell[moves.moved_out] = 0
+    block.tcell_tissue_time[moves.moved_out] = 0
+    block.tcell_bound_time[moves.moved_out] = 0
+    block.tcell[moves.arriving] = 1
+    block.tcell_tissue_time[moves.arriving] = moves.new_life
+    block.tcell_bound_time[moves.arriving] = 0
+    return _tally(moves.arriving, moves.region, block)
 
 
 def resolve_moves(
     block: VoxelBlock,
     intents: IntentArrays,
     region: tuple[slice, ...],
-) -> int:
+):
     """Single-region convenience: compute + commit in one call.  Safe only
-    when ``region`` is the block's sole processed region (the sequential
+    when ``region`` is the block's sole processed region (the single-block
     and CPU implementations); multi-tile callers must stage compute_moves
     for all regions before any commit_moves."""
     return commit_moves(block, compute_moves(block, intents, region))
@@ -639,29 +670,29 @@ def resolve_binds(
     block: VoxelBlock,
     intents: IntentArrays,
     region: tuple[slice, ...],
-    member_counts: bool = False,
 ):
     """Apply winning binds: the bound epithelial cell turns apoptotic with a
     fresh Poisson timer; the winning T cell is held for the binding period.
     Returns the number of cells driven apoptotic in the region — a scalar,
-    or a per-member vector with ``member_counts=True`` (batched blocks)."""
+    or a per-member vector on a batched block."""
     xp = block.xp
-    bstencil = bind_stencil(block.spec.ndim)
+    bstencil = xp.asarray(bind_stencil(block.spec.ndim))
     # Epithelial side: any expressing cell with a positive merged bind bid
     # was won by exactly one T cell.
-    sl_state = block.epi_state[region]
-    bound = xp.zeros(sl_state.shape, dtype=bool)
+    bid_on = _agents(intents.bind_bid[region] > 0, region, xp)
+    state = block.epi_state[bid_on]
+    bindable = xp.zeros(state.shape, dtype=bool)
     for s in BINDABLE:
-        bound |= sl_state == s
-    bound &= intents.bind_bid[region] > 0
-    if bound.any():
-        members = _rng_members(rng, bound, xp)
-        block.epi_state[region][bound] = EpiState.APOPTOTIC
-        block.epi_timer[region][bound] = xp.astype(
+        bindable |= state == s
+    bound = _pick(bid_on, bindable)
+    if len(bound[0]):
+        members = _members(bound, block)
+        block.epi_state[bound] = EpiState.APOPTOTIC
+        block.epi_timer[bound] = xp.astype(
             xp.maximum(
                 1,
                 rng.poisson(
-                    Stream.APOPTOSIS_PERIOD, step, block.gid[region][bound],
+                    Stream.APOPTOSIS_PERIOD, step, block.gid[bound],
                     _member_param(params.apoptosis_period, members),
                     member=members,
                 ),
@@ -669,21 +700,15 @@ def resolve_binds(
             np.int32,
         )
     # T-cell side: my cells that won their bind enter the bound state.
-    bd = intents.bind_dir[region]
-    for k, off in enumerate(bstencil):
-        cand = bd == k
-        if not cand.any():
-            continue
-        tgt_max = intents.bind_bid[_shift(region, off)]
-        won = cand & (intents.bid_self[region] == tgt_max) & (tgt_max > 0)
-        block.tcell_bound_time[region][won] = _mask_members(
-            params.tcell_binding_period, won, block, xp
-        )
-    return (
-        xp.asnumpy(bound.reshape(bound.shape[0], -1).sum(axis=1))
-        if member_counts
-        else int(bound.sum())
+    mine = _agents(intents.bind_dir[region] >= 0, region, xp)
+    tgt_max = intents.bind_bid[
+        _offset(mine, bstencil[xp.astype(intents.bind_dir[mine], np.int64)])
+    ]
+    won = _pick(mine, (intents.bid_self[mine] == tgt_max) & (tgt_max > 0))
+    block.tcell_bound_time[won] = _member_param(
+        params.tcell_binding_period, _members(won, block)
     )
+    return _tally(bound, region, block)
 
 
 # ---------------------------------------------------------------------------

@@ -876,7 +876,7 @@ class _RankWorker:
     # -- kernel phases (mirror the PGAS backend's per-rank bodies) -----------
 
     def phase_age_extravasate(self, step: int, attempts):
-        self.gate.refresh()
+        self.gate.sweep()
         # Strip-liveness handshake: peers gate their pulls on this box.
         # Published before this rank's boundary-entry barrier arrival, so
         # every in-step reader (fenced behind that barrier) sees it; the

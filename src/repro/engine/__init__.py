@@ -3,9 +3,12 @@
 The per-step schedule of the simulation is data: an ordered tuple of
 :class:`Phase` objects (kernel phases and exchange barriers, drawn from
 the canonical :data:`PHASE_ORDER` vocabulary).  A :class:`StepEngine`
-executes a schedule against an :class:`ExecutionBackend` — sequential,
-PGAS or GPU-cluster — timing every phase.  The historical drivers are
-thin shims over this machinery (see :mod:`repro.engine.driver`).
+executes a schedule against an :class:`ExecutionBackend`, timing every
+phase: the single-block backend (one phase-body implementation, run solo
+as :class:`SequentialBackend` or batched as :class:`EnsembleBackend`),
+the PGAS and GPU-cluster substrate models, and the multi-process
+``repro.dist`` runtime.  The drivers are thin shims over this machinery
+(see :mod:`repro.engine.driver`).
 """
 
 from repro.engine.activity import ActivityGate
@@ -13,7 +16,6 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.driver import EngineDriver
 from repro.engine.engine import StepContext, StepEngine
 from repro.engine.ensemble import (
-    EnsembleActivityGate,
     EnsembleBackend,
     EnsembleEngine,
     EnsembleMemberView,
@@ -37,7 +39,7 @@ from repro.engine.phases import (
     kernel,
     validate_schedule,
 )
-from repro.engine.sequential import SequentialBackend
+from repro.engine.sequential import SequentialBackend, SingleBlockBackend
 
 __all__ = [
     "PHASE_KINDS",
@@ -45,7 +47,6 @@ __all__ = [
     "REQUIRED_PHASES",
     "ActivityGate",
     "EngineDriver",
-    "EnsembleActivityGate",
     "EnsembleBackend",
     "EnsembleEngine",
     "EnsembleMemberView",
@@ -60,6 +61,7 @@ __all__ = [
     "PhaseKind",
     "PhaseMetrics",
     "SequentialBackend",
+    "SingleBlockBackend",
     "StepContext",
     "StepEngine",
     "describe_schedule",

@@ -17,6 +17,12 @@ backend that runs numpy kernels over region slices:
   §2.2, which the PGAS backend runs after its start-of-step ghost
   exchange so activity arriving from a neighbor rank is seen in time.
 
+A block may carry a leading member axis (an
+:class:`~repro.core.state.EnsembleBlock`): the sweep then runs over the
+trailing spatial axes only, so every member keeps its own active set, and
+the region is the *union* bounding box across members with the full
+member axis in front — a superset of each member's own box.
+
 Either way the gate exposes one *bounding region* (padded-array slices)
 that kernels execute over.  Voxels inside the region but outside the raw
 activity mask are provably no-ops, and all randomness is keyed by global
@@ -30,7 +36,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.state import VoxelBlock
-from repro.grid.tiling import TileGrid, _dilate
+from repro.grid.tiling import TileGrid, _dilate, _expand_tiles, _tile_any
+
+
+def bounding_box(mask: np.ndarray, starts) -> tuple[slice, ...] | None:
+    """Slices bounding the Trues of ``mask`` along its trailing
+    ``len(starts)`` axes, each shifted by its entry of ``starts``; leading
+    (member) axes are reduced away.  None if the mask is all False."""
+    first = mask.ndim - len(starts)
+    sls = []
+    for axis, start in enumerate(starts, first):
+        other = tuple(a for a in range(mask.ndim) if a != axis)
+        idx = np.nonzero(mask.any(axis=other))[0]
+        if idx.size == 0:
+            return None
+        sls.append(slice(start + int(idx[0]), start + int(idx[-1]) + 1))
+    return tuple(sls)
 
 
 class ActivityGate:
@@ -39,10 +60,12 @@ class ActivityGate:
     Parameters
     ----------
     block:
-        The ghost-padded block whose activity is tracked.
+        The ghost-padded block whose activity is tracked; solo, or
+        batched with a leading member axis.
     min_chemokine:
         Signal threshold of the activity definition (sub-threshold signal
-        is zeroed at commit time, so it cannot seed future activity).
+        is zeroed at commit time, so it cannot seed future activity); a
+        per-member broadcast array on a parameter-sweep ensemble.
     sweep_period:
         Steps between sweeps.  ``1`` selects refresh mode (every-step
         mask recompute, one-voxel dilation); ``> 1`` selects periodic
@@ -51,12 +74,6 @@ class ActivityGate:
     tile_shape:
         Tile extents for periodic-sweep mode; default 8 per dimension
         (clipped to the block).  Ignored in refresh mode.
-    pin_sides:
-        (ndim, 2) booleans: pin the (low, high) tile shell of each axis
-        permanently active (§3.2: tiles containing ghost voxels stay
-        active, so activity arriving from a neighbor block between sweeps
-        is always covered).  Only meaningful with ``sweep_period > 1``;
-        default pins nothing (a single block has no neighbors).
     enabled:
         ``False`` forces the ungated path: the region is always the full
         interior and sweeps never run (the benchmark/testing baseline).
@@ -65,24 +82,23 @@ class ActivityGate:
     def __init__(
         self,
         block: VoxelBlock,
-        min_chemokine: float,
+        min_chemokine,
         sweep_period: int | None = None,
         tile_shape: tuple[int, ...] | None = None,
-        pin_sides=None,
         enabled: bool = True,
     ):
         self.block = block
-        self.min_chemokine = float(min_chemokine)
+        self.min_chemokine = min_chemokine
         self.enabled = bool(enabled)
         owned = block.owned.shape
         if tile_shape is None:
             tile_shape = tuple(min(8, s) for s in owned)
         else:
             tile_shape = tuple(min(int(t), s) for t, s in zip(tile_shape, owned))
-        if pin_sides is None:
-            pin_sides = np.zeros((len(owned), 2), dtype=bool)
-        self.tiles = TileGrid(owned, tile_shape, ghost=block.ghost,
-                              pin_sides=pin_sides)
+        #: Tile geometry only (validates the tile arguments); built
+        #: ghost-less so no tile is pinned — a single block has no
+        #: neighbor-facing side.
+        self.tiles = TileGrid(owned, tile_shape, ghost=0)
         max_period = self.tiles.max_sweep_period()
         if sweep_period is None:
             sweep_period = max_period
@@ -93,12 +109,19 @@ class ActivityGate:
                 f"[1, {max_period}] for tiles {tile_shape}"
             )
         self.sweep_period = sweep_period
+        #: Member axes in front of the spatial ones: ``()`` or ``(B,)``.
+        lead = block.shape[: len(block.shape) - len(owned)]
+        self._lead = tuple(slice(0, n) for n in lead)
+        self._full_region = self._lead + tuple(
+            slice(block.ghost, block.ghost + s) for s in owned
+        )
         #: Everything starts active (like the GPU tile grid): correct for
         #: fresh runs *and* for checkpoints resumed mid-run, where the
         #: first due sweep re-derives the true active set.
-        self._mask = np.ones(owned, dtype=bool)
-        self._count = int(np.prod(owned))
-        self._region: tuple[slice, ...] | None = block.interior
+        self._mask = np.ones(lead + owned, dtype=bool)
+        #: Active voxels of each member (a scalar on a solo block).
+        self.member_counts = self._count_members()
+        self._region: tuple[slice, ...] | None = self._full_region
 
     # -- the sweep rule -------------------------------------------------------
 
@@ -111,45 +134,39 @@ class ActivityGate:
     def sweep(self) -> int:
         """Re-derive the active region from current block state.
 
-        Refresh mode scans the padded activity mask and dilates by one
-        voxel; periodic mode runs the §3.2 tile sweep (tile-granular raw
-        activation + one-tile dilation + boundary pinning).  Returns the
-        number of voxels scanned (the sweep kernel's cost).
+        The padded activity mask is dilated by one voxel and cropped to
+        the owned region (refresh mode stops there); periodic mode then
+        reduces it per tile, dilates the tile flags by one tile and
+        expands them back to voxels — what an unpinned
+        :meth:`TileGrid.sweep` does, here with any member axis carried
+        along in front.  Returns the number of voxels scanned (the sweep
+        kernel's cost).
         """
         if not self.enabled:
             return 0
-        raw = self.block.activity_mask_padded(self.min_chemokine)
-        g = self.block.ghost
-        if self._use_tiles:
-            self.tiles.sweep(raw, padded=True)
-            self._mask = self.tiles.voxel_mask()
-        else:
-            dilated = _dilate(raw)
-            crop = tuple(slice(g, s - g) for s in dilated.shape)
-            self._mask = dilated[crop]
-        self._count = int(self._mask.sum())
+        block, tiles = self.block, self.tiles
+        raw = block.xp.asnumpy(block.activity_mask_padded(self.min_chemokine))
+        g, owned, ndim = block.ghost, tiles.owned_shape, tiles.ndim
+        mask = _dilate(raw, ndim)[
+            (...,) + tuple(slice(g, g + s) for s in owned)
+        ]
+        if self.sweep_period > 1:
+            flags = _tile_any(mask, tiles.tile_shape, tiles.tiles_per_dim)
+            mask = _expand_tiles(_dilate(flags, ndim), tiles.tile_shape, owned)
+        self._mask = mask
+        self.member_counts = self._count_members()
         self._region = self._bbox()
-        return int(np.prod(self.block.owned.shape))
+        return self._mask.size
 
-    #: Alias used by every-step callers (the historical ActiveRegion API).
-    refresh = sweep
-
-    @property
-    def _use_tiles(self) -> bool:
-        return self.sweep_period > 1 or bool(self.tiles.pin_sides.any())
+    def _count_members(self) -> np.ndarray:
+        spatial = tuple(range(len(self._lead), self._mask.ndim))
+        return self._mask.sum(axis=spatial)
 
     def _bbox(self) -> tuple[slice, ...] | None:
-        """Padded-array slices of the active bounding box (None if idle)."""
-        if not self._mask.any():
-            return None
-        g = self.block.ghost
-        sls = []
-        for axis in range(self._mask.ndim):
-            other = tuple(a for a in range(self._mask.ndim) if a != axis)
-            proj = self._mask.any(axis=other)
-            idx = np.nonzero(proj)[0]
-            sls.append(slice(int(idx[0]) + g, int(idx[-1]) + 1 + g))
-        return tuple(sls)
+        """Padded-array slices of the bounding box of every member's
+        active set (None if all are idle)."""
+        box = bounding_box(self._mask, (self.block.ghost,) * self.tiles.ndim)
+        return None if box is None else self._lead + box
 
     # -- consumers ------------------------------------------------------------
 
@@ -159,7 +176,7 @@ class ActivityGate:
         The full interior when gating is disabled or no sweep ran yet.
         """
         if not self.enabled:
-            return self.block.interior
+            return self._full_region
         return self._region
 
     def region_box(self):
@@ -173,23 +190,25 @@ class ActivityGate:
         from repro.grid.box import Box
 
         origin = self.block.origin
+        spatial = region[len(self._lead):]
         return Box(
-            tuple(o + s.start for o, s in zip(origin, region)),
-            tuple(o + s.stop for o, s in zip(origin, region)),
+            tuple(o + s.start for o, s in zip(origin, spatial)),
+            tuple(o + s.stop for o, s in zip(origin, spatial)),
         )
 
     @property
     def count(self) -> int:
-        """Active voxels (the perf model's work unit)."""
+        """Active voxels, summed over members (the perf model's work unit)."""
         if not self.enabled:
-            return int(np.prod(self.block.owned.shape))
-        return self._count
+            return self._mask.size
+        return int(self.member_counts.sum())
 
     @property
     def mask(self) -> np.ndarray:
-        """Owned-shape boolean mask of the tracked active set."""
+        """Boolean mask of the tracked active set: owned shape, behind the
+        member axis of a batched block."""
         return self._mask
 
     def fraction(self) -> float:
         """Active fraction of the owned region."""
-        return self.count / int(np.prod(self.block.owned.shape))
+        return self.count / self._mask.size

@@ -1,14 +1,18 @@
 """The phase-pipeline StepEngine.
 
-One step loop for all three implementations: the engine owns the
-replicated scalar logic every driver used to duplicate (vascular-pool
-dynamics, the global extravasation-attempt schedule, the pool debit,
-StepStats assembly, the time series and per-step work records) and runs
-the backend's declared schedule phase by phase, timing each one.
+One step loop for every backend: the engine owns the replicated scalar
+logic every driver used to duplicate (vascular-pool dynamics, the global
+extravasation-attempt schedule, the pool debit, StepStats assembly, the
+time series and per-step work records) and runs the backend's declared
+schedule phase by phase, timing each one.  A subclass that keeps that
+scalar state per ensemble member overrides the prologue and epilogue
+(:meth:`StepEngine._begin_step` / :meth:`StepEngine._finish_step`), never
+the loop.
 
-Drivers (`SequentialSimCov`, `SimCovCPU`, `SimCovGPU`) are thin
-configuration shims: they build a backend, hand it to a StepEngine, and
-re-export the engine's state under their historical public API.
+Drivers (`SequentialSimCov`, `SimCovCPU`, `SimCovGPU`, `DistSimCov`,
+`EnsembleSimCov`) are thin configuration shims: they build a backend,
+hand it to an engine, and re-export the engine's state under their
+historical public API.
 """
 
 from __future__ import annotations
@@ -126,22 +130,41 @@ class StepEngine:
 
     # -- driver --------------------------------------------------------------
 
-    def step(self) -> StepStats:
-        """Advance one timestep; returns (and records) the step's stats."""
-        p = self.params
-        t = self.step_num
+    #: Extra attributes stamped on every phase/step span.
+    span_attrs: dict = {}
 
-        # Vascular pool dynamics (replicated scalar state) + the global
-        # attempt schedule every backend applies to the voxels it owns.
+    def _begin_step(self, t: int) -> StepContext:
+        """Vascular pool dynamics (replicated scalar state) + the global
+        attempt schedule every backend applies to the voxels it owns."""
+        p = self.params
         if t >= p.tcell_initial_delay:
             self.pool += p.tcell_generation_rate
         self.pool -= self.pool / p.tcell_vascular_period
         attempts = kernels.extravasation_attempts(p, self.rng, t, self.pool)
+        return StepContext(step=t, attempts=attempts, pool=self.pool)
 
-        ctx = StepContext(step=t, attempts=attempts, pool=self.pool)
+    def _finish_step(self, ctx: StepContext) -> StepStats:
+        """Pool debit + statistics assembly (identical on every substrate)."""
+        self.pool = max(0.0, self.pool - ctx.extravasations)
+        stats = StepStats.from_vector(
+            ctx.step,
+            ctx.reduced,
+            pool=self.pool,
+            extravasations=ctx.extravasations,
+            binds=ctx.binds,
+            moves=ctx.moves,
+        )
+        self.series.append(stats)
+        return stats
+
+    def step(self) -> StepStats:
+        """Advance one timestep; returns (and records) the step's stats."""
+        t = self.step_num
+        ctx = self._begin_step(t)
         self.backend.begin_step(ctx)
 
         tracer = self.tracer
+        attrs = self.span_attrs
         step_start = perf_counter()
         phase_seconds: dict[str, float] = {}
         obs_phases = self._obs_phases
@@ -159,7 +182,7 @@ class StepEngine:
                 # construction — one span stream feeds both surfaces.
                 tracer.emit_span(
                     phase.name, start, elapsed, cat="phase", step=t,
-                    skipped=skipped,
+                    skipped=skipped, **attrs,
                 )
             else:
                 self.metrics.record(phase.name, elapsed, skipped=skipped)
@@ -170,7 +193,7 @@ class StepEngine:
         self._obs_steps.inc()
         if tracer.enabled:
             tracer.emit_span(
-                "step", step_start, step_elapsed, cat="step", step=t,
+                "step", step_start, step_elapsed, cat="step", step=t, **attrs,
             )
 
         if ctx.reduced is None:
@@ -178,18 +201,7 @@ class StepEngine:
                 f"backend {self.backend.name!r} reduce phase did not set "
                 "ctx.reduced"
             )
-
-        # Pool debit + statistics assembly (identical on every substrate).
-        self.pool = max(0.0, self.pool - ctx.extravasations)
-        stats = StepStats.from_vector(
-            t,
-            ctx.reduced,
-            pool=self.pool,
-            extravasations=ctx.extravasations,
-            binds=ctx.binds,
-            moves=ctx.moves,
-        )
-        self.series.append(stats)
+        stats = self._finish_step(ctx)
         record = {"step": t, "phase_seconds": phase_seconds}
         record.update(self.backend.step_record(ctx))
         if "active_voxels" in record:

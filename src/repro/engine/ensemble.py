@@ -44,181 +44,17 @@ from repro.core.seeding import apply_seeds, seed_infections
 from repro.core.state import EnsembleBlock
 from repro.core.stats import REDUCED_FIELDS, StepStats, stats_vectors
 from repro.core.xp import get_array_module
-from repro.engine.backend import ExecutionBackend
 from repro.engine.driver import EngineDriver
 from repro.engine.engine import StepContext, StepEngine
-from repro.engine.phases import Phase, exchange, kernel
+from repro.engine.sequential import SingleBlockBackend
 from repro.grid.spec import GridSpec
-from repro.grid.tiling import TileGrid
 from repro.rng.streams import EnsembleRNG
 
 
-def _dilate_spatial(mask: np.ndarray) -> np.ndarray:
-    """:func:`repro.grid.tiling._dilate` over the spatial axes only — the
-    leading batch axis must never leak activity between members.  Per
-    member this is exactly ``_dilate(mask[b])`` (same axis order, same
-    shape-<2 skip rule)."""
-    out = mask.copy()
-    for d in range(1, mask.ndim):
-        if mask.shape[d] < 2:
-            continue
-        prev = out.copy()
-        lo = [slice(None)] * mask.ndim
-        hi = [slice(None)] * mask.ndim
-        lo[d], hi[d] = slice(None, -1), slice(1, None)
-        out[tuple(hi)] |= prev[tuple(lo)]
-        out[tuple(lo)] |= prev[tuple(hi)]
-    return out
-
-
-def _tile_any_spatial(mask, tile_shape, tiles_per_dim) -> np.ndarray:
-    """Batched :func:`repro.grid.tiling._tile_any`: per-tile ``any`` over
-    each member's owned-shape slice (ragged edge tiles padded False)."""
-    n_members = mask.shape[0]
-    full_shape = tuple(n * t for n, t in zip(tiles_per_dim, tile_shape))
-    if full_shape != mask.shape[1:]:
-        full = np.zeros((n_members,) + full_shape, dtype=bool)
-        full[(slice(None),) + tuple(slice(0, s) for s in mask.shape[1:])] = mask
-        mask = full
-    blocked = [n_members]
-    for n, t in zip(tiles_per_dim, tile_shape):
-        blocked += [n, t]
-    axes = tuple(range(2, 2 * len(tile_shape) + 1, 2))
-    return mask.reshape(blocked).any(axis=axes)
-
-
-class EnsembleActivityGate:
-    """Per-member activity tracking with a shared union execution region.
-
-    Each member gets its own §3.2 tile sweep — computed for the whole
-    batch at once with spatial-axis dilation/tiling — so telemetry sees
-    the true per-member active set.  Kernels, however, execute over one
-    region: the union bounding box across members (with the full batch
-    axis in front) — a bitwise-invisible superset for every member.
-    """
-
-    def __init__(
-        self,
-        block: EnsembleBlock,
-        min_chemokine,
-        sweep_period: int | None = None,
-        tile_shape: tuple[int, ...] | None = None,
-        enabled: bool = True,
-    ):
-        self.block = block
-        self.min_chemokine = min_chemokine
-        self.enabled = bool(enabled)
-        owned = block.owned.shape
-        n_members = block.batch
-        if tile_shape is None:
-            tile_shape = tuple(min(8, s) for s in owned)
-        else:
-            tile_shape = tuple(min(int(t), s) for t, s in zip(tile_shape, owned))
-        #: Geometry reference (validates tile args; per-member masks are
-        #: swept batched, matching a no-pin TileGrid per member bitwise).
-        self.tile_geometry = TileGrid(
-            owned, tile_shape, ghost=block.ghost,
-            pin_sides=np.zeros((len(owned), 2), dtype=bool),
-        )
-        self.tile_shape = self.tile_geometry.tile_shape
-        max_period = self.tile_geometry.max_sweep_period()
-        if sweep_period is None:
-            sweep_period = max_period
-        sweep_period = int(sweep_period)
-        if not 1 <= sweep_period <= max_period:
-            raise ValueError(
-                f"sweep_period {sweep_period} outside sound range "
-                f"[1, {max_period}] for tiles {tile_shape}"
-            )
-        self.sweep_period = sweep_period
-        g = block.ghost
-        self._full_region = (slice(0, n_members),) + tuple(
-            slice(g, s - g) for s in block.spatial_shape
-        )
-        #: Everything starts active, like the solo gate.
-        self._masks = np.ones((n_members,) + owned, dtype=bool)
-        self.member_counts = np.full(
-            n_members, int(np.prod(owned)), dtype=np.int64
-        )
-        self._region: tuple[slice, ...] | None = self._full_region
-
-    # -- the sweep rule -----------------------------------------------------
-
-    def due(self, step: int) -> bool:
-        """Same cadence as the solo gate (the sweep at the end of step
-        ``s`` covers steps ``s+1 .. s+sweep_period``)."""
-        return self.enabled and (step + 1) % self.sweep_period == 0
-
-    def sweep(self) -> int:
-        """Re-derive each member's active set from its batch slice.
-
-        One batched pass replicates per member what a no-pin
-        :meth:`TileGrid.sweep` on its padded mask would do: dilate the
-        padded mask, crop to owned, reduce per tile, dilate the tile
-        flags, expand back to voxels.
-        """
-        if not self.enabled:
-            return 0
-        raw = self.block.xp.asnumpy(
-            self.block.activity_mask_padded(self.min_chemokine)
-        )
-        g = self.block.ghost
-        owned = self.block.owned.shape
-        n_members = raw.shape[0]
-        crop = (slice(None),) + tuple(slice(g, g + s) for s in owned)
-        mask = _dilate_spatial(raw)[crop]
-        if self.sweep_period > 1:
-            geo = self.tile_geometry
-            active = _dilate_spatial(
-                _tile_any_spatial(mask, geo.tile_shape, geo.tiles_per_dim)
-            )
-            for d, t in enumerate(geo.tile_shape):
-                active = active.repeat(t, axis=d + 1)
-            self._masks = active[
-                (slice(None),) + tuple(slice(0, s) for s in owned)
-            ].copy()
-        else:
-            self._masks = np.ascontiguousarray(mask)
-        self.member_counts = self._masks.reshape(n_members, -1).sum(axis=1)
-        self._region = self._bbox()
-        return int(np.prod(owned)) * n_members
-
-    def _bbox(self) -> tuple[slice, ...] | None:
-        """Union bounding box across members (None if every member idles)."""
-        union = self._masks.any(axis=0)
-        if not union.any():
-            return None
-        g = self.block.ghost
-        sls = []
-        for axis in range(union.ndim):
-            other = tuple(a for a in range(union.ndim) if a != axis)
-            proj = union.any(axis=other)
-            idx = np.nonzero(proj)[0]
-            sls.append(slice(int(idx[0]) + g, int(idx[-1]) + 1 + g))
-        return (slice(0, self._masks.shape[0]),) + tuple(sls)
-
-    # -- consumers ----------------------------------------------------------
-
-    def region(self) -> tuple[slice, ...] | None:
-        """Batched padded-array slices kernels process (None if all idle)."""
-        if not self.enabled:
-            return self._full_region
-        return self._region
-
-    @property
-    def count(self) -> int:
-        """Total active voxels summed over members (the work gauge)."""
-        if not self.enabled:
-            return int(np.prod(self.block.owned.shape)) * self._masks.shape[0]
-        return int(self.member_counts.sum())
-
-    def member_mask(self, b: int) -> np.ndarray:
-        """Member ``b``'s own owned-shape active mask."""
-        return self._masks[b]
-
-
-class EnsembleBackend(ExecutionBackend):
-    """Batched execution of N same-grid simulations.
+class EnsembleBackend(SingleBlockBackend):
+    """Batched execution of N same-grid simulations: the single-block
+    schedule over an :class:`EnsembleBlock`, every phase run once for the
+    whole batch.
 
     Parameters
     ----------
@@ -266,14 +102,10 @@ class EnsembleBackend(ExecutionBackend):
         self.params = stack
         self.spec = GridSpec(stack.members[0].dim)
         self.rng = EnsembleRNG(seeds, xp=xp)
-        self.block = EnsembleBlock(
-            self.spec, self.spec.domain, stack.batch, xp=xp
-        )
+        block = EnsembleBlock(self.spec, self.spec.domain, stack.batch, xp=xp)
         #: Solo-layout views over each member's storage (numpy: writable
         #: views created once — per-step per-member code paths reuse them).
-        self.member_views = [
-            self.block.member_view(b) for b in range(stack.batch)
-        ]
+        self.member_views = [block.member_view(b) for b in range(stack.batch)]
         if structure_gids is not None:
             from repro.core.structure import apply_structure
 
@@ -289,166 +121,31 @@ class EnsembleBackend(ExecutionBackend):
             self.member_seed_gids.append(gids)
             apply_seeds(mv, gids)
         self.seed_gids = self.member_seed_gids[0]
-        self.intents = kernels.IntentArrays(self.block.shape, xp=xp)
-        self._scratch_v = xp.zeros_like(self.block.virions)
-        self._scratch_c = xp.zeros_like(self.block.chemokine)
-        self.gate = EnsembleActivityGate(
-            self.block,
-            stack.min_chemokine,
-            sweep_period=sweep_period,
-            tile_shape=tile_shape,
-            enabled=active_gating,
+        self._init_block(
+            block, stack.min_chemokine, active_gating, tile_shape, sweep_period
         )
 
     @property
     def batch(self) -> int:
         return self.params.batch
 
-    # -- schedule ------------------------------------------------------------
-
-    def schedule(self) -> tuple[Phase, ...]:
-        """The sequential schedule, batched: barriers remain no-ops."""
-        return (
-            exchange("open_exchange", doc="no-op: single batched block"),
-            kernel("age_extravasate"),
-            exchange("boundary_exchange", doc="no-op: single batched block"),
-            kernel("intents"),
-            exchange("tiebreak_exchange", doc="no-op: single batched block"),
-            kernel("resolve"),
-            exchange("result_exchange", doc="no-op: single batched block"),
-            kernel("apply_results", doc="no-op: nothing crosses a boundary"),
-            kernel("epithelial"),
-            exchange("concentration_exchange", doc="no-op: single batched block"),
-            kernel("diffuse"),
-            kernel("reduce"),
-            kernel("tile_sweep", doc="per-member §3.2 sweep, union region"),
-        )
-
-    # -- kernel phases -------------------------------------------------------
-
-    def phase_age_extravasate(self, ctx):
-        region = self.gate.region()
-        if region is None:
-            return False
-        kernels.tcell_age(self.block, region)
-        ctx.extravasations = kernels.ensemble_apply_extravasation(
+    def apply_extravasation(self, ctx, region):
+        # The flat member-keyed schedule is applied over the whole interior.
+        return kernels.ensemble_apply_extravasation(
             self.params, self.block, ctx.attempts
         )
 
-    def _tcell_subregion(
-        self, region: tuple[slice, ...], pad: int
-    ) -> tuple[slice, ...] | None:
-        """Tight batched box around present T cells, or None if there are
-        none anywhere.
-
-        The union gate region covers every member's *chemokine* footprint,
-        which is typically far wider than the T-cell cloud — and the
-        T-cell phases cost O(stencil) passes over their region, multiplied
-        by the batch.  Restricting them to the T-cell bounding box
-        (``pad=0`` for intents; ``pad=1``, clamped to the region, for
-        resolution — bids and arrivals scatter one voxel outward) is
-        bitwise-neutral: every voxel outside it provably produces no
-        intent, no move and no bind.
-        """
-        mask = self.block.xp.asnumpy(self.block.tcell[region]) != 0
-        if not mask.any():
-            return None
-        sls = [region[0]]
-        for axis in range(1, mask.ndim):
-            other = tuple(a for a in range(mask.ndim) if a != axis)
-            idx = np.nonzero(mask.any(axis=other))[0]
-            base = region[axis]
-            sls.append(
-                slice(
-                    max(base.start + int(idx[0]) - pad, base.start),
-                    min(base.start + int(idx[-1]) + 1 + pad, base.stop),
-                )
-            )
-        return tuple(sls)
-
-    def phase_intents(self, ctx):
-        region = self.gate.region()
-        if region is None:
-            return False
-        self.intents.clear(region)
-        sub = self._tcell_subregion(region, pad=0)
-        ctx.extras["tcell_box"] = sub
-        if sub is None:
-            return None
-        kernels.tcell_intents(
-            self.params, self.rng, ctx.step, self.block, self.intents, sub
-        )
-
-    def phase_resolve(self, ctx):
-        region = self.gate.region()
-        if region is None:
-            return False
-        sub = ctx.extras.get("tcell_box")
-        if sub is None:
-            # No T cells anywhere -> no intents were written, so moves and
-            # binds are provably zero for every member.
-            zeros = np.zeros(self.batch, dtype=np.int64)
-            ctx.moves = zeros
-            ctx.binds = zeros
-            return None
-        sub = tuple(
-            slice(max(s.start - 1, base.start), min(s.stop + 1, base.stop))
-            for s, base in zip(sub, region)
-        )
-        moves = kernels.compute_moves(self.block, self.intents, sub)
-        ctx.moves = kernels.commit_moves(self.block, moves, member_counts=True)
-        ctx.binds = kernels.resolve_binds(
-            self.params, self.rng, ctx.step, self.block, self.intents,
-            sub, member_counts=True,
-        )
-
-    def phase_apply_results(self, ctx):
-        return False
-
-    def phase_epithelial(self, ctx):
-        region = self.gate.region()
-        if region is None:
-            return False
-        kernels.epithelial_update(
-            self.params, self.rng, ctx.step, self.block, region
-        )
-        kernels.production_update(self.params, self.block, region, step=ctx.step)
-
-    def phase_diffuse(self, ctx):
-        region = self.gate.region()
-        if region is None:
-            return False
-        kernels.mirror_fields(self.block)
-        kernels.concentration_update(
-            self.params, self.block, region, self._scratch_v, self._scratch_c
-        )
-        kernels.concentration_commit(
-            self.params, self.block, [region], self._scratch_v,
-            self._scratch_c, step=ctx.step,
-        )
-
-    def phase_reduce(self, ctx) -> None:
-        # Statistics sweep the full space regardless of gating (§3.3).
-        ctx.reduced = stats_vectors(self.block)
-
-    def phase_tile_sweep(self, ctx):
-        if not self.gate.due(ctx.step):
-            return False
-        self.gate.sweep()
+    def reduce(self) -> np.ndarray:
+        return stats_vectors(self.block)
 
     def step_record(self, ctx) -> dict:
         if self.tracer:
             self.tracer.gauge(
                 "ensemble_batch", self.batch, cat="ensemble", step=ctx.step,
             )
-            self.tracer.gauge(
-                "active_voxels", self.gate.count, cat="gating",
-                step=ctx.step, gated=self.gate.enabled, ensemble=self.batch,
-            )
-        return {
-            "active_voxels": self.gate.count,
-            "ensemble_batch": self.batch,
-        }
+        record = super().step_record(ctx)
+        record["ensemble_batch"] = self.batch
+        return record
 
     # -- inspection ----------------------------------------------------------
 
@@ -456,8 +153,7 @@ class EnsembleBackend(ExecutionBackend):
         """Interior of one field: all members ``(B, *owned)``, or one
         member's solo-shaped interior."""
         if member is None:
-            arr = getattr(self.block, name)[self.block.interior]
-            return self.block.xp.asnumpy(arr).copy()
+            return super().gather_field(name)
         mv = self.member_views[member]
         return getattr(mv, name)[mv.interior].copy()
 
@@ -585,6 +281,7 @@ class EnsembleEngine(StepEngine):
     ):
         super().__init__(backend, schedule, tracer=tracer, registry=registry)
         self.batch = backend.batch
+        self.span_attrs = {"ensemble": self.batch}
         self.registry.gauge(
             "simcov_ensemble_batch", "Members in the batched ensemble"
         ).set(backend.batch)
@@ -616,14 +313,12 @@ class EnsembleEngine(StepEngine):
             return np.asarray(value)
         return np.full(self.batch, value, dtype=dtype)
 
-    def step(self) -> StepStats:
-        """Advance all members one timestep; returns member 0's stats."""
-        t = self.step_num
-        n = self.batch
-
+    def _begin_step(self, t: int) -> StepContext:
         # Per-member vascular pools: elementwise ops replicate each solo
         # run's float sequence exactly (x + 0 careers are avoided by the
         # where; x / period and the max-debit below are elementwise).
+        if self._obs_t0 is None:
+            self._obs_t0 = perf_counter()
         self.pools = np.where(
             t >= self._delays, self.pools + self._gen_rates, self.pools
         )
@@ -631,77 +326,31 @@ class EnsembleEngine(StepEngine):
         attempts = kernels.ensemble_extravasation_attempts(
             self.params, self.backend.rng, t, self.pools
         )
+        return StepContext(step=t, attempts=attempts, pool=0.0)
 
-        ctx = StepContext(step=t, attempts=attempts, pool=0.0)
-        ctx.extras["pools"] = self.pools
-        self.backend.begin_step(ctx)
-
-        tracer = self.tracer
-        step_start = perf_counter()
-        phase_seconds: dict[str, float] = {}
-        obs_phases = self._obs_phases
-        for phase in self.schedule:
-            start = perf_counter()
-            ran = self.backend.execute(phase, ctx)
-            elapsed = perf_counter() - start
-            skipped = ran is False
-            hist, skips = obs_phases[phase.name]
-            hist.observe(elapsed)
-            if skipped:
-                skips.inc()
-            if tracer.enabled:
-                tracer.emit_span(
-                    phase.name, start, elapsed, cat="phase", step=t,
-                    skipped=skipped, ensemble=n,
-                )
-            else:
-                self.metrics.record(phase.name, elapsed, skipped=skipped)
-            if not skipped:
-                phase_seconds[phase.name] = elapsed
-        step_elapsed = perf_counter() - step_start
-        self._obs_step_seconds.observe(step_elapsed)
-        self._obs_steps.inc()
-        # Ensemble throughput: member-steps/sec over the engine's
-        # lifetime so far (batch members advance together, so one engine
-        # step is `batch` member-steps).
-        if self._obs_t0 is None:
-            self._obs_t0 = step_start
-        wall = perf_counter() - self._obs_t0
-        if wall > 0:
-            self._obs_member_rate.set((self.step_num + 1) * n / wall)
-        if tracer.enabled:
-            tracer.emit_span(
-                "step", step_start, step_elapsed,
-                cat="step", step=t, ensemble=n,
-            )
-
-        if ctx.reduced is None:
-            raise RuntimeError(
-                f"backend {self.backend.name!r} reduce phase did not set "
-                "ctx.reduced"
-            )
+    def _finish_step(self, ctx: StepContext) -> StepStats:
+        """Per-member pool debits and stats rows; returns member 0's."""
+        n = self.batch
         reduced = np.asarray(ctx.reduced)
         if reduced.shape[0] != n:
             raise RuntimeError(
                 f"ensemble reduce returned shape {reduced.shape}, "
                 f"expected leading batch axis {n}"
             )
-
         ext = self._vector(ctx.extravasations)
         binds = self._vector(ctx.binds)
         moves = self._vector(ctx.moves)
         # `pools` is rebound (not mutated), so the appended reference is a
         # stable snapshot of this step's post-debit pools.
         self.pools = np.maximum(0.0, self.pools - ext)
-        self.log.append_step(t, reduced, self.pools, ext, binds, moves)
-        first = self.member_series[0][-1]
-        record = {"step": t, "phase_seconds": phase_seconds}
-        record.update(self.backend.step_record(ctx))
-        if "active_voxels" in record:
-            self._obs_active_voxels.set(record["active_voxels"])
-        self.step_work.append(record)
-        self.step_num += 1
-        return first
+        self.log.append_step(ctx.step, reduced, self.pools, ext, binds, moves)
+        # Ensemble throughput: member-steps/sec over the engine's
+        # lifetime so far (batch members advance together, so one engine
+        # step is `batch` member-steps).
+        wall = perf_counter() - self._obs_t0
+        if wall > 0:
+            self._obs_member_rate.set((self.step_num + 1) * n / wall)
+        return self.member_series[0][-1]
 
 
 class EnsembleMemberView:

@@ -259,7 +259,7 @@ class PgasBackend(ExecutionBackend):
 
         def fn(rc):
             r = rc.rank
-            self.active[r].refresh()
+            self.active[r].sweep()
             self._active_counts.append(self.active[r].count)
             region = self.active[r].region()
             if region is not None:

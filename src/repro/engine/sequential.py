@@ -1,20 +1,32 @@
-"""The sequential execution backend: one undivided block, no communication.
+"""The single-block execution backend: one undivided block, no communication.
 
 This is the ground-truth substrate — every exchange barrier in the
-canonical schedule maps to a no-op because a single
-:class:`~repro.core.state.VoxelBlock` covers the whole domain and its
-ghosts only ever mirror the no-flux boundary.  Both parallel backends
-must reproduce its per-step state exactly (see tests/integration),
-because all randomness is keyed by global voxel id.
+canonical schedule maps to a no-op because a single block covers the
+whole domain and its ghosts only ever mirror the no-flux boundary.  The
+parallel backends must reproduce its per-step state exactly (see
+tests/integration), because all randomness is keyed by global voxel id.
+
+:class:`SingleBlockBackend` is the one implementation of that schedule.
+It is written against the trailing spatial axes of its block, so the same
+phase bodies serve a solo :class:`~repro.core.state.VoxelBlock`
+(:class:`SequentialBackend`) and a batched
+:class:`~repro.core.state.EnsembleBlock` with a leading member axis
+(:class:`~repro.engine.ensemble.EnsembleBackend`); the subclasses build
+their block, rng and params and say how attempts are applied and stats
+reduced — the two places where ragged per-member data makes solo and
+batched differ.
 
 Kernel phases run over the :class:`~repro.engine.activity.ActivityGate`
 region — the active bounding box re-derived by a periodic ``tile_sweep``
-(§3.2) — instead of the whole domain.  Gating is bitwise-invisible (the
-gate's contract); construct with ``active_gating=False`` to force the
-whole-domain baseline the benchmark harness compares against.
+(§3.2) — instead of the whole domain, and the T-cell phases over the
+tighter box around present T cells.  Both are bitwise-invisible;
+construct with ``active_gating=False`` to force the whole-domain baseline
+that the property tests and the benchmark harness compare against.
 """
 
 from __future__ import annotations
+
+import abc
 
 import numpy as np
 
@@ -22,53 +34,40 @@ from repro.core import kernels
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
 from repro.core.stats import stats_vector
-from repro.engine.activity import ActivityGate
+from repro.engine.activity import ActivityGate, bounding_box
 from repro.engine.backend import ExecutionBackend
 from repro.engine.phases import Phase, exchange, kernel
 
 
-class SequentialBackend(ExecutionBackend):
-    """Whole-domain semantics, active-region execution, canonical order.
+class SingleBlockBackend(ExecutionBackend):
+    """Whole-domain semantics, active-region execution, canonical order."""
 
-    Parameters
-    ----------
-    params, seed, seed_gids, structure_gids:
-        As before.
-    active_gating:
-        Skip quiescent space via the §3.2 periodic sweep (default).
-        ``False`` processes the whole domain every step (the reference
-        baseline; results are bitwise identical either way).
-    tile_shape, sweep_period:
-        Activity-gate tuning, as for the GPU backend: tile extents
-        (default 8 per dimension) and steps between sweeps (default and
-        maximum sound value: the smallest tile side).
-    """
-
-    name = "sequential"
-
-    def __init__(
-        self,
-        params: SimCovParams,
-        seed: int = 0,
-        seed_gids: np.ndarray | None = None,
-        structure_gids: np.ndarray | None = None,
-        active_gating: bool = True,
-        tile_shape: tuple[int, ...] | None = None,
-        sweep_period: int | None = None,
-    ):
-        self._init_common(params, seed)
-        self.block = VoxelBlock(self.spec, self.spec.domain)
-        self._seed_blocks([self.block], seed_gids, structure_gids)
-        self.intents = kernels.IntentArrays(self.block.shape)
-        self._scratch_v = np.zeros_like(self.block.virions)
-        self._scratch_c = np.zeros_like(self.block.chemokine)
+    def _init_block(
+        self, block, min_chemokine, active_gating, tile_shape, sweep_period
+    ) -> None:
+        """Shared constructor epilogue: scratch arrays and the gate."""
+        xp = block.xp
+        self.block = block
+        self.intents = kernels.IntentArrays(block.shape, xp=xp)
+        self._scratch_v = xp.zeros_like(block.virions)
+        self._scratch_c = xp.zeros_like(block.chemokine)
         self.gate = ActivityGate(
-            self.block,
-            params.min_chemokine,
+            block,
+            min_chemokine,
             sweep_period=sweep_period,
             tile_shape=tile_shape,
             enabled=active_gating,
         )
+
+    # -- what solo and batched spell differently ------------------------------
+
+    @abc.abstractmethod
+    def apply_extravasation(self, ctx, region):
+        """Apply ``ctx.attempts``; returns the successes (the pool debit)."""
+
+    @abc.abstractmethod
+    def reduce(self) -> np.ndarray:
+        """The full-domain REDUCED_FIELDS statistics."""
 
     # -- schedule ------------------------------------------------------------
 
@@ -97,26 +96,57 @@ class SequentialBackend(ExecutionBackend):
         if region is None:
             return False
         kernels.tcell_age(self.block, region)
-        ctx.extravasations = kernels.apply_extravasation(
-            self.params, self.block, ctx.attempts, region
-        )
+        ctx.extravasations = self.apply_extravasation(ctx, region)
+
+    def _tcell_box(self, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
+        """Tight box around the T cells present in ``region``, or None if
+        there are none (on a batched block: in any member).
+
+        The gate region covers the *chemokine* footprint, which is
+        typically far wider than the T-cell cloud — and the T-cell kernels
+        find their agents by mask passes over the region they are given
+        (the per-agent work after that is gathered, so it does not grow
+        with the box).  Restricting them to
+        this box is bitwise-neutral: every voxel outside it provably
+        produces no intent, and outside its one-voxel margin no move and
+        no bind.  With gating disabled the box is ``region`` itself, so
+        the whole-domain reference stays whole-domain.
+        """
+        if not self.gate.enabled:
+            return region
+        present = self.block.xp.asnumpy(self.block.tcell[region]) != 0
+        first = present.ndim - self.block.spec.ndim
+        box = bounding_box(present, [s.start for s in region[first:]])
+        return None if box is None else region[:first] + box
 
     def phase_intents(self, ctx):
         region = self.gate.region()
         if region is None:
             return False
         self.intents.clear(region)
-        kernels.tcell_intents(
-            self.params, self.rng, ctx.step, self.block, self.intents, region
-        )
+        box = ctx.extras["tcell_box"] = self._tcell_box(region)
+        if box is not None:
+            kernels.tcell_intents(
+                self.params, self.rng, ctx.step, self.block, self.intents, box
+            )
 
     def phase_resolve(self, ctx):
         region = self.gate.region()
         if region is None:
             return False
-        ctx.moves = kernels.resolve_moves(self.block, self.intents, region)
+        box = ctx.extras["tcell_box"]
+        if box is None:
+            # No T cells -> no intents were written, so moves and binds
+            # keep their zero defaults.
+            return None
+        # Bids and arrivals scatter one voxel outward.
+        box = tuple(
+            slice(max(s.start - 1, base.start), min(s.stop + 1, base.stop))
+            for s, base in zip(box, region)
+        )
+        ctx.moves = kernels.resolve_moves(self.block, self.intents, box)
         ctx.binds = kernels.resolve_binds(
-            self.params, self.rng, ctx.step, self.block, self.intents, region
+            self.params, self.rng, ctx.step, self.block, self.intents, box
         )
 
     def phase_apply_results(self, ctx):
@@ -146,7 +176,7 @@ class SequentialBackend(ExecutionBackend):
 
     def phase_reduce(self, ctx) -> None:
         # Statistics sweep the full space regardless of gating (§3.3).
-        ctx.reduced = stats_vector(self.block)
+        ctx.reduced = self.reduce()
 
     def phase_tile_sweep(self, ctx):
         if not self.gate.due(ctx.step):
@@ -164,7 +194,53 @@ class SequentialBackend(ExecutionBackend):
     # -- inspection ----------------------------------------------------------
 
     def gather_field(self, name: str) -> np.ndarray:
-        return getattr(self.block, name)[self.block.interior].copy()
+        block = self.block
+        return block.xp.asnumpy(getattr(block, name)[block.interior]).copy()
+
+
+class SequentialBackend(SingleBlockBackend):
+    """The solo block.
+
+    Parameters
+    ----------
+    params, seed, seed_gids, structure_gids:
+        As before.
+    active_gating:
+        Skip quiescent space via the §3.2 periodic sweep (default).
+        ``False`` processes the whole domain every step (the reference
+        baseline; results are bitwise identical either way).
+    tile_shape, sweep_period:
+        Activity-gate tuning, as for the GPU backend: tile extents
+        (default 8 per dimension) and steps between sweeps (default and
+        maximum sound value: the smallest tile side).
+    """
+
+    name = "sequential"
+
+    def __init__(
+        self,
+        params: SimCovParams,
+        seed: int = 0,
+        seed_gids: np.ndarray | None = None,
+        structure_gids: np.ndarray | None = None,
+        active_gating: bool = True,
+        tile_shape: tuple[int, ...] | None = None,
+        sweep_period: int | None = None,
+    ):
+        self._init_common(params, seed)
+        block = VoxelBlock(self.spec, self.spec.domain)
+        self._seed_blocks([block], seed_gids, structure_gids)
+        self._init_block(
+            block, params.min_chemokine, active_gating, tile_shape, sweep_period
+        )
+
+    def apply_extravasation(self, ctx, region):
+        return kernels.apply_extravasation(
+            self.params, self.block, ctx.attempts, region
+        )
+
+    def reduce(self) -> np.ndarray:
+        return stats_vector(self.block)
 
     def activity_fraction(self) -> float:
         """Fraction of voxels active now (perf-model workload input)."""

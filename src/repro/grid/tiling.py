@@ -178,24 +178,24 @@ class TileGrid:
 
     def voxel_mask(self) -> np.ndarray:
         """Per-voxel boolean mask of active-tile membership (owned shape)."""
-        mask = self.active
-        for d, t in enumerate(self.tile_shape):
-            mask = mask.repeat(t, axis=d)
-        return mask[tuple(slice(0, s) for s in self.owned_shape)].copy()
+        return _expand_tiles(self.active, self.tile_shape, self.owned_shape)
 
     def max_sweep_period(self) -> int:
         """Longest sound sweep period: the smallest tile side (§3.2)."""
         return int(min(self.tile_shape))
 
 
-def _dilate(mask: np.ndarray) -> np.ndarray:
+def _dilate(mask: np.ndarray, ndim: int | None = None) -> np.ndarray:
     """Moore-neighborhood binary dilation by one cell (no scipy dependency).
 
     Box dilation is separable: dilating by one along each axis in turn
     equals the full Moore dilation, at 2·ndim shifted ORs instead of
-    3**ndim - 1."""
+    3**ndim - 1.  Only the trailing ``ndim`` axes are dilated (default:
+    all of them); leading axes index independent masks — ensemble
+    members — that must never leak activity into each other."""
     out = mask.copy()
-    for d in range(mask.ndim):
+    first = 0 if ndim is None else mask.ndim - ndim
+    for d in range(first, mask.ndim):
         if mask.shape[d] < 2:
             continue
         prev = out.copy()
@@ -209,14 +209,25 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 def _tile_any(mask: np.ndarray, tile_shape, tiles_per_dim) -> np.ndarray:
     """Per-tile ``any`` reduction of an owned-shape mask (ragged edge tiles
-    padded with False so the array reshapes into (tiles, tile, ...) blocks)."""
-    full_shape = tuple(n * t for n, t in zip(tiles_per_dim, tile_shape))
+    padded with False so the array reshapes into (tiles, tile, ...) blocks).
+    Axes in front of the ``len(tile_shape)`` spatial ones are kept."""
+    lead = mask.shape[: mask.ndim - len(tile_shape)]
+    full_shape = lead + tuple(n * t for n, t in zip(tiles_per_dim, tile_shape))
     if full_shape != mask.shape:
         full = np.zeros(full_shape, dtype=bool)
-        full[tuple(slice(0, s) for s in mask.shape)] = mask
+        full[(...,) + tuple(slice(0, s) for s in mask.shape[len(lead):])] = mask
         mask = full
-    blocked: list[int] = []
+    blocked = list(lead)
     for n, t in zip(tiles_per_dim, tile_shape):
         blocked += [n, t]
-    axes = tuple(range(1, 2 * len(tile_shape), 2))
+    axes = tuple(range(len(lead) + 1, len(blocked), 2))
     return mask.reshape(blocked).any(axis=axes)
+
+
+def _expand_tiles(active: np.ndarray, tile_shape, owned_shape) -> np.ndarray:
+    """Per-voxel membership mask of per-tile flags, cropped to the owned
+    shape (the inverse of :func:`_tile_any`; leading axes are kept)."""
+    first = active.ndim - len(tile_shape)
+    for d, t in enumerate(tile_shape):
+        active = active.repeat(t, axis=first + d)
+    return active[(...,) + tuple(slice(0, s) for s in owned_shape)].copy()

@@ -19,6 +19,5 @@ to SIMCoV-GPU.
 """
 
 from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_cpu.active_region import ActiveRegion
 
-__all__ = ["SimCovCPU", "ActiveRegion"]
+__all__ = ["SimCovCPU"]

@@ -179,6 +179,47 @@ class TestResolveMoves:
             assert block.tcell.max() <= 1
 
 
+class TestRegionNeutral:
+    """The T-cell kernels gather their agents from whatever region they
+    are handed: any region holding the T cells (and, for resolution, the
+    voxels they bid on) gives the whole-interior result."""
+
+    def test_box_equals_interior(self, params, rng):
+        spec = GridSpec(params.dim)
+        outcomes = []
+        for boxed in (False, True):
+            block = VoxelBlock(spec, spec.domain)
+            rs = np.random.default_rng(3)
+            for x, y in rs.integers(3, 9, size=(10, 2)):
+                put_tcell(block, int(x), int(y), life=10**6)
+            for x, y in rs.integers(3, 9, size=(6, 2)):
+                block.epi_state[x + 1, y + 1] = EpiState.EXPRESSING
+            intents = kernels.IntentArrays(block.shape)
+            for step in range(6):
+                # T cells drift one voxel a step from [3, 9): these boxes
+                # (padded coordinates, clamped to the interior [1, 13))
+                # hold them and their targets.
+                inner = outer = block.interior
+                if boxed:
+                    inner = (slice(max(1, 4 - step), min(13, 10 + step)),) * 2
+                    outer = (slice(max(1, 3 - step), min(13, 11 + step)),) * 2
+                intents.clear(block.interior)
+                kernels.tcell_intents(params, rng, step, block, intents, inner)
+                moved = kernels.resolve_moves(block, intents, outer)
+                bound = kernels.resolve_binds(params, rng, step, block, intents, outer)
+                outcomes.append((boxed, step, moved, bound))
+            outcomes.append({
+                name: getattr(block, name).copy()
+                for name in VoxelBlock.FIELD_DTYPES
+            })
+        whole, boxed = outcomes[6], outcomes[13]
+        assert [o[2:] for o in outcomes[:6]] == [o[2:] for o in outcomes[7:13]]
+        assert sum(o[2] for o in outcomes[:6]) > 0
+        assert sum(o[3] for o in outcomes[:6]) > 0
+        for name in whole:
+            assert np.array_equal(whole[name], boxed[name]), name
+
+
 class TestResolveBinds:
     def test_bind_triggers_apoptosis(self, params, block, rng):
         put_tcell(block, 6, 6)

@@ -12,6 +12,7 @@ import pytest
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.engine.activity import ActivityGate
+from repro.engine.ensemble import EnsembleSimCov
 from repro.grid.tiling import TileGrid, _dilate, _tile_any
 
 
@@ -152,13 +153,63 @@ class TestActivityGate:
         with pytest.raises(ValueError, match="sweep_period"):
             SequentialSimCov(p, seed=0, sweep_period=0)
 
-    def test_gate_with_pinned_sides_keeps_boundary_active(self):
-        p = SimCovParams.fast_test(dim=(24, 24), num_infections=0, num_steps=10)
-        sim = SequentialSimCov(p, seed=1)
-        pins = np.zeros((2, 2), dtype=bool)
-        pins[0, 0] = True
-        gate = ActivityGate(sim.block, p.min_chemokine, tile_shape=(4, 4),
-                            pin_sides=pins)
-        gate.sweep()
-        assert gate.mask[0, :].all()  # pinned low-x shell stays active
-        assert not gate.mask[-1, :].any()
+
+def _sim(batch, steps=16, **kw):
+    """A gated run: solo (``batch=None``) or ``batch`` stacked members."""
+    p = SimCovParams.fast_test(dim=(48, 48), num_infections=1, num_steps=steps)
+    if batch is None:
+        sim = SequentialSimCov(p, seed=0, **kw)
+        members = [sim.block]
+    else:
+        sim = EnsembleSimCov(p, seeds=list(range(batch)), **kw)
+        members = sim.backend.member_views
+    sim.run(steps)
+    return sim, members
+
+
+@pytest.mark.parametrize("batch", [None, 1, 3])
+class TestGateMemberAxis:
+    """The gate sweeps the trailing spatial axes; a leading member axis
+    only ever adds independent masks in front."""
+
+    def test_union_region_covers_every_member_mask(self, batch):
+        sim, members = _sim(batch)
+        gate = sim.gate
+        region = gate.region()
+        assert region is not None
+        assert len(region) == sim.block.epi_state.ndim
+        if batch is not None:
+            assert region[0] == slice(0, batch)
+        g = sim.block.ghost
+        masks = gate.mask.reshape((len(members),) + members[0].owned.shape)
+        for mask in masks:
+            for coords, sl in zip(np.nonzero(mask), region[-mask.ndim:]):
+                if coords.size:
+                    assert coords.min() >= sl.start - g
+                    assert coords.max() < sl.stop - g
+
+    def test_member_counts_sum_to_count(self, batch):
+        sim, members = _sim(batch)
+        counts = sim.gate.member_counts
+        assert np.shape(counts) == (() if batch is None else (batch,))
+        assert sim.gate.count == int(np.sum(counts))
+        assert 0 < sim.gate.count < sim.gate.mask.size
+
+    @pytest.mark.parametrize(
+        "tile_shape,sweep_period", [(None, None), ((4, 4), 3), ((4, 4), 1)]
+    )
+    def test_member_mask_equals_solo_gate_on_same_state(
+        self, batch, tile_shape, sweep_period
+    ):
+        sim, members = _sim(batch, tile_shape=tile_shape,
+                            sweep_period=sweep_period)
+        sim.gate.sweep()
+        masks = sim.gate.mask.reshape((len(members),) + members[0].owned.shape)
+        for b, member in enumerate(members):
+            solo = ActivityGate(
+                member, sim.params.min_chemokine,
+                tile_shape=tile_shape, sweep_period=sweep_period,
+            )
+            solo.sweep()
+            np.testing.assert_array_equal(masks[b], solo.mask, err_msg=str(b))
+            assert int(np.reshape(sim.gate.member_counts, -1)[b]) == solo.count

@@ -157,29 +157,6 @@ class TestMemberSeries:
 
 
 class TestEnsembleGate:
-    def test_union_region_covers_every_member_mask(self):
-        p = _params(steps=40)
-        ens = EnsembleSimCov(p, seeds=[0, 1, 2])
-        ens.run(40)
-        region = ens.gate.region()
-        assert region is not None
-        assert region[0] == slice(0, 3)
-        g = ens.block.ghost
-        for b in range(3):
-            mask = ens.gate.member_mask(b)
-            idx = np.nonzero(mask)
-            for axis, coords in enumerate(idx):
-                if coords.size == 0:
-                    continue
-                lo = region[1 + axis].start - g
-                hi = region[1 + axis].stop - g
-                assert coords.min() >= lo and coords.max() < hi
-
-    def test_member_counts_sum_to_count(self):
-        ens = EnsembleSimCov(_params(steps=40), seeds=[0, 1])
-        ens.run(40)
-        assert ens.gate.count == int(ens.gate.member_counts.sum())
-
     def test_sweep_period_validated(self):
         with pytest.raises(ValueError, match="sweep_period"):
             EnsembleSimCov(_params(), batch=2, sweep_period=99)
@@ -246,3 +223,36 @@ class TestParamsStack:
     def test_attribute_cache_returns_same_object(self):
         stack = ParamsStack(expand_sweep(_params(), "infectivity", [0.1, 0.3]))
         assert stack.infectivity is stack.infectivity
+
+
+class TestOneImplementation:
+    """Solo and batched run the same code, not two copies of it."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["schedule", "phase_tile_sweep"] + [
+            f"phase_{p}" for p in (
+                "age_extravasate", "intents", "resolve", "apply_results",
+                "epithelial", "diffuse", "reduce",
+            )
+        ],
+    )
+    def test_backends_share_each_phase_body(self, name):
+        from repro.engine.ensemble import EnsembleBackend
+        from repro.engine.sequential import SequentialBackend
+
+        assert getattr(SequentialBackend, name) is getattr(EnsembleBackend, name)
+
+    def test_engine_step_loop_is_not_overridden(self):
+        from repro.engine.engine import StepEngine
+        from repro.engine.ensemble import EnsembleEngine
+
+        assert EnsembleEngine.step is StepEngine.step
+
+    def test_one_gate_class(self):
+        import repro.engine
+        from repro.engine.activity import ActivityGate
+
+        assert not hasattr(repro.engine, "EnsembleActivityGate")
+        ens = EnsembleSimCov(_params(steps=1), seeds=[0, 1])
+        assert type(ens.gate) is ActivityGate

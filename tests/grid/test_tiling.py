@@ -65,6 +65,15 @@ class TestActivation:
         }
         assert active == boundary
 
+    def test_sweep_pins_only_the_requested_sides(self):
+        pins = np.zeros((2, 2), dtype=bool)
+        pins[0, 0] = True
+        tg = TileGrid((24, 24), (4, 4), ghost=1, pin_sides=pins)
+        tg.sweep(np.zeros((26, 26), dtype=bool), padded=True)
+        vm = tg.voxel_mask()
+        assert vm[:4, :].all()  # pinned low-x shell stays active
+        assert not vm[4:, :].any()
+
     def test_no_ghost_no_pinning(self):
         tg = TileGrid((15, 15), (3, 3), ghost=0)
         tg.sweep(np.zeros((15, 15), dtype=bool))

@@ -5,9 +5,9 @@ import pytest
 
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
+from repro.engine.activity import ActivityGate
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
-from repro.simcov_cpu.active_region import ActiveRegion
 from repro.simcov_cpu.simulation import SimCovCPU
 
 
@@ -15,15 +15,15 @@ class TestActiveRegion:
     def test_initially_all_active(self):
         spec = GridSpec((8, 8))
         blk = VoxelBlock(spec, spec.domain)
-        ar = ActiveRegion(blk, 1e-6)
+        ar = ActivityGate(blk, 1e-6, sweep_period=1)
         assert ar.count == 64
 
     def test_refresh_shrinks_to_activity(self):
         spec = GridSpec((16, 16))
         blk = VoxelBlock(spec, spec.domain)
         blk.virions[8, 8] = 0.5  # padded coords; owned (7,7)
-        ar = ActiveRegion(blk, 1e-6)
-        ar.refresh()
+        ar = ActivityGate(blk, 1e-6, sweep_period=1)
+        ar.sweep()
         assert ar.count == 9  # the voxel + Moore dilation
         region = ar.region()
         assert region == (slice(7, 10), slice(7, 10))
@@ -31,8 +31,8 @@ class TestActiveRegion:
     def test_idle_region_none(self):
         spec = GridSpec((8, 8))
         blk = VoxelBlock(spec, spec.domain)
-        ar = ActiveRegion(blk, 1e-6)
-        ar.refresh()
+        ar = ActivityGate(blk, 1e-6, sweep_period=1)
+        ar.sweep()
         assert ar.count == 0
         assert ar.region() is None
 
@@ -42,8 +42,8 @@ class TestActiveRegion:
         spec = GridSpec((16, 8))
         blk = VoxelBlock(spec, Box((0, 0), (8, 8)))  # ghosts at x=8
         blk.virions[9, 4] = 0.3  # ghost voxel (global (8,3))
-        ar = ActiveRegion(blk, 1e-6)
-        ar.refresh()
+        ar = ActivityGate(blk, 1e-6, sweep_period=1)
+        ar.sweep()
         assert ar.count == 3  # owned (7, 2..4)
         assert ar.mask[7, 2] and ar.mask[7, 3] and ar.mask[7, 4]
 
@@ -52,8 +52,8 @@ class TestActiveRegion:
         blk = VoxelBlock(spec, spec.domain)
         blk.virions[2, 2] = 0.5
         blk.virions[14, 14] = 0.5
-        ar = ActiveRegion(blk, 1e-6)
-        ar.refresh()
+        ar = ActivityGate(blk, 1e-6, sweep_period=1)
+        ar.sweep()
         region = ar.region()
         assert region == (slice(1, 16), slice(1, 16))
         assert ar.count == 18  # two dilated 3x3 patches
