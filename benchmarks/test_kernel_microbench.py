@@ -95,6 +95,26 @@ def test_bench_stats_vector(benchmark, world):
     assert vec.shape == (8,)
 
 
+def test_bench_region_reducer(benchmark, world):
+    """The region-limited ``reduce`` on the same world with a 10 % region:
+    six integer counts over the region plus the two whole-interior float
+    sums it cannot limit (DESIGN.md §4).  ``extra_info`` carries the
+    ledger number, ns per region voxel."""
+    from repro.core.stats import RegionReducer, stats_vector
+
+    _, block, _ = world
+    side = round((0.10 * block.owned.size) ** 0.5)  # 40 x 40 of 128 x 128
+    region = (slice(20, 20 + side),) * 2
+    reducer = RegionReducer(block)
+    vec = benchmark(lambda: reducer.reduce(region))
+    assert np.array_equal(vec, stats_vector(block))
+    benchmark.extra_info["region_voxels"] = side * side
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["ns_per_region_voxel"] = (
+            benchmark.stats["mean"] * 1e9 / (side * side)
+        )
+
+
 def test_bench_full_sequential_step(benchmark):
     p = SimCovParams.fast_test(dim=(96, 96), num_infections=8, num_steps=10)
     from repro.core.model import SequentialSimCov

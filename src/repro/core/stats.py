@@ -27,6 +27,16 @@ REDUCED_FIELDS = (
     "virions_total",
     "chemokine_total",
 )
+#: The leading REDUCED_FIELDS are integer counts (five epithelial states,
+#: tissue T cells); the rest are float field totals.
+N_COUNTS = 6
+_COUNTED_STATES = (
+    EpiState.HEALTHY,
+    EpiState.INCUBATING,
+    EpiState.EXPRESSING,
+    EpiState.APOPTOTIC,
+    EpiState.DEAD,
+)
 
 
 @dataclass(frozen=True)
@@ -81,11 +91,25 @@ class StepStats:
         return self.incubating + self.expressing + self.apoptotic
 
 
+def interior_sum(field: np.ndarray, interior: tuple[slice, ...]) -> float:
+    """The float reduction: one numpy sum over the interior view of a
+    solo-layout padded array.
+
+    Every float total any bitwise backend reports is this call on this
+    layout.  numpy accumulates a strided view in buffer-sized chunks whose
+    boundaries depend on the view's shape, so a sum over anything narrower
+    (a row band, a region) has different bits (DESIGN.md §4, "Why the
+    float totals stay whole-domain").
+    """
+    return float(field[interior].sum(dtype=np.float64))
+
+
 def stats_vector(block: VoxelBlock) -> np.ndarray:
     """This block's local contribution to the reduction, REDUCED_FIELDS order.
 
-    Plain numpy sums over the owned interior — the reference reduction all
-    strategies must reproduce exactly (integer stats) / to fp tolerance.
+    Plain numpy sums over the owned interior — the whole-domain reference
+    reduction all strategies must reproduce exactly (integer stats) / to
+    fp tolerance.
     """
     sl = block.interior
     state = block.epi_state[sl]
@@ -97,8 +121,8 @@ def stats_vector(block: VoxelBlock) -> np.ndarray:
             float((state == EpiState.APOPTOTIC).sum()),
             float((state == EpiState.DEAD).sum()),
             float((block.tcell[sl] != 0).sum()),
-            float(block.virions[sl].sum(dtype=np.float64)),
-            float(block.chemokine[sl].sum(dtype=np.float64)),
+            interior_sum(block.virions, sl),
+            interior_sum(block.chemokine, sl),
         ],
         dtype=np.float64,
     )
@@ -156,19 +180,110 @@ def stats_vectors(block) -> np.ndarray:
     out[:, 3] = xp.asnumpy((state == EpiState.APOPTOTIC).sum(axis=axes))
     out[:, 4] = xp.asnumpy((state == EpiState.DEAD).sum(axis=axes))
     out[:, 5] = xp.asnumpy((block.tcell[sl] != 0).sum(axis=axes))
-    vectorized = xp.name != "numpy" or _batched_sum_exact(
-        block.virions.shape, sl
-    )
-    if vectorized:
-        out[:, 6] = xp.asnumpy(block.virions[sl].sum(axis=axes))
-        out[:, 7] = xp.asnumpy(block.chemokine[sl].sum(axis=axes))
-    else:  # pragma: no cover - no production layout fails the probe
-        for b in range(n_members):
-            mv = block.member_view(b)
-            isl = mv.interior
-            out[b, 6] = mv.virions[isl].sum(dtype=np.float64)
-            out[b, 7] = mv.chemokine[isl].sum(dtype=np.float64)
+    out[:, N_COUNTS:] = float_totals(block)
     return out
+
+
+def _lead(block) -> tuple[int, ...]:
+    """Member axes in front of the spatial ones: ``()`` or ``(B,)``."""
+    return block.shape[: len(block.shape) - block.spec.ndim]
+
+
+def float_totals(block) -> np.ndarray:
+    """Virion and chemokine totals over the whole interior: shape ``(2,)``
+    on a solo block (the :func:`interior_sum` pair) and ``(B, 2)`` on a
+    batched one, each row bitwise equal to that member's solo pair."""
+    sl = block.interior
+    if not _lead(block):
+        return np.array(
+            [interior_sum(block.virions, sl), interior_sum(block.chemokine, sl)]
+        )
+    xp = block.xp
+    if xp.name != "numpy" or _batched_sum_exact(block.virions.shape, sl):
+        axes = tuple(range(1, block.epi_state.ndim))
+        return np.stack(
+            [
+                xp.asnumpy(block.virions[sl].sum(axis=axes)),
+                xp.asnumpy(block.chemokine[sl].sum(axis=axes)),
+            ],
+            axis=-1,
+        )
+    else:  # pragma: no cover - no production layout fails the probe
+        return np.array(
+            [float_totals(block.member_view(b)) for b in range(block.batch)]
+        )
+
+
+def region_counts(block, region: tuple[slice, ...] | None) -> np.ndarray:
+    """The integer statistics of ``region`` (padded-array slices; ``None``
+    is the empty region): int64 counts in REDUCED_FIELDS order, shape
+    ``(N_COUNTS,)`` on a solo block and ``(B, N_COUNTS)`` behind the member
+    axis of a batched one."""
+    lead = _lead(block)
+    if region is None:
+        return np.zeros(lead + (N_COUNTS,), dtype=np.int64)
+    state = block.epi_state[region]
+    masks = [state == s for s in _COUNTED_STATES] + [block.tcell[region] != 0]
+    if not lead:
+        return np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
+    axes = tuple(range(len(lead), state.ndim))
+    return np.stack(
+        [block.xp.asnumpy(m.sum(axis=axes)) for m in masks], axis=-1
+    ).astype(np.int64)
+
+
+class RegionReducer:
+    """The per-step reduction at the cost of the active region (§3.3).
+
+    Every kernel write of a step lies inside the activity gate's region,
+    so outside it ``epi_state`` is frozen and no T cell exists: the six
+    integer statistics are ``region_counts(region) + outside``, where
+    ``outside`` changes only when the region does.  The caller reports
+    that with :meth:`rebase` right after each gate sweep — before any
+    kernel has written since the last :meth:`counts`, so the last totals
+    still describe the block — and a whole-domain count happens only on
+    the first call and after :meth:`reset`.  With gating off the region is
+    the whole interior and ``outside`` is zero: the reference path is this
+    code, not a fork of it.
+
+    The two float totals are :func:`interior_sum` over the whole interior
+    every step; see its docstring for why they are not region-limited.
+    """
+
+    def __init__(self, block):
+        self.block = block
+        #: Integer totals as of the last :meth:`counts`; None = the block
+        #: was (re)written since, recount the whole domain.
+        self._totals: np.ndarray | None = None
+        self._outside: np.ndarray | None = None
+
+    def reset(self) -> None:
+        """The block was rewritten behind the reducer (checkpoint restore)."""
+        self._totals = None
+
+    def rebase(self, region) -> None:
+        """The gate region moved to ``region``; block state is unchanged
+        since the last :meth:`counts`."""
+        if self._totals is not None:
+            self._outside = self._totals - region_counts(self.block, region)
+
+    def counts(self, region) -> np.ndarray:
+        """Whole-domain integer statistics, counting only ``region``."""
+        inside = region_counts(self.block, region)
+        if self._totals is None:
+            self._outside = self.whole_domain_counts() - inside
+        self._totals = inside + self._outside
+        return self._totals
+
+    def whole_domain_counts(self) -> np.ndarray:
+        """The one full sweep; steady-state steps never reach it."""
+        return region_counts(self.block, self.block.interior)
+
+    def reduce(self, region) -> np.ndarray:
+        """The REDUCED_FIELDS vector (one row per member when batched)."""
+        return np.concatenate(
+            [self.counts(region), float_totals(self.block)], axis=-1
+        )
 
 
 class TimeSeries:

@@ -13,11 +13,12 @@ The engine still drives the canonical schedule on the coordinator:
 ``begin_step`` publishes ``(step, pool)`` and releases the workers; the
 intermediate phases are no-ops here (the workers run them behind the
 same phase names); ``phase_reduce`` meets the workers at the step-end
-barrier, sums the integer totals exactly, and recomputes the float
-statistics over a coordinator-side full-domain block so the reduction
-follows the *identical* code path (and numpy summation order) as the
-sequential backend — that, plus counter-based RNG and owner-computes
-winner resolution, is the determinism argument (DESIGN.md).
+barrier, adds the integer statistics each rank counted over its own
+active region (exact in any order), and sums the two float fields over
+coordinator-side full-domain arrays in the sequential backend's layout,
+so the float reduction is the *identical* numpy call (and summation
+order) — that, plus counter-based RNG and owner-computes winner
+resolution, is the determinism argument (DESIGN.md).
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import time
 import numpy as np
 
 from repro.core.params import SimCovParams
-from repro.core.state import VoxelBlock
-from repro.core.stats import stats_vector
+from repro.core.stats import interior_sum
 from repro.dist.control import (
     RES_ACTIVE,
     RES_BINDS,
+    RES_COUNTS,
     RES_EXTRAVASATIONS,
     RES_MOVES,
 )
@@ -46,8 +47,8 @@ from repro.obs.registry import get_registry
 from repro.telemetry.events import GAUGE, Event
 from repro.telemetry.tracer import NULL_TRACER
 
-#: The fields the statistics reduction reads.
-_STATS_FIELDS = ("epi_state", "tcell", "virions", "chemokine")
+#: The fields whose totals the coordinator sums (the float REDUCED_FIELDS).
+_FLOAT_FIELDS = ("virions", "chemokine")
 
 #: Per-rank telemetry-ring capacity when tracing is on.  Rings are
 #: drained every step, so this only needs to hold one step's records
@@ -131,10 +132,16 @@ class DistBackend(ExecutionBackend):
         # Seed through the shared pages *before* the workers spawn, so
         # rank 0's first gate refresh already sees the infection sites.
         self._seed_blocks(self.blocks, seed_gids, structure_gids)
-        #: Private full-domain block the reduction sweeps — same memory
-        #: layout as the sequential backend's single block, so the float
-        #: sums are bitwise identical to the reference.
-        self._stats_block = VoxelBlock(self.spec, self.spec.domain)
+        #: Private full-domain copies of the float fields — the padded
+        #: layout of the sequential backend's single block, so their
+        #: interior sums are bitwise identical to the reference.  Kept
+        #: current by copying each rank's live box per step.
+        padded = self.spec.domain.expand(1)
+        self._float_origin = padded.lo
+        self._float_interior = self.spec.domain.slices_from(padded.lo)
+        self._floats = {name: np.zeros(padded.shape) for name in _FLOAT_FIELDS}
+        #: ``dirty_epoch`` the copies are current for; None = never filled.
+        self._floats_epoch: int | None = None
         self._active_counts: list[int] = []
         # Always-on metrics + the rolling imbalance index (ROADMAP open
         # item 5's trigger signal).  The per-step deltas come from the
@@ -224,16 +231,50 @@ class DistBackend(ExecutionBackend):
         ctx.moves = int(res[:, RES_MOVES].sum())
         ctx.binds = int(res[:, RES_BINDS].sum())
         self._active_counts = [int(v) for v in res[:, RES_ACTIVE]]
-        sb = self._stats_block
-        for rank, block in enumerate(self.blocks):
-            src = self.exchanger.owned_slices(rank)
-            dst = self.decomp.boxes[rank].slices_from(sb.origin)
-            for name in _STATS_FIELDS:
-                getattr(sb, name)[dst] = getattr(block, name)[src]
-        ctx.reduced = stats_vector(sb)
+        self._refresh_floats()
+        ctx.reduced = np.array(
+            [
+                *res[:, RES_COUNTS].sum(axis=0),
+                *(
+                    interior_sum(self._floats[name], self._float_interior)
+                    for name in _FLOAT_FIELDS
+                ),
+            ],
+            dtype=np.float64,
+        )
         self._observe_step(ctx.step)
         if self.tracer:
             self._drain_telemetry(ctx.step)
+
+    def _refresh_floats(self) -> None:
+        """Bring the private float fields up to date with the rank blocks.
+
+        Every write of the step just finished lies inside the activity
+        box its rank published, so that box is all there is to copy —
+        except after a restore (or on the first step), when the whole
+        owned interior of every rank is new.
+        """
+        ctrl = self.runtime.ctrl
+        epoch = int(ctrl.dirty_epoch[0])
+        everything = epoch != self._floats_epoch
+        self._floats_epoch = epoch
+        for rank, block in enumerate(self.blocks):
+            box = (
+                self.decomp.boxes[rank] if everything
+                else ctrl.read_region(rank, self.spec.ndim)
+            )
+            if box is None:
+                continue
+            src = box.slices_from(block.origin)
+            dst = box.slices_from(self._float_origin)
+            for name, full in self._floats.items():
+                full[dst] = getattr(block, name)[src]
+
+    def state_restored(self) -> None:
+        # Workers must not trust strips pulled, nor statistics counted,
+        # before the scatter — which is already visible when they observe
+        # the epoch bump; _refresh_floats sees the same bump.
+        self.runtime.invalidate_ghosts()
 
     def _observe_step(self, step: int) -> None:
         """Fold this step's shm counter deltas into the registry and the

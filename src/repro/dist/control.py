@@ -14,7 +14,7 @@ the workers use to run the versioned barrier protocol:
 - ``status``  — per-rank (step, phase index, error code) + a float64
   heartbeat timestamp, the diagnostic surface a barrier timeout dumps;
 - ``results`` — per-rank per-step integer totals (extravasations, moves,
-  binds, active voxels);
+  binds, active voxels, then the rank's six integer statistics);
 - ``region``  — per-rank strip-liveness handshake: each worker publishes
   its current activity bounding box in global coordinates (or an idle
   flag) right after its gate refresh; peers consult it to skip pulling
@@ -48,6 +48,7 @@ import time
 
 import numpy as np
 
+from repro.core.stats import N_COUNTS
 from repro.dist.shm import ShmSegment
 
 #: ``flags`` slot indices.
@@ -58,6 +59,8 @@ CMD_STEP = 0
 STATUS_STEP, STATUS_PHASE, STATUS_ERROR = 0, 1, 2
 #: ``results`` columns.
 RES_EXTRAVASATIONS, RES_MOVES, RES_BINDS, RES_ACTIVE = 0, 1, 2, 3
+#: The rank's integer statistics (the leading REDUCED_FIELDS).
+RES_COUNTS = slice(4, 4 + N_COUNTS)
 #: ``region`` row layout: a liveness flag + a 3D-padded global box.
 REGION_FLAG, REGION_LO, REGION_HI = 0, 1, 4
 #: ``region`` liveness-flag values.
@@ -103,7 +106,7 @@ def control_layout(nranks: int, nphases: int, telemetry_capacity: int = 0):
         ("phase_bar", (nranks,), np.dtype(np.int64)),
         ("status", (nranks, 3), np.dtype(np.int64)),
         ("heartbeat", (nranks,), np.dtype(np.float64)),
-        ("results", (nranks, 4), np.dtype(np.int64)),
+        ("results", (nranks, RES_COUNTS.stop), np.dtype(np.int64)),
         ("region", (nranks, 7), np.dtype(np.int64)),
         ("dirty_epoch", (1,), np.dtype(np.int64)),
         ("metrics_seconds", (nranks, nphases), np.dtype(np.float64)),

@@ -66,12 +66,6 @@ class DistSimCov(EngineDriver):
         #: see the new state at their next step.
         self.blocks = backend.blocks
 
-    def invalidate_ghosts(self) -> None:
-        """Tell every worker its ghost strips are stale (called by
-        checkpoint restore after scattering fields into the blocks; the
-        activity-gated exchange would otherwise trust clean strips)."""
-        self.backend.runtime.invalidate_ghosts()
-
     # -- metrics -------------------------------------------------------------
 
     @property

@@ -142,30 +142,33 @@ class DistRuntime:
         if method != "fork":
             self._ensure_importable()
         for rank in range(self.nranks):
-            spec = WorkerSpec(
-                rank=rank,
-                nranks=self.nranks,
-                params=self.params,
-                seed=self.seed,
-                boxes=tuple((b.lo, b.hi) for b in self.decomp.boxes),
-                plan=self.exchanger.pull_plan(rank),
-                segment_names=tuple(self.segment_names),
-                ctrl_name=self.ctrl.segment.name,
-                phase_names=self.phase_names,
-                active_gating=self.active_gating,
-                barrier_timeout=self.barrier_timeout,
-                fault=self.fault,
-                telemetry_capacity=self.telemetry_capacity,
-                dirty_epoch=int(self.ctrl.dirty_epoch[0]),
-            )
             proc = ctx.Process(
                 target=worker_main,
-                args=(spec,),
+                args=(self.worker_spec(rank),),
                 name=f"repro-dist-rank{rank}",
                 daemon=True,
             )
             proc.start()
             self._procs.append(proc)
+
+    def worker_spec(self, rank: int) -> WorkerSpec:
+        """Everything rank ``rank``'s worker attaches and runs with."""
+        return WorkerSpec(
+            rank=rank,
+            nranks=self.nranks,
+            params=self.params,
+            seed=self.seed,
+            boxes=tuple((b.lo, b.hi) for b in self.decomp.boxes),
+            plan=self.exchanger.pull_plan(rank),
+            segment_names=tuple(self.segment_names),
+            ctrl_name=self.ctrl.segment.name,
+            phase_names=self.phase_names,
+            active_gating=self.active_gating,
+            barrier_timeout=self.barrier_timeout,
+            fault=self.fault,
+            telemetry_capacity=self.telemetry_capacity,
+            dirty_epoch=int(self.ctrl.dirty_epoch[0]),
+        )
 
     @staticmethod
     def _ensure_importable() -> None:

@@ -61,10 +61,12 @@ import numpy as np
 from repro.core import kernels
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
+from repro.core.stats import RegionReducer
 from repro.dist.control import (
     CMD_STEP,
     RES_ACTIVE,
     RES_BINDS,
+    RES_COUNTS,
     RES_EXTRAVASATIONS,
     RES_MOVES,
     SHUTDOWN_STEP,
@@ -132,7 +134,7 @@ def dist_schedule() -> tuple[Phase, ...]:
             doc="post-production concentration strips",
         ),
         kernel("diffuse"),
-        kernel("reduce", doc="publish per-rank totals; coordinator reduces"),
+        kernel("reduce", doc="per-rank integer counts; coordinator sums floats"),
     )
 
 
@@ -345,6 +347,7 @@ class _RankWorker:
             sweep_period=1,
             enabled=spec.active_gating,
         )
+        self.reducer = RegionReducer(self.block)
         self._scratch_v = np.zeros_like(self.block.virions)
         self._scratch_c = np.zeros_like(self.block.chemokine)
         # -- activity-gated exchange state ---------------------------------
@@ -401,6 +404,7 @@ class _RankWorker:
         self._moves = 0
         self._binds = 0
         self._active = 0
+        self._counts = 0
         #: Cleared by the freeze_heartbeat fault: status keeps updating
         #: but the liveness timestamp goes stale.
         self._heartbeat_on = True
@@ -544,6 +548,7 @@ class _RankWorker:
         row[RES_MOVES] = self._moves
         row[RES_BINDS] = self._binds
         row[RES_ACTIVE] = self._active
+        row[RES_COUNTS] = self._counts
         for i, name in enumerate(self.spec.phase_names):
             self.ctrl.metrics_seconds[self.rank, i] = self.metrics.seconds.get(name, 0.0)
             self.ctrl.metrics_calls[self.rank, i] = self.metrics.calls.get(name, 0)
@@ -859,10 +864,13 @@ class _RankWorker:
         """Honor a ghost-invalidation epoch bump (checkpoint restore wrote
         fields behind the workers' backs): every strip may be stale, so
         re-pull every exchanged field unconditionally, then fence so no
-        rank starts mutating restored state a peer is still copying.
+        rank starts mutating restored state a peer is still copying; the
+        cached integer statistics describe the overwritten state, so the
+        next reduce recounts the whole block.
         Every worker observes the same bump at the same step-start, so the
         extra phase-barrier epoch stays in lock step."""
         start = perf_counter()
+        self.reducer.reset()
         keys = sorted({*OPEN_FIELDS, *BOUNDARY_FIELDS, *CONCENTRATION_FIELDS})
         for i, route in enumerate(self.plan.replace):
             self._copy_route(route, keys)
@@ -877,6 +885,8 @@ class _RankWorker:
 
     def phase_age_extravasate(self, step: int, attempts):
         self.gate.sweep()
+        # Nothing has written the interior since the last reduce.
+        self.reducer.rebase(self.gate.region())
         # Strip-liveness handshake: peers gate their pulls on this box.
         # Published before this rank's boundary-entry barrier arrival, so
         # every in-step reader (fenced behind that barrier) sees it; the
@@ -961,6 +971,8 @@ class _RankWorker:
         )
 
     def phase_reduce(self, step: int, attempts):
-        # The coordinator owns the reduction; per-rank totals go out in
-        # _publish after the phase loop.
-        return None
+        # This rank's integer statistics, counted in parallel with its
+        # peers; they go out with the other totals in _publish and the
+        # coordinator adds them (exact in any order).  The float totals
+        # are the coordinator's: their bits depend on the solo layout.
+        self._counts = self.reducer.counts(self.gate.region())

@@ -115,10 +115,16 @@ class ActivityGate:
         self._full_region = self._lead + tuple(
             slice(block.ghost, block.ghost + s) for s in owned
         )
-        #: Everything starts active (like the GPU tile grid): correct for
-        #: fresh runs *and* for checkpoints resumed mid-run, where the
-        #: first due sweep re-derives the true active set.
-        self._mask = np.ones(lead + owned, dtype=bool)
+        self.reset()
+
+    def reset(self) -> None:
+        """Everything active (like the GPU tile grid): the state of a fresh
+        gate, and of any gate whose block was just rewritten by a
+        checkpoint restore — the first due sweep re-derives the true
+        active set."""
+        self._mask = np.ones(
+            tuple(s.stop - s.start for s in self._full_region), dtype=bool
+        )
         #: Active voxels of each member (a scalar on a solo block).
         self.member_counts = self._count_members()
         self._region: tuple[slice, ...] | None = self._full_region

@@ -93,6 +93,12 @@ class ExecutionBackend(abc.ABC):
         Default: no communication (the sequential substrate)."""
         return False
 
+    def state_restored(self) -> None:
+        """The field arrays were rewritten behind the backend's back
+        (:func:`repro.io.checkpoint.restore_state`): drop whatever was
+        derived from the old state — activity flags, cached statistics,
+        trusted ghost strips.  Default: nothing is cached."""
+
     def step_record(self, ctx) -> dict:
         """Backend-specific extras merged into the engine's per-step
         ``step_work`` record (ledger deltas, comm counters, ...)."""

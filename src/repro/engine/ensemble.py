@@ -42,7 +42,7 @@ from repro.core import kernels
 from repro.core.params import ParamsStack, SimCovParams
 from repro.core.seeding import apply_seeds, seed_infections
 from repro.core.state import EnsembleBlock
-from repro.core.stats import REDUCED_FIELDS, StepStats, stats_vectors
+from repro.core.stats import REDUCED_FIELDS, StepStats
 from repro.core.xp import get_array_module
 from repro.engine.driver import EngineDriver
 from repro.engine.engine import StepContext, StepEngine
@@ -134,9 +134,6 @@ class EnsembleBackend(SingleBlockBackend):
         return kernels.ensemble_apply_extravasation(
             self.params, self.block, ctx.attempts
         )
-
-    def reduce(self) -> np.ndarray:
-        return stats_vectors(self.block)
 
     def step_record(self, ctx) -> dict:
         if self.tracer:
@@ -361,6 +358,10 @@ class EnsembleMemberView:
     ``seed_gids``, ``gather_field``), so ``save_checkpoint(path,
     sim.member(b))`` writes a checkpoint that restores — on any
     implementation — into the continuation of member ``b``'s solo run.
+    It also takes what :func:`~repro.io.checkpoint.restore_state` writes
+    (``block``, settable ``step_num`` / ``pool``, ``backend``): restoring
+    one same-step snapshot per member moves the whole batch, since the
+    members share one step counter.
     """
 
     def __init__(self, sim: "EnsembleSimCov", member: int):
@@ -372,12 +373,27 @@ class EnsembleMemberView:
         self.seed_gids = sim.backend.member_seed_gids[member]
 
     @property
+    def backend(self) -> EnsembleBackend:
+        return self._sim.backend
+
+    @property
     def step_num(self) -> int:
         return self._sim.step_num
+
+    @step_num.setter
+    def step_num(self, value: int) -> None:
+        self._sim.step_num = value
 
     @property
     def pool(self) -> float:
         return float(self._sim.engine.pools[self.member])
+
+    @pool.setter
+    def pool(self, value: float) -> None:
+        # Rebind, never mutate: the series log holds the old array.
+        pools = self._sim.engine.pools.copy()
+        pools[self.member] = value
+        self._sim.engine.pools = pools
 
     @property
     def series(self) -> MemberSeries:

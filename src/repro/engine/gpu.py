@@ -377,6 +377,11 @@ class GpuClusterBackend(ExecutionBackend):
                 ),
             )
 
+    def state_restored(self) -> None:
+        # Like a fresh cluster: every tile active until the next sweep.
+        for tg in self.tiles:
+            tg.activate_all()
+
     # -- statistics ------------------------------------------------------------------
 
     def _device_stats(self, d: int) -> np.ndarray:

@@ -12,14 +12,14 @@ phase bodies serve a solo :class:`~repro.core.state.VoxelBlock`
 (:class:`SequentialBackend`) and a batched
 :class:`~repro.core.state.EnsembleBlock` with a leading member axis
 (:class:`~repro.engine.ensemble.EnsembleBackend`); the subclasses build
-their block, rng and params and say how attempts are applied and stats
-reduced — the two places where ragged per-member data makes solo and
-batched differ.
+their block, rng and params and say how attempts are applied — the one
+place where ragged per-member data makes solo and batched differ.
 
 Kernel phases run over the :class:`~repro.engine.activity.ActivityGate`
 region — the active bounding box re-derived by a periodic ``tile_sweep``
-(§3.2) — instead of the whole domain, and the T-cell phases over the
-tighter box around present T cells.  Both are bitwise-invisible;
+(§3.2) — instead of the whole domain, the T-cell phases over the tighter
+box around present T cells, and ``reduce`` counts only the region
+(:class:`~repro.core.stats.RegionReducer`).  All are bitwise-invisible;
 construct with ``active_gating=False`` to force the whole-domain baseline
 that the property tests and the benchmark harness compare against.
 """
@@ -33,7 +33,7 @@ import numpy as np
 from repro.core import kernels
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
-from repro.core.stats import stats_vector
+from repro.core.stats import RegionReducer
 from repro.engine.activity import ActivityGate, bounding_box
 from repro.engine.backend import ExecutionBackend
 from repro.engine.phases import Phase, exchange, kernel
@@ -58,16 +58,13 @@ class SingleBlockBackend(ExecutionBackend):
             tile_shape=tile_shape,
             enabled=active_gating,
         )
+        self.reducer = RegionReducer(block)
 
     # -- what solo and batched spell differently ------------------------------
 
     @abc.abstractmethod
     def apply_extravasation(self, ctx, region):
         """Apply ``ctx.attempts``; returns the successes (the pool debit)."""
-
-    @abc.abstractmethod
-    def reduce(self) -> np.ndarray:
-        """The full-domain REDUCED_FIELDS statistics."""
 
     # -- schedule ------------------------------------------------------------
 
@@ -175,13 +172,18 @@ class SingleBlockBackend(ExecutionBackend):
         )
 
     def phase_reduce(self, ctx) -> None:
-        # Statistics sweep the full space regardless of gating (§3.3).
-        ctx.reduced = self.reduce()
+        ctx.reduced = self.reducer.reduce(self.gate.region())
 
     def phase_tile_sweep(self, ctx):
         if not self.gate.due(ctx.step):
             return False
         self.gate.sweep()
+        # `reduce` is the phase before this one: its totals still hold.
+        self.reducer.rebase(self.gate.region())
+
+    def state_restored(self) -> None:
+        self.gate.reset()
+        self.reducer.reset()
 
     def step_record(self, ctx) -> dict:
         if self.tracer:
@@ -238,9 +240,6 @@ class SequentialBackend(SingleBlockBackend):
         return kernels.apply_extravasation(
             self.params, self.block, ctx.attempts, region
         )
-
-    def reduce(self) -> np.ndarray:
-        return stats_vector(self.block)
 
     def activity_fraction(self) -> float:
         """Fraction of voxels active now (perf-model workload input)."""

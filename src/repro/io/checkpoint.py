@@ -156,20 +156,18 @@ def _scatter_into_blocks(blocks: list[VoxelBlock], arrays: dict) -> None:
 def restore_state(sim, snapshot: dict) -> None:
     """Write a snapshot's state into an already-constructed simulation.
 
-    Works on every driver: the field arrays are scattered into the
-    implementation's blocks (for the distributed runtime these are the
-    coordinator's shared-memory views, so parked workers see the restored
-    state at their next step) and the engine scalars are reset.
+    Works on every driver, fresh or already stepped: the field arrays are
+    scattered into the implementation's blocks (for the distributed
+    runtime these are the coordinator's shared-memory views, so parked
+    workers see the restored state at their next step), the engine
+    scalars are reset, and the backend drops what it had derived from the
+    state it held before (:meth:`ExecutionBackend.state_restored`).
     """
     blocks = sim.blocks if hasattr(sim, "blocks") else [sim.block]
     _scatter_into_blocks(blocks, snapshot["arrays"])
     sim.step_num = snapshot["step_num"]
     sim.pool = snapshot["pool"]
-    if hasattr(sim, "invalidate_ghosts"):
-        # Distributed runs: the workers' activity-gated exchange must not
-        # trust strips pulled before this scatter.  The scatter above is
-        # already visible when a worker observes the epoch bump.
-        sim.invalidate_ghosts()
+    sim.backend.state_restored()
 
 
 # -- on-disk format ----------------------------------------------------------

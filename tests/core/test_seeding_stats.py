@@ -6,7 +6,15 @@ import pytest
 from repro.core.params import SimCovParams
 from repro.core.seeding import apply_seeds, patchy_lesions, seed_infections
 from repro.core.state import EpiState, VoxelBlock
-from repro.core.stats import REDUCED_FIELDS, StepStats, TimeSeries, stats_vector
+from repro.core.stats import (
+    N_COUNTS,
+    REDUCED_FIELDS,
+    RegionReducer,
+    StepStats,
+    TimeSeries,
+    region_counts,
+    stats_vector,
+)
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 from repro.rng.streams import VoxelRNG
@@ -123,6 +131,55 @@ class TestStats:
     def test_from_vector_validates(self):
         with pytest.raises(ValueError):
             StepStats.from_vector(0, np.zeros(3))
+
+
+class TestRegionReducer:
+    """The cached-outside bookkeeping on a bare block (the stepping
+    backends are covered by tests/properties/test_reduce_equivalence.py)."""
+
+    def _block(self):
+        spec = GridSpec((12, 10))
+        blk = VoxelBlock(spec, spec.domain)
+        blk.epi_state[2, 2] = EpiState.DEAD  # outside every region below
+        blk.epi_state[6, 5] = EpiState.EXPRESSING
+        blk.tcell[6, 6] = 1
+        blk.virions[6, 5] = 0.25
+        return blk
+
+    def test_region_counts_counts_only_the_region(self):
+        blk = self._block()
+        inside = region_counts(blk, (slice(5, 8), slice(4, 8)))
+        assert inside.dtype == np.int64 and inside.shape == (N_COUNTS,)
+        assert inside.tolist() == [11, 0, 1, 0, 0, 1]
+        assert not region_counts(blk, None).any()
+
+    def test_counts_equal_whole_domain_whatever_the_region(self):
+        blk = self._block()
+        want = stats_vector(blk)
+        for region in (blk.interior, (slice(5, 8), slice(4, 8)), None):
+            red = RegionReducer(blk)
+            assert np.array_equal(red.reduce(region), want), region
+
+    def test_inside_changes_are_seen_and_rebase_moves_the_cache(self):
+        blk = self._block()
+        red = RegionReducer(blk)
+        small, large = (slice(5, 8), slice(4, 8)), (slice(4, 9), slice(3, 9))
+        red.counts(small)
+        blk.epi_state[6, 5] = EpiState.APOPTOTIC
+        assert np.array_equal(red.reduce(small), stats_vector(blk))
+        red.rebase(large)
+        blk.epi_state[4, 3] = EpiState.INCUBATING  # only in the large one
+        assert np.array_equal(red.reduce(large), stats_vector(blk))
+
+    def test_reset_recounts_a_rewritten_block(self):
+        blk = self._block()
+        red = RegionReducer(blk)
+        region = (slice(5, 8), slice(4, 8))
+        red.counts(region)
+        blk.epi_state[2, 2] = EpiState.HEALTHY  # behind the reducer's back
+        assert not np.array_equal(red.reduce(region), stats_vector(blk))
+        red.reset()
+        assert np.array_equal(red.reduce(region), stats_vector(blk))
 
 
 class TestTimeSeries:

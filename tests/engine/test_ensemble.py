@@ -249,6 +249,28 @@ class TestOneImplementation:
 
         assert EnsembleEngine.step is StepEngine.step
 
+    def test_one_integer_reducer(self):
+        """Solo, batched and every dist rank count through the one
+        core.stats reducer; the dist coordinator keeps float fields only."""
+        from repro.core.state import VoxelBlock
+        from repro.core.stats import RegionReducer
+        from repro.dist import DistSimCov
+        from repro.dist.worker import _RankWorker
+
+        p = _params(steps=1)
+        assert type(SequentialSimCov(p).backend.reducer) is RegionReducer
+        ens = EnsembleSimCov(p, seeds=[0, 1])
+        assert type(ens.backend.reducer) is RegionReducer
+        with DistSimCov(p, nranks=2) as dist:
+            worker = _RankWorker(dist.backend.runtime.worker_spec(0))
+            try:
+                assert type(worker.reducer) is RegionReducer
+            finally:
+                worker.close()
+            held = vars(dist.backend).values()
+            assert not any(isinstance(v, VoxelBlock) for v in held)
+            assert set(dist.backend._floats) == {"virions", "chemokine"}
+
     def test_one_gate_class(self):
         import repro.engine
         from repro.engine.activity import ActivityGate

@@ -1,0 +1,123 @@
+"""Property test: the region-limited reduction is the whole-domain one.
+
+``reduce`` counts the six integer statistics only inside the activity
+gate's region and carries the rest as a cached ``outside`` term
+(:class:`repro.core.stats.RegionReducer`).  After **every** step of a
+randomized run the vector it reported must equal the whole-domain
+reference — :func:`~repro.core.stats.stats_vector` on a solo block,
+:func:`~repro.core.stats.stats_vectors` on a batched one — bit for bit,
+floats included.
+
+The draws cover what the cached term could get wrong: 2D and 3D grids
+(one with non-power-of-two sides, 200 x 136), the number of foci, tile
+shape and sweep period (how often and how far the region moves), gating
+off (the region is the whole interior), the batch axis (None, 1, 3: the
+union region is a superset of each member's own), an airway of EMPTY
+voxels lying mostly outside the region, and a cut where the state is
+snapshotted and restored into another, already stepped simulation that
+finishes the run.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.model import SequentialSimCov
+from repro.core.params import SimCovParams
+from repro.core.stats import REDUCED_FIELDS, stats_vector, stats_vectors
+from repro.engine.ensemble import EnsembleSimCov
+from repro.io.checkpoint import restore_state, snapshot_state
+
+SLOW = settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+STEPS = 24
+
+
+def _draw_params(draw):
+    dim = draw(
+        st.sampled_from([(200, 136), (24, 24), (17, 29), (12, 10, 9), (8, 8, 8)])
+    )
+    return SimCovParams.fast_test(
+        dim=dim,
+        num_infections=draw(st.integers(min_value=0, max_value=3)),
+        num_steps=STEPS,
+    ).with_(
+        incubation_period=draw(st.integers(min_value=1, max_value=8)),
+        tcell_initial_delay=draw(st.integers(min_value=0, max_value=10)),
+        tcell_generation_rate=draw(st.floats(min_value=5.0, max_value=40.0)),
+    )
+
+
+def _draw_knobs(draw, dim):
+    tile = draw(
+        st.none()
+        | st.tuples(*(st.integers(min_value=2, max_value=min(8, s)) for s in dim))
+    )
+    max_period = min(tile) if tile else min(8, *dim)
+    knobs = {
+        "active_gating": draw(st.booleans()),
+        "tile_shape": tile,
+        "sweep_period": draw(
+            st.none() | st.integers(min_value=1, max_value=max_period)
+        ),
+    }
+    if draw(st.booleans()):
+        voxels = int(np.prod(dim))
+        airway = np.random.default_rng(draw(st.integers(0, 999)))
+        knobs["structure_gids"] = airway.choice(
+            voxels, size=voxels // 16, replace=False
+        )
+    return knobs
+
+
+def _build(params, seed, batch, knobs):
+    if batch is None:
+        return SequentialSimCov(params, seed=seed, **knobs)
+    return EnsembleSimCov(params, seeds=seed + np.arange(batch), **knobs)
+
+
+def _views(sim, batch):
+    """What snapshot/restore acts on: the sim, or each ensemble member."""
+    return [sim] if batch is None else [sim.member(b) for b in range(batch)]
+
+
+def _assert_step_reduced_whole_domain(sim, batch, step):
+    stats = sim.step()
+    if batch is None:
+        got = np.array([getattr(stats, f) for f in REDUCED_FIELDS])
+        want = stats_vector(sim.block)
+    else:
+        got = sim.engine.log.reduced[-1]
+        want = stats_vectors(sim.block)
+    assert np.array_equal(got, want), (
+        f"step {step}: reduced {got.tolist()} != whole-domain {want.tolist()}"
+    )
+
+
+class TestReduceEquivalence:
+    @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
+    @SLOW
+    def test_reduced_vector_is_the_whole_domain_vector_every_step(
+        self, data, seed
+    ):
+        draw = data.draw
+        params = _draw_params(draw)
+        batch = draw(st.sampled_from([None, 1, 3]))
+        knobs = _draw_knobs(draw, params.dim)
+        cut = draw(st.integers(min_value=1, max_value=STEPS - 1))
+        stepped = draw(st.integers(min_value=0, max_value=STEPS))
+
+        sim = _build(params, seed, batch, knobs)
+        for step in range(cut):
+            _assert_step_reduced_whole_domain(sim, batch, step)
+        # Restore into a simulation that already ran, to before or after
+        # the cut: its gate and its cached counts describe another state.
+        other = _build(params, seed, batch, knobs)
+        other.run(stepped)
+        for src, dst in zip(_views(sim, batch), _views(other, batch)):
+            restore_state(dst, snapshot_state(src))
+        for step in range(cut, STEPS):
+            _assert_step_reduced_whole_domain(other, batch, step)
