@@ -48,6 +48,37 @@ def test_bench_rng_words(benchmark):
     assert out.shape == keys.shape
 
 
+@pytest.mark.parametrize("mu_kind", ["scalar", "array4"])
+@pytest.mark.parametrize("n", [1, 100, 100_000])
+def test_bench_poisson_draw(benchmark, n, mu_kind):
+    """ns per Poisson draw: the fixed cost of a call (n = 1), a typical
+    per-step expiry batch (100) and a full-region draw (1e5); with one
+    ``mu`` and with a ``ParamsStack``-style per-element ``mu`` of four
+    distinct values (the model's ``fast_test`` periods)."""
+    from repro.rng import distributions as dist
+
+    words = VoxelRNG(3).words(Stream.EXPRESSING_PERIOD, 5, np.arange(n))
+    mu = 40.0 if mu_kind == "scalar" else np.resize([8.0, 10.0, 40.0, 150.0], n)
+    out = benchmark(lambda: dist.poisson(words, mu))
+    assert out.shape == (n,) and out.dtype == np.int64 and out.min() >= 0
+    benchmark.extra_info["draws"] = n
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["ns_per_draw"] = benchmark.stats["mean"] * 1e9 / n
+
+
+def test_bench_counter_hash_fixed(benchmark):
+    """us per ``counter_hash`` call at one key: the fixed cost every draw
+    pays before its first voxel (an int seed's prefix is folded in Python
+    ints, philox.counter_hash)."""
+    from repro.rng.philox import counter_hash
+
+    key = np.array([0])
+    out = benchmark(lambda: counter_hash(11, int(Stream.POOL_ROUND), 7, key))
+    assert out.shape == (1,) and out.dtype == np.uint64
+    if benchmark.stats:
+        benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
+
+
 def test_bench_diffusion(benchmark):
     rng = np.random.default_rng(0)
     field = rng.random((256, 256))
@@ -113,6 +144,30 @@ def test_bench_region_reducer(benchmark, world):
         benchmark.extra_info["ns_per_region_voxel"] = (
             benchmark.stats["mean"] * 1e9 / (side * side)
         )
+
+
+def test_bench_gate_sweep(benchmark):
+    """us per ``ActivityGate.sweep()`` on 1024 x 1024 with activity filling
+    an 8 % region (``focus_2d``'s shape): the sweep examines that region
+    and the ghost faces, not the block — a gate fresh from ``reset()``
+    examines everything and must arrive at the same mask."""
+    from repro.engine.activity import ActivityGate
+
+    spec = GridSpec((1024, 1024))
+    block = VoxelBlock(spec, spec.domain)
+    side = round((0.08 * block.owned.size) ** 0.5) - 16  # less the tile buffer
+    block.virions[400:400 + side, 300:300 + side] = 0.5
+    gate = ActivityGate(block, 1e-6)
+    gate.sweep()
+    benchmark(gate.sweep)
+    fresh = ActivityGate(block, 1e-6)
+    fresh.sweep()
+    assert gate.region() == fresh.region()
+    assert np.array_equal(gate.mask, fresh.mask)
+    benchmark.extra_info["region_fraction"] = gate.count / block.owned.size
+    assert 0.07 < benchmark.extra_info["region_fraction"] < 0.09
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["us_per_sweep"] = benchmark.stats["mean"] * 1e6
 
 
 def test_bench_full_sequential_step(benchmark):

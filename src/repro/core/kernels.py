@@ -272,6 +272,17 @@ def member_attempts(attempts: dict[str, np.ndarray], b: int) -> dict[str, np.nda
     }
 
 
+def _locate(block, gids: np.ndarray, region: tuple[slice, ...]):
+    """Padded-array coordinates ``(n, ndim)`` of global voxel ids in
+    ``block``'s spatial axes, and which of them lie inside ``region``
+    (spatial slices).  Coordinates outside the region may lie outside the
+    block as well."""
+    at = block.spec.unravel(gids) - np.asarray(block.origin, dtype=np.int64)
+    lo = np.array([s.start for s in region], dtype=np.int64)
+    hi = np.array([s.stop for s in region], dtype=np.int64)
+    return at, ((at >= lo) & (at < hi)).all(axis=1)
+
+
 def apply_extravasation(
     params: SimCovParams,
     block: VoxelBlock,
@@ -296,32 +307,19 @@ def apply_extravasation(
     if gids.size == 0:
         return 0
     sl = block.interior if region is None else region
-    gid_interior = block.gid[sl]
-    shape = gid_interior.shape
-    # Map attempt gids to owned-local flat positions (interior is a slab of
-    # consecutive-per-row gids; a sorted lookup handles any block shape).
-    flat_gid = gid_interior.reshape(-1)  # copy is fine: reads only
-    order = np.argsort(flat_gid, kind="stable")
-    pos = np.searchsorted(flat_gid, gids, sorter=order)
-    pos = np.clip(pos, 0, flat_gid.size - 1)
-    local_flat = order[pos]
-    mine = flat_gid[local_flat] == gids
+    at, mine = _locate(block, gids, sl)
     successes = 0
-    tcell = block.tcell[sl]
-    chem = block.chemokine[sl]
-    tt = block.tcell_tissue_time[sl]
-    bt = block.tcell_bound_time[sl]
     for i in np.nonzero(mine)[0]:
-        c_idx = np.unravel_index(int(local_flat[i]), shape)
-        if tcell[c_idx] != 0:
+        c_idx = tuple(at[i])
+        if block.tcell[c_idx] != 0:
             continue
-        c = chem[c_idx]
+        c = block.chemokine[c_idx]
         if c < params.min_chemokine:
             continue
         if attempts["accept_u"][i] < c:
-            tcell[c_idx] = 1
-            tt[c_idx] = attempts["life"][i]
-            bt[c_idx] = 0
+            block.tcell[c_idx] = 1
+            block.tcell_tissue_time[c_idx] = attempts["life"][i]
+            block.tcell_bound_time[c_idx] = 0
             successes += 1
     return successes
 
@@ -355,40 +353,26 @@ def ensemble_apply_extravasation(
     life = attempts["life"]
     member = attempts["member"]
 
-    g = block.ghost
-    spatial_sl = tuple(slice(g, s - g) for s in block.spatial_shape)
-    gid_interior = block.gid_spatial[spatial_sl]
-    shape = gid_interior.shape
-    flat_gid = gid_interior.reshape(-1)
-    order = np.argsort(flat_gid, kind="stable")
-    pos = np.clip(np.searchsorted(flat_gid, gids, sorter=order), 0,
-                  flat_gid.size - 1)
-    local_flat = order[pos]
-    mine = flat_gid[local_flat] == gids
-    coords = np.unravel_index(local_flat, shape)
-    idx = (member,) + coords
-
-    sl = block.interior
-    tcell = block.tcell[sl]
-    chem_v = block.chemokine[sl][idx]
+    at, mine = _locate(block, gids, block.interior[1:])
+    # Attempts outside the block may not index it: gather the owned ones.
+    own = np.nonzero(mine)[0]
+    idx = (member[own],) + tuple(at[own].T)
     mc = params.min_chemokine
     if isinstance(mc, np.ndarray):
-        mc = mc.reshape(-1)[member]
-    eligible = (
-        mine & (tcell[idx] == 0) & (chem_v >= mc) & (accept_u < chem_v)
-    )
-    ei = np.nonzero(eligible)[0]
+        mc = mc.reshape(-1)[member[own]]
+    chem_v = block.chemokine[idx]
+    ei = own[(block.tcell[idx] == 0) & (chem_v >= mc) & (accept_u[own] < chem_v)]
     if ei.size == 0:
         return out
     # First accepting attempt per (member, voxel) wins; later ones would
     # find the voxel occupied (np.unique returns first-occurrence indices).
-    key = member[ei] * np.int64(flat_gid.size) + local_flat[ei]
+    key = member[ei] * np.int64(block.spec.num_voxels) + gids[ei]
     _, first = np.unique(key, return_index=True)
     win = ei[first]
-    widx = (member[win],) + tuple(c[win] for c in coords)
-    tcell[widx] = 1
-    block.tcell_tissue_time[sl][widx] = life[win]
-    block.tcell_bound_time[sl][widx] = 0
+    widx = (member[win],) + tuple(at[win].T)
+    block.tcell[widx] = 1
+    block.tcell_tissue_time[widx] = life[win]
+    block.tcell_bound_time[widx] = 0
     return np.bincount(member[win], minlength=n_members).astype(np.int64)
 
 

@@ -37,13 +37,15 @@ The barrier is a *versioned arrival vector*: party ``i`` bumps its own
 epoch slot, then waits until every slot reaches that epoch.  Slots only
 grow, so consecutive barriers reuse one vector without a reset phase
 (a fast party already at epoch ``e+1`` trivially satisfies waiters at
-``e``).  Waiting is sleepy polling — short yields first, then sub-ms
-sleeps — because ranks may share cores with each other and the
-coordinator.
+``e``).  A waiter parks on its own semaphore and every arrival posts the
+other parties' — no timer runs while a party waits, because ranks share
+cores with each other, the coordinator and whatever else the host runs
+(DESIGN.md §4a "How a barrier waits").
 """
 
 from __future__ import annotations
 
+import threading
 import time
 
 import numpy as np
@@ -214,6 +216,11 @@ class ControlBlock:
         )
 
 
+#: Longest a parked waiter goes without looking at the abort flag, its
+#: deadline, its heartbeat and (the coordinator) worker liveness.
+_PARK_SECONDS = 0.005
+
+
 class ShmBarrier:
     """One party's handle on a versioned arrival-vector barrier.
 
@@ -224,12 +231,19 @@ class ShmBarrier:
     """
 
     def __init__(self, slots: np.ndarray, party: int, ctrl: ControlBlock,
-                 label: str = "barrier"):
+                 label: str = "barrier", wakers=()):
         self.slots = slots
         self.party = int(party)
         self.ctrl = ctrl
         self.label = label
         self.epoch = 0
+        #: One ``multiprocessing`` semaphore per party, in slot order
+        #: (:attr:`DistRuntime.wakers`).  A barrier driven by hand has
+        #: none: it wakes nobody and parks on one that nobody posts.
+        self.wakers = tuple(wakers)
+        self._own = (
+            self.wakers[self.party] if self.wakers else threading.Semaphore(0)
+        )
 
     def wait(self, timeout: float, poll=None, heartbeat=None) -> None:
         """Arrive and block until every party reaches this epoch.
@@ -241,10 +255,17 @@ class ShmBarrier:
         rank.  Raises :class:`DistAborted` if the abort flag goes up and
         :class:`BarrierTimeoutError` with a per-rank dump on timeout.
         """
+        park = self._own.acquire
+        while park(False):  # posts of arrivals already in ``slots``
+            pass
         self.epoch += 1
         self.slots[self.party] = self.epoch
+        # Store, then post: whoever parked before seeing this arrival is
+        # woken by it, so a wake-up cannot be lost.
+        for party, waker in enumerate(self.wakers):
+            if party != self.party:
+                waker.release()
         deadline = time.monotonic() + timeout
-        spins = 0
         while True:
             if (self.slots >= self.epoch).all():
                 return
@@ -258,10 +279,7 @@ class ShmBarrier:
                 heartbeat()
             if time.monotonic() > deadline:
                 raise BarrierTimeoutError(self._timeout_message(timeout))
-            # Sleepy polling: yield for a while, then back off to short
-            # sleeps — ranks typically share cores.
-            spins += 1
-            time.sleep(0 if spins < 200 else 0.0002)
+            park(True, _PARK_SECONDS)
 
     def _timeout_message(self, timeout: float) -> str:
         pending = [

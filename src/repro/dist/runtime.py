@@ -126,20 +126,27 @@ class DistRuntime:
                     spec, decomp.boxes[rank], seg.arrays, ghost=1, fresh=True
                 )
             )
+        method = start_method or "fork"
+        if method not in mp.get_all_start_methods():
+            method = "spawn"
+        self._ctx = mp.get_context(method)
+        #: What a barrier waiter parks on, one per party (ranks, then the
+        #: coordinator); handed to the workers with their spec.
+        self.wakers = tuple(
+            self._ctx.Semaphore(0) for _ in range(self.nranks + 1)
+        )
         # The coordinator is barrier party ``nranks``.
         self.step_bar = ShmBarrier(
-            self.ctrl.step_bar, self.nranks, self.ctrl, label="step barrier"
+            self.ctrl.step_bar, self.nranks, self.ctrl, label="step barrier",
+            wakers=self.wakers,
         )
 
     # -- worker lifecycle ----------------------------------------------------
 
     def start(self) -> None:
         """Spawn one worker process per rank (after the blocks are seeded)."""
-        method = self.start_method or "fork"
-        if method not in mp.get_all_start_methods():
-            method = "spawn"
-        ctx = mp.get_context(method)
-        if method != "fork":
+        ctx = self._ctx
+        if ctx.get_start_method() != "fork":
             self._ensure_importable()
         for rank in range(self.nranks):
             proc = ctx.Process(
@@ -168,6 +175,7 @@ class DistRuntime:
             fault=self.fault,
             telemetry_capacity=self.telemetry_capacity,
             dirty_epoch=int(self.ctrl.dirty_epoch[0]),
+            wakers=self.wakers,
         )
 
     @staticmethod
@@ -369,6 +377,8 @@ class DistRuntime:
             for seg in self._segments:
                 seg.close()
             self._segments = []
+            # Named (and unlinked on release) under spawn / forkserver.
+            self.step_bar.wakers = self.step_bar._own = self.wakers = ()
 
     def __enter__(self) -> "DistRuntime":
         return self

@@ -226,6 +226,8 @@ class WorkerSpec:
     #: time races a coordinator restore, desynchronizing the resync
     #: fence), and only the coordinator can snapshot it consistently.
     dirty_epoch: int = 0
+    #: :attr:`DistRuntime.wakers` (inheritable only while a process spawns).
+    wakers: tuple = ()
 
 
 class InjectedFault(RuntimeError):
@@ -391,10 +393,12 @@ class _RankWorker:
         self._pulled_step = 0
         self._skipped_step = 0
         self.step_bar = ShmBarrier(
-            self.ctrl.step_bar, self.rank, self.ctrl, label="step barrier"
+            self.ctrl.step_bar, self.rank, self.ctrl, label="step barrier",
+            wakers=spec.wakers,
         )
         self.phase_bar = ShmBarrier(
-            self.ctrl.phase_bar, self.rank, self.ctrl, label="phase barrier"
+            self.ctrl.phase_bar, self.rank, self.ctrl, label="phase barrier",
+            wakers=spec.wakers[: spec.nranks],
         )
         # Let the coordinator win every timeout-reporting race: workers
         # blocked on a stalled peer must outlast the coordinator's wait.
@@ -711,12 +715,14 @@ class _RankWorker:
         """Overlap: clear intents and run the *interior* intents pass —
         whose stencil never leaves this rank's non-ghost cells — before
         fencing on peers, then pull the T-cell strips the boundary band
-        needs.  The full clear (not a dirty-slab fast path) is required:
-        tiebreak copies write ghost strips behind IntentArrays' tracking,
-        and a stale merged bid anywhere would leak into every neighbor's
-        next merge."""
-        self.intents.clear()
+        needs.  The clear is the dirty slab (region grown by one voxel,
+        united with last step's): the intents kernel scatters bids one
+        voxel outward, and the tiebreak's REPLACE copies land in ghost
+        cells of ``region_box().expand(1)`` — the same slab — so every
+        cell outside it still holds the sentinel a peer's pull or
+        max-merge expects."""
         region = self.gate.region()
+        self.intents.clear(() if region is None else region)
         interior = None
         if region is None:
             self._intents_boundary = None
@@ -865,11 +871,13 @@ class _RankWorker:
         fields behind the workers' backs): every strip may be stale, so
         re-pull every exchanged field unconditionally, then fence so no
         rank starts mutating restored state a peer is still copying; the
-        cached integer statistics describe the overwritten state, so the
-        next reduce recounts the whole block.
+        gate's region and the cached integer statistics describe the
+        overwritten state, so the next sweep examines and the next reduce
+        recounts the whole block.
         Every worker observes the same bump at the same step-start, so the
         extra phase-barrier epoch stays in lock step."""
         start = perf_counter()
+        self.gate.reset()
         self.reducer.reset()
         keys = sorted({*OPEN_FIELDS, *BOUNDARY_FIELDS, *CONCENTRATION_FIELDS})
         for i, route in enumerate(self.plan.replace):

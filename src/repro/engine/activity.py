@@ -140,18 +140,21 @@ class ActivityGate:
     def sweep(self) -> int:
         """Re-derive the active region from current block state.
 
-        The padded activity mask is dilated by one voxel and cropped to
-        the owned region (refresh mode stops there); periodic mode then
-        reduces it per tile, dilates the tile flags by one tile and
-        expands them back to voxels — what an unpinned
+        The raw activity mask is computed only where activity can be (see
+        :meth:`_examined`) and is False elsewhere; it is dilated by one
+        voxel and cropped to the owned region (refresh mode stops there);
+        periodic mode then reduces it per tile, dilates the tile flags by
+        one tile and expands them back to voxels — what an unpinned
         :meth:`TileGrid.sweep` does, here with any member axis carried
-        along in front.  Returns the number of voxels scanned (the sweep
-        kernel's cost).
+        along in front.  Returns the owned voxel count (what the modeled
+        sweep kernel scans).
         """
         if not self.enabled:
             return 0
         block, tiles = self.block, self.tiles
-        raw = block.xp.asnumpy(block.activity_mask_padded(self.min_chemokine))
+        raw = np.zeros(block.shape, dtype=bool)
+        for sl in self._examined():
+            raw[sl] = block.xp.asnumpy(block._activity(sl, self.min_chemokine))
         g, owned, ndim = block.ghost, tiles.owned_shape, tiles.ndim
         mask = _dilate(raw, ndim)[
             (...,) + tuple(slice(g, g + s) for s in owned)
@@ -163,6 +166,34 @@ class ActivityGate:
         self.member_counts = self._count_members()
         self._region = self._bbox()
         return self._mask.size
+
+    def _examined(self):
+        """Padded-array slices a sweep must read.
+
+        Every active *owned* voxel lies inside the current region: a
+        kernel writes only there, and the region already holds everything
+        activity can reach before the next sweep (one voxel per step: the
+        one-voxel dilation in refresh mode, the one-tile buffer over at
+        most a tile side of steps in periodic mode) — the invariant gating
+        itself rests on.  Ghost voxels are written by exchanges, not
+        kernels, so a neighbour's activity arrives on the ghost faces.
+        Hence: the region grown by the ghost width, plus the ``2 * ndim``
+        faces.  State written behind the gate's back (a restore) breaks
+        the premise; :meth:`reset` restores it.
+        """
+        g, nlead = self.block.ghost, len(self._lead)
+        spatial = self.block.shape[nlead:]
+        if self._region is not None:
+            yield self._lead + tuple(
+                slice(max(s.start - g, 0), min(s.stop + g, n))
+                for s, n in zip(self._region[nlead:], spatial)
+            )
+        for axis, n in enumerate(spatial):
+            for face in (slice(0, g), slice(n - g, n)):
+                yield self._lead + tuple(
+                    face if a == axis else slice(None)
+                    for a in range(len(spatial))
+                )
 
     def _count_members(self) -> np.ndarray:
         spatial = tuple(range(len(self._lead), self._mask.ndim))

@@ -219,6 +219,12 @@ class PgasBackend(ExecutionBackend):
         self._pending_moves = [None] * nranks
         self._pending_binds = [None] * nranks
 
+    def state_restored(self) -> None:
+        # A gate sweeps only its last region: widen every rank's to the
+        # whole block.  Ghosts are re-sent at the start of every step.
+        for gate in self.active:
+            gate.reset()
+
     def exchange(self, phase, ctx):
         if phase.name in ("tiebreak_exchange", "result_exchange"):
             # The RPC waves of the two-wave tiebreak: payloads were

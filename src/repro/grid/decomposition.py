@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DecompositionKind(enum.Enum):
@@ -167,6 +170,10 @@ class Decomposition:
 
     def neighbor_graph(self, ghost: int = 1) -> nx.Graph:
         """The rank adjacency graph (used for validation and comm modeling)."""
+        # Imported here: this is networkx's only user, and every driver
+        # imports this module (tests/test_import_budget.py).
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.nranks))
         for r in range(self.nranks):

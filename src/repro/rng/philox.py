@@ -41,6 +41,18 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+_M64 = (1 << 64) - 1
+_PHI_INT, _MIX1_INT, _MIX2_INT = int(PHI64), int(_MIX1), int(_MIX2)
+
+
+def _mix_int(z: int) -> int:
+    """:func:`_mix` on one Python int taken mod 2**64."""
+    z &= _M64
+    z = ((z ^ (z >> 30)) * _MIX1_INT) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2_INT) & _M64
+    return z ^ (z >> 31)
+
+
 def hash_u64(x) -> np.ndarray:
     """splitmix64 finalizer: avalanche a uint64 (array) into a uint64 (array).
 
@@ -69,10 +81,19 @@ def counter_hash(seed, stream, step, keys) -> np.ndarray:
     exactly what voxel ids and step counters are) still produce
     statistically independent outputs.
     """
-    shape = np.broadcast_shapes(np.shape(seed), np.shape(keys))
-    s = _mix(_as_u64(seed) + PHI64)
-    s = _mix((s ^ (_as_u64(stream) * PHI64)) + PHI64)
-    s = _mix((s ^ (_as_u64(step) * _MIX1)) + PHI64)
+    if isinstance(seed, (int, np.integer)):
+        shape = np.shape(keys)
+        # One trial: the (seed, stream, step) prefix is three folds of single
+        # words, cheaper in Python ints than on 1-element arrays and the
+        # same bits (two's complement for negatives, wrap mod 2**64).
+        s = _mix_int(int(seed) + _PHI_INT)
+        s = _mix_int((s ^ (int(stream) * _PHI_INT)) + _PHI_INT)
+        s = np.uint64(_mix_int((s ^ (int(step) * _MIX1_INT)) + _PHI_INT))
+    else:
+        shape = np.broadcast_shapes(np.shape(seed), np.shape(keys))
+        s = _mix(_as_u64(seed) + PHI64)
+        s = _mix((s ^ (_as_u64(stream) * PHI64)) + PHI64)
+        s = _mix((s ^ (_as_u64(step) * _MIX1)) + PHI64)
     k = _as_u64(keys)
     out = _mix((s ^ (k * _MIX2) ^ (k >> np.uint64(32))) + PHI64)
     return out.reshape(shape)

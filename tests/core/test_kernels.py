@@ -6,6 +6,7 @@ import pytest
 from repro.core import kernels
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
+from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 from repro.rng.streams import VoxelRNG
 
@@ -331,3 +332,44 @@ class TestExtravasation:
         n = kernels.apply_extravasation(p, blk, attempts)
         assert blk.tcell.max() <= 1
         assert n == blk.tcell.sum() <= 9
+
+    @pytest.mark.parametrize("dim, lo, hi", [
+        ((12, 12), (5, 3), (11, 9)),
+        ((7, 6, 5), (2, 0, 1), (6, 4, 5)),
+    ])
+    def test_subdomain_block_takes_its_own_attempts(self, rng, dim, lo, hi):
+        """A block whose ``origin`` is not ``-ghost`` (what pgas, gpu and
+        dist pass) maps attempt gids to its own padded coordinates: its
+        interior ends up as the same box of a whole-domain block, also when
+        the lookup is narrowed to a region of it."""
+        p = SimCovParams.fast_test(dim=dim)
+        spec = GridSpec(p.dim)
+        whole = VoxelBlock(spec, spec.domain)
+        signal = np.random.default_rng(3).random(spec.shape)
+        whole.chemokine[whole.interior] = signal
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        attempts = kernels.extravasation_attempts(p, rng, 0, pool=2000.0)
+        total = kernels.apply_extravasation(p, whole, attempts)
+        assert total > 0
+
+        def sub_block():
+            sub = VoxelBlock(spec, Box(lo, hi))
+            sub.chemokine[sub.interior] = signal[box]
+            return sub
+
+        sub = sub_block()
+        n = kernels.apply_extravasation(p, sub, attempts)
+        for name in ("tcell", "tcell_tissue_time", "tcell_bound_time"):
+            np.testing.assert_array_equal(
+                getattr(sub, name)[sub.interior],
+                getattr(whole, name)[whole.interior][box],
+            )
+        assert n == sub.tcell.sum() == whole.tcell[whole.interior][box].sum()
+        assert 0 < n < total
+        # Narrowed to the first two rows of the block's interior.
+        rows = sub_block()
+        g = rows.ghost
+        region = (slice(g, g + 2),) + rows.interior[1:]
+        n_rows = kernels.apply_extravasation(p, rows, attempts, region=region)
+        np.testing.assert_array_equal(rows.tcell[region], sub.tcell[region])
+        assert n_rows == rows.tcell.sum() == sub.tcell[region].sum() > 0

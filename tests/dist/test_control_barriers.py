@@ -137,3 +137,56 @@ def test_per_step_barrier_count_is_fused():
         assert STEP_WAITS * steps <= worker_slot <= STEP_WAITS * steps + 1
     total_per_step = FUSED_PHASE_WAITS + STEP_WAITS
     assert total_per_step < SEED_TOTAL_WAITS
+
+
+def _parties(ctrl, n=2):
+    import multiprocessing as mp
+
+    wakers = tuple(mp.Semaphore(0) for _ in range(n))
+    slots = np.zeros(n, dtype=np.int64)
+    return wakers, [ShmBarrier(slots, p, ctrl, wakers=wakers) for p in range(n)]
+
+
+def test_parked_waiter_is_woken_by_the_arrival(ctrl, monkeypatch):
+    """A waiter parks on its semaphore and the late party's arrival posts
+    it: with the park slice stretched to 5 s, returning in time proves the
+    wake-up came from the post and not from a timer."""
+    import threading
+    import time
+
+    from repro.dist import control
+
+    monkeypatch.setattr(control, "_PARK_SECONDS", 5.0)
+    _, (early, late) = _parties(ctrl)
+    thread = threading.Thread(
+        target=lambda: (time.sleep(0.05), late.wait(timeout=10.0))
+    )
+    thread.start()
+    start = time.perf_counter()
+    early.wait(timeout=10.0)
+    elapsed = time.perf_counter() - start
+    thread.join()
+    assert 0.04 < elapsed < 2.0
+
+
+def test_posts_do_not_pile_up(ctrl):
+    """Every arrival posts every other party — also one that never parks
+    because it always arrives last and finds the vector complete.  Each
+    wait first drains what it was sent, so a semaphore never counts more
+    than one barrier's arrivals (undrained, the late party's would reach
+    ``rounds``)."""
+    import threading
+    import time
+
+    rounds = 100
+    wakers, (late, early) = _parties(ctrl)
+    thread = threading.Thread(
+        target=lambda: [early.wait(timeout=10.0) for _ in range(rounds)]
+    )
+    thread.start()
+    for _ in range(rounds):
+        time.sleep(0.001)
+        late.wait(timeout=10.0)
+    thread.join()
+    assert late.epoch == early.epoch == rounds
+    assert all(w.get_value() <= 1 for w in wakers)

@@ -17,6 +17,7 @@ from repro.core.params import SimCovParams
 from repro.core.stats import RegionReducer
 from repro.engine.ensemble import EnsembleSimCov
 from repro.io.checkpoint import CHECKPOINT_FIELDS, restore_state, snapshot_state
+from repro.simcov_cpu.simulation import SimCovCPU
 from repro.simcov_gpu.simulation import SimCovGPU
 
 PARAMS = SimCovParams.fast_test(dim=(64, 64), num_infections=1, num_steps=60)
@@ -37,7 +38,7 @@ def _assert_continues_like(sim, ref, exact=True):
         got, want = sim.step(), ref.series[step]
         if exact:
             assert got == want, f"stats diverged at step {step}"
-        else:  # per-device float partials: sums reassociate
+        else:  # per-device / per-rank float partials: sums reassociate
             assert got.virions_total == pytest.approx(
                 want.virions_total, rel=1e-12
             ), f"virions diverged at step {step}"
@@ -56,6 +57,16 @@ def test_sequential_restore_forward():
 def test_gpu_restore_forward():
     snap, ref = _reference(seed=3)
     sim = SimCovGPU(PARAMS, num_devices=2, seed=3)
+    sim.run(STEPPED)
+    restore_state(sim, snap)
+    _assert_continues_like(sim, ref, exact=False)
+
+
+def test_pgas_restore_forward():
+    """Each rank's refresh-mode gate sweeps only its last region, so it too
+    must be reset (fails without ``PgasBackend.state_restored``)."""
+    snap, ref = _reference(seed=3)
+    sim = SimCovCPU(PARAMS, nranks=4, seed=3)
     sim.run(STEPPED)
     restore_state(sim, snap)
     _assert_continues_like(sim, ref, exact=False)

@@ -71,6 +71,17 @@ class TestPoisson:
         assert x.dtype == np.int64
         assert x.min() >= 0
 
+    def test_zero_word_draws_zero(self):
+        """A word whose top 53 bits are zero maps to u == 0, where SciPy's
+        quantile function gives a - 1 = -1; the draw is 0.  All six callers
+        in src/ (core/kernels.py x5, core/seeding.py) clamp their draw with
+        ``maximum(1, .)``, so no trace, digest or cache key saw the -1."""
+        words = np.array([0, 1, 2**11 - 1, 2**11], dtype=np.uint64)
+        assert dist.uniform01(words).tolist() == [0.0, 0.0, 0.0, 2.0**-53]
+        for mu in (0.5, 3.0, 150.0, 40_000.0):
+            assert dist.poisson(words[:3], mu).tolist() == [0, 0, 0]
+            assert dist.poisson(words, np.full(4, mu)).min() == 0
+
     def test_array_mu(self, words):
         mu = np.full(1000, 2.0)
         mu[500:] = 20.0
