@@ -115,7 +115,9 @@ def test_bench_resolve_moves(benchmark, world):
         return kernels.compute_moves(block, intents, block.interior)
 
     moves = benchmark(run)
-    assert moves.arriving.shape == block.owned.shape
+    # Gathered layout: one index array per axis, one entry per winner.
+    assert len(moves.arriving) == len(moves.moved_out) == block.spec.ndim
+    assert len(moves.arriving[0]) == len(moves.new_life) > 0
 
 
 def test_bench_stats_vector(benchmark, world):
@@ -146,16 +148,19 @@ def test_bench_region_reducer(benchmark, world):
         )
 
 
-def test_bench_gate_sweep(benchmark):
+@pytest.mark.parametrize("fraction", [0.02, 0.08])
+def test_bench_gate_sweep(benchmark, fraction):
     """us per ``ActivityGate.sweep()`` on 1024 x 1024 with activity filling
-    an 8 % region (``focus_2d``'s shape): the sweep examines that region
-    and the ghost faces, not the block — a gate fresh from ``reset()``
-    examines everything and must arrive at the same mask."""
+    a 2 % or an 8 % region (``focus_2d``'s mean and its late shape): the
+    sweep examines that region and the ghost faces and dilates, reduces
+    and counts on the window around what it found, not the block — a gate
+    fresh from ``reset()`` examines everything and must arrive at the same
+    mask."""
     from repro.engine.activity import ActivityGate
 
     spec = GridSpec((1024, 1024))
     block = VoxelBlock(spec, spec.domain)
-    side = round((0.08 * block.owned.size) ** 0.5) - 16  # less the tile buffer
+    side = round((fraction * block.owned.size) ** 0.5) - 16  # less the tile buffer
     block.virions[400:400 + side, 300:300 + side] = 0.5
     gate = ActivityGate(block, 1e-6)
     gate.sweep()
@@ -165,9 +170,37 @@ def test_bench_gate_sweep(benchmark):
     assert gate.region() == fresh.region()
     assert np.array_equal(gate.mask, fresh.mask)
     benchmark.extra_info["region_fraction"] = gate.count / block.owned.size
-    assert 0.07 < benchmark.extra_info["region_fraction"] < 0.09
+    # Tile rounding moves the region a few percent off the target.
+    assert abs(benchmark.extra_info["region_fraction"] / fraction - 1) < 0.2
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["us_per_sweep"] = benchmark.stats["mean"] * 1e6
+
+
+def test_bench_first_step(benchmark):
+    """ms of step 0 against ms of step 1 on 1024 x 1024 with 1 FOI
+    (``focus_2d``'s shape).  Step 0 carries what a fresh or restored
+    simulation pays once — the whole-block sweep of the stale gate and the
+    reducer's one whole-domain count — and both steps then run their
+    kernels on the seed's 3 x 3 tiles."""
+    from time import perf_counter
+
+    from repro.core.model import SequentialSimCov
+
+    p = SimCovParams.fast_test(dim=(1024, 1024), num_infections=1, num_steps=4)
+
+    def setup():
+        return (SequentialSimCov(p, seed=11),), {}
+
+    def first_two_steps(sim):
+        marks = [perf_counter()]
+        for _ in range(2):
+            sim.step()
+            marks.append(perf_counter())
+        return sim, np.diff(marks) * 1e3
+
+    sim, ms = benchmark.pedantic(first_two_steps, setup=setup, rounds=3)
+    assert sim.gate.count <= 9 * 8 * 8 and not sim.gate.stale
+    benchmark.extra_info["step0_ms"], benchmark.extra_info["step1_ms"] = ms
 
 
 def test_bench_full_sequential_step(benchmark):
@@ -176,4 +209,5 @@ def test_bench_full_sequential_step(benchmark):
 
     sim = SequentialSimCov(p, seed=2)
     benchmark.pedantic(sim.step, rounds=5, iterations=1)
-    assert sim.step_num >= 5
+    # pedantic runs its target once under --benchmark-disable.
+    assert sim.step_num >= (5 if benchmark.enabled else 1)

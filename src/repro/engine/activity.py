@@ -115,19 +115,23 @@ class ActivityGate:
         self._full_region = self._lead + tuple(
             slice(block.ghost, block.ghost + s) for s in owned
         )
+        self._spatial_axes = tuple(range(len(lead), len(block.shape)))
         self.reset()
 
     def reset(self) -> None:
-        """Everything active (like the GPU tile grid): the state of a fresh
-        gate, and of any gate whose block was just rewritten by a
-        checkpoint restore — the first due sweep re-derives the true
-        active set."""
+        """Everything active (like the GPU tile grid) and :attr:`stale`: the
+        state of a fresh gate, and of any gate whose block was just
+        rewritten by a checkpoint restore.  Whoever steps the block sweeps
+        a stale gate before its first kernel, so no step runs all-active."""
         self._mask = np.ones(
             tuple(s.stop - s.start for s in self._full_region), dtype=bool
         )
         #: Active voxels of each member (a scalar on a solo block).
-        self.member_counts = self._count_members()
+        self.member_counts = self._mask.sum(axis=self._spatial_axes)
         self._region: tuple[slice, ...] | None = self._full_region
+        #: No sweep has seen the block's current state; cleared by
+        #: :meth:`sweep`.
+        self.stale = True
 
     # -- the sweep rule -------------------------------------------------------
 
@@ -141,30 +145,64 @@ class ActivityGate:
         """Re-derive the active region from current block state.
 
         The raw activity mask is computed only where activity can be (see
-        :meth:`_examined`) and is False elsewhere; it is dilated by one
-        voxel and cropped to the owned region (refresh mode stops there);
-        periodic mode then reduces it per tile, dilates the tile flags by
-        one tile and expands them back to voxels — what an unpinned
-        :meth:`TileGrid.sweep` does, here with any member axis carried
-        along in front.  Returns the owned voxel count (what the modeled
-        sweep kernel scans).
+        :meth:`_examined`) and is False elsewhere.  Everything after that
+        runs on one *window* of the block — the hull of the raw Trues,
+        grown by the one-voxel dilation and aligned outward to tile
+        boundaries plus the one-tile buffer — outside which the result is
+        provably False: the raw mask is dilated by one voxel and cropped
+        to the owned voxels (refresh mode, whose tile is one voxel, stops
+        there); periodic mode then reduces it per tile, dilates the tile
+        flags by one tile and expands them back to voxels — what an
+        unpinned :meth:`TileGrid.sweep` does, here with any member axis
+        carried along in front.  Returns the owned voxel count (what the
+        modeled sweep kernel scans).
         """
+        self.stale = False
         if not self.enabled:
             return 0
         block, tiles = self.block, self.tiles
-        raw = np.zeros(block.shape, dtype=bool)
-        for sl in self._examined():
-            raw[sl] = block.xp.asnumpy(block._activity(sl, self.min_chemokine))
         g, owned, ndim = block.ghost, tiles.owned_shape, tiles.ndim
-        mask = _dilate(raw, ndim)[
-            (...,) + tuple(slice(g, g + s) for s in owned)
+        raw = np.zeros(block.shape, dtype=bool)
+        hull = None
+        for sl in self._examined():
+            piece = block.xp.asnumpy(block._activity(sl, self.min_chemokine))
+            box = bounding_box(piece, [s.start for s in sl[-ndim:]])
+            if box is None:
+                continue
+            raw[sl] = piece
+            hull = box if hull is None else tuple(
+                slice(min(a.start, b.start), max(a.stop, b.stop))
+                for a, b in zip(hull, box)
+            )
+        self._mask = np.zeros(self._mask.shape, dtype=bool)
+        if hull is None:
+            self.member_counts = np.zeros(
+                self._mask.shape[: len(self._lead)], dtype=np.intp
+            )
+            self._region = None
+            return self._mask.size
+        periodic = self.sweep_period > 1
+        tile = tiles.tile_shape if periodic else (1,) * ndim
+        # Owned-coordinate window: from the tile before the one holding
+        # the grown hull's first voxel to the tile after its last one's.
+        lo = [max(((h.start - g - 1) // t - 1) * t, 0)
+              for h, t in zip(hull, tile)]
+        hi = [min(((h.stop - g) // t + 2) * t, n)
+              for h, t, n in zip(hull, tile, owned)]
+        shape = tuple(b - a for a, b in zip(lo, hi))
+        # The dilation reads one voxel beyond the window, ghosts included.
+        grown = tuple(slice(a + g - 1, b + g + 1) for a, b in zip(lo, hi))
+        mask = _dilate(raw[(...,) + grown], ndim)[
+            (...,) + (slice(1, -1),) * ndim
         ]
-        if self.sweep_period > 1:
-            flags = _tile_any(mask, tiles.tile_shape, tiles.tiles_per_dim)
-            mask = _expand_tiles(_dilate(flags, ndim), tiles.tile_shape, owned)
-        self._mask = mask
-        self.member_counts = self._count_members()
-        self._region = self._bbox()
+        if periodic:
+            per_dim = tuple(-(-s // t) for s, t in zip(shape, tile))
+            flags = _dilate(_tile_any(mask, tile, per_dim), ndim)
+            mask = _expand_tiles(flags, tile, shape)
+        self._mask[(...,) + tuple(slice(a, b) for a, b in zip(lo, hi))] = mask
+        self.member_counts = mask.sum(axis=self._spatial_axes)
+        box = bounding_box(mask, [a + g for a in lo])
+        self._region = None if box is None else self._lead + box
         return self._mask.size
 
     def _examined(self):
@@ -191,19 +229,9 @@ class ActivityGate:
         for axis, n in enumerate(spatial):
             for face in (slice(0, g), slice(n - g, n)):
                 yield self._lead + tuple(
-                    face if a == axis else slice(None)
-                    for a in range(len(spatial))
+                    face if a == axis else slice(0, m)
+                    for a, m in enumerate(spatial)
                 )
-
-    def _count_members(self) -> np.ndarray:
-        spatial = tuple(range(len(self._lead), self._mask.ndim))
-        return self._mask.sum(axis=spatial)
-
-    def _bbox(self) -> tuple[slice, ...] | None:
-        """Padded-array slices of the bounding box of every member's
-        active set (None if all are idle)."""
-        box = bounding_box(self._mask, (self.block.ghost,) * self.tiles.ndim)
-        return None if box is None else self._lead + box
 
     # -- consumers ------------------------------------------------------------
 

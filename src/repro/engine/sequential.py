@@ -89,6 +89,11 @@ class SingleBlockBackend(ExecutionBackend):
     # -- kernel phases -------------------------------------------------------
 
     def phase_age_extravasate(self, ctx):
+        if self.gate.stale:
+            # Fresh or just restored: sweep now, not after a whole sweep
+            # period of all-active steps.  Nothing has written the block
+            # since the last reduce (if any), so its totals still hold.
+            self._sweep()
         region = self.gate.region()
         if region is None:
             return False
@@ -177,8 +182,11 @@ class SingleBlockBackend(ExecutionBackend):
     def phase_tile_sweep(self, ctx):
         if not self.gate.due(ctx.step):
             return False
-        self.gate.sweep()
         # `reduce` is the phase before this one: its totals still hold.
+        self._sweep()
+
+    def _sweep(self) -> None:
+        self.gate.sweep()
         self.reducer.rebase(self.gate.region())
 
     def state_restored(self) -> None:

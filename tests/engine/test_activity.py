@@ -167,6 +167,54 @@ def _sim(batch, steps=16, **kw):
     return sim, members
 
 
+def _first_use_sim(batch, dim=(256, 256)):
+    p = SimCovParams.fast_test(dim=dim, num_infections=1, num_steps=20)
+    if batch is None:
+        return SequentialSimCov(p, seed=3)
+    return EnsembleSimCov(p, seeds=list(range(3, 3 + batch)))
+
+
+@pytest.mark.parametrize("batch", [None, 2])
+class TestFirstUse:
+    """A fresh gate is swept by the first step, not ``sweep_period`` steps
+    later.  Mutation check: without the stale sweep in
+    ``SingleBlockBackend.phase_age_extravasate`` the region after one step
+    is the whole interior and both one-step assertions fail."""
+
+    def test_region_is_tight_after_one_step(self, batch):
+        sim = _first_use_sim(batch)
+        gate = sim.gate
+        assert gate.stale and gate.fraction() == 1.0
+        seeds = np.argwhere(sim.block.xp.asnumpy(sim.block.virions) > 0)
+        assert len(seeds) == (batch or 1)
+        sim.step()
+        tiles = gate.tiles.tile_shape
+        region = gate.region()[-2:]
+        if batch is None:
+            # The seed's tile plus its one-tile buffer: at most 3x3 tiles,
+            # and the seed is inside.
+            assert all(s.stop - s.start <= 3 * t for s, t in zip(region, tiles))
+            assert all(s.start <= c < s.stop for s, c in zip(region, seeds[0]))
+        counts = np.reshape(gate.member_counts, -1)
+        assert (counts > 0).all()
+        assert (counts <= 9 * tiles[0] * tiles[1]).all()
+        assert gate.count == int(counts.sum())
+
+    def test_raw_activity_stays_inside_mask_every_early_step(self, batch):
+        sim = _first_use_sim(batch, dim=(64, 64))
+        gate = sim.gate
+        views = (
+            [sim.block] if batch is None else sim.backend.member_views
+        )
+        for step in range(2 * gate.sweep_period):
+            sim.step()
+            masks = gate.mask.reshape((len(views),) + views[0].owned.shape)
+            for view, mask in zip(views, masks):
+                raw = view.activity_mask(sim.params.min_chemokine)
+                assert not (_brute_dilate(raw) & ~mask).any(), step
+        assert 0 < gate.count < gate.mask.size
+
+
 @pytest.mark.parametrize("batch", [None, 1, 3])
 class TestGateMemberAxis:
     """The gate sweeps the trailing spatial axes; a leading member axis

@@ -108,10 +108,11 @@ class TestResumeExactness:
 
     def test_resume_through_gated_path(self, tmp_path):
         """Resume works through the active-region fast path: the gate is
-        not checkpointed (a resumed gate starts all-active and the next
-        periodic sweep re-derives the true active set), so a gated run
-        saved mid-run — deliberately *between* sweeps — must still match
-        both the uninterrupted gated run and the ungated ground truth."""
+        not checkpointed (a resumed gate starts all-active and stale, and
+        its first step sweeps it), so a gated run saved mid-run —
+        deliberately *between* sweeps, so that first-use sweep covers a
+        short interval — must still match both the uninterrupted gated
+        run and the ungated ground truth."""
         total = 50
         p = SimCovParams.fast_test(dim=(96, 96), num_infections=1,
                                    num_steps=total)

@@ -33,6 +33,17 @@ def _reference(seed):
     return snap, ref
 
 
+def _swept_count(seed):
+    """Active voxels of an uninterrupted run's gate at the snapshot: its
+    periodic sweep at the end of step ``SNAP_AT - 1`` saw exactly the
+    state the snapshot holds."""
+    sim = SequentialSimCov(PARAMS, seed=seed)
+    assert SNAP_AT % sim.gate.sweep_period == 0
+    sim.run(SNAP_AT)
+    assert 0 < sim.gate.count < sim.gate.mask.size
+    return sim.gate.count
+
+
 def _assert_continues_like(sim, ref, exact=True):
     for step in range(SNAP_AT, TOTAL):
         got, want = sim.step(), ref.series[step]
@@ -52,6 +63,21 @@ def test_sequential_restore_forward():
     sim.run(STEPPED)
     restore_state(sim, snap)
     _assert_continues_like(sim, ref)
+
+
+def test_sequential_restore_is_swept_by_its_first_step():
+    """The restored gate is all-active only until the next step runs: one
+    step later it tracks what an uninterrupted run tracks, and the series
+    is still the uninterrupted one.  Mutation check: without the stale
+    sweep in ``SingleBlockBackend.phase_age_extravasate`` the count is the
+    whole domain for ``sweep_period`` more steps."""
+    snap, ref = _reference(seed=3)
+    sim = SequentialSimCov(PARAMS, seed=3)
+    sim.run(STEPPED)
+    restore_state(sim, snap)
+    assert sim.gate.count == sim.gate.mask.size
+    assert sim.step() == ref.series[SNAP_AT]
+    assert sim.gate.count == _swept_count(seed=3)
 
 
 def test_gpu_restore_forward():
@@ -79,7 +105,10 @@ def test_ensemble_restore_forward():
     ens.run(STEPPED)
     for b, (snap, _) in enumerate(refs):
         restore_state(ens.member(b), snap)
-    ens.run(TOTAL - SNAP_AT)
+    ens.step()
+    # Swept by that first step (see the sequential test above).
+    assert list(ens.gate.member_counts) == [_swept_count(s) for s in seeds]
+    ens.run(TOTAL - SNAP_AT - 1)
     for b, (_, ref) in enumerate(refs):
         series = ens.member_series[b]
         for i, step in enumerate(range(SNAP_AT, TOTAL)):
