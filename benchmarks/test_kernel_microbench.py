@@ -95,15 +95,76 @@ def test_bench_epithelial_update(benchmark, world):
     benchmark(run)
 
 
-def test_bench_tcell_intents(benchmark, world):
-    p, block, rng = world
-    intents = kernels.IntentArrays(block.shape)
+def _agent_world(agents: int):
+    """192 x 192 with ``agents`` unbound T cells at random voxels, one in
+    ten of them on an expressing cell, so those (and their neighbours) bid
+    for a bind and the rest for a move — ``ensemble_b32``'s late mix at
+    10 000 (27 % of the voxels occupied), ``dense_3d``'s handful at 10."""
+    p = SimCovParams.fast_test(dim=(192, 192), num_infections=1)
+    spec = GridSpec(p.dim)
+    block = VoxelBlock(spec, spec.domain)
+    rs = np.random.default_rng(agents)
+    interior = block.epi_state[block.interior]
+    at = np.unravel_index(
+        rs.choice(interior.size, agents, replace=False), interior.shape
+    )
+    interior[tuple(i[::10] for i in at)] = EpiState.EXPRESSING
+    block.tcell[block.interior][at] = 1
+    block.tcell_tissue_time[block.interior][at] = 100
+    return p, block, VoxelRNG(1), kernels.IntentArrays(block.shape)
+
+
+def _per_agent(benchmark, agents: int) -> None:
+    """The ``kernels`` ledger numbers of ROADMAP item 3: at 10 agents
+    ``us_per_call`` is the fixed cost of a call, at 10 000 ``ns_per_agent``
+    is the marginal one."""
+    benchmark.extra_info["agents"] = agents
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
+        benchmark.extra_info["ns_per_agent"] = benchmark.stats["mean"] * 1e9 / agents
+
+
+@pytest.mark.parametrize("agents", [10, 1000, 10000], ids="agents={}".format)
+def test_bench_tcell_intents(benchmark, agents):
+    p, block, rng, intents = _agent_world(agents)
+
+    def setup():
+        intents.clear()
+
+    benchmark.pedantic(
+        lambda: kernels.tcell_intents(p, rng, 5, block, intents, block.interior),
+        setup=setup, rounds=30,
+    )
+    placed = (intents.move_dir >= 0).sum() + (intents.bind_dir >= 0).sum()
+    assert 0 < placed <= agents and (intents.bind_bid > 0).any()
+    _per_agent(benchmark, agents)
+
+
+@pytest.mark.parametrize("agents", [10, 1000, 10000], ids="agents={}".format)
+def test_bench_resolve(benchmark, agents):
+    """``compute_moves`` + ``resolve_binds`` against one round of intents:
+    both only read the T-cell fields (``commit_moves`` is what moves the
+    cells), so every round resolves the same bids; the binds a round
+    applies turn their cells apoptotic, which ``setup`` undoes."""
+    p, block, rng, intents = _agent_world(agents)
+    kernels.tcell_intents(p, rng, 5, block, intents, block.interior)
+    epi_state, epi_timer = block.epi_state.copy(), block.epi_timer.copy()
+
+    def setup():
+        block.epi_state[...] = epi_state
+        block.epi_timer[...] = epi_timer
+        block.tcell_bound_time[...] = 0
 
     def run():
-        intents.clear()
-        kernels.tcell_intents(p, rng, 5, block, intents, block.interior)
+        moves = kernels.compute_moves(block, intents, block.interior)
+        return moves, kernels.resolve_binds(
+            p, rng, 5, block, intents, block.interior
+        )
 
-    benchmark(run)
+    moves, bound = benchmark.pedantic(run, setup=setup, rounds=30)
+    assert len(moves.arriving) == len(moves.moved_out) > 0
+    assert bound == (block.epi_state == EpiState.APOPTOTIC).sum() > 0
+    _per_agent(benchmark, agents)
 
 
 def test_bench_resolve_moves(benchmark, world):
@@ -115,9 +176,11 @@ def test_bench_resolve_moves(benchmark, world):
         return kernels.compute_moves(block, intents, block.interior)
 
     moves = benchmark(run)
-    # Gathered layout: one index array per axis, one entry per winner.
-    assert len(moves.arriving) == len(moves.moved_out) == block.spec.ndim
-    assert len(moves.arriving[0]) == len(moves.new_life) > 0
+    # Flat layout: one int64 padded-array index per winner.
+    assert moves.arriving.ndim == moves.moved_out.ndim == 1
+    assert moves.arriving.dtype == moves.moved_out.dtype == np.int64
+    assert len(moves.arriving) == len(moves.moved_out) == len(moves.new_life) > 0
+    assert (block.tcell.reshape(-1)[moves.arriving] == 0).all()
 
 
 def test_bench_stats_vector(benchmark, world):

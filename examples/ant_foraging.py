@@ -35,7 +35,7 @@ except ModuleNotFoundError:
 
 import numpy as np
 
-from repro.core.kernels import IntentArrays, _shift, commit_moves, compute_moves
+from repro.core.kernels import IntentArrays, commit_moves, compute_moves
 from repro.core.state import VoxelBlock
 from repro.diffusion.stencil import decay_field, diffuse_padded, mirror_pad
 from repro.grid.spec import GridSpec, moore_offsets
@@ -74,6 +74,11 @@ def ant_intents(block, intents, rng, step, direction):
             continue
         view = intents.move_bid[_shift(region, off)]
         view[mask] = np.maximum(view[mask], bids[mask])
+
+
+def _shift(region, off):
+    """``region`` (bounded slices) moved by the integer offset ``off``."""
+    return tuple(slice(s.start + o, s.stop + o) for s, o in zip(region, off))
 
 
 def main():

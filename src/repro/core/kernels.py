@@ -4,9 +4,9 @@ Each kernel is a pure function over ghost-padded arrays and a region
 selector, so the same code runs as:
 
 - active-region updates of one undivided block — the sequential
-  reference, or a whole ensemble stacked on a leading member axis (the
-  spatial offsets of :func:`_offset` are right-aligned, so no kernel knows
-  which);
+  reference, or a whole ensemble stacked on a leading member axis (agents
+  are flat indices and neighbour offsets use the spatial strides only, so
+  no kernel knows which);
 - per-rank updates between RPC waves (SIMCoV-CPU) or shared-memory halo
   pulls (``repro.dist``);
 - per-active-tile kernel launches between halo waves (SIMCoV-GPU).
@@ -31,7 +31,9 @@ Step phase order (the staged semantics of paper §4.1):
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -41,23 +43,6 @@ from repro.core.xp import NUMPY
 from repro.diffusion.stencil import decay_field, diffuse_region, mirror_out_of_domain
 from repro.grid.spec import moore_offsets
 from repro.rng.streams import Stream, VoxelRNG
-
-
-def _shift(region: tuple[slice, ...], offset) -> tuple[slice, ...]:
-    """Shift a bounded slice tuple by an integer *spatial* offset vector.
-
-    The offset is right-aligned against the region: leading axes beyond
-    ``len(offset)`` (an ensemble batch axis) are left untouched, so the
-    same kernel source shifts solo ``(ny, nx)`` and batched ``(B, ny, nx)``
-    regions identically per member.  The slice-view counterpart of
-    :func:`_offset`, for kernels that sweep a region densely (the model
-    in ``examples/ant_foraging.py`` builds its intents this way).
-    """
-    offs = (0,) * (len(region) - len(offset)) + tuple(int(o) for o in offset)
-    return tuple(
-        s if o == 0 else slice(s.start + o, s.stop + o)
-        for s, o in zip(region, offs)
-    )
 
 
 def _rng_members(rng, mask, xp=NUMPY):
@@ -96,45 +81,77 @@ def _mask_members(value, mask, block, xp):
     return _member_param(value, xp.nonzero(mask)[0])
 
 
-def _agents(mask, region: tuple[slice, ...], xp) -> tuple:
-    """Padded-array index tuple (one vector per axis, a leading member axis
-    included) of the True elements of a mask taken over ``region``.
+@functools.lru_cache(maxsize=None)
+def _flat_layout(shape: tuple[int, ...], ndim: int, xp):
+    """Flat addressing of C-contiguous padded arrays of ``shape``: element
+    strides, the member stride (None on a solo block), and the flat-index
+    offsets of the bind stencil and of the Moore neighbourhood in the
+    trailing ``ndim`` (spatial) axes."""
+    strides = tuple(math.prod(shape[d + 1:]) for d in range(len(shape)))
+    spatial = np.array(strides[len(shape) - ndim:], dtype=np.int64)
+    return (
+        strides, strides[0] if len(shape) > ndim else None,
+        xp.asarray(bind_stencil(ndim) @ spatial),
+        xp.asarray(moore_offsets(ndim) @ spatial),
+    )
+
+
+def _flat(obj, *names):
+    """1-D views of ``obj``'s named fields (C-contiguous, so writes through
+    them land in the fields)."""
+    return [getattr(obj, name).reshape(-1) for name in names]
+
+
+def _agents(mask, region: tuple[slice, ...], strides, xp):
+    """Flat padded-array index (``int64``, ascending) of each True element
+    of a mask taken over ``region``.
 
     The T-cell kernels find their agents with one mask over the region and
-    then work on this gathered list, so their cost follows the number of
-    T cells, not the volume they are spread over.
+    then address every field by this one index per agent, so their cost
+    follows the number of T cells, not the volume or the number of axes.
     """
-    return tuple(i + s.start for i, s in zip(xp.nonzero(mask), region))
+    found = xp.nonzero(mask.reshape(-1))[0]
+    flat = found + sum(s.start * st for s, st in zip(region, strides))
+    # Region-order -> padded index: each axis adds its padded stride less
+    # what the axes inside it already counted, per step along it.
+    inner = 1
+    for a in range(mask.ndim - 1, 0, -1):
+        inner *= mask.shape[a]
+        pitch = strides[a - 1] - mask.shape[a] * strides[a]
+        if pitch:
+            flat += (found // inner) * pitch
+    return flat
 
 
-def _pick(at: tuple, keep) -> tuple:
-    """The elements of an index tuple selected by a boolean vector."""
-    return tuple(i[keep] for i in at)
+def _in_states(state, states):
+    """Mask of the elements of ``state`` that equal one of ``states``."""
+    return functools.reduce(operator.or_, (state == s for s in states))
 
 
-def _offset(at: tuple, offs) -> tuple:
-    """``at`` moved by spatial offsets ``offs`` (trailing axis = spatial
-    dimension; any leading axes broadcast against the index vectors).
-    Right-aligned: the index vector of a leading member axis is left
-    untouched, so solo ``(ny, nx)`` and batched ``(B, ny, nx)`` blocks
-    shift identically per member."""
-    lead = len(at) - offs.shape[-1]
-    return at[:lead] + tuple(i + offs[..., d] for d, i in enumerate(at[lead:]))
+def _members(flat, lead):
+    """``(member, spatial)`` of flat indices: the member each lies in and
+    its index within that member's slab, which addresses ``gid_spatial`` /
+    ``in_domain_spatial``; ``(None, flat)`` on a solo block."""
+    if lead is None:
+        return None, flat
+    member = flat // lead
+    return member, flat - member * lead
 
 
-def _members(at: tuple, block):
-    """Member index of each gathered element, or None on a solo block."""
-    return at[0] if len(at) > block.spec.ndim else None
-
-
-def _tally(at: tuple, region: tuple[slice, ...], block):
+def _tally(flat, region: tuple[slice, ...], lead, xp):
     """Gathered elements counted: a scalar, or one count per member of
     ``region`` when the block is batched."""
-    members = _members(at, block)
-    if members is None:
-        return len(at[0])
+    if lead is None:
+        return len(flat)
     lo, hi = region[0].start, region[0].stop
-    return np.bincount(block.xp.asnumpy(members) - lo, minlength=hi - lo)
+    return np.bincount(xp.asnumpy(flat // lead) - lo, minlength=hi - lo)
+
+
+def _winners(src, dirs, offs, bid_self, bids, xp):
+    """Those of ``src`` whose own bid is the merged maximum at the voxel
+    their chosen direction points to (§3.1's tiebreak)."""
+    tgt_max = bids[src + offs[xp.astype(dirs[src], np.int64)]]
+    return src[(bid_self[src] == tgt_max) & (tgt_max > 0)]
 
 
 def _slab_union(
@@ -418,7 +435,8 @@ class IntentArrays:
 
         ``fresh=True`` resets every field to the no-intent sentinels (the
         buffers may arrive zero-filled, but the direction sentinel is -1);
-        ``fresh=False`` adopts the contents as-is.
+        ``fresh=False`` adopts the contents as-is.  Fields must be
+        C-contiguous (the kernels scatter through ``arr.reshape(-1)``).
         """
         self = cls.__new__(cls)
         self.xp = NUMPY
@@ -427,10 +445,11 @@ class IntentArrays:
             arr = arrays[name]
             if shape is None:
                 shape = arr.shape
-            if arr.shape != shape or arr.dtype != np.dtype(dtype):
+            if (arr.shape != shape or arr.dtype != np.dtype(dtype)
+                    or not arr.flags.c_contiguous):
                 raise ValueError(
                     f"intent field {name!r}: got {arr.dtype}{arr.shape}, "
-                    f"need {np.dtype(dtype)}{shape}"
+                    f"need C-contiguous {np.dtype(dtype)}{shape}"
                 )
             setattr(self, name, arr)
         self._dirty = None
@@ -503,65 +522,59 @@ def tcell_intents(
     the paper's single-communication tiebreak.
     """
     xp = block.xp
+    strides, lead, boff, moff = _flat_layout(block.shape, block.spec.ndim, xp)
     at = _agents(
         (block.tcell[region] != 0) & (block.tcell_bound_time[region] == 0),
-        region, xp,
+        region, strides, xp,
     )
-    if len(at[0]) == 0:
+    if len(at) == 0:
         return
-    members = _members(at, block)
-    gid = block.gid[at]
+    members, spatial = _members(at, lead)
+    gid = block.gid_spatial.reshape(-1)[xp.asnumpy(spatial)]
     bids = rng.bids(step, gid, member=members)
-    ndim = block.spec.ndim
-    bstencil = xp.asarray(bind_stencil(ndim))
+    move_dir, bind_dir, bid_self, move_bid, bind_bid = _flat(
+        intents, "move_dir", "bind_dir", "bid_self", "move_bid", "bind_bid"
+    )
 
     # --- binding choice ----------------------------------------------------
-    # One gather of every agent's stencil: (agents, stencil) states.
-    nb_state = block.epi_state[
-        _offset(tuple(i[:, None] for i in at), bstencil[None])
-    ]
-    bindable = xp.zeros(nb_state.shape, dtype=bool)
-    for s in BINDABLE:
-        bindable |= nb_state == s
-    n_candidates = bindable.sum(axis=-1)
-    binder = n_candidates > 0
-    if binder.any():
+    # One gather of every agent's stencil: (stencil, agents) states.
+    bindable = _in_states(
+        xp.take(block.epi_state.reshape(-1), boff[:, None] + at), BINDABLE
+    )
+    binder = bindable.any(axis=0)
+    b = xp.nonzero(binder)[0]
+    if len(b):
+        # Draws are keyed by gid, so drawing for the binders alone draws
+        # what drawing for everyone would have given them.
+        src, candidates = at[b], bindable[:, b]
         j = rng.words(
-            Stream.TCELL_BIND_SELECT, step, gid, member=members
-        ) % xp.maximum(xp.astype(n_candidates, np.uint64), 1)
+            Stream.TCELL_BIND_SELECT, step, gid[b], member=_members(src, lead)[0]
+        ) % xp.astype(candidates.sum(axis=0), np.uint64)
         # Index of the (j+1)-th True along the stencil axis.
-        cum = xp.cumsum(bindable, axis=-1)
-        sel = xp.argmax(cum == (xp.astype(j, np.int64) + 1)[..., None], axis=-1)
-        src = _pick(at, binder)
-        intents.bind_dir[src] = xp.astype(sel[binder], np.int8)
-        intents.bid_self[src] = bids[binder]
-        # Scatter-max onto targets, one direction at a time (within one
-        # direction all targets are distinct, so a masked max suffices).
-        for k in np.unique(xp.asnumpy(sel[binder])):
-            mask = binder & (sel == k)
-            tgt = _offset(_pick(at, mask), bstencil[k])
-            intents.bind_bid[tgt] = xp.maximum(intents.bind_bid[tgt], bids[mask])
+        cum = xp.cumsum(candidates, axis=0)
+        sel = xp.argmax(cum == xp.astype(j, np.int64) + 1, axis=0)
+        bind_dir[src] = xp.astype(sel, np.int8)
+        bid_self[src] = bids[b]
+        # The paper's atomicMax at the target: order-free by construction.
+        xp.maximum_at(bind_bid, src + boff[sel], bids[b])
 
     # --- movement choice -------------------------------------------------------
-    mover = ~binder
-    if mover.any():
-        offsets = xp.asarray(moore_offsets(ndim))
-        k_choice = xp.astype(
-            rng.randint(
-                Stream.TCELL_DIRECTION, step, gid, len(offsets), member=members
-            ),
-            np.int8,
+    m = xp.nonzero(~binder)[0]
+    if len(m):
+        src = at[m]
+        members, spatial = _members(src, lead)
+        k_choice = rng.randint(
+            Stream.TCELL_DIRECTION, step, gid[m], len(moff), member=members
         )
-        tgt = _offset(at, offsets[xp.astype(k_choice, np.int64)])
+        step_to = moff[xp.astype(k_choice, np.int64)]
         # Blocked: target occupied at the start of the phase, or outside.
-        ok = mover & (block.tcell[tgt] == 0) & block.in_domain[tgt]
-        src = _pick(at, ok)
-        intents.move_dir[src] = k_choice[ok]
-        intents.bid_self[src] = bids[ok]
-        for k in np.unique(xp.asnumpy(k_choice[ok])):
-            mask = ok & (k_choice == k)
-            to = _pick(tgt, mask)
-            intents.move_bid[to] = xp.maximum(intents.move_bid[to], bids[mask])
+        ok = (block.tcell.reshape(-1)[src + step_to] == 0) & xp.asarray(
+            block.in_domain_spatial.reshape(-1)
+        )[spatial + step_to]
+        src, placed = src[ok], bids[m[ok]]
+        move_dir[src] = xp.astype(k_choice[ok], np.int8)
+        bid_self[src] = placed
+        xp.maximum_at(move_bid, src + step_to[ok], placed)
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +587,8 @@ class MoveSet:
     who arrives, and the arriving payload — computed against pristine state
     so that commits can happen in any order (Jacobi semantics, as one GPU
     kernel launch over all tiles would behave).  ``moved_out`` and
-    ``arriving`` are padded-array index tuples, ``new_life`` the tissue
-    time each arrival carries."""
+    ``arriving`` are flat padded-array index vectors (opaque to callers),
+    ``new_life`` the tissue time each arrival carries."""
 
     __slots__ = ("region", "moved_out", "arriving", "new_life")
 
@@ -599,25 +612,23 @@ def compute_moves(
     it, no duplication and no loss.
     """
     xp = block.xp
-    offsets = xp.asarray(moore_offsets(block.spec.ndim))
+    strides, _, _, moff = _flat_layout(block.shape, block.spec.ndim, xp)
+    move_dir, bid_self, move_bid = _flat(intents, "move_dir", "bid_self", "move_bid")
     # Outgoing: my cells that won their bid at the target.
-    out = _agents(intents.move_dir[region] >= 0, region, xp)
-    tgt_max = intents.move_bid[
-        _offset(out, offsets[xp.astype(intents.move_dir[out], np.int64)])
-    ]
-    moved_out = _pick(out, (intents.bid_self[out] == tgt_max) & (tgt_max > 0))
+    out = _agents(intents.move_dir[region] >= 0, region, strides, xp)
+    moved_out = _winners(out, move_dir, moff, bid_self, move_bid, xp)
     # Incoming: neighbor cells (possibly ghosts) that won a bid on my voxel;
-    # per bid-on voxel, the (voxels, directions) table of its sources.
-    bid_on = _agents(intents.move_bid[region] > 0, region, xp)
-    src = _offset(tuple(i[:, None] for i in bid_on), -offsets[None])
-    src_won = (intents.move_dir[src] == xp.arange(len(offsets))[None]) & (
-        intents.bid_self[src] == intents.move_bid[bid_on][:, None]
+    # per bid-on voxel, the (directions, voxels) table of its sources.
+    bid_on = _agents(intents.move_bid[region] > 0, region, strides, xp)
+    src = bid_on - moff[:, None]
+    src_won = (xp.take(move_dir, src) == xp.arange(len(moff))[:, None]) & (
+        xp.take(bid_self, src) == move_bid[bid_on]
     )
-    arrived = src_won.any(axis=-1)
-    arriving = _pick(bid_on, arrived)
+    arrived = src_won.any(axis=0)
+    arriving = bid_on[arrived]
     # The first winning direction supplies the payload.
-    first = xp.argmax(src_won, axis=-1)[arrived]
-    new_life = block.tcell_tissue_time[_offset(arriving, -offsets[first])]
+    first = xp.argmax(src_won[:, arrived], axis=0)
+    new_life = block.tcell_tissue_time.reshape(-1)[arriving - moff[first]]
     return MoveSet(region, moved_out, arriving, new_life)
 
 
@@ -626,13 +637,12 @@ def commit_moves(block: VoxelBlock, moves: MoveSet):
     Must run only after *all* regions' :func:`compute_moves` finished (the
     separate 'Move Agents' kernel of Fig 2).  Returns arrivals — a scalar,
     or a per-member vector on a batched block."""
-    block.tcell[moves.moved_out] = 0
-    block.tcell_tissue_time[moves.moved_out] = 0
-    block.tcell_bound_time[moves.moved_out] = 0
-    block.tcell[moves.arriving] = 1
-    block.tcell_tissue_time[moves.arriving] = moves.new_life
-    block.tcell_bound_time[moves.arriving] = 0
-    return _tally(moves.arriving, moves.region, block)
+    fields = _flat(block, "tcell", "tcell_tissue_time", "tcell_bound_time")
+    for field, arrives_with in zip(fields, (1, moves.new_life, 0)):
+        field[moves.moved_out] = 0
+        field[moves.arriving] = arrives_with
+    lead = _flat_layout(block.shape, block.spec.ndim, block.xp)[1]
+    return _tally(moves.arriving, moves.region, lead, block.xp)
 
 
 def resolve_moves(
@@ -660,39 +670,31 @@ def resolve_binds(
     Returns the number of cells driven apoptotic in the region — a scalar,
     or a per-member vector on a batched block."""
     xp = block.xp
-    bstencil = xp.asarray(bind_stencil(block.spec.ndim))
+    strides, lead, boff, _ = _flat_layout(block.shape, block.spec.ndim, xp)
+    bind_dir, bid_self, bind_bid = _flat(intents, "bind_dir", "bid_self", "bind_bid")
+    epi_state, epi_timer, bound_time = _flat(
+        block, "epi_state", "epi_timer", "tcell_bound_time"
+    )
     # Epithelial side: any expressing cell with a positive merged bind bid
     # was won by exactly one T cell.
-    bid_on = _agents(intents.bind_bid[region] > 0, region, xp)
-    state = block.epi_state[bid_on]
-    bindable = xp.zeros(state.shape, dtype=bool)
-    for s in BINDABLE:
-        bindable |= state == s
-    bound = _pick(bid_on, bindable)
-    if len(bound[0]):
-        members = _members(bound, block)
-        block.epi_state[bound] = EpiState.APOPTOTIC
-        block.epi_timer[bound] = xp.astype(
-            xp.maximum(
-                1,
-                rng.poisson(
-                    Stream.APOPTOSIS_PERIOD, step, block.gid[bound],
-                    _member_param(params.apoptosis_period, members),
-                    member=members,
-                ),
-            ),
-            np.int32,
+    bid_on = _agents(intents.bind_bid[region] > 0, region, strides, xp)
+    bound = bid_on[_in_states(epi_state[bid_on], BINDABLE)]
+    if len(bound):
+        members, spatial = _members(bound, lead)
+        period = rng.poisson(
+            Stream.APOPTOSIS_PERIOD, step,
+            block.gid_spatial.reshape(-1)[xp.asnumpy(spatial)],
+            _member_param(params.apoptosis_period, members), member=members,
         )
+        epi_state[bound] = EpiState.APOPTOTIC
+        epi_timer[bound] = xp.astype(xp.maximum(1, period), np.int32)
     # T-cell side: my cells that won their bind enter the bound state.
-    mine = _agents(intents.bind_dir[region] >= 0, region, xp)
-    tgt_max = intents.bind_bid[
-        _offset(mine, bstencil[xp.astype(intents.bind_dir[mine], np.int64)])
-    ]
-    won = _pick(mine, (intents.bid_self[mine] == tgt_max) & (tgt_max > 0))
-    block.tcell_bound_time[won] = _member_param(
-        params.tcell_binding_period, _members(won, block)
+    mine = _agents(intents.bind_dir[region] >= 0, region, strides, xp)
+    won = _winners(mine, bind_dir, boff, bid_self, bind_bid, xp)
+    bound_time[won] = _member_param(
+        params.tcell_binding_period, _members(won, lead)[0]
     )
-    return _tally(bound, region, block)
+    return _tally(bound, region, lead, xp)
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +778,7 @@ def production_update(
     is antiviral-adjusted when an intervention is configured ([25])."""
     xp = block.xp
     state = block.epi_state[region]
-    producing = xp.zeros(state.shape, dtype=bool)
-    for s in VIRION_PRODUCERS:
-        producing |= state == s
+    producing = _in_states(state, VIRION_PRODUCERS)
     if producing.any():
         v = block.virions[region]
         v[producing] = xp.minimum(
@@ -786,9 +786,7 @@ def production_update(
             v[producing]
             + _mask_members(params.virion_production_at(step), producing, block, xp),
         )
-    signaling = xp.zeros(state.shape, dtype=bool)
-    for s in CHEMOKINE_PRODUCERS:
-        signaling |= state == s
+    signaling = _in_states(state, CHEMOKINE_PRODUCERS)
     if signaling.any():
         c = block.chemokine[region]
         c[signaling] = xp.minimum(

@@ -97,15 +97,21 @@ class VoxelBlock:
         self.epi_state[self.in_domain] = EpiState.HEALTHY
 
     def _derive_geometry(self) -> None:
-        """Global voxel ids over the padded block; -1 outside the domain."""
+        """Global voxel ids over the padded block; -1 outside the domain.
+
+        ``gid_spatial`` / ``in_domain_spatial`` are the same geometry over
+        the spatial axes only — here the arrays themselves; on an
+        :class:`EnsembleBlock` the one copy every member shares.  The
+        agent kernels address them by flat spatial index.
+        """
         shape = tuple(s + 2 * self.ghost for s in self.owned.shape)
         ext = self.owned.expand(self.ghost)
         coords = ext.coords().reshape(shape + (self.spec.ndim,))
         inside = self.spec.in_bounds(coords)
         gid = np.full(shape, -1, dtype=np.int64)
         gid[inside] = self.spec.ravel(coords[inside])
-        self.gid = gid
-        self.in_domain = inside
+        self.gid = self.gid_spatial = gid
+        self.in_domain = self.in_domain_spatial = inside
 
     @classmethod
     def from_arrays(
@@ -125,7 +131,9 @@ class VoxelBlock:
         adopts the contents as-is — the attach path for processes joining
         a segment another process already initialized.  Geometry arrays
         (``gid``/``in_domain``) are always derived locally, so they never
-        occupy shared storage.
+        occupy shared storage.  Every field must be C-contiguous: the agent
+        kernels scatter through ``arr.reshape(-1)``, which on any other
+        layout is a silent copy.
         """
         block = cls.__new__(cls)
         block.spec = spec
@@ -134,10 +142,11 @@ class VoxelBlock:
         shape = tuple(s + 2 * block.ghost for s in owned.shape)
         for name, dtype in cls.FIELD_DTYPES.items():
             arr = arrays[name]
-            if arr.shape != shape or arr.dtype != np.dtype(dtype):
+            if (arr.shape != shape or arr.dtype != np.dtype(dtype)
+                    or not arr.flags.c_contiguous):
                 raise ValueError(
                     f"field {name!r}: got {arr.dtype}{arr.shape}, "
-                    f"need {np.dtype(dtype)}{shape}"
+                    f"need C-contiguous {np.dtype(dtype)}{shape}"
                 )
             setattr(block, name, arr)
         block._derive_geometry()

@@ -67,6 +67,12 @@ class ArrayModule:
         """Whether ``arr`` already lives on this module's substrate."""
         return isinstance(arr, np.ndarray)
 
+    def maximum_at(self, flat_arr, idx, vals) -> None:
+        """``flat_arr[idx] = max(flat_arr[idx], vals)`` in place, with
+        repeated indices all taking part — the paper's ``atomicMax``
+        (§3.1).  ``flat_arr`` must be a 1-D *view* of the target storage."""
+        np.maximum.at(flat_arr, idx, vals)
+
 
 class NumpyModule(ArrayModule):
     name = "numpy"
@@ -88,6 +94,11 @@ class CupyModule(ArrayModule):  # pragma: no cover - requires cupy
 
     def is_native(self, arr) -> bool:
         return isinstance(arr, self._mod.ndarray)
+
+    def maximum_at(self, flat_arr, idx, vals) -> None:
+        import cupyx
+
+        cupyx.scatter_max(flat_arr, idx, vals)
 
 
 class TorchModule(ArrayModule):  # pragma: no cover - requires torch
@@ -183,6 +194,9 @@ class TorchModule(ArrayModule):  # pragma: no cover - requires torch
 
     def argmax(self, arr, axis=None):
         return self._mod.argmax(arr, dim=axis)
+
+    def maximum_at(self, flat_arr, idx, vals) -> None:
+        flat_arr.index_reduce_(0, idx, vals, "amax")
 
 
 _FACTORIES = {

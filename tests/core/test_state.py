@@ -92,3 +92,71 @@ class TestActivityMask:
         blk = VoxelBlock(spec, spec.domain)
         blk.epi_state[blk.interior] = EpiState.DEAD
         assert not blk.activity_mask(1e-6).any()
+
+
+class TestFlatAddressing:
+    """The agent kernels scatter through ``arr.reshape(-1)``: on anything
+    but a C-contiguous array that is a silent copy and the write is lost,
+    so every storage a kernel can be handed must reshape to a view."""
+
+    @staticmethod
+    def assert_flat_views(obj, names):
+        for name in names:
+            arr = getattr(obj, name)
+            assert np.shares_memory(arr, arr.reshape(-1)), name
+
+    def test_blocks_and_member_views(self):
+        from repro.core.kernels import IntentArrays
+        from repro.core.state import EnsembleBlock
+
+        fields = tuple(VoxelBlock.FIELD_DTYPES) + ("gid_spatial", "in_domain_spatial")
+        for dim in ((6, 5), (4, 5, 3)):
+            spec = GridSpec(dim)
+            self.assert_flat_views(VoxelBlock(spec, spec.domain), fields)
+            ens = EnsembleBlock(spec, spec.domain, batch=3)
+            self.assert_flat_views(ens, fields)
+            self.assert_flat_views(ens.member_view(1), fields)
+            self.assert_flat_views(IntentArrays(ens.shape), IntentArrays.FIELD_DTYPES)
+            # The batched geometry is one spatial copy, not B of them.
+            assert ens.gid_spatial.shape == ens.shape[1:]
+            assert not np.shares_memory(ens.gid, ens.gid.reshape(-1))
+
+    def test_dist_rank_storage(self):
+        from repro.core.kernels import IntentArrays
+        from repro.core.params import SimCovParams
+        from repro.dist import DistSimCov
+        from repro.dist.worker import _RankWorker
+
+        p = SimCovParams.fast_test(dim=(12, 12), num_infections=1, num_steps=1)
+        with DistSimCov(p, nranks=2) as dist:
+            worker = _RankWorker(dist.backend.runtime.worker_spec(0))
+            try:
+                self.assert_flat_views(worker.block, VoxelBlock.FIELD_DTYPES)
+                self.assert_flat_views(worker.intents, IntentArrays.FIELD_DTYPES)
+                assert worker._resolve_intents is not worker.intents
+                self.assert_flat_views(
+                    worker._resolve_intents, IntentArrays.FIELD_DTYPES
+                )
+            finally:
+                worker.close()
+
+    def test_non_contiguous_storage_is_refused(self):
+        import pytest
+
+        from repro.core.kernels import IntentArrays
+
+        spec = GridSpec((4, 4))
+        arrays = {
+            name: np.zeros((6, 6), dtype=dt).T if name == "tcell"
+            else np.zeros((6, 6), dtype=dt)
+            for name, dt in VoxelBlock.FIELD_DTYPES.items()
+        }
+        with pytest.raises(ValueError, match="'tcell'.*C-contiguous"):
+            VoxelBlock.from_arrays(spec, spec.domain, arrays)
+        arrays = {
+            name: np.zeros((6, 12), dtype=dt)[:, ::2] if name == "move_bid"
+            else np.zeros((6, 6), dtype=dt)
+            for name, dt in IntentArrays.FIELD_DTYPES.items()
+        }
+        with pytest.raises(ValueError, match="'move_bid'.*C-contiguous"):
+            IntentArrays.from_arrays(arrays)

@@ -53,6 +53,18 @@ class TestNumpyAdapter:
     def test_repr_names_module(self):
         assert "numpy" in repr(NUMPY)
 
+    def test_maximum_at_counts_every_duplicate(self):
+        """An atomic max, not a buffered ``arr[idx] = max(arr[idx], v)``
+        (where the last write to a repeated index would win)."""
+        grid = np.zeros((3, 4), dtype=np.uint64)
+        grid[1, 1] = 7
+        idx = np.array([5, 2, 5, 2, 5, 11])
+        vals = np.array([3, 9, 8, 4, 6, 1], dtype=np.uint64)
+        NUMPY.maximum_at(grid.reshape(-1), idx, vals)
+        expect = np.zeros(12, dtype=np.uint64)
+        expect[[5, 2, 11]] = 8, 9, 1  # 8 beats the 7 already there
+        assert np.array_equal(grid.reshape(-1), expect)
+
 
 class TestOptionalModules:
     """Smoke for the GPU adapters — auto-skips when not installed."""
