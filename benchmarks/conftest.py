@@ -11,7 +11,7 @@ import pathlib
 import pytest
 
 from repro.core.params import SimCovParams
-from repro.testing import subprocess_env
+from repro.testing import subprocess_env, use_tier
 
 BENCH_DIR = pathlib.Path(__file__).resolve().parent
 
@@ -34,3 +34,11 @@ def fast_params():
 def sparse_params():
     """A sparse workload where tiling/active-lists have work to skip."""
     return SimCovParams.fast_test(dim=(64, 64), num_infections=1, num_steps=60)
+
+
+@pytest.fixture(params=["numpy", "native"], ids="tier={}".format)
+def tier(request, monkeypatch):
+    """One ledger row per tier of the per-voxel kernels and the counter
+    hash (:func:`repro.testing.use_tier`)."""
+    use_tier(request.param, monkeypatch)
+    return request.param

@@ -1,8 +1,17 @@
 """Microbenchmarks of the hot kernels (host-side throughput).
 
-These time the actual numpy kernels this reproduction executes — useful
-for tracking regressions in the reproduction itself (the modeled GPU
-times come from the ledger, not from these wall-clocks).
+These time the kernels this reproduction actually executes — useful for
+tracking regressions in the reproduction itself (the modeled GPU times
+come from the ledger, not from these wall-clocks).  The per-voxel kernels
+and the counter hash have two tiers (numpy bodies, and the compiled ones of
+``repro.core.native``): their rows are recorded once per tier,
+``[tier=numpy|native]``, as ROADMAP item 3's ``kernels`` ledger.
+
+A kernel that changes the state it runs on gets that state back before
+every round (``benchmark.pedantic(setup=...)``): stepped at a fixed step
+number on one world, ``epithelial_update`` has run every timer out within
+~50 rounds, and the later rounds — and every benchmark sharing the world —
+would time a dead tissue.
 """
 
 import numpy as np
@@ -11,18 +20,17 @@ import pytest
 from repro.core import kernels
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
-from repro.diffusion.stencil import diffuse_global
+from repro.core.stats import region_counts, stats_vector
 from repro.grid.spec import GridSpec
 from repro.rng.streams import Stream, VoxelRNG
 
 
-@pytest.fixture(scope="module")
-def world():
-    p = SimCovParams.fast_test(dim=(128, 128), num_infections=8)
+def busy_world(dim):
+    """A busy mid-infection state on ``dim``: params, block, rng."""
+    p = SimCovParams.fast_test(dim=dim, num_infections=8)
     spec = GridSpec(p.dim)
     block = VoxelBlock(spec, spec.domain)
     rng = np.random.default_rng(0)
-    # A busy mid-infection state.
     states = rng.choice(
         [EpiState.HEALTHY, EpiState.INCUBATING, EpiState.EXPRESSING,
          EpiState.DEAD],
@@ -37,8 +45,16 @@ def world():
     block.chemokine[block.interior] = rng.random(block.owned.shape) * 0.5
     tcells = rng.random(block.owned.shape) < 0.05
     block.tcell[block.interior] = tcells
-    block.tcell_tissue_time[block.interior] = tcells * 100
+    block.tcell_tissue_time[block.interior] = tcells * rng.integers(
+        1, 100, size=block.owned.shape
+    )
     return p, block, VoxelRNG(1)
+
+
+@pytest.fixture(scope="module")
+def world():
+    """Shared by the benchmarks that only read it."""
+    return busy_world((128, 128))
 
 
 def test_bench_rng_words(benchmark):
@@ -66,33 +82,71 @@ def test_bench_poisson_draw(benchmark, n, mu_kind):
         benchmark.extra_info["ns_per_draw"] = benchmark.stats["mean"] * 1e9 / n
 
 
-def test_bench_counter_hash_fixed(benchmark):
-    """us per ``counter_hash`` call at one key: the fixed cost every draw
+@pytest.mark.parametrize("n", [1, 1000, 100_000], ids="n={}".format)
+def test_bench_counter_hash(benchmark, tier, n):
+    """us per ``counter_hash`` call: at one key the fixed cost every draw
     pays before its first voxel (an int seed's prefix is folded in Python
-    ints, philox.counter_hash)."""
+    ints), at 1e5 the cost per key."""
     from repro.rng.philox import counter_hash
 
-    key = np.array([0])
-    out = benchmark(lambda: counter_hash(11, int(Stream.POOL_ROUND), 7, key))
-    assert out.shape == (1,) and out.dtype == np.uint64
-    if benchmark.stats:
+    keys = np.arange(n)
+    out = benchmark(lambda: counter_hash(11, int(Stream.POOL_ROUND), 7, keys))
+    assert out.shape == (n,) and out.dtype == np.uint64
+    assert out[0] == counter_hash(np.array([11]), int(Stream.POOL_ROUND), 7, 0)[0]
+    benchmark.extra_info.update(tier=tier, keys=n)
+    if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
+        benchmark.extra_info["ns_per_key"] = benchmark.stats["mean"] * 1e9 / n
 
 
-def test_bench_diffusion(benchmark):
-    rng = np.random.default_rng(0)
-    field = rng.random((256, 256))
-    out = benchmark(lambda: diffuse_global(field, 0.5))
-    assert out.shape == field.shape
+def _voxel_kernels(p, block, rng):
+    """The per-voxel entry points as the single-block backend calls them,
+    each over the whole interior at a fixed step."""
+    region = block.interior
+    scratch = np.zeros_like(block.virions), np.zeros_like(block.chemokine)
+
+    def concentration():
+        kernels.concentration_update(p, block, region, *scratch)
+        kernels.concentration_commit(p, block, [region], *scratch, step=5)
+
+    return {
+        "epithelial_update": lambda: kernels.epithelial_update(p, rng, 5, block, region),
+        "production_update": lambda: kernels.production_update(p, block, region, step=5),
+        "concentration_update+commit": concentration,
+        "tcell_age": lambda: kernels.tcell_age(block, region),
+        "region_counts": lambda: region_counts(block, region),
+    }
 
 
-def test_bench_epithelial_update(benchmark, world):
-    p, block, rng = world
+@pytest.mark.parametrize(
+    "dim", [(192, 192), (48, 48, 32)], ids=lambda dim: "x".join(map(str, dim))
+)
+@pytest.mark.parametrize(
+    "kernel", ["epithelial_update", "production_update",
+               "concentration_update+commit", "tcell_age", "region_counts"],
+)
+def test_bench_voxel_kernel(benchmark, tier, kernel, dim):
+    """ns per voxel of each per-voxel kernel, per tier, on ``dense_2d``'s
+    and ``dense_3d``'s grids: the ``kernels`` ledger of ROADMAP item 3."""
+    p, block, rng = busy_world(dim)
+    start = {name: getattr(block, name).copy() for name in block.FIELD_DTYPES}
 
-    def run():
-        kernels.epithelial_update(p, rng, 5, block, block.interior)
+    def restore():
+        for name, saved in start.items():
+            getattr(block, name)[...] = saved
 
-    benchmark(run)
+    out = benchmark.pedantic(_voxel_kernels(p, block, rng)[kernel], setup=restore, rounds=20)
+    if kernel == "region_counts":
+        assert np.array_equal(out, stats_vector(block)[:len(out)])
+    else:  # the last round really ran on the restored state
+        assert any(
+            not np.array_equal(getattr(block, name), saved) for name, saved in start.items()
+        )
+    benchmark.extra_info.update(tier=tier, voxels=block.owned.size)
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["ns_per_voxel"] = (
+            benchmark.stats["mean"] * 1e9 / block.owned.size
+        )
 
 
 def _agent_world(agents: int):
@@ -184,8 +238,6 @@ def test_bench_resolve_moves(benchmark, world):
 
 
 def test_bench_stats_vector(benchmark, world):
-    from repro.core.stats import stats_vector
-
     _, block, _ = world
     vec = benchmark(lambda: stats_vector(block))
     assert vec.shape == (8,)
@@ -196,7 +248,7 @@ def test_bench_region_reducer(benchmark, world):
     six integer counts over the region plus the two whole-interior float
     sums it cannot limit (DESIGN.md §4).  ``extra_info`` carries the
     ledger number, ns per region voxel."""
-    from repro.core.stats import RegionReducer, stats_vector
+    from repro.core.stats import RegionReducer
 
     _, block, _ = world
     side = round((0.10 * block.owned.size) ** 0.5)  # 40 x 40 of 128 x 128

@@ -1,0 +1,243 @@
+/* The compiled tier: the per-voxel kernels and the counter hash of
+ * repro.core.kernels / repro.core.stats / repro.rng.philox as single passes.
+ *
+ * Built and loaded by repro/core/native.py, which owns every check on what
+ * is passed here.  Each body repeats its numpy reference operation for
+ * operation: one IEEE-754 add or multiply wherever numpy has one elementwise
+ * op, in the same order (build flags: -ffp-contract=off -fno-fast-math, no
+ * -march; -fwrapv because numpy's int32 arithmetic wraps).  No globals, no
+ * allocation, no Python: every function is reentrant, and large calls run
+ * with the GIL dropped.
+ *
+ * Geometry `g` is int64[13]: the shape of a C-contiguous (B, Z, Y, X) array
+ * (B = 1 on a solo block, Z = 1 in 2-D), the region's lower and its upper
+ * bounds on those four axes, and the number of spatial axes.  Arguments come
+ * in one order: g, the block's fields, double[B] per-member parameters, the
+ * rest.
+ */
+#include <stdint.h>
+
+typedef int64_t i64;
+typedef uint64_t u64;
+
+enum { HEALTHY = 1, INCUBATING = 2, EXPRESSING = 3, APOPTOTIC = 4, DEAD = 5 };
+
+/* Every X-row of the region: `b` its member, `row` the flat index of its
+ * x = 0 element; the row's voxels are row + g[7] .. row + g[11] - 1. */
+#define EACH_ROW(g, b, row)                                                   \
+    for (i64 b = (g)[4]; b < (g)[8]; b++)                                     \
+        for (i64 z_ = (g)[5]; z_ < (g)[9]; z_++)                              \
+            for (i64 y_ = (g)[6],                                             \
+                     row = ((b * (g)[1] + z_) * (g)[2] + y_) * (g)[3];        \
+                 y_ < (g)[10]; y_++, row += (g)[3])
+
+/* -- repro.rng.philox ---------------------------------------------------- */
+
+#define PHI64 0x9E3779B97F4A7C15ULL
+#define MIX1 0xBF58476D1CE4E5B9ULL
+#define MIX2 0x94D049BB133111EBULL
+
+static inline u64 mix(u64 z)
+{
+    z = (z ^ (z >> 30)) * MIX1;
+    z = (z ^ (z >> 27)) * MIX2;
+    return z ^ (z >> 31);
+}
+
+/* philox._fold_keys: the last of counter_hash's four folds. */
+static inline u64 fold_key(u64 prefix, u64 k)
+{
+    return mix((prefix ^ (k * MIX2) ^ (k >> 32)) + PHI64);
+}
+
+/* Each key folded into prefix[0] (member == NULL: one trial) or into its
+ * member's prefix.  counts = {members, keys}; counts[2] comes back as the
+ * number of member indices outside [0, members), whose words are left
+ * unwritten. */
+void hash_keys(const u64 *prefix, const i64 *member, const u64 *keys,
+               u64 *out, i64 *counts)
+{
+    const i64 members = counts[0], n = counts[1];
+    i64 bad = 0;
+    for (i64 i = 0; i < n; i++) {
+        if (!member)
+            out[i] = fold_key(prefix[0], keys[i]);
+        else if ((u64)member[i] >= (u64)members)
+            bad++;
+        else
+            out[i] = fold_key(prefix[member[i]], keys[i]);
+    }
+    counts[2] = bad;
+}
+
+/* -- kernels.epithelial_update ------------------------------------------- */
+
+/* One pass switching on the state held at entry, so a cell makes at most
+ * one transition.  The flat indices of the newly infected and of the
+ * incubating -> expressing cells go to `infected` / `expressing` (counts in
+ * n_out[0..1]); the caller draws their Poisson timers.  `gid` is the
+ * spatial (Z, Y, X) id array every member shares. */
+void epithelial(const i64 *g, int8_t *state, int32_t *timer,
+                const double *virions, const double *infectivity,
+                const i64 *gid, const u64 *prefix, i64 *infected,
+                i64 *expressing, i64 *n_out)
+{
+    const i64 slab = g[1] * g[2] * g[3];
+    i64 ni = 0, ne = 0;
+    EACH_ROW(g, b, row) {
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            switch (state[i]) {
+            case HEALTHY: {
+                const double v = virions[i];
+                if (v > 0.0) { /* else p = 0 and no roll is below it */
+                    const u64 word = fold_key(prefix[b], (u64)gid[i - b * slab]);
+                    const double u = (double)(word >> 11) * 0x1p-53;
+                    const double p = infectivity[b] * v;
+                    if (u < p) {
+                        state[i] = INCUBATING;
+                        infected[ni++] = i;
+                    }
+                }
+                break;
+            }
+            case INCUBATING:
+                if (--timer[i] <= 0) {
+                    state[i] = EXPRESSING;
+                    expressing[ne++] = i;
+                }
+                break;
+            case EXPRESSING:
+            case APOPTOTIC:
+                if (--timer[i] <= 0) {
+                    state[i] = DEAD;
+                    timer[i] = 0;
+                }
+                break;
+            }
+        }
+    }
+    n_out[0] = ni;
+    n_out[1] = ne;
+}
+
+/* -- kernels.production_update ------------------------------------------- */
+
+/* np.minimum(1.0, x): NaN-propagating, like the ufunc. */
+static inline double cap1(double x) { return 1.0 < x ? 1.0 : x; }
+
+void production(const i64 *g, const int8_t *state, double *virions,
+                double *chemokine, const double *virion_rate,
+                const double *chemokine_rate)
+{
+    EACH_ROW(g, b, row) {
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            const int8_t s = state[i];
+            if (s == INCUBATING || s == EXPRESSING || s == APOPTOTIC)
+                virions[i] = cap1(virions[i] + virion_rate[b]);
+            if (s == EXPRESSING || s == APOPTOTIC)
+                chemokine[i] = cap1(chemokine[i] + chemokine_rate[b]);
+        }
+    }
+}
+
+/* -- kernels.concentration_update / concentration_commit ------------------ */
+
+/* stencil.diffuse_region on one field: neighbour adds in its order (first
+ * spatial axis +1, -1, then the next axes), then c + rk * (nb - k * c) with
+ * rk = rate / k. */
+static void diffuse_field(const i64 *g, const double *src, const double *rk,
+                          double *dst)
+{
+    const i64 sy = g[3], sz = g[2] * g[3], ndim = g[12];
+    const double k = (double)(2 * ndim);
+    EACH_ROW(g, b, row) {
+        const double r = rk[b];
+        if (ndim == 3) {
+            for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+                double nb = src[i + sz] + src[i - sz];
+                nb += src[i + sy];
+                nb += src[i - sy];
+                nb += src[i + 1];
+                nb += src[i - 1];
+                dst[i] = src[i] + r * (nb - k * src[i]);
+            }
+        } else {
+            for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+                double nb = src[i + sy] + src[i - sy];
+                nb += src[i + 1];
+                nb += src[i - 1];
+                dst[i] = src[i] + r * (nb - k * src[i]);
+            }
+        }
+    }
+}
+
+void diffuse(const i64 *g, const double *virions, const double *chemokine,
+             const double *virion_rk, const double *chemokine_rk,
+             double *scratch_virions, double *scratch_chemokine)
+{
+    diffuse_field(g, virions, virion_rk, scratch_virions);
+    diffuse_field(g, chemokine, chemokine_rk, scratch_chemokine);
+}
+
+/* field = scratch * keep (stencil.decay_field's 1 - rate); the signal below
+ * its threshold goes to zero. */
+void commit(const i64 *g, double *virions, double *chemokine,
+            const double *virion_keep, const double *chemokine_keep,
+            const double *min_chemokine, const double *scratch_virions,
+            const double *scratch_chemokine)
+{
+    EACH_ROW(g, b, row) {
+        const double kv = virion_keep[b], kc = chemokine_keep[b];
+        const double floor = min_chemokine[b];
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++)
+            virions[i] = scratch_virions[i] * kv;
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            const double c = scratch_chemokine[i] * kc;
+            chemokine[i] = c < floor ? 0.0 : c;
+        }
+    }
+}
+
+/* -- kernels.tcell_age ---------------------------------------------------- */
+
+void tcell_age(const i64 *g, int8_t *tcell, int32_t *tissue_time,
+               int32_t *bound_time)
+{
+    EACH_ROW(g, b, row) {
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            if (bound_time[i] < 0)
+                bound_time[i] = 0;
+            if (!tcell[i])
+                continue;
+            tissue_time[i]--;
+            if (bound_time[i] > 0)
+                bound_time[i]--;
+            if (tissue_time[i] <= 0)
+                tcell[i] = 0, tissue_time[i] = 0, bound_time[i] = 0;
+        }
+    }
+}
+
+/* -- stats.region_counts --------------------------------------------------- */
+
+/* Adds to member b's out[b * 6 + ..]: the five counted epithelial states in
+ * REDUCED_FIELDS order, then the voxels holding a T cell.  Four histograms
+ * in turn: neighbouring voxels mostly hold one state, and a single counter
+ * would wait on its own store from the voxel before. */
+void region_counts(const i64 *g, const int8_t *state, const int8_t *tcell,
+                   i64 *out)
+{
+    EACH_ROW(g, b, row) {
+        i64 seen[4][8] = {{0}}, cells = 0;
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            const unsigned s = (uint8_t)state[i];
+            seen[i & 3][s < 6 ? s : 0]++;
+            cells += tcell[i] != 0;
+        }
+        i64 *counts = out + b * 6;
+        for (int s = HEALTHY; s <= DEAD; s++)
+            counts[s - 1] += seen[0][s] + seen[1][s] + seen[2][s] + seen[3][s];
+        counts[5] += cells;
+    }
+}

@@ -154,6 +154,20 @@ def _winners(src, dirs, offs, bid_self, bids, xp):
     return src[(bid_self[src] == tgt_max) & (tgt_max > 0)]
 
 
+def _retime(rng, stream, step, block, at, period) -> None:
+    """Fresh Poisson timers (at least 1) for the epithelial cells at flat
+    indices ``at``, keyed by their gids like every draw."""
+    if not len(at):
+        return
+    xp = block.xp
+    members, spatial = _members(at, _flat_layout(block.shape, block.spec.ndim, xp)[1])
+    drawn = rng.poisson(
+        stream, step, block.gid_spatial.reshape(-1)[xp.asnumpy(spatial)],
+        _member_param(period, members), member=members,
+    )
+    block.epi_timer.reshape(-1)[at] = xp.astype(xp.maximum(1, drawn), np.int32)
+
+
 def _slab_union(
     a: tuple[slice, ...] | None, b: tuple[slice, ...] | None
 ) -> tuple[slice, ...] | None:
@@ -172,6 +186,8 @@ def _slab_union(
 
 def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> None:
     """Decrement lifetimes; cells at end of tissue life die in place."""
+    if (native := block.xp.native) is not None:
+        return native.tcell_age(block, region)
     present = block.tcell[region] != 0
     tt = block.tcell_tissue_time[region]
     bt = block.tcell_bound_time[region]
@@ -672,22 +688,13 @@ def resolve_binds(
     xp = block.xp
     strides, lead, boff, _ = _flat_layout(block.shape, block.spec.ndim, xp)
     bind_dir, bid_self, bind_bid = _flat(intents, "bind_dir", "bid_self", "bind_bid")
-    epi_state, epi_timer, bound_time = _flat(
-        block, "epi_state", "epi_timer", "tcell_bound_time"
-    )
+    epi_state, bound_time = _flat(block, "epi_state", "tcell_bound_time")
     # Epithelial side: any expressing cell with a positive merged bind bid
     # was won by exactly one T cell.
     bid_on = _agents(intents.bind_bid[region] > 0, region, strides, xp)
     bound = bid_on[_in_states(epi_state[bid_on], BINDABLE)]
-    if len(bound):
-        members, spatial = _members(bound, lead)
-        period = rng.poisson(
-            Stream.APOPTOSIS_PERIOD, step,
-            block.gid_spatial.reshape(-1)[xp.asnumpy(spatial)],
-            _member_param(params.apoptosis_period, members), member=members,
-        )
-        epi_state[bound] = EpiState.APOPTOTIC
-        epi_timer[bound] = xp.astype(xp.maximum(1, period), np.int32)
+    epi_state[bound] = EpiState.APOPTOTIC
+    _retime(rng, Stream.APOPTOSIS_PERIOD, step, block, bound, params.apoptosis_period)
     # T-cell side: my cells that won their bind enter the bound state.
     mine = _agents(intents.bind_dir[region] >= 0, region, strides, xp)
     won = _winners(mine, bind_dir, boff, bid_self, bind_bid, xp)
@@ -711,6 +718,13 @@ def epithelial_update(
 ) -> None:
     """Infection of healthy cells and state-timer transitions."""
     xp = block.xp
+    if (native := xp.native) is not None:
+        # One compiled pass; the few cells that changed state draw their
+        # timers from the same exact sampler as below, keyed by gid.
+        infected, expressing = native.epithelial(params, rng, step, block, region)
+        _retime(rng, Stream.INCUBATION_PERIOD, step, block, infected, params.incubation_period)
+        _retime(rng, Stream.EXPRESSING_PERIOD, step, block, expressing, params.expressing_period)
+        return
     state = block.epi_state[region]
     timer = block.epi_timer[region]
     gid = block.gid[region]
@@ -777,6 +791,8 @@ def production_update(
     Concentrations are per-voxel fractions clamped to [0, 1].  Production
     is antiviral-adjusted when an intervention is configured ([25])."""
     xp = block.xp
+    if (native := xp.native) is not None:
+        return native.production(params, block, region, step)
     state = block.epi_state[region]
     producing = _in_states(state, VIRION_PRODUCERS)
     if producing.any():
@@ -814,6 +830,8 @@ def concentration_update(
     domain boundary) before calling.  Call :func:`concentration_commit`
     after all regions are processed (Jacobi semantics).
     """
+    if (native := block.xp.native) is not None:
+        return native.diffuse(params, block, region, scratch_virions, scratch_chemokine)
     ndim = block.spec.ndim
     diffuse_region(
         block.virions, scratch_virions, region, params.virion_diffusion,
@@ -835,6 +853,8 @@ def concentration_commit(
 ) -> None:
     """Copy scratch results back and apply decay + the signal threshold.
     Clearance is antibody-adjusted when an intervention is configured."""
+    if (native := block.xp.native) is not None:
+        return native.commit(params, block, regions, scratch_virions, scratch_chemokine, step)
     for region in regions:
         v = block.virions[region]
         v[...] = scratch_virions[region]

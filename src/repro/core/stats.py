@@ -222,6 +222,8 @@ def region_counts(block, region: tuple[slice, ...] | None) -> np.ndarray:
     lead = _lead(block)
     if region is None:
         return np.zeros(lead + (N_COUNTS,), dtype=np.int64)
+    if (native := block.xp.native) is not None:
+        return native.region_counts(block, region)
     state = block.epi_state[region]
     masks = [state == s for s in _COUNTED_STATES] + [block.tcell[region] != 0]
     if not lead:

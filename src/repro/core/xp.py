@@ -41,6 +41,11 @@ class ArrayModule:
     """
 
     name = "array"
+    #: The compiled tier of the per-voxel kernels and the counter hash
+    #: (:class:`repro.core.native.Tier`), or None: kernels that have a
+    #: compiled body dispatch to it when it is there.  Only the numpy
+    #: module can have one.
+    native = None
 
     def __init__(self, mod):
         self._mod = mod
@@ -79,6 +84,16 @@ class NumpyModule(ArrayModule):
 
     def __init__(self):
         super().__init__(np)
+
+    @property
+    def native(self):
+        """Built, loaded and probed at the first read, not at import; None
+        without a compiler or a private cache directory, when the build or
+        the probe fails, and under ``REPRO_NATIVE=0``
+        (:func:`repro.core.native.status` says which)."""
+        from repro.core import native
+
+        return native.tier()
 
 
 class CupyModule(ArrayModule):  # pragma: no cover - requires cupy

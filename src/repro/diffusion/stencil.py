@@ -126,15 +126,22 @@ def diffuse_global(field: np.ndarray, rate: float) -> np.ndarray:
     return diffuse_padded(mirror_pad(field), rate)
 
 
+def kept_fraction(rate):
+    """``1 - rate``, what one step of decay at ``rate`` (a scalar or an
+    array of per-member rates, each in [0, 1]) leaves of a field."""
+    lo, hi = (rate.min(), rate.max()) if isinstance(rate, np.ndarray) else (rate, rate)
+    if not (lo >= 0.0 and hi <= 1.0):
+        raise ValueError(f"decay rate must be in [0, 1], got {rate}")
+    return 1.0 - rate
+
+
 def decay_field(field: np.ndarray, rate) -> None:
     """In-place exponential decay: c *= (1 - rate).
 
     ``rate`` may be an array of per-member rates broadcastable against
     ``field`` (shape ``(B, 1, ..., 1)``).
     """
-    if not bool(np.min(rate) >= 0.0) or not bool(np.max(rate) <= 1.0):
-        raise ValueError(f"decay rate must be in [0, 1], got {rate}")
-    field *= 1.0 - rate
+    field *= kept_fraction(rate)
 
 
 def mirror_out_of_domain(

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
+from repro.core.xp import NUMPY
 from repro.dist.control import (
     CMD_STEP,
     STATUS_ERROR,
@@ -148,6 +149,9 @@ class DistRuntime:
         ctx = self._ctx
         if ctx.get_start_method() != "fork":
             self._ensure_importable()
+        # Resolve (and, on a cold cache, build) the compiled tier once here,
+        # so that the ranks inherit or dlopen it instead of each compiling.
+        NUMPY.native
         for rank in range(self.nranks):
             proc = ctx.Process(
                 target=worker_main,

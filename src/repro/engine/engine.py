@@ -115,6 +115,15 @@ class StepEngine:
         self._obs_active_voxels = reg.gauge(
             "simcov_active_voxels", "Voxels the activity gate considers live"
         )
+        #: Set at the first step — constructing an engine must not build or
+        #: load the compiled tier — and None from then on.
+        self._obs_native = (
+            reg.gauge("simcov_native_tier", "1 if the compiled kernel tier is on"),
+            reg.gauge(
+                "simcov_native_build_seconds",
+                "Seconds this process spent building the compiled tier",
+            ),
+        )
         self.pool = 0.0
         self.step_num = 0
         self.series = TimeSeries()
@@ -206,6 +215,14 @@ class StepEngine:
         record.update(self.backend.step_record(ctx))
         if "active_voxels" in record:
             self._obs_active_voxels.set(record["active_voxels"])
+        if self._obs_native is not None:
+            # Imported here: the module pulls in subprocess, tempfile, ...
+            from repro.core import native
+
+            status = native.status()
+            self._obs_native[0].set(float(status["enabled"]))
+            self._obs_native[1].set(status["build_seconds"])
+            self._obs_native = None
         self.step_work.append(record)
         self.step_num += 1
         return stats

@@ -30,8 +30,8 @@ def _as_u64(x) -> np.ndarray:
     """
     arr = np.asarray(x)
     if arr.dtype != np.uint64:
-        # Cast via int64->uint64 two's complement for negative python ints.
-        arr = arr.astype(np.int64, copy=False).astype(np.uint64)
+        # int64 -> uint64 two's complement (negative python ints): a view.
+        arr = arr.astype(np.int64, copy=False).view(np.uint64)
     return np.atleast_1d(arr)
 
 
@@ -65,6 +65,43 @@ def hash_u64(x) -> np.ndarray:
     return out.reshape(shape)
 
 
+#: Keys from which :func:`hash_keys` goes to the compiled tier.  Below, a call
+#: costs what the numpy ops cost (11 us at one key), and a constructor's few
+#: seeding draws must not be what builds and loads the tier: a step does that.
+NATIVE_FROM = 256
+
+
+def fold_prefix(seed, stream, step) -> int:
+    """The ``(seed, stream, step)`` folds of :func:`counter_hash` for one
+    trial, in Python ints mod 2**64: three folds of single words, cheaper
+    than on 1-element arrays and the same bits (two's complement for
+    negatives)."""
+    s = _mix_int(int(seed) + _PHI_INT)
+    s = _mix_int((s ^ (int(stream) * _PHI_INT)) + _PHI_INT)
+    return _mix_int((s ^ (int(step) * _MIX1_INT)) + _PHI_INT)
+
+
+def _fold_keys(s, keys) -> np.ndarray:
+    k = _as_u64(keys)
+    return _mix((s ^ (k * _MIX2) ^ (k >> np.uint64(32))) + PHI64)
+
+
+def hash_keys(prefix, keys, member=None) -> np.ndarray:
+    """The last fold of :func:`counter_hash`: ``keys`` into ``prefix[0]``,
+    one trial's :func:`fold_prefix` word, or — gathered draws of a batch —
+    each key into ``prefix[member]``, ``prefix`` holding one word per member
+    (``uint64[B]``) and ``member`` the batch index of each key.  From
+    :data:`NATIVE_FROM` keys up it runs in the compiled tier
+    (:mod:`repro.core.native`) when there is one."""
+    # Imported late: ``repro.core`` imports this module.
+    from repro.core.xp import NUMPY
+
+    if np.size(keys) >= NATIVE_FROM and (native := NUMPY.native) is not None:
+        return native.hash_keys(prefix, keys, member)
+    s = prefix[0] if member is None else prefix[member]
+    return _fold_keys(s, keys).reshape(np.shape(keys))
+
+
 def counter_hash(seed, stream, step, keys) -> np.ndarray:
     """Hash the 4-tuple ``(seed, stream, step, keys)`` into uint64 words.
 
@@ -82,18 +119,10 @@ def counter_hash(seed, stream, step, keys) -> np.ndarray:
     statistically independent outputs.
     """
     if isinstance(seed, (int, np.integer)):
-        shape = np.shape(keys)
-        # One trial: the (seed, stream, step) prefix is three folds of single
-        # words, cheaper in Python ints than on 1-element arrays and the
-        # same bits (two's complement for negatives, wrap mod 2**64).
-        s = _mix_int(int(seed) + _PHI_INT)
-        s = _mix_int((s ^ (int(stream) * _PHI_INT)) + _PHI_INT)
-        s = np.uint64(_mix_int((s ^ (int(step) * _MIX1_INT)) + _PHI_INT))
-    else:
-        shape = np.broadcast_shapes(np.shape(seed), np.shape(keys))
-        s = _mix(_as_u64(seed) + PHI64)
-        s = _mix((s ^ (_as_u64(stream) * PHI64)) + PHI64)
-        s = _mix((s ^ (_as_u64(step) * _MIX1)) + PHI64)
-    k = _as_u64(keys)
-    out = _mix((s ^ (k * _MIX2) ^ (k >> np.uint64(32))) + PHI64)
-    return out.reshape(shape)
+        prefix = np.array([fold_prefix(seed, stream, step)], dtype=np.uint64)
+        return hash_keys(prefix, keys)
+    shape = np.broadcast_shapes(np.shape(seed), np.shape(keys))
+    s = _mix(_as_u64(seed) + PHI64)
+    s = _mix((s ^ (_as_u64(stream) * PHI64)) + PHI64)
+    s = _mix((s ^ (_as_u64(step) * _MIX1)) + PHI64)
+    return _fold_keys(s, keys).reshape(shape)

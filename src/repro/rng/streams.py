@@ -12,7 +12,7 @@ import enum
 
 import numpy as np
 
-from repro.rng.philox import counter_hash
+from repro.rng.philox import counter_hash, fold_prefix, hash_keys
 from repro.rng import distributions as dist
 
 
@@ -78,6 +78,14 @@ class VoxelRNG:
         self.seed = int(seed)
 
     # -- raw words ---------------------------------------------------------
+
+    def prefixes(self, stream: Stream, step: int) -> np.ndarray:
+        """The ``(seed, stream, step)`` hash prefix of every member,
+        ``uint64[B]`` (``B = 1`` for a solo rng): ``B`` Python-int folds."""
+        seeds = self.seeds.tolist() if self.batched else [self.seed]
+        return np.array(
+            [fold_prefix(s, stream, step) for s in seeds], dtype=np.uint64
+        )
 
     def words(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
         """Raw uint64 hash words for ``(stream, step, keys)``."""
@@ -163,10 +171,11 @@ class EnsembleRNG(VoxelRNG):
                     f"{self.batch}, got shape {keys.shape}"
                 )
             seed = self.seeds.reshape((self.batch,) + (1,) * (keys.ndim - 1))
-        else:
-            member = self.xp.asnumpy(member)
-            seed = self.seeds[np.asarray(member, dtype=np.int64)]
-        return counter_hash(seed, int(stream), step, keys)
+            return counter_hash(seed, int(stream), step, keys)
+        # One prefix per member, gathered: three of the hash's four rounds
+        # run B times, not once per element.
+        member = np.asarray(self.xp.asnumpy(member), dtype=np.int64)
+        return hash_keys(self.prefixes(stream, step), keys, member)
 
     def _out(self, arr: np.ndarray):
         """Host result → configured module (identity for numpy)."""

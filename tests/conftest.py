@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.dist import shm
+from repro.testing import use_tier
 
 
 def _parent_pid(pid: int) -> int:
@@ -52,3 +53,11 @@ def _no_shm_leaks():
     shm.release_all()
     leaked = own_segment_names() - before
     assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
+
+
+@pytest.fixture(params=["numpy", "native"])
+def tier(request, monkeypatch):
+    """Run the test once on each tier of the per-voxel kernels and the
+    counter hash (:func:`repro.testing.use_tier`)."""
+    use_tier(request.param, monkeypatch)
+    return request.param

@@ -1,0 +1,297 @@
+"""Property test: the compiled tier leaves the numpy bodies' bits behind.
+
+``tcell_age``, ``epithelial_update``, ``production_update``,
+``concentration_update``, ``concentration_commit``, ``region_counts`` and
+the counter hash each have a C body (``repro/core/_native.c``) that the
+existing function dispatches to when ``xp.native`` is there.  Each is run
+once with ``NumpyModule.native`` patched to None — the numpy body, the
+reference — and once compiled, on copies of one block; every
+``VoxelBlock.FIELD_DTYPES`` field, both scratch arrays, the returned counts
+and the hash words must be equal bit for bit.
+
+The draws aim at what a C spelling could get wrong: 2-D and 3-D, solo and
+batched blocks (1-3 members), sub-domain blocks (ghosts inside the domain),
+regions from one voxel to the whole interior (every member of a batch:
+the numpy bodies take no member sub-range), an empty axis; uniform and
+per-member (``ParamsStack``) rates; antiviral / antibody
+start steps either side of the step; and field values on the edges of
+every comparison — virions exactly 0, concentrations that production
+saturates at exactly 1.0, timers at 1 and 0, negative ``tcell_bound_time``,
+and scratch signal that decays to just below, exactly at and just above
+``min_chemokine``.  ``test_the_edges_are_reached`` pins that down for one
+world.  Mutation-checked (CHANGES.md, PR 21): two neighbour adds of the
+diffusion swapped, ``<=`` for ``<`` at the threshold, ``>> 12`` in the
+uniform and a ``-ffp-contract=fast -march=native`` build each fail it.
+"""
+
+import contextlib
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import kernels
+from repro.core.params import ParamsStack, SimCovParams
+from repro.core.state import EnsembleBlock, EpiState, VoxelBlock
+from repro.core.stats import region_counts
+from repro.core.xp import NUMPY, NumpyModule
+from repro.grid.box import Box
+from repro.grid.spec import GridSpec
+from repro.rng.philox import NATIVE_FROM
+from repro.rng.streams import EnsembleRNG, Stream, VoxelRNG
+
+FAST = settings(max_examples=120, deadline=None)
+BLOCK_FIELDS = tuple(VoxelBlock.FIELD_DTYPES)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _needs_the_compiled_tier():
+    if NUMPY.native is None:
+        from repro.core import native
+
+        pytest.skip(f"no compiled tier: {native.status()['reason']}")
+
+
+# -- worlds ------------------------------------------------------------------------
+
+def decays_to(target: float, keep: float) -> list[float]:
+    """Scratch values whose decayed product ``s * keep`` lands just below,
+    (where one exists within a few ulps) exactly at, and just above
+    ``target``."""
+    near = [target / keep]
+    for _ in range(4):
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], 1.0)]
+    exact = [s for s in near if s * keep == target]
+    below = max(s for s in near if s * keep < target)
+    above = min(s for s in near if s * keep > target)
+    return [below, above, *exact[:1]]
+
+
+def member_params(dim, step, rs, starts):
+    """One member's parameters: rates that put products and sums on exact
+    values, intervention start steps relative to ``step``."""
+    antiviral, antibody = starts
+    return SimCovParams.fast_test(dim=dim).with_(
+        infectivity=float(rs.choice([0.0, 0.3, 0.7, 1.0])),
+        virion_production=float(rs.choice([0.25, 0.5, 1.1])),
+        chemokine_production=float(rs.choice([0.25, 1.0])),
+        virion_diffusion=float(rs.choice([0.0, 0.15, 0.2, 1.0])),
+        chemokine_diffusion=float(rs.choice([0.3, 0.8, 1.0])),
+        virion_clearance=float(rs.choice([0.0, 0.01, 0.3])),
+        chemokine_decay=float(rs.choice([0.0, 0.02, 0.5])),
+        min_chemokine=float(rs.choice([1e-5, 1e-6, 0.125])),
+        incubation_period=int(rs.integers(1, 12)),
+        expressing_period=int(rs.integers(1, 40)),
+        antiviral_start=None if antiviral is None else step + antiviral,
+        antibody_start=None if antibody is None else step + antibody,
+    )
+
+
+def make_world(dim, owned, batch, per_member, step, starts, fill_seed):
+    """A block (solo, or batched when ``batch``) over ``owned`` with every
+    padded voxel — ghosts too — filled from the edge-heavy menus below, its
+    rng, its params, and the two scratch arrays."""
+    spec = GridSpec(dim)
+    rs = np.random.default_rng(fill_seed)
+    if batch:
+        block = EnsembleBlock(spec, owned, batch)
+        rng = EnsembleRNG(rs.integers(-(2**40), 2**40, size=batch))
+        first = member_params(dim, step, rs, starts)
+        params = ParamsStack(
+            [first] + [
+                member_params(dim, step, rs, starts) if per_member else first
+                for _ in range(batch - 1)
+            ]
+        )
+        lead = params.member(0)
+    else:
+        block = VoxelBlock(spec, owned)
+        rng = VoxelRNG(int(rs.integers(-(2**40), 2**40)))
+        lead = params = member_params(dim, step, rs, starts)
+    shape = block.shape
+    block.epi_state[...] = rs.integers(0, 6, size=shape)
+    block.epi_timer[...] = rs.choice([0, 1, 2, 3, 50], size=shape)
+    # 0.75 + 0.25 and 0.5 + 0.5 are exactly 1.0; 0.9 + 0.25 saturates.
+    menu = [0.0, 0.0, 1e-300, 0.3, 0.5, 0.75, 0.9, 1.0]
+    block.virions[...] = np.where(
+        rs.random(shape) < 0.5, rs.choice(menu, size=shape), rs.random(shape)
+    )
+    block.chemokine[...] = np.where(
+        rs.random(shape) < 0.5, rs.choice(menu, size=shape), rs.random(shape)
+    )
+    block.tcell[...] = rs.random(shape) < 0.5
+    block.tcell_tissue_time[...] = rs.choice([0, 1, 2, 50], size=shape)
+    block.tcell_bound_time[...] = rs.choice([-2, -1, 0, 0, 1, 3], size=shape)
+    # Scratch as a diffusion pass left it, with the signal seeded around
+    # what the commit's decay takes to exactly the threshold.
+    edges = decays_to(lead.min_chemokine, 1.0 - lead.chemokine_decay)
+    scratch_v = rs.random(shape)
+    scratch_c = np.where(
+        rs.random(shape) < 0.5, rs.choice(edges, size=shape), rs.random(shape)
+    )
+    return block, rng, params, scratch_v, scratch_c
+
+
+def copy_block(block):
+    twin = (
+        EnsembleBlock(block.spec, block.owned, block.batch)
+        if isinstance(block, EnsembleBlock) else VoxelBlock(block.spec, block.owned)
+    )
+    for name in BLOCK_FIELDS:
+        getattr(twin, name)[...] = getattr(block, name)
+    return twin
+
+
+@st.composite
+def worlds(draw):
+    ndim = draw(st.sampled_from([2, 3]))
+    hi_side = 9 if ndim == 2 else 5
+    dim = tuple(draw(st.integers(min_value=3, max_value=hi_side)) for _ in range(ndim))
+    # A sub-domain block has in-domain ghosts on the sides it does not
+    # share with the domain boundary.
+    lo = tuple(draw(st.integers(min_value=0, max_value=n - 2)) for n in dim)
+    hi = tuple(draw(st.integers(min_value=l + 2, max_value=n)) for l, n in zip(lo, dim))
+    batch = draw(st.sampled_from([0, 1, 2, 3]))
+    step = draw(st.integers(min_value=1, max_value=500))
+    starts = tuple(draw(st.sampled_from([None, -1, 0, 1])) for _ in range(2))
+    world = make_world(
+        dim, Box(lo, hi), batch, draw(st.booleans()), step, starts,
+        draw(st.integers(0, 2**31)),
+    )
+    block = world[0]
+    kind = draw(st.sampled_from(["whole", "voxel", "ragged", "ragged", "empty"]))
+    region = []
+    for axis, (s, n) in enumerate(zip(block.interior, block.shape)):
+        start, stop = s.indices(n)[:2]
+        if kind != "whole" and axis >= len(block.shape) - ndim:
+            start = draw(st.integers(min_value=start, max_value=stop - 1))
+            stop = start + 1 if kind == "voxel" else draw(
+                st.integers(min_value=start + 1, max_value=stop)
+            )
+            if kind == "empty" and axis == len(block.shape) - 1:
+                stop = start
+        region.append(slice(start, stop))
+    return (*world, tuple(region), step)
+
+
+# -- both tiers ----------------------------------------------------------------------
+
+def on_tier(native: bool):
+    """The compiled tier as found, or the numpy bodies alone."""
+    if native:
+        return contextlib.nullcontext()
+    return mock.patch.object(NumpyModule, "native", None)
+
+
+def run_tier(native: bool, block, rng, params, scratch_v, scratch_c, region, step):
+    """Every entry point once, in step order, on copies; what it left."""
+    blk, sv, sc = copy_block(block), scratch_v.copy(), scratch_c.copy()
+    dv, dc = np.full(blk.shape, -1.0), np.full(blk.shape, -1.0)
+    with on_tier(native):
+        assert (blk.xp.native is not None) == native
+        kernels.tcell_age(blk, region)
+        kernels.epithelial_update(params, rng, step, blk, region)
+        kernels.production_update(params, blk, region, step=step)
+        kernels.concentration_update(params, blk, region, dv, dc)
+        kernels.concentration_commit(params, blk, [region], sv, sc, step=step)
+        counts = region_counts(blk, region)
+        # Full-region draws, a strided key view, and the gathered form
+        # with each key's member — small regions through the tiers' common
+        # path below ``NATIVE_FROM`` keys, and once tiled past it.
+        gid = blk.gid[region]
+        words = [
+            rng.words(Stream.INFECTION, step, gid),
+            rng.words(Stream.TCELL_BID, step, gid[..., ::2]),
+        ]
+        if rng.batched:
+            healthy = blk.epi_state[region] == EpiState.HEALTHY
+            keys, members = gid[healthy], np.nonzero(healthy)[0]
+            words.append(rng.words(Stream.TCELL_BID, step, keys, member=members))
+            if len(keys):
+                words.append(rng.words(
+                    Stream.TCELL_BID, step, np.resize(keys, NATIVE_FROM + 3),
+                    member=np.resize(members, NATIVE_FROM + 3),
+                ))
+        elif gid.size:
+            words.append(rng.words(Stream.INFECTION, step, np.resize(gid, NATIVE_FROM + 3)))
+    fields = {name: getattr(blk, name) for name in BLOCK_FIELDS}
+    return fields, {"diffused_v": dv, "diffused_c": dc, "scratch_v": sv,
+                    "scratch_c": sc}, counts, words
+
+
+def assert_same(got, want):
+    for g, w in zip(got[:2], want[:2]):
+        for name in w:
+            # Bit for bit: -0.0 is not 0.0 and NaN payloads count.
+            assert g[name].dtype == w[name].dtype, name
+            assert g[name].tobytes() == w[name].tobytes(), name
+    assert got[2].dtype == want[2].dtype and got[2].shape == want[2].shape
+    assert np.array_equal(got[2], want[2])
+    for g, w in zip(got[3], want[3], strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+@FAST
+@given(worlds())
+def test_compiled_bodies_match_the_numpy_bodies(world):
+    assert_same(run_tier(True, *world), run_tier(False, *world))
+
+
+def test_the_edges_are_reached():
+    """One fixed world of the family above really holds the cases the
+    comparison is there for (and passes it)."""
+    step = 40
+    world = make_world(
+        (9, 9), Box((0, 2), (9, 9)), 3, True, step, (-1, 1), fill_seed=3
+    )
+    block, _, params, _, scratch_c = world
+    region = tuple(slice(*s.indices(n)[:2]) for s, n in zip(block.interior, block.shape))
+    got = run_tier(True, *world, region, step)
+    assert_same(got, run_tier(False, *world, region, step))
+    fields, _, counts, _ = got
+    before, after = block.epi_state[region], fields["epi_state"][region]
+    # Infections, expiries with and without a redrawn timer, in one pass.
+    for was, now in ((EpiState.HEALTHY, EpiState.INCUBATING),
+                     (EpiState.INCUBATING, EpiState.EXPRESSING),
+                     (EpiState.EXPRESSING, EpiState.DEAD),
+                     (EpiState.APOPTOTIC, EpiState.DEAD)):
+        assert ((before == was) & (after == now)).any(), (was, now)
+    assert ((before == EpiState.HEALTHY) & (block.virions[region] == 0)).any()
+    fresh = (before == EpiState.INCUBATING) & (after == EpiState.EXPRESSING)
+    assert (fields["epi_timer"][region][fresh] >= 1).all()
+    # The signal threshold from both sides, and exactly on it.
+    floor = np.broadcast_to(params.min_chemokine, block.shape)[region]
+    seeded, left = scratch_c[region], fields["chemokine"][region]
+    assert ((seeded > 0) & (left == 0)).any() and (left == floor).any()
+    assert ((left > floor) & (left < floor * 1.0001)).any()
+    # T cells that died, and negative bound times clamped.
+    assert ((block.tcell[region] != 0) & (fields["tcell"][region] == 0)).any()
+    assert (block.tcell_bound_time[region] < 0).any()
+    assert (fields["tcell_bound_time"][region] >= 0).all()
+    assert counts.shape == (3, 6) and (counts.sum(axis=1) > 0).all()
+
+
+def test_production_saturates_exactly():
+    """``min(1.0, v + rate)`` on sums that are exactly 1.0, just under it
+    and over it — the same bits from both tiers."""
+    spec = GridSpec((4, 4))
+    params = SimCovParams.fast_test(dim=(4, 4)).with_(
+        virion_production=0.25, chemokine_production=0.5
+    )
+    virions = [0.75, float(np.nextafter(0.75, 0)), 0.9, 0.0]
+    chemokine = [0.5, float(np.nextafter(0.25, 0)), 1.0, 0.0]
+    results = []
+    for native in (True, False):
+        block = VoxelBlock(spec, spec.domain)
+        block.epi_state[block.interior] = EpiState.EXPRESSING
+        block.virions[1, 1:5] = virions
+        block.chemokine[1, 1:5] = chemokine
+        with on_tier(native):
+            kernels.production_update(params, block, block.interior, step=0)
+        results.append((block.virions.copy(), block.chemokine.copy()))
+        assert block.virions[1, 1:5].tolist() == [min(1.0, v + 0.25) for v in virions]
+        assert block.chemokine[1, 1:5].tolist() == [min(1.0, c + 0.5) for c in chemokine]
+    assert results[0][0][1, 1:3].tolist() == [1.0, float(np.nextafter(1.0, 0))]
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes()

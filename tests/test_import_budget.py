@@ -4,7 +4,9 @@
 by `rng.distributions` and `grid.decomposition` at import time, i.e. by
 every workload's set-up.  The Poisson sampler needs `scipy.special` only,
 and `networkx` has one user (`Decomposition.neighbor_graph`), which imports
-it when called.
+it when called.  The compiled tier (`repro.core.native`) is built and
+loaded at the first native call: importing the drivers must neither map the
+library nor start a compiler.
 """
 
 import subprocess
@@ -19,14 +21,39 @@ heavy = [m for m in ("scipy.stats", "networkx") if m in sys.modules]
 print(",".join(heavy))
 """
 
+NATIVE_PROBE = """
+import os, subprocess, sys
+spawned = []
+launch = subprocess.Popen.__init__
+subprocess.Popen.__init__ = lambda self, *a, **k: (spawned.append(a), launch(self, *a, **k))[1]
+import repro.core.model, repro.engine.ensemble, repro.dist, repro.serve
+found = [f"a child process {a}" for a in spawned]
+native = sys.modules.get("repro.core.native")
+if native is not None and native._resolved is not None:
+    found.append("the compiled tier, resolved")
+if os.path.exists("/proc/self/maps") and "repro-native-" in open("/proc/self/maps").read():
+    found.append("the compiled library, mapped")
+print(",".join(found))
+"""
 
-def test_drivers_import_neither_scipy_stats_nor_networkx():
+
+def run_probe(probe: str) -> str:
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], env=subprocess_env(),
+        [sys.executable, "-c", probe], env=subprocess_env(),
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "", f"imported at start-up: {done.stdout}"
+    return done.stdout.strip()
+
+
+def test_drivers_import_neither_scipy_stats_nor_networkx():
+    heavy = run_probe(PROBE)
+    assert heavy == "", f"imported at start-up: {heavy}"
+
+
+def test_drivers_import_neither_loads_the_compiled_tier_nor_starts_a_compiler():
+    found = run_probe(NATIVE_PROBE)
+    assert found == "", f"at import: {found}"
 
 
 def test_src_never_names_scipy_stats():
