@@ -221,6 +221,40 @@ def test_bench_resolve(benchmark, agents):
     _per_agent(benchmark, agents)
 
 
+@pytest.mark.parametrize("attempts", [0, 10, 1000], ids="attempts={}".format)
+def test_bench_apply_extravasation(benchmark, attempts):
+    """One step's attempt schedule applied to ``dense_2d``'s grid: at 0
+    ``us_per_call`` is what every step before the T-cell response pays, at
+    10 what a typical step pays, at 1000 ``ns_per_attempt`` is the
+    marginal cost.  An entry occupies its voxel, so the T-cell fields are
+    restored before every round."""
+    p, block, rng = busy_world((192, 192))
+    schedule = kernels.extravasation_attempts(
+        p, rng, 5, pool=attempts / p.extravasate_fraction
+    )
+    assert schedule["gid"].size in (attempts, attempts + 1)  # stochastic round
+    fields = ("tcell", "tcell_tissue_time", "tcell_bound_time")
+    start = {name: getattr(block, name).copy() for name in fields}
+
+    def restore():
+        for name, saved in start.items():
+            getattr(block, name)[...] = saved
+
+    entered = benchmark.pedantic(
+        lambda: kernels.apply_extravasation(p, block, schedule, block.interior),
+        setup=restore, rounds=30,
+    )
+    assert entered == (block.tcell != start["tcell"]).sum() <= schedule["gid"].size
+    assert entered > 0 or attempts <= 10
+    benchmark.extra_info["attempts"] = attempts
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
+        if attempts:
+            benchmark.extra_info["ns_per_attempt"] = (
+                benchmark.stats["mean"] * 1e9 / attempts
+            )
+
+
 def test_bench_resolve_moves(benchmark, world):
     p, block, rng = world
     intents = kernels.IntentArrays(block.shape)

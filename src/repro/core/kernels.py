@@ -200,109 +200,50 @@ def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> None:
     bt[died] = 0
 
 
-def extravasation_attempts(
-    params: SimCovParams, rng: VoxelRNG, step: int, pool: float
-) -> dict[str, np.ndarray]:
+def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> dict[str, np.ndarray]:
     """The global, decomposition-independent attempt schedule for one step.
 
     Every implementation computes the identical schedule and applies the
     attempts that land in voxels it owns.  Returns arrays indexed by
     attempt: target gid, acceptance roll, and tissue lifespan.
+
+    ``pool`` is one vascular pool, or one per member of a batched ``rng``
+    (``params`` then a :class:`~repro.core.params.ParamsStack`).  The
+    batched schedule is one flat set of draws ordered by member, with each
+    attempt's ``member`` index alongside; its ``member == b`` slice is
+    bitwise the solo schedule of ``(params.member(b), seeds[b], pools[b])``.
     """
-    x = pool * params.extravasate_fraction
-    n = int(math.floor(x))
-    frac = x - n
-    if rng.uniform(Stream.POOL_ROUND, step, np.array([0]))[0] < frac:
-        n += 1
-    idx = np.arange(n, dtype=np.int64)
-    return {
-        "gid": rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels),
-        "accept_u": rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx),
-        "life": np.maximum(
-            1, rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, params.tcell_tissue_period)
-        ),
-    }
-
-
-def ensemble_extravasation_attempts(
-    params, rng, step: int, pools: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Every member's attempt schedule in one batched set of draws.
-
-    Returns one *flat* dict: concatenated ``gid``/``accept_u``/``life``
-    arrays plus the per-member ``counts`` and each attempt's ``member``
-    index.  Slice ``b`` (see :func:`member_attempts`) is bitwise identical
-    to ``extravasation_attempts(params.member(b), VoxelRNG(seeds[b]),
-    step, float(pools[b]))`` — the pool-round uniforms come from one
-    batched hash, and the (ragged) per-attempt draws from one gathered
-    member-keyed hash, replacing ``4 * B`` tiny RNG calls per step with 4.
-    """
-    pools = np.asarray(pools, dtype=np.float64)
-    n_members = pools.size
-    frac_param = params.extravasate_fraction
-    if isinstance(frac_param, np.ndarray):
-        frac_param = frac_param.reshape(-1)
-    x = pools * frac_param
+    asnumpy = getattr(rng, "xp", NUMPY).asnumpy
+    x = np.atleast_1d(np.asarray(pool, dtype=np.float64)) * np.reshape(
+        params.extravasate_fraction, -1
+    )
     n = np.floor(x)
-    frac = x - n
-    u = rng.xp.asnumpy(
-        rng.uniform(
-            Stream.POOL_ROUND, step, np.zeros((n_members, 1), dtype=np.int64)
+    u = asnumpy(
+        rng.uniform(Stream.POOL_ROUND, step, np.zeros((x.size, 1), dtype=np.int64))
+    ).reshape(-1)
+    counts = n.astype(np.int64) + (u < x - n)
+    idx = np.arange(int(counts.sum()), dtype=np.int64)
+    member = None
+    if np.ndim(pool):
+        member = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+        # Attempt indices restart at 0 within each member.
+        idx -= (np.cumsum(counts) - counts)[member]
+    if not idx.size:
+        # Every step until the T-cell response begins: three draws of nothing.
+        gid, accept_u, life = idx, np.empty(0), idx
+    else:
+        gid = asnumpy(
+            rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member)
         )
-    ).reshape(n_members)
-    counts = n.astype(np.int64) + (u < frac)
-    total = int(counts.sum())
-    if total == 0:
-        return {
-            "counts": counts,
-            "member": np.empty(0, dtype=np.int64),
-            "gid": np.empty(0, dtype=np.int64),
-            "accept_u": np.empty(0, dtype=np.float64),
-            "life": np.empty(0, dtype=np.int64),
-        }
-    member = np.repeat(np.arange(n_members, dtype=np.int64), counts)
-    # Within-member attempt indices 0..counts[b]-1, without a Python loop:
-    # subtract each attempt's member-start offset from the global arange.
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    idx = np.arange(total, dtype=np.int64) - np.repeat(starts, counts)
-    mu = params.tcell_tissue_period
-    if isinstance(mu, np.ndarray):
-        mu = mu.reshape(-1)[member]
-    xp = rng.xp
-    gid = xp.asnumpy(
-        rng.randint(
-            Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member
+        accept_u = asnumpy(rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member))
+        mu = _member_param(params.tcell_tissue_period, member)
+        life = np.maximum(
+            1, asnumpy(rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member=member))
         )
-    )
-    accept_u = xp.asnumpy(
-        rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member)
-    )
-    life = np.maximum(
-        1,
-        xp.asnumpy(
-            rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member=member)
-        ),
-    )
-    return {
-        "counts": counts,
-        "member": member,
-        "gid": gid,
-        "accept_u": accept_u,
-        "life": life,
-    }
-
-
-def member_attempts(attempts: dict[str, np.ndarray], b: int) -> dict[str, np.ndarray]:
-    """Member ``b``'s slice of a flat ensemble attempt schedule, in the
-    solo :func:`extravasation_attempts` layout."""
-    counts = attempts["counts"]
-    lo = int(counts[:b].sum())
-    hi = lo + int(counts[b])
-    return {
-        "gid": attempts["gid"][lo:hi],
-        "accept_u": attempts["accept_u"][lo:hi],
-        "life": attempts["life"][lo:hi],
-    }
+    out = {"gid": gid, "accept_u": accept_u, "life": life}
+    if member is not None:
+        out["member"] = member
+    return out
 
 
 def _locate(block, gids: np.ndarray, region: tuple[slice, ...]):
@@ -317,18 +258,21 @@ def _locate(block, gids: np.ndarray, region: tuple[slice, ...]):
 
 
 def apply_extravasation(
-    params: SimCovParams,
+    params,
     block: VoxelBlock,
     attempts: dict[str, np.ndarray],
     region: tuple[slice, ...] | None = None,
-) -> int:
+):
     """Apply the attempts landing in this block's owned region.
 
     A T cell enters at the chosen voxel with probability equal to the local
     inflammatory-signal concentration (paper §2.2), provided the voxel holds
-    no T cell yet.  Attempts are processed in attempt order so that two
-    attempts on one voxel resolve identically everywhere.  Returns the
-    number of successful entries (for the pool debit).
+    no T cell yet.  The signal is read-only here, so the only coupling
+    between attempts is a repeat on one voxel (of one member): the *first*
+    accepting attempt in attempt order takes it — later ones would find it
+    occupied — which resolves identically on every decomposition.  Returns
+    the successful entries (the pool debit): a scalar, or a per-member
+    vector on a batched block.
 
     ``region`` (default: the whole interior) restricts the search to an
     active sub-box.  That is bitwise-equivalent provided the region covers
@@ -336,77 +280,42 @@ def apply_extravasation(
     would land where the signal is sub-threshold and be rejected anyway,
     and no randomness is consumed here.
     """
-    gids = attempts["gid"]
+    xp = block.xp
+    ndim = block.spec.ndim
+    strides, lead, _, _ = _flat_layout(block.shape, ndim, xp)
+    region = block.interior if region is None else region
+    gids, member = attempts["gid"], attempts.get("member")
     if gids.size == 0:
-        return 0
-    sl = block.interior if region is None else region
-    at, mine = _locate(block, gids, sl)
-    successes = 0
-    for i in np.nonzero(mine)[0]:
-        c_idx = tuple(at[i])
-        if block.tcell[c_idx] != 0:
-            continue
-        c = block.chemokine[c_idx]
-        if c < params.min_chemokine:
-            continue
-        if attempts["accept_u"][i] < c:
-            block.tcell[c_idx] = 1
-            block.tcell_tissue_time[c_idx] = attempts["life"][i]
-            block.tcell_bound_time[c_idx] = 0
-            successes += 1
-    return successes
-
-
-def ensemble_apply_extravasation(
-    params, block, attempts: dict[str, np.ndarray]
-) -> np.ndarray:
-    """Apply every member's attempts in one vectorized pass (whole interior).
-
-    ``attempts`` is the flat schedule from
-    :func:`ensemble_extravasation_attempts`.  Bitwise-equivalent to looping
-    :func:`apply_extravasation` over member views: chemokine is read-only
-    here, so the only cross-attempt coupling is repeats on one
-    (member, voxel) — resolved to the *first* accepting attempt in attempt
-    order, exactly the sequential rule.  Returns the per-member success
-    counts (the pool debits).
-    """
-    n_members = block.batch
-    gids = attempts["gid"]
-    out = np.zeros(n_members, dtype=np.int64)
-    if gids.size == 0:
-        return out
-    if block.xp.name != "numpy":  # pragma: no cover - device fallback
-        for b in range(n_members):
-            out[b] = apply_extravasation(
-                params.member(b), block.member_view(b),
-                member_attempts(attempts, b),
-            )
-        return out
-    accept_u = attempts["accept_u"]
-    life = attempts["life"]
-    member = attempts["member"]
-
-    at, mine = _locate(block, gids, block.interior[1:])
+        return _tally(gids, region, lead, xp)
+    at, mine = _locate(block, gids, region[len(region) - ndim:])
     # Attempts outside the block may not index it: gather the owned ones.
     own = np.nonzero(mine)[0]
-    idx = (member[own],) + tuple(at[own].T)
-    mc = params.min_chemokine
-    if isinstance(mc, np.ndarray):
-        mc = mc.reshape(-1)[member[own]]
-    chem_v = block.chemokine[idx]
-    ei = own[(block.tcell[idx] == 0) & (chem_v >= mc) & (accept_u[own] < chem_v)]
-    if ei.size == 0:
-        return out
-    # First accepting attempt per (member, voxel) wins; later ones would
-    # find the voxel occupied (np.unique returns first-occurrence indices).
-    key = member[ei] * np.int64(block.spec.num_voxels) + gids[ei]
-    _, first = np.unique(key, return_index=True)
-    win = ei[first]
-    widx = (member[win],) + tuple(at[win].T)
-    block.tcell[widx] = 1
-    block.tcell_tissue_time[widx] = life[win]
-    block.tcell_bound_time[widx] = 0
-    return np.bincount(member[win], minlength=n_members).astype(np.int64)
+    flat = at[own] @ np.array(strides[len(strides) - ndim:], dtype=np.int64)
+    if member is not None:
+        member = member[own]
+        flat += member * lead
+    tcell, tissue_time, bound_time, chemokine = _flat(
+        block, "tcell", "tcell_tissue_time", "tcell_bound_time", "chemokine"
+    )
+    idx = xp.asarray(flat)
+    signal = xp.asnumpy(chemokine[idx])
+    accepted = (
+        (xp.asnumpy(tcell[idx]) == 0)
+        & (signal >= _member_param(params.min_chemokine, member))
+        & (attempts["accept_u"][own] < signal)
+    )
+    # np.unique returns first-occurrence indices: the earliest attempt.
+    flat, first = np.unique(flat[accepted], return_index=True)
+    idx = xp.asarray(flat)
+    tcell[idx] = 1
+    tissue_time[idx] = xp.asarray(attempts["life"][own[accepted][first]])
+    bound_time[idx] = 0
+    return _tally(flat, region, lead, xp)
+
+
+#: The name ``benchmarks/e2e/layers.py::KERNEL_SEAMS`` wraps, which only a
+#: ``[benchmark]`` PR may edit; nothing under ``src/`` calls it.
+ensemble_apply_extravasation = apply_extravasation
 
 
 # ---------------------------------------------------------------------------

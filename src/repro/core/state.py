@@ -236,8 +236,7 @@ class EnsembleBlock(VoxelBlock):
     broadcast view, so elementwise kernels run once for the whole batch.
     Member ``b``'s slice ``field[b]`` is exactly the solo block layout,
     which is what :meth:`member_view` hands back (a writable view under
-    numpy) for per-member code paths: seeding, extravasation attempts,
-    checkpointing.
+    numpy) for per-member code paths: seeding and checkpointing.
     """
 
     def __init__(self, spec: GridSpec, owned: Box, batch: int,
@@ -280,13 +279,12 @@ class EnsembleBlock(VoxelBlock):
 
     @property
     def interior(self) -> tuple[slice, ...]:
-        """Slices selecting every member's owned region (full batch axis)."""
+        """Slices selecting every member's owned region (full batch axis;
+        bounded, like every region the kernels are handed)."""
         g = self.ghost
-        return (slice(None),) + tuple(slice(g, s - g) for s in self.shape[1:])
-
-    @property
-    def spatial_shape(self) -> tuple[int, ...]:
-        return self.shape[1:]
+        return (slice(0, self.shape[0]),) + tuple(
+            slice(g, s - g) for s in self.shape[1:]
+        )
 
     # -- per-member access ---------------------------------------------------
 
@@ -294,8 +292,8 @@ class EnsembleBlock(VoxelBlock):
         """Solo-layout :class:`VoxelBlock` over member ``b``'s storage.
 
         Under numpy the returned block's fields are *views* into the
-        batched storage — writes flow through, so solo kernels (seeding,
-        extravasation application) mutate the ensemble state directly.
+        batched storage — writes flow through, so solo code (seeding, a
+        checkpoint restore) mutates the ensemble state directly.
         Other array modules get host copies (read-mostly use only).
         """
         arrays = {

@@ -158,32 +158,6 @@ def _batched_sum_exact(shape: tuple[int, ...], sl: tuple[slice, ...]) -> bool:
     return hit
 
 
-def stats_vectors(block) -> np.ndarray:
-    """Per-member stats of an EnsembleBlock, shape ``(B, len(REDUCED_FIELDS))``.
-
-    Row ``b`` is bitwise identical to ``stats_vector(block.member_view(b))``:
-    integer counts are order-independent, and the float sums either pass the
-    :func:`_batched_sum_exact` probe (vectorized path) or fall back to
-    per-member solo-layout sums.  Non-numpy array modules always take the
-    vectorized path (their stats are statistical, not bitwise — DESIGN.md
-    §4d).
-    """
-    xp = block.xp
-    sl = block.interior
-    n_members = block.batch
-    axes = tuple(range(1, block.epi_state.ndim))
-    state = block.epi_state[sl]
-    out = np.empty((n_members, len(REDUCED_FIELDS)), dtype=np.float64)
-    out[:, 0] = xp.asnumpy((state == EpiState.HEALTHY).sum(axis=axes))
-    out[:, 1] = xp.asnumpy((state == EpiState.INCUBATING).sum(axis=axes))
-    out[:, 2] = xp.asnumpy((state == EpiState.EXPRESSING).sum(axis=axes))
-    out[:, 3] = xp.asnumpy((state == EpiState.APOPTOTIC).sum(axis=axes))
-    out[:, 4] = xp.asnumpy((state == EpiState.DEAD).sum(axis=axes))
-    out[:, 5] = xp.asnumpy((block.tcell[sl] != 0).sum(axis=axes))
-    out[:, N_COUNTS:] = float_totals(block)
-    return out
-
-
 def _lead(block) -> tuple[int, ...]:
     """Member axes in front of the spatial ones: ``()`` or ``(B,)``."""
     return block.shape[: len(block.shape) - block.spec.ndim]

@@ -198,15 +198,8 @@ class DistBackend(ExecutionBackend):
     # -- engine protocol -----------------------------------------------------
 
     def begin_step(self, ctx) -> None:
-        if not self.tracer:
+        with self.tracer.span("step_start", cat="barrier", step=ctx.step):
             self.runtime.start_step(ctx.step, ctx.pool)
-            return
-        start = time.perf_counter()
-        self.runtime.start_step(ctx.step, ctx.pool)
-        self.tracer.emit_span(
-            "step_start", start, time.perf_counter() - start,
-            cat="barrier", step=ctx.step,
-        )
 
     def exchange(self, phase, ctx):
         # Exchanges happen inside the workers, sequenced by phase barriers.
@@ -214,17 +207,12 @@ class DistBackend(ExecutionBackend):
 
     def phase_reduce(self, ctx) -> None:
         """Step-end barrier, then the coordinator-side reduction."""
-        if self.tracer:
-            start = time.perf_counter()
-            self.runtime.finish_step()
-            # Unlike the workers' step_end (between phases), this wait
-            # runs inside the coordinator's reduce phase span; in_phase
-            # tells the report to subtract it from busy time.
-            self.tracer.emit_span(
-                "step_end", start, time.perf_counter() - start,
-                cat="barrier", step=ctx.step, in_phase=True,
-            )
-        else:
+        # Unlike the workers' step_end (between phases), this wait runs
+        # inside the coordinator's reduce phase span; in_phase tells the
+        # report to subtract it from busy time.
+        with self.tracer.span(
+            "step_end", cat="barrier", step=ctx.step, in_phase=True
+        ):
             self.runtime.finish_step()
         res = self.runtime.ctrl.results
         ctx.extravasations = int(res[:, RES_EXTRAVASATIONS].sum())

@@ -27,8 +27,6 @@ import itertools
 import multiprocessing as mp
 import os
 
-import numpy as np
-
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
 from repro.core.xp import NUMPY
@@ -263,10 +261,6 @@ class DistRuntime:
             if skips:
                 m.skips[name] = skips
         return m
-
-    def results_row(self, column: int) -> np.ndarray:
-        """One column of the per-rank result table (copy)."""
-        return self.ctrl.results[:, column].copy()
 
     def per_rank_wait_seconds(self) -> dict[str, list[float]]:
         """Cumulative barrier-wait seconds per rank, keyed by phase name

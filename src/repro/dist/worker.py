@@ -81,7 +81,6 @@ from repro.dist.control import (
 from repro.dist.shm import ShmSegment, block_layout
 from repro.diffusion.stencil import split_interior_boundary
 from repro.engine.activity import ActivityGate
-from repro.engine.metrics import PhaseMetrics
 from repro.engine.phases import FieldSet, Phase, PhaseKind, exchange, kernel
 from repro.grid.box import Box
 from repro.grid.halo import MergeMode, RankPullPlan, strip_live
@@ -289,7 +288,6 @@ class _RankWorker:
         self.plan = spec.plan
         self.schedule = dist_schedule()
         assert tuple(p.name for p in self.schedule) == spec.phase_names
-        self.metrics = PhaseMetrics()
         self.ctrl: ControlBlock | None = None
         self._segments: list[ShmSegment] = []
 
@@ -304,6 +302,15 @@ class _RankWorker:
         )
         self._segments.append(ctrl_seg)
         self.ctrl = ControlBlock(ctrl_seg, spec.nranks, spec.phase_names)
+        #: This rank's rows of the cumulative per-phase counters, added to
+        #: where a phase is timed; ``DistRuntime._rank_metrics`` rebuilds
+        #: the :class:`~repro.engine.metrics.PhaseMetrics` readers get.
+        self._seconds, self._calls, self._skips = (
+            table[self.rank] for table in (
+                self.ctrl.metrics_seconds, self.ctrl.metrics_calls,
+                self.ctrl.metrics_skips,
+            )
+        )
         if spec.telemetry_capacity > 0:
             codec = RingCodec(telemetry_name_table(spec.phase_names))
             self.tracer = Tracer(
@@ -493,7 +500,11 @@ class _RankWorker:
             elapsed = perf_counter() - start + self._extra_seconds
             self._extra_seconds = 0.0
             skipped = ran is False
-            self.metrics.record(phase.name, elapsed, skipped=skipped)
+            if skipped:
+                self._skips[index] += 1
+            else:
+                self._seconds[index] += elapsed
+                self._calls[index] += 1
             if self.tracer:
                 self.tracer.emit_span(
                     phase.name, start, elapsed, cat="phase", step=step,
@@ -545,18 +556,14 @@ class _RankWorker:
         raise DistAborted(f"aborted while stalled in {phase_name!r}")
 
     def _publish(self, step: int) -> None:
-        """Per-step totals + cumulative metrics, read by the coordinator
-        after the step-end barrier."""
+        """Per-step totals + cumulative waits and strip counts, read by
+        the coordinator after the step-end barrier."""
         row = self.ctrl.results[self.rank]
         row[RES_EXTRAVASATIONS] = self._extr
         row[RES_MOVES] = self._moves
         row[RES_BINDS] = self._binds
         row[RES_ACTIVE] = self._active
         row[RES_COUNTS] = self._counts
-        for i, name in enumerate(self.spec.phase_names):
-            self.ctrl.metrics_seconds[self.rank, i] = self.metrics.seconds.get(name, 0.0)
-            self.ctrl.metrics_calls[self.rank, i] = self.metrics.calls.get(name, 0)
-            self.ctrl.metrics_skips[self.rank, i] = self.metrics.skips.get(name, 0)
         self.ctrl.metrics_wait[self.rank] = self._wait
         self.ctrl.strips[self.rank, STRIPS_PULLED] += self._pulled_step
         self.ctrl.strips[self.rank, STRIPS_SKIPPED] += self._skipped_step

@@ -11,6 +11,8 @@ per-step work records, the per-phase metrics, and the checkpoint state
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from repro.core.stats import StepStats, TimeSeries
@@ -18,6 +20,29 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.engine import StepEngine
 from repro.engine.metrics import PhaseMetrics
 from repro.engine.phases import Phase
+
+#: Every backend a run can name (``simcov-repro run --backend``, a serve
+#: job's ``backend``): its driver class, by import path so that naming a
+#: backend imports only that one, and the keyword its rank / device
+#: count goes by (None: an undivided domain).
+DRIVERS = {
+    "sequential": ("repro.core.model:SequentialSimCov", None),
+    "cpu": ("repro.simcov_cpu.simulation:SimCovCPU", "nranks"),
+    "gpu": ("repro.simcov_gpu.simulation:SimCovGPU", "num_devices"),
+    "dist": ("repro.dist.driver:DistSimCov", "nranks"),
+    "ensemble": ("repro.engine.ensemble:EnsembleSimCov", None),
+}
+
+
+def build_driver(backend: str, params, nranks: int | None = None, **kwargs):
+    """Construct the driver of backend ``backend`` (a :data:`DRIVERS` name);
+    ``kwargs`` (``seed`` — ``seeds`` for the ensemble — ``tracer``, ...) go
+    to its constructor as they are."""
+    path, count_keyword = DRIVERS[backend]
+    module, _, name = path.partition(":")
+    if count_keyword is not None:
+        kwargs[count_keyword] = nranks
+    return getattr(importlib.import_module(module), name)(params, **kwargs)
 
 
 class EngineDriver:

@@ -28,7 +28,6 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.metrics import PhaseMetrics
 from repro.engine.phases import Phase, validate_schedule
 from repro.obs.registry import get_registry
-from repro.telemetry.sinks import PhaseMetricsSink
 from repro.telemetry.tracer import NULL_TRACER
 
 
@@ -72,17 +71,11 @@ class StepEngine:
         #: Cumulative per-phase wall-time and invocation counters.
         self.metrics = PhaseMetrics()
         #: Structured-telemetry spigot; the no-op tracer unless a caller
-        #: installs a real one.  With tracing on, phase timings flow
-        #: through the tracer and ``metrics`` becomes a sink view of the
-        #: same span stream; the backend sees the tracer too, for
-        #: gating/comm counters.
+        #: installs a real one.  Each phase is recorded in ``metrics``
+        #: and, independently, emitted as a span; the backend sees the
+        #: tracer too, for gating/comm counters.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
-            # Filter by the tracer's own rank so merged-in events from
-            # other ranks (dist workers) don't double-count here.
-            self.tracer.add_sink(
-                PhaseMetricsSink(self.metrics, rank=self.tracer.rank)
-            )
             backend.tracer = self.tracer
         #: Always-on metrics (:mod:`repro.obs`): instrument handles are
         #: resolved once here so the step loop pays only bound-method
@@ -186,15 +179,12 @@ class StepEngine:
             hist.observe(elapsed)
             if skipped:
                 skips.inc()
+            self.metrics.record(phase.name, elapsed, skipped=skipped)
             if tracer.enabled:
-                # Metrics update via the PhaseMetricsSink attached at
-                # construction — one span stream feeds both surfaces.
                 tracer.emit_span(
                     phase.name, start, elapsed, cat="phase", step=t,
                     skipped=skipped, **attrs,
                 )
-            else:
-                self.metrics.record(phase.name, elapsed, skipped=skipped)
             if not skipped:
                 phase_seconds[phase.name] = elapsed
         step_elapsed = perf_counter() - step_start

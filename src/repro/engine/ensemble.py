@@ -23,9 +23,9 @@ runtime already carry.  The argument (DESIGN.md §4d):
   sets — a superset of each member's own region, which the gate contract
   makes bitwise-invisible;
 - per-member scalar state (vascular pools) evolves by elementwise vector
-  ops that reproduce each solo run's float sequence, and genuinely ragged
-  work (extravasation attempt schedules, FOI seeding) runs in short
-  per-member loops over solo-layout member views;
+  ops that reproduce each solo run's float sequence; the ragged attempt
+  schedules are one flat member-keyed set of draws, and FOI seeding runs
+  per member over solo-layout member views;
 - the stats reduction is probe-guarded
   (:func:`repro.core.stats._batched_sum_exact`): the vectorized sum is
   used only on layouts where it is provably bitwise-equal to per-member
@@ -128,12 +128,6 @@ class EnsembleBackend(SingleBlockBackend):
     @property
     def batch(self) -> int:
         return self.params.batch
-
-    def apply_extravasation(self, ctx, region):
-        # The flat member-keyed schedule is applied over the whole interior.
-        return kernels.ensemble_apply_extravasation(
-            self.params, self.block, ctx.attempts
-        )
 
     def step_record(self, ctx) -> dict:
         if self.tracer:
@@ -320,7 +314,7 @@ class EnsembleEngine(StepEngine):
             t >= self._delays, self.pools + self._gen_rates, self.pools
         )
         self.pools = self.pools - self.pools / self._vascular
-        attempts = kernels.ensemble_extravasation_attempts(
+        attempts = kernels.extravasation_attempts(
             self.params, self.backend.rng, t, self.pools
         )
         return StepContext(step=t, attempts=attempts, pool=0.0)

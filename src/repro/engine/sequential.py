@@ -11,9 +11,8 @@ It is written against the trailing spatial axes of its block, so the same
 phase bodies serve a solo :class:`~repro.core.state.VoxelBlock`
 (:class:`SequentialBackend`) and a batched
 :class:`~repro.core.state.EnsembleBlock` with a leading member axis
-(:class:`~repro.engine.ensemble.EnsembleBackend`); the subclasses build
-their block, rng and params and say how attempts are applied — the one
-place where ragged per-member data makes solo and batched differ.
+(:class:`~repro.engine.ensemble.EnsembleBackend`); the subclasses only
+build their block, rng and params.
 
 Kernel phases run over the :class:`~repro.engine.activity.ActivityGate`
 region — the active bounding box re-derived by a periodic ``tile_sweep``
@@ -25,8 +24,6 @@ that the property tests and the benchmark harness compare against.
 """
 
 from __future__ import annotations
-
-import abc
 
 import numpy as np
 
@@ -60,12 +57,6 @@ class SingleBlockBackend(ExecutionBackend):
         )
         self.reducer = RegionReducer(block)
 
-    # -- what solo and batched spell differently ------------------------------
-
-    @abc.abstractmethod
-    def apply_extravasation(self, ctx, region):
-        """Apply ``ctx.attempts``; returns the successes (the pool debit)."""
-
     # -- schedule ------------------------------------------------------------
 
     def schedule(self) -> tuple[Phase, ...]:
@@ -98,7 +89,9 @@ class SingleBlockBackend(ExecutionBackend):
         if region is None:
             return False
         kernels.tcell_age(self.block, region)
-        ctx.extravasations = self.apply_extravasation(ctx, region)
+        ctx.extravasations = kernels.apply_extravasation(
+            self.params, self.block, ctx.attempts, region
+        )
 
     def _tcell_box(self, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
         """Tight box around the T cells present in ``region``, or None if
@@ -242,11 +235,6 @@ class SequentialBackend(SingleBlockBackend):
         self._seed_blocks([block], seed_gids, structure_gids)
         self._init_block(
             block, params.min_chemokine, active_gating, tile_shape, sweep_period
-        )
-
-    def apply_extravasation(self, ctx, region):
-        return kernels.apply_extravasation(
-            self.params, self.block, ctx.attempts, region
         )
 
     def activity_fraction(self) -> float:

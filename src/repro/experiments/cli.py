@@ -4,8 +4,9 @@ Regenerates any table/figure of the paper and writes CSV under
 ``results/``.  ``simcov-repro all`` runs everything.
 
 ``simcov-repro run`` instead executes a single simulation on a chosen
-backend (``sequential``, ``cpu``, ``gpu``, or the multi-process ``dist``
-runtime) and prints the final step's statistics, e.g.::
+backend (``sequential``, ``cpu``, ``gpu``, the multi-process ``dist``
+runtime, or — with ``--ensemble N`` / ``--sweep`` — the batched
+``ensemble``) and prints the final step's statistics, e.g.::
 
     simcov-repro run --backend dist --nranks 4 --dim 64 64 --steps 50
 
@@ -46,6 +47,7 @@ import sys
 
 import numpy as np
 
+from repro.engine.driver import DRIVERS, build_driver
 from repro.experiments.configs import (
     format_run_configs,
     format_table1,
@@ -263,7 +265,7 @@ def _resolve_run_params(args: argparse.Namespace):
 def _run_ensemble(args: argparse.Namespace, params) -> int:
     """``run --ensemble/--sweep``: one vectorized batched simulation."""
     from repro.core.xp import get_array_module
-    from repro.engine.ensemble import EnsembleSimCov, expand_sweep
+    from repro.engine.ensemble import expand_sweep
 
     sweep_key, sweep_values = None, None
     if args.sweep:
@@ -291,8 +293,8 @@ def _run_ensemble(args: argparse.Namespace, params) -> int:
     batch = len(members)
     seeds = args.seed + np.arange(batch, dtype=np.int64)
     tracer = _make_tracer(args)
-    sim = EnsembleSimCov(
-        members, seeds=seeds, array_module=xp, tracer=tracer
+    sim = build_driver(
+        "ensemble", members, seeds=seeds, array_module=xp, tracer=tracer
     )
     try:
         sim.run(args.steps)
@@ -358,12 +360,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if not wants_ensemble and args.backend == "ensemble":
+        print(
+            "--backend ensemble needs --ensemble N or --sweep key=lo:hi:n",
+            file=sys.stderr,
+        )
+        return 2
     if wants_ensemble:
-        if args.backend != "sequential":
+        if args.backend not in ("sequential", "ensemble"):
             print(
                 "--ensemble/--sweep run on the vectorized ensemble backend; "
                 f"drop --backend {args.backend} (or pass "
-                "--backend sequential)",
+                "--backend ensemble)",
                 file=sys.stderr,
             )
             return 2
@@ -375,45 +383,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 2
         return _run_ensemble(args, params)
     tracer = _make_tracer(args)
-    if args.backend == "sequential":
-        from repro.core.model import SequentialSimCov
-
-        sim = SequentialSimCov(params, seed=args.seed, tracer=tracer)
-    elif args.backend == "cpu":
-        from repro.simcov_cpu.simulation import SimCovCPU
-
-        sim = SimCovCPU(
-            params, nranks=args.nranks, seed=args.seed, tracer=tracer
+    if args.on_failure == "fail":
+        # A fault to inject means dist (checked above).
+        fault = {} if args.inject_fault is None else {"fault": args.inject_fault}
+        sim = build_driver(
+            args.backend, params, nranks=args.nranks, seed=args.seed,
+            tracer=tracer, **fault,
         )
-    elif args.backend == "gpu":
-        from repro.simcov_gpu.simulation import SimCovGPU
+    else:  # dist under the restart / shrink supervisor
+        from repro.dist import ResilientDistSimCov, RestartPolicy
 
-        sim = SimCovGPU(
-            params, num_devices=args.nranks, seed=args.seed, tracer=tracer
+        sim = ResilientDistSimCov(
+            params,
+            nranks=args.nranks,
+            seed=args.seed,
+            tracer=tracer,
+            fault=args.inject_fault,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+            policy=RestartPolicy(
+                max_restarts=args.max_restarts,
+                backoff=args.restart_backoff,
+                on_failure=args.on_failure,
+            ),
         )
-    else:  # dist: real worker processes + shared-memory halo exchange
-        from repro.dist import DistSimCov, ResilientDistSimCov, RestartPolicy
-
-        if args.on_failure == "fail":
-            sim = DistSimCov(
-                params, nranks=args.nranks, seed=args.seed, tracer=tracer,
-                fault=args.inject_fault,
-            )
-        else:
-            sim = ResilientDistSimCov(
-                params,
-                nranks=args.nranks,
-                seed=args.seed,
-                tracer=tracer,
-                fault=args.inject_fault,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_dir=args.checkpoint_dir,
-                policy=RestartPolicy(
-                    max_restarts=args.max_restarts,
-                    backoff=args.restart_backoff,
-                    on_failure=args.on_failure,
-                ),
-            )
     try:
         with abort_on_signals(sim):
             sim.run(args.steps)
@@ -780,8 +773,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_group = parser.add_argument_group("run options")
     run_group.add_argument(
-        "--backend", choices=["sequential", "cpu", "gpu", "dist"],
-        default="sequential",
+        "--backend", choices=list(DRIVERS), default="sequential",
     )
     run_group.add_argument(
         "--nranks", type=int, default=4,

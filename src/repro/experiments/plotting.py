@@ -103,8 +103,3 @@ def hbar_chart(rows: list[tuple[str, dict[str, float]]], width: int = 50,
 
 def speedup_annotation(cpu_seconds: float, gpu_seconds: float) -> str:
     return f"{cpu_seconds / gpu_seconds:.2f}x" if gpu_seconds > 0 else "inf"
-
-
-def geometric_sequence_label(units: tuple[int, int]) -> str:
-    """The x-axis tick format of Figs 6-7: '{GPUs,CPUs}'."""
-    return f"{{{units[0]},{units[1]}}}"

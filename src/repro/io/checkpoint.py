@@ -301,22 +301,6 @@ def auto_checkpoint_path(directory: str, step_num: int) -> str:
     return os.path.join(directory, f"ckpt_step{step_num:08d}.npz")
 
 
-def latest_checkpoint(directory: str) -> str | None:
-    """Path of the newest auto-checkpoint in ``directory`` (or None)."""
-    try:
-        entries = os.listdir(directory)
-    except FileNotFoundError:
-        return None
-    found = []
-    for entry in entries:
-        m = AUTO_CHECKPOINT_PATTERN.match(entry)
-        if m:
-            found.append((int(m.group(1)), entry))
-    if not found:
-        return None
-    return os.path.join(directory, max(found)[1])
-
-
 def rotate_checkpoints(directory: str, keep: int) -> list[str]:
     """Delete all but the newest ``keep`` auto-checkpoints in ``directory``.
 

@@ -22,7 +22,6 @@ from repro.serve.faults import (
 )
 from repro.serve.jobs import (
     ACTIVE_STATES,
-    BACKENDS,
     CANCELLED,
     DONE,
     FAILED,
@@ -41,7 +40,6 @@ from repro.serve.server import AdmissionError, BackgroundServer, ServeApp
 
 __all__ = [
     "ACTIVE_STATES",
-    "BACKENDS",
     "CANCELLED",
     "DONE",
     "FAILED",

@@ -44,11 +44,6 @@ CANCELLED = "cancelled"
 #: joins attach to jobs in these states).
 ACTIVE_STATES = (QUEUED, RUNNING, PREEMPTED, RETRYING)
 
-#: Backends a job may request.  ``ensemble`` runs the batched vectorized
-#: backend (``ensemble`` member count in the spec); the rest map to the
-#: ``simcov-repro run`` drivers.
-BACKENDS = ("sequential", "cpu", "gpu", "dist", "ensemble")
-
 #: Priority range, inclusive; higher runs earlier (and may preempt).
 MIN_PRIORITY, MAX_PRIORITY = 0, 9
 
@@ -88,31 +83,39 @@ class JobSpec:
             raise SpecError(
                 f"unknown job fields {sorted(unknown)}; known: {sorted(known)}"
             )
-        spec = cls(
-            config=raw.get("config"),
-            overrides=dict(raw.get("overrides") or {}),
-            dim=tuple(raw["dim"]) if raw.get("dim") else None,
-            steps=None if raw.get("steps") is None else int(raw["steps"]),
-            seed=int(raw.get("seed", 0)),
-            backend=str(raw.get("backend", "sequential")),
-            ensemble=(
-                None if raw.get("ensemble") is None else int(raw["ensemble"])
-            ),
-            nranks=int(raw.get("nranks", 2)),
-            priority=int(raw.get("priority", 0)),
-            client=str(raw.get("client", "anonymous")),
-            deadline_s=(
-                None if raw.get("deadline_s") is None
-                else float(raw["deadline_s"])
-            ),
-        )
+        try:
+            spec = cls(
+                config=raw.get("config"),
+                overrides=dict(raw.get("overrides") or {}),
+                dim=tuple(raw["dim"]) if raw.get("dim") else None,
+                steps=None if raw.get("steps") is None else int(raw["steps"]),
+                seed=int(raw.get("seed", 0)),
+                backend=str(raw.get("backend", "sequential")),
+                ensemble=(
+                    None if raw.get("ensemble") is None
+                    else int(raw["ensemble"])
+                ),
+                nranks=int(raw.get("nranks", 2)),
+                priority=int(raw.get("priority", 0)),
+                client=str(raw.get("client", "anonymous")),
+                deadline_s=(
+                    None if raw.get("deadline_s") is None
+                    else float(raw["deadline_s"])
+                ),
+            )
+        except (TypeError, ValueError) as err:  # {"steps": "x"}, {"dim": 3}
+            raise SpecError(f"mistyped job field: {err}") from None
         spec.validate()
         return spec
 
     def validate(self) -> None:
-        if self.backend not in BACKENDS:
+        # The backends a job may request are the drivers there are; read
+        # here, not at import: a client needs this module, not the engine.
+        from repro.engine.driver import DRIVERS
+
+        if self.backend not in DRIVERS:
             raise SpecError(
-                f"unknown backend {self.backend!r}; choose from {BACKENDS}"
+                f"unknown backend {self.backend!r}; choose from {tuple(DRIVERS)}"
             )
         if not MIN_PRIORITY <= self.priority <= MAX_PRIORITY:
             raise SpecError(

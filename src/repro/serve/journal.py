@@ -227,10 +227,6 @@ class JobJournal:
         self._fh.flush()
 
     @property
-    def size_bytes(self) -> int:
-        return self._bytes
-
-    @property
     def should_compact(self) -> bool:
         return self._bytes > self.compact_bytes
 

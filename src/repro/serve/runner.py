@@ -60,35 +60,15 @@ class SegmentResult:
 
 def build_sim(job: Job, tracer=None):
     """Construct the requested backend's driver for this job."""
+    from repro.engine.driver import build_driver
+
     spec = job.spec
-    if spec.backend == "ensemble":
-        from repro.engine.ensemble import EnsembleSimCov
-
-        return EnsembleSimCov(
-            job.params,
-            seeds=np.array(spec.seeds(), dtype=np.int64),
-            tracer=tracer,
-        )
-    if spec.backend == "sequential":
-        from repro.core.model import SequentialSimCov
-
-        return SequentialSimCov(job.params, seed=spec.seed, tracer=tracer)
-    if spec.backend == "cpu":
-        from repro.simcov_cpu.simulation import SimCovCPU
-
-        return SimCovCPU(
-            job.params, nranks=spec.nranks, seed=spec.seed, tracer=tracer
-        )
-    if spec.backend == "gpu":
-        from repro.simcov_gpu.simulation import SimCovGPU
-
-        return SimCovGPU(
-            job.params, num_devices=spec.nranks, seed=spec.seed, tracer=tracer
-        )
-    from repro.dist import DistSimCov
-
-    return DistSimCov(
-        job.params, nranks=spec.nranks, seed=spec.seed, tracer=tracer
+    seeds = (
+        {"seeds": np.array(spec.seeds(), dtype=np.int64)}
+        if spec.backend == "ensemble" else {"seed": spec.seed}
+    )
+    return build_driver(
+        spec.backend, job.params, nranks=spec.nranks, tracer=tracer, **seeds
     )
 
 

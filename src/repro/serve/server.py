@@ -1197,6 +1197,8 @@ class ServeApp:
                 return
             method, path, headers, body = request
             await self._route(method, path, headers, body, writer)
+        except RequestError as err:
+            await _respond(writer, err.status, {"error": str(err)})
         except (ConnectionResetError, BrokenPipeError, asyncio.TimeoutError):
             pass
         finally:
@@ -1307,9 +1309,24 @@ class ServeApp:
 
 # -- HTTP plumbing -------------------------------------------------------------
 
+#: Largest request body read; a job spec is a few hundred bytes.
+MAX_BODY_BYTES = 1 << 20
+
+
+class RequestError(Exception):
+    """A request refused before routing, answered with ``status``."""
+
+    def __init__(self, status: int, message: str):
+        super().__init__(message)
+        self.status = status
+
+
 async def _read_request(reader):
     """Parse one HTTP/1.1 request; returns
-    ``(method, path, headers, body)`` (header names lower-cased) or None."""
+    ``(method, path, headers, body)`` (header names lower-cased) or None.
+    Raises :class:`RequestError` for a ``Content-Length`` that is not a
+    byte count or that the body falls short of (400), or that is over
+    :data:`MAX_BODY_BYTES` (413)."""
     line = await reader.readline()
     if not line:
         return None
@@ -1324,14 +1341,33 @@ async def _read_request(reader):
             break
         name, _, value = header.decode("latin1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    content_length = int(headers.get("content-length", 0))
-    body = await reader.readexactly(content_length) if content_length else b""
+    declared = headers.get("content-length", "0")
+    try:
+        content_length = int(declared)
+    except ValueError:
+        content_length = -1
+    if content_length < 0:
+        raise RequestError(400, f"malformed Content-Length {declared!r}")
+    if content_length > MAX_BODY_BYTES:
+        raise RequestError(
+            413,
+            f"body of {content_length} bytes is over the "
+            f"{MAX_BODY_BYTES}-byte limit",
+        )
+    try:
+        body = await reader.readexactly(content_length) if content_length else b""
+    except asyncio.IncompleteReadError as err:
+        raise RequestError(
+            400,
+            f"body ended after {len(err.partial)} of the {content_length} "
+            "bytes its Content-Length declares",
+        ) from None
     return method.upper(), path, headers, body
 
 
 _STATUS_TEXT = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
-    409: "Conflict", 429: "Too Many Requests",
+    409: "Conflict", 413: "Payload Too Large", 429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 

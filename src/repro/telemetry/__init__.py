@@ -20,7 +20,6 @@ from repro.telemetry.shmring import RECORD_WIDTH, RingCodec, ShmRingSink, drain_
 from repro.telemetry.sinks import (
     ChromeTraceSink,
     JsonlSink,
-    PhaseMetricsSink,
     RingBufferSink,
     SseSink,
     read_jsonl,
@@ -38,7 +37,6 @@ __all__ = [
     "JsonlSink",
     "NULL_TRACER",
     "NullTracer",
-    "PhaseMetricsSink",
     "RECORD_WIDTH",
     "RingBufferSink",
     "RingCodec",

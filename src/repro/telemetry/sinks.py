@@ -12,10 +12,6 @@ A sink is any object with ``on_event(event)`` and (optionally)
   become complete (``"X"``) events on a ``pid=rank`` lane, counters and
   gauges become counter (``"C"``) events, and metadata (``"M"``) events
   name each rank's lane;
-- :class:`PhaseMetricsSink` — aggregates ``cat="phase"`` spans into a
-  :class:`~repro.engine.metrics.PhaseMetrics`-compatible object (it only
-  needs ``record(name, seconds, skipped=...)``), which is how the
-  engine's metrics surface becomes a view over the tracer;
 - :class:`SseSink` — formats each event as a server-sent-events frame
   (:func:`sse_frame`) and fans the text to subscriber callables; the
   serving layer (:mod:`repro.serve`) bridges those callables into each
@@ -271,31 +267,3 @@ class SseSink:
 
     def close(self) -> None:
         self._subscribers = []
-
-
-class PhaseMetricsSink:
-    """Aggregate phase spans into a PhaseMetrics-shaped accumulator.
-
-    Duck-typed on ``record(name, seconds, skipped=...)`` so this module
-    needs no import from :mod:`repro.engine`.  ``rank`` (optional)
-    restricts aggregation to spans stamped with that rank — the engine
-    passes its tracer's own rank so merged-in events from *other* ranks
-    (the dist runtime's drained worker spans) do not double-count into
-    the coordinator's metrics.
-    """
-
-    def __init__(self, metrics, rank: int | None = None):
-        self.metrics = metrics
-        self.rank = rank
-
-    def on_event(self, event: Event) -> None:
-        if event.kind == SPAN and event.cat == "phase":
-            if self.rank is not None and event.rank != self.rank:
-                return
-            self.metrics.record(
-                event.name, event.dur,
-                skipped=bool(event.attrs.get("skipped", False)),
-            )
-
-    def close(self) -> None:
-        pass

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import kernels
-from repro.core.params import SimCovParams
-from repro.core.state import EpiState, VoxelBlock
+from repro.core.params import ParamsStack, SimCovParams
+from repro.core.state import EnsembleBlock, EpiState, VoxelBlock
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 from repro.rng.streams import VoxelRNG
@@ -373,3 +374,122 @@ class TestExtravasation:
         n_rows = kernels.apply_extravasation(p, rows, attempts, region=region)
         np.testing.assert_array_equal(rows.tcell[region], sub.tcell[region])
         assert n_rows == rows.tcell.sum() == sub.tcell[region].sum() > 0
+
+
+def loop_apply_extravasation(params, block, attempts, region=None):
+    """``apply_extravasation`` as the per-attempt loop it was before the
+    solo and batched spellings merged: attempts in attempt order, each
+    seeing the occupancy the ones before it left."""
+    gids = attempts["gid"]
+    sl = block.interior if region is None else region
+    at = block.spec.unravel(gids) - np.asarray(block.origin, dtype=np.int64)
+    lo = np.array([s.start for s in sl], dtype=np.int64)
+    hi = np.array([s.stop for s in sl], dtype=np.int64)
+    successes = 0
+    for i in np.nonzero(((at >= lo) & (at < hi)).all(axis=1))[0]:
+        c_idx = tuple(at[i])
+        if block.tcell[c_idx] != 0:
+            continue
+        c = block.chemokine[c_idx]
+        if c < params.min_chemokine:
+            continue
+        if attempts["accept_u"][i] < c:
+            block.tcell[c_idx] = 1
+            block.tcell_tissue_time[c_idx] = attempts["life"][i]
+            block.tcell_bound_time[c_idx] = 0
+            successes += 1
+    return successes
+
+
+@st.composite
+def extravasation_cases(draw):
+    """(params, block, attempts, region): a world small enough that
+    attempts repeat on a voxel, with signal and rolls drawn from a palette
+    that puts values exactly on both comparisons' boundaries."""
+    dim = draw(st.sampled_from([(6, 5), (9, 4), (4, 3, 3)]))
+    batch = draw(st.sampled_from([None, 1, 2, 3]))
+    base = SimCovParams.fast_test(dim=dim)
+    floors = draw(
+        st.lists(
+            st.sampled_from([base.min_chemokine, 0.25, 0.5]),
+            min_size=batch or 1, max_size=batch or 1,
+        )
+    )
+    members = [base.with_(min_chemokine=floor) for floor in floors]
+    params = members[0] if batch is None else ParamsStack(members)
+    spec = GridSpec(dim)
+    # The whole domain, or a sub-box of it whose ghosts are in-domain voxels.
+    lo = tuple(draw(st.integers(0, s - 2)) for s in dim)
+    hi = tuple(draw(st.integers(a + 1, s)) for a, s in zip(lo, dim))
+    owned = draw(st.sampled_from([spec.domain, Box(lo, hi)]))
+    block = (
+        VoxelBlock(spec, owned) if batch is None
+        else EnsembleBlock(spec, owned, batch)
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.array(
+        [0.0, 1.0, 0.75, *floors, *(np.nextafter(f, 0.0) for f in floors)]
+    )
+    block.chemokine[...] = rng.choice(palette, size=block.shape)
+    occupied = rng.random(block.shape) < draw(st.sampled_from([0.0, 0.3]))
+    block.tcell[occupied] = 1
+    block.tcell_tissue_time[occupied] = 7
+    block.tcell_bound_time[...] = rng.integers(0, 3, size=block.shape)
+    n = draw(st.sampled_from([0, 1, 12, 60]))
+    attempts = {
+        "gid": rng.integers(0, spec.num_voxels, size=n),
+        "accept_u": rng.choice(np.append(palette, 0.6), size=n),
+        "life": rng.integers(1, 100, size=n),
+    }
+    if batch is not None:
+        attempts["member"] = np.sort(rng.integers(0, batch, size=n))
+    region = None
+    if draw(st.booleans()):
+        # Any sub-box of the interior, empty ones included.
+        region = tuple(
+            slice(a, draw(st.integers(a, s.stop)))
+            for s in block.interior[-len(dim):]
+            for a in [draw(st.integers(s.start, s.stop))]
+        )
+        if batch is not None:
+            region = (slice(0, batch),) + region
+    return params, block, attempts, region
+
+
+class TestExtravasationReference:
+    """The one vectorised, region-aware ``apply_extravasation`` is the
+    per-attempt loop: every T-cell field and the returned count, bitwise,
+    on solo and batched blocks.
+
+    Mutation-checked: taking the *last* accepting attempt per voxel
+    instead of the first, and ``accept_u <= signal`` for ``<``, each fail
+    within the first few dozen examples."""
+
+    @given(case=extravasation_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_vectorised_kernel_is_the_attempt_loop(self, case):
+        params, block, attempts, region = case
+        batch = getattr(block, "batch", None)
+        twin = (
+            VoxelBlock(block.spec, block.owned) if batch is None
+            else EnsembleBlock(block.spec, block.owned, batch)
+        )
+        for name in block.FIELD_DTYPES:
+            getattr(twin, name)[...] = getattr(block, name)
+        if batch is None:
+            want = loop_apply_extravasation(params, twin, attempts, region)
+        else:
+            want = np.array([
+                loop_apply_extravasation(
+                    params.member(b), twin.member_view(b),
+                    {k: v[attempts["member"] == b] for k, v in attempts.items()},
+                    None if region is None else region[1:],
+                )
+                for b in range(batch)
+            ])
+        got = kernels.apply_extravasation(params, block, attempts, region)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+        for name in block.FIELD_DTYPES:
+            np.testing.assert_array_equal(
+                getattr(block, name), getattr(twin, name), err_msg=name
+            )

@@ -99,3 +99,46 @@ class TestEngineDriverFacade:
         assert sim.step_work is sim.engine.step_work
         assert sim.phase_metrics is sim.engine.metrics
         assert sim.schedule is sim.engine.schedule
+
+
+class TestDriverTable:
+    """One list of backends: the table beside EngineDriver is what a serve
+    job may name and what ``simcov-repro run --backend`` offers."""
+
+    def test_every_name_builds_a_driver_that_agrees(self):
+        from repro.engine.driver import DRIVERS, build_driver
+
+        rows = {}
+        for name in DRIVERS:
+            seed = {"seeds": [3]} if name == "ensemble" else {"seed": 3}
+            sim = build_driver(name, small_params(), nranks=2, **seed)
+            try:
+                sim.run(4)
+                # The gpu substrate sums the two float totals as a tree.
+                rows[name] = [
+                    {k: v for k, v in row.items() if not k.endswith("_total")}
+                    for row in sim.series.to_rows()
+                ]
+            finally:
+                getattr(sim, "close", lambda: None)()
+        assert all(got == rows["sequential"] for got in rows.values()), rows
+
+    def test_jobspec_accepts_exactly_the_table(self):
+        from repro.engine.driver import DRIVERS
+        from repro.serve.jobs import JobSpec, SpecError
+
+        for name in DRIVERS:
+            members = 2 if name == "ensemble" else None
+            JobSpec(backend=name, ensemble=members).validate()
+        with pytest.raises(SpecError) as refused:
+            JobSpec(backend="quantum").validate()
+        assert str(tuple(DRIVERS)) in str(refused.value)
+
+    def test_cli_offers_exactly_the_table(self, capsys):
+        from repro.engine.driver import DRIVERS
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit):
+            main(["run", "--backend", "quantum"])
+        offered = capsys.readouterr().err.split("choose from")[1].split(",")
+        assert [word.strip(" '\n)") for word in offered] == list(DRIVERS)

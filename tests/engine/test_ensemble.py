@@ -6,10 +6,12 @@ import pytest
 from repro.core import kernels
 from repro.core.model import SequentialSimCov
 from repro.core.params import ParamsStack, SimCovParams
+from repro.core.state import EnsembleBlock
 from repro.engine.ensemble import (
     EnsembleSimCov,
     expand_sweep,
 )
+from repro.grid.spec import GridSpec
 from repro.rng.streams import EnsembleRNG, VoxelRNG
 
 STATE_FIELDS = (
@@ -171,29 +173,35 @@ class TestEnsembleGate:
 
 class TestEnsembleKernels:
     def test_attempt_schedule_matches_solo(self):
-        p = _params()
-        seeds = np.array([3, 9], dtype=np.int64)
-        rng = EnsembleRNG(seeds)
-        pools = np.array([37.2, 5.9])
-        stack = ParamsStack([p, p])
-        flat = kernels.ensemble_extravasation_attempts(stack, rng, 12, pools)
-        assert flat["gid"].size == int(flat["counts"].sum())
-        for b in range(2):
+        """Slice ``member == b`` of the batched schedule is the solo one."""
+        members = expand_sweep(_params(), "tcell_tissue_period", [40, 90, 60])
+        seeds = np.array([3, 9, 4], dtype=np.int64)
+        pools = np.array([37.2, 0.0, 5.9])
+        flat = kernels.extravasation_attempts(
+            ParamsStack(members), EnsembleRNG(seeds), 12, pools
+        )
+        assert np.all(np.diff(flat["member"]) >= 0)
+        for b, p in enumerate(members):
             solo = kernels.extravasation_attempts(
                 p, VoxelRNG(int(seeds[b])), 12, float(pools[b])
             )
-            mine = kernels.member_attempts(flat, b)
+            assert "member" not in solo
+            mine = flat["member"] == b
             for key in ("gid", "accept_u", "life"):
-                np.testing.assert_array_equal(mine[key], solo[key], err_msg=key)
+                np.testing.assert_array_equal(flat[key][mine], solo[key], err_msg=key)
+                assert flat[key].dtype == solo[key].dtype
 
     def test_attempt_schedule_empty_pools(self):
         rng = EnsembleRNG(np.array([1, 2], dtype=np.int64))
         stack = ParamsStack([_params(), _params()])
-        flat = kernels.ensemble_extravasation_attempts(
-            stack, rng, 0, np.zeros(2)
-        )
-        assert flat["gid"].size == 0
-        assert list(flat["counts"]) == [0, 0]
+        flat = kernels.extravasation_attempts(stack, rng, 0, np.zeros(2))
+        solo = kernels.extravasation_attempts(_params(), VoxelRNG(1), 0, 0.0)
+        for key in ("gid", "accept_u", "life"):
+            assert flat[key].size == 0 and flat[key].dtype == solo[key].dtype
+        assert flat["member"].size == 0
+        spec = GridSpec(_params().dim)
+        block = EnsembleBlock(spec, spec.domain, 2)
+        assert list(kernels.apply_extravasation(stack, block, flat)) == [0, 0]
 
 
 class TestExpandSweep:
@@ -242,6 +250,18 @@ class TestOneImplementation:
         from repro.engine.sequential import SequentialBackend
 
         assert getattr(SequentialBackend, name) is getattr(EnsembleBackend, name)
+
+    def test_backends_are_constructors(self):
+        """Neither subclass spells a phase body or an extravasation hook of
+        its own, and the batched kernel name is an alias, not a twin."""
+        from repro.engine.ensemble import EnsembleBackend
+        from repro.engine.sequential import SequentialBackend, SingleBlockBackend
+
+        assert not hasattr(SingleBlockBackend, "apply_extravasation")
+        for cls in (SequentialBackend, EnsembleBackend):
+            own = [name for name in vars(cls) if name.startswith("phase_")]
+            assert own == [], (cls.__name__, own)
+        assert kernels.ensemble_apply_extravasation is kernels.apply_extravasation
 
     def test_engine_step_loop_is_not_overridden(self):
         from repro.engine.engine import StepEngine

@@ -7,6 +7,8 @@ to one that was never preempted.
 """
 
 import json
+import logging
+import socket
 import time
 
 import pytest
@@ -93,6 +95,72 @@ class TestSubmitAndResult:
                 client.result(resp["job"]["id"])
             assert exc.value.status == 409
             client.wait(resp["job"]["id"])
+
+
+def raw_request(port: int, head: str, body: bytes = b""):
+    """One request written byte for byte (what ``ServeClient`` cannot
+    send); returns ``(status, parsed JSON body)`` — or ``(None, None)``
+    when the server closed the socket without answering."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head.encode("latin1") + b"\r\n\r\n" + body)
+        sock.shutdown(socket.SHUT_WR)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    if not reply:
+        return None, None
+    head_bytes, _, payload = reply.partition(b"\r\n\r\n")
+    return int(head_bytes.split()[1]), json.loads(payload)
+
+
+class TestMalformedRequests:
+    """The socket edge answers garbage with a typed 4xx — never by
+    dropping the connection with a traceback in the loop's log."""
+
+    SPEC_BODY = json.dumps({"steps": "x"}).encode()
+
+    @pytest.mark.parametrize(
+        "head, body, status, says",
+        [
+            ("POST /jobs HTTP/1.1\r\nContent-Length: abc", b"", 400, "Content-Length"),
+            ("POST /jobs HTTP/1.1\r\nContent-Length: -4", b"", 400, "Content-Length"),
+            (
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {len(SPEC_BODY)}",
+                SPEC_BODY, 400, "mistyped job field",
+            ),
+            # Only the declared size is sent: the refusal must not wait
+            # for (or read) a body.
+            ("POST /jobs HTTP/1.1\r\nContent-Length: 1048577", b"", 413, "limit"),
+            ("POST /jobs HTTP/1.1\r\nContent-Length: 10", b"{}", 400, "after 2 of the 10"),
+        ],
+        ids=[
+            "length-not-a-number", "length-negative", "mistyped-field",
+            "oversized", "truncated",
+        ],
+    )
+    def test_typed_refusal_and_server_survives(
+        self, head, body, status, says, caplog
+    ):
+        with caplog.at_level(logging.ERROR, logger="asyncio"), serve() as app:
+            got, payload = raw_request(app.port, head, body)
+            assert got == status
+            assert says in payload["error"]
+            assert ServeClient(port=app.port).healthz()["ok"] is True
+            assert app.jobs == {}
+        assert [r.getMessage() for r in caplog.records] == []
+
+    def test_body_at_the_limit_is_read(self):
+        from repro.serve.server import MAX_BODY_BYTES
+
+        spec = json.dumps(dict(SPEC, steps=2)).encode()
+        body = spec + b" " * (MAX_BODY_BYTES - len(spec))
+        with serve() as app:
+            got, payload = raw_request(
+                app.port,
+                f"POST /jobs HTTP/1.1\r\nContent-Length: {len(body)}", body,
+            )
+            assert got == 201 and payload["cache"] == "miss"
+            ServeClient(port=app.port).wait(payload["job"]["id"])
 
 
 class TestEvents:

@@ -1,6 +1,6 @@
-"""Engine/backed tracing integration: phase spans feed PhaseMetrics
-through the sink view, golden traces stay bitwise identical with tracing
-on, and the off-by-default null tracer stays cheap."""
+"""Engine/backed tracing integration: phase spans and PhaseMetrics are
+two records of the same clock reads, golden traces stay bitwise identical
+with tracing on, and the off-by-default null tracer stays cheap."""
 
 import time
 
@@ -34,8 +34,8 @@ class TestEngineWiring:
         assert sim.backend.tracer is NULL_TRACER
 
     def test_phase_spans_and_metrics_view(self):
-        """With tracing on, phase timings flow tracer → sink → metrics:
-        one span stream feeds both surfaces, and they agree."""
+        """The engine records a phase in its metrics and emits its span
+        from the same ``(start, elapsed)``: the two surfaces agree."""
         ring = RingBufferSink()
         sim = SequentialSimCov(
             small_params(), seed=1, tracer=Tracer(sinks=[ring])
@@ -51,6 +51,22 @@ class TestEngineWiring:
         assert metrics.total_seconds() == pytest.approx(
             sum(e.dur for e in executed)
         )
+
+    def test_metrics_do_not_depend_on_the_tracer(self):
+        """One path from a phase's stopwatch to its counters: what was
+        called and what was skipped reads the same traced and untraced."""
+        plain = SequentialSimCov(small_params(), seed=1)
+        traced = SequentialSimCov(
+            small_params(), seed=1, tracer=Tracer(sinks=[RingBufferSink()])
+        )
+        for sim in (plain, traced):
+            sim.run(9)  # crosses a sweep period: tile_sweep runs and skips
+        assert traced.engine.metrics.calls == plain.engine.metrics.calls
+        assert traced.engine.metrics.skips == plain.engine.metrics.skips
+        assert traced.engine.metrics.skips["tile_sweep"] > 0
+        assert set(traced.engine.metrics.seconds) == set(plain.engine.metrics.seconds)
+        # ... and the engine hangs no sink of its own on the caller's tracer.
+        assert len(traced.engine.tracer.sinks) == 1
 
     def test_gating_gauge_emitted_every_step(self):
         ring = RingBufferSink()

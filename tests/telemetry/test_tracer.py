@@ -1,9 +1,8 @@
 """Tracer unit tests: span nesting/attributes, counters and gauges, the
-null tracer's short-circuit contract, and the PhaseMetricsSink view."""
+null tracer's short-circuit contract."""
 
 import pytest
 
-from repro.engine.metrics import PhaseMetrics
 from repro.telemetry import (
     COUNTER,
     GAUGE,
@@ -11,7 +10,6 @@ from repro.telemetry import (
     SPAN,
     Event,
     NullTracer,
-    PhaseMetricsSink,
     RingBufferSink,
     Tracer,
 )
@@ -120,30 +118,3 @@ class TestNullTracer:
     def test_add_sink_raises(self):
         with pytest.raises(RuntimeError):
             NULL_TRACER.add_sink(RingBufferSink())
-
-
-class TestPhaseMetricsSink:
-    def test_aggregates_phase_spans(self):
-        metrics = PhaseMetrics()
-        sink = PhaseMetricsSink(metrics)
-        sink.on_event(Event(SPAN, "diffuse", 0.0, dur=0.5, cat="phase"))
-        sink.on_event(Event(SPAN, "diffuse", 1.0, dur=0.25, cat="phase"))
-        sink.on_event(
-            Event(SPAN, "tile_sweep", 2.0, cat="phase",
-                  attrs={"skipped": True})
-        )
-        # Non-phase spans and counters are ignored.
-        sink.on_event(Event(SPAN, "step", 0.0, dur=9.0, cat="step"))
-        sink.on_event(Event(COUNTER, "diffuse", 0.0, value=1.0))
-        assert metrics.seconds["diffuse"] == pytest.approx(0.75)
-        assert metrics.calls["diffuse"] == 2
-        assert metrics.skips["tile_sweep"] == 1
-
-    def test_rank_filter_drops_foreign_ranks(self):
-        """Coordinator metrics must not double-count drained worker spans."""
-        metrics = PhaseMetrics()
-        sink = PhaseMetricsSink(metrics, rank=-1)
-        sink.on_event(Event(SPAN, "reduce", 0.0, dur=1.0, cat="phase", rank=-1))
-        sink.on_event(Event(SPAN, "reduce", 0.0, dur=9.0, cat="phase", rank=0))
-        assert metrics.seconds["reduce"] == pytest.approx(1.0)
-        assert metrics.calls["reduce"] == 1
