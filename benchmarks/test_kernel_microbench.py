@@ -2,10 +2,11 @@
 
 These time the kernels this reproduction actually executes — useful for
 tracking regressions in the reproduction itself (the modeled GPU times
-come from the ledger, not from these wall-clocks).  The per-voxel kernels
-and the counter hash have two tiers (numpy bodies, and the compiled ones of
-``repro.core.native``): their rows are recorded once per tier,
-``[tier=numpy|native]``, as ROADMAP item 3's ``kernels`` ledger.
+come from the ledger, not from these wall-clocks).  The per-voxel kernels,
+the T-cell agent kernels and the counter hash have two tiers (numpy bodies,
+and the compiled ones of ``repro.core.native``): their rows are recorded
+once per tier, ``[tier=numpy|native]``, as ROADMAP item 3's ``kernels``
+ledger.
 
 A kernel that changes the state it runs on gets that state back before
 every round (``benchmark.pedantic(setup=...)``): stepped at a fixed step
@@ -99,6 +100,24 @@ def test_bench_counter_hash(benchmark, tier, n):
         benchmark.extra_info["ns_per_key"] = benchmark.stats["mean"] * 1e9 / n
 
 
+@pytest.mark.parametrize("batch", [1, 32, 256], ids="B={}".format)
+def test_bench_member_prefixes(benchmark, batch):
+    """us per ``EnsembleRNG.prefixes`` call once the stream's folds are
+    kept: what every gathered draw of a batch pays before its first key,
+    one vector fold of the step however many members."""
+    from repro.rng.philox import fold_prefix
+    from repro.rng.streams import EnsembleRNG
+
+    seeds = np.arange(batch, dtype=np.int64) * 7919 - 2**62
+    rng = EnsembleRNG(seeds)
+    out = benchmark(lambda: rng.prefixes(Stream.TCELL_BID, 5))
+    assert out.shape == (batch,) and out.dtype == np.uint64
+    assert out[-1] == fold_prefix(int(seeds[-1]), Stream.TCELL_BID, 5)
+    benchmark.extra_info["members"] = batch
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
+
+
 def _voxel_kernels(p, block, rng):
     """The per-voxel entry points as the single-block backend calls them,
     each over the whole interior at a fixed step."""
@@ -168,18 +187,18 @@ def _agent_world(agents: int):
     return p, block, VoxelRNG(1), kernels.IntentArrays(block.shape)
 
 
-def _per_agent(benchmark, agents: int) -> None:
-    """The ``kernels`` ledger numbers of ROADMAP item 3: at 10 agents
-    ``us_per_call`` is the fixed cost of a call, at 10 000 ``ns_per_agent``
-    is the marginal one."""
-    benchmark.extra_info["agents"] = agents
+def _per_agent(benchmark, tier: str, agents: int) -> None:
+    """The ``kernels`` ledger numbers of ROADMAP item 3, per tier: at 10
+    agents ``us_per_call`` is the fixed cost of a call, at 10 000
+    ``ns_per_agent`` is the marginal one."""
+    benchmark.extra_info.update(tier=tier, agents=agents)
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
         benchmark.extra_info["ns_per_agent"] = benchmark.stats["mean"] * 1e9 / agents
 
 
 @pytest.mark.parametrize("agents", [10, 1000, 10000], ids="agents={}".format)
-def test_bench_tcell_intents(benchmark, agents):
+def test_bench_tcell_intents(benchmark, tier, agents):
     p, block, rng, intents = _agent_world(agents)
 
     def setup():
@@ -191,11 +210,11 @@ def test_bench_tcell_intents(benchmark, agents):
     )
     placed = (intents.move_dir >= 0).sum() + (intents.bind_dir >= 0).sum()
     assert 0 < placed <= agents and (intents.bind_bid > 0).any()
-    _per_agent(benchmark, agents)
+    _per_agent(benchmark, tier, agents)
 
 
 @pytest.mark.parametrize("agents", [10, 1000, 10000], ids="agents={}".format)
-def test_bench_resolve(benchmark, agents):
+def test_bench_resolve(benchmark, tier, agents):
     """``compute_moves`` + ``resolve_binds`` against one round of intents:
     both only read the T-cell fields (``commit_moves`` is what moves the
     cells), so every round resolves the same bids; the binds a round
@@ -218,7 +237,7 @@ def test_bench_resolve(benchmark, agents):
     moves, bound = benchmark.pedantic(run, setup=setup, rounds=30)
     assert len(moves.arriving) == len(moves.moved_out) > 0
     assert bound == (block.epi_state == EpiState.APOPTOTIC).sum() > 0
-    _per_agent(benchmark, agents)
+    _per_agent(benchmark, tier, agents)
 
 
 @pytest.mark.parametrize("attempts", [0, 10, 1000], ids="attempts={}".format)

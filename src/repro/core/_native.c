@@ -1,5 +1,6 @@
-/* The compiled tier: the per-voxel kernels and the counter hash of
- * repro.core.kernels / repro.core.stats / repro.rng.philox as single passes.
+/* The compiled tier: the per-voxel kernels, the T-cell agent kernels and the
+ * counter hash of repro.core.kernels / repro.core.stats / repro.rng.philox
+ * as single passes.
  *
  * Built and loaded by repro/core/native.py, which owns every check on what
  * is passed here.  Each body repeats its numpy reference operation for
@@ -217,6 +218,119 @@ void tcell_age(const i64 *g, int8_t *tcell, int32_t *tissue_time,
                 tcell[i] = 0, tissue_time[i] = 0, bound_time[i] = 0;
         }
     }
+}
+
+/* -- kernels.tcell_intents / compute_moves / resolve_binds ----------------- */
+
+/* The agent kernels address the stencils by flat padded-array offset, as
+ * kernels._flat_layout does: `boff` is the bind stencil (own voxel first),
+ * the Moore neighbourhood its tail.  Every present, unbound T cell is an
+ * agent; raster order reproduces the numpy bodies' ascending gathers. */
+#define STENCIL(g) ((g)[12] == 3 ? 27 : 9)
+
+/* kernels.IntentArrays' atomicMax: a serial max is order-free. */
+static inline void bid_max(u64 *at, u64 bid)
+{
+    if (*at < bid)
+        *at = bid;
+}
+
+/* The bid, bind-select and direction words come from prefix[0..B),
+ * prefix[B..2B) and prefix[2B..3B): the three streams' member prefixes. */
+void tcell_intents(const i64 *g, const int8_t *tcell, const int32_t *bound_time,
+                   const int8_t *state, int8_t *move_dir, int8_t *bind_dir,
+                   u64 *bid_self, u64 *move_bid, u64 *bind_bid, const i64 *boff,
+                   const i64 *gid, const u64 *prefix, const uint8_t *in_domain)
+{
+    const i64 slab = g[1] * g[2] * g[3], members = g[0];
+    const int nb = STENCIL(g);
+    const i64 *moff = boff + 1;
+    EACH_ROW(g, b, row) {
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            if (!tcell[i] || bound_time[i] != 0)
+                continue;
+            const i64 at = i - b * slab; /* in gid / in_domain */
+            u64 bid = fold_key(prefix[b], (u64)gid[at]);
+            bid = bid ? bid : 1; /* 0 is "no bid" */
+            u64 count = 0;
+            for (int s = 0; s < nb; s++)
+                count += state[i + boff[s]] == EXPRESSING;
+            if (count) { /* bind the (j+1)-th expressing cell */
+                u64 j = fold_key(prefix[members + b], (u64)gid[at]) % count;
+                int s = 0;
+                while (state[i + boff[s]] != EXPRESSING || j--)
+                    s++;
+                bind_dir[i] = (int8_t)s;
+                bid_self[i] = bid;
+                bid_max(&bind_bid[i + boff[s]], bid);
+                continue;
+            }
+            const u64 word = fold_key(prefix[2 * members + b], (u64)gid[at]);
+            const int k = (int)(word % (u64)(nb - 1));
+            if (tcell[i + moff[k]] || !in_domain[at + moff[k]])
+                continue; /* occupied at the start of the phase, or outside */
+            move_dir[i] = (int8_t)k;
+            bid_self[i] = bid;
+            bid_max(&move_bid[i + moff[k]], bid);
+        }
+    }
+}
+
+/* Movers out: won the bid at their target.  Arrivals: the first direction
+ * whose source won the bid on this voxel supplies the tissue time.  Counts
+ * in n_out[0..2]. */
+void compute_moves(const i64 *g, const int32_t *tissue_time, const int8_t *move_dir,
+                   const u64 *bid_self, const u64 *move_bid, const i64 *boff,
+                   i64 *moved_out, i64 *arriving, i64 *new_life, i64 *n_out)
+{
+    const int nm = STENCIL(g) - 1;
+    const i64 *moff = boff + 1;
+    i64 nout = 0, nin = 0;
+    EACH_ROW(g, b, row) {
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            if (move_dir[i] >= 0) {
+                const u64 won = move_bid[i + moff[move_dir[i]]];
+                if (won && bid_self[i] == won)
+                    moved_out[nout++] = i;
+            }
+            const u64 bid = move_bid[i];
+            for (int k = 0; bid && k < nm; k++) {
+                const i64 src = i - moff[k];
+                if (move_dir[src] == k && bid_self[src] == bid) {
+                    arriving[nin] = i;
+                    new_life[nin++] = tissue_time[src];
+                    break;
+                }
+            }
+        }
+    }
+    n_out[0] = nout;
+    n_out[1] = n_out[2] = nin;
+}
+
+/* The bound epithelial cells turn apoptotic (their flat indices to `bound`,
+ * the count to n_out[0]; the caller draws their timers); the T cells that
+ * won their bind are held for the member's binding period. */
+void resolve_binds(const i64 *g, int8_t *state, int32_t *bound_time,
+                   const double *period, const int8_t *bind_dir, const u64 *bid_self,
+                   const u64 *bind_bid, const i64 *boff, i64 *bound, i64 *n_out)
+{
+    i64 n = 0;
+    EACH_ROW(g, b, row) {
+        const int32_t hold = (int32_t)period[b];
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            if (bind_bid[i] && state[i] == EXPRESSING) {
+                state[i] = APOPTOTIC;
+                bound[n++] = i;
+            }
+            if (bind_dir[i] >= 0) {
+                const u64 won = bind_bid[i + boff[bind_dir[i]]];
+                if (won && bid_self[i] == won)
+                    bound_time[i] = hold;
+            }
+        }
+    }
+    n_out[0] = n;
 }
 
 /* -- stats.region_counts --------------------------------------------------- */

@@ -290,6 +290,8 @@ def apply_extravasation(
     at, mine = _locate(block, gids, region[len(region) - ndim:])
     # Attempts outside the block may not index it: gather the owned ones.
     own = np.nonzero(mine)[0]
+    if own.size == 0:  # none lands in the region: no gather, unique or scatter
+        return _tally(own, region, lead, xp)
     flat = at[own] @ np.array(strides[len(strides) - ndim:], dtype=np.int64)
     if member is not None:
         member = member[own]
@@ -447,6 +449,8 @@ def tcell_intents(
     the paper's single-communication tiebreak.
     """
     xp = block.xp
+    if (native := xp.native) is not None:
+        return native.tcell_intents(rng, step, block, intents, region)
     strides, lead, boff, moff = _flat_layout(block.shape, block.spec.ndim, xp)
     at = _agents(
         (block.tcell[region] != 0) & (block.tcell_bound_time[region] == 0),
@@ -537,6 +541,8 @@ def compute_moves(
     it, no duplication and no loss.
     """
     xp = block.xp
+    if (native := xp.native) is not None:
+        return native.compute_moves(block, intents, region)
     strides, _, _, moff = _flat_layout(block.shape, block.spec.ndim, xp)
     move_dir, bid_self, move_bid = _flat(intents, "move_dir", "bid_self", "move_bid")
     # Outgoing: my cells that won their bid at the target.
@@ -596,6 +602,10 @@ def resolve_binds(
     or a per-member vector on a batched block."""
     xp = block.xp
     strides, lead, boff, _ = _flat_layout(block.shape, block.spec.ndim, xp)
+    if (native := xp.native) is not None:
+        bound = native.resolve_binds(params, block, intents, region)
+        _retime(rng, Stream.APOPTOSIS_PERIOD, step, block, bound, params.apoptosis_period)
+        return _tally(bound, region, lead, xp)
     bind_dir, bid_self, bind_bid = _flat(intents, "bind_dir", "bid_self", "bind_bid")
     epi_state, bound_time = _flat(block, "epi_state", "tcell_bound_time")
     # Epithelial side: any expressing cell with a positive merged bind bid

@@ -1,11 +1,9 @@
-"""The compiled tier: ``_native.c`` built by the C compiler on the box at the
-first native call (never at import), cached per user, loaded with ``ctypes``,
-reached only through ``xp.native`` (DESIGN.md §4 "The compiled tier").  No
-compiler, a cache someone else may write, a failed build or probe, and
-``REPRO_NATIVE=0`` all end in ``None`` with a reason in :func:`status` (which
-``python -m repro.core.native`` prints), never in an exception: the numpy
-bodies are then the only path.  :class:`Tier` is the one place that marshals.
-"""
+"""The compiled tier: ``_native.c`` built by the C compiler on the box at the first native
+call (never at import), cached per user, loaded with ``ctypes``, reached only through
+``xp.native`` (DESIGN.md §4 "The compiled tier").  No compiler, a cache someone else may
+write, a failed build or probe, and ``REPRO_NATIVE=0`` all end in ``None`` with a reason in
+:func:`status` (which ``python -m repro.core.native`` prints), never in an exception: the
+numpy bodies are then the only path.  :class:`Tier` is the one place that marshals."""
 
 import ctypes
 import functools
@@ -21,6 +19,7 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.stats import N_COUNTS, _lead
 from repro.diffusion.stencil import diffuse_region, kept_fraction
 from repro.rng.philox import _as_u64, _fold_keys
@@ -31,7 +30,8 @@ SOURCE = Path(__file__).with_name("_native.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11", "-ffp-contract=off", "-fno-fast-math", "-fwrapv")
 #: Every function in ``_native.c`` returns void and takes this many pointers.
 _NARGS = {"hash_keys": 5, "epithelial": 10, "production": 6, "diffuse": 7,
-          "commit": 8, "tcell_age": 4, "region_counts": 4}
+          "commit": 8, "tcell_age": 4, "region_counts": 4, "tcell_intents": 13,
+          "compute_moves": 10, "resolve_binds": 10}
 _lock, _resolved = threading.Lock(), None  # tier()'s once-per-process result
 #: A call drops the GIL from this many voxels or keys, no sooner (DESIGN.md §4: serve_mix).
 _DROP_GIL_FROM = 1 << 14
@@ -58,9 +58,9 @@ def _checked(arr, dtype, shape):
 
 @functools.lru_cache(maxsize=256)  # a gate region lasts a sweep period, eight calls a step
 def _geometry(shape, ndim: int, bounds, margin: int):
-    """``int64[13]`` — ``shape`` as ``(B, Z, Y, X)``, the region's lower and upper bounds in it
-    (``bounds``: each slice's start, stop, step), ``ndim`` — and the region's volume.
-    ``margin``: how far the kernel reads beyond the region in space."""
+    """``int64[13]`` — ``shape`` as ``(B, Z, Y, X)``, the region's bounds in it (``bounds``: each
+    slice's start, stop, step), ``ndim`` — and the region's volume; ``margin``: how far beyond
+    the region the kernel reads in space."""
     dims = [(n, *slice(*b).indices(n)) for b, n in zip(bounds, shape, strict=True)]
     if any(step != 1 for *_, step in dims) or any(
         lo < hi and (lo < margin or hi > n - margin) for n, lo, hi, _ in dims[-ndim:]
@@ -79,45 +79,41 @@ class Tier:
         for fn in [getattr(lib, name) for lib in self._libs for name in _NARGS]:
             fn.restype, fn.argtypes = None, (ctypes.c_void_p,) * _NARGS[fn.__name__]
 
-    def _run(self, name, block, region, fields, params=(), *rest, margin=0):
-        """One C pass over ``region``; arguments in ``_native.c``'s order: geometry, fields,
-        ``params`` (scalars, ``ParamsStack`` ``(B, 1, ...)`` arrays) as ``float64[B]``, ``rest``."""
+    def _run(self, name, block, region, fields, params=(), *rest, margin=0, found=0):
+        """One C pass over ``region``: geometry, fields, ``params`` as ``float64[B]``, ``rest``,
+        then ``found`` int64 vectors sized by the region and their lengths — returned, cut."""
         dtypes, batch = block.FIELD_DTYPES, (_lead(block) or (1,))[0]
         bounds = tuple((s.start, s.stop, s.step) for s in region)
         g, volume = _geometry(block.shape, block.spec.ndim, bounds, margin)
-        _call(
-            getattr(self._libs[volume >= _DROP_GIL_FROM], name), g,
-            *[_checked(getattr(block, f), dtypes[f], block.shape) for f in fields],
-            *[np.full(batch, p.reshape(-1) if isinstance(p, np.ndarray) else p, dtype=np.float64)
-              for p in params],
-            *rest,
-        )
+        out, n = np.empty((found, volume), np.int64), np.zeros(found, np.int64)  # out: unzeroed
+        _call(getattr(self._libs[volume >= _DROP_GIL_FROM], name), g,
+              *[_checked(getattr(block, f), dtypes[f], block.shape) for f in fields],
+              *[np.full(batch, np.reshape(p, -1), np.float64) for p in params],
+              *rest, *out, *[n][:found])
+        return [o[:k] for o, k in zip(out, n)]
 
     def hash_keys(self, prefix, keys, member=None) -> np.ndarray:
         """:func:`repro.rng.philox.hash_keys`."""
         k = np.ascontiguousarray(_as_u64(keys))
         out = np.empty(k.shape, dtype=np.uint64)
-        if member is not None:
-            member = np.ascontiguousarray(member, dtype=np.int64).reshape(k.shape)
+        member = None if member is None else np.ascontiguousarray(member, np.int64).reshape(k.shape)
         counts = np.array([len(_checked(prefix, np.uint64, (len(prefix),))), k.size, 0], np.int64)
         _call(self._libs[k.size >= _DROP_GIL_FROM].hash_keys, prefix, member, k, out, counts)
         if counts[2]:
             raise IndexError(f"member index outside 0..{len(prefix) - 1}")
         return out.reshape(np.shape(keys))
 
+    def _keyed(self, block, rng, step, *streams):
+        """The spatial gids, and each of ``streams``' member prefixes in turn."""
+        prefix = np.concatenate([rng.prefixes(stream, step) for stream in streams])
+        return (_checked(block.gid_spatial, np.int64, block.shape[-block.spec.ndim:]),
+                _checked(prefix, np.uint64, (len(streams) * (_lead(block) or (1,))[0],)))
+
     def epithelial(self, params, rng, step, block, region):
         """``epithelial_update`` less its Poisson draws: returns the flat indices of the newly
         infected and of the incubating -> expressing cells, whose timers the caller draws."""
-        found = np.empty((2, block.epi_state[region].size), np.int64)  # unzeroed: mostly unmapped
-        n = np.zeros(2, dtype=np.int64)
-        self._run(
-            "epithelial", block, region, ("epi_state", "epi_timer", "virions"),
-            (params.infectivity,),
-            _checked(block.gid_spatial, np.int64, block.shape[-block.spec.ndim:]),
-            _checked(rng.prefixes(Stream.INFECTION, step), np.uint64, _lead(block) or (1,)),
-            *found, n,
-        )
-        return found[0, :n[0]], found[1, :n[1]]
+        return self._run("epithelial", block, region, ("epi_state", "epi_timer", "virions"), (
+            params.infectivity,), *self._keyed(block, rng, step, Stream.INFECTION), found=2)
 
     def production(self, params, block, region, step) -> None:
         rates = (params.virion_production_at(step), params.chemokine_production)
@@ -137,6 +133,31 @@ class Tier:
                  kept_fraction(params.chemokine_decay), params.min_chemokine)
         for region in regions:
             self._run("commit", block, region, ("virions", "chemokine"), rates, *scratch)
+
+    def _agents(self, name, block, intents, region, fields, params, names, *rest, **kw):
+        """An agent pass: ``intents``' fields ``names`` and the flat bind stencil, then ``rest``."""
+        boff = kernels._flat_layout(block.shape, block.spec.ndim, block.xp)[2]
+        dtypes = kernels.IntentArrays.FIELD_DTYPES
+        mine = [_checked(getattr(intents, n), dtypes[n], block.shape) for n in names]
+        return self._run(name, block, region, fields, params, *mine, boff, *rest, margin=1, **kw)
+
+    def tcell_intents(self, rng, step, block, intents, region) -> None:
+        inside = _checked(block.in_domain_spatial, np.bool_, block.shape[-block.spec.ndim:])
+        keyed = self._keyed(block, rng, step, Stream.TCELL_BID, Stream.TCELL_BIND_SELECT,
+                            Stream.TCELL_DIRECTION)
+        self._agents("tcell_intents", block, intents, region, ("tcell", "tcell_bound_time",
+                     "epi_state"), (), kernels.IntentArrays.FIELD_DTYPES, *keyed, inside)
+
+    def compute_moves(self, block, intents, region) -> kernels.MoveSet:
+        moved_out, arriving, life = self._agents("compute_moves", block, intents, region, (
+            "tcell_tissue_time",), (), ("move_dir", "bid_self", "move_bid"), found=3)
+        return kernels.MoveSet(region, moved_out, arriving, life.astype(np.int32))
+
+    def resolve_binds(self, params, block, intents, region) -> np.ndarray:
+        """``resolve_binds`` less its Poisson draws: the bound cells' flat indices."""
+        return self._agents("resolve_binds", block, intents, region, ("epi_state",
+                            "tcell_bound_time"), (params.tcell_binding_period,),
+                            ("bind_dir", "bid_self", "bind_bid"), found=1)[0]
 
     def tcell_age(self, block, region) -> None:
         self._run("tcell_age", block, region, ("tcell", "tcell_tissue_time", "tcell_bound_time"))
@@ -167,9 +188,8 @@ def _private(path: Path) -> Path:
 
 
 def _probe_agrees(tier: Tier) -> bool:
-    """Known answers against the numpy bodies: fixed hash words, one 2-D and
-    one 3-D diffuse cell (seeded so that a fused multiply-add gives other
-    bits), one commit below, at and above the threshold."""
+    """Known answers against the numpy bodies: fixed hash words, a 2-D and a 3-D diffuse cell
+    (seeded so that fused multiply-adds give other bits), a commit below, at and above the floor."""
     keys = np.array([0, 1, 2**63 + 5, 2**64 - 1], dtype=np.uint64)
     prefix = np.array([0x243F6A8885A308D3], dtype=np.uint64)
     ok = np.array_equal(tier.hash_keys(prefix, keys), _fold_keys(prefix[0], keys))
@@ -246,5 +266,5 @@ def status() -> dict:
 
 
 if __name__ == "__main__":
-    print("\n".join(f"{k}: {v}" for k, v in status().items()))
+    print("\n".join(f"{k}: {v}" for k, v in {**status(), "entry_points": [*_NARGS]}.items()))
     sys.exit(0 if status()["enabled"] or not status()["compiler"] else 1)

@@ -29,7 +29,6 @@ import os
 
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
-from repro.core.xp import NUMPY
 from repro.dist.control import (
     CMD_STEP,
     STATUS_ERROR,
@@ -147,9 +146,9 @@ class DistRuntime:
         ctx = self._ctx
         if ctx.get_start_method() != "fork":
             self._ensure_importable()
-        # Resolve (and, on a cold cache, build) the compiled tier once here,
-        # so that the ranks inherit or dlopen it instead of each compiling.
-        NUMPY.native
+        # The compiled tier is not resolved here: set-up makes no compile,
+        # load or probe, and each rank resolves it at its first kernel call
+        # (on a cold cache, concurrent builds land atomically, DESIGN.md §4).
         for rank in range(self.nranks):
             proc = ctx.Process(
                 target=worker_main,

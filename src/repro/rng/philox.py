@@ -81,6 +81,20 @@ def fold_prefix(seed, stream, step) -> int:
     return _mix_int((s ^ (int(step) * _MIX1_INT)) + _PHI_INT)
 
 
+def _stream_fold(seeds, stream) -> np.ndarray:
+    """The ``(seed, stream)`` folds of :func:`fold_prefix` for each of
+    ``seeds`` (int64 or uint64), as ``uint64`` words: what a batched rng
+    folds once per stream and keeps (:meth:`EnsembleRNG.prefixes`)."""
+    s = _mix(_as_u64(seeds) + PHI64)
+    return _mix((s ^ np.uint64(int(stream) * _PHI_INT & _M64)) + PHI64)
+
+
+def _step_fold(s: np.ndarray, step) -> np.ndarray:
+    """:func:`fold_prefix`'s last fold, ``step`` into :func:`_stream_fold`
+    words: one vector of prefixes, one per member."""
+    return _mix((s ^ np.uint64(int(step) * _MIX1_INT & _M64)) + PHI64)
+
+
 def _fold_keys(s, keys) -> np.ndarray:
     k = _as_u64(keys)
     return _mix((s ^ (k * _MIX2) ^ (k >> np.uint64(32))) + PHI64)

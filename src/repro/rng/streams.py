@@ -12,7 +12,7 @@ import enum
 
 import numpy as np
 
-from repro.rng.philox import counter_hash, fold_prefix, hash_keys
+from repro.rng.philox import _step_fold, _stream_fold, counter_hash, fold_prefix, hash_keys
 from repro.rng import distributions as dist
 
 
@@ -81,11 +81,8 @@ class VoxelRNG:
 
     def prefixes(self, stream: Stream, step: int) -> np.ndarray:
         """The ``(seed, stream, step)`` hash prefix of every member,
-        ``uint64[B]`` (``B = 1`` for a solo rng): ``B`` Python-int folds."""
-        seeds = self.seeds.tolist() if self.batched else [self.seed]
-        return np.array(
-            [fold_prefix(s, stream, step) for s in seeds], dtype=np.uint64
-        )
+        ``uint64[B]`` (``B = 1`` for a solo rng: one Python-int fold)."""
+        return np.array([fold_prefix(self.seed, stream, step)], dtype=np.uint64)
 
     def words(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
         """Raw uint64 hash words for ``(stream, step, keys)``."""
@@ -140,7 +137,7 @@ class EnsembleRNG(VoxelRNG):
     configured array module (a no-op view for numpy).
     """
 
-    __slots__ = ("seeds", "xp")
+    __slots__ = ("seeds", "xp", "_folds")
 
     batched = True
 
@@ -153,6 +150,21 @@ class EnsembleRNG(VoxelRNG):
                              f"shape {self.seeds.shape}")
         self.seed = int(self.seeds[0])
         self.xp = NUMPY if xp is None else xp
+        #: The member prefix table: each stream's ``(seed, stream)`` folds,
+        #: ``uint64[B]``, made at its first draw.  Derived state, never
+        #: pickled or copied (:meth:`__reduce__`).
+        self._folds: dict[int, np.ndarray] = {}
+
+    def __reduce__(self):
+        return _ensemble_rng, (self.seeds, self.xp.name)
+
+    def prefixes(self, stream: Stream, step: int) -> np.ndarray:
+        """Every member's prefix as one vector fold of ``step`` into the
+        table, bitwise ``fold_prefix(seeds[b], stream, step)``."""
+        folds = self._folds.get(stream)
+        if folds is None:
+            folds = self._folds[stream] = _stream_fold(self.seeds, stream)
+        return _step_fold(folds, step)
 
     @property
     def batch(self) -> int:
@@ -201,3 +213,10 @@ class EnsembleRNG(VoxelRNG):
     def bids(self, step: int, keys, member=None) -> np.ndarray:
         w = self._host_words(Stream.TCELL_BID, step, keys, member)
         return self._out(np.maximum(w, np.uint64(1)))
+
+
+def _ensemble_rng(seeds, xp_name: str) -> EnsembleRNG:
+    """Unpickle an :class:`EnsembleRNG`: its seeds on the named array module."""
+    from repro.core.xp import get_array_module
+
+    return EnsembleRNG(seeds, xp=get_array_module(xp_name))

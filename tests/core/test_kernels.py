@@ -1,5 +1,7 @@
 """Unit tests for the shared update kernels."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,3 +495,31 @@ class TestExtravasationReference:
             np.testing.assert_array_equal(
                 getattr(block, name), getattr(twin, name), err_msg=name
             )
+
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_attempts_that_all_miss_the_region_apply_nothing(self, batch):
+        """No attempt lands in the region: the kernel returns the zero
+        tally at once (no ``np.unique``, no scatter) and leaves the block
+        as the loop does."""
+        dim = (12, 10)
+        spec = GridSpec(dim)
+        block = VoxelBlock(spec, spec.domain) if batch is None else EnsembleBlock(
+            spec, spec.domain, batch
+        )
+        block.chemokine[...] = 1.0
+        region = (slice(2, 5), slice(3, 6))  # interior rows 1..3, columns 2..4
+        gids = np.array([0, 9, 5 * 10 + 7, 11 * 10 + 9], dtype=np.int64)
+        attempts = {"gid": gids, "accept_u": np.zeros(4), "life": np.full(4, 9)}
+        if batch is not None:
+            attempts["member"] = np.array([0, 1, 1, 2])
+            region = (slice(0, batch),) + region
+        params = SimCovParams.fast_test(dim=dim)
+        before = {name: getattr(block, name).copy() for name in block.FIELD_DTYPES}
+        with mock.patch.object(np, "unique", side_effect=AssertionError("np.unique")):
+            got = kernels.apply_extravasation(params, block, attempts, region)
+        want = 0 if batch is None else np.zeros(batch, dtype=np.int64)
+        assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+        for name, saved in before.items():
+            assert np.array_equal(getattr(block, name), saved), name
+        # The same attempts over the whole interior do enter.
+        assert np.sum(kernels.apply_extravasation(params, block, attempts)) == 4

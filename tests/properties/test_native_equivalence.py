@@ -1,16 +1,17 @@
 """Property test: the compiled tier leaves the numpy bodies' bits behind.
 
 ``tcell_age``, ``epithelial_update``, ``production_update``,
-``concentration_update``, ``concentration_commit``, ``region_counts`` and
-the counter hash each have a C body (``repro/core/_native.c``) that the
-existing function dispatches to when ``xp.native`` is there.  Each is run
+``concentration_update``, ``concentration_commit``, ``region_counts``,
+the counter hash and the agent kernels ``tcell_intents``, ``compute_moves``
+and ``resolve_binds`` each have a C body (``repro/core/_native.c``) that
+the existing function dispatches to when ``xp.native`` is there.  Each is run
 once with ``NumpyModule.native`` patched to None — the numpy body, the
 reference — and once compiled, on copies of one block; every
 ``VoxelBlock.FIELD_DTYPES`` field, both scratch arrays, the returned counts
 and the hash words must be equal bit for bit.
 
 The draws aim at what a C spelling could get wrong: 2-D and 3-D, solo and
-batched blocks (1-3 members), sub-domain blocks (ghosts inside the domain),
+batched blocks (1-4 members), sub-domain blocks (ghosts inside the domain),
 regions from one voxel to the whole interior (every member of a batch:
 the numpy bodies take no member sub-range), an empty axis; uniform and
 per-member (``ParamsStack``) rates; antiviral / antibody
@@ -22,6 +23,9 @@ and scratch signal that decays to just below, exactly at and just above
 world.  Mutation-checked (CHANGES.md, PR 21): two neighbour adds of the
 diffusion swapped, ``<=`` for ``<`` at the threshold, ``>> 12`` in the
 uniform and a ``-ffp-contract=fast -march=native`` build each fail it.
+The agent kernels' cases (below) are mutation-checked the same way: the
+scatter-max made a plain store, the j-th bindable cell for the (j+1)-th,
+the last winning direction for the first, and bid 0 not reserved.
 """
 
 import contextlib
@@ -38,7 +42,7 @@ from repro.core.stats import region_counts
 from repro.core.xp import NUMPY, NumpyModule
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
-from repro.rng.philox import NATIVE_FROM
+from repro.rng.philox import _M64, _MIX1_INT, _MIX2_INT, _PHI_INT, NATIVE_FROM
 from repro.rng.streams import EnsembleRNG, Stream, VoxelRNG
 
 FAST = settings(max_examples=120, deadline=None)
@@ -88,7 +92,8 @@ def member_params(dim, step, rs, starts):
     )
 
 
-def make_world(dim, owned, batch, per_member, step, starts, fill_seed):
+def make_world(dim, owned, batch, per_member, step, starts, fill_seed, occupancy=0.5,
+               expressing=1.0):
     """A block (solo, or batched when ``batch``) over ``owned`` with every
     padded voxel — ghosts too — filled from the edge-heavy menus below, its
     rng, its params, and the two scratch arrays."""
@@ -111,6 +116,9 @@ def make_world(dim, owned, batch, per_member, step, starts, fill_seed):
         lead = params = member_params(dim, step, rs, starts)
     shape = block.shape
     block.epi_state[...] = rs.integers(0, 6, size=shape)
+    # Fewer expressing cells: fewer T cells bind, more contend for moves.
+    thinned = (block.epi_state == EpiState.EXPRESSING) & (rs.random(shape) >= expressing)
+    block.epi_state[thinned] = EpiState.HEALTHY
     block.epi_timer[...] = rs.choice([0, 1, 2, 3, 50], size=shape)
     # 0.75 + 0.25 and 0.5 + 0.5 are exactly 1.0; 0.9 + 0.25 saturates.
     menu = [0.0, 0.0, 1e-300, 0.3, 0.5, 0.75, 0.9, 1.0]
@@ -120,7 +128,7 @@ def make_world(dim, owned, batch, per_member, step, starts, fill_seed):
     block.chemokine[...] = np.where(
         rs.random(shape) < 0.5, rs.choice(menu, size=shape), rs.random(shape)
     )
-    block.tcell[...] = rs.random(shape) < 0.5
+    block.tcell[...] = rs.random(shape) < occupancy
     block.tcell_tissue_time[...] = rs.choice([0, 1, 2, 50], size=shape)
     block.tcell_bound_time[...] = rs.choice([-2, -1, 0, 0, 1, 3], size=shape)
     # Scratch as a diffusion pass left it, with the signal seeded around
@@ -152,12 +160,13 @@ def worlds(draw):
     # share with the domain boundary.
     lo = tuple(draw(st.integers(min_value=0, max_value=n - 2)) for n in dim)
     hi = tuple(draw(st.integers(min_value=l + 2, max_value=n)) for l, n in zip(lo, dim))
-    batch = draw(st.sampled_from([0, 1, 2, 3]))
+    batch = draw(st.sampled_from([0, 1, 2, 3, 4]))
     step = draw(st.integers(min_value=1, max_value=500))
     starts = tuple(draw(st.sampled_from([None, -1, 0, 1])) for _ in range(2))
     world = make_world(
         dim, Box(lo, hi), batch, draw(st.booleans()), step, starts,
-        draw(st.integers(0, 2**31)),
+        draw(st.integers(0, 2**31)), draw(st.sampled_from([0.05, 0.5, 0.95])),
+        draw(st.sampled_from([1.0, 0.05])),
     )
     block = world[0]
     kind = draw(st.sampled_from(["whole", "voxel", "ragged", "ragged", "empty"]))
@@ -295,3 +304,141 @@ def test_production_saturates_exactly():
     assert results[0][0][1, 1:3].tolist() == [1.0, float(np.nextafter(1.0, 0))]
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes()
+
+
+# -- the agent kernels -----------------------------------------------------------------
+
+INTENT_FIELDS = tuple(kernels.IntentArrays.FIELD_DTYPES)
+
+
+def crafted_intents(block, seed):
+    """Intents no tiebreak round leaves: every voxel, ghosts too, with a
+    direction and bids from ``{0, 1, 2, 3}``, so that bids tie and several
+    directions win one target — what tells the first winning direction
+    from the last, and a zero merged bid from a won one."""
+    rs = np.random.default_rng(seed)
+    nb = 27 if block.spec.ndim == 3 else 9
+    intents = kernels.IntentArrays(block.shape)
+    intents.move_dir[...] = rs.integers(-1, nb - 1, size=block.shape)
+    intents.bind_dir[...] = rs.integers(-1, nb, size=block.shape)
+    for name in ("bid_self", "move_bid", "bind_bid"):
+        getattr(intents, name)[...] = rs.integers(0, 4, size=block.shape)
+    return intents
+
+
+def copy_intents(intents):
+    twin = kernels.IntentArrays(intents.move_dir.shape)
+    for name in INTENT_FIELDS:
+        getattr(twin, name)[...] = getattr(intents, name)
+    return twin
+
+
+def grown(region, block):
+    """``region`` one voxel wider in space, within the interior: where the
+    single-block backend resolves what intents over ``region`` placed."""
+    first = len(region) - block.spec.ndim
+    return region[:first] + tuple(
+        slice(max(s.start - 1, i.start), min(s.stop + 1, i.stop))
+        for s, i in zip(region[first:], block.interior[first:])
+    )
+
+
+def run_agents(native: bool, block, rng, params, region, step, intents=None):
+    """One tiebreak round on copies: intents over ``region`` (or the given
+    ones), then moves and binds resolved over it grown by a voxel.  What
+    every field, intent and returned vector holds after."""
+    blk = copy_block(block)
+    with on_tier(native):
+        if intents is None:
+            intents = kernels.IntentArrays(blk.shape)
+            kernels.tcell_intents(params, rng, step, blk, intents, region)
+        else:
+            intents = copy_intents(intents)
+        wider = grown(region, blk)
+        moves = kernels.compute_moves(blk, intents, wider)
+        binds = kernels.resolve_binds(params, rng, step, blk, intents, wider)
+        arrived = kernels.commit_moves(blk, moves)
+    arrays = {name: getattr(blk, name) for name in BLOCK_FIELDS}
+    arrays.update({f"intents.{name}": getattr(intents, name) for name in INTENT_FIELDS})
+    arrays.update({f"moves.{name}": getattr(moves, name)
+                   for name in ("moved_out", "arriving", "new_life")})
+    return arrays, (np.asarray(arrived), np.asarray(binds))
+
+
+def assert_same_agents(got, want):
+    for name, w in want[0].items():
+        g = got[0][name]
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
+    for g, w in zip(got[1], want[1]):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+
+
+@FAST
+@given(worlds(), st.booleans(), st.integers(0, 2**31))
+def test_compiled_agent_kernels_match_the_numpy_bodies(world, crafted, seed):
+    block, rng, params, _, _, region, step = world
+    intents = crafted_intents(block, seed) if crafted else None
+    got = run_agents(True, block, rng, params, region, step, intents)
+    assert_same_agents(got, run_agents(False, block, rng, params, region, step, intents))
+
+
+def test_the_agent_edges_are_reached():
+    """One fixed tiebreak world really holds binds, moves, targets bid on
+    by several cells, and cells whose move is blocked (and passes)."""
+    step = 40
+    world = make_world((9, 9), Box((0, 0), (9, 9)), 2, True, step, (None, None), 0, 0.5, 0.05)
+    block, rng, params = world[:3]
+    region = tuple(slice(*s.indices(n)[:2]) for s, n in zip(block.interior, block.shape))
+    got = run_agents(True, block, rng, params, region, step)
+    assert_same_agents(got, run_agents(False, block, rng, params, region, step))
+    arrays, (arrived, bound) = got
+    moving = arrays["intents.move_dir"] >= 0
+    assert (arrays["intents.bind_dir"] >= 0).any() and bound.sum() > 0
+    assert moving.sum() > (arrays["intents.move_bid"] > 0).sum()  # shared targets
+    assert 0 < arrived.sum() < moving.sum()
+    agents = (block.tcell != 0) & (block.tcell_bound_time == 0)
+    idle = agents & ~moving & (arrays["intents.bind_dir"] < 0)
+    assert idle[region].any()  # blocked: occupied or outside
+
+
+def _unmix(z: int) -> int:
+    """The inverse of ``philox._mix_int``."""
+    z ^= (z >> 31) ^ (z >> 62)
+    z = z * pow(_MIX2_INT, -1, 1 << 64) & _M64
+    z ^= (z >> 27) ^ (z >> 54)
+    z = z * pow(_MIX1_INT, -1, 1 << 64) & _M64
+    return z ^ (z >> 30) ^ (z >> 60)
+
+
+def seed_whose_bid_word_is_zero(gid: int, step: int) -> int:
+    """The seed whose ``TCELL_BID`` word for ``gid`` at ``step`` is 0:
+    ``fold_prefix`` and the key fold run backwards from a zero word."""
+    s = (-_PHI_INT & _M64) ^ (gid * _MIX2_INT & _M64) ^ (gid >> 32)  # the key fold's prefix
+    s = ((_unmix(s) - _PHI_INT) & _M64) ^ (step * _MIX1_INT & _M64)
+    s = ((_unmix(s) - _PHI_INT) & _M64) ^ (int(Stream.TCELL_BID) * _PHI_INT & _M64)
+    seed = (_unmix(s) - _PHI_INT) & _M64
+    return seed - (1 << 64) if seed >= 1 << 63 else seed
+
+
+@pytest.mark.parametrize("batch", [0, 2])
+def test_a_zero_bid_word_still_bids(batch):
+    """Bid 0 means "no bid": the T cell whose word is 0 bids 1 on both
+    tiers, and wins its move."""
+    step, dim = 7, (5, 5)
+    spec = GridSpec(dim)
+    block = VoxelBlock(spec, spec.domain) if not batch else EnsembleBlock(spec, spec.domain, batch)
+    at = (slice(None),) * bool(batch) + (3, 3)
+    block.tcell[at] = 1
+    block.tcell_tissue_time[at] = 5
+    seed = seed_whose_bid_word_is_zero(int(block.gid_spatial[3, 3]), step)
+    rng = VoxelRNG(seed) if not batch else EnsembleRNG([seed] * batch)
+    assert rng.words(Stream.TCELL_BID, step, block.gid_spatial[3:4, 3])[0] == 0
+    params = SimCovParams.fast_test(dim=dim)
+    region = tuple(slice(*s.indices(n)[:2]) for s, n in zip(block.interior, block.shape))
+    results = [run_agents(native, block, rng, params, region, step) for native in (True, False)]
+    assert_same_agents(*results)
+    arrays = results[0][0]
+    assert (arrays["intents.bid_self"][at] == 1).all()
+    assert (arrays["intents.move_bid"] == 1).sum() == max(batch, 1)
+    assert len(arrays["moves.moved_out"]) == max(batch, 1)

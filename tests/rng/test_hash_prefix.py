@@ -6,8 +6,12 @@ The reference is the per-element formulation this replaced —
 whole 4-tuple for every element on the (unchanged) numpy array path.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.rng.philox import NATIVE_FROM, counter_hash, fold_prefix, hash_keys
 from repro.rng.streams import EnsembleRNG, Stream, VoxelRNG
@@ -89,3 +93,62 @@ def test_prefixes_are_the_solo_prefix_per_member():
     for b, seed in enumerate(SEEDS):
         assert got[b] == fold_prefix(seed, Stream.APOPTOSIS_PERIOD, 31)
         assert got[b] == VoxelRNG(seed).prefixes(Stream.APOPTOSIS_PERIOD, 31)[0]
+
+
+# -- the member prefix table ------------------------------------------------------
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+EDGE_SEEDS = st.sampled_from([-(2**63), -1, 0, 2**63 - 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seeds=st.lists(st.one_of(INT64, EDGE_SEEDS), min_size=1, max_size=300),
+    calls=st.lists(
+        st.tuples(st.sampled_from(list(Stream)),
+                  st.integers(min_value=-(2**40), max_value=2**40)),
+        min_size=1, max_size=6,
+    ),
+)
+def test_the_prefix_table_is_the_per_member_fold(seeds, calls):
+    """``EnsembleRNG.prefixes`` — the ``(seed, stream)`` folds kept per
+    stream, the step folded per call — is bitwise ``fold_prefix`` member by
+    member, on a stream's first call and on every later one."""
+    rng = EnsembleRNG(seeds)
+    for stream, step in calls + calls[::-1]:
+        got = rng.prefixes(stream, step)
+        assert got.dtype == np.uint64 and got.shape == (len(seeds),)
+        assert np.array_equal(got, prefixes(seeds, stream, step))
+
+
+@pytest.mark.parametrize("stream", list(Stream), ids=lambda s: s.name)
+def test_every_stream_from_the_table(stream):
+    rng = EnsembleRNG(SEEDS)
+    for step in (0, 1, 10**6, 2**40, -1, -(2**40), 0):
+        assert np.array_equal(rng.prefixes(stream, step), prefixes(SEEDS, stream, step))
+
+
+def test_two_rngs_never_share_their_folds():
+    a, b = EnsembleRNG([1, 2, 3]), EnsembleRNG([4, 5, 6])
+    for rng in (a, b, a):
+        rng.prefixes(Stream.TCELL_BID, 9)
+    assert a._folds is not b._folds
+    assert not np.array_equal(a._folds[Stream.TCELL_BID], b._folds[Stream.TCELL_BID])
+    want = prefixes([4, 5, 6], Stream.TCELL_BID, 9)
+    assert np.array_equal(b.prefixes(Stream.TCELL_BID, 9), want)
+
+
+def test_the_table_is_derived_state():
+    """Neither a pickle, a copy nor a member's solo rng carries the table:
+    they fold afresh and draw the same words."""
+    rng = EnsembleRNG([-(2**63), 7, 2**63 - 1])
+    want = rng.prefixes(Stream.TCELL_DIRECTION, 40)
+    blob = pickle.dumps(rng)
+    assert rng._folds[Stream.TCELL_DIRECTION].tobytes() not in blob
+    for twin in (pickle.loads(blob), copy.copy(rng), copy.deepcopy(rng)):
+        assert twin._folds == {} and twin.xp is rng.xp
+        assert np.array_equal(twin.seeds, rng.seeds)
+        assert np.array_equal(twin.prefixes(Stream.TCELL_DIRECTION, 40), want)
+    solo = rng.member_rng(1)
+    assert not hasattr(solo, "_folds") and type(solo) is VoxelRNG
+    assert solo.prefixes(Stream.TCELL_DIRECTION, 40)[0] == want[1]

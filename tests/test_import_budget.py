@@ -6,11 +6,14 @@ every workload's set-up.  The Poisson sampler needs `scipy.special` only,
 and `networkx` has one user (`Decomposition.neighbor_graph`), which imports
 it when called.  The compiled tier (`repro.core.native`) is built and
 loaded at the first native call: importing the drivers must neither map the
-library nor start a compiler.
+library nor start a compiler, and neither may constructing one.
 """
 
+import os
 import subprocess
 import sys
+
+import pytest
 
 from repro.testing import src_dir, subprocess_env
 
@@ -37,6 +40,29 @@ print(",".join(found))
 """
 
 
+#: Set-up (the metric a workload's ``setup_s`` counts) is construction: a
+#: driver of every backend built on a small world, nothing stepped.
+CONSTRUCT_PROBE = """
+import os, sys
+from repro.core.params import SimCovParams
+from repro.engine.driver import DRIVERS, build_driver
+params = SimCovParams.fast_test(dim=(24, 24), num_infections=2, num_steps=3)
+found = []
+for name in DRIVERS:
+    seed = {"seeds": [3, 4]} if name == "ensemble" else {"seed": 3}
+    sim = build_driver(name, params, nranks=2, **seed)
+    try:
+        native = sys.modules.get("repro.core.native")
+        if native is not None and native._resolved is not None:
+            found.append(f"{name}: the compiled tier, resolved")
+        if "repro-native-" in open(f"/proc/{os.getpid()}/maps").read():
+            found.append(f"{name}: the compiled library, mapped")
+    finally:
+        getattr(sim, "close", lambda: None)()
+print(",".join(found))
+"""
+
+
 def run_probe(probe: str) -> str:
     done = subprocess.run(
         [sys.executable, "-c", probe], env=subprocess_env(),
@@ -54,6 +80,15 @@ def test_drivers_import_neither_scipy_stats_nor_networkx():
 def test_drivers_import_neither_loads_the_compiled_tier_nor_starts_a_compiler():
     found = run_probe(NATIVE_PROBE)
     assert found == "", f"at import: {found}"
+
+
+def test_constructing_every_driver_leaves_the_compiled_tier_unresolved():
+    """No compile, load or probe before the first step: the first kernel
+    call resolves the tier, and a constructor makes none."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("needs /proc")
+    found = run_probe(CONSTRUCT_PROBE)
+    assert found == "", f"at construction: {found}"
 
 
 def test_src_never_names_scipy_stats():
