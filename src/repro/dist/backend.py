@@ -14,11 +14,13 @@ The engine still drives the canonical schedule on the coordinator:
 intermediate phases are no-ops here (the workers run them behind the
 same phase names); ``phase_reduce`` meets the workers at the step-end
 barrier, adds the integer statistics each rank counted over its own
-active region (exact in any order), and sums the two float fields over
-coordinator-side full-domain arrays in the sequential backend's layout,
-so the float reduction is the *identical* numpy call (and summation
-order) — that, plus counter-based RNG and owner-computes winner
-resolution, is the determinism argument (DESIGN.md).
+active region (exact in any order), copies the float fields' live boxes
+into coordinator-side full-domain arrays in the sequential backend's
+layout, releases step n+1 when one follows (its ``pool`` needs only the
+integer ``extravasations``), and sums those private arrays while the
+workers compute: the *identical* numpy call (and summation order) —
+that, plus counter-based RNG and owner-computes winner resolution, is
+the determinism argument (DESIGN.md §4a).
 """
 
 from __future__ import annotations
@@ -143,6 +145,7 @@ class DistBackend(ExecutionBackend):
         #: ``dirty_epoch`` the copies are current for; None = never filled.
         self._floats_epoch: int | None = None
         self._active_counts: list[int] = []
+        self._launching = False
         # Always-on metrics + the rolling imbalance index (ROADMAP open
         # item 5's trigger signal).  The per-step deltas come from the
         # same shm counter tables the benchmark reads cumulatively; the
@@ -198,7 +201,9 @@ class DistBackend(ExecutionBackend):
     # -- engine protocol -----------------------------------------------------
 
     def begin_step(self, ctx) -> None:
-        with self.tracer.span("step_start", cat="barrier", step=ctx.step):
+        with self.tracer.span(  # in_phase: launched from the last reduce
+            "step_start", cat="barrier", step=ctx.step, in_phase=self._launching
+        ):
             self.runtime.start_step(ctx.step, ctx.pool)
 
     def exchange(self, phase, ctx):
@@ -206,7 +211,9 @@ class DistBackend(ExecutionBackend):
         return False
 
     def phase_reduce(self, ctx) -> None:
-        """Step-end barrier, then the coordinator-side reduction."""
+        """Step-end barrier, then the coordinator-side reduction: every
+        shared-memory read while the workers are parked, then the launch
+        of the next step, then the float sums over the private copies."""
         # Unlike the workers' step_end (between phases), this wait runs
         # inside the coordinator's reduce phase span; in_phase tells the
         # report to subtract it from busy time.
@@ -219,10 +226,18 @@ class DistBackend(ExecutionBackend):
         ctx.moves = int(res[:, RES_MOVES].sum())
         ctx.binds = int(res[:, RES_BINDS].sum())
         self._active_counts = [int(v) for v in res[:, RES_ACTIVE]]
+        counts = res[:, RES_COUNTS].sum(axis=0)
         self._refresh_floats()
+        self._observe_step(ctx.step)
+        if self.tracer:
+            self._drain_telemetry(ctx.step)
+        if ctx.launch_next is not None:
+            self._launching = True
+            ctx.launch_next(ctx)
+            self._launching = False
         ctx.reduced = np.array(
             [
-                *res[:, RES_COUNTS].sum(axis=0),
+                *counts,
                 *(
                     interior_sum(self._floats[name], self._float_interior)
                     for name in _FLOAT_FIELDS
@@ -230,9 +245,6 @@ class DistBackend(ExecutionBackend):
             ],
             dtype=np.float64,
         )
-        self._observe_step(ctx.step)
-        if self.tracer:
-            self._drain_telemetry(ctx.step)
 
     def _refresh_floats(self) -> None:
         """Bring the private float fields up to date with the rank blocks.

@@ -353,9 +353,12 @@ class DistRuntime:
             live = [p for p in self._procs if p.is_alive()]
             if live and not self.ctrl.aborted:
                 # Polite shutdown: workers are parked at the step-start
-                # barrier; publish the sentinel and release them.
+                # barrier (once a step launched ahead has ended); publish
+                # the sentinel and release them.
                 self.ctrl.command[CMD_STEP] = SHUTDOWN_STEP
                 try:
+                    if self.step_bar.epoch % 2:  # a step is in flight
+                        self.finish_step()
                     self.step_bar.wait(min(5.0, self.barrier_timeout))
                 except DistError:
                     self.ctrl.abort()

@@ -76,7 +76,8 @@ class ExecutionBackend(abc.ABC):
         """This backend's per-step schedule (validated by the engine)."""
 
     def begin_step(self, ctx) -> None:
-        """Reset per-step scratch state / take accounting snapshots."""
+        """Reset per-step scratch state / take accounting snapshots; runs
+        in the previous ``reduce`` when it launches (``StepContext``)."""
 
     def execute(self, phase: Phase, ctx):
         """Dispatch one phase; ``False`` means skipped."""

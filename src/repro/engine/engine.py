@@ -5,9 +5,9 @@ logic every driver used to duplicate (vascular-pool dynamics, the global
 extravasation-attempt schedule, the pool debit, StepStats assembly, the
 time series and per-step work records) and runs the backend's declared
 schedule phase by phase, timing each one.  A subclass that keeps that
-scalar state per ensemble member overrides the prologue and epilogue
-(:meth:`StepEngine._begin_step` / :meth:`StepEngine._finish_step`), never
-the loop.
+scalar state per ensemble member overrides the prologue, the pool debit
+and the epilogue (:meth:`StepEngine._begin_step` / :meth:`StepEngine._debit`
+/ :meth:`StepEngine._finish_step`), never the loop.
 
 Drivers (`SequentialSimCov`, `SimCovCPU`, `SimCovGPU`, `DistSimCov`,
 `EnsembleSimCov`) are thin configuration shims: they build a backend,
@@ -17,6 +17,7 @@ historical public API.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -33,7 +34,14 @@ from repro.telemetry.tracer import NULL_TRACER
 
 @dataclass
 class StepContext:
-    """Per-step scratch shared between the engine and the backend."""
+    """Per-step scratch shared between the engine and the backend.
+
+    The launch contract: when :meth:`StepEngine.run` has another step to
+    go it sets ``launch_next``, which ``reduce`` may call as
+    ``ctx.launch_next(ctx)`` once ``extravasations`` is final and nothing
+    the next step overwrites is still to be read: it debits the pool and
+    begins step n+1 (``backend.begin_step`` included), or does nothing and
+    returns None while a preemption request is pending."""
 
     #: Step number being executed.
     step: int
@@ -49,6 +57,11 @@ class StepContext:
     extravasations: int = 0
     binds: int = 0
     moves: int = 0
+    #: The pool after this step's debit (what its stats report); None
+    #: until :meth:`StepEngine._debit` has run.
+    pool_after: float | np.ndarray | None = None
+    #: The launch callable; None when no step follows in this run.
+    launch_next: Callable[[StepContext], StepContext | None] | None = None
     #: Free-form backend scratch (cleared every step).
     extras: dict = field(default_factory=dict)
 
@@ -129,6 +142,8 @@ class StepEngine:
         #: Step-boundary preemption handshake (see :meth:`request_preempt`).
         self._preempt_requested = False
         self.preempted = False
+        #: The next step's context once a backend has launched it.
+        self._launched: StepContext | None = None
 
     # -- driver --------------------------------------------------------------
 
@@ -145,13 +160,17 @@ class StepEngine:
         attempts = kernels.extravasation_attempts(p, self.rng, t, self.pool)
         return StepContext(step=t, attempts=attempts, pool=self.pool)
 
+    def _debit(self, ctx: StepContext) -> None:
+        """Step ``ctx.step``'s pool debit, run once: by the launch of the
+        next step or, when nothing was launched, before :meth:`_finish_step`."""
+        self.pool = ctx.pool_after = max(0.0, self.pool - ctx.extravasations)
+
     def _finish_step(self, ctx: StepContext) -> StepStats:
-        """Pool debit + statistics assembly (identical on every substrate)."""
-        self.pool = max(0.0, self.pool - ctx.extravasations)
+        """Statistics assembly (identical on every substrate)."""
         stats = StepStats.from_vector(
             ctx.step,
             ctx.reduced,
-            pool=self.pool,
+            pool=ctx.pool_after,
             extravasations=ctx.extravasations,
             binds=ctx.binds,
             moves=ctx.moves,
@@ -159,11 +178,17 @@ class StepEngine:
         self.series.append(stats)
         return stats
 
-    def step(self) -> StepStats:
-        """Advance one timestep; returns (and records) the step's stats."""
+    def step(self, more: bool = False) -> StepStats:
+        """Advance one timestep; returns (and records) the step's stats.
+        ``more``: another step follows, which ``reduce`` may launch."""
         t = self.step_num
-        ctx = self._begin_step(t)
-        self.backend.begin_step(ctx)
+        ctx, self._launched = self._launched, None
+        if ctx is None:
+            ctx = self._begin_step(t)
+            self.backend.begin_step(ctx)
+        if more:
+            # A bound method, never a closure over ctx (a reference cycle).
+            ctx.launch_next = self._launch_next
 
         tracer = self.tracer
         attrs = self.span_attrs
@@ -200,6 +225,8 @@ class StepEngine:
                 f"backend {self.backend.name!r} reduce phase did not set "
                 "ctx.reduced"
             )
+        if ctx.pool_after is None:
+            self._debit(ctx)
         stats = self._finish_step(ctx)
         record = {"step": t, "phase_seconds": phase_seconds}
         record.update(self.backend.step_record(ctx))
@@ -216,6 +243,16 @@ class StepEngine:
         self.step_work.append(record)
         self.step_num += 1
         return stats
+
+    def _launch_next(self, ctx: StepContext) -> StepContext | None:
+        """The launch callable :meth:`step` hands the backend on ``ctx``."""
+        if self._preempt_requested:
+            return None
+        self._debit(ctx)
+        nxt = self._begin_step(ctx.step + 1)
+        self.backend.begin_step(nxt)
+        self._launched = nxt
+        return nxt
 
     # -- step-boundary preemption ---------------------------------------------
 
@@ -237,16 +274,18 @@ class StepEngine:
         Stops early at a step boundary when :meth:`request_preempt` was
         called; ``preempted`` reports whether the last :meth:`run` exited
         that way (the request is consumed either by the break or, when it
-        lands after the final step, on return).
+        lands after the final step, on return).  A step already launched
+        is finished first — the request then stops ``run`` one boundary
+        later — so ``run`` never returns with a step in flight.
         """
         n = num_steps if num_steps is not None else self.params.num_steps
         self.preempted = False
-        for _ in range(n):
-            if self._preempt_requested:
+        for i in range(n):
+            if self._preempt_requested and self._launched is None:
                 self._preempt_requested = False
                 self.preempted = True
                 break
-            stats = self.step()
+            stats = self.step(more=i + 1 < n)
             for listener in self.step_listeners:
                 listener(stats)
         self._preempt_requested = False

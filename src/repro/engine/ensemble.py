@@ -319,8 +319,13 @@ class EnsembleEngine(StepEngine):
         )
         return StepContext(step=t, attempts=attempts, pool=0.0)
 
+    def _debit(self, ctx: StepContext) -> None:
+        # Rebound (not mutated): `pool_after` stays this step's snapshot.
+        ext = self._vector(ctx.extravasations)
+        self.pools = ctx.pool_after = np.maximum(0.0, self.pools - ext)
+
     def _finish_step(self, ctx: StepContext) -> StepStats:
-        """Per-member pool debits and stats rows; returns member 0's."""
+        """Per-member stats rows; returns member 0's."""
         n = self.batch
         reduced = np.asarray(ctx.reduced)
         if reduced.shape[0] != n:
@@ -331,10 +336,7 @@ class EnsembleEngine(StepEngine):
         ext = self._vector(ctx.extravasations)
         binds = self._vector(ctx.binds)
         moves = self._vector(ctx.moves)
-        # `pools` is rebound (not mutated), so the appended reference is a
-        # stable snapshot of this step's post-debit pools.
-        self.pools = np.maximum(0.0, self.pools - ext)
-        self.log.append_step(ctx.step, reduced, self.pools, ext, binds, moves)
+        self.log.append_step(ctx.step, reduced, ctx.pool_after, ext, binds, moves)
         # Ensemble throughput: member-steps/sec over the engine's
         # lifetime so far (batch members advance together, so one engine
         # step is `batch` member-steps).

@@ -116,6 +116,57 @@ class TestDistEventStream:
         )
 
 
+class TestPipelinedTelemetry:
+    """Inside a run the coordinator launches step n+1 from step n's
+    reduce, after it drained the rings in the quiescent window."""
+
+    STEPS = 50
+
+    def test_rings_drain_in_quiescence_over_a_long_run(self):
+        from repro.core.model import SequentialSimCov
+        from repro.telemetry import format_report, summarize
+
+        config, golden = load_trace("trace_2d")
+        params = make_params(config)
+        ring = RingBufferSink()
+        with DistSimCov(
+            params, nranks=NRANKS, seed=config["seed"],
+            tracer=Tracer(sinks=[ring]),
+        ) as sim:
+            sim.run(self.STEPS)
+            dropped = sim.backend.runtime.telemetry_dropped()
+            rows = [sim.series[i] for i in range(self.STEPS)]
+        ref = SequentialSimCov(params, seed=config["seed"])
+        ref.run(self.STEPS)
+        assert rows == [ref.series[i] for i in range(self.STEPS)]
+        assert_exact(rows[: len(golden)], golden, "trace_2d/dist-pipelined")
+        assert dropped == [0] * NRANKS
+
+        report = format_report(summarize(ring.events))
+        assert "barrier waits:" in report
+        per_rank = report.split("per-rank", 1)[1].splitlines()
+        for rank in (-1, *range(NRANKS)):
+            assert any(line.split()[:1] == [str(rank)] for line in per_rank)
+
+    def test_launched_step_start_nests_in_the_previous_reduce(self):
+        config, _, ring, _, _, _ = run_traced()
+        steps = config["steps"]
+        coord = [e for e in ring.spans() if e.rank == -1]
+        reduces = {
+            e.step: e for e in coord if e.cat == "phase" and e.name == "reduce"
+        }
+        starts = {e.step: e for e in coord if e.name == "step_start"}
+        assert sorted(starts) == list(range(steps))
+        # Step 0 starts before any reduce; the last step launches nothing.
+        assert not starts[0].attrs["in_phase"]
+        for n in range(1, steps):
+            outer, inner = reduces[n - 1], starts[n]
+            assert outer.ts <= inner.ts
+            assert inner.ts + inner.dur <= outer.ts + outer.dur
+            # Tagged so the report counts the wait as barrier, not busy.
+            assert inner.attrs["in_phase"]
+
+
 class TestImbalanceObservability:
     def test_imbalance_gauges_and_monitor(self):
         """Every step publishes one imbalance_index gauge on the

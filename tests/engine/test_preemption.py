@@ -92,3 +92,42 @@ class TestPreemptResumeBitwise:
                 getattr(control.block, name)[control.block.interior],
                 err_msg=name,
             )
+
+
+class TestDistLookahead:
+    """Inside ``run`` the dist backend launches step n+1 from step n's
+    reduce, before step n's listeners run: a listener's request lands one
+    boundary later, and the break is still quiescent."""
+
+    def test_listener_request_lands_one_boundary_later(self):
+        from repro.dist import DistSimCov
+
+        control = SequentialSimCov(PARAMS, seed=11)
+        control.run(40)
+        with DistSimCov(PARAMS, nranks=2, seed=11) as first:
+            first.add_step_listener(
+                lambda stats: first.request_preempt()
+                if stats.step == 16 else None
+            )
+            first.run(40)
+            assert first.preempted
+            assert first.step_num == len(first.series) == 18
+            snap = snapshot_state(first)
+            rows = series_matrix(first.series)
+        second = SequentialSimCov(PARAMS, seed=11)
+        restore_state(second, snap)
+        second.run(40 - snap["step_num"])
+        resumed = np.vstack([rows, series_matrix(second.series)])
+        np.testing.assert_array_equal(resumed, series_matrix(control.series))
+
+    def test_stale_request_before_run_is_cleared(self):
+        from repro.dist import DistSimCov
+
+        with DistSimCov(PARAMS, nranks=2, seed=3) as sim:
+            sim.request_preempt()
+            sim.run(3)
+            assert sim.preempted
+            assert sim.step_num == 0
+            sim.run(3)
+            assert not sim.preempted
+            assert sim.step_num == 3
