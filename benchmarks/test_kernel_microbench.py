@@ -296,16 +296,22 @@ def test_bench_stats_vector(benchmark, world):
     assert vec.shape == (8,)
 
 
-def test_bench_region_reducer(benchmark, world):
-    """The region-limited ``reduce`` on the same world with a 10 % region:
-    six integer counts over the region plus the two whole-interior float
-    sums it cannot limit (DESIGN.md §4).  ``extra_info`` carries the
-    ledger number, ns per region voxel."""
+def test_bench_region_reducer(benchmark):
+    """The region-limited ``reduce`` on a busy 128 x 128 world with a 10 %
+    region, whose float fields are zero outside the region (the reducer's
+    contract): six integer counts over the region plus the two float sums
+    over the chunk-aligned band of its rows (DESIGN.md §4).  ``extra_info``
+    carries the ledger number, ns per region voxel."""
     from repro.core.stats import RegionReducer
 
-    _, block, _ = world
+    _, block, _ = busy_world((128, 128))
     side = round((0.10 * block.owned.size) ** 0.5)  # 40 x 40 of 128 x 128
     region = (slice(20, 20 + side),) * 2
+    for name in ("virions", "chemokine"):
+        field = getattr(block, name)
+        inside = field[region].copy()
+        field[...] = 0.0
+        field[region] = inside
     reducer = RegionReducer(block)
     vec = benchmark(lambda: reducer.reduce(region))
     assert np.array_equal(vec, stats_vector(block))
@@ -314,6 +320,28 @@ def test_bench_region_reducer(benchmark, world):
         benchmark.extra_info["ns_per_region_voxel"] = (
             benchmark.stats["mean"] * 1e9 / (side * side)
         )
+
+
+@pytest.mark.parametrize("support", ["band", "whole"], ids="support={}".format)
+def test_bench_float_totals(benchmark, support):
+    """us per virion + chemokine total pair on 1024 x 1024 (``focus_2d``'s
+    layout, 8 rows per numpy reduction chunk) with the fields non-zero in a
+    100 x 100 box: summed over the chunk-aligned band of its rows, or over
+    the whole interior, the support of a first step, a restore or gating
+    off.  Both give the whole-interior bits."""
+    from repro.core.stats import float_totals
+
+    spec = GridSpec((1024, 1024))
+    block = VoxelBlock(spec, spec.domain)
+    box = (slice(401, 501), slice(300, 400))
+    rng = np.random.default_rng(0)
+    block.virions[box] = rng.random((100, 100))
+    block.chemokine[box] = rng.random((100, 100))
+    region = box if support == "band" else block.interior
+    out = benchmark(lambda: float_totals(block, region))
+    assert np.array_equal(out, stats_vector(block)[-2:])
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["us_per_pair"] = benchmark.stats["mean"] * 1e6
 
 
 @pytest.mark.parametrize("fraction", [0.02, 0.08])

@@ -91,17 +91,32 @@ class StepStats:
         return self.incubating + self.expressing + self.apoptotic
 
 
-def interior_sum(field: np.ndarray, interior: tuple[slice, ...]) -> float:
-    """The float reduction: one numpy sum over the interior view of a
-    solo-layout padded array.
+def interior_sum(
+    field: np.ndarray, interior: tuple[slice, ...], rows: slice | None
+) -> float:
+    """The float reduction: ``field[interior].sum()`` of a solo-layout
+    padded array that is zero outside the padded row range ``rows``
+    (``None``: zero everywhere, the sum is ``0.0``).
 
-    Every float total any bitwise backend reports is this call on this
-    layout.  numpy accumulates a strided view in buffer-sized chunks whose
-    boundaries depend on the view's shape, so a sum over anything narrower
-    (a row band, a region) has different bits (DESIGN.md §4, "Why the
-    float totals stay whole-domain").
+    Every float total any bitwise backend reports is this value.  numpy
+    sums the view in chunks of ``k`` whole outer slices (rows in 2D,
+    planes in 3D), pairwise within a chunk and in order across chunks
+    from ``+0.0``, so an all-zero chunk adds an exact ``+0.0``: the sum
+    over ``rows`` widened outward to chunk boundaries has the whole
+    interior's bits.  When :func:`_chunk_rows` refuses the layout, or
+    ``rows`` covers the interior, the band is the whole interior
+    (DESIGN.md §4, "The float totals in the active band").
     """
-    return float(field[interior].sum(dtype=np.float64))
+    if rows is None:
+        return 0.0
+    top, end = interior[0].start, interior[0].stop
+    lo, hi = top, end
+    if (rows.start > top or rows.stop < end) and (
+        k := _probe(_chunk_rows, field.shape, interior)
+    ):
+        lo = top + (rows.start - top) // k * k
+        hi = min(end, top - (top - rows.stop) // k * k)
+    return float(field[(slice(lo, hi),) + interior[1:]].sum(dtype=np.float64))
 
 
 def stats_vector(block: VoxelBlock) -> np.ndarray:
@@ -121,41 +136,57 @@ def stats_vector(block: VoxelBlock) -> np.ndarray:
             float((state == EpiState.APOPTOTIC).sum()),
             float((state == EpiState.DEAD).sum()),
             float((block.tcell[sl] != 0).sum()),
-            interior_sum(block.virions, sl),
-            interior_sum(block.chemokine, sl),
+            interior_sum(block.virions, sl, sl[0]),
+            interior_sum(block.chemokine, sl, sl[0]),
         ],
         dtype=np.float64,
     )
 
 
-#: Probe results keyed by (padded shape, interior) — see _batched_sum_exact.
-_SUM_PROBE_CACHE: dict[tuple, bool] = {}
+#: Layout probe verdicts keyed by (probe, padded shape, interior,
+#: np.getbufsize()): all that numpy's summation order depends on.
+_PROBES: dict[tuple, int] = {}
 
 
-def _batched_sum_exact(shape: tuple[int, ...], sl: tuple[slice, ...]) -> bool:
-    """Whether ``arr[sl].sum(axis=(1..))`` is bitwise-equal to summing each
-    member's view separately, for float64 arrays of this layout.
+def _probe(check, shape: tuple[int, ...], sl: tuple[slice, ...]) -> int:
+    """``check`` of the interior view of a float64 array of this layout.
 
-    numpy's pairwise-summation reduction tree depends only on the
-    operand's shape/strides, never on its values, so a one-time probe with
-    random data soundly decides the question per layout.  When the probe
-    passes (it does for all production layouts), the per-member stats
-    reduction can run as one vectorized call; otherwise the caller falls
-    back to a per-member loop, which is trivially exact because a member
-    view has the solo block's exact layout.
+    numpy's reduction tree depends on the operand's shape, strides and
+    the buffer size, never on its values, so one probe with random data
+    decides the question per layout; it runs at the first reduce.
     """
-    key = (shape, tuple((s.start, s.stop, s.step) for s in sl[1:]))
-    hit = _SUM_PROBE_CACHE.get(key)
-    if hit is None:
-        probe = np.random.default_rng(0xC0FFEE).random(shape)
-        axes = tuple(range(1, len(shape)))
-        vec = probe[sl].sum(axis=axes, dtype=np.float64)
-        loop = np.array(
-            [probe[b][sl[1:]].sum(dtype=np.float64) for b in range(shape[0])]
-        )
-        hit = bool(np.array_equal(vec, loop))
-        _SUM_PROBE_CACHE[key] = hit
+    key = (check, shape, tuple((s.start, s.stop) for s in sl), np.getbufsize())
+    if (hit := _PROBES.get(key)) is None:
+        view = np.random.default_rng(0xC0FFEE).random(shape)[sl]
+        hit = _PROBES[key] = int(check(view))
     return hit
+
+
+def _chunk_rows(view: np.ndarray) -> int:
+    """The chunk height ``k`` of a solo view, or 0 if numpy's sum of it is
+    not the in-order fold of its ``k``-row chunk sums — checked on the
+    whole view and on a shorter band aligned to chunk boundaries at both
+    ends.  (One band matching the whole sum proves nothing: on a
+    10×100×100 interior it does, yet the fold identity fails.)"""
+    k = max(1, np.getbufsize() // (view.size // len(view)))
+
+    def folds(v):
+        acc = 0.0
+        for i in range(0, len(v), k):
+            acc += v[i : i + k].sum(dtype=np.float64)
+        return acc == v.sum(dtype=np.float64)
+
+    return k if folds(view) and folds(view[k : (len(view) - 1) // k * k]) else 0
+
+
+def _batched_sum_exact(view: np.ndarray) -> bool:
+    """Whether ``view.sum(axis=(1..))`` of a batched view is bitwise each
+    member's solo sum.  When it is (for all production layouts) the
+    per-member totals run as one vectorized call; otherwise the caller
+    loops over members, trivially exact because a member view has the
+    solo block's layout."""
+    vec = view.sum(axis=tuple(range(1, view.ndim)), dtype=np.float64)
+    return np.array_equal(vec, [m.sum(dtype=np.float64) for m in view])
 
 
 def _lead(block) -> tuple[int, ...]:
@@ -163,17 +194,17 @@ def _lead(block) -> tuple[int, ...]:
     return block.shape[: len(block.shape) - block.spec.ndim]
 
 
-def float_totals(block) -> np.ndarray:
-    """Virion and chemokine totals over the whole interior: shape ``(2,)``
-    on a solo block (the :func:`interior_sum` pair) and ``(B, 2)`` on a
-    batched one, each row bitwise equal to that member's solo pair."""
+def float_totals(block, region: tuple[slice, ...] | None) -> np.ndarray:
+    """Virion and chemokine totals of a block whose fields are zero outside
+    ``region``: shape ``(2,)`` on a solo block (the :func:`interior_sum`
+    pair over the region's rows) and ``(B, 2)`` on a batched one (whole
+    interior), each row bitwise equal to that member's solo pair."""
     sl = block.interior
     if not _lead(block):
-        return np.array(
-            [interior_sum(block.virions, sl), interior_sum(block.chemokine, sl)]
-        )
+        rows = None if region is None else region[0]
+        return np.array([interior_sum(f, sl, rows) for f in (block.virions, block.chemokine)])
     xp = block.xp
-    if xp.name != "numpy" or _batched_sum_exact(block.virions.shape, sl):
+    if xp.name != "numpy" or _probe(_batched_sum_exact, block.virions.shape, sl):
         axes = tuple(range(1, block.epi_state.ndim))
         return np.stack(
             [
@@ -183,9 +214,8 @@ def float_totals(block) -> np.ndarray:
             axis=-1,
         )
     else:  # pragma: no cover - no production layout fails the probe
-        return np.array(
-            [float_totals(block.member_view(b)) for b in range(block.batch)]
-        )
+        members = [block.member_view(b) for b in range(block.batch)]
+        return np.array([float_totals(m, m.interior) for m in members])
 
 
 def region_counts(block, region: tuple[slice, ...] | None) -> np.ndarray:
@@ -222,8 +252,11 @@ class RegionReducer:
     the whole interior and ``outside`` is zero: the reference path is this
     code, not a fork of it.
 
-    The two float totals are :func:`interior_sum` over the whole interior
-    every step; see its docstring for why they are not region-limited.
+    The two float totals are :func:`interior_sum` over the region's rows,
+    which is exact only if both float fields are zero outside ``region``
+    (the gate's invariant: a voxel with virions or supra-threshold
+    chemokine is active, and sub-threshold chemokine is zeroed).  The
+    integer half holds for any region.
     """
 
     def __init__(self, block):
@@ -256,9 +289,10 @@ class RegionReducer:
         return region_counts(self.block, self.block.interior)
 
     def reduce(self, region) -> np.ndarray:
-        """The REDUCED_FIELDS vector (one row per member when batched)."""
+        """The REDUCED_FIELDS vector (one row per member when batched) of
+        a block whose float fields are zero outside ``region``."""
         return np.concatenate(
-            [self.counts(region), float_totals(self.block)], axis=-1
+            [self.counts(region), float_totals(self.block, region)], axis=-1
         )
 
 

@@ -18,9 +18,11 @@ active region (exact in any order), copies the float fields' live boxes
 into coordinator-side full-domain arrays in the sequential backend's
 layout, releases step n+1 when one follows (its ``pool`` needs only the
 integer ``extravasations``), and sums those private arrays while the
-workers compute: the *identical* numpy call (and summation order) —
-that, plus counter-based RNG and owner-computes winner resolution, is
-the determinism argument (DESIGN.md §4a).
+workers compute, over the row hull of the boxes it copied: the
+*identical* numpy summation order, restricted to chunks that are not all
+zero (:func:`~repro.core.stats.interior_sum`) — that, plus counter-based
+RNG and owner-computes winner resolution, is the determinism argument
+(DESIGN.md §4a).
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ class DistBackend(ExecutionBackend):
         ctx.binds = int(res[:, RES_BINDS].sum())
         self._active_counts = [int(v) for v in res[:, RES_ACTIVE]]
         counts = res[:, RES_COUNTS].sum(axis=0)
-        self._refresh_floats()
+        rows = self._refresh_floats()
         self._observe_step(ctx.step)
         if self.tracer:
             self._drain_telemetry(ctx.step)
@@ -239,25 +241,30 @@ class DistBackend(ExecutionBackend):
             [
                 *counts,
                 *(
-                    interior_sum(self._floats[name], self._float_interior)
-                    for name in _FLOAT_FIELDS
+                    interior_sum(full, self._float_interior, rows)
+                    for full in self._floats.values()
                 ),
             ],
             dtype=np.float64,
         )
 
-    def _refresh_floats(self) -> None:
-        """Bring the private float fields up to date with the rank blocks.
+    def _refresh_floats(self) -> slice | None:
+        """Bring the private float fields up to date with the rank blocks
+        and return the padded row range they can be non-zero in (None:
+        nowhere), the support :func:`interior_sum` sums.
 
         Every write of the step just finished lies inside the activity
         box its rank published, so that box is all there is to copy —
         except after a restore (or on the first step), when the whole
-        owned interior of every rank is new.
+        owned interior of every rank is new.  Outside its box a rank's
+        float fields are zero, so the copies are zero outside the row
+        hull of the boxes.
         """
         ctrl = self.runtime.ctrl
         epoch = int(ctrl.dirty_epoch[0])
         everything = epoch != self._floats_epoch
         self._floats_epoch = epoch
+        rows = []
         for rank, block in enumerate(self.blocks):
             box = (
                 self.decomp.boxes[rank] if everything
@@ -267,8 +274,10 @@ class DistBackend(ExecutionBackend):
                 continue
             src = box.slices_from(block.origin)
             dst = box.slices_from(self._float_origin)
+            rows.append(dst[0])
             for name, full in self._floats.items():
                 full[dst] = getattr(block, name)[src]
+        return slice(min(r.start for r in rows), max(r.stop for r in rows)) if rows else None
 
     def state_restored(self) -> None:
         # Workers must not trust strips pulled, nor statistics counted,

@@ -1,0 +1,94 @@
+"""The coordinator's float totals over the row hull of the live boxes.
+
+Each step the dist coordinator sums its private float arrays only over the
+rows of the boxes it just copied, widened to numpy's reduction chunks
+(:func:`repro.core.stats.interior_sum`).  On a 60 x 1024 grid a chunk is
+eight rows (the last one four), so a wrong band shows in the bits.  The
+series must equal the sequential run's at every step when every rank is
+idle (the band is empty), after a restore into a stepped run (the
+``everything`` refresh: the band is the whole interior), and while two
+foci on different ranks and rows grow across chunk boundaries.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from repro.core.model import SequentialSimCov
+from repro.core.params import SimCovParams
+from repro.core.stats import interior_sum
+from repro.dist import DistSimCov
+from repro.dist import backend as dist_backend
+from repro.grid.decomposition import DecompositionKind
+from repro.grid.spec import GridSpec
+from repro.io.checkpoint import restore_state, snapshot_state
+
+DIM = (60, 1024)
+STEPS = 30
+PARAMS = SimCovParams.fast_test(dim=DIM, num_infections=2, num_steps=STEPS)
+#: One focus near rank 0's chunk boundary, one in the last rank's columns.
+FOCI = GridSpec(DIM).ravel(np.array([[14, 100], [45, 900]]))
+WHOLE = slice(1, DIM[0] + 1)
+CHUNK = 8192 // DIM[1]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """The sequential run and its state after step 10."""
+    ref = SequentialSimCov(PARAMS, seed=3, seed_gids=FOCI)
+    ref.run(10)
+    snap = snapshot_state(ref)
+    ref.run(STEPS - 10)
+    return ref, snap
+
+
+def _bands(spy) -> list:
+    """The ``rows`` of each step's two sums, one entry per step."""
+    rows = [call.args[2] for call in spy.call_args_list]
+    assert rows[::2] == rows[1::2]
+    return rows[::2]
+
+
+def _spy():
+    return mock.patch.object(dist_backend, "interior_sum", wraps=interior_sum)
+
+
+def test_idle_ranks_sum_nothing(nranks):
+    params = PARAMS.with_(num_infections=0)
+    ref = SequentialSimCov(params, seed=3)
+    ref.run(6)
+    with DistSimCov(params, nranks=nranks, seed=3) as sim, _spy() as spy:
+        sim.run(6)
+        assert [sim.series[i] for i in range(6)] == [ref.series[i] for i in range(6)]
+    # The first step copies every rank's interior; then every box is None.
+    assert _bands(spy) == [WHOLE] + [None] * 5
+
+
+@pytest.mark.parametrize("kind", list(DecompositionKind), ids=lambda k: k.name)
+def test_boxes_crossing_chunk_boundaries(reference, nranks, kind):
+    ref, _ = reference
+    with DistSimCov(
+        PARAMS, nranks=nranks, seed=3, seed_gids=FOCI, decomposition=kind
+    ) as sim, _spy() as spy:
+        sim.run(STEPS)
+        for step in range(STEPS):
+            assert sim.series[step] == ref.series[step], f"diverged at step {step}"
+    bands = _bands(spy)[1:]
+    spans = {(r.start - 1) // CHUNK for r in bands} | {
+        -(-(r.stop - 1) // CHUNK) for r in bands
+    }
+    assert len(spans) > 2  # the hull's ends moved across chunk boundaries
+    assert any(r != WHOLE for r in bands)
+
+
+def test_restore_sums_the_whole_interior_once(reference, nranks):
+    ref, snap = reference
+    with DistSimCov(PARAMS, nranks=nranks, seed=3, seed_gids=FOCI) as sim:
+        sim.run(20)
+        restore_state(sim, snap)
+        with _spy() as spy:
+            for step in range(10, STEPS):
+                assert sim.step() == ref.series[step], f"diverged at step {step}"
+    bands = _bands(spy)
+    assert bands[0] == WHOLE and any(r != WHOLE for r in bands[1:])

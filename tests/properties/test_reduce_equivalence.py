@@ -17,11 +17,20 @@ union region is a superset of each member's own), an airway of EMPTY
 voxels lying mostly outside the region, and a cut where the state is
 snapshotted and restored into another, already stepped simulation that
 finishes the run.
+
+The float totals are summed over the region's rows widened to numpy's
+reduction chunks (:func:`~repro.core.stats.interior_sum`).  On the small
+grids a chunk holds every row, so only the wide 48 x 1024 layout (six
+chunks of eight rows) sums fewer chunks than the interior: such steps are
+a hypothesis event, and a fixed run on that layout asserts they occur.
 """
 
-import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from unittest import mock
 
+import numpy as np
+from hypothesis import HealthCheck, event, given, settings, strategies as st
+
+from repro.core import stats
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.core.stats import REDUCED_FIELDS, stats_vector
@@ -39,7 +48,9 @@ STEPS = 24
 
 def _draw_params(draw):
     dim = draw(
-        st.sampled_from([(200, 136), (24, 24), (17, 29), (12, 10, 9), (8, 8, 8)])
+        st.sampled_from(
+            [(200, 136), (48, 1024), (24, 24), (17, 29), (12, 10, 9), (8, 8, 8)]
+        )
     )
     return SimCovParams.fast_test(
         dim=dim,
@@ -85,10 +96,25 @@ def _views(sim, batch):
     return [sim] if batch is None else [sim.member(b) for b in range(batch)]
 
 
+def _narrower_bands(spy) -> int:
+    """How many ``interior_sum`` calls ``spy`` saw sum fewer reduction
+    chunks than the whole interior."""
+    narrower = 0
+    for (field, interior, rows), _ in spy.call_args_list:
+        top, end = interior[0].start, interior[0].stop
+        k = rows and stats._probe(stats._chunk_rows, field.shape, interior)
+        if k and (rows.start - top >= k or -(-(rows.stop - top) // k) * k < end - top):
+            narrower += 1
+    return narrower
+
+
 def _assert_step_reduced_whole_domain(sim, batch, step):
-    stats = sim.step()
+    with mock.patch.object(stats, "interior_sum", wraps=stats.interior_sum) as spy:
+        got_stats = sim.step()
+    if _narrower_bands(spy):
+        event("band narrower than the interior")
     if batch is None:
-        got = np.array([getattr(stats, f) for f in REDUCED_FIELDS])
+        got = np.array([getattr(got_stats, f) for f in REDUCED_FIELDS])
         want = stats_vector(sim.block)
     else:
         got = sim.engine.log.reduced[-1]
@@ -124,3 +150,17 @@ class TestReduceEquivalence:
             restore_state(dst, snapshot_state(src))
         for step in range(cut, STEPS):
             _assert_step_reduced_whole_domain(other, batch, step)
+
+    def test_a_wide_layout_sums_a_narrower_band(self):
+        """48 x 1024 with one focus: the region's rows are a few of the six
+        chunks, so the float totals prune, and stay the whole-domain bits."""
+        params = SimCovParams.fast_test(dim=(48, 1024), num_infections=1, num_steps=STEPS)
+        sim = SequentialSimCov(params, seed=11)
+        narrower = 0
+        for step in range(STEPS):
+            with mock.patch.object(stats, "interior_sum", wraps=stats.interior_sum) as spy:
+                got = sim.step()
+            narrower += _narrower_bands(spy)
+            want = stats_vector(sim.block)
+            assert np.array_equal([getattr(got, f) for f in REDUCED_FIELDS], want), step
+        assert narrower > 0
