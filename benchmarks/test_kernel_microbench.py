@@ -345,13 +345,13 @@ def test_bench_float_totals(benchmark, support):
 
 
 @pytest.mark.parametrize("fraction", [0.02, 0.08])
-def test_bench_gate_sweep(benchmark, fraction):
+def test_bench_gate_sweep(benchmark, tier, fraction):
     """us per ``ActivityGate.sweep()`` on 1024 x 1024 with activity filling
-    a 2 % or an 8 % region (``focus_2d``'s mean and its late shape): the
-    sweep examines that region and the ghost faces and dilates, reduces
-    and counts on the window around what it found, not the block — a gate
-    fresh from ``reset()`` examines everything and must arrive at the same
-    mask."""
+    a 2 % or an 8 % region (``focus_2d``'s mean and its late shape), per
+    tier of its two passes: the sweep examines that region and the ghost
+    faces and dilates, reduces and counts on the window around what it
+    found, not the block — a gate fresh from ``reset()`` examines
+    everything and must arrive at the same mask."""
     from repro.engine.activity import ActivityGate
 
     spec = GridSpec((1024, 1024))
@@ -368,8 +368,31 @@ def test_bench_gate_sweep(benchmark, fraction):
     benchmark.extra_info["region_fraction"] = gate.count / block.owned.size
     # Tile rounding moves the region a few percent off the target.
     assert abs(benchmark.extra_info["region_fraction"] / fraction - 1) < 0.2
+    benchmark.extra_info["tier"] = tier
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["us_per_sweep"] = benchmark.stats["mean"] * 1e6
+
+
+@pytest.mark.parametrize(
+    "dim,box", [((1024, 1024), None), ((1024, 1024), ((0, 0), (512, 1024))),
+                ((48, 48, 32), None)],
+    ids=["1024x1024", "rank-512x1024", "48x48x32"],
+)
+def test_bench_block_geometry(benchmark, dim, box):
+    """ms to build a ``VoxelBlock``: ``focus_2d``'s domain, one ``dist_r2``
+    rank's block (what every worker derives at start-up) and ``dense_3d``'s
+    domain.  The geometry is one ``arange`` per axis broadcast into the ids
+    and the in-domain mask; the seven zeroed fields are the rest."""
+    from repro.grid.box import Box
+
+    spec = GridSpec(dim)
+    owned = spec.domain if box is None else Box(*box)
+    block = benchmark(lambda: VoxelBlock(spec, owned))
+    assert block.gid[(1,) * len(dim)] == spec.ravel(np.array(owned.lo))
+    assert (block.gid[0] == -1).all()
+    benchmark.extra_info["voxels"] = block.epi_state.size
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["ms_per_block"] = benchmark.stats["mean"] * 1e3
 
 
 def test_bench_first_step(benchmark):

@@ -1,6 +1,6 @@
-/* The compiled tier: the per-voxel kernels, the T-cell agent kernels and the
- * counter hash of repro.core.kernels / repro.core.stats / repro.rng.philox
- * as single passes.
+/* The compiled tier: the per-voxel and T-cell agent kernels, the counter hash
+ * and the gate sweep of repro.core.kernels / .stats / repro.rng.philox /
+ * repro.engine.activity as single passes.
  *
  * Built and loaded by repro/core/native.py, which owns every check on what
  * is passed here.  Each body repeats its numpy reference operation for
@@ -353,5 +353,78 @@ void region_counts(const i64 *g, const int8_t *state, const int8_t *tcell,
         for (int s = HEALTHY; s <= DEAD; s++)
             counts[s - 1] += seen[0][s] + seen[1][s] + seen[2][s] + seen[3][s];
         counts[5] += cells;
+    }
+}
+
+/* -- engine.activity.ActivityGate.sweep ------------------------------------ */
+
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+/* The bounds box[0..2] / box[3..5] on (Z, Y, X), axis a widened to [l, h). */
+#define WIDEN(box, a, l, h) ((box)[a] = MIN(l, (box)[a]), (box)[a + 3] = MAX(h, (box)[a + 3]))
+
+/* VoxelBlock._activity into raw over the region; box widened to its Trues. */
+void activity(const i64 *g, const int8_t *state, const double *virions, const double *chemokine,
+              const int8_t *tcell, const double *min_chemokine, uint8_t *raw, i64 *box)
+{
+    EACH_ROW(g, b, row) {
+        i64 first = -1, last = -1;
+        for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
+            raw[i] = virions[i] > 0.0 || chemokine[i] >= min_chemokine[b] || tcell[i]
+                     || (uint8_t)(state[i] - INCUBATING) <= APOPTOTIC - INCUBATING;
+            if (raw[i])
+                last = i - row, first = first < 0 ? last : first;
+        }
+        if (first >= 0)
+            WIDEN(box, 0, z_, z_ + 1), WIDEN(box, 1, y_, y_ + 1), WIDEN(box, 2, first, last + 1);
+    }
+}
+
+/* Line p[k * s] of the window [lo, hi) in tiles of t: each voxel's dilation
+ * by one, kept one place down; then (t > 1) slot j, p[(lo - 1 + j) * s], the
+ * or of it over tiles j - r .. j + r.  Only tile 1 (r = 1) reads a slot once
+ * written: slot 0, the or of a part of its own range. */
+static void tile_line(uint8_t *p, i64 s, i64 lo, i64 hi, i64 t, i64 r)
+{
+    for (i64 k = lo; k < hi; k++)
+        p[(k - 1) * s] |= p[k * s] | p[(k + 1) * s];
+    for (i64 j = 0; t > 1 && lo + j * t < hi; j++) {
+        uint8_t any = 0;
+        for (i64 k = (j > r ? j - r : 0) * t; k < MIN((j + 1 + r) * t, hi - lo); k++)
+            any |= p[(lo - 1 + k) * s];
+        p[(lo - 1 + j) * s] = any;
+    }
+}
+
+/* The sweep on the tile-aligned window g: raw dilated by a voxel, or-ed per
+ * tile of tile[0..2] on (Z, Y, X) into slots axis by axis, the tiles dilated
+ * by tile[3] (0 or 1) on the way, the slots expanded into mask (raw's layout);
+ * member b's Trues counted in counts[b], then bounded in the box after them, the
+ * int64[6] at counts + B.  raw keeps the slots. */
+void sweep_window(const i64 *g, uint8_t *raw, const i64 *tile, uint8_t *mask, i64 *counts)
+{
+    const i64 YX = g[2] * g[3], st[3] = {YX, g[3], 1}, d3 = g[12] == 3, *lo = g + 5, *hi = g + 9;
+    i64 *box = counts + g[0];
+    for (i64 b = g[4]; b < g[8]; b++) {
+        i64 from[3] = {lo[0] - d3, lo[1] - 1, lo[2] - 1}, to[3] = {hi[0] + d3, hi[1] + 1};
+        for (int a = 2; a >= 3 - g[12]; a--) { /* every line along a of [from, to) */
+            to[a] = from[a] + 1;
+            for (i64 z = from[0]; z < to[0]; z++)
+                for (i64 y = from[1]; y < to[1]; y++)
+                    for (i64 x = from[2]; x < to[2]; x++)
+                        tile_line(raw + (b * g[1] + z) * YX + y * g[3] + x - from[a] * st[a],
+                                  st[a], lo[a], hi[a], tile[a], tile[3]);
+            from[a] = lo[a] - 1, to[a] = lo[a] - 1 + (hi[a] - lo[a] + tile[a] - 1) / tile[a];
+        }
+    }
+    EACH_ROW(g, b, row) {
+        const uint8_t *f = raw + row + ((z_ - lo[0]) / tile[0] + lo[0] - d3 - z_) * YX
+                           + ((y_ - lo[1]) / tile[1] + lo[1] - 1 - y_) * g[3] + lo[2] - 1;
+        i64 n = 0, first = -1, last = -1;
+        for (i64 x = lo[2], j = 0, k = 0; x < hi[2]; x++, k = k + 1 < tile[2] ? k + 1 : (j++, 0))
+            if ((mask[row + x] = f[j]))
+                n++, last = x, first = first < 0 ? x : first;
+        if ((counts[b] += n, n))
+            WIDEN(box, 0, z_, z_ + 1), WIDEN(box, 1, y_, y_ + 1), WIDEN(box, 2, first, last + 1);
     }
 }

@@ -31,7 +31,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11", "-ffp-contract=off", "-fno-fast-
 #: Every function in ``_native.c`` returns void and takes this many pointers.
 _NARGS = {"hash_keys": 5, "epithelial": 10, "production": 6, "diffuse": 7,
           "commit": 8, "tcell_age": 4, "region_counts": 4, "tcell_intents": 13,
-          "compute_moves": 10, "resolve_binds": 10}
+          "compute_moves": 10, "resolve_binds": 10, "activity": 8, "sweep_window": 5}
 _lock, _resolved = threading.Lock(), None  # tier()'s once-per-process result
 #: A call drops the GIL from this many voxels or keys, no sooner (DESIGN.md §4: serve_mix).
 _DROP_GIL_FROM = 1 << 14
@@ -78,19 +78,23 @@ class Tier:
         self._libs = ctypes.PyDLL(path), ctypes.CDLL(path)  # a call holds / drops the GIL
         for fn in [getattr(lib, name) for lib in self._libs for name in _NARGS]:
             fn.restype, fn.argtypes = None, (ctypes.c_void_p,) * _NARGS[fn.__name__]
+        self._local = threading.local()  # a thread's buffer for the found vectors, kept
 
     def _run(self, name, block, region, fields, params=(), *rest, margin=0, found=0):
-        """One C pass over ``region``: geometry, fields, ``params`` as ``float64[B]``, ``rest``,
-        then ``found`` int64 vectors sized by the region and their lengths — returned, cut."""
+        """A C pass over ``region`` or each of a list: geometry, fields, params as ``float64[B]``,
+        ``rest``, then ``found`` int64 vectors sized by the region and their lengths: those, cut."""
         dtypes, batch = block.FIELD_DTYPES, (_lead(block) or (1,))[0]
-        bounds = tuple((s.start, s.stop, s.step) for s in region)
-        g, volume = _geometry(block.shape, block.spec.ndim, bounds, margin)
-        out, n = np.empty((found, volume), np.int64), np.zeros(found, np.int64)  # out: unzeroed
-        _call(getattr(self._libs[volume >= _DROP_GIL_FROM], name), g,
-              *[_checked(getattr(block, f), dtypes[f], block.shape) for f in fields],
-              *[np.full(batch, np.reshape(p, -1), np.float64) for p in params],
-              *rest, *out, *[n][:found])
-        return [o[:k] for o, k in zip(out, n)]
+        args = [*[_checked(getattr(block, f), dtypes[f], block.shape) for f in fields],
+                *[np.full(batch, np.reshape(p, -1), np.float64) for p in params], *rest]
+        for region in region if isinstance(region, list) else (region,):
+            bounds = tuple((s.start, s.stop, s.step) for s in region)
+            g, volume = _geometry(block.shape, block.spec.ndim, bounds, margin)
+            if found * volume > len(getattr(self._local, "out", ())):  # unzeroed (DESIGN.md §4)
+                self._local.out = np.empty(found * block.epi_state.size, np.int64)
+            out = self._local.out[:found * volume].reshape(found, volume) if found else ()
+            n = np.zeros(found, np.int64)
+            _call(getattr(self._libs[volume >= _DROP_GIL_FROM], name), g, *args, *out, *[n][:found])
+        return [o[:k].copy() for o, k in zip(out, n)]
 
     def hash_keys(self, prefix, keys, member=None) -> np.ndarray:
         """:func:`repro.rng.philox.hash_keys`."""
@@ -131,8 +135,7 @@ class Tier:
         scratch = [_checked(s, np.float64, block.shape) for s in (sv, sc)]
         rates = (kept_fraction(params.virion_clearance_at(step)),
                  kept_fraction(params.chemokine_decay), params.min_chemokine)
-        for region in regions:
-            self._run("commit", block, region, ("virions", "chemokine"), rates, *scratch)
+        self._run("commit", block, list(regions), ("virions", "chemokine"), rates, *scratch)
 
     def _agents(self, name, block, intents, region, fields, params, names, *rest, **kw):
         """An agent pass: ``intents``' fields ``names`` and the flat bind stencil, then ``rest``."""
@@ -166,6 +169,18 @@ class Tier:
         out = np.zeros(_lead(block) + (N_COUNTS,), dtype=np.int64)
         self._run("region_counts", block, region, ("epi_state", "tcell"), (), out)
         return out[region[0]] if _lead(block) else out
+
+    def activity(self, block, regions, min_chemokine, raw, box) -> None:
+        """``block._activity`` into ``raw`` over each region; ``box`` widened to their Trues."""
+        self._run("activity", block, list(regions), ("epi_state", "virions", "chemokine", "tcell"),
+                  (min_chemokine,), _checked(raw, bool, block.shape), _checked(box, np.int64, (6,)))
+
+    def sweep_window(self, block, window, raw, tiles, mask, found) -> None:
+        """The window pass (``tiles``: ``int64[4]``, see ``_native.c``): ``raw``, left as scratch,
+        into ``mask[window]``; ``found``: each member's Trues, then the box bounding them."""
+        raw, mask = (_checked(a, np.bool_, block.shape) for a in (raw, mask))
+        self._run("sweep_window", block, window, (), (), raw, _checked(tiles, np.int64, (4,)), mask,
+                  _checked(found, np.int64, ((_lead(block) or (1,))[0] + 6,)), margin=1)
 
 
 def _cache_dir() -> Path:

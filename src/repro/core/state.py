@@ -46,6 +46,23 @@ BINDABLE = (EpiState.EXPRESSING,)
 NO_INTENT = np.int8(-1)
 
 
+def block_geometry(spec: GridSpec, owned: Box, ghost: int) -> tuple[np.ndarray, np.ndarray]:
+    """Global voxel ids (-1 outside the domain) and the in-domain mask over
+    ``owned`` grown by ``ghost``: C-contiguous ``int64`` and ``bool`` arrays.
+
+    Raveling is separable: :meth:`GridSpec.id_grid` folds one ``arange``
+    per axis in by broadcasting, and each axis's out-of-domain slabs are
+    then set to -1, so the two results are the only block-sized arrays
+    built (no per-voxel coordinate table).
+    """
+    ext = owned.expand(ghost)
+    gid = spec.id_grid(ext)
+    for d, (lo, hi, n) in enumerate(zip(ext.lo, ext.hi, spec.shape)):
+        axis = np.arange(lo, hi)
+        gid[(slice(None),) * d + ((axis < 0) | (axis >= n),)] = -1
+    return gid, gid >= 0
+
+
 @dataclass
 class VoxelBlock:
     """One ghost-padded block of voxel state.
@@ -104,12 +121,7 @@ class VoxelBlock:
         :class:`EnsembleBlock` the one copy every member shares.  The
         agent kernels address them by flat spatial index.
         """
-        shape = tuple(s + 2 * self.ghost for s in self.owned.shape)
-        ext = self.owned.expand(self.ghost)
-        coords = ext.coords().reshape(shape + (self.spec.ndim,))
-        inside = self.spec.in_bounds(coords)
-        gid = np.full(shape, -1, dtype=np.int64)
-        gid[inside] = self.spec.ravel(coords[inside])
+        gid, inside = block_geometry(self.spec, self.owned, self.ghost)
         self.gid = self.gid_spatial = gid
         self.in_domain = self.in_domain_spatial = inside
 
@@ -256,15 +268,10 @@ class EnsembleBlock(VoxelBlock):
         self.epi_state[self.in_domain] = EpiState.HEALTHY
 
     def _derive_geometry(self) -> None:
-        spatial = tuple(s + 2 * self.ghost for s in self.owned.shape)
-        ext = self.owned.expand(self.ghost)
-        coords = ext.coords().reshape(spatial + (self.spec.ndim,))
-        inside = self.spec.in_bounds(coords)
-        gid = np.full(spatial, -1, dtype=np.int64)
-        gid[inside] = self.spec.ravel(coords[inside])
+        gid, inside = block_geometry(self.spec, self.owned, self.ghost)
         self.gid_spatial = gid
         self.in_domain_spatial = inside
-        bshape = (self.batch,) + spatial
+        bshape = (self.batch,) + gid.shape
         if self.xp.name == "numpy":
             # Zero-copy broadcast views: all members share one geometry.
             self.gid = np.broadcast_to(gid, bshape)

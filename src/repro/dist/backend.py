@@ -144,8 +144,10 @@ class DistBackend(ExecutionBackend):
         self._float_origin = padded.lo
         self._float_interior = self.spec.domain.slices_from(padded.lo)
         self._floats = {name: np.zeros(padded.shape) for name in _FLOAT_FIELDS}
-        #: ``dirty_epoch`` the copies are current for; None = never filled.
-        self._floats_epoch: int | None = None
+        #: ``dirty_epoch`` the copies are current for.  A fresh run's are:
+        #: zeros, like every rank field outside the box its first sweep
+        #: publishes; a restore moves the epoch on.
+        self._floats_epoch = int(self.runtime.ctrl.dirty_epoch[0])
         self._active_counts: list[int] = []
         self._launching = False
         # Always-on metrics + the rolling imbalance index (ROADMAP open
@@ -214,8 +216,9 @@ class DistBackend(ExecutionBackend):
 
     def phase_reduce(self, ctx) -> None:
         """Step-end barrier, then the coordinator-side reduction: every
-        shared-memory read while the workers are parked, then the launch
-        of the next step, then the float sums over the private copies."""
+        shared-memory read while the workers are parked and nothing else,
+        then the launch of the next step, then the counter folds and the
+        float sums over the private copies."""
         # Unlike the workers' step_end (between phases), this wait runs
         # inside the coordinator's reduce phase span; in_phase tells the
         # report to subtract it from busy time.
@@ -230,13 +233,14 @@ class DistBackend(ExecutionBackend):
         self._active_counts = [int(v) for v in res[:, RES_ACTIVE]]
         counts = res[:, RES_COUNTS].sum(axis=0)
         rows = self._refresh_floats()
-        self._observe_step(ctx.step)
+        counters = self._read_counters()
         if self.tracer:
             self._drain_telemetry(ctx.step)
         if ctx.launch_next is not None:
             self._launching = True
             ctx.launch_next(ctx)
             self._launching = False
+        self._observe_step(ctx.step, *counters)
         ctx.reduced = np.array(
             [
                 *counts,
@@ -255,10 +259,10 @@ class DistBackend(ExecutionBackend):
 
         Every write of the step just finished lies inside the activity
         box its rank published, so that box is all there is to copy —
-        except after a restore (or on the first step), when the whole
-        owned interior of every rank is new.  Outside its box a rank's
-        float fields are zero, so the copies are zero outside the row
-        hull of the boxes.
+        on the first step too, whose sweep sees all of the seeded state —
+        except after a restore, when the whole owned interior of every
+        rank is new.  Outside its box a rank's float fields are zero, so
+        the copies are zero outside the row hull of the boxes.
         """
         ctrl = self.runtime.ctrl
         epoch = int(ctrl.dirty_epoch[0])
@@ -285,22 +289,30 @@ class DistBackend(ExecutionBackend):
         # the epoch bump; _refresh_floats sees the same bump.
         self.runtime.invalidate_ghosts()
 
-    def _observe_step(self, step: int) -> None:
-        """Fold this step's shm counter deltas into the registry and the
-        imbalance monitor.  Runs in the quiescent window after the
-        step-end barrier (every worker parked), so the reads are stable;
-        numpy sums over nranks-sized tables cost microseconds."""
+    def _read_counters(self) -> tuple:
+        """The cumulative shm counters :meth:`_observe_step` folds, read in
+        the quiescent window after the step-end barrier (every worker
+        parked, so the reads are stable): per-rank phase and in-phase
+        wait seconds, the total wait, the strip and dropped-event counts.
+        """
         ctrl = self.runtime.ctrl
-        phase_seconds = np.asarray(
-            ctrl.metrics_seconds, dtype=np.float64
-        ).sum(axis=1)
         # metrics_wait columns = phase names (in-phase barrier waits)
         # then the two step barriers; busy excludes only the in-phase
         # portion — the step barriers sit outside any phase.
         wait = np.asarray(ctrl.metrics_wait, dtype=np.float64)
-        phase_wait = wait[:, : self._nphases].sum(axis=1)
-        wait_total = float(wait.sum())
+        return (
+            np.asarray(ctrl.metrics_seconds, dtype=np.float64).sum(axis=1),
+            wait[:, : self._nphases].sum(axis=1),
+            float(wait.sum()),
+            self.runtime.strip_counts(),
+            sum(self.runtime.telemetry_dropped()),
+        )
 
+    def _observe_step(self, step, phase_seconds, phase_wait, wait_total,
+                      strips, dropped) -> None:
+        """Fold one step's counter deltas (:meth:`_read_counters`) into the
+        registry and the imbalance monitor; runs after the next step's
+        release, reading nothing the workers write."""
         busy_delta = (phase_seconds - self._prev_phase_seconds) - (
             phase_wait - self._prev_phase_wait
         )
@@ -314,13 +326,12 @@ class DistBackend(ExecutionBackend):
         self._obs_barrier_wait.inc(max(0.0, wait_total - self._prev_wait_total))
         self._prev_wait_total = wait_total
 
-        pulled, skipped = self.runtime.strip_counts()
+        pulled, skipped = strips
         self._obs_strips_pulled.inc(pulled - self._prev_strips[0])
         self._obs_strips_skipped.inc(skipped - self._prev_strips[1])
-        self._prev_strips = (pulled, skipped)
+        self._prev_strips = strips
 
-        dropped = self.runtime.telemetry_dropped()
-        self._obs_dropped.set(sum(dropped))
+        self._obs_dropped.set(dropped)
 
         if self.tracer:
             # The report's imbalance-over-time panel reads this gauge

@@ -87,11 +87,11 @@ class ShmSegment:
 
     @classmethod
     def create(cls, name: str, layout) -> "ShmSegment":
-        """Allocate a zero-filled segment sized for ``layout``."""
+        """Allocate a segment sized for ``layout``: zero-filled, as a new
+        POSIX object (``shm_open`` + ``ftruncate``) always reads."""
         shm = shared_memory.SharedMemory(
             name=name, create=True, size=layout_nbytes(layout)
         )
-        shm.buf[:] = b"\x00" * len(shm.buf)
         _OWNED[name] = shm
         return cls(shm, layout, owner=True)
 

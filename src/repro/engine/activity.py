@@ -54,6 +54,19 @@ def bounding_box(mask: np.ndarray, starts) -> tuple[slice, ...] | None:
     return tuple(sls)
 
 
+def _empty_box() -> np.ndarray:
+    """A compiled pass's ``int64[6]`` bounds — (Z, Y, X) lower, then upper —
+    holding nothing yet."""
+    return np.array([np.iinfo(np.int64).max] * 3 + [-1] * 3, dtype=np.int64)
+
+
+def _slices(box: np.ndarray, ndim: int) -> tuple[slice, ...] | None:
+    """The last ``ndim`` axes of ``box`` as slices; None if it holds nothing."""
+    if box[5] < 0:
+        return None
+    return tuple(slice(int(box[a]), int(box[a + 3])) for a in range(3 - ndim, 3))
+
+
 class ActivityGate:
     """Tracks the region of a block that kernels must process.
 
@@ -109,6 +122,13 @@ class ActivityGate:
                 f"[1, {max_period}] for tiles {tile_shape}"
             )
         self.sweep_period = sweep_period
+        #: Tile extents of the sweep: one voxel in refresh mode.  The
+        #: compiled window pass takes them as (Z, Y, X), then 1 to dilate
+        #: the tile flags (periodic mode) or 0.
+        self._tile = self.tiles.tile_shape if sweep_period > 1 else (1,) * len(owned)
+        self._native_tiles = np.array(
+            [1] * (3 - len(owned)) + [*self._tile, sweep_period > 1], dtype=np.int64
+        )
         #: Member axes in front of the spatial ones: ``()`` or ``(B,)``.
         lead = block.shape[: len(block.shape) - len(owned)]
         self._lead = tuple(slice(0, n) for n in lead)
@@ -116,6 +136,10 @@ class ActivityGate:
             slice(block.ghost, block.ghost + s) for s in owned
         )
         self._spatial_axes = tuple(range(len(lead), len(block.shape)))
+        #: The raw activity mask, padded shape, kept between sweeps: False
+        #: wherever a sweep reads it.  Allocated by the first sweep, so a
+        #: gate nobody sweeps holds no second block-sized buffer.
+        self._raw: np.ndarray | None = None
         self.reset()
 
     def reset(self) -> None:
@@ -123,9 +147,13 @@ class ActivityGate:
         state of a fresh gate, and of any gate whose block was just
         rewritten by a checkpoint restore.  Whoever steps the block sweeps
         a stale gate before its first kernel, so no step runs all-active."""
-        self._mask = np.ones(
-            tuple(s.stop - s.start for s in self._full_region), dtype=bool
-        )
+        #: The tracked mask in the block's padded layout (what the compiled
+        #: sweep writes); :attr:`mask` is its owned part.
+        self._padded = np.ones(self.block.shape, dtype=bool)
+        self._mask = self._padded[self._full_region]
+        #: The owned slices of ``_mask`` that may hold a True, which the
+        #: next sweep clears.
+        self._window = (...,)
         #: Active voxels of each member (a scalar on a solo block).
         self.member_counts = self._mask.sum(axis=self._spatial_axes)
         self._region: tuple[slice, ...] | None = self._full_region
@@ -154,56 +182,88 @@ class ActivityGate:
         there); periodic mode then reduces it per tile, dilates the tile
         flags by one tile and expands them back to voxels — what an
         unpinned :meth:`TileGrid.sweep` does, here with any member axis
-        carried along in front.  Returns the owned voxel count (what the
-        modeled sweep kernel scans).
+        carried along in front.  Both passes have a compiled body
+        (``xp.native``) beside the numpy one, with its bits; both keep the
+        raw and the result masks from sweep to sweep, clearing what the
+        last sweep set.  Returns the owned voxel count (what the modeled
+        sweep kernel scans).
         """
         self.stale = False
         if not self.enabled:
             return 0
         block, tiles = self.block, self.tiles
         g, owned, ndim = block.ghost, tiles.owned_shape, tiles.ndim
-        raw = np.zeros(block.shape, dtype=bool)
-        hull = None
-        for sl in self._examined():
-            piece = block.xp.asnumpy(block._activity(sl, self.min_chemokine))
-            box = bounding_box(piece, [s.start for s in sl[-ndim:]])
-            if box is None:
-                continue
-            raw[sl] = piece
-            hull = box if hull is None else tuple(
-                slice(min(a.start, b.start), max(a.stop, b.stop))
-                for a, b in zip(hull, box)
-            )
-        self._mask = np.zeros(self._mask.shape, dtype=bool)
+        if self._raw is None:
+            self._raw = np.zeros(block.shape, dtype=bool)
+        native = block.xp.native
+        hull = self._fill_raw(native)
+        self._mask[self._window] = False
+        self._window = (slice(0, 0),)
         if hull is None:
             self.member_counts = np.zeros(
                 self._mask.shape[: len(self._lead)], dtype=np.intp
             )
             self._region = None
             return self._mask.size
-        periodic = self.sweep_period > 1
-        tile = tiles.tile_shape if periodic else (1,) * ndim
+        tile = self._tile
         # Owned-coordinate window: from the tile before the one holding
         # the grown hull's first voxel to the tile after its last one's.
         lo = [max(((h.start - g - 1) // t - 1) * t, 0)
               for h, t in zip(hull, tile)]
         hi = [min(((h.stop - g) // t + 2) * t, n)
               for h, t, n in zip(hull, tile, owned)]
+        self._window = (...,) + tuple(slice(a, b) for a, b in zip(lo, hi))
+        if native is None:
+            box = self._sweep_window(lo, hi)
+        else:
+            members = self._mask.shape[0] if self._lead else 1
+            found = np.concatenate([np.zeros(members, dtype=np.int64), _empty_box()])
+            window = self._lead + tuple(slice(a + g, b + g) for a, b in zip(lo, hi))
+            native.sweep_window(block, window, self._raw, self._native_tiles, self._padded, found)
+            self.member_counts = found[:members] if self._lead else found[0]
+            box = _slices(found[members:], ndim)
+        # Both passes read the raw mask one voxel around the window only.
+        self._raw[(...,) + tuple(slice(a + g - 1, b + g + 1) for a, b in zip(lo, hi))] = False
+        self._region = None if box is None else self._lead + box
+        return self._mask.size
+
+    def _fill_raw(self, native) -> tuple[slice, ...] | None:
+        """The raw activity mask over every examined piece; the spatial
+        (padded) hull of its Trues, None if there are none."""
+        block, ndim = self.block, self.tiles.ndim
+        if native is not None:
+            found = _empty_box()
+            native.activity(block, self._examined(), self.min_chemokine, self._raw, found)
+            return _slices(found, ndim)
+        hull = None
+        for sl in self._examined():
+            piece = block.xp.asnumpy(block._activity(sl, self.min_chemokine))
+            box = bounding_box(piece, [s.start for s in sl[-ndim:]])
+            if box is None:
+                continue
+            self._raw[sl] = piece
+            hull = box if hull is None else tuple(
+                slice(min(a.start, b.start), max(a.stop, b.stop))
+                for a, b in zip(hull, box)
+            )
+        return hull
+
+    def _sweep_window(self, lo, hi):
+        """The numpy body of the window pass (the compiled one is
+        ``_native.c``'s ``sweep_window``): the mask and member counts over
+        the owned window ``[lo, hi)``; returns the mask's bounding box."""
+        g, ndim, tile = self.block.ghost, self.tiles.ndim, self._tile
         shape = tuple(b - a for a, b in zip(lo, hi))
         # The dilation reads one voxel beyond the window, ghosts included.
         grown = tuple(slice(a + g - 1, b + g + 1) for a, b in zip(lo, hi))
-        mask = _dilate(raw[(...,) + grown], ndim)[
-            (...,) + (slice(1, -1),) * ndim
-        ]
-        if periodic:
+        mask = _dilate(self._raw[(...,) + grown], ndim)[(...,) + (slice(1, -1),) * ndim]
+        if self.sweep_period > 1:
             per_dim = tuple(-(-s // t) for s, t in zip(shape, tile))
             flags = _dilate(_tile_any(mask, tile, per_dim), ndim)
             mask = _expand_tiles(flags, tile, shape)
-        self._mask[(...,) + tuple(slice(a, b) for a, b in zip(lo, hi))] = mask
+        self._mask[self._window] = mask
         self.member_counts = mask.sum(axis=self._spatial_axes)
-        box = bounding_box(mask, [a + g for a in lo])
-        self._region = None if box is None else self._lead + box
-        return self._mask.size
+        return bounding_box(mask, [a + g for a in lo])
 
     def _examined(self):
         """Padded-array slices a sweep must read.

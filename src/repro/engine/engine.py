@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from time import perf_counter
 
 import numpy as np
@@ -45,8 +46,8 @@ class StepContext:
 
     #: Step number being executed.
     step: int
-    #: The global, decomposition-independent extravasation-attempt schedule.
-    attempts: dict
+    #: Draws :attr:`attempts`; called at its first read, if any.
+    draw_attempts: Callable[[], dict]
     #: The vascular-pool value the attempt schedule was computed from
     #: (post-update, pre-debit).  Remote backends publish it so detached
     #: workers can recompute the identical schedule locally.
@@ -64,6 +65,13 @@ class StepContext:
     launch_next: Callable[[StepContext], StepContext | None] | None = None
     #: Free-form backend scratch (cleared every step).
     extras: dict = field(default_factory=dict)
+
+    @cached_property
+    def attempts(self) -> dict:
+        """The global, decomposition-independent extravasation-attempt
+        schedule, drawn at the first read: a backend whose ranks draw it
+        themselves from the published ``(step, pool)`` never pays for it."""
+        return self.draw_attempts()
 
 
 class StepEngine:
@@ -157,8 +165,8 @@ class StepEngine:
         if t >= p.tcell_initial_delay:
             self.pool += p.tcell_generation_rate
         self.pool -= self.pool / p.tcell_vascular_period
-        attempts = kernels.extravasation_attempts(p, self.rng, t, self.pool)
-        return StepContext(step=t, attempts=attempts, pool=self.pool)
+        draw = partial(kernels.extravasation_attempts, p, self.rng, t, self.pool)
+        return StepContext(step=t, draw_attempts=draw, pool=self.pool)
 
     def _debit(self, ctx: StepContext) -> None:
         """Step ``ctx.step``'s pool debit, run once: by the launch of the

@@ -34,6 +34,7 @@ runtime already carry.  The argument (DESIGN.md §4d):
 
 from __future__ import annotations
 
+from functools import partial
 from time import perf_counter
 
 import numpy as np
@@ -314,10 +315,8 @@ class EnsembleEngine(StepEngine):
             t >= self._delays, self.pools + self._gen_rates, self.pools
         )
         self.pools = self.pools - self.pools / self._vascular
-        attempts = kernels.extravasation_attempts(
-            self.params, self.backend.rng, t, self.pools
-        )
-        return StepContext(step=t, attempts=attempts, pool=0.0)
+        draw = partial(kernels.extravasation_attempts, self.params, self.backend.rng, t, self.pools)
+        return StepContext(step=t, draw_attempts=draw, pool=0.0)
 
     def _debit(self, ctx: StepContext) -> None:
         # Rebound (not mutated): `pool_after` stays this step's snapshot.

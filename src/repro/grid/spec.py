@@ -119,7 +119,3 @@ class GridSpec:
             shape[d] = -1
             out = out * self.shape[d] + axes[d].reshape(shape)
         return np.broadcast_to(out, box.shape).copy() if out.shape != box.shape else out
-
-    def in_bounds(self, coords) -> np.ndarray:
-        """Boolean mask for coordinates inside the grid."""
-        return self.domain.contains(coords)

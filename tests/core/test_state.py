@@ -1,8 +1,11 @@
 """Tests for VoxelBlock state arrays."""
 
-import numpy as np
+import tracemalloc
 
-from repro.core.state import EpiState, VoxelBlock
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.core.state import EnsembleBlock, EpiState, VoxelBlock, block_geometry
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 
@@ -160,3 +163,63 @@ class TestFlatAddressing:
         }
         with pytest.raises(ValueError, match="'move_bid'.*C-contiguous"):
             IntentArrays.from_arrays(arrays)
+
+
+def _geometry_by_coordinates(spec, owned, ghost):
+    """The old rule, written out: every padded voxel's coordinates, the
+    domain test on them, and the C-order ravel of those inside."""
+    ext = owned.expand(ghost)
+    shape = ext.shape
+    coords = ext.coords().reshape(shape + (spec.ndim,))
+    inside = np.all((coords >= 0) & (coords < np.array(spec.shape)), axis=-1)
+    gid = np.full(shape, -1, dtype=np.int64)
+    gid[inside] = spec.ravel(coords[inside])
+    return gid, inside
+
+
+@st.composite
+def _blocks(draw):
+    """2D / 3D domains (200 x 136 and 20 x 13 x 6 among them), boxes
+    touching the domain edge or inside it, ghosts 1 or 2 wide."""
+    ndim = draw(st.sampled_from([2, 3]))
+    ragged = (200, 136) if ndim == 2 else (20, 13, 6)
+    shape = draw(st.just(ragged) | st.tuples(
+        *[st.integers(1, 24 if ndim == 2 else 9)] * ndim))
+    lo = tuple(draw(st.integers(0, s - 1)) for s in shape)
+    hi = tuple(draw(st.integers(l + 1, s)) for l, s in zip(lo, shape))
+    return GridSpec(shape), Box(lo, hi), draw(st.integers(1, 2))
+
+
+class TestBlockGeometry:
+    @given(case=_blocks(), batch=st.sampled_from([None, 1, 3]))
+    @settings(max_examples=120, deadline=None)
+    def test_separable_rule_is_the_coordinate_rule(self, case, batch):
+        spec, owned, ghost = case
+        want = _geometry_by_coordinates(spec, owned, ghost)
+        got = block_geometry(spec, owned, ghost)
+        block = (VoxelBlock(spec, owned, ghost=ghost) if batch is None
+                 else EnsembleBlock(spec, owned, batch, ghost=ghost))
+        for (name, w), g, shared in zip(
+            (("gid", want[0]), ("in_domain", want[1])), got,
+            (block.gid_spatial, block.in_domain_spatial),
+        ):
+            for arr in (g, shared):
+                assert arr.dtype == w.dtype and arr.flags.c_contiguous, name
+                np.testing.assert_array_equal(arr, w, err_msg=name)
+        lead = () if batch is None else (batch,)
+        assert block.gid.shape == block.in_domain.shape == lead + want[0].shape
+        assert (block.epi_state[block.in_domain] == EpiState.HEALTHY).all()
+
+    def test_construction_holds_no_coordinate_temporaries(self):
+        """Building a 1024 x 1024 block peaks within 1.25x the bytes of its
+        own arrays: no (N, ndim) int64 coordinate table comes back."""
+        spec = GridSpec((1024, 1024))
+        tracemalloc.start()
+        try:
+            block = VoxelBlock(spec, spec.domain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        own = sum(getattr(block, name).nbytes
+                  for name in [*VoxelBlock.FIELD_DTYPES, "gid", "in_domain"])
+        assert peak <= 1.25 * own, (peak, own)

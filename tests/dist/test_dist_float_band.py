@@ -5,11 +5,14 @@ rows of the boxes it just copied, widened to numpy's reduction chunks
 (:func:`repro.core.stats.interior_sum`).  On a 60 x 1024 grid a chunk is
 eight rows (the last one four), so a wrong band shows in the bits.  The
 series must equal the sequential run's at every step when every rank is
-idle (the band is empty), after a restore into a stepped run (the
+idle (the band is empty from the first step on), after a restore (the
 ``everything`` refresh: the band is the whole interior), and while two
-foci on different ranks and rows grow across chunk boundaries.
+foci on different ranks and rows grow across chunk boundaries.  Which
+refresh ran is pinned too: a fresh run copies only the published boxes,
+its first step included, and a restore makes exactly one whole copy.
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
@@ -54,6 +57,29 @@ def _spy():
     return mock.patch.object(dist_backend, "interior_sum", wraps=interior_sum)
 
 
+@contextlib.contextmanager
+def _copies(sim):
+    """Per float refresh of ``sim``'s coordinator: ``"boxes"`` if it read
+    the ranks' published boxes, ``"all"`` if it copied every interior."""
+    backend = sim.backend
+    ctrl, refresh = backend.runtime.ctrl, backend._refresh_floats
+    reads, log = [], []
+
+    def read_region(*args):
+        reads.append(args)
+        return type(ctrl).read_region(ctrl, *args)
+
+    def logged():
+        before = len(reads)
+        rows = refresh()
+        log.append("boxes" if len(reads) > before else "all")
+        return rows
+
+    with mock.patch.object(ctrl, "read_region", read_region), \
+            mock.patch.object(backend, "_refresh_floats", logged):
+        yield log
+
+
 def test_idle_ranks_sum_nothing(nranks):
     params = PARAMS.with_(num_infections=0)
     ref = SequentialSimCov(params, seed=3)
@@ -61,8 +87,9 @@ def test_idle_ranks_sum_nothing(nranks):
     with DistSimCov(params, nranks=nranks, seed=3) as sim, _spy() as spy:
         sim.run(6)
         assert [sim.series[i] for i in range(6)] == [ref.series[i] for i in range(6)]
-    # The first step copies every rank's interior; then every box is None.
-    assert _bands(spy) == [WHOLE] + [None] * 5
+    # Every box is None from the first step on: a fresh run's copies are
+    # already current.
+    assert _bands(spy) == [None] * 6
 
 
 @pytest.mark.parametrize("kind", list(DecompositionKind), ids=lambda k: k.name)
@@ -92,3 +119,29 @@ def test_restore_sums_the_whole_interior_once(reference, nranks):
                 assert sim.step() == ref.series[step], f"diverged at step {step}"
     bands = _bands(spy)
     assert bands[0] == WHOLE and any(r != WHOLE for r in bands[1:])
+
+
+@pytest.mark.parametrize("kind", list(DecompositionKind), ids=lambda k: k.name)
+def test_only_a_restore_copies_everything(reference, nranks, kind):
+    """A fresh run copies the boxes from its first step on; a restore
+    before the first step and one into a stepped run each copy every
+    interior exactly once.  Every row is the sequential one."""
+    ref, snap = reference
+
+    def dist():
+        return DistSimCov(PARAMS, nranks=nranks, seed=3, seed_gids=FOCI, decomposition=kind)
+
+    with dist() as sim, _copies(sim) as log:
+        sim.run(12)
+        assert [sim.series[i] for i in range(12)] == [ref.series[i] for i in range(12)]
+        assert log == ["boxes"] * 12
+        restore_state(sim, snap)
+        for step in range(10, STEPS):
+            assert sim.step() == ref.series[step], f"diverged at step {step}"
+        assert log[12:] == ["all"] + ["boxes"] * (STEPS - 11)
+    with dist() as sim, _copies(sim) as log:
+        restore_state(sim, snap)
+        sim.run(STEPS - 10)
+        for step in range(10, STEPS):  # the restored run's rows start at 10
+            assert sim.series[step - 10] == ref.series[step], f"diverged at step {step}"
+        assert log == ["all"] + ["boxes"] * (STEPS - 11)

@@ -59,6 +59,19 @@ class TestShmSegment:
         finally:
             seg.close()
 
+    def test_a_new_segment_reads_zero_where_an_unlinked_one_was_written(self):
+        """``create`` does not zero-fill: a new POSIX object reads zero,
+        also under the name and size of one just unlinked after every byte
+        of it was written."""
+        layout, name = block_layout((64, 48)), make_segment_name("t_reuse")
+        for _ in range(3):
+            seg = ShmSegment.create(name, layout)
+            try:
+                assert not any(seg.shm.buf)
+                seg.shm.buf[:] = b"\xa5" * len(seg.shm.buf)
+            finally:
+                seg.close()
+
     def test_close_idempotent(self):
         seg = ShmSegment.create(make_segment_name("t_idem"), self.LAYOUT)
         seg.close()

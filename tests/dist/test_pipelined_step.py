@@ -169,3 +169,26 @@ def test_finished_sim_is_freed_by_refcount():
         assert backend() is None
     finally:
         gc.enable()
+
+
+def test_the_coordinator_never_draws_the_attempt_schedule(nranks, monkeypatch):
+    """Each rank draws the extravasation attempts from the published
+    ``(step, pool)``; the coordinator's launch window holds only
+    shared-memory reads, so ``StepContext.attempts`` is never evaluated."""
+    from repro.core.params import SimCovParams
+    from repro.engine.engine import StepContext
+
+    params = SimCovParams.fast_test(dim=(32, 32), num_infections=2, num_steps=90)
+    ref = SequentialSimCov(params, seed=SEED)
+    ref.run()
+    assert sum(ref.series[i].extravasations for i in range(len(ref.series))) > 0
+
+    def refuse(ctx):
+        raise AssertionError(f"step {ctx.step}: the coordinator drew the attempts")
+
+    monkeypatch.setattr(StepContext, "attempts", property(refuse))
+    with DistSimCov(params, nranks=nranks, seed=SEED) as sim:
+        sim.run()
+        assert [sim.series[i] for i in range(len(ref.series))] == [
+            ref.series[i] for i in range(len(ref.series))
+        ]

@@ -10,13 +10,16 @@ tile-any → dilate → expand); it lives in this test, not in ``src/``.
 Activity is placed where the gate's premise allows it: anywhere on a
 stale (fresh) gate, and afterwards inside the current region or on the
 ghost faces — including faces far away from the region, which is how a
-neighbour rank's activity arrives.
+neighbour rank's activity arrives.  The sweep's two passes have a numpy
+and a compiled body; the tests pinned to a ``tier`` run each, the others
+run whichever the process has (CI's ``native-off`` job runs them on the
+numpy bodies).
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.state import EnsembleBlock, VoxelBlock
+from repro.core.state import EnsembleBlock, EpiState, VoxelBlock
 from repro.engine.activity import ActivityGate
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
@@ -25,10 +28,10 @@ from repro.grid.tiling import _dilate, _expand_tiles, _tile_any
 MIN_CHEMOKINE = 1e-6
 
 
-def _reference(block, gate):
+def _reference(block, gate, min_chemokine=MIN_CHEMOKINE):
     """(mask, member_counts, region) of a whole-block sweep."""
     owned, ndim, g = gate.tiles.owned_shape, gate.tiles.ndim, block.ghost
-    raw = block.activity_mask_padded(MIN_CHEMOKINE)
+    raw = block.activity_mask_padded(min_chemokine)
     crop = (...,) + tuple(slice(g, g + s) for s in owned)
     mask = _dilate(raw, ndim)[crop]
     if gate.sweep_period > 1:
@@ -128,6 +131,68 @@ class TestWindowedSweep:
         _assert_matches_reference(block, gate)
         assert gate.count == gate.mask.size
         assert gate.region() == gate._full_region
+
+    @given(case=_cases(), ghost=st.sampled_from([1, 2]), data=st.data())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_each_tier_on_every_term_of_the_predicate(self, tier, case, ghost, data):
+        """Each tier's two passes (``tier``: the numpy bodies, or the
+        compiled ones) against the whole-block rule, with ghosts 1 or 2
+        wide, sub-domain blocks, a per-member threshold and every term of
+        the predicate on its edge; beside each, values just off it."""
+        owned, tile, period, batch = case
+        spec = GridSpec(tuple(s + 3 for s in owned))
+        box = Box((2,) * len(owned), tuple(s + 2 for s in owned))
+        block = (VoxelBlock(spec, box, ghost=ghost) if batch is None
+                 else EnsembleBlock(spec, box, batch, ghost=ghost))
+        floor = (MIN_CHEMOKINE if batch is None else
+                 np.reshape([MIN_CHEMOKINE * (b + 1) for b in range(batch)],
+                            (batch,) + (1,) * len(owned)))
+        gate = ActivityGate(block, floor, sweep_period=period, tile_shape=tile)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        at_floor = np.broadcast_to(floor, block.shape)
+
+        def light(where):
+            term = rng.integers(0, 4, size=block.shape)
+            block.virions[where & (term == 0)] = 5e-324
+            hit = where & (term == 1)
+            block.chemokine[hit] = at_floor[hit]
+            block.tcell[where & (term == 2)] = -1
+            block.epi_state[where & (term == 3)] = rng.choice(
+                [EpiState.INCUBATING, EpiState.EXPRESSING, EpiState.APOPTOTIC],
+                size=int((where & (term == 3)).sum()))
+
+        # Inert everywhere: signal just below its member's threshold,
+        # -0.0 and NaN virions, cells that are absent, healthy or dead.
+        block.chemokine[...] = np.nextafter(at_floor, 0.0)
+        block.virions[rng.random(block.shape) < 0.3] = -0.0
+        block.virions[rng.random(block.shape) < 0.1] = np.nan
+        block.epi_state[rng.random(block.shape) < 0.3] = EpiState.DEAD
+        block.epi_state[rng.random(block.shape) < 0.1] = EpiState.EMPTY
+        light(rng.random(block.shape) < data.draw(st.sampled_from([0.0, 0.01, 0.1])))
+        for _ in range(3):
+            gate.sweep()
+            want = _reference(block, gate, floor)
+            np.testing.assert_array_equal(gate.mask, want[0])
+            np.testing.assert_array_equal(gate.member_counts, want[1])
+            assert gate.region() == want[2]
+            allowed = np.ones(block.shape, dtype=bool)
+            allowed[gate._full_region] = False
+            if gate.region() is not None:
+                allowed[gate.region()] = True
+            light(allowed & (rng.random(block.shape) < 0.05))
+
+    def test_activity_that_died_out_leaves_nothing_behind(self, tier):
+        """The raw mask outlives the sweep: activity that dies out beside a
+        ghost face must not come back when the face wakes the block."""
+        block, gate = _build((16, 16), (1, 1), 1, None)
+        block.virions[2, 3] = 1.0
+        _assert_matches_reference(block, gate)
+        block.virions[2, 3] = 0.0
+        _assert_matches_reference(block, gate)
+        assert gate.region() is None
+        block.virions[0, 4] = 1.0
+        _assert_matches_reference(block, gate)
 
     @given(case=_cases(), data=st.data())
     @settings(max_examples=40, deadline=None)

@@ -76,13 +76,6 @@ class TestGridSpec:
         grid = spec.id_grid(box)
         np.testing.assert_array_equal(grid.ravel(), spec.ravel(box.coords()))
 
-    def test_in_bounds(self):
-        spec = GridSpec((5, 5))
-        pts = np.array([[0, 0], [4, 4], [5, 0], [0, -1]])
-        np.testing.assert_array_equal(
-            spec.in_bounds(pts), [True, True, False, False]
-        )
-
     @given(
         nx=st.integers(min_value=1, max_value=40),
         ny=st.integers(min_value=1, max_value=40),
