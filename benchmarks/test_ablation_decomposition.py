@@ -2,17 +2,18 @@
 
 Block decomposition minimizes halo surface (communication volume); linear
 decomposition has simpler neighbor topology but strictly more boundary.
-Measured on the real implementations' communication ledgers and on the
-analytic surface formula across rank counts.
+Counted on one traced run's CPU / GPU communication and on the analytic
+surface formula across rank counts.
 """
 
 import pytest
 
 from repro.core.params import SimCovParams
 from repro.grid.decomposition import Decomposition, DecompositionKind
+from repro.dist import DistSimCov
 from repro.grid.spec import GridSpec
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
+from repro.perf.work import cpu_step_work, gpu_step_work
+from repro.perf.workload import WorkloadTrace
 
 
 def total_surface(spec, nranks, kind):
@@ -47,27 +48,35 @@ def test_linear_gap_grows_with_ranks():
     assert r64 > r4
 
 
-def test_cpu_measured_rpc_bytes_follow_surface():
+@pytest.fixture(scope="module")
+def small_trace():
     p = SimCovParams.fast_test(dim=(32, 32), num_infections=2, num_steps=20)
-    blk = SimCovCPU(p, nranks=4, seed=1)
-    lin = SimCovCPU(p, nranks=4, seed=1, decomposition=DecompositionKind.LINEAR)
-    blk.run(20)
-    lin.run(20)
-    assert lin.runtime.comm.rpc_bytes > blk.runtime.comm.rpc_bytes
+    return p, WorkloadTrace.record(p, seed=1)
 
 
-def test_gpu_measured_halo_bytes_follow_surface():
-    p = SimCovParams.fast_test(dim=(32, 32), num_infections=2, num_steps=20)
-    blk = SimCovGPU(p, num_devices=4, seed=1)
-    lin = SimCovGPU(p, num_devices=4, seed=1,
-                    decomposition=DecompositionKind.LINEAR)
-    blk.run(20)
-    lin.run(20)
-    b = blk.cluster.ledger
-    l = lin.cluster.ledger
-    assert (l.copy_bytes_intra + l.copy_bytes_inter) > (
-        b.copy_bytes_intra + b.copy_bytes_inter
+def _both(params, n=4):
+    spec = GridSpec(params.dim)
+    return [Decomposition.make(spec, n, kind)
+            for kind in (DecompositionKind.BLOCK, DecompositionKind.LINEAR)]
+
+
+def test_cpu_measured_rpc_bytes_follow_surface(small_trace):
+    p, trace = small_trace
+    blk, lin = (
+        sum(w["comm"]["rpc_bytes"] for w in cpu_step_work(trace, d))
+        for d in _both(p)
     )
+    assert lin > blk
+
+
+def test_gpu_measured_halo_bytes_follow_surface(small_trace):
+    p, trace = small_trace
+    blk, lin = (
+        sum(w["ledger"].copy_bytes_intra + w["ledger"].copy_bytes_inter
+            for w in gpu_step_work(trace, d))
+        for d in _both(p)
+    )
+    assert lin > blk
 
 
 def test_results_identical_across_decompositions():
@@ -75,14 +84,10 @@ def test_results_identical_across_decompositions():
     import numpy as np
 
     p = SimCovParams.fast_test(dim=(32, 32), num_infections=2, num_steps=30)
-    blk = SimCovGPU(p, num_devices=4, seed=1)
-    lin = SimCovGPU(p, num_devices=4, seed=1,
-                    decomposition=DecompositionKind.LINEAR)
-    blk.run(30)
-    lin.run(30)
-    np.testing.assert_array_equal(
-        blk.gather_field("epi_state"), lin.gather_field("epi_state")
-    )
-    np.testing.assert_array_equal(
-        blk.gather_field("tcell"), lin.gather_field("tcell")
-    )
+    fields = []
+    for kind in (DecompositionKind.BLOCK, DecompositionKind.LINEAR):
+        with DistSimCov(p, nranks=4, seed=1, decomposition=kind) as sim:
+            sim.run(30)
+            fields.append([sim.gather_field(f) for f in ("epi_state", "tcell")])
+    for blk, lin in zip(*fields):
+        np.testing.assert_array_equal(blk, lin)

@@ -8,42 +8,32 @@ This bench compares the two strategies' modeled cost across array sizes
 and block geometries, locating the regime boundaries.
 """
 
-import numpy as np
-import pytest
-
-from repro.gpusim.device import Device
-from repro.gpusim.reduction import atomic_reduce, tree_reduce_device
 from repro.perf.machine import PERLMUTTER
+from repro.perf.work import reduction_work
 
 _NS = 1e-9
 
 
-def modeled_atomic_seconds(n):
-    d = Device(0)
-    atomic_reduce(d, np.ones(n))
+def modeled_seconds(work):
     m = PERLMUTTER
     return (
-        d.ledger.atomic_ops * m.gpu_atomic_ns
-        + d.ledger.atomic_conflicts * m.gpu_atomic_conflict_ns
+        work.reduce_tree_elems * m.gpu_reduce_elem_ns
+        + work.atomic_ops * m.gpu_atomic_ns
+        + work.atomic_conflicts * m.gpu_atomic_conflict_ns
     ) * _NS
+
+
+def modeled_atomic_seconds(n):
+    return modeled_seconds(reduction_work(n, tree=False))
 
 
 def modeled_tree_seconds(n, block=256):
-    d = Device(0)
-    tree_reduce_device(d, np.ones(n), block_size=block)
-    m = PERLMUTTER
-    return (
-        d.ledger.reduce_tree_elems * m.gpu_reduce_elem_ns
-        + d.ledger.atomic_ops * m.gpu_atomic_ns
-        + d.ledger.atomic_conflicts * m.gpu_atomic_conflict_ns
-    ) * _NS
+    return modeled_seconds(reduction_work(n, tree=True, block_size=block))
 
 
 def test_reduction_bench(benchmark):
-    d = Device(0)
-    vals = np.ones(262_144)
-    total = benchmark(lambda: tree_reduce_device(d, vals))
-    assert total == 262_144
+    work = benchmark(lambda: reduction_work(262_144, tree=True))
+    assert work.atomic_ops == 262_144 // 256
 
 
 def test_tree_beats_atomics_at_scale():
@@ -78,9 +68,3 @@ def test_block_size_tradeoff():
     # And the geometry choice moves cost far less than the strategy choice.
     assert costs[0] / costs[-1] < 5
     assert modeled_atomic_seconds(n) / costs[0] > 10
-
-
-def test_values_identical_across_strategies():
-    rng = np.random.default_rng(0)
-    vals = rng.integers(0, 1000, size=100_000).astype(np.float64)
-    assert atomic_reduce(Device(0), vals) == tree_reduce_device(Device(1), vals)

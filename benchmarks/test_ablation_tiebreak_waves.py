@@ -5,22 +5,26 @@ cell, perform a communication call, resolve tiebreaks ..., and then copy
 the results back.  Fortunately, we can do better and avoid the second
 communication call.'
 
-This bench measures both protocols on the same workload:
+This bench counts both protocols' traffic over one traced workload:
 
-- the GPU's single max-merge exchange (its cost from the ledger);
-- the CPU baseline's two-wave RPC protocol (intent RPCs + result RPCs,
-  counted by the PGAS runtime);
+- the GPU's single max-merge exchange (halo copies of its ledger);
+- the CPU baseline's two-wave RPC protocol (intent RPCs + result RPCs);
 
 and a modeled 'GPU with a second wave' variant (one extra latency-bound
-exchange per step), quantifying what the bid trick saves.
+exchange per step), quantifying what the bid trick saves.  That the two
+protocols resolve to the same moves and binds is
+tests/properties/test_two_wave_tiebreak.py.
 """
 
 import pytest
 
 from repro.core.params import SimCovParams
+from repro.grid.decomposition import Decomposition
+from repro.grid.halo import HaloExchanger
+from repro.grid.spec import GridSpec
 from repro.perf.machine import PERLMUTTER
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
+from repro.perf.work import cpu_step_work, gpu_step_work
+from repro.perf.workload import WorkloadTrace
 
 _US = 1e-6
 
@@ -30,38 +34,33 @@ def workload():
     return SimCovParams.fast_test(dim=(48, 48), num_infections=4, num_steps=100)
 
 
-@pytest.fixture(scope="module")
-def gpu_run(workload):
-    sim = SimCovGPU(workload, num_devices=4, seed=2)
-    sim.run()
-    return sim
+def _decomp(params, n=4):
+    return Decomposition.blocks(GridSpec(params.dim), n)
 
 
 @pytest.fixture(scope="module")
-def cpu_run(workload):
-    sim = SimCovCPU(workload, nranks=4, seed=2)
-    sim.run()
-    return sim
+def trace(workload):
+    return WorkloadTrace.record(workload, seed=2)
 
 
 def test_ablation_bench(benchmark, workload):
-    sim = benchmark.pedantic(
-        lambda: SimCovGPU(workload.with_(num_steps=10), num_devices=4,
-                          seed=2).run(10),
+    params = workload.with_(num_steps=10)
+    work = benchmark.pedantic(
+        lambda: gpu_step_work(WorkloadTrace.record(params, seed=2), _decomp(params)),
         rounds=1, iterations=1,
     )
-    assert len(sim) == 10
+    assert len(work) == 10
 
 
-def test_single_wave_beats_two_waves(gpu_run):
+def test_single_wave_beats_two_waves(workload, trace):
     """Adding a second exchange wave costs one more latency round per
     neighbor per step — the §3.1 saving, made concrete."""
-    ledger = gpu_run.cluster.ledger
+    work = gpu_step_work(trace, _decomp(workload))
     m = PERLMUTTER
-    steps = gpu_run.step_num
-    one_wave = (
-        ledger.copies_intra * m.gpu_copy_lat_intra_us
-        + ledger.copies_inter * m.gpu_copy_lat_inter_us
+    one_wave = sum(
+        w["ledger"].copies_intra * m.gpu_copy_lat_intra_us
+        + w["ledger"].copies_inter * m.gpu_copy_lat_inter_us
+        for w in work
     ) * _US
     # Wave B is 5 of the 11 per-step exchanges; a second tiebreak round
     # would replay those messages (results/acks), roughly doubling them.
@@ -70,35 +69,33 @@ def test_single_wave_beats_two_waves(gpu_run):
     print(
         f"\nTiebreak comm (modeled): single-wave {one_wave:.4f}s, "
         f"+2nd wave {one_wave + second_wave:.4f}s "
-        f"(+{100 * second_wave / one_wave:.0f}%) over {steps} steps"
+        f"(+{100 * second_wave / one_wave:.0f}%) over {len(work)} steps"
     )
     assert (one_wave + second_wave) / one_wave > 1.25
 
 
-def test_cpu_two_wave_rpc_traffic_counted(cpu_run):
+def test_cpu_two_wave_rpc_traffic_counted(workload, trace):
     """The CPU baseline really pays intent + result RPCs (wave 2 exists)."""
-    comm = cpu_run.runtime.comm
-    # Boundary-strip waves alone would be 3 RPCs per route per step; the
+    decomp = _decomp(workload)
+    rpcs = sum(w["comm"]["rpcs"] for w in cpu_step_work(trace, decomp))
+    # Boundary-strip waves alone are 3 RPCs per route per step; the
     # tiebreak protocol adds more whenever T cells cross boundaries.
-    routes = len(cpu_run.exchanger.replace_routes)
-    strip_rpcs = routes * 3 * cpu_run.step_num
-    assert comm.rpcs >= strip_rpcs
-    tiebreak_rpcs = comm.rpcs - strip_rpcs
-    print(f"\nCPU RPCs: {comm.rpcs} total, {tiebreak_rpcs} tiebreak "
-          f"(intent+result) over {cpu_run.step_num} steps")
+    routes = len(HaloExchanger(decomp).replace_routes)
+    strip_rpcs = routes * 3 * trace.num_steps
+    assert rpcs > strip_rpcs
+    print(f"\nCPU RPCs: {rpcs} total, {rpcs - strip_rpcs} tiebreak "
+          f"(intent+result) over {trace.num_steps} steps")
 
 
 def test_gpu_comm_volume_independent_of_tcell_count(workload):
     """The bid protocol's communication is fixed-size halo strips, not
     per-agent messages: its byte volume does not grow with T cells."""
-    quiet = SimCovGPU(workload.with_(num_steps=20), num_devices=4, seed=2)
-    quiet.run(20)
-    busy = SimCovGPU(
-        workload.with_(num_steps=20, tcell_generation_rate=200.0,
-                       tcell_initial_delay=0),
-        num_devices=4, seed=2,
-    )
-    busy.run(20)
-    qb = quiet.cluster.ledger.copy_bytes_intra + quiet.cluster.ledger.copy_bytes_inter
-    bb = busy.cluster.ledger.copy_bytes_intra + busy.cluster.ledger.copy_bytes_inter
-    assert qb == bb
+    quiet = workload.with_(num_steps=20)
+    busy = quiet.with_(tcell_generation_rate=200.0, tcell_initial_delay=0)
+    volume = []
+    for params in (quiet, busy):
+        work = gpu_step_work(WorkloadTrace.record(params, seed=2), _decomp(params))
+        volume.append(sum(
+            w["ledger"].copy_bytes_intra + w["ledger"].copy_bytes_inter for w in work
+        ))
+    assert volume[0] == volume[1]

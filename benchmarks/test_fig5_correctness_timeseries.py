@@ -18,14 +18,14 @@ from repro.experiments.plotting import ascii_series
 def result():
     params = SimCovParams.fast_test(dim=(32, 32), num_infections=2,
                                     num_steps=300)
-    return run_correctness(params, trials=3, nranks=2, num_devices=2)
+    return run_correctness(params, trials=3)
 
 
 def test_fig5_generation(benchmark):
     params = SimCovParams.fast_test(dim=(24, 24), num_infections=2,
                                     num_steps=60)
     out = benchmark.pedantic(
-        lambda: run_correctness(params, trials=2, nranks=2, num_devices=2),
+        lambda: run_correctness(params, trials=2),
         rounds=1, iterations=1,
     )
     assert set(out.cpu_series) == {s for s, _ in TRACKED_STATS}

@@ -24,14 +24,14 @@ from repro.experiments.correctness import (
 def result():
     params = SimCovParams.fast_test(dim=(32, 32), num_infections=2,
                                     num_steps=200)
-    return run_correctness(params, trials=4, nranks=2, num_devices=2)
+    return run_correctness(params, trials=4)
 
 
 def test_table2_generation(benchmark):
     params = SimCovParams.fast_test(dim=(24, 24), num_infections=2,
                                     num_steps=80)
     out = benchmark.pedantic(
-        lambda: run_correctness(params, trials=2, nranks=2, num_devices=2),
+        lambda: run_correctness(params, trials=2),
         rounds=1, iterations=1,
     )
     assert set(out.table2) == set(PAPER_TABLE2)

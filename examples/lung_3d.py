@@ -8,10 +8,12 @@ pipeline at desktop scale:
 
 - a 3D voxel volume with a dichotomous branching-airway tree (empty
   voxels — no epithelium, but virions/signal/T cells pass through);
-- infection seeded next to the airway, simulated on 8 simulated GPUs
+- infection seeded next to the airway, simulated on 8 worker processes
   (2x2x2 block decomposition with 26-neighbor halo exchange);
 - per-step statistics logged to disk and a checkpoint written mid-run,
   then resumed on the sequential implementation — bitwise identically;
+- the halo traffic SIMCoV-GPU would issue on 8 devices, counted from a
+  traced run;
 - a 2D slice of the final state rendered.
 
 Run:  python examples/lung_3d.py
@@ -30,10 +32,13 @@ except ModuleNotFoundError:
 
 import numpy as np
 
-from repro import SequentialSimCov, SimCovGPU, SimCovParams
+from repro import DistSimCov, SequentialSimCov, SimCovParams
 from repro.core.structure import branching_airways_3d
+from repro.grid.decomposition import Decomposition
 from repro.grid.spec import GridSpec
 from repro.io import StatsLogger, load_checkpoint, save_checkpoint
+from repro.perf.work import gpu_step_work
+from repro.perf.workload import WorkloadTrace
 
 
 def main():
@@ -43,18 +48,20 @@ def main():
     airways = branching_airways_3d(spec, generations=3, trunk_radius=1)
     print(f"3D volume: {params.dim}, {len(airways)} airway voxels "
           f"({len(airways) / spec.num_voxels:.1%}), "
-          f"{params.num_infections} FOI, 8 simulated GPUs (2x2x2)")
+          f"{params.num_infections} FOI, 8 ranks (2x2x2)")
 
-    gpu = SimCovGPU(params, num_devices=8, seed=21, structure_gids=airways,
-                    tile_shape=(5, 5, 5))
-    with StatsLogger("results/lung3d_stats.csv") as log:
-        for step in range(60):
-            log.log(gpu.step())
-    save_checkpoint("results/lung3d_ck.npz", gpu)
-    print(f"ran 60 steps on GPUs, checkpointed; "
-          f"virus={gpu.series[-1].virions_total:.1f}, "
-          f"halo messages so far="
-          f"{gpu.cluster.ledger.copies_intra + gpu.cluster.ledger.copies_inter}")
+    with DistSimCov(params, nranks=8, seed=21, structure_gids=airways) as dist:
+        with StatsLogger("results/lung3d_stats.csv") as log:
+            for step in range(60):
+                log.log(dist.step())
+        save_checkpoint("results/lung3d_ck.npz", dist)
+        virus = dist.series[-1].virions_total
+    trace = WorkloadTrace.record(params.with_(num_steps=60), seed=21,
+                                 structure_gids=airways)
+    work = gpu_step_work(trace, Decomposition.blocks(spec, 8), tile_shape=(5, 5, 5))
+    copies = sum(w["ledger"].copies_intra + w["ledger"].copies_inter for w in work)
+    print(f"ran 60 steps on 8 ranks, checkpointed; virus={virus:.1f}, "
+          f"halo copies SIMCoV-GPU issues on 8 devices so far={copies}")
 
     # Resume the *same* physical run on the sequential implementation.
     resumed = load_checkpoint(
@@ -65,15 +72,14 @@ def main():
         for step in range(60):
             log.log(resumed.step())
 
-    # Control: the same run uninterrupted on GPUs.
-    control = SimCovGPU(params, num_devices=8, seed=21,
-                        structure_gids=airways, tile_shape=(5, 5, 5))
+    # Control: the same run uninterrupted.
+    control = SequentialSimCov(params, seed=21, structure_gids=airways)
     control.run(120)
     same = np.array_equal(
         resumed.block.epi_state[resumed.block.interior],
         control.gather_field("epi_state"),
     )
-    print(f"GPU-checkpoint -> sequential resume matches uninterrupted GPU "
+    print(f"8-rank checkpoint -> sequential resume matches the uninterrupted "
           f"run bitwise: {same}")
 
     # Render the mid-depth slice of the final state.

@@ -4,8 +4,9 @@
 Simulates a 64x64-voxel slice of lung tissue seeded with 4 foci of
 infection using the time-compressed test parameterization, on the
 sequential reference implementation, then re-runs the identical
-simulation on the (simulated) 4-GPU implementation and verifies they
-agree — the reproduction's headline correctness property.
+simulation on 4 worker processes and verifies they agree — the
+reproduction's headline correctness property — and counts the work
+SIMCoV-GPU would issue for it on 4 devices.
 
 Run:  python examples/quickstart.py
 """
@@ -23,7 +24,11 @@ except ModuleNotFoundError:
 
 import numpy as np
 
-from repro import SequentialSimCov, SimCovGPU, SimCovParams
+from repro import DistSimCov, SequentialSimCov, SimCovParams
+from repro.grid.decomposition import Decomposition
+from repro.grid.spec import GridSpec
+from repro.perf.work import gpu_step_work
+from repro.perf.workload import WorkloadTrace
 
 
 def main():
@@ -46,18 +51,22 @@ def main():
           f"({peak_virus:.1f} total concentration), "
           f"then the T-cell response cleared it — the Fig 5 curve shape.")
 
-    # The same simulation on 4 simulated GPUs is bitwise identical.
-    gpu = SimCovGPU(params, num_devices=4, seed=42)
-    gpu.run()
-    same = np.array_equal(
-        gpu.gather_field("epi_state"),
-        sim.block.epi_state[sim.block.interior],
-    )
-    print(f"\n4-GPU run reproduces the sequential state bitwise: {same}")
-    work = gpu.step_work[-1]["ledger"]
-    print(f"GPU work last step: {work.total_launches()} kernel launches, "
-          f"{work.copies_intra + work.copies_inter} halo copies, "
-          f"active fraction {gpu.active_fraction():.2f}")
+    # The same simulation on 4 worker processes is bitwise identical.
+    with DistSimCov(params, nranks=4, seed=42) as dist:
+        dist.run()
+        same = np.array_equal(
+            dist.gather_field("epi_state"),
+            sim.block.epi_state[sim.block.interior],
+        )
+    print(f"\n4-rank run reproduces the sequential state bitwise: {same}")
+
+    # What SIMCoV-GPU issues on 4 devices, counted from one traced run.
+    trace = WorkloadTrace.record(params, seed=42)
+    work = gpu_step_work(trace, Decomposition.blocks(GridSpec(params.dim), 4))[-1]
+    ledger = work["ledger"]
+    print(f"GPU work last step: {ledger.total_launches()} kernel launches, "
+          f"{ledger.copies_intra + ledger.copies_inter} halo copies, "
+          f"active fraction {sum(work['active_per_device']) / params.num_voxels:.2f}")
 
 
 if __name__ == "__main__":

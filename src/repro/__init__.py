@@ -4,15 +4,15 @@ for Exascale* (HPDC '24).
 The package implements, from scratch and in pure numpy-accelerated Python:
 
 - the full SIMCoV biological model (epithelial state machine, motile T-cell
-  agents, diffusing virion and inflammatory-signal fields) — :mod:`repro.core`;
-- a UPC++-like PGAS runtime used by the CPU baseline — :mod:`repro.pgas`;
-- a CUDA-like multi-GPU device simulator used by the GPU port —
-  :mod:`repro.gpusim`;
-- the two parallel implementations the paper compares,
-  :mod:`repro.simcov_cpu` (active-list + RPC tiebreaks) and
-  :mod:`repro.simcov_gpu` (bid tiebreaks, memory tiling, fast reduction);
-- a calibrated machine/performance model that converts counted work into
-  modeled wall-clock seconds — :mod:`repro.perf`;
+  agents, diffusing virion and inflammatory-signal fields) — :mod:`repro.core`
+  — stepped by one phase-pipeline engine (:mod:`repro.engine`) with the
+  paper's bid tiebreak, tile-activation sweep and active-region gating;
+- a real multi-process runtime over shared memory — :mod:`repro.dist`;
+- the work the two implementations the paper compares (SIMCoV-CPU:
+  active lists + two-wave RPC tiebreaks; SIMCoV-GPU: memory tiling, fast
+  reduction, the four Fig 4 prototypes :class:`GpuVariant`) would issue,
+  counted from one traced run, and a calibrated machine model that
+  converts it into modeled wall-clock seconds — :mod:`repro.perf`;
 - an experiment harness regenerating every table and figure of the paper's
   evaluation — :mod:`repro.experiments`.
 
@@ -29,15 +29,13 @@ Quickstart::
 
 __version__ = "1.0.0"
 
-# Public names are imported lazily so that `import repro` stays cheap and the
-# substrate subpackages remain independently importable.
+# Public names are imported lazily so that `import repro` stays cheap and
+# the subpackages remain independently importable.
 _LAZY = {
     "SimCovParams": ("repro.core.params", "SimCovParams"),
     "SequentialSimCov": ("repro.core.model", "SequentialSimCov"),
     "StepStats": ("repro.core.stats", "StepStats"),
-    "SimCovCPU": ("repro.simcov_cpu.simulation", "SimCovCPU"),
-    "SimCovGPU": ("repro.simcov_gpu.simulation", "SimCovGPU"),
-    "GpuVariant": ("repro.simcov_gpu.variants", "GpuVariant"),
+    "GpuVariant": ("repro.perf.ledger", "GpuVariant"),
     "DistSimCov": ("repro.dist.driver", "DistSimCov"),
     "EnsembleSimCov": ("repro.engine.ensemble", "EnsembleSimCov"),
     "expand_sweep": ("repro.engine.ensemble", "expand_sweep"),

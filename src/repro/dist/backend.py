@@ -1,10 +1,10 @@
 """The distributed execution backend (multi-process shared-memory).
 
-Unlike the PGAS and GPU-cluster backends — which *simulate* their
-substrate inside one process — this backend runs each rank as a real OS
-process.  The coordinator process (where the
-:class:`~repro.engine.engine.StepEngine` lives) owns no kernel: every
-phase body executes inside the workers (:mod:`repro.dist.worker`), in
+Unlike the single-block backends — one block in one process — this
+backend runs each rank as a real OS process.  The coordinator process
+(where the :class:`~repro.engine.engine.StepEngine` lives) owns no
+kernel: every phase body executes inside the workers
+(:mod:`repro.dist.worker`), in
 lock step via shared-memory barriers, against field arrays allocated in
 ``multiprocessing.shared_memory`` so halo strips and §3.1 bid waves are
 zero-copy reads of neighbor blocks.

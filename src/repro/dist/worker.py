@@ -9,9 +9,9 @@ address spaces — no serialization, no message queue.
 The worker executes the same declarative :func:`dist_schedule` the
 coordinator validates, in lock step with its peers via the control
 segment's phase barriers (see :mod:`repro.dist.control`).  The schedule
-is the GPU backend's single-wave §3.1 tiebreak (REPLACE intents + MAX
-bids at ``tiebreak_exchange``; ``result_exchange`` is a structural no-op)
-combined with the PGAS backend's start-of-step ghost refresh, which
+is SIMCoV-GPU's single-wave §3.1 tiebreak (REPLACE intents + MAX bids at
+``tiebreak_exchange``; ``result_exchange`` is a structural no-op)
+combined with SIMCoV-CPU's start-of-step ghost refresh, which
 feeds the per-rank every-step :class:`~repro.engine.activity.ActivityGate`.
 
 Barrier placement per step (W = workers-only phase barrier, S = the
@@ -896,7 +896,7 @@ class _RankWorker:
         self._phase_barrier("resync")
         self._extra_seconds += perf_counter() - start
 
-    # -- kernel phases (mirror the PGAS backend's per-rank bodies) -----------
+    # -- kernel phases (the single-block bodies, over one rank's block) ------
 
     def phase_age_extravasate(self, step: int, attempts):
         self.gate.sweep()
@@ -917,7 +917,7 @@ class _RankWorker:
             return False
         kernels.tcell_age(self.block, region)
         # Attempts only succeed where signal >= min_chemokine, which the
-        # freshly-refreshed region covers (same argument as PGAS).
+        # freshly-refreshed region covers.
         self._extr = kernels.apply_extravasation(
             self.params, self.block, attempts, region
         )

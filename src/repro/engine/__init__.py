@@ -5,10 +5,9 @@ The per-step schedule of the simulation is data: an ordered tuple of
 the canonical :data:`PHASE_ORDER` vocabulary).  A :class:`StepEngine`
 executes a schedule against an :class:`ExecutionBackend`, timing every
 phase: the single-block backend (one phase-body implementation, run solo
-as :class:`SequentialBackend` or batched as :class:`EnsembleBackend`),
-the PGAS and GPU-cluster substrate models, and the multi-process
-``repro.dist`` runtime.  The drivers are thin shims over this machinery
-(see :mod:`repro.engine.driver`).
+as :class:`SequentialBackend` or batched as :class:`EnsembleBackend`) and
+the multi-process ``repro.dist`` runtime.  The drivers are thin shims
+over this machinery (see :mod:`repro.engine.driver`).
 """
 
 from repro.engine.activity import ActivityGate
@@ -24,9 +23,7 @@ from repro.engine.ensemble import (
     MemberSeries,
     expand_sweep,
 )
-from repro.engine.gpu import GpuClusterBackend
 from repro.engine.metrics import PhaseMetrics
-from repro.engine.pgas import PgasBackend
 from repro.engine.phases import (
     PHASE_KINDS,
     PHASE_ORDER,
@@ -54,9 +51,7 @@ __all__ = [
     "EnsembleSimCov",
     "ExecutionBackend",
     "FieldSet",
-    "GpuClusterBackend",
     "MemberSeries",
-    "PgasBackend",
     "Phase",
     "PhaseKind",
     "PhaseMetrics",

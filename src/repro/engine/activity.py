@@ -14,8 +14,9 @@ backend that runs numpy kernels over region slices:
   because nothing in SIMCoV moves faster than one voxel per step;
 - **refresh mode** (``sweep_period == 1``): the per-voxel mask is
   recomputed every step and dilated by one voxel — the CPU active-list of
-  §2.2, which the PGAS backend runs after its start-of-step ghost
-  exchange so activity arriving from a neighbor rank is seen in time.
+  §2.2, which every ``repro.dist`` rank runs after its start-of-step
+  ghost exchange so activity arriving from a neighbor rank is seen in
+  time.
 
 A block may carry a leading member axis (an
 :class:`~repro.core.state.EnsembleBlock`): the sweep then runs over the

@@ -1,10 +1,10 @@
 """The execution-backend protocol the StepEngine drives.
 
-A backend owns the substrate state (blocks, runtimes, clusters, tiles)
+A backend owns the substrate state (blocks, gates, worker processes)
 and implements the kernel phases of its declared schedule as
 ``phase_<name>`` methods plus one :meth:`ExecutionBackend.exchange`
 method that maps exchange barriers onto its communication primitive —
-RPC waves (PGAS), halo copies (GPU cluster), or a no-op (sequential).
+shared-memory halo pulls (``repro.dist``) or a no-op (one block).
 
 A phase handler returns ``False`` to report "reached but skipped" (a
 barrier with nothing to ship, a periodic phase that is not due); any

@@ -1,9 +1,9 @@
 """Base class for the driver shims.
 
-`SequentialSimCov`, `SimCovCPU` and `SimCovGPU` keep their historical
-constructor signatures and public attributes, but all of them now build
-an :class:`~repro.engine.backend.ExecutionBackend` and delegate the
-entire step loop to a shared :class:`~repro.engine.engine.StepEngine`.
+`SequentialSimCov`, `DistSimCov` and `EnsembleSimCov` keep their
+constructor signatures and public attributes, but all of them build an
+:class:`~repro.engine.backend.ExecutionBackend` and delegate the entire
+step loop to a shared :class:`~repro.engine.engine.StepEngine`.
 This base class wires that delegation: stepping, the time series, the
 per-step work records, the per-phase metrics, and the checkpoint state
 (``pool`` / ``step_num`` are settable so restore works unchanged).
@@ -24,11 +24,14 @@ from repro.engine.phases import Phase
 #: Every backend a run can name (``simcov-repro run --backend``, a serve
 #: job's ``backend``): its driver class, by import path so that naming a
 #: backend imports only that one, and the keyword its rank / device
-#: count goes by (None: an undivided domain).
+#: count goes by (None: an undivided domain).  ``cpu`` and ``gpu`` name
+#: the single-block stepper: every decomposition of SIMCoV-CPU and
+#: SIMCoV-GPU computes its trace bit for bit, and their counted work is a
+#: function of that trace (:mod:`repro.perf.work`).
 DRIVERS = {
     "sequential": ("repro.core.model:SequentialSimCov", None),
-    "cpu": ("repro.simcov_cpu.simulation:SimCovCPU", "nranks"),
-    "gpu": ("repro.simcov_gpu.simulation:SimCovGPU", "num_devices"),
+    "cpu": ("repro.core.model:SequentialSimCov", None),
+    "gpu": ("repro.core.model:SequentialSimCov", None),
     "dist": ("repro.dist.driver:DistSimCov", "nranks"),
     "ensemble": ("repro.engine.ensemble:EnsembleSimCov", None),
 }

@@ -9,10 +9,9 @@ scalar state per ensemble member overrides the prologue, the pool debit
 and the epilogue (:meth:`StepEngine._begin_step` / :meth:`StepEngine._debit`
 / :meth:`StepEngine._finish_step`), never the loop.
 
-Drivers (`SequentialSimCov`, `SimCovCPU`, `SimCovGPU`, `DistSimCov`,
-`EnsembleSimCov`) are thin configuration shims: they build a backend,
-hand it to an engine, and re-export the engine's state under their
-historical public API.
+Drivers (`SequentialSimCov`, `DistSimCov`, `EnsembleSimCov`) are thin
+configuration shims: they build a backend, hand it to an engine, and
+re-export the engine's state under their public API.
 """
 
 from __future__ import annotations

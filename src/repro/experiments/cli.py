@@ -777,7 +777,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_group.add_argument(
         "--nranks", type=int, default=4,
-        help="ranks (cpu/dist) or devices (gpu); ignored by sequential",
+        help="ranks of dist; ignored by the single-block backends "
+        "(sequential, cpu, gpu)",
     )
     run_group.add_argument(
         "--config", default=None, metavar="NAME",

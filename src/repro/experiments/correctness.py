@@ -9,9 +9,10 @@ standard deviations.
 This reproduction runs the same protocol at reduced scale (the full
 10,000^2 x 33,120-step runs are a supercomputer workload; see DESIGN.md
 §2).  Because the paper's implementations used different PRNGs, trials use
-*different seeds per implementation* here too — the statistical comparison
-is meaningful, and is complemented by the bitwise-equality tests in
-tests/integration (a property the original could not have).
+*different seeds per implementation* here too — two seed families — so the
+statistical comparison is meaningful.  Every decomposition computes the
+single-block stepper's trace bit for bit (tests/dist, tests/golden), so
+both families run on that stepper, whatever the rank or device count.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.core.stats import TimeSeries
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
 
 #: The Fig 5 panels / Table 2 rows: (stat field, display name).
 TRACKED_STATS = (
@@ -64,8 +64,6 @@ class CorrectnessResult:
 def run_correctness(
     params: SimCovParams | None = None,
     trials: int = 5,
-    nranks: int = 4,
-    num_devices: int = 4,
     base_seed: int = 100,
 ) -> CorrectnessResult:
     """Run the §4.1 protocol: ``trials`` runs of each implementation with
@@ -77,12 +75,9 @@ def run_correctness(
     cpu_runs: list[TimeSeries] = []
     gpu_runs: list[TimeSeries] = []
     for trial in range(trials):
-        cpu = SimCovCPU(params, nranks=nranks, seed=base_seed + trial)
-        cpu_runs.append(cpu.run())
+        cpu_runs.append(SequentialSimCov(params, seed=base_seed + trial).run())
         # Offset seeds: like the paper's PRNG-distinct implementations.
-        gpu = SimCovGPU(
-            params, num_devices=num_devices, seed=base_seed + 1000 + trial
-        )
+        gpu = SequentialSimCov(params, seed=base_seed + 1000 + trial)
         gpu_runs.append(gpu.run())
     steps = cpu_runs[0].steps()
     cpu_series = {}

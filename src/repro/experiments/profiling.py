@@ -5,9 +5,10 @@ Reduction, Memory Tiling, Combined — on 4 GPUs with dense activity (1024
 FOI) and reports total runtime split into *Update Agents* and *Reduce
 Statistics*.
 
-This runner executes all four variants on the same dense workload at
-reduced scale, prices their per-step ledgers with the machine model, and
-emits the same stacked-bar rows.  Expected shape (the paper's findings):
+This runner traces one dense workload at reduced scale, counts each
+variant's per-step work on the 4-device decomposition
+(:func:`repro.perf.work.gpu_step_work`), prices it with the machine model,
+and emits the same stacked-bar rows.  Expected shape (the paper's findings):
 reductions dominate the unoptimized profile; each optimization helps in
 isolation; tiling also improves reductions via locality; the combined
 version multiplies the gains.
@@ -18,21 +19,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.params import SimCovParams
+from repro.grid.decomposition import Decomposition
+from repro.grid.spec import GridSpec
 from repro.perf.costs import gpu_step_seconds
+from repro.perf.ledger import GpuVariant
 from repro.perf.machine import MachineModel, PERLMUTTER
-from repro.simcov_gpu.simulation import SimCovGPU
-from repro.simcov_gpu.variants import GpuVariant
+from repro.perf.work import gpu_step_work
+from repro.perf.workload import WorkloadTrace
 
 
 @dataclass
 class ProfilingRow:
     """One Fig 4 bar.
 
-    ``update_seconds``/``reduce_seconds`` are *modeled* times (ledger work
+    ``update_seconds``/``reduce_seconds`` are *modeled* times (counted work
     priced by the machine model); ``phase_seconds``/``phase_calls`` are the
-    engine's own per-phase host wall-time and invocation counters
-    (``sim.phase_metrics``), reported as measured — they are never rescaled
-    by ``scale_to_paper``.
+    traced run's per-phase host wall-time and invocation counters (the
+    engine's ``phase_metrics``, one run shared by every variant), reported
+    as measured — they are never rescaled by ``scale_to_paper``.
     """
 
     variant: GpuVariant
@@ -65,15 +69,12 @@ def run_profiling(
         params = SimCovParams.fast_test(
             dim=(96, 96), num_infections=64, num_steps=60
         )
+    trace = WorkloadTrace.record(params, seed=seed)
+    decomp = Decomposition.blocks(GridSpec(params.dim), num_devices)
     rows = []
     for variant in GpuVariant:
-        sim = SimCovGPU(
-            params, num_devices=num_devices, seed=seed, variant=variant,
-            tile_shape=(8, 8),
-        )
-        sim.run()
         update = reduce = 0.0
-        for w in sim.step_work:
+        for w in gpu_step_work(trace, decomp, variant, tile_shape=(8, 8)):
             cost = gpu_step_seconds(
                 machine, w["ledger"], w["active_per_device"], num_devices,
                 variant.use_tiling,
@@ -83,8 +84,8 @@ def run_profiling(
         rows.append(
             ProfilingRow(
                 variant, update, reduce,
-                phase_seconds=dict(sim.phase_metrics.seconds),
-                phase_calls=dict(sim.phase_metrics.calls),
+                phase_seconds=dict(trace.phase_metrics.seconds),
+                phase_calls=dict(trace.phase_metrics.calls),
             )
         )
     if scale_to_paper:

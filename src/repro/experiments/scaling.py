@@ -14,8 +14,8 @@ by the machine model.  Shape targets (the paper's findings):
 - Fig 8: GPU runtime grows sublinearly in FOI, CPU ~linearly until
   saturation; the speedup reaches ~12x at high FOI (ideal: 15.6x).
 
-``validate_direct`` cross-checks the projector against directly-executed
-small simulations.
+``validate_direct`` cross-checks the projector against the counted work
+of a small traced run.
 """
 
 from __future__ import annotations
@@ -173,35 +173,33 @@ def validate_direct(
     num_steps=120,
     seed=3,
 ) -> dict:
-    """Cross-check: direct execution vs projection at the same small scale.
+    """Cross-check: counted work vs projection at the same small scale.
 
-    Runs the real SIMCoV-CPU/GPU, prices their measured work with the cost
-    functions, and compares against the projector driven by a trace of the
-    same run.  Returns the ratios (tested to be O(1))."""
-    from repro.core.params import SimCovParams
+    Traces one real run, prices SIMCoV-CPU's and SIMCoV-GPU's per-step
+    counted work on 4 ranks / devices with the cost functions, and
+    compares against the projector driven by the same trace's supercell
+    counts.  Returns the ratios (tested to be O(1))."""
+    from repro.grid.decomposition import Decomposition
+    from repro.grid.spec import GridSpec
     from repro.perf.costs import cpu_step_seconds, gpu_step_seconds
+    from repro.perf.work import cpu_step_work, gpu_step_work
     from repro.perf.workload import WorkloadTrace
-    from repro.simcov_cpu.simulation import SimCovCPU
-    from repro.simcov_gpu.simulation import SimCovGPU
 
     params = SimCovParams.fast_test(
         dim=dim, num_infections=num_infections, num_steps=num_steps
     )
-    cpu = SimCovCPU(params, nranks=4, seed=seed)
-    cpu.run()
+    trace = WorkloadTrace.record(params, seed=seed, supergrid=16, stride=4)
+    decomp = Decomposition.blocks(GridSpec(params.dim), 4)
     direct_cpu = sum(
         cpu_step_seconds(PERLMUTTER, w["active_per_rank"], w["comm"], 4)
-        for w in cpu.step_work
+        for w in cpu_step_work(trace, decomp)
     )
-    gpu = SimCovGPU(params, num_devices=4, seed=seed)
-    gpu.run()
     direct_gpu = sum(
         gpu_step_seconds(
             PERLMUTTER, w["ledger"], w["active_per_device"], 4, True
         ).total_seconds
-        for w in gpu.step_work
+        for w in gpu_step_work(trace, decomp)
     )
-    trace = WorkloadTrace.record(params, seed=seed, supergrid=16, stride=4)
     proj_cpu = project_cpu_runtime(PERLMUTTER, trace, 4).total_seconds
     proj_gpu = project_gpu_runtime(PERLMUTTER, trace, 4).total_seconds
     return {

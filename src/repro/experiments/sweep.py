@@ -63,7 +63,7 @@ def run_sweep(
 
     ``grid`` maps SimCovParams field names to value lists; every
     combination runs ``trials`` times with distinct seeds.  ``make_sim``
-    lets callers swap the implementation (e.g. ``SimCovGPU`` with a device
+    lets callers swap the implementation (e.g. ``DistSimCov`` with a rank
     count) — the default is the sequential reference.
     """
     if make_sim is None:

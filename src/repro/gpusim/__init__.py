@@ -1,41 +1,17 @@
-"""A multi-GPU device simulator (CUDA analog) for SIMCoV-GPU.
+"""CUDA-stream modeling for SIMCoV-GPU's step schedule.
 
-The paper's GPU port is structured as a sequence of kernels over per-device
-subdomains, separated by device-to-device halo copies (Fig 2).  This
-package reproduces that execution model on the host:
-
-- :class:`~repro.gpusim.device.Device` owns named arrays ("global memory"),
-  a kernel-launch API, and a :class:`~repro.gpusim.ledger.WorkLedger`
-  counting every launch, voxel, byte, and atomic — the perf model's input;
-- :mod:`repro.gpusim.atomics` models atomic add/max with conflict counting
-  (atomics serialize under contention, the §3.3 motivation);
-- :mod:`repro.gpusim.reduction` implements both statistics-reduction
-  strategies the paper profiles: scattered atomics vs the shared-memory
-  tree reduction of Harris [17];
-- :class:`~repro.gpusim.cluster.GpuCluster` groups devices into nodes and
-  routes halo copies through intra-node (NVLink-class) or inter-node
-  (network) channels with separate accounting.
-
-Kernels execute as vectorized numpy over (active) tiles — the arithmetic is
-real, the *timing* is modeled from the ledger.
+SIMCoV-GPU's counted work — launches, active-tile voxels, atomics, halo
+copies — is a pure function of one single-block trace
+(:mod:`repro.perf.work`).  What is left here is the one thing a trace does
+not give: when copies and kernels may *overlap*.
+:class:`~repro.gpusim.stream.StreamSchedule` is a deterministic
+discrete-event model of per-device streams on compute and copy engines,
+used by the latency-hiding ablation.
 """
 
-from repro.gpusim.ledger import WorkLedger, KernelCategory
-from repro.gpusim.device import Device
-from repro.gpusim.cluster import GpuCluster
-from repro.gpusim.atomics import atomic_add, atomic_max
-from repro.gpusim.reduction import atomic_reduce, tree_reduce_device
 from repro.gpusim.stream import Engine, Event, Stream, StreamSchedule
 
 __all__ = [
-    "WorkLedger",
-    "KernelCategory",
-    "Device",
-    "GpuCluster",
-    "atomic_add",
-    "atomic_max",
-    "atomic_reduce",
-    "tree_reduce_device",
     "Engine",
     "Event",
     "Stream",

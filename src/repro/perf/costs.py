@@ -1,8 +1,9 @@
-"""Pricing counted work from directly-executed simulations.
+"""Pricing counted work.
 
-These functions convert one step's ledger/comm deltas into modeled
-seconds.  They are the ground truth the trace-based projector must agree
-with (tested), and they power the Fig 4 optimization-breakdown bench,
+These functions convert one step's ledger/comm counts
+(:mod:`repro.perf.work`) into modeled seconds.  They are the ground truth
+the supercell projector must agree with (tested), and they power the Fig 4
+optimization-breakdown bench,
 whose two bars are exactly :class:`GpuStepCost.update_seconds` and
 :class:`GpuStepCost.reduce_seconds`.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.gpusim.ledger import WorkLedger
+from repro.perf.ledger import WorkLedger
 from repro.perf.machine import MachineModel
 
 _NS = 1e-9

@@ -5,8 +5,8 @@ synthesized :class:`DiskActivityModel`) and a machine model, the projector
 computes the modeled runtime of SIMCoV-CPU at R ranks or SIMCoV-GPU at G
 devices — reproducing what the paper measured on Perlmutter for Figs 6-8.
 
-The projector prices exactly the operations the executable implementations
-issue (tests cross-check it against their ledgers): per-step kernel/wave
+The projector prices exactly the operations the two implementations
+issue (tests cross-check it against their counted work): per-step kernel/wave
 structure, per-rank work from the activity map apportioned to the block
 decomposition (load imbalance included — bulk-synchronous steps wait for
 the busiest rank), halo strips by neighbor locality, and log-depth
@@ -23,7 +23,7 @@ import numpy as np
 from repro.grid.decomposition import Decomposition, _split_extent
 from repro.grid.spec import GridSpec
 from repro.perf.machine import CORES_PER_NODE, GPUS_PER_NODE, MachineModel
-from repro.simcov_gpu.variants import GpuVariant
+from repro.perf.ledger import GpuVariant
 
 _NS = 1e-9
 _US = 1e-6
@@ -190,7 +190,7 @@ def project_gpu_runtime(
 
     ``tile_inflation`` converts exactly-active voxels into active-*tile*
     voxels (dilation buffer + tile quantization); the default is the ratio
-    observed in directly-executed tiled runs.
+    observed in the counted work of tiled runs.
     """
     spec = GridSpec(provider.dim)
     decomp = Decomposition.blocks(spec, num_devices)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.simcov_gpu.simulation import SimCovGPU
+from repro.dist import DistSimCov
 
 
 class TestParamHelpers:
@@ -90,13 +90,13 @@ class TestInterventionDynamics:
                             antiviral_factor=0.1, antibody_start=50,
                             antibody_factor=5.0)
         seq = SequentialSimCov(treated_p, seed=6)
-        gpu = SimCovGPU(treated_p, num_devices=4, seed=6)
         seq.run()
-        gpu.run()
-        np.testing.assert_array_equal(
-            seq.block.virions[seq.block.interior], gpu.gather_field("virions")
-        )
-        np.testing.assert_array_equal(
-            seq.block.epi_state[seq.block.interior],
-            gpu.gather_field("epi_state"),
-        )
+        with DistSimCov(treated_p, nranks=4, seed=6) as dist:
+            dist.run()
+            np.testing.assert_array_equal(
+                seq.block.virions[seq.block.interior], dist.gather_field("virions")
+            )
+            np.testing.assert_array_equal(
+                seq.block.epi_state[seq.block.interior],
+                dist.gather_field("epi_state"),
+            )

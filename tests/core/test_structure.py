@@ -9,7 +9,7 @@ from repro.core.state import EpiState, VoxelBlock
 from repro.core.structure import apply_structure, branching_airways_2d
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
-from repro.simcov_gpu.simulation import SimCovGPU
+from repro.dist import DistSimCov
 
 
 class TestAirwayGeneration:
@@ -130,11 +130,11 @@ class TestStructuredSimulation:
 
     def test_parallel_matches_sequential_with_structure(self, run):
         p, airways, sim = run
-        gpu = SimCovGPU(p, num_devices=4, seed=4, structure_gids=airways)
-        gpu.run(120)
-        for f in ("epi_state", "tcell", "virions"):
-            np.testing.assert_array_equal(
-                getattr(sim.block, f)[sim.block.interior],
-                gpu.gather_field(f),
-                err_msg=f,
-            )
+        with DistSimCov(p, nranks=4, seed=4, structure_gids=airways) as dist:
+            dist.run(120)
+            for f in ("epi_state", "tcell", "virions"):
+                np.testing.assert_array_equal(
+                    getattr(sim.block, f)[sim.block.interior],
+                    dist.gather_field(f),
+                    err_msg=f,
+                )

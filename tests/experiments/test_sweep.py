@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.experiments.sweep import SweepResult, best_fit, run_sweep, summarize
-from repro.simcov_gpu.simulation import SimCovGPU
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +35,7 @@ class TestRunSweep:
                                       num_steps=40)
         out = run_sweep(
             base, {"num_infections": [1, 2]}, trials=1,
-            make_sim=lambda p, s: SimCovGPU(p, num_devices=2, seed=s),
+            make_sim=lambda p, s: SequentialSimCov(p, seed=s, active_gating=False),
         )
         assert len(out) == 2
 

@@ -1,115 +1,42 @@
-"""Tests for atomics and the two reduction strategies."""
+"""The two §3.3 statistics reductions, as counted work.
 
-import numpy as np
+SIMCoV-GPU's unoptimized prototype accumulates each statistic with one
+atomic per element on a single address; the fast-reduction prototype runs
+a shared-memory tree per thread block and issues one atomic per block.
+"""
+
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.gpusim.atomics import atomic_add, atomic_max, _conflicts
-from repro.gpusim.device import Device
-from repro.gpusim.reduction import atomic_reduce, tree_reduce_device
-
-
-class TestConflicts:
-    def test_all_unique(self):
-        assert _conflicts(np.array([1, 2, 3])) == 0
-
-    def test_all_same(self):
-        assert _conflicts(np.array([5, 5, 5, 5])) == 3
-
-    def test_mixed(self):
-        assert _conflicts(np.array([1, 1, 2, 3, 3, 3])) == 3
-
-    def test_empty(self):
-        assert _conflicts(np.array([], dtype=np.int64)) == 0
-
-
-class TestAtomicAdd:
-    def test_unbuffered_semantics(self):
-        """np.add.at applies repeated indices cumulatively (true atomics)."""
-        d = Device(0)
-        arr = np.zeros(4, dtype=np.int64)
-        atomic_add(d, arr, np.array([1, 1, 1, 2]), 1)
-        np.testing.assert_array_equal(arr, [0, 3, 1, 0])
-        assert d.ledger.atomic_ops == 4
-        assert d.ledger.atomic_conflicts == 2
-
-    def test_2d_array_flat_index(self):
-        d = Device(0)
-        arr = np.zeros((2, 3), dtype=np.float64)
-        atomic_add(d, arr, np.array([4]), 2.5)
-        assert arr[1, 1] == 2.5
-
-
-class TestAtomicMax:
-    def test_max_semantics(self):
-        d = Device(0)
-        arr = np.zeros(3, dtype=np.uint64)
-        atomic_max(d, arr, np.array([0, 0, 1]), np.array([5, 9, 2], dtype=np.uint64))
-        np.testing.assert_array_equal(arr, [9, 2, 0])
-        assert d.ledger.atomic_conflicts == 1
-
-    def test_keeps_existing_larger(self):
-        d = Device(0)
-        arr = np.array([100], dtype=np.uint64)
-        atomic_max(d, arr, np.array([0]), np.array([7], dtype=np.uint64))
-        assert arr[0] == 100
+from repro.perf.work import reduction_work
 
 
 class TestAtomicReduce:
     def test_value_and_maximal_conflicts(self):
-        d = Device(0)
-        vals = np.arange(1000, dtype=np.float64)
-        out = atomic_reduce(d, vals)
-        assert out == vals.sum()
-        assert d.ledger.atomic_ops == 1000
-        assert d.ledger.atomic_conflicts == 999
+        work = reduction_work(1000, tree=False)
+        assert work.atomic_ops == 1000
+        assert work.atomic_conflicts == 999  # every op hits one address
+        assert work.reduce_tree_elems == 0
 
 
 class TestTreeReduce:
-    def test_matches_numpy(self):
-        d = Device(0)
-        rng = np.random.default_rng(0)
-        vals = rng.integers(0, 100, size=10_000).astype(np.float64)
-        out = tree_reduce_device(d, vals, block_size=256)
-        assert out == vals.sum()
-
     def test_block_accounting(self):
-        d = Device(0)
-        tree_reduce_device(d, np.ones(1000), block_size=256)
-        assert d.ledger.reduce_tree_elems == 1000
-        assert d.ledger.reduce_tree_blocks == 4  # ceil(1000/256)
-        assert d.ledger.atomic_ops == 4
+        work = reduction_work(1000, tree=True, block_size=256)
+        assert work.reduce_tree_elems == 1000
+        assert work.atomic_ops == 4  # one per block: ceil(1000/256)
+        assert work.atomic_conflicts == 3
 
     def test_far_fewer_atomics_than_atomic_reduce(self):
         """The §3.3 claim in counter form."""
-        d_tree, d_atomic = Device(0), Device(1)
-        vals = np.ones(100_000)
-        tree_reduce_device(d_tree, vals)
-        atomic_reduce(d_atomic, vals)
-        assert d_tree.ledger.atomic_ops < d_atomic.ledger.atomic_ops / 100
+        tree = reduction_work(100_000, tree=True)
+        atomic = reduction_work(100_000, tree=False)
+        assert tree.atomic_ops < atomic.atomic_ops / 100
 
     def test_empty_input(self):
-        d = Device(0)
-        assert tree_reduce_device(d, np.array([])) == 0.0
+        for tree in (False, True):
+            work = reduction_work(0, tree=tree)
+            assert (work.atomic_ops, work.atomic_conflicts) == (0, 0)
+            assert work.reduce_tree_elems == 0
 
     def test_non_power_of_two_block_rejected(self):
-        d = Device(0)
         with pytest.raises(ValueError):
-            tree_reduce_device(d, np.ones(10), block_size=100)
-
-    @given(
-        n=st.integers(min_value=1, max_value=5000),
-        block=st.sampled_from([32, 64, 128, 256, 512]),
-        seed=st.integers(min_value=0, max_value=100),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_exact_for_integers_property(self, n, block, seed):
-        """Integer statistics reduce exactly regardless of geometry."""
-        d = Device(0)
-        vals = np.random.default_rng(seed).integers(0, 2**20, size=n)
-        assert tree_reduce_device(d, vals.astype(np.float64), block) == vals.sum()
-
-    def test_2d_input_flattened(self):
-        d = Device(0)
-        vals = np.ones((37, 23))
-        assert tree_reduce_device(d, vals) == 37 * 23
+            reduction_work(10, tree=True, block_size=100)

@@ -2,10 +2,13 @@
 
 The paper (§4.1) demonstrates *statistical* agreement between SIMCoV-CPU
 and SIMCoV-GPU.  Because this reproduction keys all randomness by global
-voxel id, we can show the stronger property: the sequential reference,
-SIMCoV-CPU (any rank count/decomposition) and SIMCoV-GPU (any device
-count, any optimization variant) produce bitwise-identical voxel state.
+voxel id, it shows the stronger property: every decomposition computes
+the single-block trace bit for bit.  The golden traces pin that for the
+multi-process runtime at every rank count (tests/dist/test_dist_golden.py);
+here both drivers run through the one phase-pipeline engine.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -14,10 +17,7 @@ pytestmark = pytest.mark.slow
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.grid.decomposition import DecompositionKind
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
-from repro.simcov_gpu.variants import GpuVariant
+from repro.dist import DistSimCov
 
 FIELDS = (
     "epi_state",
@@ -28,21 +28,6 @@ FIELDS = (
     "tcell_bound_time",
     "epi_timer",
 )
-
-INT_STATS = (
-    "healthy", "incubating", "expressing", "apoptotic", "dead",
-    "tcells_tissue", "extravasations", "binds", "moves",
-)
-FLOAT_STATS = ("virions_total", "chemokine_total", "tcells_vasculature")
-
-
-def assert_stats_match(a, b, label):
-    for f in INT_STATS:
-        assert getattr(a, f) == getattr(b, f), f"{label}: {f} {getattr(a,f)} vs {getattr(b,f)}"
-    for f in FLOAT_STATS:
-        # Reduction order differs across implementations; integer-valued
-        # sums of [0,1] fractions agree to ~1 ulp per element.
-        assert np.isclose(getattr(a, f), getattr(b, f), rtol=1e-12), f"{label}: {f}"
 
 
 def assert_fields_match(seq, sim, label):
@@ -56,120 +41,18 @@ def assert_fields_match(seq, sim, label):
         )
 
 
-#: Enough steps to cover the full dynamic range: infection growth, T-cell
-#: arrival (delay=60), movement conflicts, binding, clearance.
-STEPS = 140
-
-
-@pytest.fixture(scope="module")
-def reference():
-    p = SimCovParams.fast_test(dim=(24, 24), num_infections=3, num_steps=STEPS)
-    seq = SequentialSimCov(p, seed=42)
-    seq.run(STEPS)
-    return p, seq
-
-
-class TestCpuEquivalence:
-    @pytest.mark.parametrize("nranks", [2, 4])
-    def test_block_decomposition(self, reference, nranks):
-        p, seq = reference
-        cpu = SimCovCPU(p, nranks=nranks, seed=42)
-        for i in range(STEPS):
-            assert_stats_match(seq.series[i], cpu.step(), f"cpu{nranks} step {i}")
-        assert_fields_match(seq, cpu, f"cpu{nranks}")
-
-    def test_linear_decomposition(self, reference):
-        p, seq = reference
-        cpu = SimCovCPU(
-            p, nranks=3, seed=42, decomposition=DecompositionKind.LINEAR
-        )
-        cpu.run(STEPS)
-        assert_fields_match(seq, cpu, "cpu-linear")
-        assert_stats_match(seq.series[-1], cpu.series[-1], "cpu-linear")
-
-
-class TestGpuEquivalence:
-    @pytest.mark.parametrize(
-        "variant",
-        [GpuVariant.UNOPTIMIZED, GpuVariant.COMBINED],
-        ids=lambda v: v.value,
-    )
-    def test_variants(self, reference, variant):
-        p, seq = reference
-        gpu = SimCovGPU(
-            p, num_devices=4, seed=42, variant=variant, tile_shape=(4, 4)
-        )
-        for i in range(STEPS):
-            assert_stats_match(seq.series[i], gpu.step(), f"{variant} step {i}")
-        assert_fields_match(seq, gpu, str(variant))
-
-    def test_tiling_only_variant(self, reference):
-        p, seq = reference
-        gpu = SimCovGPU(
-            p, num_devices=2, seed=42,
-            variant=GpuVariant.MEMORY_TILING, tile_shape=(3, 3),
-        )
-        gpu.run(STEPS)
-        assert_fields_match(seq, gpu, "gpu-tiling")
-
-    def test_fast_reduction_variant(self, reference):
-        p, seq = reference
-        gpu = SimCovGPU(
-            p, num_devices=4, seed=42, variant=GpuVariant.FAST_REDUCTION
-        )
-        gpu.run(STEPS)
-        assert_fields_match(seq, gpu, "gpu-fastred")
-        assert_stats_match(seq.series[-1], gpu.series[-1], "gpu-fastred")
-
-    def test_device_count_invariance(self, reference):
-        """1 device must equal 4 devices exactly (decomposition-free RNG)."""
-        p, _ = reference
-        a = SimCovGPU(p, num_devices=1, seed=7, tile_shape=(4, 4))
-        b = SimCovGPU(p, num_devices=4, seed=7, tile_shape=(4, 4))
-        a.run(60)
-        b.run(60)
-        for name in FIELDS:
-            np.testing.assert_array_equal(
-                a.gather_field(name), b.gather_field(name), err_msg=name
-            )
-
-    def test_sweep_period_invariance(self, reference):
-        """Sweeping every step vs at the maximum sound period must not
-        change results — only work (the §3.2 safety claim)."""
-        p, seq = reference
-        eager = SimCovGPU(p, num_devices=4, seed=42, tile_shape=(4, 4),
-                          sweep_period=1)
-        eager.run(STEPS)
-        assert_fields_match(seq, eager, "gpu-sweep1")
-
-
-class TestCpuGpuAgainstEachOther:
-    def test_cpu_gpu_direct(self, reference):
-        p, _ = reference
-        cpu = SimCovCPU(p, nranks=6, seed=99)
-        gpu = SimCovGPU(p, num_devices=6, seed=99, tile_shape=(3, 3))
-        cpu.run(80)
-        gpu.run(80)
-        for name in FIELDS:
-            np.testing.assert_array_equal(
-                cpu.gather_field(name), gpu.gather_field(name), err_msg=name
-            )
-
-
 class TestEngineUnification:
-    """All three drivers execute through the shared phase-pipeline engine
+    """Both drivers execute through the shared phase-pipeline engine
     (repro.engine) and stay bitwise identical when driven through it."""
 
     ENGINE_STEPS = 40  # > tcell_initial_delay at fast_test compression
 
+    @contextlib.contextmanager
     def _drivers_2d(self):
         p = SimCovParams.fast_test(dim=(16, 16), num_infections=3,
                                    num_steps=self.ENGINE_STEPS)
-        return p, [
-            SequentialSimCov(p, seed=5),
-            SimCovCPU(p, nranks=4, seed=5),
-            SimCovGPU(p, num_devices=4, seed=5, tile_shape=(4, 4)),
-        ]
+        with DistSimCov(p, nranks=4, seed=5) as dist:
+            yield p, [SequentialSimCov(p, seed=5), dist]
 
     def test_all_drivers_share_the_step_engine(self):
         from repro.engine import (
@@ -179,55 +62,49 @@ class TestEngineUnification:
             validate_schedule,
         )
 
-        _, sims = self._drivers_2d()
-        for sim in sims:
-            assert isinstance(sim.engine, StepEngine)
-            assert isinstance(sim.backend, ExecutionBackend)
-            assert sim.engine.backend is sim.backend
-            # The declared schedule is a valid subsequence of the canonical
-            # phase order.
-            validate_schedule(sim.schedule)
-            names = [ph.name for ph in sim.schedule]
-            assert set(names) <= set(PHASE_ORDER)
-            # Stepping goes through the engine: state advances in lockstep.
-            sim.step()
-            assert sim.step_num == sim.engine.step_num == 1
+        with self._drivers_2d() as (_, sims):
+            for sim in sims:
+                assert isinstance(sim.engine, StepEngine)
+                assert isinstance(sim.backend, ExecutionBackend)
+                assert sim.engine.backend is sim.backend
+                # The declared schedule is a valid subsequence of the
+                # canonical phase order.
+                validate_schedule(sim.schedule)
+                names = [ph.name for ph in sim.schedule]
+                assert set(names) <= set(PHASE_ORDER)
+                # Stepping goes through the engine: state advances in lockstep.
+                sim.step()
+                assert sim.step_num == sim.engine.step_num == 1
 
     def test_engine_equivalence_2d(self):
-        _, sims = self._drivers_2d()
-        seq, cpu, gpu = sims
-        for sim in sims:
-            sim.engine.run(self.ENGINE_STEPS)
-        for i in range(self.ENGINE_STEPS):
-            assert_stats_match(seq.series[i], cpu.series[i], f"engine-cpu {i}")
-            assert_stats_match(seq.series[i], gpu.series[i], f"engine-gpu {i}")
-        assert_fields_match(seq, cpu, "engine-cpu")
-        assert_fields_match(seq, gpu, "engine-gpu")
+        with self._drivers_2d() as (_, (seq, dist)):
+            for sim in (seq, dist):
+                sim.engine.run(self.ENGINE_STEPS)
+            assert dist.series.to_rows() == seq.series.to_rows()
+            assert_fields_match(seq, dist, "engine-dist")
 
     def test_engine_equivalence_3d(self):
         steps = 30
         p = SimCovParams.fast_test(dim=(8, 8, 8), num_infections=2,
                                    num_steps=steps)
         seq = SequentialSimCov(p, seed=13)
-        cpu = SimCovCPU(p, nranks=4, seed=13)
-        gpu = SimCovGPU(p, num_devices=8, seed=13, tile_shape=(4, 4, 4))
-        for sim in (seq, cpu, gpu):
-            sim.engine.run(steps)
-        for i in range(steps):
-            assert_stats_match(seq.series[i], cpu.series[i], f"3d-cpu {i}")
-            assert_stats_match(seq.series[i], gpu.series[i], f"3d-gpu {i}")
-        assert_fields_match(seq, cpu, "3d-cpu")
-        assert_fields_match(seq, gpu, "3d-gpu")
+        seq.engine.run(steps)
+        with DistSimCov(p, nranks=4, seed=13) as dist:
+            dist.engine.run(steps)
+            assert dist.series.to_rows() == seq.series.to_rows()
+            assert_fields_match(seq, dist, "3d-dist")
 
     def test_every_phase_reports_time_and_counts(self):
-        _, sims = self._drivers_2d()
-        for sim in sims:
-            sim.run(10)
-            summary = sim.phase_metrics.summary()
-            for ph in sim.schedule:
-                row = summary[ph.name]
-                assert row["calls"] + row["skips"] == 10, ph.name
-                assert row["seconds"] >= 0.0
-            # Executed phases surface per-step wall time in step_work too.
-            for rec in sim.step_work:
-                assert set(rec["phase_seconds"]) <= {p.name for p in sim.schedule}
+        with self._drivers_2d() as (_, sims):
+            for sim in sims:
+                sim.run(10)
+                summary = sim.phase_metrics.summary()
+                # The runtime's metrics merge every rank's.
+                reached = 10 * getattr(sim, "nranks", 1)
+                for ph in sim.schedule:
+                    row = summary[ph.name]
+                    assert row["calls"] + row["skips"] == reached, ph.name
+                    assert row["seconds"] >= 0.0
+                # Executed phases surface per-step wall time in step_work too.
+                for rec in sim.step_work:
+                    assert set(rec["phase_seconds"]) <= {p.name for p in sim.schedule}

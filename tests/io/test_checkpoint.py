@@ -1,4 +1,5 @@
-"""Tests for checkpoint/restore, including cross-implementation resume."""
+"""Tests for checkpoint/restore (resuming across rank counts:
+``tests/dist/test_dist_checkpoint.py``)."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,6 @@ import pytest
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.io.checkpoint import CHECKPOINT_FIELDS, load_checkpoint, save_checkpoint
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
 
 
 @pytest.fixture(scope="module")
@@ -67,45 +66,6 @@ class TestResumeExactness:
         )
         np.testing.assert_array_equal(resumed.block.tcell, control.block.tcell)
 
-    def test_resume_on_gpu_matches_uninterrupted(self, reference, tmp_path):
-        """The headline property: a sequential checkpoint resumes on the
-        4-GPU implementation and stays bitwise identical."""
-        p, sim60 = reference
-        path = str(tmp_path / "ck.npz")
-        save_checkpoint(path, sim60)
-        control = SequentialSimCov(p, seed=77)
-        control.run(100)
-        resumed = load_checkpoint(
-            path,
-            make_sim=lambda pp, s, g: SimCovGPU(
-                pp, num_devices=4, seed=s, seed_gids=g, tile_shape=(4, 4)
-            ),
-        )
-        self._finish(resumed, 40)
-        for name in ("epi_state", "tcell", "virions", "epi_timer"):
-            np.testing.assert_array_equal(
-                resumed.gather_field(name),
-                getattr(control.block, name)[control.block.interior],
-                err_msg=name,
-            )
-
-    def test_resume_on_cpu_ranks(self, reference, tmp_path):
-        p, sim60 = reference
-        path = str(tmp_path / "ck.npz")
-        save_checkpoint(path, sim60)
-        control = SequentialSimCov(p, seed=77)
-        control.run(80)
-        resumed = load_checkpoint(
-            path,
-            make_sim=lambda pp, s, g: SimCovCPU(pp, nranks=3, seed=s,
-                                                seed_gids=g),
-        )
-        self._finish(resumed, 20)
-        np.testing.assert_array_equal(
-            resumed.gather_field("tcell"),
-            control.block.tcell[control.block.interior],
-        )
-
     def test_resume_through_gated_path(self, tmp_path):
         """Resume works through the active-region fast path: the gate is
         not checkpointed (a resumed gate starts all-active and stale, and
@@ -144,20 +104,3 @@ class TestResumeExactness:
                 getattr(resumed.block, name), getattr(ungated.block, name),
                 err_msg=name,
             )
-
-    def test_gpu_checkpoint_resumes_sequentially(self, tmp_path):
-        """Checkpoints are implementation-independent in both directions."""
-        p = SimCovParams.fast_test(dim=(16, 16), num_infections=1,
-                                   num_steps=50)
-        gpu = SimCovGPU(p, num_devices=2, seed=5)
-        gpu.run(25)
-        path = str(tmp_path / "g.npz")
-        save_checkpoint(path, gpu)
-        control = SequentialSimCov(p, seed=5)
-        control.run(50)
-        resumed = load_checkpoint(path)
-        for _ in range(25):
-            resumed.step()
-        np.testing.assert_array_equal(
-            resumed.block.epi_state, control.block.epi_state
-        )

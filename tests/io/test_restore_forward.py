@@ -10,15 +10,12 @@ and activity outside it is never updated.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.core.stats import RegionReducer
 from repro.engine.ensemble import EnsembleSimCov
 from repro.io.checkpoint import CHECKPOINT_FIELDS, restore_state, snapshot_state
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
 
 PARAMS = SimCovParams.fast_test(dim=(64, 64), num_infections=1, num_steps=60)
 STEPPED, SNAP_AT, TOTAL = 8, 40, 50
@@ -44,15 +41,9 @@ def _swept_count(seed):
     return sim.gate.count
 
 
-def _assert_continues_like(sim, ref, exact=True):
+def _assert_continues_like(sim, ref):
     for step in range(SNAP_AT, TOTAL):
-        got, want = sim.step(), ref.series[step]
-        if exact:
-            assert got == want, f"stats diverged at step {step}"
-        else:  # per-device / per-rank float partials: sums reassociate
-            assert got.virions_total == pytest.approx(
-                want.virions_total, rel=1e-12
-            ), f"virions diverged at step {step}"
+        assert sim.step() == ref.series[step], f"stats diverged at step {step}"
     for name in CHECKPOINT_FIELDS:
         assert np.array_equal(sim.gather_field(name), ref.gather_field(name)), name
 
@@ -78,24 +69,6 @@ def test_sequential_restore_is_swept_by_its_first_step():
     assert sim.gate.count == sim.gate.mask.size
     assert sim.step() == ref.series[SNAP_AT]
     assert sim.gate.count == _swept_count(seed=3)
-
-
-def test_gpu_restore_forward():
-    snap, ref = _reference(seed=3)
-    sim = SimCovGPU(PARAMS, num_devices=2, seed=3)
-    sim.run(STEPPED)
-    restore_state(sim, snap)
-    _assert_continues_like(sim, ref, exact=False)
-
-
-def test_pgas_restore_forward():
-    """Each rank's refresh-mode gate sweeps only its last region, so it too
-    must be reset (fails without ``PgasBackend.state_restored``)."""
-    snap, ref = _reference(seed=3)
-    sim = SimCovCPU(PARAMS, nranks=4, seed=3)
-    sim.run(STEPPED)
-    restore_state(sim, snap)
-    _assert_continues_like(sim, ref, exact=False)
 
 
 def test_ensemble_restore_forward():

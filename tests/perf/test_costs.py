@@ -1,21 +1,20 @@
-"""Tests for the cost functions over directly-executed simulations."""
+"""Tests for the cost functions over counted work."""
 
-import numpy as np
 import pytest
 
 from repro.core.params import SimCovParams
-from repro.gpusim.ledger import WorkLedger, KernelCategory
+from repro.grid.decomposition import Decomposition
+from repro.grid.spec import GridSpec
 from repro.perf.costs import (
-    GpuStepCost,
     cpu_step_seconds,
     fits_gpu_memory,
     gpu_memory_per_device,
     gpu_step_seconds,
 )
+from repro.perf.ledger import GpuVariant, WorkLedger
 from repro.perf.machine import PERLMUTTER, MachineModel
-from repro.simcov_cpu.simulation import SimCovCPU
-from repro.simcov_gpu.simulation import SimCovGPU
-from repro.simcov_gpu.variants import GpuVariant
+from repro.perf.work import cpu_step_work, gpu_step_work
+from repro.perf.workload import WorkloadTrace
 
 
 class TestCpuStepSeconds:
@@ -45,14 +44,14 @@ class TestCpuStepSeconds:
 
 class TestGpuStepSeconds:
     def _ledger(self):
-        led = WorkLedger()
-        led.record_launch(KernelCategory.UPDATE_AGENTS, 1000)
-        led.record_launch(KernelCategory.REDUCE_STATS, 8000)
-        led.record_tree_reduction(8000, 32)
-        led.record_copy(1024, internode=False)
-        led.record_copy(1024, internode=True)
-        led.record_device_reduction()
-        return led
+        return WorkLedger(
+            launches={"update_agents": 1, "reduce_stats": 1},
+            voxels={"update_agents": 1000, "reduce_stats": 8000},
+            reduce_tree_elems=8000, atomic_ops=32, atomic_conflicts=31,
+            copies_intra=1, copy_bytes_intra=1024,
+            copies_inter=1, copy_bytes_inter=1024,
+            device_reductions=1,
+        )
 
     def test_breakdown_positive(self):
         cost = gpu_step_seconds(PERLMUTTER, self._ledger(), [600, 400], 2, True)
@@ -80,7 +79,7 @@ class TestGpuStepSeconds:
 
 
 class TestOptimizationOrdering:
-    """The Fig 4 bar ordering, priced from real executed runs."""
+    """The Fig 4 bar ordering, priced from one traced run's counted work."""
 
     @pytest.fixture(scope="class")
     def costs(self):
@@ -88,14 +87,12 @@ class TestOptimizationOrdering:
         # memory tiling has something to skip (as in the paper's runs,
         # where most of the lung is quiescent).
         p = SimCovParams.fast_test(dim=(64, 64), num_infections=1, num_steps=30)
+        trace = WorkloadTrace.record(p, seed=5)
+        decomp = Decomposition.blocks(GridSpec(p.dim), 2)
         out = {}
         for variant in GpuVariant:
-            sim = SimCovGPU(p, num_devices=2, seed=5, variant=variant,
-                            tile_shape=(8, 8))
-            sim.run(30)
-            total = GpuStepCost(0, 0, 0, 0, 0)
             tot_u = tot_r = 0.0
-            for w in sim.step_work:
+            for w in gpu_step_work(trace, decomp, variant, tile_shape=(8, 8)):
                 c = gpu_step_seconds(
                     PERLMUTTER, w["ledger"], w["active_per_device"], 2,
                     variant.use_tiling,
@@ -154,14 +151,14 @@ class TestMemoryModel:
 class TestCpuDirectCosts:
     def test_step_costs_decrease_with_ranks(self):
         p = SimCovParams.fast_test(dim=(32, 32), num_infections=8, num_steps=10)
+        trace = WorkloadTrace.record(p, seed=1)
         totals = {}
         for nranks in (1, 4):
-            sim = SimCovCPU(p, nranks=nranks, seed=1)
-            sim.run(10)
+            decomp = Decomposition.blocks(GridSpec(p.dim), nranks)
             totals[nranks] = sum(
                 cpu_step_seconds(
                     PERLMUTTER, w["active_per_rank"], w["comm"], nranks
                 )
-                for w in sim.step_work
+                for w in cpu_step_work(trace, decomp)
             )
         assert totals[4] < totals[1]

@@ -14,7 +14,7 @@ from repro.perf.projector import (
 from repro.perf.workload import WorkloadTrace
 from repro.grid.decomposition import Decomposition
 from repro.grid.spec import GridSpec
-from repro.simcov_gpu.variants import GpuVariant
+from repro.perf.ledger import GpuVariant
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +44,13 @@ class TestWorkloadTrace:
         v = trace.growth_speed()
         assert 0.01 < v < 5.0
 
-    def test_rejects_3d(self):
-        with pytest.raises(ValueError):
-            WorkloadTrace.record(SimCovParams.fast_test(dim=(8, 8)).with_(dim=(4, 4, 4)))
+    def test_records_3d(self):
+        p = SimCovParams.fast_test(dim=(8, 8, 8), num_infections=1, num_steps=6)
+        trace = WorkloadTrace.record(p, supergrid=2, stride=3)
+        assert trace.active.shape == (7, 8, 8, 8)
+        assert trace.wave_a.shape == trace.wave_c.shape == (6, 8, 8, 8)
+        assert trace.counts.shape == (2, 2, 2, 2)
+        assert trace.counts[1].sum() == trace.active[4].sum()
 
 
 class TestDiskActivityModel:

@@ -1,14 +1,29 @@
-"""Tests for SIMCoV-CPU specifics: active regions, RPC accounting."""
+"""Tests for SIMCoV-CPU specifics: active regions, RPC accounting.
 
-import numpy as np
-import pytest
+The per-rank active lists are the refresh-mode :class:`ActivityGate`; the
+RPC and active-list accounting is counted work over one single-block trace
+(:func:`repro.perf.work.cpu_step_work`).
+"""
 
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
 from repro.engine.activity import ActivityGate
+from repro.engine.driver import build_driver
 from repro.grid.box import Box
+from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.spec import GridSpec
-from repro.simcov_cpu.simulation import SimCovCPU
+from repro.perf.work import cpu_step_work
+from repro.perf.workload import WorkloadTrace
+
+
+def counted(params, nranks, seed, kind=DecompositionKind.BLOCK, **kwargs):
+    trace = WorkloadTrace.record(params, seed=seed)
+    decomp = Decomposition.make(GridSpec(params.dim), nranks, kind)
+    return cpu_step_work(trace, decomp, **kwargs)
+
+
+def total(work, key):
+    return sum(w["comm"][key] for w in work)
 
 
 class TestActiveRegion:
@@ -62,52 +77,45 @@ class TestActiveRegion:
 class TestCpuSimulation:
     def test_work_records(self):
         p = SimCovParams.fast_test(dim=(16, 16), num_infections=1, num_steps=5)
-        cpu = SimCovCPU(p, nranks=4, seed=0)
-        cpu.run(5)
-        assert len(cpu.step_work) == 5
-        rec = cpu.step_work[0]
+        work = counted(p, nranks=4, seed=0)
+        assert len(work) == 5
+        rec = work[0]
         assert len(rec["active_per_rank"]) == 4
         assert rec["comm"]["rpcs"] > 0
         assert rec["comm"]["reductions"] == 1
 
     def test_rpc_bytes_scale_with_boundary(self):
         """Linear decomposition moves more boundary bytes than block."""
-        from repro.grid.decomposition import DecompositionKind
-
         p = SimCovParams.fast_test(dim=(24, 24), num_infections=2, num_steps=8)
-        blk = SimCovCPU(p, nranks=4, seed=1)
-        lin = SimCovCPU(p, nranks=4, seed=1,
-                        decomposition=DecompositionKind.LINEAR)
-        blk.run(8)
-        lin.run(8)
-        assert lin.runtime.comm.rpc_bytes > blk.runtime.comm.rpc_bytes
+        blk = counted(p, nranks=4, seed=1)
+        lin = counted(p, nranks=4, seed=1, kind=DecompositionKind.LINEAR)
+        assert total(lin, "rpc_bytes") > total(blk, "rpc_bytes")
 
     def test_internode_rpcs_accounted(self):
         p = SimCovParams.fast_test(dim=(16, 16), num_infections=1, num_steps=3)
-        cpu = SimCovCPU(p, nranks=4, seed=0, ranks_per_node=2)
-        cpu.run(3)
-        assert cpu.runtime.comm.rpcs_internode > 0
-        assert cpu.runtime.comm.rpcs_internode < cpu.runtime.comm.rpcs
+        work = counted(p, nranks=4, seed=0, ranks_per_node=2)
+        assert total(work, "rpcs_internode") > 0
+        assert total(work, "rpcs_internode") < total(work, "rpcs")
 
     def test_active_counts_grow_with_infection(self):
         p = SimCovParams.fast_test(dim=(32, 32), num_infections=4, num_steps=60)
-        cpu = SimCovCPU(p, nranks=4, seed=2)
-        cpu.run(60)
-        early = sum(cpu.step_work[1]["active_per_rank"])
-        late = sum(cpu.step_work[-1]["active_per_rank"])
+        work = counted(p, nranks=4, seed=2)
+        early = sum(work[1]["active_per_rank"])
+        late = sum(work[-1]["active_per_rank"])
         assert late > early
 
     def test_single_rank_degenerate(self):
         p = SimCovParams.fast_test(dim=(12, 12), num_infections=1, num_steps=20)
-        cpu = SimCovCPU(p, nranks=1, seed=0)
-        cpu.run(20)
-        assert cpu.runtime.comm.rpcs == 0  # no neighbors
-        assert len(cpu.series) == 20
+        work = counted(p, nranks=1, seed=0)
+        assert total(work, "rpcs") == 0  # no neighbors
+        assert len(work) == 20
 
     def test_gather_helpers(self):
+        """The ``cpu`` driver name (the single-block stepper) gathers the
+        whole domain."""
         p = SimCovParams.fast_test(dim=(12, 12), num_infections=2, num_steps=1)
-        cpu = SimCovCPU(p, nranks=4, seed=0)
-        epi = cpu.gather_epi_state()
+        cpu = build_driver("cpu", p, nranks=4, seed=0)
+        epi = cpu.gather_field("epi_state")
         assert epi.shape == (12, 12)
         assert (epi == EpiState.HEALTHY).all()
         assert cpu.gather_field("virions").sum() == 2.0

@@ -6,7 +6,10 @@ every workload's set-up.  The Poisson sampler needs `scipy.special` only,
 and `networkx` has one user (`Decomposition.neighbor_graph`), which imports
 it when called.  The compiled tier (`repro.core.native`) is built and
 loaded at the first native call: importing the drivers must neither map the
-library nor start a compiler, and neither may constructing one.
+library nor start a compiler, and neither may constructing one.  Counted
+work (`repro.perf`, the stream model in `repro.gpusim`) is priced after a
+run, never during one: no driver's set-up imports it, nor any package the
+executing PGAS / GPU substrates once lived in.
 """
 
 import os
@@ -19,8 +22,13 @@ from repro.testing import src_dir, subprocess_env
 
 PROBE = """
 import sys
-import repro.core.model, repro.engine.ensemble, repro.dist, repro.serve
+import repro.core.model, repro.engine, repro.engine.ensemble, repro.dist, repro.serve
 heavy = [m for m in ("scipy.stats", "networkx") if m in sys.modules]
+priced_later = ("perf", "gpusim", "pgas", "simcov_cpu", "simcov_gpu")
+heavy += sorted(
+    m for m in sys.modules
+    if m.startswith("repro.") and m.split(".")[1] in priced_later
+)
 print(",".join(heavy))
 """
 
@@ -73,6 +81,7 @@ def run_probe(probe: str) -> str:
 
 
 def test_drivers_import_neither_scipy_stats_nor_networkx():
+    """Nor counted work, nor a package of the deleted substrates."""
     heavy = run_probe(PROBE)
     assert heavy == "", f"imported at start-up: {heavy}"
 
