@@ -14,7 +14,7 @@ from repro.core.params import SimCovParams
 from repro.perf.activity import DiskActivityModel
 from repro.perf.machine import PAPER_SCALE_GROWTH_SPEED, PERLMUTTER
 from repro.perf.projector import project_gpu_runtime
-from repro.gpusim.stream import StreamSchedule
+from repro.perf.stream import StreamSchedule
 
 
 def step_components(num_devices: int):

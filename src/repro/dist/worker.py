@@ -6,35 +6,44 @@ shared-memory segment, and the segments of its halo neighbors are mapped
 read-mostly, so every exchange phase is a direct strip copy between
 address spaces — no serialization, no message queue.
 
-The worker executes the same declarative :func:`dist_schedule` the
-coordinator validates, in lock step with its peers via the control
-segment's phase barriers (see :mod:`repro.dist.control`).  The schedule
-is SIMCoV-GPU's single-wave §3.1 tiebreak (REPLACE intents + MAX bids at
-``tiebreak_exchange``; ``result_exchange`` is a structural no-op)
-combined with SIMCoV-CPU's start-of-step ghost refresh, which
-feeds the per-rank every-step :class:`~repro.engine.activity.ActivityGate`.
+Each worker is a :class:`RankBackend`: the single-block phase bodies of
+:class:`~repro.engine.sequential.SingleBlockBackend` over its block, with
+the halo exchange *between* those calls, not inside them — the
+sopht-mpi shape (exchange init, the serial kernel on the interior,
+exchange finalise, the serial kernel on the boundary).  It executes the
+same declarative :func:`dist_schedule` the coordinator validates, in lock
+step with its peers via the control segment's phase barriers (see
+:mod:`repro.dist.control`).  The schedule is SIMCoV-GPU's single-wave
+§3.1 tiebreak (REPLACE intents + MAX bids at ``tiebreak_exchange``;
+``result_exchange`` is a structural no-op) combined with SIMCoV-CPU's
+start-of-step ghost refresh, which stales the per-rank refresh-mode
+:class:`~repro.engine.activity.ActivityGate` every step.
 
 Barrier placement per step (W = workers-only phase barrier, S = the
 step barrier shared with the coordinator) — the *fused* 6-barrier
-protocol (4 phase + 2 step; the seed protocol used 8)::
+protocol (4 phase + 2 step; the seed protocol used 8).  Only the
+exchange phases wait; every kernel phase is a shared body::
 
        open pulls        gated ghost pulls in the quiescent window
                          (peers parked; previous step's fields final)
     S  step start        coordinator published (step, pool); the barrier
                          itself is the open wave's exit fence
-       age_extravasate   gate refresh + publish activity box + kernels
-       boundary_exchange clear intents + INTERIOR intents pass (no ghost
-    W                    reads), then (peers done mutating) gated T-cell
-                         strip pulls
-       intents           BOUNDARY-band intents pass (fresh ghosts)
+       age_extravasate   gate sweep + publish activity box + kernels
+       boundary_exchange clear intents + the intents parts before the
+    W                    fence (the region's core: no ghost reads), then
+                         (peers done mutating) gated T-cell strip pulls
+       intents           the parts after the fence (boundary slabs, cut
+                         to the T-cell box over fresh ghosts)
     W  tiebreak_exchange (intents done) ──► gated REPLACE pulls + merge
                          MAX bids into *private* buffers (raw bid arrays
                          are never mutated after intents, so no
                          snapshot fence is needed)
        resolve / epithelial
     W  concentration_exchange (production done) ──► gated pulls, then
-                         mirror + INTERIOR diffuse into scratch  ──►  W
-       diffuse           BOUNDARY-band diffuse + commit, publish results
+                         mirror + the diffuse parts before the fence
+                         into scratch  ──►  W
+       diffuse           the parts after the fence + commit
+       reduce            integer counts into the results row
     S  step end          coordinator reduces statistics
 
 Unlabeled edges need no barrier: a reader that advances past its copy
@@ -45,7 +54,7 @@ there too, so its previous-step fields are final, and no peer can
 mutate them until this worker arrives — the step-start barrier doubles
 as the copies-done fence that used to cost a dedicated phase barrier.
 Pulls are gated per strip by the activity boxes peers publish in the
-control segment (see ``_pull_state_wave``); a checkpoint restore bumps
+control segment (see ``_pull_wave``); a checkpoint restore bumps
 ``dirty_epoch`` and forces one full re-pull + resync fence.
 """
 
@@ -58,10 +67,9 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core import kernels
+from repro.core.kernels import IntentArrays
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
-from repro.core.stats import RegionReducer
 from repro.dist.control import (
     CMD_STEP,
     RES_ACTIVE,
@@ -80,14 +88,13 @@ from repro.dist.control import (
 )
 from repro.dist.shm import ShmSegment, block_layout
 from repro.diffusion.stencil import split_interior_boundary
-from repro.engine.activity import ActivityGate
-from repro.engine.phases import FieldSet, Phase, PhaseKind, exchange, kernel
+from repro.engine.engine import StepContext
+from repro.engine.phases import FieldSet, Phase, exchange, kernel
+from repro.engine.sequential import SingleBlockBackend
 from repro.grid.box import Box
 from repro.grid.halo import MergeMode, RankPullPlan, strip_live
-from repro.grid.spec import GridSpec
-from repro.rng.streams import VoxelRNG
 from repro.telemetry.shmring import RingCodec, ShmRingSink
-from repro.telemetry.tracer import NULL_TRACER, Tracer
+from repro.telemetry.tracer import Tracer
 
 #: Start-of-step ghost refresh: activity-gate + bind-stencil inputs (the
 #: PGAS open wave).  ``epi_state`` is not mutated again before ``intents``
@@ -118,9 +125,9 @@ def dist_schedule() -> tuple[Phase, ...]:
         exchange(
             "tiebreak_exchange",
             FieldSet(
-                "intent", kernels.IntentArrays.REPLACE_FIELDS, MergeMode.REPLACE
+                "intent", IntentArrays.REPLACE_FIELDS, MergeMode.REPLACE
             ),
-            FieldSet("intent", kernels.IntentArrays.MAX_FIELDS, MergeMode.MAX),
+            FieldSet("intent", IntentArrays.MAX_FIELDS, MergeMode.MAX),
             doc="the single tiebreak wave of §3.1 (pull + private max-merge)",
         ),
         kernel("resolve"),
@@ -238,7 +245,7 @@ def worker_main(spec: WorkerSpec) -> None:
     """Process entry point: run the step loop until shutdown or abort."""
     worker = None
     try:
-        worker = _RankWorker(spec)
+        worker = RankBackend(spec)
         worker.run()
         code = 0
     except DistAborted:
@@ -276,18 +283,27 @@ class _TiebreakView:
         self.bind_bid = merged_bind_bid
 
 
-class _RankWorker:
-    """One rank's state + step loop."""
+class RankBackend(SingleBlockBackend):
+    """One rank: the single-block phase bodies over this rank's
+    shared-memory block, the gated halo waves and fences between them
+    (:meth:`exchange`), and the step loop that runs them in lock step
+    with its peers.
+
+    Overridden are only what a rank does differently: its exchanges, the
+    split of the overlapped bodies at the fence (:meth:`_fence_parts`),
+    ``reduce`` (integer counts, published for the coordinator) and the
+    sweep, which also publishes the region box peers gate their pulls on.
+    """
+
+    name = "rank"
 
     def __init__(self, spec: WorkerSpec):
-        self.spec = spec
+        self.worker_spec = spec
         self.rank = spec.rank
-        self.params = spec.params
-        self.rng = VoxelRNG(spec.seed)
-        self.grid = GridSpec(spec.params.dim)
+        self._init_common(spec.params, spec.seed)
         self.plan = spec.plan
-        self.schedule = dist_schedule()
-        assert tuple(p.name for p in self.schedule) == spec.phase_names
+        self._schedule = dist_schedule()
+        assert tuple(p.name for p in self._schedule) == spec.phase_names
         self.ctrl: ControlBlock | None = None
         self._segments: list[ShmSegment] = []
 
@@ -325,8 +341,6 @@ class _RankWorker:
                     )
                 ],
             )
-        else:
-            self.tracer = NULL_TRACER
         #: Step currently executing (stamped on barrier/comm events
         #: emitted from helpers that don't receive the step).
         self._step = 0
@@ -339,26 +353,20 @@ class _RankWorker:
         mine = self.arrays[self.rank]
         # The coordinator created + initialized (zero, tissue, seeds) the
         # field storage, so adopt it as-is; intents are worker scratch and
-        # start at their sentinels.
-        self.block = VoxelBlock.from_arrays(
-            self.grid, boxes[self.rank], mine, ghost=1, fresh=False
-        )
-        self.intents = kernels.IntentArrays.from_arrays(
-            {
-                name: mine[f"intent_{name}"]
-                for name in kernels.IntentArrays.FIELD_DTYPES
-            },
-            fresh=True,
-        )
-        self.gate = ActivityGate(
-            self.block,
+        # start at their sentinels.  Refresh mode: the open wave stales
+        # the gate every step.
+        self._init_block(
+            VoxelBlock.from_arrays(
+                self.spec, boxes[self.rank], mine, ghost=1, fresh=False
+            ),
             spec.params.min_chemokine,
+            spec.active_gating,
+            tile_shape=None,
             sweep_period=1,
-            enabled=spec.active_gating,
+            intents=IntentArrays.from_arrays(
+                {name: mine[f"intent_{name}"] for name in IntentArrays.FIELD_DTYPES}
+            ),
         )
-        self.reducer = RegionReducer(self.block)
-        self._scratch_v = np.zeros_like(self.block.virions)
-        self._scratch_c = np.zeros_like(self.block.chemokine)
         # -- activity-gated exchange state ---------------------------------
         #: Global boxes of the REPLACE routes (liveness tests are box math).
         self._route_boxes = [r.region for r in self.plan.replace]
@@ -380,18 +388,13 @@ class _RankWorker:
         # Raw MAX bid arrays are never mutated after the intents phase;
         # each rank max-merges neighbor strips into private buffers and
         # resolves against this view, eliminating the mid-wave barrier.
+        # A single rank has nothing to merge: resolve reads the raw arrays.
         if self.plan.max_merge:
             self._merged_move_bid = np.zeros_like(self.intents.move_bid)
             self._merged_bind_bid = np.zeros_like(self.intents.bind_bid)
             self._resolve_intents = _TiebreakView(
                 self.intents, self._merged_move_bid, self._merged_bind_bid
             )
-        else:  # single rank: nothing to merge, resolve reads the raw arrays
-            self._merged_move_bid = self._merged_bind_bid = None
-            self._resolve_intents = self.intents
-        #: Boundary-band work deferred by the overlapped interior passes.
-        self._intents_boundary: list | None = None
-        self._diffuse_boundary: list | None = None
         # -- per-step accounting -------------------------------------------
         self._phase_index = {n: i for i, n in enumerate(spec.phase_names)}
         #: Barrier-wait seconds per phase + [step_start, step_end].
@@ -410,15 +413,12 @@ class _RankWorker:
         # Let the coordinator win every timeout-reporting race: workers
         # blocked on a stalled peer must outlast the coordinator's wait.
         self.timeout = spec.barrier_timeout * 2 + 5.0
-        # Per-step counters.
-        self._extr = 0
-        self._moves = 0
-        self._binds = 0
-        self._active = 0
-        self._counts = 0
         #: Cleared by the freeze_heartbeat fault: status keeps updating
         #: but the liveness timestamp goes stale.
         self._heartbeat_on = True
+
+    def schedule(self) -> tuple[Phase, ...]:
+        return self._schedule
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -430,7 +430,7 @@ class _RankWorker:
             heartbeat=self._heartbeat_on,
         )
         pending_end = None  # (start, dur, step) of the last step-end wait
-        nphases = len(self.spec.phase_names)
+        nphases = len(self.worker_spec.phase_names)
         while True:
             # Open-wave ghost pulls run here, in the quiescent window:
             # every peer is parked at this same barrier, so its fields are
@@ -479,22 +479,19 @@ class _RankWorker:
     # -- one step ------------------------------------------------------------
 
     def _run_step(self, step: int, pool: float) -> None:
-        # Recompute the global attempt schedule locally: it is a pure
-        # function of (seed, step, pool), all of which the coordinator
-        # published, so every rank derives the identical arrays.
-        attempts = kernels.extravasation_attempts(
-            self.params, self.rng, step, pool
-        )
-        self._extr = self._moves = self._binds = 0
+        # The global attempt schedule is a pure function of (seed, step,
+        # pool), all of which the coordinator published, so every rank
+        # that reads ctx.attempts draws the identical arrays.
+        ctx = StepContext.start(self.params, self.rng, step, pool)
         self._step = step
         step_start = perf_counter()
-        for index, phase in enumerate(self.schedule):
+        for index, phase in enumerate(self._schedule):
             self.ctrl.set_status(
                 self.rank, step, index, heartbeat=self._heartbeat_on
             )
             self._maybe_fault(step, phase.name)
             start = perf_counter()
-            ran = self._execute(phase, step, attempts)
+            ran = self.execute(phase, ctx)
             # Work done outside the phase loop on this phase's behalf
             # (the pre-step open pulls, a resync) is charged here.
             elapsed = perf_counter() - start + self._extra_seconds
@@ -515,67 +512,59 @@ class _RankWorker:
                 "step", step_start, perf_counter() - step_start,
                 cat="step", step=step,
             )
-        self._publish(step)
-
-    def _execute(self, phase: Phase, step: int, attempts):
-        if phase.kind is PhaseKind.EXCHANGE:
-            return self._exchange(phase)
-        handler = getattr(self, f"phase_{phase.name}", None)
-        if handler is None:
-            return False
-        return handler(step, attempts)
+        self._publish(ctx)
 
     def _maybe_fault(self, step: int, phase_name: str) -> None:
-        fault = self.spec.fault
-        if (
-            fault is None
-            or fault.rank != self.rank
-            or fault.phase != phase_name
-        ):
+        fault = self.worker_spec.fault
+        if fault is None or fault.rank != self.rank or fault.phase != phase_name:
             return
         if fault.mode == "slow":
             # A straggler: late every affected step, but never failing.
             if step >= fault.step:
                 time.sleep(fault.delay)
-            return
-        if step != fault.step and fault.mode != "freeze_heartbeat":
-            return
-        if fault.mode == "freeze_heartbeat":
+        elif fault.mode == "freeze_heartbeat":
             if step >= fault.step:
                 self._heartbeat_on = False
+        elif step != fault.step:
             return
-        if fault.mode == "die":
+        elif fault.mode == "die":
             os._exit(13)
-        if fault.mode == "error":
+        elif fault.mode == "error":
             raise InjectedFault(
                 f"injected fault: rank {self.rank} errored in "
                 f"{phase_name!r} at step {step}"
             )
-        while not self.ctrl.aborted:  # stall (status stays frozen here)
-            time.sleep(0.005)
-        raise DistAborted(f"aborted while stalled in {phase_name!r}")
+        else:
+            while not self.ctrl.aborted:  # stall (status stays frozen here)
+                time.sleep(0.005)
+            raise DistAborted(f"aborted while stalled in {phase_name!r}")
 
-    def _publish(self, step: int) -> None:
+    def _publish(self, ctx) -> None:
         """Per-step totals + cumulative waits and strip counts, read by
-        the coordinator after the step-end barrier."""
+        the coordinator after the step-end barrier (``reduce`` already
+        wrote the integer statistics)."""
         row = self.ctrl.results[self.rank]
-        row[RES_EXTRAVASATIONS] = self._extr
-        row[RES_MOVES] = self._moves
-        row[RES_BINDS] = self._binds
-        row[RES_ACTIVE] = self._active
-        row[RES_COUNTS] = self._counts
+        row[RES_EXTRAVASATIONS] = ctx.extravasations
+        row[RES_MOVES] = ctx.moves
+        row[RES_BINDS] = ctx.binds
+        row[RES_ACTIVE] = self.gate.count
         self.ctrl.metrics_wait[self.rank] = self._wait
         self.ctrl.strips[self.rank, STRIPS_PULLED] += self._pulled_step
         self.ctrl.strips[self.rank, STRIPS_SKIPPED] += self._skipped_step
         if self.tracer and (self._pulled_step or self._skipped_step):
             self.tracer.counter(
-                "strips_pulled", self._pulled_step, cat="comm", step=step
+                "strips_pulled", self._pulled_step, cat="comm", step=ctx.step
             )
             self.tracer.counter(
-                "strips_skipped", self._skipped_step, cat="comm", step=step
+                "strips_skipped", self._skipped_step, cat="comm", step=ctx.step
             )
 
     # -- exchange phases -----------------------------------------------------
+
+    def exchange(self, phase: Phase, ctx):
+        if not phase.exchanges:  # result_exchange: single-wave tiebreak
+            return False
+        return getattr(self, f"_{phase.name}")(phase, ctx)
 
     def _phase_barrier(self, name: str) -> None:
         """One phase-barrier wait, timed as a ``cat="barrier"`` span and
@@ -592,29 +581,16 @@ class _RankWorker:
                 name, start, dur, cat="barrier", step=self._step
             )
 
-    def _exchange(self, phase: Phase):
-        if not phase.exchanges:
-            return False
-        if phase.name == "open_exchange":
-            return self._open_exchange(phase)
-        if phase.name == "boundary_exchange":
-            return self._boundary_exchange(phase)
-        if phase.name == "tiebreak_exchange":
-            return self._tiebreak_exchange(phase)
-        return self._concentration_exchange(phase)
+    def _slices(self, src_rank: int, box: Box):
+        """``box`` (global) in ``src_rank``'s block, then in this one's."""
+        origins = self.plan.origins
+        return box.slices_from(origins[src_rank]), box.slices_from(origins[self.rank])
 
-    def _keys(self, fs: FieldSet) -> list[str]:
-        prefix = "intent_" if fs.scope == "intent" else ""
-        return [prefix + name for name in fs.fields]
-
-    # -- copy primitives ----------------------------------------------------
-
-    def _copy_route(self, route, keys) -> int:
-        """Copy one route's full strip for ``keys``; returns bytes moved."""
-        src = self.arrays[route.src]
-        mine = self.arrays[self.rank]
-        ssl = self.plan.src_slices(route)
-        dsl = self.plan.dst_slices(route)
+    def _copy(self, src_rank: int, box: Box, keys) -> int:
+        """Copy a global sub-box of ``keys`` from ``src_rank``; returns
+        bytes moved."""
+        src, mine = self.arrays[src_rank], self.arrays[self.rank]
+        ssl, dsl = self._slices(src_rank, box)
         nbytes = 0
         for key in keys:
             strip = src[key][ssl]
@@ -622,21 +598,41 @@ class _RankWorker:
             nbytes += strip.nbytes
         return nbytes
 
-    def _copy_box(self, src_rank: int, box: Box, keys) -> int:
-        """Copy an arbitrary global sub-box from ``src_rank`` (the cropped
-        tiebreak pulls); returns bytes moved."""
-        src = self.arrays[src_rank]
-        mine = self.arrays[self.rank]
-        ssl = box.slices_from(self.plan.origins[src_rank])
-        dsl = box.slices_from(self.plan.origins[self.rank])
-        nbytes = 0
-        for key in keys:
-            strip = src[key][ssl]
-            mine[key][dsl] = strip
-            nbytes += strip.nbytes
-        return nbytes
+    def _account(self, phase: Phase, nbytes: int, pulled: int, skipped: int):
+        """Add one wave's strip counts to the step's; True if it pulled."""
+        self._pulled_step += pulled
+        self._skipped_step += skipped
+        if self.tracer and nbytes:
+            self.tracer.counter(
+                "halo_bytes", nbytes, cat="comm", step=self._step,
+                phase=phase.name,
+            )
+        return pulled > 0
 
     # -- the gated waves ----------------------------------------------------
+
+    def _pull_wave(self, keys, marks, cleans) -> tuple[int, int, int]:
+        """One gated REPLACE wave over the per-route dirty flags of the
+        waves in ``marks`` (this wave's first).  A strip the source's
+        published activity box touches turns dirty for every wave in
+        ``marks``; the wave pulls the strips dirty for it, which cleans
+        them for the waves in ``cleans``.  Returns (bytes, pulled,
+        skipped)."""
+        dirty = marks[0]
+        ndim = len(self.plan.origins[self.rank])
+        nbytes = pulled = 0
+        for i, route in enumerate(self.plan.replace):
+            if strip_live(
+                self._route_boxes[i], self.ctrl.read_region(route.src, ndim)
+            ):
+                for flags in marks:
+                    flags[i] = True
+            if dirty[i]:
+                nbytes += self._copy(route.src, route.region, keys)
+                for flags in cleans:
+                    flags[i] = False
+                pulled += 1
+        return nbytes, pulled, len(self.plan.replace) - pulled
 
     def _early_open_pull(self) -> None:
         """Gated open-wave ghost pulls in the pre-step quiescent window.
@@ -645,116 +641,61 @@ class _RankWorker:
         step fields are final and stay frozen until this worker arrives —
         the barrier itself is the copies-done fence.  Liveness is judged
         against the regions peers published *last* step (exactly the box
-        their writes since our previous pull were confined to).  No ring
+        their writes since our previous pull were confined to), so a live
+        strip is stale for the in-step waves too.  OPEN_FIELDS covers the
+        concentrations, so a pull freshens the concentration wave's view
+        as well; the tissue/bound times are *not* in the open wave, so the
+        boundary wave stays dirty until it pulls them itself.  No ring
         writes here (the coordinator is draining); telemetry is stashed
         and accounted in the open_exchange phase body.
         """
-        if not self.plan.replace:
-            self._pending_open = (0.0, 0, 0, 0)
-            return
         start = perf_counter()
-        ndim = len(self.plan.origins[self.rank])
-        keys = list(OPEN_FIELDS)
-        nbytes = pulled = skipped = 0
-        for i, route in enumerate(self.plan.replace):
-            if strip_live(
-                self._route_boxes[i], self.ctrl.read_region(route.src, ndim)
-            ):
-                self._dirty_open[i] = True
-                self._dirty_bnd[i] = True
-                self._dirty_conc[i] = True
-            if self._dirty_open[i]:
-                nbytes += self._copy_route(route, keys)
-                pulled += 1
-                # OPEN_FIELDS covers the concentration fields, so the conc
-                # wave's view of this strip is fresh too; the tissue/bound
-                # times are *not* in the open wave, so the boundary wave
-                # stays dirty until it pulls them itself.
-                self._dirty_open[i] = False
-                self._dirty_conc[i] = False
-            else:
-                skipped += 1
-        self._pending_open = (perf_counter() - start, nbytes, pulled, skipped)
+        pulls = self._pull_wave(
+            OPEN_FIELDS,
+            (self._dirty_open, self._dirty_bnd, self._dirty_conc),
+            (self._dirty_open, self._dirty_conc),
+        )
+        self._pending_open = (perf_counter() - start, *pulls)
 
-    def _open_exchange(self, phase: Phase):
+    def _open_exchange(self, phase: Phase, ctx):
         """Account the pre-step pulls (see :meth:`_early_open_pull`): the
-        copies themselves already ran in the quiescent window."""
-        seconds, nbytes, pulled, skipped = self._pending_open
+        copies themselves already ran in the quiescent window.  The ghosts
+        are fresh, so the gate is stale: ``age_extravasate`` sweeps."""
+        seconds, *pulls = self._pending_open
         self._pending_open = None
+        self.gate.stale = True
         self._extra_seconds += seconds
-        self._pulled_step += pulled
-        self._skipped_step += skipped
-        if self.tracer and nbytes:
-            self.tracer.counter(
-                "halo_bytes", nbytes, cat="comm", step=self._step,
-                phase=phase.name,
-            )
-        return pulled > 0
+        return self._account(phase, *pulls)
 
-    def _pull_state_wave(self, phase: Phase, dirty) -> bool:
-        """One gated in-step REPLACE wave: a strip is pulled iff it was
-        left dirty by an earlier wave or the source's *current* activity
-        box touches it; pulling cleans it."""
+    def _state_wave(self, phase: Phase, dirty) -> bool:
+        """One gated in-step REPLACE wave of ``phase``'s fields."""
         keys = [k for fs in phase.exchanges for k in self._keys(fs)]
-        ndim = len(self.plan.origins[self.rank])
-        nbytes = pulled = skipped = 0
-        for i, route in enumerate(self.plan.replace):
-            if strip_live(
-                self._route_boxes[i], self.ctrl.read_region(route.src, ndim)
-            ):
-                dirty[i] = True
-            if dirty[i]:
-                nbytes += self._copy_route(route, keys)
-                dirty[i] = False
-                pulled += 1
-            else:
-                skipped += 1
-        self._pulled_step += pulled
-        self._skipped_step += skipped
-        if self.tracer and nbytes:
-            self.tracer.counter(
-                "halo_bytes", nbytes, cat="comm", step=self._step,
-                phase=phase.name,
-            )
-        return pulled > 0
+        return self._account(phase, *self._pull_wave(keys, (dirty,), (dirty,)))
 
-    def _boundary_exchange(self, phase: Phase):
-        """Overlap: clear intents and run the *interior* intents pass —
-        whose stencil never leaves this rank's non-ghost cells — before
-        fencing on peers, then pull the T-cell strips the boundary band
-        needs.  The clear is the dirty slab (region grown by one voxel,
-        united with last step's): the intents kernel scatters bids one
-        voxel outward, and the tiebreak's REPLACE copies land in ghost
-        cells of ``region_box().expand(1)`` — the same slab — so every
-        cell outside it still holds the sentinel a peer's pull or
-        max-merge expects."""
-        region = self.gate.region()
-        self.intents.clear(() if region is None else region)
-        interior = None
-        if region is None:
-            self._intents_boundary = None
-        else:
-            interior, slabs = split_interior_boundary(
-                region, self.block.virions.shape, self.block.ghost
-            )
-            if interior is None:
-                # Too thin for a safe core: the whole region waits for
-                # fresh ghosts (the slabs from a failed split don't tile).
-                self._intents_boundary = [region]
-            else:
-                self._intents_boundary = slabs
-                kernels.tcell_intents(
-                    self.params, self.rng, self._step, self.block,
-                    self.intents, interior,
-                )
+    @staticmethod
+    def _keys(fs: FieldSet) -> list[str]:
+        prefix = "intent_" if fs.scope == "intent" else ""
+        return [prefix + name for name in fs.fields]
+
+    def _boundary_exchange(self, phase: Phase, ctx):
+        """Overlap: clear the intents and run the intents parts before the
+        fence — the region's core, whose stencil never leaves this rank's
+        non-ghost cells — then fence on peers and pull the T-cell strips
+        the boundary slabs need.  The clear is the dirty slab (region
+        grown by one voxel, united with last step's): the intents kernel
+        scatters bids one voxel outward, and the tiebreak's REPLACE copies
+        land in ghost cells of ``region_box().expand(1)`` — the same slab
+        — so every cell outside it still holds the sentinel a peer's pull
+        or max-merge expects."""
+        self._open_intents(ctx)
         # Entry barrier: peers are done mutating T-cell fields; the next
         # mutation (resolve) sits behind the tiebreak barrier, which every
         # reader passes first.
         self._phase_barrier(phase.name)
-        ran = self._pull_state_wave(phase, self._dirty_bnd)
-        return ran or interior is not None
+        ran = self._state_wave(phase, self._dirty_bnd)
+        return ran or self.gate.region() is not None
 
-    def _tiebreak_exchange(self, phase: Phase):
+    def _tiebreak_exchange(self, phase: Phase, ctx):
         """The single tiebreak wave: entry barrier (everyone's intents are
         final — raw arrays are never mutated after the intents phase),
         then gated REPLACE pulls of neighbor intents cropped to the
@@ -763,37 +704,28 @@ class _RankWorker:
         peers still copying read only raw arrays, whose next mutation
         (next step's clear) sits behind the concentration barriers."""
         self._phase_barrier(phase.name)
-        nroutes = len(self.plan.replace) + len(self.plan.max_merge)
         my_box = self.gate.region_box()
         if my_box is None:
             # No resolve this step: no intent ghosts are read.  Peers pull
             # this rank's raw (fully cleared) arrays directly.
-            self._skipped_step += nroutes
+            self._skipped_step += len(self.plan.replace) + len(self.plan.max_merge)
             return False
         read_box = my_box.expand(1)
         ndim = len(self.plan.origins[self.rank])
-        rep_keys = [
-            k
-            for fs in phase.exchanges
-            if fs.merge is MergeMode.REPLACE
+        keys = [
+            k for fs in phase.exchanges if fs.merge is MergeMode.REPLACE
             for k in self._keys(fs)
         ]
-        nbytes = 0
+        nbytes = pulled = 0
         for route in self.plan.replace:
             box = route.region.intersect(read_box)
             if not box.is_empty and strip_live(
                 box, self.ctrl.read_region(route.src, ndim), dilate=1
             ):
-                nbytes += self._copy_box(route.src, box, rep_keys)
-                self._pulled_step += 1
-            else:
-                self._skipped_step += 1
+                nbytes += self._copy(route.src, box, keys)
+                pulled += 1
         nbytes += self._merge_max_bids(read_box, ndim)
-        if self.tracer and nbytes:
-            self.tracer.counter(
-                "halo_bytes", nbytes, cat="comm", step=self._step,
-                phase=phase.name,
-            )
+        self._account(phase, nbytes, pulled, len(self.plan.replace) - pulled)
         return True
 
     def _merge_max_bids(self, read_box: Box, ndim: int) -> int:
@@ -802,7 +734,7 @@ class _RankWorker:
         neighbor strip (cropped to that neighborhood) on top.  Raw bid
         arrays — this rank's and every peer's — are left untouched, which
         is what makes the merge fence-free."""
-        if self._merged_move_bid is None:
+        if not self.plan.max_merge:
             return 0
         region = self.gate.region()
         shape = self._merged_move_bid.shape
@@ -826,8 +758,7 @@ class _RankWorker:
             ):
                 self._skipped_step += 1
                 continue
-            ssl = box.slices_from(self.plan.origins[route.src])
-            dsl = box.slices_from(self.plan.origins[self.rank])
+            ssl, dsl = self._slices(route.src, box)
             for key, buf in merged.items():
                 payload = self.arrays[route.src][key][ssl]
                 view = buf[dsl]
@@ -846,148 +777,66 @@ class _RankWorker:
             self.tracer.counter("bids_lost", lost, step=self._step)
         return nbytes
 
-    def _concentration_exchange(self, phase: Phase):
+    def _concentration_exchange(self, phase: Phase, ctx):
         """Entry barrier (production done everywhere), gated concentration
         pulls, then — overlapping any peer still copying — the no-flux
-        mirror and the *interior* diffusion pass into scratch.  The exit
-        barrier fences the copies from the diffuse phase's commit, which
-        overwrites the owned strips peers read."""
+        mirror and the diffusion parts before the fence, into scratch.
+        The exit barrier fences the copies from the diffuse phase's
+        commit, which overwrites the owned strips peers read."""
         self._phase_barrier(phase.name)
-        self._pull_state_wave(phase, self._dirty_conc)
-        region = self.gate.region()
-        if region is None:
-            self._diffuse_boundary = None
-        else:
-            kernels.mirror_fields(self.block)
-            interior, slabs = split_interior_boundary(
-                region, self.block.virions.shape, self.block.ghost
-            )
-            if interior is None:
-                self._diffuse_boundary = [region]
-            else:
-                self._diffuse_boundary = slabs
-                kernels.concentration_update(
-                    self.params, self.block, interior, self._scratch_v,
-                    self._scratch_c,
-                )
+        self._state_wave(phase, self._dirty_conc)
+        self._open_diffuse(ctx)
         self._phase_barrier(phase.name)
         return True
 
     def _resync(self, step: int) -> None:
         """Honor a ghost-invalidation epoch bump (checkpoint restore wrote
-        fields behind the workers' backs): every strip may be stale, so
-        re-pull every exchanged field unconditionally, then fence so no
-        rank starts mutating restored state a peer is still copying; the
-        gate's region and the cached integer statistics describe the
-        overwritten state, so the next sweep examines and the next reduce
-        recounts the whole block.
+        fields behind the workers' backs): drop what was derived from the
+        old state (:meth:`state_restored`), re-pull every exchanged field
+        unconditionally, since every strip may be stale, then fence so no
+        rank starts mutating restored state a peer is still copying.
         Every worker observes the same bump at the same step-start, so the
         extra phase-barrier epoch stays in lock step."""
         start = perf_counter()
-        self.gate.reset()
-        self.reducer.reset()
+        self.state_restored()
         keys = sorted({*OPEN_FIELDS, *BOUNDARY_FIELDS, *CONCENTRATION_FIELDS})
-        for i, route in enumerate(self.plan.replace):
-            self._copy_route(route, keys)
-            self._dirty_open[i] = False
-            self._dirty_bnd[i] = False
-            self._dirty_conc[i] = False
-            self._pulled_step += 1
+        waves = (self._dirty_open, self._dirty_bnd, self._dirty_conc)
+        for flags in waves:
+            flags[:] = [True] * len(flags)
+        self._pulled_step += self._pull_wave(keys, waves, waves)[1]
         self._phase_barrier("resync")
         self._extra_seconds += perf_counter() - start
 
-    # -- kernel phases (the single-block bodies, over one rank's block) ------
+    # -- what a rank does differently ----------------------------------------
 
-    def phase_age_extravasate(self, step: int, attempts):
-        self.gate.sweep()
-        # Nothing has written the interior since the last reduce.
-        self.reducer.rebase(self.gate.region())
+    def _fence_parts(self, region):
+        """The stencil-safe core of ``region`` runs before the fence, the
+        boundary slabs after it (a region too thin for a core waits
+        whole: the slabs of a failed split do not tile it)."""
+        if region is None:
+            return (), ()
+        interior, slabs = split_interior_boundary(
+            region, self.block.virions.shape, self.block.ghost
+        )
+        return ((), (region,)) if interior is None else ((interior,), tuple(slabs))
+
+    def _sweep(self) -> None:
+        super()._sweep()
         # Strip-liveness handshake: peers gate their pulls on this box.
         # Published before this rank's boundary-entry barrier arrival, so
         # every in-step reader (fenced behind that barrier) sees it; the
         # next step's early pulls are fenced by step_end/step_start.
         self.ctrl.publish_region(self.rank, self.gate.region_box())
-        self._active = self.gate.count
         if self.tracer:
             self.tracer.gauge(
-                "active_voxels", self._active, cat="gating", step=step
-            )
-        region = self.gate.region()
-        if region is None:
-            return False
-        kernels.tcell_age(self.block, region)
-        # Attempts only succeed where signal >= min_chemokine, which the
-        # freshly-refreshed region covers.
-        self._extr = kernels.apply_extravasation(
-            self.params, self.block, attempts, region
-        )
-
-    def phase_intents(self, step: int, attempts):
-        # The clear + interior pass already ran in the boundary_exchange
-        # body (overlap); only the boundary band — which reads the freshly
-        # pulled ghost strips — remains.  Bitwise-equal to the monolithic
-        # pass: the slabs tile the region exactly, every draw is keyed by
-        # (seed, stream, step, gid), and the bid scatter is a commutative
-        # elementwise max.
-        slabs = self._intents_boundary
-        if not slabs:
-            return False
-        for slab in slabs:
-            kernels.tcell_intents(
-                self.params, self.rng, step, self.block, self.intents, slab
+                "active_voxels", self.gate.count, cat="gating", step=self._step
             )
 
-    def phase_resolve(self, step: int, attempts):
-        # Purely local: ghost intents + merged bids make the winner
-        # computation identical on both sides of every boundary.  An idle
-        # region is sound — any inbound mover was visible in this rank's
-        # padded activity mask at refresh time.  Reads the tiebreak view
-        # (raw REPLACE fields + private merged bids); raw arrays stay
-        # untouched for peers still copying.
-        region = self.gate.region()
-        if region is None:
-            return False
-        self._moves = kernels.resolve_moves(
-            self.block, self._resolve_intents, region
-        )
-        self._binds = kernels.resolve_binds(
-            self.params, self.rng, step, self.block, self._resolve_intents,
-            region,
-        )
-
-    def phase_apply_results(self, step: int, attempts):
-        return False
-
-    def phase_epithelial(self, step: int, attempts):
-        region = self.gate.region()
-        if region is None:
-            return False
-        kernels.epithelial_update(
-            self.params, self.rng, step, self.block, region
-        )
-        kernels.production_update(self.params, self.block, region, step=step)
-
-    def phase_diffuse(self, step: int, attempts):
-        # The mirror + interior pass ran in the concentration_exchange
-        # body (overlap); finish the boundary band against the fresh
-        # ghosts, then commit the whole region from scratch — elementwise
-        # identical to the monolithic update it replaces.
-        region = self.gate.region()
-        if region is None:
-            return False
-        for slab in self._diffuse_boundary:
-            kernels.concentration_update(
-                self.params, self.block, slab, self._scratch_v,
-                self._scratch_c,
-            )
-        kernels.concentration_commit(
-            self.params, self.block, [region], self._scratch_v,
-            self._scratch_c, step=step,
-        )
-
-    def phase_reduce(self, step: int, attempts):
+    def phase_reduce(self, ctx):
         # This rank's integer statistics, counted in parallel with its
-        # peers; they go out with the other totals in _publish and the
-        # coordinator adds them (exact in any order).  The float totals
-        # are the coordinator's: their bits depend on the solo layout.
-        self._counts = self.reducer.counts(self.gate.region())
+        # peers; the coordinator adds them (exact in any order).  The
+        # float totals are the coordinator's: their bits depend on the
+        # solo layout.
+        self.ctrl.results[self.rank, RES_COUNTS] = self.reducer.counts(
+            self.gate.region()
+        )

@@ -23,15 +23,12 @@ from repro.engine.phases import Phase
 
 #: Every backend a run can name (``simcov-repro run --backend``, a serve
 #: job's ``backend``): its driver class, by import path so that naming a
-#: backend imports only that one, and the keyword its rank / device
-#: count goes by (None: an undivided domain).  ``cpu`` and ``gpu`` name
-#: the single-block stepper: every decomposition of SIMCoV-CPU and
-#: SIMCoV-GPU computes its trace bit for bit, and their counted work is a
-#: function of that trace (:mod:`repro.perf.work`).
+#: backend imports only that one, and the keyword its rank count goes by
+#: (None: an undivided domain).  SIMCoV-CPU and SIMCoV-GPU compute the
+#: single-block trace bit for bit on any decomposition, and their counted
+#: work is a function of that trace (:mod:`repro.perf.work`).
 DRIVERS = {
     "sequential": ("repro.core.model:SequentialSimCov", None),
-    "cpu": ("repro.core.model:SequentialSimCov", None),
-    "gpu": ("repro.core.model:SequentialSimCov", None),
     "dist": ("repro.dist.driver:DistSimCov", "nranks"),
     "ensemble": ("repro.engine.ensemble:EnsembleSimCov", None),
 }

@@ -48,9 +48,10 @@ class StepContext:
     #: Draws :attr:`attempts`; called at its first read, if any.
     draw_attempts: Callable[[], dict]
     #: The vascular-pool value the attempt schedule was computed from
-    #: (post-update, pre-debit).  Remote backends publish it so detached
-    #: workers can recompute the identical schedule locally.
-    pool: float = 0.0
+    #: (post-update, pre-debit; per member on an ensemble).  Remote
+    #: backends publish it so detached workers can recompute the identical
+    #: schedule locally.
+    pool: float | np.ndarray = 0.0
     #: Set by the ``reduce`` phase: the REDUCED_FIELDS vector.
     reduced: np.ndarray | None = None
     #: Set by the ``reduce`` phase (or locally on one block): step totals.
@@ -64,6 +65,12 @@ class StepContext:
     launch_next: Callable[[StepContext], StepContext | None] | None = None
     #: Free-form backend scratch (cleared every step).
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(cls, params, rng, step: int, pool) -> StepContext:
+        """Step ``step``'s context, whose attempts are drawn from ``pool``."""
+        draw = partial(kernels.extravasation_attempts, params, rng, step, pool)
+        return cls(step=step, draw_attempts=draw, pool=pool)
 
     @cached_property
     def attempts(self) -> dict:
@@ -164,8 +171,7 @@ class StepEngine:
         if t >= p.tcell_initial_delay:
             self.pool += p.tcell_generation_rate
         self.pool -= self.pool / p.tcell_vascular_period
-        draw = partial(kernels.extravasation_attempts, p, self.rng, t, self.pool)
-        return StepContext(step=t, draw_attempts=draw, pool=self.pool)
+        return StepContext.start(p, self.rng, t, self.pool)
 
     def _debit(self, ctx: StepContext) -> None:
         """Step ``ctx.step``'s pool debit, run once: by the launch of the

@@ -34,12 +34,10 @@ runtime already carry.  The argument (DESIGN.md §4d):
 
 from __future__ import annotations
 
-from functools import partial
 from time import perf_counter
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.params import ParamsStack, SimCovParams
 from repro.core.seeding import apply_seeds, seed_infections
 from repro.core.state import EnsembleBlock
@@ -315,8 +313,7 @@ class EnsembleEngine(StepEngine):
             t >= self._delays, self.pools + self._gen_rates, self.pools
         )
         self.pools = self.pools - self.pools / self._vascular
-        draw = partial(kernels.extravasation_attempts, self.params, self.backend.rng, t, self.pools)
-        return StepContext(step=t, draw_attempts=draw, pool=0.0)
+        return StepContext.start(self.params, self.backend.rng, t, self.pools)
 
     def _debit(self, ctx: StepContext) -> None:
         # Rebound (not mutated): `pool_after` stays this step's snapshot.

@@ -36,16 +36,44 @@ from repro.engine.backend import ExecutionBackend
 from repro.engine.phases import Phase, exchange, kernel
 
 
+def _within(parts, box) -> list[tuple[slice, ...]]:
+    """Each part cropped to ``box``; the parts it misses are dropped."""
+    out = []
+    for part in parts:
+        crop = tuple(
+            slice(max(a.start, b.start), min(a.stop, b.stop))
+            for a, b in zip(part, box)
+        )
+        if all(s.start < s.stop for s in crop):
+            out.append(crop)
+    return out
+
+
 class SingleBlockBackend(ExecutionBackend):
-    """Whole-domain semantics, active-region execution, canonical order."""
+    """Whole-domain semantics, active-region execution, canonical order.
+
+    The two stencil bodies that a halo exchange can overlap, ``intents``
+    and ``diffuse``, run over a list of *parts* that :meth:`_fence_parts`
+    splits from the region: the parts that need no fresh ghosts, run
+    before the halo fence, and the parts that wait for it.  One block has
+    no fence, so everything runs after it, in the kernel phase; a dist
+    rank (:class:`~repro.dist.worker.RankBackend`) runs the first parts in
+    its exchange and leaves the rest to the same phase bodies.
+    """
 
     def _init_block(
-        self, block, min_chemokine, active_gating, tile_shape, sweep_period
+        self, block, min_chemokine, active_gating, tile_shape, sweep_period,
+        intents=None,
     ) -> None:
-        """Shared constructor epilogue: scratch arrays and the gate."""
+        """Shared constructor epilogue: intents, scratch arrays and the gate."""
         xp = block.xp
         self.block = block
-        self.intents = kernels.IntentArrays(block.shape, xp=xp)
+        self.intents = (
+            kernels.IntentArrays(block.shape, xp=xp) if intents is None else intents
+        )
+        #: What ``resolve`` reads the intents through: the raw arrays here,
+        #: merged neighbour bids on a dist rank.
+        self._resolve_intents = self.intents
         self._scratch_v = xp.zeros_like(block.virions)
         self._scratch_c = xp.zeros_like(block.chemokine)
         self.gate = ActivityGate(
@@ -77,13 +105,62 @@ class SingleBlockBackend(ExecutionBackend):
             kernel("tile_sweep", doc="periodic active-region sweep (§3.2)"),
         )
 
+    # -- the overlapped bodies -----------------------------------------------
+
+    def _fence_parts(self, region) -> tuple[tuple, tuple]:
+        """``region`` split into the parts a stencil kernel may run before
+        the halo fence and the parts that wait for fresh ghosts (none of
+        either when idle).  One block has no fence: all of it waits."""
+        return (), (() if region is None else (region,))
+
+    def _open_intents(self, ctx) -> tuple:
+        """Clear last step's intents (on an idle step only that slab, which
+        a dist peer may still pull) and run the intents parts before the
+        fence; returns the parts after it.
+        Runs once a step, at the first call: in a rank's exchange, or at
+        the top of :meth:`phase_intents`."""
+        after = ctx.extras.get("intents")
+        if after is None:
+            region = self.gate.region()
+            self.intents.clear(() if region is None else region)
+            before, after = self._fence_parts(region)
+            self._intents(ctx, before)
+            ctx.extras["intents"] = after
+        return after
+
+    def _open_diffuse(self, ctx) -> tuple:
+        """Mirror the no-flux ghosts and diffuse the parts before the fence
+        into scratch; returns the parts after it.  Once a step, like
+        :meth:`_open_intents`."""
+        after = ctx.extras.get("diffuse")
+        if after is None:
+            region = self.gate.region()
+            before, after = self._fence_parts(region)
+            if region is not None:
+                kernels.mirror_fields(self.block)
+            self._diffuse(before)
+            ctx.extras["diffuse"] = after
+        return after
+
+    def _intents(self, ctx, parts) -> None:
+        for part in parts:
+            kernels.tcell_intents(
+                self.params, self.rng, ctx.step, self.block, self.intents, part
+            )
+
+    def _diffuse(self, parts) -> None:
+        for part in parts:
+            kernels.concentration_update(
+                self.params, self.block, part, self._scratch_v, self._scratch_c
+            )
+
     # -- kernel phases -------------------------------------------------------
 
     def phase_age_extravasate(self, ctx):
         if self.gate.stale:
-            # Fresh or just restored: sweep now, not after a whole sweep
-            # period of all-active steps.  Nothing has written the block
-            # since the last reduce (if any), so its totals still hold.
+            # Fresh, restored, or (on a rank) its ghosts just refreshed:
+            # sweep now.  Nothing has written the block since the last
+            # reduce (if any), so its totals still hold.
             self._sweep()
         region = self.gate.region()
         if region is None:
@@ -94,8 +171,9 @@ class SingleBlockBackend(ExecutionBackend):
         )
 
     def _tcell_box(self, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
-        """Tight box around the T cells present in ``region``, or None if
-        there are none (on a batched block: in any member).
+        """Tight box around the T cells that can bid into ``region`` — those
+        in it or in the ghost layer around it — or None if there are none
+        (on a batched block: in any member).
 
         The gate region covers the *chemokine* footprint, which is
         typically far wider than the T-cell cloud — and the T-cell kernels
@@ -104,26 +182,32 @@ class SingleBlockBackend(ExecutionBackend):
         with the box).  Restricting them to
         this box is bitwise-neutral: every voxel outside it provably
         produces no intent, and outside its one-voxel margin no move and
-        no bind.  With gating disabled the box is ``region`` itself, so
+        no bind.  A single block's ghosts never hold a T cell
+        (``mirror_fields`` mirrors only the concentrations); a rank's hold
+        its neighbours' once the boundary wave has landed, and their bids
+        into this rank's voxels must be resolved here even when it owns
+        no T cell.  With gating disabled the box is ``region`` itself, so
         the whole-domain reference stays whole-domain.
         """
         if not self.gate.enabled:
             return region
-        present = self.block.xp.asnumpy(self.block.tcell[region]) != 0
-        first = present.ndim - self.block.spec.ndim
-        box = bounding_box(present, [s.start for s in region[first:]])
+        g = self.block.ghost
+        first = len(region) - self.block.spec.ndim
+        grown = region[:first] + tuple(
+            slice(s.start - g, s.stop + g) for s in region[first:]
+        )
+        present = self.block.xp.asnumpy(self.block.tcell[grown]) != 0
+        box = bounding_box(present, [s.start for s in grown[first:]])
         return None if box is None else region[:first] + box
 
     def phase_intents(self, ctx):
+        after = self._open_intents(ctx)
         region = self.gate.region()
         if region is None:
             return False
-        self.intents.clear(region)
         box = ctx.extras["tcell_box"] = self._tcell_box(region)
         if box is not None:
-            kernels.tcell_intents(
-                self.params, self.rng, ctx.step, self.block, self.intents, box
-            )
+            self._intents(ctx, _within(after, box))
 
     def phase_resolve(self, ctx):
         region = self.gate.region()
@@ -139,9 +223,10 @@ class SingleBlockBackend(ExecutionBackend):
             slice(max(s.start - 1, base.start), min(s.stop + 1, base.stop))
             for s, base in zip(box, region)
         )
-        ctx.moves = kernels.resolve_moves(self.block, self.intents, box)
+        ctx.moves = kernels.resolve_moves(self.block, self._resolve_intents, box)
         ctx.binds = kernels.resolve_binds(
-            self.params, self.rng, ctx.step, self.block, self.intents, box
+            self.params, self.rng, ctx.step, self.block, self._resolve_intents,
+            box,
         )
 
     def phase_apply_results(self, ctx):
@@ -157,13 +242,11 @@ class SingleBlockBackend(ExecutionBackend):
         kernels.production_update(self.params, self.block, region, step=ctx.step)
 
     def phase_diffuse(self, ctx):
+        after = self._open_diffuse(ctx)
         region = self.gate.region()
         if region is None:
             return False
-        kernels.mirror_fields(self.block)
-        kernels.concentration_update(
-            self.params, self.block, region, self._scratch_v, self._scratch_c
-        )
+        self._diffuse(after)
         kernels.concentration_commit(
             self.params, self.block, [region], self._scratch_v,
             self._scratch_c, step=ctx.step,

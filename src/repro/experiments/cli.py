@@ -4,9 +4,9 @@ Regenerates any table/figure of the paper and writes CSV under
 ``results/``.  ``simcov-repro all`` runs everything.
 
 ``simcov-repro run`` instead executes a single simulation on a chosen
-backend (``sequential``, ``cpu``, ``gpu``, the multi-process ``dist``
-runtime, or — with ``--ensemble N`` / ``--sweep`` — the batched
-``ensemble``) and prints the final step's statistics, e.g.::
+backend (``sequential``, the multi-process ``dist`` runtime, or — with
+``--ensemble N`` / ``--sweep`` — the batched ``ensemble``) and prints the
+final step's statistics, e.g.::
 
     simcov-repro run --backend dist --nranks 4 --dim 64 64 --steps 50
 
@@ -777,8 +777,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     run_group.add_argument(
         "--nranks", type=int, default=4,
-        help="ranks of dist; ignored by the single-block backends "
-        "(sequential, cpu, gpu)",
+        help="ranks of dist; ignored by the single-block backends",
     )
     run_group.add_argument(
         "--config", default=None, metavar="NAME",

@@ -19,6 +19,9 @@ decomposition's per-step ledger from it.  Two evaluation paths:
   growth, halo volume and collective depth all emerge from the activity
   and the decomposition geometry rather than being curve-fit.
 
+:mod:`repro.perf.stream` models when a step's copies and kernels may
+overlap on CUDA-style streams (the latency-hiding ablation).
+
 Calibration (see ``machine.PERLMUTTER``) pins the model to the paper's
 base configuration; every scaling *shape* then follows from counted work.
 """

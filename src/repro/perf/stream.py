@@ -1,5 +1,10 @@
 """Streams and events: modeling copy/compute overlap.
 
+SIMCoV-GPU's counted work — launches, active-tile voxels, atomics, halo
+copies — is a pure function of one single-block trace
+(:mod:`repro.perf.work`).  What this module adds is the one thing a trace
+does not give: when copies and kernels may *overlap*.
+
 Related work (§5) highlights latency hiding for multi-GPU ABMs (Aaby et
 al. [3]); SIMCoV-GPU's fixed kernel/copy schedule (Fig 2) is fully
 serialized, and §6.1 floats asynchronous updates as future work.  This

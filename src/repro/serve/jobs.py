@@ -7,7 +7,7 @@ registry, and to a **canonical result-cache key** through the typed
 params codec (:func:`repro.io.checkpoint.encode_params`): two requests
 share a key iff every parameter field, the seed set and the step count
 agree.  The backend is deliberately *not* part of the key — every
-backend (sequential, cpu, gpu, dist at any rank count, ensemble members)
+backend (sequential, dist at any rank count, ensemble members)
 produces bitwise-identical stats for the same ``(params, seed, steps)``,
 which is what makes the result cache correct rather than approximate
 (DESIGN.md §4e).
@@ -47,6 +47,10 @@ ACTIVE_STATES = (QUEUED, RUNNING, PREEMPTED, RETRYING)
 #: Priority range, inclusive; higher runs earlier (and may preempt).
 MIN_PRIORITY, MAX_PRIORITY = 0, 9
 
+#: Backend names of earlier releases.  Both ran the single-block stepper,
+#: so a journaled job that names one replays on ``sequential``.
+LEGACY_BACKENDS = {"cpu": "sequential", "gpu": "sequential"}
+
 
 class SpecError(ValueError):
     """A submitted job spec is malformed (HTTP 400)."""
@@ -83,6 +87,7 @@ class JobSpec:
             raise SpecError(
                 f"unknown job fields {sorted(unknown)}; known: {sorted(known)}"
             )
+        backend = str(raw.get("backend", "sequential"))
         try:
             spec = cls(
                 config=raw.get("config"),
@@ -90,7 +95,7 @@ class JobSpec:
                 dim=tuple(raw["dim"]) if raw.get("dim") else None,
                 steps=None if raw.get("steps") is None else int(raw["steps"]),
                 seed=int(raw.get("seed", 0)),
-                backend=str(raw.get("backend", "sequential")),
+                backend=LEGACY_BACKENDS.get(backend, backend),
                 ensemble=(
                     None if raw.get("ensemble") is None
                     else int(raw["ensemble"])
@@ -135,7 +140,7 @@ class JobSpec:
                 )
         if self.backend == "ensemble" and self.ensemble is None:
             raise SpecError("backend='ensemble' needs an 'ensemble' count")
-        if self.backend in ("cpu", "gpu", "dist") and self.nranks < 1:
+        if self.backend == "dist" and self.nranks < 1:
             raise SpecError(f"nranks must be >= 1, got {self.nranks}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise SpecError(

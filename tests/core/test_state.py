@@ -128,11 +128,11 @@ class TestFlatAddressing:
         from repro.core.kernels import IntentArrays
         from repro.core.params import SimCovParams
         from repro.dist import DistSimCov
-        from repro.dist.worker import _RankWorker
+        from repro.dist.worker import RankBackend
 
         p = SimCovParams.fast_test(dim=(12, 12), num_infections=1, num_steps=1)
         with DistSimCov(p, nranks=2) as dist:
-            worker = _RankWorker(dist.backend.runtime.worker_spec(0))
+            worker = RankBackend(dist.backend.runtime.worker_spec(0))
             try:
                 self.assert_flat_views(worker.block, VoxelBlock.FIELD_DTYPES)
                 self.assert_flat_views(worker.intents, IntentArrays.FIELD_DTYPES)

@@ -17,7 +17,7 @@ from repro.dist.shm import (
     live_segment_names,
     make_segment_name,
 )
-from repro.engine.phases import validate_schedule
+from repro.engine.phases import PhaseKind, validate_schedule
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger
 from repro.grid.spec import GridSpec
@@ -185,6 +185,20 @@ class TestDriverSurface:
             assert merged.total_seconds() > 0.0
             # Per-step records carry per-rank active counts.
             assert len(sim.step_work[0]["active_per_rank"]) == 2
+
+    def test_only_exchanges_wait(self):
+        """Every barrier wait sits in an exchange phase or a step barrier:
+        a kernel phase is a shared single-block body, and the benchmark
+        counts its seconds as busy time."""
+        params = SimCovParams.fast_test(
+            dim=(24, 24), num_infections=2, num_steps=8
+        )
+        with DistSimCov(params, nranks=4, seed=3) as sim:
+            sim.run(8)
+            waits = sim.backend.runtime.per_rank_wait_seconds()
+        kernels = [p.name for p in dist_schedule() if p.kind is PhaseKind.KERNEL]
+        assert kernels and all(waits[name] == [0.0] * 4 for name in kernels)
+        assert sum(waits["tiebreak_exchange"]) > 0.0
 
     def test_step_by_step_matches_run(self):
         params = SimCovParams.fast_test(

@@ -174,7 +174,10 @@ def test_finished_sim_is_freed_by_refcount():
 def test_the_coordinator_never_draws_the_attempt_schedule(nranks, monkeypatch):
     """Each rank draws the extravasation attempts from the published
     ``(step, pool)``; the coordinator's launch window holds only
-    shared-memory reads, so ``StepContext.attempts`` is never evaluated."""
+    shared-memory reads, so its ``StepContext.attempts`` is never
+    evaluated (a forked rank's context draws as usual)."""
+    import os
+
     from repro.core.params import SimCovParams
     from repro.engine.engine import StepContext
 
@@ -183,7 +186,11 @@ def test_the_coordinator_never_draws_the_attempt_schedule(nranks, monkeypatch):
     ref.run()
     assert sum(ref.series[i].extravasations for i in range(len(ref.series))) > 0
 
+    coordinator = os.getpid()
+
     def refuse(ctx):
+        if os.getpid() != coordinator:
+            return ctx.draw_attempts()
         raise AssertionError(f"step {ctx.step}: the coordinator drew the attempts")
 
     monkeypatch.setattr(StepContext, "attempts", property(refuse))

@@ -263,6 +263,31 @@ class TestOneImplementation:
             assert own == [], (cls.__name__, own)
         assert kernels.ensemble_apply_extravasation is kernels.apply_extravasation
 
+    @pytest.mark.parametrize(
+        "name",
+        [f"phase_{p}" for p in (
+            "age_extravasate", "intents", "resolve", "apply_results",
+            "epithelial", "diffuse",
+        )] + ["_intents", "_diffuse", "_open_intents", "_open_diffuse", "_tcell_box"],
+    )
+    def test_rank_shares_each_kernel_body(self, name):
+        """A dist rank runs the single-block bodies; its exchanges sit
+        between the calls, not inside them."""
+        from repro.dist.worker import RankBackend
+        from repro.engine.sequential import SingleBlockBackend
+
+        assert getattr(RankBackend, name) is getattr(SingleBlockBackend, name)
+
+    def test_rank_spells_only_its_reduce(self):
+        """Of the phase bodies, a rank spells only ``reduce`` (integer
+        counts for the coordinator); the rest of what it overrides is the
+        exchange, the fence split and the sweep's box publication."""
+        from repro.dist.worker import RankBackend
+
+        own = sorted(name for name in vars(RankBackend) if name.startswith("phase_"))
+        assert own == ["phase_reduce"]
+        assert {"exchange", "_fence_parts", "_sweep"} <= set(vars(RankBackend))
+
     def test_engine_step_loop_is_not_overridden(self):
         from repro.engine.engine import StepEngine
         from repro.engine.ensemble import EnsembleEngine
@@ -275,14 +300,14 @@ class TestOneImplementation:
         from repro.core.state import VoxelBlock
         from repro.core.stats import RegionReducer
         from repro.dist import DistSimCov
-        from repro.dist.worker import _RankWorker
+        from repro.dist.worker import RankBackend
 
         p = _params(steps=1)
         assert type(SequentialSimCov(p).backend.reducer) is RegionReducer
         ens = EnsembleSimCov(p, seeds=[0, 1])
         assert type(ens.backend.reducer) is RegionReducer
         with DistSimCov(p, nranks=2) as dist:
-            worker = _RankWorker(dist.backend.runtime.worker_spec(0))
+            worker = RankBackend(dist.backend.runtime.worker_spec(0))
             try:
                 assert type(worker.reducer) is RegionReducer
             finally:

@@ -2,11 +2,11 @@
 
 The committed ``trace_2d.json`` / ``trace_3d.json`` fixtures pin the
 per-step time series of two canonical configurations (see
-``regen_traces.py``).  The sequential driver (gated and force-ungated)
-must reproduce them **exactly** — JSON round-trips float64 exactly, so
-equality here is bitwise — and so must the ``cpu`` / ``gpu`` driver
-names the CLI, serve and job specs accept, and the multi-process runtime
-at every rank count (``tests/dist/test_dist_golden.py``).
+``regen_traces.py``).  The sequential driver (gated and force-ungated),
+built by the name the CLI, serve and job specs use, must reproduce them
+**exactly** — JSON round-trips float64 exactly, so equality here is
+bitwise — and so must the multi-process runtime at every rank count
+(``tests/dist/test_dist_golden.py``).
 
 If one of these fails after an intentional model change, regenerate with
 ``PYTHONPATH=src python tests/golden/regen_traces.py`` and commit the
@@ -48,7 +48,7 @@ def assert_exact(series, golden, label):
 @pytest.mark.parametrize("name", TRACES)
 def test_sequential_reproduces_golden_trace(name):
     config, golden = load_trace(name)
-    sim = SequentialSimCov(make_params(config), seed=config["seed"])
+    sim = build_driver("sequential", make_params(config), seed=config["seed"])
     sim.run(config["steps"])
     assert_exact(sim.series, golden, f"{name}/sequential-gated")
 
@@ -60,19 +60,3 @@ def test_ungated_sequential_reproduces_golden_trace(name):
                            active_gating=False)
     sim.run(config["steps"])
     assert_exact(sim.series, golden, f"{name}/sequential-ungated")
-
-
-@pytest.mark.parametrize("name", TRACES)
-def test_pgas_reproduces_golden_trace(name):
-    config, golden = load_trace(name)
-    sim = build_driver("cpu", make_params(config), nranks=3, seed=config["seed"])
-    sim.run(config["steps"])
-    assert_exact(sim.series, golden, f"{name}/cpu")
-
-
-@pytest.mark.parametrize("name", TRACES)
-def test_gpu_reproduces_golden_trace(name):
-    config, golden = load_trace(name)
-    sim = build_driver("gpu", make_params(config), nranks=4, seed=config["seed"])
-    sim.run(config["steps"])
-    assert_exact(sim.series, golden, f"{name}/gpu")

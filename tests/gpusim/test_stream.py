@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.gpusim.stream import Engine, StreamSchedule
+from repro.perf.stream import Engine, StreamSchedule
 
 
 class TestSingleStream:

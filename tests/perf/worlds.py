@@ -4,7 +4,8 @@
 executing PGAS and GPU substrates counted for these worlds;
 ``test_counted_work.py`` derives the same numbers from one single-block
 trace per world.  The crowd helpers also seed the cross-boundary tiebreak
-test in ``tests/dist``.
+tests in ``tests/dist`` (``crowd_2d`` and ``seam_2d``, which the fixture
+does not cover).
 """
 
 import numpy as np
@@ -15,10 +16,12 @@ from repro.core.structure import branching_airways_3d
 from repro.grid.spec import GridSpec
 
 
-def crowd_tcells(blocks, spec, density=0.35, seed=13, life=10_000):
-    """Place a dense T-cell crowd into block state, identical for any
-    decomposition (ghost copies included)."""
+def crowd_tcells(blocks, spec, density=0.35, seed=13, life=10_000, rows=None):
+    """Place a dense T-cell crowd into block state (only on ``rows`` when
+    given), identical for any decomposition (ghost copies included)."""
     coords = np.argwhere(np.random.default_rng(seed).random(spec.shape) < density)
+    if rows is not None:
+        coords = coords[np.isin(coords[:, 0], rows)]
     for block in blocks:
         local = coords - np.array(block.origin)
         ok = np.all((local >= 0) & (local < np.array(block.shape)), axis=1)
@@ -47,6 +50,15 @@ def crowd(blocks, spec):
     infect_band(blocks, spec, rows=(11, 12))
 
 
+def seam(blocks, spec):
+    """The one-sided seam's state on 24x24: T cells on row 11 only, the
+    last row of the upper ranks of a 2- or 4-rank block decomposition,
+    and bind targets on row 12, the first row of the lower ranks, which
+    own no T cell and every free voxel the crowd can step into."""
+    crowd_tcells(blocks, spec, density=0.6, rows=(11,))
+    infect_band(blocks, spec, rows=(12,))
+
+
 def world(name):
     """``(params, seed, driver kwargs, setup)``; ``setup(blocks, spec)``
     rewrites the seeded state before the first step, or is None."""
@@ -60,6 +72,9 @@ def world(name):
     if name == "crowd_2d":
         p = SimCovParams.fast_test(dim=(24, 24), num_infections=0, num_steps=40)
         return p.with_(tcell_generation_rate=0.0, infectivity=0.0), 3, {}, crowd
+    if name == "seam_2d":
+        p = SimCovParams.fast_test(dim=(24, 24), num_infections=0, num_steps=40)
+        return p.with_(tcell_generation_rate=0.0, infectivity=0.0), 5, {}, seam
     raise KeyError(name)
 
 

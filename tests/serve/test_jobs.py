@@ -125,10 +125,10 @@ class TestCacheKey:
 
     def test_backend_not_keyed(self):
         # Bitwise determinism across backends is the cache's correctness
-        # argument: cpu and sequential submissions collapse to one key.
+        # argument: dist and sequential submissions collapse to one key.
         a = JobSpec.from_json({"config": "small_2d", "backend": "sequential"})
         b = JobSpec.from_json(
-            {"config": "small_2d", "backend": "cpu", "nranks": 4}
+            {"config": "small_2d", "backend": "dist", "nranks": 4}
         )
         pa, sa = a.resolve_params()
         pb, sb = b.resolve_params()

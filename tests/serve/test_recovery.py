@@ -20,6 +20,7 @@ from repro.core.model import SequentialSimCov
 from repro.serve import BackgroundServer, ServeApp, ServeClient
 from repro.serve.faults import KILL_EXIT_STATUS
 from repro.serve.jobs import JobSpec, stats_rows
+from repro.serve.journal import JobJournal
 
 SPEC = {"dim": [48, 48], "steps": 300, "seed": 7, "backend": "sequential"}
 
@@ -187,3 +188,21 @@ class TestDrainResume:
             warm = client.result(job_id)["result"]
             assert client.metrics()["replayed_jobs"] == 0
         assert canonical(warm) == canonical(cold)
+
+
+class TestLegacyBackendNames:
+    def test_a_journaled_gpu_job_replays(self, tmp_path):
+        """Earlier releases accepted ``cpu`` and ``gpu`` as backends; a
+        journal written then still replays, on the single-block stepper
+        both named, to the rows of an uninterrupted run."""
+        journal_dir = str(tmp_path / "journal")
+        spec = dict(SPEC, steps=25, backend="gpu", nranks=4)
+        journal = JobJournal(journal_dir)
+        journal.append({"type": "submit", "job": "legacy", "seq": 0, "spec": spec})
+        journal.close()
+        with BackgroundServer(ServeApp(port=0, journal_dir=journal_dir)) as app:
+            client = ServeClient(port=app.port)
+            assert client.wait("legacy", timeout=60.0)["state"] == "done"
+            rows = client.result("legacy")["result"]["rows"]
+            assert client.metrics()["replayed_jobs"] == 1
+        assert canonical(rows) == canonical(reference_rows(spec))

@@ -111,10 +111,9 @@ class TestCpuSimulation:
         assert len(work) == 20
 
     def test_gather_helpers(self):
-        """The ``cpu`` driver name (the single-block stepper) gathers the
-        whole domain."""
+        """The single-block stepper gathers the whole domain."""
         p = SimCovParams.fast_test(dim=(12, 12), num_infections=2, num_steps=1)
-        cpu = build_driver("cpu", p, nranks=4, seed=0)
+        cpu = build_driver("sequential", p, seed=0)
         epi = cpu.gather_field("epi_state")
         assert epi.shape == (12, 12)
         assert (epi == EpiState.HEALTHY).all()

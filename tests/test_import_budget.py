@@ -7,9 +7,9 @@ and `networkx` has one user (`Decomposition.neighbor_graph`), which imports
 it when called.  The compiled tier (`repro.core.native`) is built and
 loaded at the first native call: importing the drivers must neither map the
 library nor start a compiler, and neither may constructing one.  Counted
-work (`repro.perf`, the stream model in `repro.gpusim`) is priced after a
-run, never during one: no driver's set-up imports it, nor any package the
-executing PGAS / GPU substrates once lived in.
+work (`repro.perf`, its stream model included) is priced after a run,
+never during one: no driver's set-up imports it, nor any package the
+executing PGAS / GPU substrates or the stream model once lived in.
 """
 
 import os
