@@ -6,22 +6,10 @@ pytest-benchmark timing).  Benchmarks run on scaled-down workloads — see
 EXPERIMENTS.md for the scaled-vs-paper mapping.
 """
 
-import pathlib
-
 import pytest
 
 from repro.core.params import SimCovParams
-from repro.testing import subprocess_env, use_tier
-
-BENCH_DIR = pathlib.Path(__file__).resolve().parent
-
-
-@pytest.fixture(scope="session")
-def bench_env():
-    """Environment for benchmark subprocesses (the entry-point regression
-    test): os.environ with ``src/`` on PYTHONPATH, via the same helper the
-    example smoke tests use (repro.testing.subprocess_env)."""
-    return subprocess_env()
+from repro.testing import use_tier
 
 
 @pytest.fixture(scope="session")

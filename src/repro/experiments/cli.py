@@ -27,16 +27,6 @@ telemetry (plus periodic metrics snapshots) to PATH::
     simcov-repro serve --port 8642 --workers 4 --cache-dir /tmp/cache
     simcov-repro submit --config small_2d --steps 50 --watch
     simcov-repro status
-
-``simcov-repro bench`` reads benchmark payloads
-(``BENCH_step_engine.json``): ``bench report [FILE]`` prints
-one payload's gateable metrics, ``bench diff CURRENT PREVIOUS`` compares
-two, and ``--check`` turns a regression beyond ``--threshold`` into
-exit 1 (the CI gate)::
-
-    simcov-repro bench report
-    simcov-repro bench diff new.json benchmarks/BENCH_step_engine.json \
-        --threshold 0.15 --check
 """
 
 from __future__ import annotations
@@ -464,73 +454,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``simcov-repro bench report [FILE]`` / ``bench diff CUR PREV``.
-
-    ``report`` prints the gateable metrics of one benchmark payload
-    (default: the repo's committed ``BENCH_step_engine.json``).
-    ``diff`` compares two payloads; with ``--check`` a regression beyond
-    ``--threshold`` exits 1 (the CI gate), and mismatched run metadata
-    exits 2 unless ``--allow-cross-host``.
-    """
-    from repro.obs.bench import (
-        CrossHostError,
-        bench_diff,
-        format_diff,
-        format_report,
-        load_bench,
-    )
-
-    usage = (
-        "usage: simcov-repro bench report [FILE] | "
-        "bench diff CURRENT PREVIOUS [--threshold X] [--check] "
-        "[--allow-cross-host]"
-    )
-    if not args.extra:
-        print(usage, file=sys.stderr)
-        return 2
-    sub, rest = args.extra[0], args.extra[1:]
-    if sub == "report":
-        if len(rest) > 1:
-            print(usage, file=sys.stderr)
-            return 2
-        if rest:
-            path = rest[0]
-        else:
-            from repro.testing import repo_root
-
-            path = str(repo_root() / "BENCH_step_engine.json")
-        if not os.path.exists(path):
-            print(f"benchmark file not found: {path}", file=sys.stderr)
-            return 2
-        print(format_report(load_bench(path), path))
-        return 0
-    if sub == "diff":
-        if len(rest) != 2:
-            print(usage, file=sys.stderr)
-            return 2
-        for path in rest:
-            if not os.path.exists(path):
-                print(f"benchmark file not found: {path}", file=sys.stderr)
-                return 2
-        try:
-            diff = bench_diff(
-                load_bench(rest[0]),
-                load_bench(rest[1]),
-                threshold=args.threshold,
-                allow_cross_host=args.allow_cross_host,
-            )
-        except CrossHostError as err:
-            print(f"bench diff: {err}", file=sys.stderr)
-            return 2
-        print(format_diff(diff))
-        if args.check and diff["regressions"]:
-            return 1
-        return 0
-    print(usage, file=sys.stderr)
-    return 2
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     """``simcov-repro serve`` — run the job server until interrupted.
 
@@ -753,11 +676,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "experiment", nargs="?", default=None,
         choices=sorted(COMMANDS) + [
-            "all", "run", "trace", "bench", "serve", "submit", "status",
+            "all", "run", "trace", "serve", "submit", "status",
         ],
         help="which table/figure to regenerate, 'run' for one simulation, "
-        "'trace report PATH' to summarize a recorded trace, "
-        "'bench report/diff' for benchmark regression checks, or "
+        "'trace report PATH' to summarize a recorded trace, or "
         "'serve'/'submit'/'status' for the job server",
     )
     parser.add_argument(
@@ -766,7 +688,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "extra", nargs="*",
-        help="subcommand arguments ('trace', 'bench', 'status')",
+        help="subcommand arguments ('trace', 'status')",
     )
     parser.add_argument(
         "--outdir", default="results", help="CSV output directory"
@@ -857,21 +779,6 @@ def main(argv: list[str] | None = None) -> int:
         help="chaos testing: inject a worker fault, e.g. 1:7:intents:die "
         "(modes: die, error, stall, slow, freeze_heartbeat)",
     )
-    bench_group = parser.add_argument_group("bench options (bench diff)")
-    bench_group.add_argument(
-        "--threshold", type=float, default=0.15,
-        help="relative regression threshold for bench diff (default 0.15)",
-    )
-    bench_group.add_argument(
-        "--check", action="store_true",
-        help="exit 1 when bench diff finds a regression beyond the "
-        "threshold (the CI gate)",
-    )
-    bench_group.add_argument(
-        "--allow-cross-host", action="store_true",
-        help="compare benchmark payloads recorded on different hosts "
-        "(normally refused, exit 2)",
-    )
     serve_group = parser.add_argument_group(
         "serving options (serve/submit/status)"
     )
@@ -961,8 +868,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_run(args)
     if args.experiment == "trace":
         return _cmd_trace(args)
-    if args.experiment == "bench":
-        return _cmd_bench(args)
     if args.experiment == "serve":
         return _cmd_serve(args)
     if args.experiment == "submit":

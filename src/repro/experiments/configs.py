@@ -17,8 +17,8 @@ class RunConfig:
     """A named single-run / ensemble configuration for ``simcov-repro run``.
 
     These are reproduction-scale presets (the paper's Table 1 grids are
-    exascale); ``small_2d`` doubles as the ensemble benchmark workload in
-    ``benchmarks/BENCH_step_engine.json``.
+    exascale); ``small_2d`` doubles as the spec of the serve benchmark
+    workloads in ``benchmarks/e2e/workloads.py``.
     """
 
     name: str

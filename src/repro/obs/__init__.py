@@ -5,11 +5,9 @@ span tracing: a low-overhead :class:`MetricsRegistry` (counters, gauges,
 fixed-bucket histograms) wired through the engine, dist, ensemble and
 serve layers; Prometheus text exposition for ``GET /metrics``; periodic
 JSONL snapshots for batch runs; a rolling per-rank
-:class:`ImbalanceMonitor`; run-metadata stamps; and benchmark
-regression reports (``bench report`` / ``bench diff``).
+:class:`ImbalanceMonitor`; and run-metadata stamps.
 """
 
-from repro.obs.bench import bench_diff, flatten_metrics, format_diff, load_bench
 from repro.obs.imbalance import ImbalanceMonitor, imbalance_index
 from repro.obs.prometheus import render as render_prometheus
 from repro.obs.registry import (
@@ -32,14 +30,10 @@ __all__ = [
     "ImbalanceMonitor",
     "MetricsRegistry",
     "MetricsSnapshotSink",
-    "bench_diff",
     "compatible",
-    "flatten_metrics",
-    "format_diff",
     "format_meta",
     "get_registry",
     "imbalance_index",
-    "load_bench",
     "read_snapshots",
     "render_prometheus",
     "run_metadata",

@@ -1,12 +1,12 @@
 """Run metadata: who/where/what produced an artifact.
 
-Every JSONL trace and every ``BENCH_step_engine.json`` section gets a
-stamp from :func:`run_metadata` — host, CPU count, Python version, git
-SHA, config name — so downstream consumers (``trace report``,
-``bench diff``) can tell *which machine and code state* produced the
-numbers.  ``bench diff`` uses :func:`compatible` to refuse cross-host
-comparisons: a 30% "regression" that is really a laptop-vs-CI delta is
-worse than no check at all.
+Every JSONL trace and every benchmark suite file gets a stamp from
+:func:`run_metadata` — host, CPU count, Python version, git SHA, config
+name — so downstream consumers (``trace report``,
+``benchmarks/e2e/compare.py``) can tell *which machine and code state*
+produced the numbers.  ``compare.py`` uses :func:`compatible` to refuse
+cross-host comparisons: a 30% "regression" that is really a laptop-vs-CI
+delta is worse than no check at all.
 
 The git SHA comes from one cached subprocess call and degrades to
 ``None`` outside a checkout (pip-installed trees, tarballs) — metadata

@@ -167,6 +167,28 @@ class TestPipelinedTelemetry:
             assert inner.attrs["in_phase"]
 
 
+class TestGatedStripExchange:
+    def test_one_focus_skips_most_strips(self):
+        """With one focus of infection away from the seam, most halo
+        strips are quiescent: the activity-gated exchange must skip more
+        of them than it pulls (forcing ``strip_live`` to True fails
+        this), and the run stays bitwise the sequential one."""
+        from repro.core.model import SequentialSimCov
+        from repro.core.params import SimCovParams
+
+        params = SimCovParams.fast_test(
+            dim=(96, 96), num_infections=1, num_steps=20
+        )
+        with DistSimCov(params, nranks=NRANKS, seed=0) as sim:
+            sim.run(20)
+            pulled, skipped = sim.backend.runtime.strip_counts()
+            rows = [sim.series[i] for i in range(20)]
+        assert 0 < pulled < skipped, (pulled, skipped)
+        ref = SequentialSimCov(params, seed=0)
+        ref.run(20)
+        assert rows == [ref.series[i] for i in range(20)]
+
+
 class TestImbalanceObservability:
     def test_imbalance_gauges_and_monitor(self):
         """Every step publishes one imbalance_index gauge on the

@@ -75,34 +75,42 @@ def spawn_server(journal_dir, *extra):
 class TestServerKillRecovery:
     def test_server_kill_mid_job_recovers_bitwise(self, tmp_path):
         journal_dir = tmp_path / "journal"
+        # One worker: job 0 runs while the other two wait in the queue.
+        specs = [
+            SPEC,
+            dict(SPEC, steps=40, seed=8),
+            dict(SPEC, steps=40, seed=9),
+        ]
         # The chaos fault SIGKILLs the server when job 0 reaches step 150.
         proc, port = spawn_server(
             journal_dir, "--inject-serve-fault", "0:150:server_kill"
         )
         try:
             client = ServeClient(port=port)
-            resp = client.submit(SPEC)
-            job_id = resp["job"]["id"]
+            job_ids = [client.submit(spec)["job"]["id"] for spec in specs]
             assert proc.wait(timeout=120) == KILL_EXIT_STATUS
         finally:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
-        # Restart on the same journal: the job must come back by itself,
+        # Restart on the same journal: every job must come back by itself,
         # same id, and finish bitwise-identically.
         proc, port = spawn_server(journal_dir)
         try:
             client = ServeClient(port=port)
-            final = client.wait(job_id, timeout=120.0)
-            assert final["state"] == "done"
-            rows = client.result(job_id)["result"]["rows"]
+            rows = []
+            for job_id in job_ids:
+                final = client.wait(job_id, timeout=120.0)
+                assert final["state"] == "done"
+                rows.append(client.result(job_id)["result"]["rows"])
             metrics = client.metrics()
-            assert metrics["replayed_jobs"] == 1
+            assert metrics["replayed_jobs"] == len(specs)
             assert client.readyz() == {"ready": True}
         finally:
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 0  # graceful drain exits 0
-        assert canonical(rows) == canonical(reference_rows(SPEC))
+        for spec, got in zip(specs, rows):
+            assert canonical(got) == canonical(reference_rows(spec))
 
     def test_journal_torn_by_crash_recovers(self, tmp_path):
         journal_dir = tmp_path / "journal"

@@ -9,7 +9,9 @@ to one that was never preempted.
 import json
 import logging
 import socket
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -76,6 +78,34 @@ class TestSubmitAndResult:
             assert second["job"]["id"] == first["job"]["id"]
             assert second["job"]["attached"] == 2
             client.wait(first["job"]["id"])
+
+    def test_concurrent_burst_coalesces(self):
+        """24 clients submit at once over 3 distinct specs: each spec runs
+        exactly once (one miss), every other submission joins it in
+        flight or hits its cached result, and all 24 results are bitwise
+        their spec's in-process run."""
+        specs = [dict(SPEC, steps=30, seed=seed) for seed in (11, 12, 13)]
+        clients = 24
+        start = threading.Barrier(clients)
+
+        def submit(i):
+            spec = specs[i % len(specs)]
+            client = ServeClient(port=app.port)
+            start.wait()
+            resp = client.submit(spec)
+            client.wait(resp["job"]["id"])
+            rows = client.result(resp["job"]["id"])["result"]["rows"]
+            return spec, resp["cache"], rows
+
+        with serve(max_workers=1) as app:
+            with ThreadPoolExecutor(clients) as pool:
+                outcomes = list(pool.map(submit, range(clients)))
+        dispositions = [cache for _, cache, _ in outcomes]
+        assert dispositions.count("miss") == len(specs), dispositions
+        assert set(dispositions) <= {"miss", "hit", "join"}, dispositions
+        expected = [canonical(reference_rows(spec)) for spec in specs]
+        for spec, _, rows in outcomes:
+            assert canonical(rows) == expected[specs.index(spec)]
 
     def test_bad_spec_is_400(self):
         with serve() as app:
