@@ -33,7 +33,7 @@ from repro.serve.jobs import (
     SpecError,
     result_cache_key,
 )
-from repro.serve.journal import JobJournal, JournalCorruptError, fold_records
+from repro.serve.journal import JobJournal, JournalCorruptError
 from repro.serve.runner import SegmentResult, build_sim, run_segment
 from repro.serve.scheduler import FairShareQueue, Scheduler, job_cost
 from repro.serve.server import AdmissionError, BackgroundServer, ServeApp
@@ -64,7 +64,6 @@ __all__ = [
     "ServeFaultSpec",
     "SpecError",
     "build_sim",
-    "fold_records",
     "job_cost",
     "parse_serve_fault",
     "parse_sse",

@@ -120,8 +120,6 @@ def apply_fault(fault: ServeFaultSpec, job, journal=None) -> None:
     if fault.mode == "journal_torn" and journal is not None:
         # Racing the loop thread's own appends is the point: the bytes a
         # crash mid-append leaves behind are exactly this partial frame.
-        journal.append_torn(
-            {"type": "fail", "job": job.id, "error": "injected torn record"}
-        )
+        journal.append_torn(job.fail_record("injected torn record"))
     # server_kill and journal_torn both end here: die without cleanup.
     os._exit(KILL_EXIT_STATUS)

@@ -13,9 +13,14 @@ which is what makes the result cache correct rather than approximate
 (DESIGN.md §4e).
 
 A :class:`Job` is the server-side record: spec + resolved params, the
-lifecycle state machine, accumulated per-step stats rows, the SSE event
-log every subscriber replays, and — for preempted jobs — the shadow
-snapshot the resumed segment restores from.
+lifecycle state, accumulated per-step stats rows and — for preempted
+jobs — the shadow snapshot the resumed segment restores from.
+
+A job transition *is* a journal record (DESIGN.md §4g).  The
+``Job.*_record`` methods are the only writers of the record format;
+:func:`apply_record` is the only code that turns a record into a state
+and durable fields — the live server and journal replay both call it —
+and :func:`job_records` is its inverse, what compaction writes.
 """
 
 from __future__ import annotations
@@ -24,17 +29,18 @@ import hashlib
 import itertools
 import json
 import time
+import warnings
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
 from repro.core.params import SimCovParams
 from repro.io.checkpoint import encode_params
+from repro.resilience import JobIncident
 
 #: Job lifecycle states.
 QUEUED = "queued"
 RUNNING = "running"
-PREEMPTED = "preempted"  # transient: snapshotted, back in the queue
 RETRYING = "retrying"  # transient: failed attempt, parked in backoff
 DONE = "done"
 FAILED = "failed"
@@ -42,7 +48,11 @@ CANCELLED = "cancelled"
 
 #: States from which a job can still produce a result (in-flight dedup
 #: joins attach to jobs in these states).
-ACTIVE_STATES = (QUEUED, RUNNING, PREEMPTED, RETRYING)
+ACTIVE_STATES = (QUEUED, RUNNING, RETRYING)
+
+#: The state each terminal record type ends a job in.
+_TERMINAL = {"complete": DONE, "fail": FAILED, "cancel": CANCELLED}
+TERMINAL_STATES = tuple(_TERMINAL.values())
 
 #: Priority range, inclusive; higher runs earlier (and may preempt).
 MIN_PRIORITY, MAX_PRIORITY = 0, 9
@@ -357,10 +367,7 @@ class Job:
             "error": self.error,
             "deadline_s": self.spec.deadline_s,
             "attempts": len(self.incidents) + 1,
-            "incidents": [
-                i.to_json() if hasattr(i, "to_json") else dict(i)
-                for i in self.incidents
-            ],
+            "incidents": [incident_json(i) for i in self.incidents],
             "spec": self.spec.to_json(),
         }
 
@@ -370,6 +377,156 @@ class Job:
         state the solo snapshot shape does not capture — they run to
         completion; every solo backend preempts at step boundaries."""
         return self.spec.backend != "ensemble"
+
+    def request_preempt(self) -> None:
+        """Ask the running segment to stop at its next step boundary.
+        Flag first, then read the hook: whichever side wins the race
+        (this call or the runner installing its hook) the request lands
+        once — the sim's ``request_preempt`` is idempotent if both do."""
+        self.preempt_requested = True
+        hook = self.preempt_hook
+        if hook is not None:
+            self.preempt_requested = False
+            hook()
+
+    # -- journal records: the only writers of the format ----------------------
+
+    def submit_record(self) -> dict:
+        return {
+            "type": "submit", "job": self.id, "seq": self.seq,
+            "spec": self.spec.to_json(),
+        }
+
+    def start_record(self) -> dict:
+        return {
+            "type": "start", "job": self.id,
+            "attempt": len(self.incidents) + 1, "from_step": self.steps_done,
+        }
+
+    def preempt_record(self, steps_done: int, n_rows: int, checkpoint) -> dict:
+        """The resume point: ``steps_done`` and the first ``n_rows`` rows,
+        restored from ``checkpoint``."""
+        return {
+            "type": "preempt", "job": self.id, "steps_done": steps_done,
+            "preemptions": self.preemptions, "rows": self.rows[:n_rows],
+            "checkpoint": checkpoint,
+        }
+
+    def retry_record(self, incident) -> dict:
+        return {"type": "retry", "job": self.id, "incident": incident_json(incident)}
+
+    def complete_record(self) -> dict:
+        return {"type": "complete", "job": self.id}
+
+    def fail_record(self, error: str | None) -> dict:
+        return {
+            "type": "fail", "job": self.id, "error": error,
+            "incidents": [incident_json(i) for i in self.incidents],
+        }
+
+    def cancel_record(self) -> dict:
+        return {"type": "cancel", "job": self.id}
+
+
+def incident_json(incident) -> dict:
+    """An incident as plain JSON (an undecodable one is kept as its dict)."""
+    return incident.to_json() if hasattr(incident, "to_json") else dict(incident)
+
+
+def incident_from_json(raw: dict):
+    try:
+        return JobIncident(**raw)
+    except TypeError:  # forward-compat: unknown fields stay a dict
+        return raw
+
+
+def apply_record(job: Job, record: dict) -> None:
+    """Apply one journal record to ``job``.
+
+    The one place a record type becomes a state and durable fields, for
+    a live transition and for replay alike.  Unknown types change
+    nothing.
+    """
+    rtype = record.get("type")
+    if rtype == "submit":
+        # A job from scratch: a second submit of one id (the old segments
+        # beside their compacted successor) starts it over.
+        job.state, job.steps_done, job.rows, job.preemptions = QUEUED, 0, [], 0
+        job.resume_checkpoint, job.incidents = None, []
+        job.error = job.finished_at = None
+    elif rtype == "start":
+        job.state = RUNNING
+        job.segment_start_steps = job.steps_done
+        job.segment_start_rows = len(job.rows)
+    elif rtype == "preempt":
+        job.state = QUEUED
+        job.steps_done = int(record.get("steps_done", 0))
+        job.rows = list(record.get("rows") or [])
+        job.preemptions = int(record.get("preemptions", 0))
+        job.resume_checkpoint = record.get("checkpoint")
+    elif rtype == "retry":
+        job.state = RETRYING
+        if record.get("incident") is not None:
+            job.incidents.append(incident_from_json(record["incident"]))
+    elif rtype in _TERMINAL:
+        job.state = _TERMINAL[rtype]
+        job.finished_at = time.time()
+        if rtype == "complete":
+            job.steps_done = job.steps
+        elif rtype == "fail":
+            job.error = record.get("error")
+            if record.get("incidents"):
+                job.incidents = [incident_from_json(i) for i in record["incidents"]]
+
+
+def job_records(job: Job) -> list[dict]:
+    """The records that rebuild ``job`` through :func:`apply_record`:
+    the inverse compaction writes.  A running job's durable resume point
+    is its segment's start — the checkpoint it resumed from — not the
+    live progress a crash would lose."""
+    records = [job.submit_record()]
+    records += [job.retry_record(i) for i in job.incidents]
+    if job.state == DONE:
+        records.append(job.complete_record())
+    elif job.state == FAILED:
+        records.append(job.fail_record(job.error))
+    elif job.state == CANCELLED:
+        records.append(job.cancel_record())
+    elif job.resume_checkpoint is not None:
+        running = job.state == RUNNING
+        records.append(job.preempt_record(
+            job.segment_start_steps if running else job.steps_done,
+            job.segment_start_rows if running else len(job.rows),
+            job.resume_checkpoint,
+        ))
+    return records
+
+
+def rebuild_jobs(records) -> dict[str, Job]:
+    """Replay a record stream.  A ``submit`` creates its journaled job
+    with a fresh ``seq``, so replayed jobs keep the journal's order ahead
+    of anything submitted after the restart; every record of a known job
+    is applied in order, and records of unknown jobs are skipped."""
+    jobs: dict[str, Job] = {}
+    for record in records:
+        job_id = record.get("job")
+        if job_id and job_id not in jobs and record.get("type") == "submit":
+            try:
+                spec = JobSpec.from_json(
+                    {k: v for k, v in record["spec"].items() if v is not None}
+                )
+                params, steps = spec.resolve_params()
+            except SpecError as err:  # pragma: no cover - wrote it, read it
+                warnings.warn(f"journal: dropping job {job_id}: {err}", RuntimeWarning)
+                continue
+            jobs[job_id] = Job(
+                id=job_id, spec=spec, params=params, steps=steps,
+                cache_key=result_cache_key(params, spec.seeds(), steps),
+                journaled=True,
+            )
+        if job_id in jobs:
+            apply_record(jobs[job_id], record)
+    return jobs
 
 
 def stats_rows(series, count: int | None = None) -> list[dict]:

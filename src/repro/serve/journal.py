@@ -1,13 +1,16 @@
 """Durable job journal: an append-only, CRC-framed write-ahead log.
 
 Every cold (cache-miss) job's lifecycle transitions are journaled so a
-restarted server can rebuild its jobs table exactly (DESIGN.md §4g):
-``submit`` / ``start`` / ``preempt`` / ``retry`` / ``complete`` /
-``fail`` / ``cancel`` records, replayed in order and folded last-wins
-per job id.  A ``preempt`` record carries the job's accumulated stats
-rows and the path of its on-disk shadow checkpoint, which is what makes
-post-crash resume *bitwise* exact: the checkpoint restores the sim at
-the preemption boundary and the journal restores the rows the earlier
+restarted server can rebuild its jobs table exactly (DESIGN.md §4g).
+This module frames, replays and compacts opaque JSON records; what a
+record *means* lives beside the job model — :mod:`repro.serve.jobs`
+builds the ``submit`` / ``start`` / ``preempt`` / ``retry`` /
+``complete`` / ``fail`` / ``cancel`` records and applies them, in
+journal order, through the one function the live server uses too.  A
+``preempt`` record carries the job's accumulated stats rows and the
+path of its on-disk shadow checkpoint, which is what makes post-crash
+resume *bitwise* exact: the checkpoint restores the sim at the
+preemption boundary and the journal restores the rows the earlier
 segments already produced.
 
 Framing (binary, little-endian)::
@@ -21,14 +24,14 @@ The same hardening idioms as :mod:`repro.io.checkpoint`:
   framing/CRC, truncates the segment back to the last valid record with
   a loud warning, and carries on.  Corruption *before* the tail of the
   final segment (bit rot, a truncated earlier segment) is a different
-  beast — the fold order would silently change — and raises
+  beast — the replay order would silently change — and raises
   :class:`JournalCorruptError` instead;
 - **atomic compaction** — when the log grows past ``compact_bytes`` the
-  server rewrites the folded state (one record per live fact) into the
+  server rewrites each job as the records that rebuild it into the
   *next* segment via tmp + ``os.replace``, then deletes the older
-  segments.  A crash between replace and delete is safe: replay folds
-  old segments first and the compacted segment's records re-assert the
-  same state last-wins.
+  segments.  A crash between replace and delete is safe: replay reads
+  old segments first, and the compacted segment's ``submit`` starts each
+  job over, so its records rebuild the same state.
 
 Appends ``flush()`` to the OS on every record — durable across process
 ``SIGKILL`` (the crash model the chaos suite exercises).  ``sync()``
@@ -54,14 +57,6 @@ _HEADER = struct.Struct("<II")
 
 #: Segment filename pattern (index is the rotation generation).
 SEGMENT_PATTERN = re.compile(r"^journal-(\d{8})\.wal$")
-
-#: Record types, in the order a job can emit them.
-RECORD_TYPES = (
-    "submit", "start", "preempt", "retry", "complete", "fail", "cancel",
-)
-
-#: Record types that mean the job reached a terminal state.
-TERMINAL_TYPES = ("complete", "fail", "cancel")
 
 
 class JournalCorruptError(RuntimeError):
@@ -139,9 +134,7 @@ class JobJournal:
         self._fh = None
         self._segment_index = 0
         self._bytes = 0
-        #: Records appended since open (observability).
-        self.appended = 0
-        #: True when replay truncated a torn tail (surfaced in /readyz).
+        #: True when the last replay truncated a torn tail.
         self.truncated_tail = False
 
     # -- replay ----------------------------------------------------------------
@@ -175,7 +168,7 @@ class JobJournal:
                 raise JournalCorruptError(
                     f"journal segment {path!r} is corrupt at byte {stop} "
                     f"(not the final segment — replay order would be "
-                    f"unreliable); refusing to fold"
+                    f"unreliable); refusing to replay"
                 )
             # Torn tail of the active segment: truncate back to the last
             # valid frame and keep going — this is the crash-mid-append
@@ -213,7 +206,6 @@ class JobJournal:
         self._fh.write(frame)
         self._fh.flush()
         self._bytes += len(frame)
-        self.appended += 1
 
     def append_torn(self, record: dict, keep_fraction: float = 0.5) -> None:
         """Write a deliberately torn (partial) frame — the
@@ -231,10 +223,10 @@ class JobJournal:
         return self._bytes > self.compact_bytes
 
     def compact(self, records: list[dict]) -> None:
-        """Atomically replace the log with the folded ``records``.
+        """Atomically replace the log with ``records``.
 
         The caller (the server) supplies the canonical current state —
-        one submit + one latest-state record per job it still tracks.
+        :func:`repro.serve.jobs.job_records` of every job it tracks.
         Written to the *next* segment index via tmp + ``os.replace``,
         fsynced, then the older segments are deleted.
         """
@@ -277,53 +269,3 @@ class JobJournal:
                 self._fh.close()
                 self._fh = None
 
-
-def fold_records(records: list[dict]) -> dict[str, dict]:
-    """Fold a replayed record stream into per-job state, last-wins.
-
-    Returns ``{job_id: {"spec": ..., "seq": ..., "last": <record type>,
-    "steps_done": ..., "rows": [...], "preemptions": ...,
-    "checkpoint": ..., "incidents": [...], "error": ...}}`` — everything
-    the server needs to rebuild its jobs table.
-    """
-    folded: dict[str, dict] = {}
-    for record in records:
-        rtype = record.get("type")
-        job_id = record.get("job")
-        if rtype not in RECORD_TYPES or not job_id:
-            continue
-        entry = folded.setdefault(
-            job_id,
-            {
-                "spec": None,
-                "seq": 0,
-                "last": None,
-                "steps_done": 0,
-                "rows": [],
-                "preemptions": 0,
-                "checkpoint": None,
-                "incidents": [],
-                "error": None,
-            },
-        )
-        entry["last"] = rtype
-        if rtype == "submit":
-            entry["spec"] = record.get("spec")
-            entry["seq"] = int(record.get("seq", 0))
-        elif rtype == "preempt":
-            entry["steps_done"] = int(record.get("steps_done", 0))
-            entry["rows"] = list(record.get("rows") or [])
-            entry["preemptions"] = int(record.get("preemptions", 0))
-            entry["checkpoint"] = record.get("checkpoint")
-        elif rtype == "retry":
-            incident = record.get("incident")
-            if incident is not None:
-                entry["incidents"].append(incident)
-        elif rtype == "fail":
-            entry["error"] = record.get("error")
-            incidents = record.get("incidents")
-            if incidents:
-                entry["incidents"] = list(incidents)
-        elif rtype == "cancel":
-            entry["error"] = record.get("error")
-    return folded

@@ -29,11 +29,14 @@ and checkpoint-backed: the scheduler calls the victim's
 boundary, the runner snapshots, and the job re-enters the queue to be
 resumed bitwise-exactly later.
 
-Fault tolerance (DESIGN.md §4g): with ``journal_dir`` set, every cold
-job's transitions hit a CRC-framed write-ahead log
-(:mod:`repro.serve.journal`) and a restarted server replays it —
-re-enqueueing incomplete jobs, resuming preempted ones from their disk
-checkpoints — with results bitwise identical to an uninterrupted run.
+Fault tolerance (DESIGN.md §4g): a job transition is a journal record
+(:mod:`repro.serve.jobs` builds and applies them).  Every one goes
+through :meth:`ServeApp._transition`, which appends it to the CRC-framed
+write-ahead log (:mod:`repro.serve.journal`) when ``journal_dir`` is set
+and applies it; a restarted server applies the replayed records through
+the same function — re-enqueueing incomplete jobs, resuming preempted
+ones from their disk checkpoints — with results bitwise identical to an
+uninterrupted run.
 Worker failures are classified and retried under a bounded-backoff
 :class:`~repro.resilience.RestartPolicy`; a watchdog enforces
 per-job deadlines and reclaims hung workers; admission control bounds
@@ -71,12 +74,16 @@ from repro.serve.jobs import (
     QUEUED,
     RETRYING,
     RUNNING,
+    TERMINAL_STATES,
     Job,
     JobSpec,
     SpecError,
+    apply_record,
+    job_records,
+    rebuild_jobs,
     result_cache_key,
 )
-from repro.serve.journal import JobJournal, JournalCorruptError, fold_records
+from repro.serve.journal import JobJournal, JournalCorruptError
 from repro.serve.scheduler import Scheduler, job_cost
 from repro.telemetry.sinks import SseSink, sse_frame
 from repro.telemetry.tracer import NULL_TRACER, Tracer
@@ -294,64 +301,37 @@ class ServeApp:
             self.metrics[name] += amount
         self._obs_counters[name].inc(amount)
 
-    # -- journal ---------------------------------------------------------------
+    # -- transitions -----------------------------------------------------------
 
-    def _journal_append(self, job: Job, record: dict) -> None:
-        """Append one transition for a journaled job (loop thread)."""
-        if self.journal is None or not job.journaled:
-            return
-        self.journal.append(record)
-
-    def _journal_snapshot_records(self) -> list[dict]:
-        """The folded current state — what compaction rewrites the log
-        to: one submit + the latest facts per journaled job."""
-        records: list[dict] = []
-        for job in sorted(self.jobs.values(), key=lambda j: j.seq):
-            if not job.journaled:
-                continue
-            records.append({
-                "type": "submit", "job": job.id, "seq": job.seq,
-                "spec": job.spec.to_json(),
-            })
-            for incident in job.incidents:
-                records.append({
-                    "type": "retry", "job": job.id,
-                    "incident": (
-                        incident.to_json()
-                        if hasattr(incident, "to_json") else dict(incident)
-                    ),
-                })
-            if job.state == DONE:
-                records.append({"type": "complete", "job": job.id})
-            elif job.state == FAILED:
-                records.append(
-                    {"type": "fail", "job": job.id, "error": job.error}
-                )
-            elif job.state == CANCELLED:
-                records.append({"type": "cancel", "job": job.id})
-            elif job.steps_done > 0 and job.resume_checkpoint is not None:
-                records.append({
-                    "type": "preempt", "job": job.id,
-                    "steps_done": job.steps_done,
-                    "preemptions": job.preemptions,
-                    "rows": list(job.rows),
-                    "checkpoint": job.resume_checkpoint,
-                })
-        return records
+    def _transition(self, job: Job, record: dict) -> None:
+        """Journal (for a journaled job) and apply one transition.  A
+        terminal one also frees the job's admission slots and ends its
+        event stream (loop thread)."""
+        if job.journaled:
+            self.journal.append(record)
+        apply_record(job, record)
+        if job.state in TERMINAL_STATES:
+            if job.cache != "hit":  # a hit never took _enqueue's slots
+                self._inflight.pop(job.cache_key, None)
+                left = self._client_active.pop(job.spec.client, 0) - 1
+                if left > 0:
+                    self._client_active[job.spec.client] = left
+            self._finish_events(job)
 
     def _maybe_compact(self) -> None:
         if self.journal is not None and self.journal.should_compact:
-            self.journal.compact(self._journal_snapshot_records())
+            jobs = sorted(self.jobs.values(), key=lambda j: j.seq)
+            self.journal.compact([r for j in jobs if j.journaled for r in job_records(j)])
 
     def _restore_from_journal(self) -> None:
         """Rebuild the jobs table from the journal (startup, pre-bind).
 
-        Incomplete jobs re-enter the queue with their original ids,
-        accumulated rows and disk-checkpoint resume points; completed
-        jobs resolve through the disk result cache (re-enqueued if the
-        cache entry is missing — at-least-once, made harmless by
-        bitwise determinism).
-        """
+        Every record is applied, in journal order, by the function a live
+        transition uses.  Then a terminal job gets its terminal frame and
+        every other job re-enters the queue with its id, rows and
+        checkpoint resume point.  A completed job whose result is not in
+        the disk cache runs again (at-least-once, harmless by bitwise
+        determinism)."""
         try:
             records = self.journal.replay()
         except JournalCorruptError as err:
@@ -365,79 +345,20 @@ class ServeApp:
                 stacklevel=2,
             )
             return
-        folded = fold_records(records)
-        entries = sorted(folded.items(), key=lambda kv: kv[1]["seq"])
-        for job_id, entry in entries:
-            if entry["spec"] is None:  # no submit record survived
-                continue
-            try:
-                spec = JobSpec.from_json(
-                    {k: v for k, v in entry["spec"].items() if v is not None}
-                )
-                params, steps = spec.resolve_params()
-            except SpecError as err:  # pragma: no cover - wrote it, read it
-                warnings.warn(
-                    f"journal: dropping job {job_id}: {err}", RuntimeWarning
-                )
-                continue
-            key = result_cache_key(params, spec.seeds(), steps)
-            job = Job(
-                id=job_id, spec=spec, params=params, steps=steps,
-                cache_key=key,
-            )
-            job.journaled = True
-            job.incidents = [
-                self._incident_from_json(i) for i in entry["incidents"]
-            ]
+        for job in rebuild_jobs(records).values():
             self.jobs[job.id] = job
             self._events[job.id] = []
-            self._conds[job.id] = asyncio.Condition()
-            last = entry["last"]
-            if last == "complete":
-                cached = self.cache.get(key)
-                if cached is not None:
-                    job.state = DONE
-                    job.result = cached
-                    job.steps_done = steps
-                    job.finished_at = time.time()
-                    self._publish(job, sse_frame("done", job.summary()))
-                    self._finish_events(job)
-                    continue
-                last = "submit"  # result lost with the process: re-run
-            if last == "fail":
-                job.state = FAILED
-                job.error = entry["error"]
-                job.finished_at = time.time()
-                self._publish(job, sse_frame("error", job.summary()))
+            if job.state == DONE:
+                job.result = self.cache.get(job.cache_key)
+                if job.result is None:  # the result died with the process
+                    apply_record(job, job.submit_record())
+            if job.state in TERMINAL_STATES:
                 self._finish_events(job)
                 continue
-            if last == "cancel":
-                job.state = CANCELLED
-                job.finished_at = time.time()
-                self._publish(job, sse_frame("done", job.summary()))
-                self._finish_events(job)
-                continue
-            # submit / start / preempt / retry: back into the queue.
-            job.steps_done = entry["steps_done"]
-            job.rows = list(entry["rows"])
-            job.preemptions = entry["preemptions"]
-            job.resume_checkpoint = entry["checkpoint"]
             job.state = QUEUED
-            self._inflight[key] = job.id
-            self._client_active[spec.client] = (
-                self._client_active.get(spec.client, 0) + 1
-            )
-            self._attach_fault(job)
-            self.scheduler.submit(job)
+            self._enqueue(job)
             self._count("replayed_jobs")
             self._publish(job, sse_frame("state", job.summary()))
-
-    @staticmethod
-    def _incident_from_json(raw: dict):
-        try:
-            return JobIncident(**raw)
-        except TypeError:  # forward-compat: unknown fields stay a dict
-            return raw
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -490,9 +411,7 @@ class ServeApp:
         every running segment to preempt and stops the loop, so Ctrl-C
         never leaks worker threads, dist shm segments or torn caches."""
         for job in list(self.scheduler.running.values()):
-            hook = job.preempt_hook
-            if hook is not None:
-                hook()
+            job.request_preempt()
         loop = self._loop
         if loop is not None and not loop.is_closed():
             try:
@@ -509,9 +428,7 @@ class ServeApp:
         if self._watchdog_task is not None:
             self._watchdog_task.cancel()
         for job in list(self.scheduler.running.values()):
-            hook = job.preempt_hook
-            if hook is not None:
-                hook()
+            job.request_preempt()
         threads = [t for t in self._segment_threads if t.is_alive()]
         if threads:
             # Wait for in-flight segments: their ``finally`` blocks close
@@ -575,12 +492,6 @@ class ServeApp:
                     f"at the --max-inflight bound {cap}; retry shortly",
                 )
 
-    def _attach_fault(self, job: Job) -> None:
-        """Chaos testing: pin the configured fault to the Nth cold job."""
-        if self.fault is not None and self.fault.job == self._miss_seq:
-            job.fault = self.fault
-        self._miss_seq += 1
-
     def submit(self, spec: JobSpec) -> tuple[Job, str]:
         """Create (or reuse) a job for ``spec``; returns ``(job, how)``
         with ``how`` one of ``"hit"`` / ``"join"`` / ``"miss"``.
@@ -618,31 +529,19 @@ class ServeApp:
         cached = self.cache.get(key)
         if cached is not None:
             job = self._make_job(spec, params, steps, key)
-            job.state = DONE
             job.cache = "hit"
             job.result = cached
-            job.steps_done = steps
-            job.finished_at = time.time()
             self._count("cache_hits")
             self._obs_wait.observe(0.0)
             if self.tracer:
                 self.tracer.counter("serve:cache_hit", 1, cat="serving")
-            self._publish(job, sse_frame("done", job.summary()))
-            self._finish_events(job)
+            self._transition(job, job.complete_record())
             return job, "hit"
         self._admit_cold(spec)
         job = self._make_job(spec, params, steps, key)
         job.journaled = self.journal is not None
-        self._attach_fault(job)
-        self._inflight[key] = job.id
-        self._client_active[spec.client] = (
-            self._client_active.get(spec.client, 0) + 1
-        )
-        self._journal_append(job, {
-            "type": "submit", "job": job.id, "seq": job.seq,
-            "spec": spec.to_json(),
-        })
-        self.scheduler.submit(job)
+        self._transition(job, job.submit_record())
+        self._enqueue(job)
         self._count("cache_misses")
         if self.tracer:
             self.tracer.counter("serve:cache_miss", 1, cat="serving")
@@ -665,22 +564,24 @@ class ServeApp:
         )
         self.jobs[job.id] = job
         self._events[job.id] = []
-        self._conds[job.id] = asyncio.Condition()
         return job
+
+    def _enqueue(self, job: Job) -> None:
+        """Queue a cold job.  Until it ends it holds its cache key's
+        in-flight slot and one of its client's admission slots."""
+        if self.fault is not None and self.fault.job == self._miss_seq:
+            job.fault = self.fault  # chaos testing: the Nth cold job
+        self._miss_seq += 1
+        self._inflight[job.cache_key] = job.id
+        client = job.spec.client
+        self._client_active[client] = self._client_active.get(client, 0) + 1
+        self.scheduler.submit(job)
 
     def _maybe_preempt_for(self, candidate: Job) -> None:
         victim = self.scheduler.pick_victim(candidate)
         if victim is None:
             return
-        # Flag first, then read the hook: whichever side wins the race
-        # (this thread calling the hook, or the runner seeing the flag
-        # right after installing it) the request lands exactly once —
-        # request_preempt is idempotent if both do.
-        victim.preempt_requested = True
-        hook = victim.preempt_hook
-        if hook is not None:
-            victim.preempt_requested = False
-            hook()
+        victim.request_preempt()
         self._count("preemptions")
         if self.tracer:
             self.tracer.counter(
@@ -696,9 +597,6 @@ class ServeApp:
                 job = self.scheduler.next_dispatch()
                 if job is None:
                     break
-                if job.state == CANCELLED:
-                    self.scheduler.release(job)
-                    continue
                 self._start_segment(job)
 
     def _start_segment(self, job: Job) -> None:
@@ -716,15 +614,8 @@ class ServeApp:
                 )
         if resumed:
             self._count("resumes")
-        job.state = RUNNING
-        job.segment_start_steps = job.steps_done
-        job.segment_start_rows = len(job.rows)
+        self._transition(job, job.start_record())
         job.last_heartbeat = time.monotonic()
-        self._journal_append(job, {
-            "type": "start", "job": job.id,
-            "attempt": len(job.incidents) + 1,
-            "from_step": job.steps_done,
-        })
         loop = self._loop
         generation = job.generation
 
@@ -775,21 +666,16 @@ class ServeApp:
             job.spec.client, job_cost(job, steps=result.steps_run)
         )
         if job.state == CANCELLED:
+            # cancel() ended the job; its segment only held the slot.
             self.scheduler.release(job)
-            self._job_terminal(job)
-            self._publish(job, sse_frame("done", job.summary()))
-            self._finish_events(job)
         elif result.outcome == runner_mod.COMPLETED:
-            job.state = DONE
-            job.finished_at = time.time()
             self._count("completed")
             # Durable result before the journal's "complete" record: a
             # crash between the two replays the job (at-least-once),
             # never declares a result it cannot serve.
             self.cache.put(job.cache_key, job.result)
-            self._journal_append(job, {"type": "complete", "job": job.id})
             self.scheduler.release(job)
-            self._job_terminal(job)
+            self._transition(job, job.complete_record())
             if self.tracer:
                 self.tracer.emit_span(
                     "job", job.started_at,
@@ -797,18 +683,11 @@ class ServeApp:
                     job=job.id, steps=job.steps,
                     preemptions=job.preemptions,
                 )
-            self._publish(job, sse_frame("done", job.summary()))
-            self._finish_events(job)
         elif result.outcome == runner_mod.PREEMPTED:
-            if result.checkpoint is not None:
-                job.resume_checkpoint = result.checkpoint
-            self._journal_append(job, {
-                "type": "preempt", "job": job.id,
-                "steps_done": job.steps_done,
-                "preemptions": job.preemptions,
-                "rows": list(job.rows),
-                "checkpoint": job.resume_checkpoint,
-            })
+            self._transition(job, job.preempt_record(
+                job.steps_done, len(job.rows),
+                result.checkpoint or job.resume_checkpoint,
+            ))
             if job.deadline_expired:
                 # The watchdog preempted it to fail it cleanly: the
                 # checkpoint above is preserved for a manual resume.
@@ -822,7 +701,6 @@ class ServeApp:
                     reason="deadline",
                 )
             else:
-                job.state = QUEUED
                 self.scheduler.release(job, requeue=True)
                 if self.tracer:
                     self.tracer.gauge(
@@ -836,38 +714,13 @@ class ServeApp:
         self._maybe_compact()
         self._maybe_finish_drain()
 
-    def _job_terminal(self, job: Job) -> None:
-        """Bookkeeping shared by every terminal transition."""
-        self._inflight.pop(job.cache_key, None)
-        client = job.spec.client
-        if client in self._client_active:
-            remaining = self._client_active[client] - 1
-            if remaining <= 0:
-                self._client_active.pop(client, None)
-            else:
-                self._client_active[client] = remaining
-
-    def _fail_job(self, job: Job, error: str, *, reason: str = "error",
-                  journal: bool = True) -> None:
-        """Terminal failure: state, counters, journal, events (loop
-        thread).  The job must already be off queue and running set."""
-        job.state = FAILED
-        job.error = error
-        job.finished_at = time.time()
+    def _fail_job(self, job: Job, error: str, *, reason: str = "error") -> None:
+        """Terminal failure (loop thread).  The job must already be off
+        queue and running set."""
         self._count("failed")
         if reason == "deadline":
             self._count("deadline_expired")
-        if journal:
-            self._journal_append(job, {
-                "type": "fail", "job": job.id, "error": error,
-                "incidents": [
-                    i.to_json() if hasattr(i, "to_json") else dict(i)
-                    for i in job.incidents
-                ],
-            })
-        self._job_terminal(job)
-        self._publish(job, sse_frame("error", job.summary()))
-        self._finish_events(job)
+        self._transition(job, job.fail_record(error))
 
     def _handle_failure(self, job: Job, result) -> None:
         """A segment failed: classify, record the incident, and either
@@ -890,10 +743,8 @@ class ServeApp:
             steps_replayed=result.steps_run,
             backoff_seconds=backoff,
         )
-        job.incidents.append(incident)
-        self._journal_append(job, {
-            "type": "retry", "job": job.id, "incident": incident.to_json(),
-        })
+        record = job.retry_record(incident)
+        self._transition(job, record)
         if self.tracer:
             # The same cat="resilience" shape the dist supervisor emits,
             # so `trace report` renders serve incidents in its table.
@@ -927,12 +778,11 @@ class ServeApp:
             self._fail_job(job, error)
             return
         self._count("retries")
-        job.state = RETRYING
         self._publish(job, sse_frame("retrying", {
             "job": job.id,
             "attempt": index + 1,
             "backoff_seconds": backoff,
-            "incident": incident.to_json(),
+            "incident": record["incident"],
         }))
         if backoff > 0:
             self._loop.call_later(backoff, self._requeue_retry, job)
@@ -978,11 +828,7 @@ class ServeApp:
                     # next step boundary and _segment_done converts the
                     # requeue into a clean deadline failure.
                     job.deadline_expired = True
-                    job.preempt_requested = True
-                    hook = job.preempt_hook
-                    if hook is not None:
-                        job.preempt_requested = False
-                        hook()
+                    job.request_preempt()
                 continue
             # Queued / parked-in-backoff: fail immediately.
             if job.id in self.scheduler.queue:
@@ -1042,13 +888,8 @@ class ServeApp:
 
     def _drain_step(self) -> None:
         for job in list(self.scheduler.running.values()):
-            if not job.preemptible:
-                continue  # ensembles run to completion
-            job.preempt_requested = True
-            hook = job.preempt_hook
-            if hook is not None:
-                job.preempt_requested = False
-                hook()
+            if job.preemptible:  # ensembles run to completion
+                job.request_preempt()
         self._maybe_finish_drain()
 
     def _maybe_finish_drain(self) -> None:
@@ -1062,29 +903,19 @@ class ServeApp:
         self.stop()
 
     def cancel(self, job: Job) -> bool:
-        """Cancel a queued, retrying or running job (loop thread)."""
+        """Cancel a queued, retrying or running job (loop thread).  A
+        running one is asked to stop; its worker slot frees when the
+        segment reports back."""
         if job.state not in ACTIVE_STATES:
             return False
-        was_running = job.id in self.scheduler.running
-        job.state = CANCELLED
-        job.finished_at = time.time()
         self._count("cancelled")
-        self._journal_append(job, {"type": "cancel", "job": job.id})
-        if not was_running:
-            # Queued or parked in retry backoff (not in the queue — the
-            # call_later requeue will see CANCELLED and do nothing).
-            if job.id in self.scheduler.queue:
-                self.scheduler.queue.remove(job.id)
-            self._job_terminal(job)
-            self._publish(job, sse_frame("done", job.summary()))
-            self._finish_events(job)
-        else:
-            job.preempt_requested = True
-            hook = job.preempt_hook
-            if hook is not None:
-                job.preempt_requested = False
-                hook()
-            # The event stream closes when the segment reports back.
+        self._transition(job, job.cancel_record())
+        if job.id in self.scheduler.running:
+            job.request_preempt()
+        elif job.id in self.scheduler.queue:
+            # (A job parked in retry backoff is in neither: the
+            # call_later requeue sees CANCELLED and does nothing.)
+            self.scheduler.queue.remove(job.id)
         return True
 
     # -- event streams ---------------------------------------------------------
@@ -1102,6 +933,9 @@ class ServeApp:
             asyncio.ensure_future(self._notify(cond))
 
     def _finish_events(self, job: Job) -> None:
+        """Publish a terminal job's last frame and close its event log."""
+        frame = "error" if job.state == FAILED else "done"
+        self._publish(job, sse_frame(frame, job.summary()))
         log = self._events.get(job.id)
         if log is not None and (not log or log[-1] is not _END):
             log.append(_END)
@@ -1287,7 +1121,9 @@ class ServeApp:
         await writer.drain()
         self._obs_counters["sse_streams"].inc()
         log = self._events[job.id]
-        cond = self._conds[job.id]
+        # Made for the first subscriber: most jobs (every cache hit) have
+        # none, and _publish notifies only a job that has one.
+        cond = self._conds.setdefault(job.id, asyncio.Condition())
         # Last-Event-ID resume: skip frames the client already has (the
         # _END sentinel never gets an id, so start can at most land on it).
         sent = max(0, min(start, len(log)))

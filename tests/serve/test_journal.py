@@ -7,16 +7,27 @@ must replay to a prefix of the original stream, never crash, never
 invent records.
 """
 
+import asyncio
 import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.serve import ServeApp
+from repro.serve.jobs import (
+    DONE,
+    FAILED,
+    QUEUED,
+    RETRYING,
+    RUNNING,
+    JobSpec,
+    apply_record,
+    rebuild_jobs,
+)
 from repro.serve.journal import (
     JobJournal,
     JournalCorruptError,
-    fold_records,
     frame_record,
     list_segments,
     read_frames,
@@ -175,7 +186,44 @@ class TestCompaction:
         assert len(JobJournal(str(tmp_path)).replay()) == 2
 
 
+    def test_running_job_compacts_to_its_checkpoint(self, tmp_path):
+        """A job preempted at step 10 and now running at step 25 compacts
+        to its step-10 resume point: a replay restores the checkpoint
+        with the 10 rows before it, never the live 25 beside it."""
+        journal_dir = str(tmp_path)
+
+        async def compact():
+            app = ServeApp(port=0, journal_dir=journal_dir)
+            job, _ = app.submit(JobSpec(dim=(16, 16), steps=40, seed=3))
+            # As the server leaves it after a preempt at step 10 and a
+            # resumed segment that has reached step 25.
+            job.state, job.preemptions = RUNNING, 1
+            job.resume_checkpoint = "/ck/step10"
+            job.segment_start_steps = job.segment_start_rows = 10
+            job.steps_done = 25
+            job.rows = [{"step": i} for i in range(25)]
+            app.journal.compact_bytes = 1
+            app._maybe_compact()
+            app.journal.close()
+            return job.id
+
+        async def restore(job_id):
+            app = ServeApp(port=0, journal_dir=journal_dir)
+            app._restore_from_journal()
+            return app.jobs[job_id]
+
+        job = asyncio.run(restore(asyncio.run(compact())))
+        assert [index for index, _ in list_segments(journal_dir)] == [1]
+        assert (job.state, job.steps_done, job.resume_checkpoint) == (
+            QUEUED, 10, "/ck/step10"
+        )
+        assert job.rows == [{"step": i} for i in range(10)]
+
+
 class TestFold:
+    """Replay applies each record, in journal order, with the function a
+    live transition uses."""
+
     def test_last_wins_per_job(self):
         records = [
             {"type": "submit", "job": "a", "seq": 1, "spec": {"seed": 1}},
@@ -188,12 +236,15 @@ class TestFold:
             {"type": "submit", "job": "b", "seq": 2, "spec": {"seed": 2}},
             {"type": "complete", "job": "b"},
         ]
-        folded = fold_records(records)
-        assert folded["a"]["last"] == "preempt"
-        assert folded["a"]["steps_done"] == 7
-        assert folded["a"]["rows"] == [{"step": 0}]
-        assert folded["a"]["checkpoint"] == "/ck/a.npz"
-        assert folded["b"]["last"] == "complete"
+        jobs = rebuild_jobs(records)
+        assert list(jobs) == ["a", "b"]
+        a = jobs["a"]
+        assert (a.state, a.steps_done, a.preemptions) == (QUEUED, 7, 1)
+        assert a.rows == [{"step": 0}]
+        assert a.resume_checkpoint == "/ck/a.npz"
+        assert jobs["b"].state == DONE
+        # Fresh seqs in journal order, whatever the journaled ones were.
+        assert a.seq < jobs["b"].seq
 
     def test_retry_records_accumulate_incidents(self):
         records = [
@@ -203,15 +254,23 @@ class TestFold:
             {"type": "fail", "job": "a", "error": "boom",
              "incidents": [{"index": 1}, {"index": 2}, {"index": 3}]},
         ]
-        folded = fold_records(records)
-        assert folded["a"]["last"] == "fail"
-        assert folded["a"]["error"] == "boom"
-        assert len(folded["a"]["incidents"]) == 3
+        job = rebuild_jobs(records[:1])["a"]
+        for record in records[1:3]:
+            apply_record(job, record)
+        assert job.state == RETRYING
+        assert len(job.incidents) == 2
+        apply_record(job, records[3])
+        assert (job.state, job.error) == (FAILED, "boom")
+        assert len(job.incidents) == 3
 
     def test_unknown_types_skipped(self):
-        folded = fold_records([
+        jobs = rebuild_jobs([
             {"type": "???", "job": "a"},
             {"type": "submit"},  # no job id
             {"not": "a record"},
         ])
-        assert folded == {}
+        assert jobs == {}
+        job = rebuild_jobs([{"type": "submit", "job": "a", "spec": {}}])["a"]
+        before = job.summary()
+        apply_record(job, {"type": "???", "job": "a", "steps_done": 9})
+        assert job.summary() == before

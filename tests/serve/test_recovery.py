@@ -7,20 +7,24 @@ and the results are bitwise identical to a run that was never
 interrupted.
 """
 
+import asyncio
 import json
 import re
 import signal
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 from repro.core.model import SequentialSimCov
+from repro.resilience import RestartPolicy
 from repro.serve import BackgroundServer, ServeApp, ServeClient
-from repro.serve.faults import KILL_EXIT_STATUS
-from repro.serve.jobs import JobSpec, stats_rows
-from repro.serve.journal import JobJournal
+from repro.serve import runner as runner_mod
+from repro.serve.faults import KILL_EXIT_STATUS, ServeFaultSpec
+from repro.serve.jobs import TERMINAL_STATES, JobSpec, stats_rows
+from repro.serve.journal import JobJournal, frame_record, list_segments, segment_path
 
 SPEC = {"dim": [48, 48], "steps": 300, "seed": 7, "backend": "sequential"}
 
@@ -37,6 +41,28 @@ def reference_rows(spec_json):
     sim = SequentialSimCov(params, seed=spec.seed)
     sim.run(steps)
     return stats_rows(sim.series)
+
+
+def wait_running(client, job_id, min_steps=1):
+    deadline = time.monotonic() + 30
+    while True:
+        status = client.status(job_id)
+        if status["state"] == "running" and status["steps_done"] >= min_steps:
+            return
+        assert time.monotonic() < deadline, status
+        time.sleep(0.005)
+
+
+def restored(journal_dir, **kwargs):
+    """A second app on ``journal_dir`` after its replay, not started (so
+    nothing it re-queued runs)."""
+
+    async def restore():
+        app = ServeApp(port=0, journal_dir=str(journal_dir), **kwargs)
+        app._restore_from_journal()
+        return app
+
+    return asyncio.run(restore())
 
 
 def spawn_server(journal_dir, *extra):
@@ -214,3 +240,111 @@ class TestLegacyBackendNames:
             rows = client.result("legacy")["result"]["rows"]
             assert client.metrics()["replayed_jobs"] == 1
         assert canonical(rows) == canonical(reference_rows(spec))
+
+
+#: Summary fields that are wall-clock stamps, not job state.
+TIMESTAMPS = ("submitted_at", "started_at", "finished_at")
+
+
+def stateful(summary):
+    return {k: v for k, v in summary.items() if k not in TIMESTAMPS}
+
+
+class TestCompactionRoundTrip:
+    def test_every_state_survives_compaction(self, tmp_path, monkeypatch):
+        """With compaction after every segment, a job in each state
+        replays from the compacted journal to the same summary."""
+        journal_dir = tmp_path / "journal"
+        build_sim = runner_mod.build_sim
+
+        def build_or_fail(job, tracer=None):
+            if job.spec.seed == 99:
+                raise ValueError("injected permanent misconfiguration")
+            return build_sim(job, tracer=tracer)
+
+        monkeypatch.setattr(runner_mod, "build_sim", build_or_fail)
+        app = ServeApp(port=0, max_workers=1, journal_dir=str(journal_dir))
+        app.journal.compact_bytes = 1
+        with BackgroundServer(app):
+            client = ServeClient(port=app.port)
+            done = client.submit(dict(SPEC, steps=10))["job"]["id"]
+            failed = client.submit(dict(SPEC, steps=10, seed=99))["job"]["id"]
+            assert client.wait(done)["state"] == "done"
+            assert client.wait(failed)["state"] == "failed"
+            preempted = client.submit(dict(SPEC, steps=2000))["job"]["id"]
+            wait_running(client, preempted)
+            cancelled = client.submit(dict(SPEC, seed=8))["job"]["id"]
+            assert client.cancel(cancelled)["state"] == "cancelled"
+            app.drain()
+        ids = (done, failed, cancelled, preempted)
+        before = {i: stateful(app.jobs[i].summary()) for i in ids}
+        assert [before[i]["state"] for i in ids] == [
+            "done", "failed", "cancelled", "queued"
+        ]
+        assert before[preempted]["preemptions"] == 1
+        # The drain's preempt was the last segment: the log is one
+        # compacted segment.
+        assert [index for index, _ in list_segments(str(journal_dir))] != [0]
+        assert len(list_segments(str(journal_dir))) == 1
+        again = restored(journal_dir, max_workers=1)
+        assert {i: stateful(again.jobs[i].summary()) for i in ids} == before
+
+
+class TestCrashAtEveryRecord:
+    def test_every_journal_prefix_replays_consistently(self, tmp_path):
+        """Cut the journal after each record, as a crash would, and
+        replay: every job is in its last record's terminal state or
+        queued exactly once, and the admission counters count exactly
+        the queued ones."""
+        journal_dir = tmp_path / "journal"
+        app = ServeApp(
+            port=0, max_workers=1, journal_dir=str(journal_dir),
+            retry_policy=RestartPolicy(max_restarts=3, backoff=0.0),
+            # The second cold job (the urgent one) crashes at step 3.
+            fault=ServeFaultSpec(job=1, step=3, mode="worker_crash"),
+        )
+        with BackgroundServer(app):
+            client = ServeClient(port=app.port)
+            low = client.submit(dict(SPEC, steps=2000))["job"]["id"]
+            wait_running(client, low)
+            urgent = client.submit(
+                dict(SPEC, steps=10, seed=2, priority=5, client="urgent")
+            )["job"]["id"]
+            queued = client.submit(dict(SPEC, steps=10, seed=3))["job"]["id"]
+            client.cancel(queued)
+            assert client.wait(urgent)["state"] == "done"
+            app.drain()
+        records = JobJournal(str(journal_dir)).replay()
+        assert {"preempt", "retry", "cancel", "complete"} <= {
+            r["type"] for r in records
+        }
+        terminal = {"complete": "done", "fail": "failed", "cancel": "cancelled"}
+        for cut in range(len(records) + 1):
+            prefix_dir = tmp_path / f"prefix-{cut}"
+            prefix_dir.mkdir()
+            with open(segment_path(str(prefix_dir), 0), "wb") as fh:
+                for record in records[:cut]:
+                    fh.write(frame_record(record))
+            last = {r["job"]: r["type"] for r in records[:cut]}
+            replayed = restored(prefix_dir, cache_dir=str(journal_dir / "cache"))
+            assert set(replayed.jobs) == set(last)
+            queue = [j.id for j in replayed.scheduler.queue.jobs()]
+            for job_id, rtype in last.items():
+                job = replayed.jobs[job_id]
+                if rtype in terminal:
+                    assert job.state == terminal[rtype], (cut, rtype)
+                    assert job_id not in queue
+                else:
+                    assert job.state == "queued", (cut, rtype)
+                    assert queue.count(job_id) == 1
+            active = [
+                j for j in replayed.jobs.values()
+                if j.state not in TERMINAL_STATES
+            ]
+            assert len(queue) == len(active)
+            assert replayed._client_active == dict(
+                Counter(j.spec.client for j in active)
+            )
+            assert sorted(replayed._inflight.values()) == sorted(
+                j.id for j in active
+            )
