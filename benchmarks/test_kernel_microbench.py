@@ -15,15 +15,18 @@ number on one world, ``epithelial_update`` has run every timer out within
 would time a dead tissue.
 """
 
+import timeit
+
 import numpy as np
 import pytest
 
-from repro.core import kernels
+from repro.core import kernels, native
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
 from repro.core.stats import region_counts, stats_vector
 from repro.grid.spec import GridSpec
 from repro.rng.streams import Stream, VoxelRNG
+from repro.testing import use_tier
 
 
 def busy_world(dim):
@@ -166,6 +169,52 @@ def test_bench_voxel_kernel(benchmark, tier, kernel, dim):
         benchmark.extra_info["ns_per_voxel"] = (
             benchmark.stats["mean"] * 1e9 / block.owned.size
         )
+
+
+def _bound_calls(compiled):
+    """Every entry point of the compiled tier as its callers make it, each
+    over ``busy_world``'s whole 16 x 16 interior, once bound."""
+    from repro.rng.philox import fold_prefix
+
+    p, block, rng = busy_world((16, 16))
+    region, intents = block.interior, kernels.IntentArrays(block.shape)
+    sv, sc = np.zeros_like(block.virions), np.zeros_like(block.chemokine)
+    raw, mask = np.zeros(block.shape, bool), np.zeros(block.shape, bool)
+    box, tiles, found = np.zeros(6, np.int64), np.array([1, 1, 1, 0]), np.zeros(7, np.int64)
+    prefix = np.array([fold_prefix(1, Stream.TCELL_TISSUE_LIFE, 5)], dtype=np.uint64)
+    keys = np.arange(4)
+    calls = {
+        "hash_keys": lambda: compiled.hash_keys(prefix, keys),
+        "epithelial": lambda: compiled.epithelial(p, rng, 5, block, region),
+        "production": lambda: compiled.production(p, block, region, 5),
+        "diffuse": lambda: compiled.diffuse(p, block, region, sv, sc),
+        "commit": lambda: compiled.commit(p, block, [region], sv, sc, 5),
+        "tcell_age": lambda: compiled.tcell_age(block, region),
+        "region_counts": lambda: compiled.region_counts(block, region),
+        "tcell_intents": lambda: compiled.tcell_intents(rng, 5, block, intents, region),
+        "compute_moves": lambda: compiled.compute_moves(block, intents, region),
+        "resolve_binds": lambda: compiled.resolve_binds(p, block, intents, region),
+        "activity": lambda: compiled.activity(block, [region], p.min_chemokine, raw, box),
+        "sweep_window": lambda: compiled.sweep_window(block, region, raw, tiles, mask, found),
+    }
+    for call in calls.values():  # binds the block
+        call()
+    return calls
+
+
+@pytest.mark.parametrize("entry", list(native._NARGS))
+def test_bench_native_call_overhead(benchmark, monkeypatch, entry):
+    """us per call of each compiled entry point on a 16 x 16 region, where
+    the C body is a few hundred ns: what a launch costs once its block is
+    bound (the ``kernels`` ledger's call-overhead row).  Bound: 3 us, held
+    on the best of five timed runs of a thousand calls, which host noise
+    only ever lengthens."""
+    use_tier("native", monkeypatch)
+    call = _bound_calls(native.tier())[entry]
+    benchmark(call)
+    best = min(timeit.repeat(call, number=1000, repeat=5)) / 1000
+    benchmark.extra_info.update(entry=entry, us_per_call=best * 1e6)
+    assert best <= 3e-6, f"{entry}: {best * 1e6:.2f} us a call"
 
 
 def _agent_world(agents: int):

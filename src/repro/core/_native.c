@@ -32,6 +32,11 @@ enum { HEALTHY = 1, INCUBATING = 2, EXPRESSING = 3, APOPTOTIC = 4, DEAD = 5 };
                      row = ((b * (g)[1] + z_) * (g)[2] + y_) * (g)[3];        \
                  y_ < (g)[10]; y_++, row += (g)[3])
 
+#define MIN(a, b) ((a) < (b) ? (a) : (b))
+#define MAX(a, b) ((a) > (b) ? (a) : (b))
+/* The bounds box[0..2] / box[3..5] on (Z, Y, X), axis a widened to [l, h). */
+#define WIDEN(box, a, l, h) ((box)[a] = MIN(l, (box)[a]), (box)[a + 3] = MAX(h, (box)[a + 3]))
+
 /* -- repro.rng.philox ---------------------------------------------------- */
 
 #define PHI64 0x9E3779B97F4A7C15ULL
@@ -43,6 +48,12 @@ static inline u64 mix(u64 z)
     z = (z ^ (z >> 30)) * MIX1;
     z = (z ^ (z >> 27)) * MIX2;
     return z ^ (z >> 31);
+}
+
+/* philox._step_fold: a member's (seed, stream) fold and the step, its prefix. */
+static inline u64 step_fold(u64 fold, i64 step)
+{
+    return mix((fold ^ ((u64)step * MIX1)) + PHI64);
 }
 
 /* philox._fold_keys: the last of counter_hash's four folds. */
@@ -77,21 +88,23 @@ void hash_keys(const u64 *prefix, const i64 *member, const u64 *keys,
  * one transition.  The flat indices of the newly infected and of the
  * incubating -> expressing cells go to `infected` / `expressing` (counts in
  * n_out[0..1]); the caller draws their Poisson timers.  `gid` is the
- * spatial (Z, Y, X) id array every member shares. */
+ * spatial (Z, Y, X) id array every member shares; `fold` holds each
+ * member's (seed, INFECTION) fold, which *step completes. */
 void epithelial(const i64 *g, int8_t *state, int32_t *timer,
                 const double *virions, const double *infectivity,
-                const i64 *gid, const u64 *prefix, i64 *infected,
+                const i64 *gid, const u64 *fold, const i64 *step, i64 *infected,
                 i64 *expressing, i64 *n_out)
 {
     const i64 slab = g[1] * g[2] * g[3];
     i64 ni = 0, ne = 0;
     EACH_ROW(g, b, row) {
+        const u64 prefix = step_fold(fold[b], *step);
         for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
             switch (state[i]) {
             case HEALTHY: {
                 const double v = virions[i];
                 if (v > 0.0) { /* else p = 0 and no roll is below it */
-                    const u64 word = fold_key(prefix[b], (u64)gid[i - b * slab]);
+                    const u64 word = fold_key(prefix, (u64)gid[i - b * slab]);
                     const double u = (double)(word >> 11) * 0x1p-53;
                     const double p = infectivity[b] * v;
                     if (u < p) {
@@ -202,10 +215,12 @@ void commit(const i64 *g, double *virions, double *chemokine,
 
 /* -- kernels.tcell_age ---------------------------------------------------- */
 
+/* box widened to the T cells left. */
 void tcell_age(const i64 *g, int8_t *tcell, int32_t *tissue_time,
-               int32_t *bound_time)
+               int32_t *bound_time, i64 *box)
 {
     EACH_ROW(g, b, row) {
+        i64 first = -1, last = -1;
         for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
             if (bound_time[i] < 0)
                 bound_time[i] = 0;
@@ -216,7 +231,11 @@ void tcell_age(const i64 *g, int8_t *tcell, int32_t *tissue_time,
                 bound_time[i]--;
             if (tissue_time[i] <= 0)
                 tcell[i] = 0, tissue_time[i] = 0, bound_time[i] = 0;
+            else
+                last = i - row, first = first < 0 ? last : first;
         }
+        if (first >= 0)
+            WIDEN(box, 0, z_, z_ + 1), WIDEN(box, 1, y_, y_ + 1), WIDEN(box, 2, first, last + 1);
     }
 }
 
@@ -235,28 +254,32 @@ static inline void bid_max(u64 *at, u64 bid)
         *at = bid;
 }
 
-/* The bid, bind-select and direction words come from prefix[0..B),
- * prefix[B..2B) and prefix[2B..3B): the three streams' member prefixes. */
+/* The bid, bind-select and direction words come from fold[0..B),
+ * fold[B..2B) and fold[2B..3B): the three streams' member folds, which
+ * *step completes. */
 void tcell_intents(const i64 *g, const int8_t *tcell, const int32_t *bound_time,
                    const int8_t *state, int8_t *move_dir, int8_t *bind_dir,
                    u64 *bid_self, u64 *move_bid, u64 *bind_bid, const i64 *boff,
-                   const i64 *gid, const u64 *prefix, const uint8_t *in_domain)
+                   const uint8_t *in_domain, const i64 *gid, const u64 *fold,
+                   const i64 *step)
 {
     const i64 slab = g[1] * g[2] * g[3], members = g[0];
     const int nb = STENCIL(g);
     const i64 *moff = boff + 1;
     EACH_ROW(g, b, row) {
+        const u64 prefix[3] = {step_fold(fold[b], *step), step_fold(fold[members + b], *step),
+                               step_fold(fold[2 * members + b], *step)};
         for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
             if (!tcell[i] || bound_time[i] != 0)
                 continue;
             const i64 at = i - b * slab; /* in gid / in_domain */
-            u64 bid = fold_key(prefix[b], (u64)gid[at]);
+            u64 bid = fold_key(prefix[0], (u64)gid[at]);
             bid = bid ? bid : 1; /* 0 is "no bid" */
             u64 count = 0;
             for (int s = 0; s < nb; s++)
                 count += state[i + boff[s]] == EXPRESSING;
             if (count) { /* bind the (j+1)-th expressing cell */
-                u64 j = fold_key(prefix[members + b], (u64)gid[at]) % count;
+                u64 j = fold_key(prefix[1], (u64)gid[at]) % count;
                 int s = 0;
                 while (state[i + boff[s]] != EXPRESSING || j--)
                     s++;
@@ -265,7 +288,7 @@ void tcell_intents(const i64 *g, const int8_t *tcell, const int32_t *bound_time,
                 bid_max(&bind_bid[i + boff[s]], bid);
                 continue;
             }
-            const u64 word = fold_key(prefix[2 * members + b], (u64)gid[at]);
+            const u64 word = fold_key(prefix[2], (u64)gid[at]);
             const int k = (int)(word % (u64)(nb - 1));
             if (tcell[i + moff[k]] || !in_domain[at + moff[k]])
                 continue; /* occupied at the start of the phase, or outside */
@@ -335,13 +358,15 @@ void resolve_binds(const i64 *g, int8_t *state, int32_t *bound_time,
 
 /* -- stats.region_counts --------------------------------------------------- */
 
-/* Adds to member b's out[b * 6 + ..]: the five counted epithelial states in
+/* Into member b's out[b * 6 + ..]: the five counted epithelial states in
  * REDUCED_FIELDS order, then the voxels holding a T cell.  Four histograms
  * in turn: neighbouring voxels mostly hold one state, and a single counter
  * would wait on its own store from the voxel before. */
 void region_counts(const i64 *g, const int8_t *state, const int8_t *tcell,
                    i64 *out)
 {
+    for (i64 i = g[4] * 6; i < g[8] * 6; i++)
+        out[i] = 0;
     EACH_ROW(g, b, row) {
         i64 seen[4][8] = {{0}}, cells = 0;
         for (i64 i = row + g[7], end = row + g[11]; i < end; i++) {
@@ -357,11 +382,6 @@ void region_counts(const i64 *g, const int8_t *state, const int8_t *tcell,
 }
 
 /* -- engine.activity.ActivityGate.sweep ------------------------------------ */
-
-#define MIN(a, b) ((a) < (b) ? (a) : (b))
-#define MAX(a, b) ((a) > (b) ? (a) : (b))
-/* The bounds box[0..2] / box[3..5] on (Z, Y, X), axis a widened to [l, h). */
-#define WIDEN(box, a, l, h) ((box)[a] = MIN(l, (box)[a]), (box)[a + 3] = MAX(h, (box)[a + 3]))
 
 /* VoxelBlock._activity into raw over the region; box widened to its Trues. */
 void activity(const i64 *g, const int8_t *state, const double *virions, const double *chemokine,

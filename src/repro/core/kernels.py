@@ -168,26 +168,18 @@ def _retime(rng, stream, step, block, at, period) -> None:
     block.epi_timer.reshape(-1)[at] = xp.astype(xp.maximum(1, drawn), np.int32)
 
 
-def _slab_union(
-    a: tuple[slice, ...] | None, b: tuple[slice, ...] | None
-) -> tuple[slice, ...] | None:
-    """Bounding slab of two bounded slice tuples (None = the whole array)."""
-    if a is None or b is None:
-        return None
-    return tuple(
-        slice(min(x.start, y.start), max(x.stop, y.stop)) for x, y in zip(a, b)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Phase 1-2: T-cell aging and extravasation
 # ---------------------------------------------------------------------------
 
 
-def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> None:
-    """Decrement lifetimes; cells at end of tissue life die in place."""
+def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
+    """Decrement lifetimes; cells at end of tissue life die in place.  Returns the box
+    (padded spatial slices, every member's) bounding the T cells left; None if none are."""
     if (native := block.xp.native) is not None:
         return native.tcell_age(block, region)
+    from repro.engine.activity import bounding_box  # late: repro.engine imports this module
+
     present = block.tcell[region] != 0
     tt = block.tcell_tissue_time[region]
     bt = block.tcell_bound_time[region]
@@ -198,6 +190,8 @@ def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> None:
     block.tcell[region][died] = 0
     tt[died] = 0
     bt[died] = 0
+    return bounding_box(block.xp.asnumpy(present & ~died),
+                        [s.start for s in region[len(region) - block.spec.ndim:]])
 
 
 def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> dict[str, np.ndarray]:
@@ -352,7 +346,7 @@ class IntentArrays:
         #: Max bid placed on this voxel's epithelial cell as a *bind* target.
         self.bind_bid = xp.zeros(shape, dtype=np.uint64)
         #: The slab holding every non-sentinel entry (None = whole array).
-        self._dirty: tuple[slice, ...] | None = None
+        self._dirty: tuple[slice, ...] | None = tuple(slice(0, 0) for _ in shape)
 
     @classmethod
     def from_arrays(
@@ -384,36 +378,31 @@ class IntentArrays:
             self.clear()
         return self
 
-    def clear(self, region: tuple[slice, ...] | None = None) -> None:
+    def clear(self, written: tuple[slice, ...] | None = None) -> None:
         """Reset to the no-intent state.
 
-        With ``region`` (padded-array slices of this step's active box),
-        only the slab that can hold stale data is cleared: the region
-        grown by one voxel (intents scatter bids one voxel outward),
-        unioned with the previous step's slab in case the active box
-        shrank.  Readers outside the slab always see sentinels, so
-        full-array scans (e.g. remote-intent extraction) stay correct.
-        An empty tuple marks an idle step — nothing will be written, so
-        only the previous slab is wiped.
+        With ``written`` (padded-array slices: the T cells' box, or on a
+        dist rank the active box, where peers' copies land too; ``()`` for
+        nothing) only the slab the last call marked is wiped — every entry
+        written since lies in it — and the slab this step may write is
+        marked: ``written`` grown by one voxel, since bids scatter one voxel
+        outward.  Without, the whole array is wiped, and marked.  Readers
+        outside the slab always see sentinels, so full-array scans (e.g.
+        remote-intent extraction) stay correct.
         """
         shape = self.move_dir.shape
-        if region is None:
-            target = None
-        elif len(region) == 0:
-            target = tuple(slice(0, 0) for _ in shape)
-        else:
-            target = tuple(
-                slice(max(0, s.start - 1), min(n, s.stop + 1))
-                for s, n in zip(region, shape)
-            )
-        wipe = _slab_union(self._dirty, target)
-        sl = tuple(slice(None) for _ in self.move_dir.shape) if wipe is None else wipe
-        self.move_dir[sl] = -1
-        self.bind_dir[sl] = -1
-        self.bid_self[sl] = 0
-        self.move_bid[sl] = 0
-        self.bind_bid[sl] = 0
-        self._dirty = target
+        wipe = self._dirty
+        if written is None or wipe is None:
+            wipe = tuple(slice(None) for _ in shape)
+        self.move_dir[wipe] = -1
+        self.bind_dir[wipe] = -1
+        self.bid_self[wipe] = 0
+        self.move_bid[wipe] = 0
+        self.bind_bid[wipe] = 0
+        self._dirty = None if written is None else tuple(
+            slice(max(0, s.start - 1), min(n, s.stop + 1)) if written else slice(0, 0)
+            for s, n in zip(written or shape, shape)
+        )
 
     #: Fields exchanged with REPLACE semantics (per-source-voxel data).
     REPLACE_FIELDS = ("move_dir", "bind_dir", "bid_self")

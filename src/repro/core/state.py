@@ -104,6 +104,21 @@ class VoxelBlock:
         "tcell_bound_time": np.int32,
     }
 
+    #: The compiled tier's binding of this block (:mod:`repro.core.binding`): its entry
+    #: points' argument lists by name, made at the block's first native call.  Fields are
+    #: fixed after construction (a restore writes into them); replacing any attribute drops
+    #: the binding, here and nowhere else.
+    _native = None
+
+    def __setattr__(self, name, value):
+        if name != "_native":
+            self.__dict__.pop("_native", None)
+        object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        """A copy or a pickle starts unbound: a binding is one block's alone."""
+        return {k: v for k, v in self.__dict__.items() if k != "_native"}
+
     def __post_init__(self):
         shape = tuple(s + 2 * self.ghost for s in self.owned.shape)
         for name, dtype in self.FIELD_DTYPES.items():

@@ -693,6 +693,8 @@ class RankBackend(SingleBlockBackend):
         # reader passes first.
         self._phase_barrier(phase.name)
         ran = self._state_wave(phase, self._dirty_bnd)
+        # The ghosts may now hold neighbours' T cells: tcell_age's box is stale.
+        ctx.extras.pop("aged", None)
         return ran or self.gate.region() is not None
 
     def _tiebreak_exchange(self, phase: Phase, ctx):

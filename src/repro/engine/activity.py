@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.binding import EMPTY_BOX, box_slices
 from repro.core.state import VoxelBlock
 from repro.grid.tiling import TileGrid, _dilate, _expand_tiles, _tile_any
 
@@ -53,19 +54,6 @@ def bounding_box(mask: np.ndarray, starts) -> tuple[slice, ...] | None:
             return None
         sls.append(slice(start + int(idx[0]), start + int(idx[-1]) + 1))
     return tuple(sls)
-
-
-def _empty_box() -> np.ndarray:
-    """A compiled pass's ``int64[6]`` bounds — (Z, Y, X) lower, then upper —
-    holding nothing yet."""
-    return np.array([np.iinfo(np.int64).max] * 3 + [-1] * 3, dtype=np.int64)
-
-
-def _slices(box: np.ndarray, ndim: int) -> tuple[slice, ...] | None:
-    """The last ``ndim`` axes of ``box`` as slices; None if it holds nothing."""
-    if box[5] < 0:
-        return None
-    return tuple(slice(int(box[a]), int(box[a + 3])) for a in range(3 - ndim, 3))
 
 
 class ActivityGate:
@@ -141,6 +129,11 @@ class ActivityGate:
         #: wherever a sweep reads it.  Allocated by the first sweep, so a
         #: gate nobody sweeps holds no second block-sized buffer.
         self._raw: np.ndarray | None = None
+        #: The compiled passes' outputs, kept so that their bindings last
+        #: (:mod:`repro.core.binding`): the raw mask's hull, and the window
+        #: pass's member counts then box.
+        self._hull = EMPTY_BOX.copy()
+        self._found = np.concatenate([np.zeros(lead[0] if lead else 1, np.int64), EMPTY_BOX])
         self.reset()
 
     def reset(self) -> None:
@@ -217,12 +210,12 @@ class ActivityGate:
         if native is None:
             box = self._sweep_window(lo, hi)
         else:
-            members = self._mask.shape[0] if self._lead else 1
-            found = np.concatenate([np.zeros(members, dtype=np.int64), _empty_box()])
+            found, members = self._found, len(self._found) - 6
+            found[:members], found[members:] = 0, EMPTY_BOX
             window = self._lead + tuple(slice(a + g, b + g) for a, b in zip(lo, hi))
             native.sweep_window(block, window, self._raw, self._native_tiles, self._padded, found)
-            self.member_counts = found[:members] if self._lead else found[0]
-            box = _slices(found[members:], ndim)
+            self.member_counts = found[:members].copy() if self._lead else found[0]
+            box = box_slices(found[members:], ndim)
         # Both passes read the raw mask one voxel around the window only.
         self._raw[(...,) + tuple(slice(a + g - 1, b + g + 1) for a, b in zip(lo, hi))] = False
         self._region = None if box is None else self._lead + box
@@ -233,9 +226,10 @@ class ActivityGate:
         (padded) hull of its Trues, None if there are none."""
         block, ndim = self.block, self.tiles.ndim
         if native is not None:
-            found = _empty_box()
+            found = self._hull
+            found[:] = EMPTY_BOX
             native.activity(block, self._examined(), self.min_chemokine, self._raw, found)
-            return _slices(found, ndim)
+            return box_slices(found, ndim)
         hull = None
         for sl in self._examined():
             piece = block.xp.asnumpy(block._activity(sl, self.min_chemokine))

@@ -113,16 +113,19 @@ class SingleBlockBackend(ExecutionBackend):
         either when idle).  One block has no fence: all of it waits."""
         return (), (() if region is None else (region,))
 
-    def _open_intents(self, ctx) -> tuple:
-        """Clear last step's intents (on an idle step only that slab, which
-        a dist peer may still pull) and run the intents parts before the
-        fence; returns the parts after it.
+    def _open_intents(self, ctx, written=None) -> tuple:
+        """Clear last step's intents and mark what this step's may reach
+        (``written``, the T cells' box — given only where it is known this
+        early — else the region, :meth:`IntentArrays.clear`) and run the
+        intents parts before the fence; returns the parts after it.
         Runs once a step, at the first call: in a rank's exchange, or at
         the top of :meth:`phase_intents`."""
         after = ctx.extras.get("intents")
         if after is None:
             region = self.gate.region()
-            self.intents.clear(() if region is None else region)
+            if region is None or written is None:
+                written = () if region is None else region
+            self.intents.clear(written)
             before, after = self._fence_parts(region)
             self._intents(ctx, before)
             ctx.extras["intents"] = after
@@ -165,12 +168,12 @@ class SingleBlockBackend(ExecutionBackend):
         region = self.gate.region()
         if region is None:
             return False
-        kernels.tcell_age(self.block, region)
+        ctx.extras["aged"] = kernels.tcell_age(self.block, region)
         ctx.extravasations = kernels.apply_extravasation(
             self.params, self.block, ctx.attempts, region
         )
 
-    def _tcell_box(self, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
+    def _tcell_box(self, ctx, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
         """Tight box around the T cells that can bid into ``region`` — those
         in it or in the ghost layer around it — or None if there are none
         (on a batched block: in any member).
@@ -182,30 +185,38 @@ class SingleBlockBackend(ExecutionBackend):
         with the box).  Restricting them to
         this box is bitwise-neutral: every voxel outside it provably
         produces no intent, and outside its one-voxel margin no move and
-        no bind.  A single block's ghosts never hold a T cell
-        (``mirror_fields`` mirrors only the concentrations); a rank's hold
-        its neighbours' once the boundary wave has landed, and their bids
-        into this rank's voxels must be resolved here even when it owns
-        no T cell.  With gating disabled the box is ``region`` itself, so
-        the whole-domain reference stays whole-domain.
+        no bind.  The box is the one ``tcell_age`` found — every T cell
+        lies in the region (the gate's invariant) — unless a T cell entered
+        the tissue since, or the ghosts may hold one: a single block's never
+        do (``mirror_fields`` mirrors only the concentrations), a rank's
+        hold its neighbours' once the boundary wave has landed (which drops
+        ``tcell_age``'s box), and their bids into this rank's voxels must be
+        resolved here even when it owns no T cell.  Then a pass over the
+        region and its ghost layer finds it.  With gating disabled the box
+        is ``region`` itself, so the whole-domain reference stays
+        whole-domain.
         """
         if not self.gate.enabled:
             return region
-        g = self.block.ghost
         first = len(region) - self.block.spec.ndim
-        grown = region[:first] + tuple(
-            slice(s.start - g, s.stop + g) for s in region[first:]
-        )
-        present = self.block.xp.asnumpy(self.block.tcell[grown]) != 0
-        box = bounding_box(present, [s.start for s in grown[first:]])
+        if "aged" in ctx.extras and not np.any(ctx.extravasations):
+            box = ctx.extras["aged"]
+        else:
+            g = self.block.ghost
+            grown = region[:first] + tuple(
+                slice(s.start - g, s.stop + g) for s in region[first:]
+            )
+            present = self.block.xp.asnumpy(self.block.tcell[grown]) != 0
+            box = bounding_box(present, [s.start for s in grown[first:]])
         return None if box is None else region[:first] + box
 
     def phase_intents(self, ctx):
-        after = self._open_intents(ctx)
         region = self.gate.region()
+        box = None if region is None else self._tcell_box(ctx, region)
+        after = self._open_intents(ctx, box or ())
         if region is None:
             return False
-        box = ctx.extras["tcell_box"] = self._tcell_box(region)
+        ctx.extras["tcell_box"] = box
         if box is not None:
             self._intents(ctx, _within(after, box))
 

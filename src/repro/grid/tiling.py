@@ -173,9 +173,6 @@ class TileGrid:
         self._pin_boundary_tiles()
         return int(np.prod(self.owned_shape))
 
-    def activate_all(self) -> None:
-        self.active[...] = True
-
     def voxel_mask(self) -> np.ndarray:
         """Per-voxel boolean mask of active-tile membership (owned shape)."""
         return _expand_tiles(self.active, self.tile_shape, self.owned_shape)

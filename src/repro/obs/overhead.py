@@ -7,11 +7,15 @@ an enabled registry installed as the process global and once with a
 disabled one (the disabled path is the pure-engine baseline — the
 instruments are the shared no-ops).
 
-Best-of-N, not mean: scheduler noise only ever adds time, so the minimum
-is the closest observable to the true cost, and on shared CI a mean
-would flake.  The CI ``obs`` job runs this as ``python -m
-repro.obs.overhead --budget 0.03``; the tier-1 test asserts a laxer
-bound so the fast suite never flakes on a noisy box.
+The two sides alternate, repetition by repetition, and swap which goes
+first every other repetition: a drift in the host's speed (a neighbour's
+load, a frequency step) then lands on both sides alike instead of on
+whichever side ran during it.  Best-of-N, not mean: scheduler noise only
+ever adds time, so the minimum is the closest observable to the true
+cost, and on shared CI a mean would flake.  The CI ``obs`` job runs this
+as ``python -m repro.obs.overhead --budget 0.03 --repeats 1500`` (several
+seconds a side); the tier-1 test asserts a laxer bound so the fast suite
+never flakes on a noisy box.
 """
 
 from __future__ import annotations
@@ -23,16 +27,15 @@ from repro.obs.registry import MetricsRegistry, set_registry
 __all__ = ["measure_overhead"]
 
 
-def _best_wall(params, seed: int, steps: int, repeats: int) -> float:
+def _wall(params, seed: int, steps: int, enabled: bool) -> float:
+    """One run's step-loop seconds with a registry ``enabled`` or not."""
     from repro.core.model import SequentialSimCov
 
-    best = float("inf")
-    for _ in range(repeats):
-        sim = SequentialSimCov(params, seed=seed)
-        t0 = perf_counter()
-        sim.run(steps)
-        best = min(best, perf_counter() - t0)
-    return best
+    set_registry(MetricsRegistry(enabled=enabled))
+    sim = SequentialSimCov(params, seed=seed)
+    t0 = perf_counter()
+    sim.run(steps)
+    return perf_counter() - t0
 
 
 def measure_overhead(
@@ -41,25 +44,26 @@ def measure_overhead(
     repeats: int = 5,
     seed: int = 7,
 ) -> dict:
-    """Run the step loop with metrics on and off; return both walls and
-    the relative overhead (``on/off - 1``)."""
+    """Run the step loop with metrics on and off, ``repeats`` times each,
+    alternating; return both best walls, the seconds each side ran in all,
+    and the relative overhead (``on/off - 1``)."""
     from repro.core.params import SimCovParams
 
     params = SimCovParams(dim=dim, num_infections=1, num_steps=steps)
-    # Off first, then on: any first-run warmup (imports, allocator growth)
-    # penalizes the baseline, making the reported overhead conservative
-    # in the direction that matters.
+    walls = {False: [], True: []}
     prev = set_registry(MetricsRegistry(enabled=False))
     try:
-        off = _best_wall(params, seed, steps, repeats)
-        set_registry(MetricsRegistry(enabled=True))
-        on = _best_wall(params, seed, steps, repeats)
+        for rep in range(repeats):
+            for enabled in (False, True) if rep % 2 == 0 else (True, False):
+                walls[enabled].append(_wall(params, seed, steps, enabled))
     finally:
         set_registry(prev)
+    off, on = min(walls[False]), min(walls[True])
     return {
         "metrics_off_seconds": off,
         "metrics_on_seconds": on,
         "overhead_fraction": (on / off - 1.0) if off > 0 else 0.0,
+        "seconds_per_side": [sum(walls[False]), sum(walls[True])],
         "steps": steps,
         "repeats": repeats,
         "dim": list(dim),

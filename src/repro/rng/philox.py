@@ -12,6 +12,8 @@ overflow warning path).
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 # 2**64 / golden ratio, the Weyl increment used by splitmix64.
@@ -65,9 +67,10 @@ def hash_u64(x) -> np.ndarray:
     return out.reshape(shape)
 
 
-#: Keys from which :func:`hash_keys` goes to the compiled tier.  Below, a call
-#: costs what the numpy ops cost (11 us at one key), and a constructor's few
-#: seeding draws must not be what builds and loads the tier: a step does that.
+#: Keys from which a :func:`hash_keys` draw may resolve the compiled tier.
+#: Below, a draw takes the tier only once something else has resolved it (a
+#: step's first kernel): a constructor's few seeding draws must not be what
+#: builds and loads it.
 NATIVE_FROM = 256
 
 
@@ -104,14 +107,16 @@ def hash_keys(prefix, keys, member=None) -> np.ndarray:
     """The last fold of :func:`counter_hash`: ``keys`` into ``prefix[0]``,
     one trial's :func:`fold_prefix` word, or — gathered draws of a batch —
     each key into ``prefix[member]``, ``prefix`` holding one word per member
-    (``uint64[B]``) and ``member`` the batch index of each key.  From
-    :data:`NATIVE_FROM` keys up it runs in the compiled tier
-    (:mod:`repro.core.native`) when there is one."""
-    # Imported late: ``repro.core`` imports this module.
+    (``uint64[B]``) and ``member`` the batch index of each key.  It runs in
+    the compiled tier (:mod:`repro.core.native`) when there is one and it is
+    resolved, or the draw has :data:`NATIVE_FROM` keys and resolves it."""
+    # Imported late: ``repro.core`` imports this module.  Not resolved unless imported.
     from repro.core.xp import NUMPY
 
-    if np.size(keys) >= NATIVE_FROM and (native := NUMPY.native) is not None:
-        return native.hash_keys(prefix, keys, member)
+    native = sys.modules.get("repro.core.native")
+    resolved = native is not None and native._resolved is not None
+    if (resolved or np.size(keys) >= NATIVE_FROM) and (tier := NUMPY.native) is not None:
+        return tier.hash_keys(prefix, keys, member)
     s = prefix[0] if member is None else prefix[member]
     return _fold_keys(s, keys).reshape(np.shape(keys))
 

@@ -84,6 +84,11 @@ class VoxelRNG:
         ``uint64[B]`` (``B = 1`` for a solo rng: one Python-int fold)."""
         return np.array([fold_prefix(self.seed, stream, step)], dtype=np.uint64)
 
+    def stream_folds(self, stream: Stream) -> np.ndarray:
+        """Every member's ``(seed, stream)`` fold, ``uint64[B]``: the
+        prefixes less the step, which a compiled pass folds in itself."""
+        return _stream_fold(np.array([self.seed], dtype=np.int64), stream)
+
     def words(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
         """Raw uint64 hash words for ``(stream, step, keys)``."""
         return counter_hash(self.seed, int(stream), step, np.asarray(keys))
@@ -93,10 +98,6 @@ class VoxelRNG:
     def uniform(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
         """Uniform [0,1) floats."""
         return dist.uniform01(self.words(stream, step, keys, member=member))
-
-    def bernoulli(self, stream: Stream, step: int, keys, p, member=None) -> np.ndarray:
-        """Boolean success array with probability ``p``."""
-        return dist.bernoulli(self.words(stream, step, keys, member=member), p)
 
     def randint(self, stream: Stream, step: int, keys, n: int, member=None) -> np.ndarray:
         """Integers uniform on [0, n)."""
@@ -161,10 +162,13 @@ class EnsembleRNG(VoxelRNG):
     def prefixes(self, stream: Stream, step: int) -> np.ndarray:
         """Every member's prefix as one vector fold of ``step`` into the
         table, bitwise ``fold_prefix(seeds[b], stream, step)``."""
+        return _step_fold(self.stream_folds(stream), step)
+
+    def stream_folds(self, stream: Stream) -> np.ndarray:
         folds = self._folds.get(stream)
         if folds is None:
             folds = self._folds[stream] = _stream_fold(self.seeds, stream)
-        return _step_fold(folds, step)
+        return folds
 
     @property
     def batch(self) -> int:
@@ -198,9 +202,6 @@ class EnsembleRNG(VoxelRNG):
 
     def uniform(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
         return self._out(dist.uniform01(self._host_words(stream, step, keys, member)))
-
-    def bernoulli(self, stream: Stream, step: int, keys, p, member=None) -> np.ndarray:
-        return self._out(dist.bernoulli(self._host_words(stream, step, keys, member), p))
 
     def randint(self, stream: Stream, step: int, keys, n: int, member=None) -> np.ndarray:
         return self._out(

@@ -107,10 +107,3 @@ class ResultCache:
             return None
         except (OSError, json.JSONDecodeError):
             return None  # a torn entry is a miss, never a crash
-
-    # -- metrics -------------------------------------------------------------
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0

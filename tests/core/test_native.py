@@ -9,18 +9,21 @@ reason in ``status()``, never in an exception out of a kernel.
 """
 
 import ctypes
+import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from repro.core import kernels, native
 from repro.core.params import SimCovParams
-from repro.core.state import VoxelBlock
+from repro.core.state import EpiState, VoxelBlock
 from repro.core.xp import NUMPY
 from repro.engine.engine import StepEngine
 from repro.engine.sequential import SequentialBackend
@@ -272,14 +275,21 @@ def test_small_calls_hold_the_gil_and_large_ones_drop_it(compiled, monkeypatch):
     used = []
 
     class Spy:
-        def __init__(self, lib, tag):
-            self.lib, self.tag = lib, tag
+        def __init__(self, fn, tag):
+            self.fn, self.tag = fn, tag
+
+        def __call__(self, *args):
+            used.append(self.tag)
+            return self.fn(*args)
 
         def __getattr__(self, name):
-            used.append(self.tag)
-            return getattr(self.lib, name)
+            return getattr(self.fn, name)
 
-    monkeypatch.setattr(compiled, "_libs", (Spy(held, "held"), Spy(dropped, "dropped")))
+    # The entry points a block binds (and the hash calls) are the spies.
+    monkeypatch.setattr(compiled, "_fns", {
+        name: (Spy(held_fn, "held"), Spy(dropped_fn, "dropped"))
+        for name, (held_fn, dropped_fn) in compiled._fns.items()
+    })
     for dim, want in (((127, 128), "held"), ((128, 128), "dropped")):
         spec = GridSpec(dim)
         block = VoxelBlock(spec, spec.domain)
@@ -312,3 +322,110 @@ def test_engine_reports_the_tier_at_its_first_step_not_before(monkeypatch):
     engine.step()
     status = native.status()
     assert gauges() == (float(status["enabled"]), status["build_seconds"])
+
+
+# -- the binding: built once per block, rebuilt when the block moves ------------------
+
+def digest(sim) -> str:
+    """Every statistic of every step, then every field of the final state."""
+    from repro.io.checkpoint import snapshot_state
+
+    h = hashlib.sha256(np.array([astuple(s) for s in sim.series], dtype=np.float64).tobytes())
+    for name, arr in sorted(snapshot_state(sim)["arrays"].items()):
+        h.update(name.encode() + np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def small_2d(dim=(16, 16), seed=11, steps=30):
+    """A serve-sized run (``small_2d``: 2 FOI), not yet stepped."""
+    from repro.core.model import SequentialSimCov
+
+    params = SimCovParams.fast_test(dim=dim, num_infections=2, num_steps=steps)
+    return SequentialSimCov(params, seed=seed)
+
+
+def test_a_region_list_joins_the_found_vectors_in_region_order(compiled):
+    """A call over a list of regions returns every region's found vectors,
+    not only the last one's: those of the whole region, split in two."""
+    params = SimCovParams.fast_test(dim=(8, 8), num_infections=1)
+    spec = GridSpec(params.dim)
+    whole = VoxelBlock(spec, spec.domain)
+    whole.virions[whole.interior] = 1.0  # every healthy cell is exposed
+    whole.epi_state[2:8:2, 1:9] = EpiState.INCUBATING  # and expressing next, in both halves
+    whole.epi_timer[2:8:2, 1:9] = 1
+    split = VoxelBlock.from_arrays(spec, spec.domain, {
+        name: getattr(whole, name).copy() for name in VoxelBlock.FIELD_DTYPES
+    }, fresh=False)
+    top, bottom = (slice(1, 5), slice(1, 9)), (slice(5, 9), slice(1, 9))
+    want = compiled.epithelial(params, VoxelRNG(4), 3, whole, whole.interior)
+    got = compiled.epithelial(params, VoxelRNG(4), 3, split, [top, bottom])
+    assert all(len(w) and (w < 5 * 10).any() and (w >= 5 * 10).any() for w in want)
+    for w, g in zip(want, got, strict=True):
+        assert np.array_equal(w, g)
+    assert all(np.array_equal(getattr(whole, n), getattr(split, n)) for n in VoxelBlock.FIELD_DTYPES)
+
+
+@pytest.mark.parametrize("replace", ["a field", "the storage"])
+def test_a_block_whose_field_moved_is_read_where_it_now_is(replace):
+    """After a block's first native call its binding points at its fields;
+    a field replaced afterwards (or a block built on new storage) must be
+    the one the next call reads and writes — on either tier."""
+    params, block = small_world()
+    block.epi_state[block.interior] = EpiState.EXPRESSING
+    kernels.production_update(params, block, block.interior, step=0)  # binds
+    old = block.virions
+    if replace == "a field":
+        block.virions = np.zeros_like(old)
+    else:
+        arrays = {name: getattr(block, name).copy() for name in VoxelBlock.FIELD_DTYPES}
+        arrays["virions"][...] = 0.0
+        block = VoxelBlock.from_arrays(block.spec, block.owned, arrays, fresh=False)
+    kept = old.copy()
+    kernels.production_update(params, block, block.interior, step=0)
+    assert np.array_equal(old, kept)  # the old storage is left alone ...
+    want = np.minimum(1.0, params.virion_production_at(0))
+    assert (block.virions[block.interior] == want).all()  # ... and the new one written
+
+
+@pytest.mark.parametrize("dim", [(16, 16), (128, 128)], ids=["gil-held", "gil-dropped"])
+def test_two_sims_stepped_at_once_are_each_their_solo_run(dim):
+    """Serve's two worker slots: two sims stepped in two threads at the same
+    time, each bitwise its solo run — below 2^14 voxels every call holds the
+    GIL, from there on every whole-region call drops it."""
+    steps = 30 if dim == (16, 16) else 12
+    solo = []
+    for seed in (11, 12):
+        sim = small_2d(dim, seed, steps)
+        sim.run(steps)
+        solo.append(digest(sim))
+    sims = [small_2d(dim, seed, steps) for seed in (11, 12)]
+    start = threading.Barrier(2)
+
+    def run(sim):
+        start.wait()
+        for _ in range(steps):
+            sim.step()
+
+    threads = [threading.Thread(target=run, args=(sim,)) for sim in sims]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert [digest(sim) for sim in sims] == solo
+
+
+def test_a_snapshot_restored_into_a_stepped_sim_steps_on_bitwise():
+    """A restore writes into the bound fields in place: the binding stays
+    right, and the resumed run is the uninterrupted one."""
+    from repro.io.checkpoint import restore_state, snapshot_state
+
+    straight = small_2d(steps=40)
+    straight.run(40)
+    sim = small_2d(steps=40)
+    sim.run(15)
+    snapshot = snapshot_state(sim)
+    sim.run(12)  # stepped on past the snapshot, every entry point bound
+    restore_state(sim, snapshot)
+    sim.series.truncate(15)  # as a rollback does: the replayed steps re-append
+    sim.run(25)
+    assert digest(sim) == digest(straight)
