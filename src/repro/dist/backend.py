@@ -210,10 +210,6 @@ class DistBackend(ExecutionBackend):
         ):
             self.runtime.start_step(ctx.step, ctx.pool)
 
-    def exchange(self, phase, ctx):
-        # Exchanges happen inside the workers, sequenced by phase barriers.
-        return False
-
     def phase_reduce(self, ctx) -> None:
         """Step-end barrier, then the coordinator-side reduction: every
         shared-memory read while the workers are parked and nothing else,
@@ -379,10 +375,6 @@ class DistBackend(ExecutionBackend):
         return self.exchanger.gather_global(
             [getattr(b, name) for b in self.blocks]
         )
-
-    def worker_phase_metrics(self):
-        """Merged per-phase wall-time counters from every worker."""
-        return self.runtime.worker_metrics()
 
     # -- teardown ------------------------------------------------------------
 

@@ -201,6 +201,11 @@ class ControlBlock:
             tuple(int(v) for v in row[REGION_HI:REGION_HI + ndim]),
         )
 
+    def metric_rows(self, rank: int) -> tuple:
+        """Rank ``rank``'s (seconds, calls, skips) rows: its phase table."""
+        return (self.metrics_seconds[rank], self.metrics_calls[rank],
+                self.metrics_skips[rank])
+
     def phase_name(self, index: int) -> str:
         if 0 <= index < len(self.phase_names):
             return self.phase_names[index]

@@ -73,7 +73,7 @@ class DistSimCov(EngineDriver):
         """Per-phase wall time where the work actually ran: the merge of
         every worker's counters (the coordinator's own engine timings are
         still available as ``engine.metrics``)."""
-        return self.backend.worker_phase_metrics()
+        return self.backend.runtime.worker_metrics()
 
     # -- teardown ------------------------------------------------------------
 

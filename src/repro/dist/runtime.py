@@ -240,26 +240,18 @@ class DistRuntime:
     # -- metrics -------------------------------------------------------------
 
     def worker_metrics(self) -> PhaseMetrics:
-        """All ranks' cumulative per-phase counters, merged."""
-        merged = PhaseMetrics()
-        for rank in range(self.nranks):
-            merged.merge(self._rank_metrics(rank))
+        """All ranks' cumulative per-phase counters, summed."""
+        merged = PhaseMetrics(self.phase_names)
+        for table in self.per_rank_metrics():
+            merged.merge(table)
         return merged
 
     def per_rank_metrics(self) -> list[PhaseMetrics]:
-        return [self._rank_metrics(r) for r in range(self.nranks)]
-
-    def _rank_metrics(self, rank: int) -> PhaseMetrics:
-        m = PhaseMetrics()
-        for i, name in enumerate(self.phase_names):
-            calls = int(self.ctrl.metrics_calls[rank, i])
-            skips = int(self.ctrl.metrics_skips[rank, i])
-            if calls:
-                m.calls[name] = calls
-                m.seconds[name] = float(self.ctrl.metrics_seconds[rank, i])
-            if skips:
-                m.skips[name] = skips
-        return m
+        """A view of each rank's table: its rows of the shared counters."""
+        return [
+            PhaseMetrics(self.phase_names, *self.ctrl.metric_rows(rank))
+            for rank in range(self.nranks)
+        ]
 
     def per_rank_wait_seconds(self) -> dict[str, list[float]]:
         """Cumulative barrier-wait seconds per rank, keyed by phase name

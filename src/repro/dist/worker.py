@@ -14,10 +14,10 @@ exchange finalise, the serial kernel on the boundary).  It executes the
 same declarative :func:`dist_schedule` the coordinator validates, in lock
 step with its peers via the control segment's phase barriers (see
 :mod:`repro.dist.control`).  The schedule is SIMCoV-GPU's single-wave
-§3.1 tiebreak (REPLACE intents + MAX bids at ``tiebreak_exchange``;
-``result_exchange`` is a structural no-op) combined with SIMCoV-CPU's
-start-of-step ghost refresh, which stales the per-rank refresh-mode
-:class:`~repro.engine.activity.ActivityGate` every step.
+§3.1 tiebreak (REPLACE intents + MAX bids at ``tiebreak_exchange``)
+combined with SIMCoV-CPU's start-of-step ghost refresh, which stales the
+per-rank refresh-mode :class:`~repro.engine.activity.ActivityGate` every
+step.
 
 Barrier placement per step (W = workers-only phase barrier, S = the
 step barrier shared with the coordinator) — the *fused* 6-barrier
@@ -89,6 +89,7 @@ from repro.dist.control import (
 from repro.dist.shm import ShmSegment, block_layout
 from repro.diffusion.stencil import split_interior_boundary
 from repro.engine.engine import StepContext
+from repro.engine.metrics import PhaseMetrics
 from repro.engine.phases import FieldSet, Phase, exchange, kernel
 from repro.engine.sequential import SingleBlockBackend
 from repro.grid.box import Box
@@ -131,8 +132,6 @@ def dist_schedule() -> tuple[Phase, ...]:
             doc="the single tiebreak wave of §3.1 (pull + private max-merge)",
         ),
         kernel("resolve"),
-        exchange("result_exchange", doc="no-op: single-wave tiebreak"),
-        kernel("apply_results", doc="no-op: winners resolved locally"),
         kernel("epithelial"),
         exchange(
             "concentration_exchange",
@@ -318,14 +317,9 @@ class RankBackend(SingleBlockBackend):
         )
         self._segments.append(ctrl_seg)
         self.ctrl = ControlBlock(ctrl_seg, spec.nranks, spec.phase_names)
-        #: This rank's rows of the cumulative per-phase counters, added to
-        #: where a phase is timed; ``DistRuntime._rank_metrics`` rebuilds
-        #: the :class:`~repro.engine.metrics.PhaseMetrics` readers get.
-        self._seconds, self._calls, self._skips = (
-            table[self.rank] for table in (
-                self.ctrl.metrics_seconds, self.ctrl.metrics_calls,
-                self.ctrl.metrics_skips,
-            )
+        #: The table this rank times into: its rows of the shared counters.
+        self.metrics = PhaseMetrics(
+            spec.phase_names, *self.ctrl.metric_rows(self.rank)
         )
         if spec.telemetry_capacity > 0:
             codec = RingCodec(telemetry_name_table(spec.phase_names))
@@ -497,11 +491,7 @@ class RankBackend(SingleBlockBackend):
             elapsed = perf_counter() - start + self._extra_seconds
             self._extra_seconds = 0.0
             skipped = ran is False
-            if skipped:
-                self._skips[index] += 1
-            else:
-                self._seconds[index] += elapsed
-                self._calls[index] += 1
+            self.metrics.observe(index, elapsed, skipped)
             if self.tracer:
                 self.tracer.emit_span(
                     phase.name, start, elapsed, cat="phase", step=step,
@@ -561,10 +551,11 @@ class RankBackend(SingleBlockBackend):
 
     # -- exchange phases -----------------------------------------------------
 
-    def exchange(self, phase: Phase, ctx):
-        if not phase.exchanges:  # result_exchange: single-wave tiebreak
-            return False
-        return getattr(self, f"_{phase.name}")(phase, ctx)
+    def exchange(self, phase: Phase, ctx) -> None:
+        """Run ``phase``'s wave.  It counts as a call even when it pulled
+        nothing: it crossed a barrier or (the open wave) is charged the
+        pulls before the step, so its seconds hold that wait and work."""
+        getattr(self, f"_{phase.name}")(phase, ctx)
 
     def _phase_barrier(self, name: str) -> None:
         """One phase-barrier wait, timed as a ``cat="barrier"`` span and
@@ -599,7 +590,7 @@ class RankBackend(SingleBlockBackend):
         return nbytes
 
     def _account(self, phase: Phase, nbytes: int, pulled: int, skipped: int):
-        """Add one wave's strip counts to the step's; True if it pulled."""
+        """Add one wave's strip counts to the step's."""
         self._pulled_step += pulled
         self._skipped_step += skipped
         if self.tracer and nbytes:
@@ -607,7 +598,6 @@ class RankBackend(SingleBlockBackend):
                 "halo_bytes", nbytes, cat="comm", step=self._step,
                 phase=phase.name,
             )
-        return pulled > 0
 
     # -- the gated waves ----------------------------------------------------
 
@@ -665,12 +655,12 @@ class RankBackend(SingleBlockBackend):
         self._pending_open = None
         self.gate.stale = True
         self._extra_seconds += seconds
-        return self._account(phase, *pulls)
+        self._account(phase, *pulls)
 
-    def _state_wave(self, phase: Phase, dirty) -> bool:
+    def _state_wave(self, phase: Phase, dirty) -> None:
         """One gated in-step REPLACE wave of ``phase``'s fields."""
         keys = [k for fs in phase.exchanges for k in self._keys(fs)]
-        return self._account(phase, *self._pull_wave(keys, (dirty,), (dirty,)))
+        self._account(phase, *self._pull_wave(keys, (dirty,), (dirty,)))
 
     @staticmethod
     def _keys(fs: FieldSet) -> list[str]:
@@ -692,10 +682,9 @@ class RankBackend(SingleBlockBackend):
         # mutation (resolve) sits behind the tiebreak barrier, which every
         # reader passes first.
         self._phase_barrier(phase.name)
-        ran = self._state_wave(phase, self._dirty_bnd)
+        self._state_wave(phase, self._dirty_bnd)
         # The ghosts may now hold neighbours' T cells: tcell_age's box is stale.
         ctx.extras.pop("aged", None)
-        return ran or self.gate.region() is not None
 
     def _tiebreak_exchange(self, phase: Phase, ctx):
         """The single tiebreak wave: entry barrier (everyone's intents are
@@ -711,7 +700,7 @@ class RankBackend(SingleBlockBackend):
             # No resolve this step: no intent ghosts are read.  Peers pull
             # this rank's raw (fully cleared) arrays directly.
             self._skipped_step += len(self.plan.replace) + len(self.plan.max_merge)
-            return False
+            return
         read_box = my_box.expand(1)
         ndim = len(self.plan.origins[self.rank])
         keys = [
@@ -728,7 +717,6 @@ class RankBackend(SingleBlockBackend):
                 pulled += 1
         nbytes += self._merge_max_bids(read_box, ndim)
         self._account(phase, nbytes, pulled, len(self.plan.replace) - pulled)
-        return True
 
     def _merge_max_bids(self, read_box: Box, ndim: int) -> int:
         """Refresh the private merged-bid buffers: copy this rank's raw
@@ -789,7 +777,6 @@ class RankBackend(SingleBlockBackend):
         self._state_wave(phase, self._dirty_conc)
         self._open_diffuse(ctx)
         self._phase_barrier(phase.name)
-        return True
 
     def _resync(self, step: int) -> None:
         """Honor a ghost-invalidation epoch bump (checkpoint restore wrote

@@ -4,10 +4,10 @@ A backend owns the substrate state (blocks, gates, worker processes)
 and implements the kernel phases of its declared schedule as
 ``phase_<name>`` methods plus one :meth:`ExecutionBackend.exchange`
 method that maps exchange barriers onto its communication primitive —
-shared-memory halo pulls (``repro.dist``) or a no-op (one block).
+halo pulls (a ``repro.dist`` rank) or a no-op (the dist coordinator).
 
 A phase handler returns ``False`` to report "reached but skipped" (a
-barrier with nothing to ship, a periodic phase that is not due); any
+kernel with no live region, a periodic phase that is not due); any
 other return value counts as an execution in the engine's metrics.
 """
 
@@ -91,7 +91,7 @@ class ExecutionBackend(abc.ABC):
     def exchange(self, phase: Phase, ctx):
         """Map an exchange barrier to this substrate's primitive.
 
-        Default: no communication (the sequential substrate)."""
+        Default: no communication."""
         return False
 
     def state_restored(self) -> None:

@@ -95,8 +95,8 @@ class StepEngine:
         self.rng = backend.rng
         self.schedule = tuple(schedule if schedule is not None else backend.schedule())
         validate_schedule(self.schedule)
-        #: Cumulative per-phase wall-time and invocation counters.
-        self.metrics = PhaseMetrics()
+        #: The one table each phase is timed into, a row per phase.
+        self.metrics = PhaseMetrics(ph.name for ph in self.schedule)
         #: Structured-telemetry spigot; the no-op tracer unless a caller
         #: installs a real one.  Each phase is recorded in ``metrics``
         #: and, independently, emitted as a span; the backend sees the
@@ -104,34 +104,10 @@ class StepEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
             backend.tracer = self.tracer
-        #: Always-on metrics (:mod:`repro.obs`): instrument handles are
-        #: resolved once here so the step loop pays only bound-method
-        #: calls.  Unlike the tracer these never record per-event
-        #: timelines — just counters/gauges/histograms — which is why
-        #: they can afford to be on by default.
-        self.registry = registry if registry is not None else get_registry()
-        reg = self.registry
-        self._obs_steps = reg.counter(
-            "simcov_steps_total", "Engine steps executed"
-        )
-        self._obs_step_seconds = reg.histogram(
-            "simcov_step_seconds", "Wall seconds per engine step"
-        )
-        self._obs_phases = {
-            name: (
-                reg.histogram(
-                    "simcov_phase_seconds",
-                    "Wall seconds per engine phase",
-                    phase=name,
-                ),
-                reg.counter(
-                    "simcov_phase_skips_total",
-                    "Phase executions skipped by the activity gate",
-                    phase=name,
-                ),
-            )
-            for name in {ph.name for ph in self.schedule}
-        }
+        #: Always-on metrics (:mod:`repro.obs`): the registry reads the
+        #: phase and step families from ``metrics`` when exposed.
+        self.registry = reg = registry if registry is not None else get_registry()
+        reg.track_phases(self, self.metrics)
         self._obs_active_voxels = reg.gauge(
             "simcov_active_voxels", "Voxels the activity gate considers live"
         )
@@ -147,8 +123,8 @@ class StepEngine:
         self.pool = 0.0
         self.step_num = 0
         self.series = TimeSeries()
-        #: Per-step records: phase timings + backend extras (ledger deltas,
-        #: comm counters, active counts) for the performance model.
+        #: Per-step records: the backend's extras (active counts) for the
+        #: performance model.
         self.step_work: list[dict] = []
         #: Callables invoked with each step's StepStats from :meth:`run`
         #: (streaming consumers: the serving layer's SSE publisher).
@@ -206,28 +182,19 @@ class StepEngine:
         tracer = self.tracer
         attrs = self.span_attrs
         step_start = perf_counter()
-        phase_seconds: dict[str, float] = {}
-        obs_phases = self._obs_phases
-        for phase in self.schedule:
+        for row, phase in enumerate(self.schedule):
             start = perf_counter()
             ran = self.backend.execute(phase, ctx)
             elapsed = perf_counter() - start
             skipped = ran is False
-            hist, skips = obs_phases[phase.name]
-            hist.observe(elapsed)
-            if skipped:
-                skips.inc()
-            self.metrics.record(phase.name, elapsed, skipped=skipped)
+            self.metrics.observe(row, elapsed, skipped)
             if tracer.enabled:
                 tracer.emit_span(
                     phase.name, start, elapsed, cat="phase", step=t,
                     skipped=skipped, **attrs,
                 )
-            if not skipped:
-                phase_seconds[phase.name] = elapsed
         step_elapsed = perf_counter() - step_start
-        self._obs_step_seconds.observe(step_elapsed)
-        self._obs_steps.inc()
+        self.metrics.observe_step(step_elapsed)
         if tracer.enabled:
             tracer.emit_span(
                 "step", step_start, step_elapsed, cat="step", step=t, **attrs,
@@ -241,7 +208,7 @@ class StepEngine:
         if ctx.pool_after is None:
             self._debit(ctx)
         stats = self._finish_step(ctx)
-        record = {"step": t, "phase_seconds": phase_seconds}
+        record = {"step": t}
         record.update(self.backend.step_record(ctx))
         if "active_voxels" in record:
             self._obs_active_voxels.set(record["active_voxels"])

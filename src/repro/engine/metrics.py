@@ -1,80 +1,112 @@
-"""Built-in per-phase timing/counter hooks.
+"""The one per-phase table a step is timed into.
 
-Every :class:`~repro.engine.engine.StepEngine` owns a
-:class:`PhaseMetrics`; each executed phase contributes host wall-time and
-an invocation count, and each skipped phase (a barrier a backend maps to
-a no-op, or a periodic phase that is not due) contributes a skip count.
-Drivers expose the object as ``sim.phase_metrics``; the Fig 4 ablation
-benchmarks and ``repro.perf`` consume it instead of reaching into
-variant-specific ledger plumbing.
+Per phase of a :class:`~repro.engine.engine.StepEngine`'s schedule: host
+seconds, calls, skips (which add no seconds) and counts on
+:data:`~repro.obs.registry.DEFAULT_BUCKETS`, plus a row for the whole step.
+``sim.phase_metrics``, the registry's engine families and the dist
+per-rank counters (a rank's shared-memory rows) are views of it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
+from repro.obs.registry import DEFAULT_BUCKETS
+
+_NBUCKETS = len(DEFAULT_BUCKETS) + 1  # + the +Inf overflow
+
 
 class PhaseMetrics:
-    """Cumulative wall-time and invocation counters, keyed by phase name."""
+    """Cumulative per-phase counters, a row per name in ``names``, into
+    the given ``seconds``/``calls``/``skips`` arrays if any (a dist rank's
+    shared rows); a table of lists grows a row for a name it has not seen."""
 
-    def __init__(self):
-        #: Total host seconds spent executing each phase.
-        self.seconds: dict[str, float] = {}
-        #: Times each phase actually executed.
-        self.calls: dict[str, int] = {}
-        #: Times each phase was reached but skipped (no-op mapping or
-        #: periodic phase not due).
-        self.skips: dict[str, int] = {}
+    def __init__(self, names=(), seconds=None, calls=None, skips=None):
+        self.names = list(names)
+        n = len(self.names)
+        self._seconds = [0.0] * n if seconds is None else seconds
+        self._calls = [0] * n if calls is None else calls
+        self._skips = [0] * n if skips is None else skips
+        self._buckets = [[0] * _NBUCKETS for _ in range(n)]
+        self.steps, self.step_seconds = 0, 0.0
+        self.step_buckets = [0] * _NBUCKETS
+
+    def observe(self, row: int, seconds: float, skipped: bool = False) -> None:
+        """One pass through phase ``row``: the step loop's one write."""
+        if skipped:
+            self._skips[row] += 1
+        else:
+            self._seconds[row] += seconds
+            self._calls[row] += 1
+        self._buckets[row][bisect_left(DEFAULT_BUCKETS, seconds)] += 1
+
+    def observe_step(self, seconds: float) -> None:
+        self.steps += 1
+        self.step_seconds += seconds
+        self.step_buckets[bisect_left(DEFAULT_BUCKETS, seconds)] += 1
 
     def record(self, name: str, seconds: float, skipped: bool = False) -> None:
-        if skipped:
-            self.skips[name] = self.skips.get(name, 0) + 1
-            return
-        self.seconds[name] = self.seconds.get(name, 0.0) + float(seconds)
-        self.calls[name] = self.calls.get(name, 0) + 1
+        self.observe(self._row(name), float(seconds), skipped)
+
+    def _row(self, name: str) -> int:
+        if name not in self.names:
+            self.names.append(name)
+            self._seconds.append(0.0)
+            self._calls.append(0)
+            self._skips.append(0)
+            self._buckets.append([0] * _NBUCKETS)
+        return self.names.index(name)
 
     def merge(self, other: "PhaseMetrics") -> "PhaseMetrics":
-        """Accumulate another instance's counters into this one.
-
-        The aggregation primitive for multi-rank runs: each rank times its
-        own phases, and the coordinator merges the per-rank objects into
-        one metrics surface (seconds and counts sum per phase).  After a
-        merge every counter dict is re-keyed in sorted phase order, so the
-        result is deterministic even when ranks saw different phase sets
-        in different orders (an idle rank skips phases a busy one ran).
-        Returns ``self`` so merges chain.
-        """
-        for name, sec in other.seconds.items():
-            self.seconds[name] = self.seconds.get(name, 0.0) + float(sec)
-        for name, n in other.calls.items():
-            self.calls[name] = self.calls.get(name, 0) + int(n)
-        for name, n in other.skips.items():
-            self.skips[name] = self.skips.get(name, 0) + int(n)
-        self.seconds = dict(sorted(self.seconds.items()))
-        self.calls = dict(sorted(self.calls.items()))
-        self.skips = dict(sorted(self.skips.items()))
+        """Add ``other``'s rows into this table by phase name (ranks into
+        one run, engines into the registry's total); returns ``self``."""
+        for name, secs, calls, skips, buckets in other.rows():
+            i = self._row(name)
+            self._seconds[i] += float(secs)
+            self._calls[i] += int(calls)
+            self._skips[i] += int(skips)
+            self._buckets[i] = [a + b for a, b in zip(self._buckets[i], buckets)]
+        self.steps += other.steps
+        self.step_seconds += other.step_seconds
+        self.step_buckets = [
+            a + b for a, b in zip(self.step_buckets, other.step_buckets)
+        ]
         return self
 
     # -- inspection ---------------------------------------------------------
 
+    def rows(self):
+        """``(name, seconds, calls, skips, buckets)`` per phase."""
+        return zip(self.names, self._seconds, self._calls, self._skips,
+                   self._buckets)
+
+    @property
+    def seconds(self) -> dict[str, float]:
+        """Host seconds per executed phase."""
+        return {n: float(s) for n, s, c, _, _ in self.rows() if c}
+
+    @property
+    def calls(self) -> dict[str, int]:
+        return {n: int(c) for n, _, c, _, _ in self.rows() if c}
+
+    @property
+    def skips(self) -> dict[str, int]:
+        return {n: int(k) for n, _, _, k, _ in self.rows() if k}
+
     def total_seconds(self) -> float:
-        return sum(self.seconds.values())
+        return float(sum(self._seconds))
 
     def phase_names(self) -> tuple[str, ...]:
         """Every phase seen, executed or skipped."""
-        return tuple(dict.fromkeys([*self.calls, *self.skips]))
+        return tuple(n for n, _, c, k, _ in self.rows() if c or k)
 
     def summary(self) -> dict[str, dict]:
         """``{phase: {seconds, calls, skips, mean_seconds}}`` rows."""
-        out = {}
-        for name in self.phase_names():
-            calls = self.calls.get(name, 0)
-            secs = self.seconds.get(name, 0.0)
-            out[name] = {
-                "seconds": secs,
-                "calls": calls,
-                "skips": self.skips.get(name, 0),
-                "mean_seconds": secs / calls if calls else 0.0,
-            }
-        return out
+        return {
+            n: {"seconds": float(s), "calls": int(c), "skips": int(k),
+                "mean_seconds": float(s) / c if c else 0.0}
+            for n, s, c, k, _ in self.rows() if c or k
+        }
 
     def format(self) -> str:
         """Aligned text table of :meth:`summary` (debugging helper)."""

@@ -1,41 +1,31 @@
 """The declarative per-step schedule shared by every implementation.
 
 The paper's core claim (§3, §4.1) is that one staged step schedule runs
-identically on sequential, PGAS-CPU and multi-GPU substrates.  This module
-encodes that schedule as *data* — an ordered list of :class:`Phase`
-objects — instead of prose in three driver docstrings.  The canonical
-phase order is:
+identically on every substrate.  This module encodes it as *data*: an
+ordered list of :class:`Phase` objects from one canonical order.  Two
+schedules run: the single block's (solo and ensemble) and the dist
+rank's, which the coordinator runs too (its names index the control block):
 
-==================== ======== ==============================================
-phase                kind     semantics
-==================== ======== ==============================================
-open_exchange        exchange start-of-step ghost refresh (PGAS active-region
-                              input; no-op elsewhere)
-age_extravasate      kernel   T-cell aging + vascular extravasation
-boundary_exchange    exchange post-extravasation boundary state / occupancy
-                              halo (GPU wave A; PGAS occupancy strips)
-intents              kernel   T-cell bind/move target choice + bids
-tiebreak_exchange    exchange the single tiebreak exchange of §3.1 (GPU:
-                              REPLACE intents + MAX bids; PGAS: intent-RPC
-                              delivery, wave 1 of the two-wave tiebreak)
-resolve              kernel   assign winners, execute moves and binds
-result_exchange      exchange PGAS result-RPC delivery (wave 2); no-op on
-                              the single-wave GPU path
-apply_results        kernel   PGAS sources apply wave-2 results
-epithelial           kernel   infection, state-timer transitions, production
-concentration_exchange exchange post-production concentration halo (wave C)
-diffuse              kernel   stencil diffusion + decay
-reduce               kernel   statistics reduction (allreduce / atomics /
-                              tree + cross-device reduce)
-tile_sweep           kernel   periodic tile-activation sweep (§3.2, GPU only)
-==================== ======== ==============================================
+====================== ======== ====== =====================================
+phase                  kind     runs   semantics
+====================== ======== ====== =====================================
+open_exchange          exchange dist   start-of-step ghost strips
+age_extravasate        kernel   both   T-cell aging + vascular extravasation
+boundary_exchange      exchange dist   post-extravasation occupancy + moves
+intents                kernel   both   T-cell bind/move target choice + bids
+tiebreak_exchange      exchange dist   the single tiebreak wave of §3.1
+resolve                kernel   both   assign winners, execute moves + binds
+epithelial             kernel   both   infection, state timers, production
+concentration_exchange exchange dist   post-production concentration strips
+diffuse                kernel   both   stencil diffusion + decay
+reduce                 kernel   both   statistics reduction
+tile_sweep             kernel   single periodic tile-activation sweep (§3.2)
+====================== ======== ====== =====================================
 
-A backend declares its own schedule from this vocabulary — field sets and
-merge modes for the exchange barriers differ per substrate — and the
-:class:`~repro.engine.engine.StepEngine` executes it with per-phase
-timing/counter hooks.  Phases a backend cannot express are kept in the
-schedule as explicit no-ops (skips), so the mapping between substrates
-stays visible in the metrics.
+A backend lists only the phases it executes: one block has no exchange
+(its ghosts only mirror the no-flux boundary), and a rank's gate
+refreshes every step.  The :class:`~repro.engine.engine.StepEngine` times
+each phase into one row of its :class:`~repro.engine.metrics.PhaseMetrics`.
 """
 
 from __future__ import annotations
@@ -79,9 +69,7 @@ class Phase:
 
     name: str
     kind: PhaseKind
-    #: For EXCHANGE phases: what is shipped and how ghosts merge.  Empty
-    #: tuples mark barriers the backend maps to a non-halo primitive (RPC
-    #: delivery) or to a no-op.
+    #: For EXCHANGE phases: what is shipped and how ghosts merge.
     exchanges: tuple[FieldSet, ...] = ()
     #: One-line description shown in schedule dumps.
     doc: str = ""
@@ -109,8 +97,6 @@ PHASE_ORDER = (
     "intents",
     "tiebreak_exchange",
     "resolve",
-    "result_exchange",
-    "apply_results",
     "epithelial",
     "concentration_exchange",
     "diffuse",

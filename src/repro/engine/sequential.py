@@ -1,10 +1,10 @@
 """The single-block execution backend: one undivided block, no communication.
 
-This is the ground-truth substrate — every exchange barrier in the
-canonical schedule maps to a no-op because a single block covers the
-whole domain and its ghosts only ever mirror the no-flux boundary.  The
-parallel backends must reproduce its per-step state exactly (see
-tests/integration), because all randomness is keyed by global voxel id.
+This is the ground-truth substrate — its schedule has no exchange
+barrier, because a single block covers the whole domain and its ghosts
+only ever mirror the no-flux boundary.  The parallel backends must
+reproduce its per-step state exactly (see tests/integration), because all
+randomness is keyed by global voxel id.
 
 :class:`SingleBlockBackend` is the one implementation of that schedule.
 It is written against the trailing spatial axes of its block, so the same
@@ -33,7 +33,7 @@ from repro.core.state import VoxelBlock
 from repro.core.stats import RegionReducer
 from repro.engine.activity import ActivityGate, bounding_box
 from repro.engine.backend import ExecutionBackend
-from repro.engine.phases import Phase, exchange, kernel
+from repro.engine.phases import Phase, kernel
 
 
 def _within(parts, box) -> list[tuple[slice, ...]]:
@@ -88,18 +88,12 @@ class SingleBlockBackend(ExecutionBackend):
     # -- schedule ------------------------------------------------------------
 
     def schedule(self) -> tuple[Phase, ...]:
-        """The full canonical schedule; every barrier is a no-op here."""
+        """The kernel phases: one block exchanges nothing."""
         return (
-            exchange("open_exchange", doc="no-op: single block"),
             kernel("age_extravasate"),
-            exchange("boundary_exchange", doc="no-op: single block"),
             kernel("intents"),
-            exchange("tiebreak_exchange", doc="no-op: single block"),
             kernel("resolve"),
-            exchange("result_exchange", doc="no-op: single block"),
-            kernel("apply_results", doc="no-op: nothing crosses a boundary"),
             kernel("epithelial"),
-            exchange("concentration_exchange", doc="no-op: single block"),
             kernel("diffuse"),
             kernel("reduce"),
             kernel("tile_sweep", doc="periodic active-region sweep (§3.2)"),
@@ -239,9 +233,6 @@ class SingleBlockBackend(ExecutionBackend):
             self.params, self.rng, ctx.step, self.block, self._resolve_intents,
             box,
         )
-
-    def phase_apply_results(self, ctx):
-        return False
 
     def phase_epithelial(self, ctx):
         region = self.gate.region()

@@ -17,10 +17,10 @@ Cost model (the reason this can be on by default, unlike the tracer):
 resolving an instrument is one dict lookup on ``(name, labels)``; hot
 paths resolve once at construction and then call bound methods —
 ``Counter.inc`` is a locked float add, ``Histogram.observe`` a locked
-bisect over ~a dozen bounds.  The engine's 13-phase step loop pays ~10µs
-per multi-millisecond step (the CI ``obs`` job gates the end-to-end
-overhead at 3%).  Metrics never touch simulation state or RNG, so golden
-traces are bitwise identical with the registry on or off.
+bisect over ~a dozen bounds.  The step loop calls none: the engine
+families are read from the engines' phase tables at exposure (the CI
+``obs`` job gates the end-to-end overhead at 3%).  Metrics never touch
+simulation state or RNG, so golden traces are bitwise identical.
 
 Label cardinality is capped per family (default 64 label sets): the
 first overflowing label set folds into a shared ``{"overflow": "true"}``
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 from bisect import bisect_left
 
 __all__ = [
@@ -207,6 +208,10 @@ class MetricsRegistry:
         self.dropped_series = 0
         self._families: dict[str, _Family] = {}
         self._lock = threading.Lock()
+        #: Live engines' phase tables, the keys of collected ones, their sum.
+        self._tables: dict[int, object] = {}
+        self._retiring: list[int] = []
+        self._retired = None
 
     # -- instrument getters (the one-dict-lookup hot path) ---------------------
 
@@ -261,11 +266,60 @@ class MetricsRegistry:
                 fam.series[key] = inst
             return inst
 
+    # -- the engine families ---------------------------------------------------
+
+    def track_phases(self, owner, table) -> None:
+        """Expose ``table`` (a :class:`~repro.engine.metrics.PhaseMetrics`,
+        whose one writer takes no lock) as the engine families while
+        ``owner`` lives, then in the retired total, so counters stay
+        monotonic and a dead engine costs no memory."""
+        if not self.enabled:
+            return
+        with self._lock:
+            self._retire()
+            if self._retired is None:
+                self._retired = type(table)()
+            self._tables[id(table)] = table
+        # Lock-free: it may run in a collection that interrupted a holder.
+        weakref.finalize(owner, self._retiring.append, id(table))
+
+    def _retire(self) -> None:
+        while self._retiring:  # under _lock
+            table = self._tables.pop(self._retiring.pop(), None)
+            if table is not None:
+                self._retired.merge(table)
+
+    def _phase_families(self) -> dict[str, _Family]:
+        """The engine families, summed over the live and retired tables."""
+        with self._lock:
+            self._retire()
+            if self._retired is None:
+                return {}
+            total = type(self._retired)().merge(self._retired)
+            for table in self._tables.values():
+                total.merge(table)
+        out = MetricsRegistry()
+        for name, seconds, _, skipped, buckets in total.rows():
+            hist = out.histogram("simcov_phase_seconds",
+                                 "Wall seconds per engine phase", phase=name)
+            hist.counts, hist.count, hist.sum = buckets, sum(buckets), seconds
+            out.counter(
+                "simcov_phase_skips_total",
+                "Phase executions skipped by the activity gate", phase=name,
+            ).value = float(skipped)
+        hist = out.histogram("simcov_step_seconds", "Wall seconds per engine step")
+        hist.counts, hist.count = total.step_buckets, total.steps
+        hist.sum = total.step_seconds
+        steps = out.counter("simcov_steps_total", "Engine steps executed")
+        steps.value = float(total.steps)
+        return out._families
+
     # -- exposition ------------------------------------------------------------
 
     def families(self) -> dict[str, _Family]:
-        """Live family map (sorted copy of the key view)."""
-        return {name: self._families[name] for name in sorted(self._families)}
+        """Every family, sorted; the engine families read now."""
+        fams = {**self._families, **self._phase_families()}
+        return {name: fams[name] for name in sorted(fams)}
 
     def snapshot(self) -> dict:
         """JSON-ready dump of every series (the JSONL snapshot format)."""
@@ -305,6 +359,7 @@ class MetricsRegistry:
         with self._lock:
             self._families = {}
             self.dropped_series = 0
+            self._tables, self._retiring, self._retired = {}, [], None
 
 
 #: The process-global default registry.  ``REPRO_METRICS=off`` disables

@@ -85,7 +85,9 @@ def _from_chrome(payload: dict) -> list[Event]:
 
 def summarize(events: list[Event]) -> dict:
     """Aggregate a trace into the report's three tables."""
-    phases: dict[str, dict] = {}
+    from repro.engine.metrics import PhaseMetrics  # repro.engine imports us
+
+    phases = PhaseMetrics()
     barrier_durs: list[float] = []
     ranks: dict[int, dict] = {}
     steps = set()
@@ -141,14 +143,7 @@ def summarize(events: list[Event]) -> dict:
             },
         )
         if e.cat == "phase":
-            row = phases.setdefault(
-                e.name, {"seconds": 0.0, "calls": 0, "skips": 0}
-            )
-            if e.attrs.get("skipped"):
-                row["skips"] += 1
-            else:
-                row["seconds"] += e.dur
-                row["calls"] += 1
+            phases.record(e.name, e.dur, bool(e.attrs.get("skipped")))
             per_rank["phase_seconds"] += e.dur
         elif e.cat == "barrier":
             barrier_durs.append(e.dur)
@@ -158,10 +153,6 @@ def summarize(events: list[Event]) -> dict:
                 or e.attrs.get("in_phase")
             ):
                 per_rank["_in_phase_barrier"] += e.dur
-    for row in phases.values():
-        row["mean_seconds"] = (
-            row["seconds"] / row["calls"] if row["calls"] else 0.0
-        )
     busy = {
         r: v["phase_seconds"] - v.pop("_in_phase_barrier")
         for r, v in ranks.items()
@@ -178,7 +169,7 @@ def summarize(events: list[Event]) -> dict:
         "events": len(events),
         "steps": len(steps),
         "phases": dict(
-            sorted(phases.items(), key=lambda kv: -kv[1]["seconds"])
+            sorted(phases.summary().items(), key=lambda kv: -kv[1]["seconds"])
         ),
         "barrier_histogram": _histogram(barrier_durs),
         "barrier_total_seconds": sum(barrier_durs),

@@ -200,6 +200,29 @@ class TestDriverSurface:
         assert kernels and all(waits[name] == [0.0] * 4 for name in kernels)
         assert sum(waits["tiebreak_exchange"]) > 0.0
 
+    def test_a_phase_holds_its_waits(self):
+        """A phase's seconds hold the barrier waits it crossed: an exchange
+        that pulled no strip still counts as a call, so busy time (seconds
+        minus wait) is never negative.  Rank 1 is late to every tiebreak,
+        so rank 0 waits there on the steps it has no live region."""
+        from repro.dist.worker import FaultSpec
+
+        params = SimCovParams.fast_test(
+            dim=(64, 64), num_infections=1, num_steps=30
+        )
+        slow = FaultSpec(rank=1, step=0, phase="intents", mode="slow",
+                         delay=0.01)
+        with DistSimCov(params, nranks=2, seed=3, fault=slow) as sim:
+            sim.run(30)
+            runtime = sim.backend.runtime
+            waits = runtime.per_rank_wait_seconds()
+            for rank, table in enumerate(runtime.per_rank_metrics()):
+                seconds = table.seconds
+                for name in runtime.phase_names:
+                    assert waits[name][rank] <= seconds.get(name, 0.0), (
+                        rank, name
+                    )
+
     def test_step_by_step_matches_run(self):
         params = SimCovParams.fast_test(
             dim=(16, 16), num_infections=1, num_steps=5

@@ -4,7 +4,7 @@ stay bitwise identical with tracing enabled at nranks 2."""
 
 import numpy as np
 
-from repro.dist import DistSimCov
+from repro.dist import DistSimCov, dist_schedule
 from repro.telemetry import RingBufferSink, Tracer
 
 from tests.golden.test_golden_traces import (
@@ -64,7 +64,7 @@ class TestDistEventStream:
         per_rank = {
             r: [e for e in phase if e.rank == r] for r in range(NRANKS)
         }
-        nphases = 12  # dist schedule length
+        nphases = len(dist_schedule())
         for r, spans in per_rank.items():
             assert len(spans) == steps * nphases, f"rank {r}"
             assert all(e.attrs.get("backend", "dist") == "dist" for e in spans)

@@ -40,16 +40,25 @@ class TestStepEngine:
         engine = StepEngine(SequentialBackend(small_params(), seed=3))
         engine.run(4)
         m = engine.metrics
-        # The sequential backend skips every exchange barrier + tile_sweep.
-        for name in ("open_exchange", "boundary_exchange", "tile_sweep"):
-            assert m.skips[name] == 4
-            assert name not in m.calls
+        # The sequential schedule lists no exchange; tile_sweep is not due.
+        assert m.skips == {"tile_sweep": 4}
+        assert "tile_sweep" not in m.calls and "tile_sweep" not in m.seconds
         for name in ("intents", "resolve", "reduce"):
             assert m.calls[name] == 4
-        # step_work's per-step timings only include executed phases.
+        assert m.steps == 4 and m.step_seconds >= m.total_seconds()
+        # A phase is timed into the table only, not into step_work.
         for rec in engine.step_work:
-            assert "open_exchange" not in rec["phase_seconds"]
-            assert "reduce" in rec["phase_seconds"]
+            assert "phase_seconds" not in rec
+
+    def test_schedules_list_only_the_phases_that_run(self):
+        from repro.dist import dist_schedule
+
+        single = SequentialBackend(small_params(), seed=3).schedule()
+        assert [p.name for p in single] == [
+            "age_extravasate", "intents", "resolve", "epithelial", "diffuse",
+            "reduce", "tile_sweep",
+        ]
+        assert len(dist_schedule()) == 10
 
     def test_missing_reduce_raises(self):
         class NoReduce(SequentialBackend):

@@ -240,8 +240,8 @@ class TestOneImplementation:
         "name",
         ["schedule", "phase_tile_sweep"] + [
             f"phase_{p}" for p in (
-                "age_extravasate", "intents", "resolve", "apply_results",
-                "epithelial", "diffuse", "reduce",
+                "age_extravasate", "intents", "resolve", "epithelial",
+                "diffuse", "reduce",
             )
         ],
     )
@@ -266,8 +266,7 @@ class TestOneImplementation:
     @pytest.mark.parametrize(
         "name",
         [f"phase_{p}" for p in (
-            "age_extravasate", "intents", "resolve", "apply_results",
-            "epithelial", "diffuse",
+            "age_extravasate", "intents", "resolve", "epithelial", "diffuse",
         )] + ["_intents", "_diffuse", "_open_intents", "_open_diffuse", "_tcell_box"],
     )
     def test_rank_shares_each_kernel_body(self, name):

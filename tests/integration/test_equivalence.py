@@ -105,6 +105,6 @@ class TestEngineUnification:
                     row = summary[ph.name]
                     assert row["calls"] + row["skips"] == reached, ph.name
                     assert row["seconds"] >= 0.0
-                # Executed phases surface per-step wall time in step_work too.
+                # A phase's time lives in that one table, not in step_work.
                 for rec in sim.step_work:
-                    assert set(rec["phase_seconds"]) <= {p.name for p in sim.schedule}
+                    assert "phase_seconds" not in rec

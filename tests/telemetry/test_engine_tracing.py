@@ -44,7 +44,7 @@ class TestEngineWiring:
         phase_spans = ring.spans("phase")
         step_spans = ring.spans("step")
         assert len(step_spans) == 5
-        assert len(phase_spans) == 5 * 13  # canonical 13-phase schedule
+        assert len(phase_spans) == 5 * 7  # the single block's 7 kernels
         metrics = sim.engine.metrics
         executed = [e for e in phase_spans if not e.attrs.get("skipped")]
         assert sum(metrics.calls.values()) == len(executed)
