@@ -7,8 +7,9 @@ selector, so the same code runs as:
   reference, or a whole ensemble stacked on a leading member axis (agents
   are flat indices and neighbour offsets use the spatial strides only, so
   no kernel knows which);
-- per-rank updates between RPC waves (SIMCoV-CPU) or shared-memory halo
-  pulls (``repro.dist``);
+- per-rank updates between RPC waves (SIMCoV-CPU), or over a
+  ``repro.dist`` rank's owned voxels and its ghost band after the one
+  start-of-step pull;
 - per-active-tile kernel launches between halo waves (SIMCoV-GPU).
 
 All randomness is keyed by global voxel id (or attempt index), so results
@@ -138,9 +139,15 @@ def _members(flat, lead):
     return member, flat - member * lead
 
 
-def _tally(flat, region: tuple[slice, ...], lead, xp):
+def _tally(flat, region: tuple[slice, ...], lead, xp, counted=None, shape=None):
     """Gathered elements counted: a scalar, or one count per member of
-    ``region`` when the block is batched."""
+    ``region`` when the block is batched.  ``counted`` (padded slices of
+    a solo block of ``shape``) counts only the elements inside it."""
+    if counted is not None:
+        at = np.unravel_index(xp.asnumpy(flat), shape)
+        return int(np.logical_and.reduce(
+            [(a >= s.start) & (a < s.stop) for a, s in zip(at, counted)]
+        ).sum()) if len(flat) else 0
     if lead is None:
         return len(flat)
     lo, hi = region[0].start, region[0].stop
@@ -256,6 +263,7 @@ def apply_extravasation(
     block: VoxelBlock,
     attempts: dict[str, np.ndarray],
     region: tuple[slice, ...] | None = None,
+    counted: tuple[slice, ...] | None = None,
 ):
     """Apply the attempts landing in this block's owned region.
 
@@ -272,7 +280,8 @@ def apply_extravasation(
     active sub-box.  That is bitwise-equivalent provided the region covers
     every voxel with signal >= ``min_chemokine``: an attempt outside it
     would land where the signal is sub-threshold and be rejected anyway,
-    and no randomness is consumed here.
+    and no randomness is consumed here.  ``counted`` (a solo block's
+    padded slices) restricts the returned tally to the entries inside it.
     """
     xp = block.xp
     ndim = block.spec.ndim
@@ -280,12 +289,12 @@ def apply_extravasation(
     region = block.interior if region is None else region
     gids, member = attempts["gid"], attempts.get("member")
     if gids.size == 0:
-        return _tally(gids, region, lead, xp)
+        return _tally(gids, region, lead, xp, counted, block.shape)
     at, mine = _locate(block, gids, region[len(region) - ndim:])
     # Attempts outside the block may not index it: gather the owned ones.
     own = np.nonzero(mine)[0]
     if own.size == 0:  # none lands in the region: no gather, unique or scatter
-        return _tally(own, region, lead, xp)
+        return _tally(own, region, lead, xp, counted, block.shape)
     flat = at[own] @ np.array(strides[len(strides) - ndim:], dtype=np.int64)
     if member is not None:
         member = member[own]
@@ -306,7 +315,7 @@ def apply_extravasation(
     tcell[idx] = 1
     tissue_time[idx] = xp.asarray(attempts["life"][own[accepted][first]])
     bound_time[idx] = 0
-    return _tally(flat, region, lead, xp)
+    return _tally(flat, region, lead, xp, counted, block.shape)
 
 
 #: The name ``benchmarks/e2e/layers.py::KERNEL_SEAMS`` wraps, which only a
@@ -348,47 +357,16 @@ class IntentArrays:
         #: The slab holding every non-sentinel entry (None = whole array).
         self._dirty: tuple[slice, ...] | None = tuple(slice(0, 0) for _ in shape)
 
-    @classmethod
-    def from_arrays(
-        cls, arrays: dict[str, np.ndarray], fresh: bool = True
-    ) -> "IntentArrays":
-        """Wrap caller-provided storage (e.g. shared-memory views).
-
-        ``fresh=True`` resets every field to the no-intent sentinels (the
-        buffers may arrive zero-filled, but the direction sentinel is -1);
-        ``fresh=False`` adopts the contents as-is.  Fields must be
-        C-contiguous (the kernels scatter through ``arr.reshape(-1)``).
-        """
-        self = cls.__new__(cls)
-        self.xp = NUMPY
-        shape = None
-        for name, dtype in cls.FIELD_DTYPES.items():
-            arr = arrays[name]
-            if shape is None:
-                shape = arr.shape
-            if (arr.shape != shape or arr.dtype != np.dtype(dtype)
-                    or not arr.flags.c_contiguous):
-                raise ValueError(
-                    f"intent field {name!r}: got {arr.dtype}{arr.shape}, "
-                    f"need C-contiguous {np.dtype(dtype)}{shape}"
-                )
-            setattr(self, name, arr)
-        self._dirty = None
-        if fresh:
-            self.clear()
-        return self
-
     def clear(self, written: tuple[slice, ...] | None = None) -> None:
         """Reset to the no-intent state.
 
-        With ``written`` (padded-array slices: the T cells' box, or on a
-        dist rank the active box, where peers' copies land too; ``()`` for
-        nothing) only the slab the last call marked is wiped — every entry
-        written since lies in it — and the slab this step may write is
-        marked: ``written`` grown by one voxel, since bids scatter one voxel
-        outward.  Without, the whole array is wiped, and marked.  Readers
-        outside the slab always see sentinels, so full-array scans (e.g.
-        remote-intent extraction) stay correct.
+        With ``written`` (padded-array slices: the T cells' box; ``()``
+        for nothing) only the slab the last call marked is wiped — every
+        entry written since lies in it — and the slab this step may write
+        is marked: ``written`` grown by one voxel, since bids scatter one
+        voxel outward.  Without, the whole array is wiped, and marked.
+        Readers outside the slab always see sentinels, so full-array scans
+        (e.g. the counted-work trace's) stay correct.
         """
         shape = self.move_dir.shape
         wipe = self._dirty
@@ -552,29 +530,31 @@ def compute_moves(
     return MoveSet(region, moved_out, arriving, new_life)
 
 
-def commit_moves(block: VoxelBlock, moves: MoveSet):
+def commit_moves(block: VoxelBlock, moves: MoveSet, counted=None):
     """Execute one region's flips: erase movers-out, instantiate arrivals.
     Must run only after *all* regions' :func:`compute_moves` finished (the
     separate 'Move Agents' kernel of Fig 2).  Returns arrivals — a scalar,
-    or a per-member vector on a batched block."""
+    or a per-member vector on a batched block; only those inside
+    ``counted`` when given (a solo block's padded slices)."""
     fields = _flat(block, "tcell", "tcell_tissue_time", "tcell_bound_time")
     for field, arrives_with in zip(fields, (1, moves.new_life, 0)):
         field[moves.moved_out] = 0
         field[moves.arriving] = arrives_with
     lead = _flat_layout(block.shape, block.spec.ndim, block.xp)[1]
-    return _tally(moves.arriving, moves.region, lead, block.xp)
+    return _tally(moves.arriving, moves.region, lead, block.xp, counted, block.shape)
 
 
 def resolve_moves(
     block: VoxelBlock,
     intents: IntentArrays,
     region: tuple[slice, ...],
+    counted: tuple[slice, ...] | None = None,
 ):
     """Single-region convenience: compute + commit in one call.  Safe only
     when ``region`` is the block's sole processed region (the single-block
     and CPU implementations); multi-tile callers must stage compute_moves
     for all regions before any commit_moves."""
-    return commit_moves(block, compute_moves(block, intents, region))
+    return commit_moves(block, compute_moves(block, intents, region), counted)
 
 
 def resolve_binds(
@@ -584,17 +564,19 @@ def resolve_binds(
     block: VoxelBlock,
     intents: IntentArrays,
     region: tuple[slice, ...],
+    counted: tuple[slice, ...] | None = None,
 ):
     """Apply winning binds: the bound epithelial cell turns apoptotic with a
     fresh Poisson timer; the winning T cell is held for the binding period.
     Returns the number of cells driven apoptotic in the region — a scalar,
-    or a per-member vector on a batched block."""
+    or a per-member vector on a batched block; only those inside
+    ``counted`` when given (a solo block's padded slices)."""
     xp = block.xp
     strides, lead, boff, _ = _flat_layout(block.shape, block.spec.ndim, xp)
     if (native := xp.native) is not None:
         bound = native.resolve_binds(params, block, intents, region)
         _retime(rng, Stream.APOPTOSIS_PERIOD, step, block, bound, params.apoptosis_period)
-        return _tally(bound, region, lead, xp)
+        return _tally(bound, region, lead, xp, counted, block.shape)
     bind_dir, bid_self, bind_bid = _flat(intents, "bind_dir", "bid_self", "bind_bid")
     epi_state, bound_time = _flat(block, "epi_state", "tcell_bound_time")
     # Epithelial side: any expressing cell with a positive merged bind bid
@@ -609,7 +591,7 @@ def resolve_binds(
     bound_time[won] = _member_param(
         params.tcell_binding_period, _members(won, lead)[0]
     )
-    return _tally(bound, region, lead, xp)
+    return _tally(bound, region, lead, xp, counted, block.shape)
 
 
 # ---------------------------------------------------------------------------

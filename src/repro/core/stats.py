@@ -238,6 +238,14 @@ def region_counts(block, region: tuple[slice, ...] | None) -> np.ndarray:
     ).astype(np.int64)
 
 
+def crop(region: tuple[slice, ...], box: tuple[slice, ...]) -> tuple[slice, ...] | None:
+    """``region`` cropped to ``box`` (bounded slices); None if they miss."""
+    out = tuple(
+        slice(max(a.start, b.start), min(a.stop, b.stop)) for a, b in zip(region, box)
+    )
+    return out if all(s.start < s.stop for s in out) else None
+
+
 class RegionReducer:
     """The per-step reduction at the cost of the active region (§3.3).
 
@@ -257,10 +265,15 @@ class RegionReducer:
     (the gate's invariant: a voxel with virions or supra-threshold
     chemokine is active, and sub-threshold chemokine is zeroed).  The
     integer half holds for any region.
+
+    ``counted`` (padded slices) restricts every count to that box — a
+    dist rank's owned voxels inside its ghost band; every region is
+    cropped to it.
     """
 
-    def __init__(self, block):
+    def __init__(self, block, counted=None):
         self.block = block
+        self.counted = counted
         #: Integer totals as of the last :meth:`counts`; None = the block
         #: was (re)written since, recount the whole domain.
         self._totals: np.ndarray | None = None
@@ -270,15 +283,18 @@ class RegionReducer:
         """The block was rewritten behind the reducer (checkpoint restore)."""
         self._totals = None
 
+    def _crop(self, region):
+        return region if region is None or self.counted is None else crop(region, self.counted)
+
     def rebase(self, region) -> None:
         """The gate region moved to ``region``; block state is unchanged
         since the last :meth:`counts`."""
         if self._totals is not None:
-            self._outside = self._totals - region_counts(self.block, region)
+            self._outside = self._totals - region_counts(self.block, self._crop(region))
 
     def counts(self, region) -> np.ndarray:
         """Whole-domain integer statistics, counting only ``region``."""
-        inside = region_counts(self.block, region)
+        inside = region_counts(self.block, self._crop(region))
         if self._totals is None:
             self._outside = self.whole_domain_counts() - inside
         self._totals = inside + self._outside
@@ -286,7 +302,7 @@ class RegionReducer:
 
     def whole_domain_counts(self) -> np.ndarray:
         """The one full sweep; steady-state steps never reach it."""
-        return region_counts(self.block, self.block.interior)
+        return region_counts(self.block, self.counted or self.block.interior)
 
     def reduce(self, region) -> np.ndarray:
         """The REDUCED_FIELDS vector (one row per member when batched) of

@@ -61,50 +61,6 @@ def diffuse_region(
     dst[region] = core + (rate / k) * (nb_sum - k * core)
 
 
-def split_interior_boundary(
-    region: tuple[slice, ...],
-    shape: tuple[int, ...],
-    ghost: int = 1,
-) -> tuple[tuple[slice, ...] | None, list[tuple[slice, ...]]]:
-    """Split ``region`` into a stencil-safe interior core plus boundary slabs.
-
-    The *interior* is the part of ``region`` whose ±``ghost`` neighborhood
-    stays inside the non-ghost cells of a padded array of ``shape`` — it
-    can be computed before a halo pull lands, because its stencil never
-    reads a ghost cell.  The *boundary slabs* are the disjoint remainder
-    (up to ``2 * ndim`` axis-aligned slabs) that must wait for fresh
-    ghosts.  Together they tile ``region`` exactly, so running a kernel
-    over interior-then-slabs is element-for-element the same work as one
-    monolithic call — the sopht-mpi overlap decomposition.
-
-    Returns ``(interior, slabs)`` where ``interior`` is ``None`` when the
-    region is too thin to have a safe core (blocks thinner than twice the
-    halo width end up all-boundary).
-    """
-    core = tuple(
-        slice(2 * ghost, n - 2 * ghost) for n in shape[-len(region):]
-    )
-    slabs: list[tuple[slice, ...]] = []
-    rem = list(region)
-    for ax in range(len(region)):
-        r, c = rem[ax], core[ax]
-        lo_stop = min(r.stop, c.start)
-        if r.start < lo_stop:
-            slab = list(rem)
-            slab[ax] = slice(r.start, lo_stop)
-            slabs.append(tuple(slab))
-        hi_start = max(r.start, c.stop)
-        if hi_start < r.stop:
-            slab = list(rem)
-            slab[ax] = slice(hi_start, r.stop)
-            slabs.append(tuple(slab))
-        lo, hi = max(r.start, c.start), min(r.stop, c.stop)
-        if lo >= hi:
-            return None, slabs
-        rem[ax] = slice(lo, hi)
-    return tuple(rem), slabs
-
-
 def diffuse_padded(padded: np.ndarray, rate: float) -> np.ndarray:
     """Diffusion update of a ghost-padded array's interior; returns a new
     interior array (ghosts must already hold correct neighbor values)."""

@@ -1,8 +1,9 @@
 """repro.dist — a real multi-process distributed runtime.
 
-Runs StepEngine ranks as OS processes with every rank's field arrays in
-``multiprocessing.shared_memory``, so halo strips and §3.1 bid waves are
-zero-copy reads of neighbor blocks, coordinated by a versioned barrier
+Runs StepEngine ranks as OS processes with every rank's field arrays —
+its owned voxels and a ghost band one step's dependency cone deep — in
+``multiprocessing.shared_memory``, so the one band pull a step is a
+zero-copy read of neighbor blocks, coordinated by a versioned barrier
 protocol.  Bitwise identical to the sequential reference for any rank
 count (tests/dist/test_dist_golden.py).
 

@@ -4,15 +4,15 @@ Unlike the single-block backends — one block in one process — this
 backend runs each rank as a real OS process.  The coordinator process
 (where the :class:`~repro.engine.engine.StepEngine` lives) owns no
 kernel: every phase body executes inside the workers
-(:mod:`repro.dist.worker`), in
-lock step via shared-memory barriers, against field arrays allocated in
-``multiprocessing.shared_memory`` so halo strips and §3.1 bid waves are
-zero-copy reads of neighbor blocks.
+(:mod:`repro.dist.worker`), each stepping its owned voxels plus a ghost
+band one step's dependency cone deep, against field arrays allocated in
+``multiprocessing.shared_memory`` so the one band pull a step is a
+zero-copy read of neighbor blocks.
 
 The engine still drives the canonical schedule on the coordinator:
 ``begin_step`` publishes ``(step, pool)`` and releases the workers; the
-intermediate phases are no-ops here (the workers run them behind the
-same phase names); ``phase_reduce`` meets the workers at the step-end
+kernel phases are no-ops here (the workers run them behind the same
+phase names); ``phase_reduce`` meets the workers at the step-end
 barrier, adds the integer statistics each rank counted over its own
 active region (exact in any order), copies the float fields' live boxes
 into coordinator-side full-domain arrays in the sequential backend's
@@ -44,6 +44,7 @@ from repro.dist.runtime import DistRuntime
 from repro.dist.worker import FaultSpec, dist_schedule
 from repro.engine.backend import ExecutionBackend
 from repro.engine.phases import Phase
+from repro.engine.sequential import step_reach
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger
 from repro.obs.imbalance import ImbalanceMonitor
@@ -116,7 +117,8 @@ class DistBackend(ExecutionBackend):
             # workers trace as their own ranks 0..nranks-1.
             self.tracer.rank = -1
         self.decomp = Decomposition.make(self.spec, nranks, decomposition)
-        self.exchanger = HaloExchanger(self.decomp)
+        #: The band's strips: a halo as wide as one step's reach.
+        self.exchanger = HaloExchanger(self.decomp, ghost=step_reach())
         self.runtime = DistRuntime(
             self.spec,
             self.decomp,
@@ -134,7 +136,7 @@ class DistBackend(ExecutionBackend):
         #: Shared-memory-backed per-rank blocks (coordinator views).
         self.blocks = self.runtime.blocks
         # Seed through the shared pages *before* the workers spawn, so
-        # rank 0's first gate refresh already sees the infection sites.
+        # rank 0's first gate sweep already sees the infection sites.
         self._seed_blocks(self.blocks, seed_gids, structure_gids)
         #: Private full-domain copies of the float fields — the padded
         #: layout of the sequential backend's single block, so their
@@ -253,8 +255,9 @@ class DistBackend(ExecutionBackend):
         and return the padded row range they can be non-zero in (None:
         nowhere), the support :func:`interior_sum` sums.
 
-        Every write of the step just finished lies inside the activity
-        box its rank published, so that box is all there is to copy —
+        Every write of the step just finished to the voxels a rank owns
+        lies inside the owned box it published (its band is another
+        rank's truth), so that box is all there is to copy —
         on the first step too, whose sweep sees all of the seeded state —
         except after a restore, when the whole owned interior of every
         rank is new.  Outside its box a rank's float fields are zero, so
@@ -372,9 +375,12 @@ class DistBackend(ExecutionBackend):
     # -- inspection ----------------------------------------------------------
 
     def gather_field(self, name: str) -> np.ndarray:
-        return self.exchanger.gather_global(
-            [getattr(b, name) for b in self.blocks]
-        )
+        out = np.zeros(self.spec.shape, dtype=getattr(self.blocks[0], name).dtype)
+        for box, block in zip(self.decomp.boxes, self.blocks):
+            out[box.slices_from((0,) * box.ndim)] = getattr(block, name)[
+                box.slices_from(block.origin)
+            ]
+        return out
 
     # -- teardown ------------------------------------------------------------
 

@@ -8,25 +8,24 @@ the workers use to run the versioned barrier protocol:
   step-start barrier (−1 = shut down), plus the float64 ``pool`` value the
   extravasation-attempt schedule is derived from;
 - ``step_bar`` — arrival epochs of the step-start/step-end barrier
-  (parties: every worker + the coordinator);
-- ``phase_bar`` — arrival epochs of the intra-step exchange barriers
-  (parties: workers only);
+  (parties: every worker + the coordinator), the only barrier: no rank
+  waits inside a step;
 - ``status``  — per-rank (step, phase index, error code) + a float64
   heartbeat timestamp, the diagnostic surface a barrier timeout dumps;
 - ``results`` — per-rank per-step integer totals (extravasations, moves,
   binds, active voxels, then the rank's six integer statistics);
-- ``region``  — per-rank strip-liveness handshake: each worker publishes
-  its current activity bounding box in global coordinates (or an idle
-  flag) right after its gate refresh; peers consult it to skip pulling
-  halo strips whose source band is dead;
+- ``region``  — per-rank strip-liveness handshake: at the end of each
+  step each worker publishes the box of that step's writes to the voxels
+  it owns, in global coordinates (or an idle flag); peers consult it to
+  skip pulling band strips the owner did not write;
 - ``dirty_epoch`` — a monotonic ghost-invalidation counter the
   coordinator bumps after writing fields behind the workers' backs
   (checkpoint restore); workers that see it change re-pull every strip;
 - ``metrics_*`` — per-rank cumulative :class:`PhaseMetrics` counters;
 - ``metrics_wait`` — per-rank barrier-wait seconds attributed to the
-  phase the wait belongs to (plus two trailing columns for the
-  step-start/step-end barriers);
-- ``strips`` — per-rank cumulative (pulled, skipped) halo-strip counts,
+  phase the wait belongs to (0: no phase waits) plus two trailing
+  columns for the step-start/step-end barriers;
+- ``strips`` — per-rank cumulative (pulled, skipped) band-strip counts,
   the activity-gated exchange's effectiveness gauge;
 - ``tel_*`` — per-rank fixed-record telemetry rings (phase/barrier spans
   and counters encoded by :mod:`repro.telemetry.shmring`), present only
@@ -105,7 +104,6 @@ def control_layout(nranks: int, nphases: int, telemetry_capacity: int = 0):
         ("command", (1,), np.dtype(np.int64)),
         ("pool", (1,), np.dtype(np.float64)),
         ("step_bar", (nranks + 1,), np.dtype(np.int64)),
-        ("phase_bar", (nranks,), np.dtype(np.int64)),
         ("status", (nranks, 3), np.dtype(np.int64)),
         ("heartbeat", (nranks,), np.dtype(np.float64)),
         ("results", (nranks, RES_COUNTS.stop), np.dtype(np.int64)),
@@ -134,7 +132,6 @@ class ControlBlock:
         self.command = a["command"]
         self.pool = a["pool"]
         self.step_bar = a["step_bar"]
-        self.phase_bar = a["phase_bar"]
         self.status = a["status"]
         self.heartbeat = a["heartbeat"]
         self.results = a["results"]
@@ -171,12 +168,13 @@ class ControlBlock:
     # -- strip-liveness handshake --------------------------------------------
 
     def publish_region(self, rank: int, box) -> None:
-        """Publish ``rank``'s active bounding box (a :class:`Box` in global
-        coordinates, or None when the rank is idle this step).
+        """Publish the box of ``rank``'s writes this step (a :class:`Box`
+        in global coordinates, or None when the rank is idle this step).
 
-        Written by the owning worker right after its gate refresh and read
-        by peers only on the far side of a barrier the writer has also
-        passed, so each step's value is stable for every reader.
+        Written by the owning worker at the end of its step and read by
+        peers and the coordinator only on the far side of the step-end
+        barrier the writer has also passed, so each step's value is
+        stable for every reader.
         """
         row = self.region[rank]
         if box is None:

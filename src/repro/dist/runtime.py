@@ -46,6 +46,7 @@ from repro.dist.worker import (
     FaultSpec,
     WorkerSpec,
     dist_schedule,
+    rank_block_box,
     telemetry_name_table,
     worker_main,
 )
@@ -96,6 +97,11 @@ class DistRuntime:
         )
         self._procs: list[mp.process.BaseProcess] = []
         self._closed = False
+        #: A step was released and has not met the step-end barrier yet.
+        self._in_flight = False
+        #: The blocks were rewritten behind the workers' backs: the next
+        #: step start first releases one band-resync round.
+        self._resync = False
 
         run_id = next(_RUNTIME_IDS)
         self._segments: list[ShmSegment] = []
@@ -108,21 +114,18 @@ class DistRuntime:
         self._segments.append(ctrl_seg)
         self.ctrl = ControlBlock(ctrl_seg, self.nranks, self.phase_names)
         self.segment_names: list[str] = []
-        #: Coordinator-side views of every rank's fields, backed by the
-        #: same pages the workers mutate — gather/checkpoint/seeding all
-        #: read and write through these.
+        #: Coordinator-side views of every rank's block — its owned voxels
+        #: and ghost band — backed by the same pages the workers mutate:
+        #: gather/checkpoint/seeding all read and write through these.
         self.blocks: list[VoxelBlock] = []
         for rank in range(self.nranks):
             name = make_segment_name(f"{run_id}_r{rank}")
-            seg = ShmSegment.create(
-                name, block_layout(exchanger.local_shape(rank))
-            )
+            box = rank_block_box(decomp.boxes[rank], spec.domain, exchanger.ghost)
+            seg = ShmSegment.create(name, block_layout(box.expand(1).shape))
             self._segments.append(seg)
             self.segment_names.append(name)
             self.blocks.append(
-                VoxelBlock.from_arrays(
-                    spec, decomp.boxes[rank], seg.arrays, ghost=1, fresh=True
-                )
+                VoxelBlock.from_arrays(spec, box, seg.arrays, ghost=1, fresh=True)
             )
         method = start_method or "fork"
         if method not in mp.get_all_start_methods():
@@ -167,7 +170,8 @@ class DistRuntime:
             params=self.params,
             seed=self.seed,
             boxes=tuple((b.lo, b.hi) for b in self.decomp.boxes),
-            plan=self.exchanger.pull_plan(rank),
+            band=self.exchanger.ghost,
+            routes=self.exchanger.pull_plan(rank).replace,
             segment_names=tuple(self.segment_names),
             ctrl_name=self.ctrl.segment.name,
             phase_names=self.phase_names,
@@ -196,15 +200,23 @@ class DistRuntime:
     # -- step protocol -------------------------------------------------------
 
     def start_step(self, step: int, pool: float) -> None:
-        """Publish the step command and release the step-start barrier."""
+        """Publish the step command and release the step-start barrier —
+        after a restore, once before that: the workers then see the
+        ``dirty_epoch`` bump and pull their whole band again, fenced by
+        the step-start crossing."""
+        if self._resync:
+            self._resync = False
+            self._step_wait()
         self.ctrl.command[CMD_STEP] = step
         self.ctrl.pool[0] = float(pool)
         self._step_wait()
+        self._in_flight = True
 
     def finish_step(self) -> None:
         """Meet the workers at the step-end barrier; afterwards every
         per-rank result row and field array is quiescent and readable."""
         self._step_wait()
+        self._in_flight = False
 
     def _step_wait(self) -> None:
         try:
@@ -271,11 +283,12 @@ class DistRuntime:
         return pulled, skipped
 
     def invalidate_ghosts(self) -> None:
-        """Declare every worker's ghost strips stale (call after writing
+        """Declare every worker's ghost band stale (call after writing
         fields behind the workers' backs, e.g. a checkpoint restore).
-        Workers observe the bump at their next step start and re-pull
-        every strip before touching state."""
+        The next :meth:`start_step` releases the workers once to observe
+        the bump and re-pull every strip before the step starts."""
         self.ctrl.dirty_epoch[0] += 1
+        self._resync = True
 
     # -- telemetry -----------------------------------------------------------
 
@@ -349,7 +362,7 @@ class DistRuntime:
                 # the sentinel and release them.
                 self.ctrl.command[CMD_STEP] = SHUTDOWN_STEP
                 try:
-                    if self.step_bar.epoch % 2:  # a step is in flight
+                    if self._in_flight:
                         self.finish_step()
                     self.step_bar.wait(min(5.0, self.barrier_timeout))
                 except DistError:

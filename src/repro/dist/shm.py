@@ -1,10 +1,10 @@
 """Shared-memory arenas for the distributed runtime.
 
-Each rank's :class:`~repro.core.state.VoxelBlock` fields and
-:class:`~repro.core.kernels.IntentArrays` fields live in one
-``multiprocessing.shared_memory`` segment, so a neighbor rank's halo
-strips and §3.1 bid waves are *zero-copy reads* of the owner's arrays —
-the distributed analog of UPC++ global pointers / GPU peer access.
+Each rank's :class:`~repro.core.state.VoxelBlock` fields — its owned
+voxels and its ghost band — live in one ``multiprocessing.shared_memory``
+segment, so a neighbor rank's band pull is a *zero-copy read* of the
+owner's arrays — the distributed analog of UPC++ global pointers / GPU
+peer access.
 
 A segment is described by a layout (ordered ``(name, shape, dtype)``
 triples); :class:`ShmSegment` creates or attaches it and exposes named
@@ -40,21 +40,15 @@ def make_segment_name(tag: str) -> str:
 
 
 def block_layout(padded_shape: tuple[int, ...]) -> list[tuple[str, tuple[int, ...], np.dtype]]:
-    """Layout of one rank's data segment: every VoxelBlock field followed
-    by every IntentArrays field, all at the padded block shape.  Geometry
-    arrays (gid / in_domain) are derived per process, never shared."""
-    from repro.core.kernels import IntentArrays
+    """Layout of one rank's data segment: every VoxelBlock field at the
+    padded block shape.  Geometry arrays (gid / in_domain) are derived
+    per process, and intents are private to the rank: neither is shared."""
     from repro.core.state import VoxelBlock
 
-    layout = [
+    return [
         (name, padded_shape, np.dtype(dt))
         for name, dt in VoxelBlock.FIELD_DTYPES.items()
     ]
-    layout += [
-        (f"intent_{name}", padded_shape, np.dtype(dt))
-        for name, dt in IntentArrays.FIELD_DTYPES.items()
-    ]
-    return layout
 
 
 def layout_nbytes(layout) -> int:

@@ -1,61 +1,40 @@
 """The per-rank worker process of the distributed runtime.
 
-Each worker owns one subdomain: its :class:`~repro.core.state.VoxelBlock`
-and :class:`~repro.core.kernels.IntentArrays` fields are views into its
-shared-memory segment, and the segments of its halo neighbors are mapped
-read-mostly, so every exchange phase is a direct strip copy between
-address spaces — no serialization, no message queue.
+Each worker owns one subdomain and steps it as a single block: a
+:class:`RankBackend` is :class:`~repro.engine.sequential.SingleBlockBackend`
+over the rank's owned voxels plus a ghost band
+:func:`~repro.engine.sequential.step_reach` deep — one step's dependency
+cone.  Every draw is keyed by ``(seed, stream, step, gid)`` and every
+kernel reads at most its neighbourhood, so with the band at its
+step-start values the rank computes its owned voxels' next state itself,
+bitwise, with no peer: the §3.1 argument (one exchange, every device
+resolving the same way) taken one level up.  The band's own updates are
+provisional, the rank's copy of another rank's truth.
 
-Each worker is a :class:`RankBackend`: the single-block phase bodies of
-:class:`~repro.engine.sequential.SingleBlockBackend` over its block, with
-the halo exchange *between* those calls, not inside them — the
-sopht-mpi shape (exchange init, the serial kernel on the interior,
-exchange finalise, the serial kernel on the boundary).  It executes the
-same declarative :func:`dist_schedule` the coordinator validates, in lock
-step with its peers via the control segment's phase barriers (see
-:mod:`repro.dist.control`).  The schedule is SIMCoV-GPU's single-wave
-§3.1 tiebreak (REPLACE intents + MAX bids at ``tiebreak_exchange``)
-combined with SIMCoV-CPU's start-of-step ghost refresh, which stales the
-per-rank refresh-mode :class:`~repro.engine.activity.ActivityGate` every
-step.
+The block's fields are views into the rank's shared-memory segment, and
+the segments of the ranks its band overlaps are mapped read-mostly, so
+the band refresh is a direct strip copy between address spaces — no
+serialization, no message queue.  It happens once a step, in the
+quiescent window before the step-start barrier::
 
-Barrier placement per step (W = workers-only phase barrier, S = the
-step barrier shared with the coordinator) — the *fused* 6-barrier
-protocol (4 phase + 2 step; the seed protocol used 8).  Only the
-exchange phases wait; every kernel phase is a shared body::
-
-       open pulls        gated ghost pulls in the quiescent window
-                         (peers parked; previous step's fields final)
+       open pulls        gated band pulls: every peer is parked at the
+                         step barrier too, its previous-step fields final
     S  step start        coordinator published (step, pool); the barrier
-                         itself is the open wave's exit fence
-       age_extravasate   gate sweep + publish activity box + kernels
-       boundary_exchange clear intents + the intents parts before the
-    W                    fence (the region's core: no ghost reads), then
-                         (peers done mutating) gated T-cell strip pulls
-       intents           the parts after the fence (boundary slabs, cut
-                         to the T-cell box over fresh ghosts)
-    W  tiebreak_exchange (intents done) ──► gated REPLACE pulls + merge
-                         MAX bids into *private* buffers (raw bid arrays
-                         are never mutated after intents, so no
-                         snapshot fence is needed)
-       resolve / epithelial
-    W  concentration_exchange (production done) ──► gated pulls, then
-                         mirror + the diffuse parts before the fence
-                         into scratch  ──►  W
-       diffuse           the parts after the fence + commit
-       reduce            integer counts into the results row
+                         itself is the pulls' exit fence
+       open_exchange     accounts the pulls; a changed band or a due
+                         period stales the gate
+       age_extravasate   gate sweep (if stale), then the single-block
+       .. diffuse        bodies over owned + band
+       reduce            owned integer counts into the results row; the
+                         box of the step's owned writes is published
     S  step end          coordinator reduces statistics
 
-Unlabeled edges need no barrier: a reader that advances past its copy
-only mutates the copied fields after a later barrier that the writer
-must also have passed (verified per wave in DESIGN.md §4a).  The open
-wave's pulls run *before* the step-start barrier: every peer is parked
-there too, so its previous-step fields are final, and no peer can
-mutate them until this worker arrives — the step-start barrier doubles
-as the copies-done fence that used to cost a dedicated phase barrier.
-Pulls are gated per strip by the activity boxes peers publish in the
-control segment (see ``_pull_wave``); a checkpoint restore bumps
-``dirty_epoch`` and forces one full re-pull + resync fence.
+S is the step barrier shared with the coordinator; no barrier sits
+inside a step.  A strip is pulled when the owner's published box
+(last step's writes to what it owns) touches it, or when this rank's own
+writes did (its provisional values in the band); a checkpoint restore
+bumps ``dirty_epoch``, and the coordinator releases one extra
+step-barrier round in which every rank re-pulls its whole band.
 """
 
 from __future__ import annotations
@@ -67,7 +46,6 @@ from time import perf_counter
 
 import numpy as np
 
-from repro.core.kernels import IntentArrays
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
 from repro.dist.control import (
@@ -87,60 +65,49 @@ from repro.dist.control import (
     control_layout,
 )
 from repro.dist.shm import ShmSegment, block_layout
-from repro.diffusion.stencil import split_interior_boundary
 from repro.engine.engine import StepContext
 from repro.engine.metrics import PhaseMetrics
 from repro.engine.phases import FieldSet, Phase, exchange, kernel
-from repro.engine.sequential import SingleBlockBackend
+from repro.engine.sequential import SingleBlockBackend, step_reach
 from repro.grid.box import Box
-from repro.grid.halo import MergeMode, RankPullPlan, strip_live
+from repro.grid.halo import MergeMode, PullRoute, strip_live
 from repro.telemetry.shmring import RingCodec, ShmRingSink
 from repro.telemetry.tracer import Tracer
 
-#: Start-of-step ghost refresh: activity-gate + bind-stencil inputs (the
-#: PGAS open wave).  ``epi_state`` is not mutated again before ``intents``
-#: reads its ghosts, so it rides here instead of in the boundary wave.
-OPEN_FIELDS = ("epi_state", "virions", "chemokine", "tcell")
-#: Post-extravasation occupancy + move payload (the GPU wave A remainder).
-BOUNDARY_FIELDS = ("tcell", "tcell_tissue_time", "tcell_bound_time")
-#: Post-production concentrations (wave C).
-CONCENTRATION_FIELDS = ("virions", "chemokine")
+#: What the band carries: every field a band update reads — all of them.
+BAND_FIELDS = tuple(VoxelBlock.FIELD_DTYPES)
 
 
 def dist_schedule() -> tuple[Phase, ...]:
-    """The multi-process schedule: PGAS-style open wave + GPU-style
-    single-wave tiebreak, no tile_sweep (gating is every-step refresh)."""
+    """The multi-process schedule: the one pull a step, then the
+    single-block kernel phases; no tile_sweep (a rank sweeps at the top
+    of ``age_extravasate``, when the pull or the period stales its gate)."""
     return (
         exchange(
             "open_exchange",
-            FieldSet("state", OPEN_FIELDS, MergeMode.REPLACE),
-            doc="start-of-step ghost strips: gate + bind-stencil input",
+            FieldSet("state", BAND_FIELDS, MergeMode.REPLACE),
+            doc="the ghost band, pulled before the step-start barrier",
         ),
         kernel("age_extravasate"),
-        exchange(
-            "boundary_exchange",
-            FieldSet("state", BOUNDARY_FIELDS, MergeMode.REPLACE),
-            doc="post-extravasation occupancy + move payload",
-        ),
         kernel("intents"),
-        exchange(
-            "tiebreak_exchange",
-            FieldSet(
-                "intent", IntentArrays.REPLACE_FIELDS, MergeMode.REPLACE
-            ),
-            FieldSet("intent", IntentArrays.MAX_FIELDS, MergeMode.MAX),
-            doc="the single tiebreak wave of §3.1 (pull + private max-merge)",
-        ),
         kernel("resolve"),
         kernel("epithelial"),
-        exchange(
-            "concentration_exchange",
-            FieldSet("state", CONCENTRATION_FIELDS, MergeMode.REPLACE),
-            doc="post-production concentration strips",
-        ),
         kernel("diffuse"),
         kernel("reduce", doc="per-rank integer counts; coordinator sums floats"),
     )
+
+
+def _crop(box: Box | None, to: Box) -> Box | None:
+    """``box`` cropped to ``to``; None if either is empty."""
+    box = None if box is None else box.intersect(to)
+    return None if box is None or box.is_empty else box
+
+
+def rank_block_box(owned: Box, domain: Box, band: int) -> Box:
+    """The voxels a rank's block steps: its owned box grown by all but the
+    outermost layer of its band, which is the block's ghost ring, clipped
+    to the domain (beyond a domain edge, the ring is the no-flux one)."""
+    return owned.expand(band - 1).intersect(domain)
 
 
 def telemetry_name_table(phase_names) -> tuple[str, ...]:
@@ -153,11 +120,9 @@ def telemetry_name_table(phase_names) -> tuple[str, ...]:
     only.
     """
     names = [f"phase:{n}" for n in phase_names]
-    names += [f"barrier:{n}" for n in phase_names]
-    names += ["barrier:step_start", "barrier:step_end"]
-    names += ["comm:halo_bytes", "counter:bids_won", "counter:bids_lost"]
+    names += ["barrier:step_start", "barrier:step_end", "comm:halo_bytes"]
     names += ["gating:active_voxels", "step:step"]
-    names += ["comm:strips_pulled", "comm:strips_skipped", "barrier:resync"]
+    names += ["comm:strips_pulled", "comm:strips_skipped"]
     return tuple(names)
 
 
@@ -217,7 +182,10 @@ class WorkerSpec:
     params: SimCovParams
     seed: int
     boxes: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    plan: RankPullPlan
+    #: Width of the ghost band the segments were laid out for.
+    band: int
+    #: The band strips this rank pulls (its halo plan's REPLACE routes).
+    routes: tuple[PullRoute, ...]
     segment_names: tuple[str, ...]
     ctrl_name: str
     phase_names: tuple[str, ...]
@@ -229,7 +197,7 @@ class WorkerSpec:
     #: Coordinator-side ``dirty_epoch`` snapshot at spawn time.  Workers
     #: must agree on the baseline (reading the live counter at attach
     #: time races a coordinator restore, desynchronizing the resync
-    #: fence), and only the coordinator can snapshot it consistently.
+    #: round), and only the coordinator can snapshot it consistently.
     dirty_epoch: int = 0
     #: :attr:`DistRuntime.wakers` (inheritable only while a process spawns).
     wakers: tuple = ()
@@ -266,32 +234,16 @@ def worker_main(spec: WorkerSpec) -> None:
     os._exit(code)
 
 
-class _TiebreakView:
-    """The intent view ``resolve`` reads: REPLACE fields straight from the
-    shared raw arrays, MAX bid fields from this rank's private merged
-    buffers.  Duck-types the :class:`~repro.core.kernels.IntentArrays`
-    surface the resolve kernels touch."""
-
-    __slots__ = ("move_dir", "bind_dir", "bid_self", "move_bid", "bind_bid")
-
-    def __init__(self, raw, merged_move_bid, merged_bind_bid):
-        self.move_dir = raw.move_dir
-        self.bind_dir = raw.bind_dir
-        self.bid_self = raw.bid_self
-        self.move_bid = merged_move_bid
-        self.bind_bid = merged_bind_bid
-
-
 class RankBackend(SingleBlockBackend):
-    """One rank: the single-block phase bodies over this rank's
-    shared-memory block, the gated halo waves and fences between them
-    (:meth:`exchange`), and the step loop that runs them in lock step
-    with its peers.
+    """One rank: the single-block step over its owned voxels and ghost
+    band, the gated pull that refreshes the band before each step, and
+    the step loop that runs them in lock step with its peers.
 
-    Overridden are only what a rank does differently: its exchanges, the
-    split of the overlapped bodies at the fence (:meth:`_fence_parts`),
-    ``reduce`` (integer counts, published for the coordinator) and the
-    sweep, which also publishes the region box peers gate their pulls on.
+    Overridden are only what a rank does differently: its one exchange,
+    the restore hook (the next pull takes the whole band), ``reduce``
+    (integer counts, published for the coordinator) and the sweep, which
+    also counts the owned active voxels and restarts the clock the
+    published box of writes grows by.
     """
 
     name = "rank"
@@ -300,15 +252,21 @@ class RankBackend(SingleBlockBackend):
         self.worker_spec = spec
         self.rank = spec.rank
         self._init_common(spec.params, spec.seed)
-        self.plan = spec.plan
         self._schedule = dist_schedule()
         assert tuple(p.name for p in self._schedule) == spec.phase_names
+        # The band must hold one step's dependency cone (the check
+        # sopht-mpi makes of a ghost size against a kernel's support).
+        if spec.band < step_reach():
+            raise ValueError(
+                f"rank {spec.rank}: ghost band {spec.band} is narrower than "
+                f"one step's reach, {step_reach()}"
+            )
         self.ctrl: ControlBlock | None = None
         self._segments: list[ShmSegment] = []
 
         boxes = [Box(lo, hi) for lo, hi in spec.boxes]
         # Attach the control segment and the data segments of self + every
-        # halo neighbor; build zero-copy views.
+        # rank the band overlaps; build zero-copy views.
         ctrl_seg = ShmSegment.attach(
             spec.ctrl_name,
             control_layout(
@@ -335,74 +293,65 @@ class RankBackend(SingleBlockBackend):
                     )
                 ],
             )
-        #: Step currently executing (stamped on barrier/comm events
-        #: emitted from helpers that don't receive the step).
+        #: Step currently executing (stamped on events emitted from
+        #: helpers that don't receive the step).
         self._step = 0
-        self.arrays: dict[int, dict[str, np.ndarray]] = {}
-        for r in {self.rank, *self.plan.neighbor_ranks}:
-            shape = tuple(s + 2 for s in boxes[r].shape)
-            seg = ShmSegment.attach(spec.segment_names[r], block_layout(shape))
+        arrays, origins = {}, {}
+        for r in {self.rank, *(route.src for route in spec.routes)}:
+            padded = rank_block_box(boxes[r], self.spec.domain, spec.band).expand(1)
+            seg = ShmSegment.attach(spec.segment_names[r], block_layout(padded.shape))
             self._segments.append(seg)
-            self.arrays[r] = seg.arrays
-        mine = self.arrays[self.rank]
+            arrays[r], origins[r] = seg.arrays, padded.lo
+        #: This rank's owned box (global); the block holds its band too.
+        self.owned = boxes[self.rank]
         # The coordinator created + initialized (zero, tissue, seeds) the
-        # field storage, so adopt it as-is; intents are worker scratch and
-        # start at their sentinels.  Refresh mode: the open wave stales
-        # the gate every step.
+        # field storage, so adopt it as-is.  The gate sweeps like a single
+        # block's, and also whenever a pull changed the band.
+        block = VoxelBlock.from_arrays(
+            self.spec, rank_block_box(self.owned, self.spec.domain, spec.band),
+            arrays[self.rank], ghost=1, fresh=False,
+        )
         self._init_block(
-            VoxelBlock.from_arrays(
-                self.spec, boxes[self.rank], mine, ghost=1, fresh=False
-            ),
+            block,
             spec.params.min_chemokine,
             spec.active_gating,
             tile_shape=None,
-            sweep_period=1,
-            intents=IntentArrays.from_arrays(
-                {name: mine[f"intent_{name}"] for name in IntentArrays.FIELD_DTYPES}
-            ),
+            sweep_period=None,
+            counted=self.owned.slices_from(block.origin),
         )
-        # -- activity-gated exchange state ---------------------------------
-        #: Global boxes of the REPLACE routes (liveness tests are box math).
-        self._route_boxes = [r.region for r in self.plan.replace]
-        nroutes = len(self.plan.replace)
-        #: Per-(wave, route) staleness: True = the source has written inside
-        #: the route since this wave last pulled it.  Everything starts
-        #: dirty so the first step always pulls.
-        self._dirty_open = [True] * nroutes
-        self._dirty_bnd = [True] * nroutes
-        self._dirty_conc = [True] * nroutes
-        #: Ghost-invalidation epoch last honored (checkpoint restores bump
-        #: the shared counter; see _resync).
-        self._seen_epoch = int(spec.dirty_epoch)
-        #: Stash of the pre-step open pulls: (seconds, bytes, pulled,
-        #: skipped).  Ring-write discipline defers its telemetry to the
-        #: open_exchange phase body, after the step-start barrier.
-        self._pending_open = None
-        # -- fused tiebreak (no snapshot fence) ----------------------------
-        # Raw MAX bid arrays are never mutated after the intents phase;
-        # each rank max-merges neighbor strips into private buffers and
-        # resolves against this view, eliminating the mid-wave barrier.
-        # A single rank has nothing to merge: resolve reads the raw arrays.
-        if self.plan.max_merge:
-            self._merged_move_bid = np.zeros_like(self.intents.move_bid)
-            self._merged_bind_bid = np.zeros_like(self.intents.bind_bid)
-            self._resolve_intents = _TiebreakView(
-                self.intents, self._merged_move_bid, self._merged_bind_bid
+        # Pulls land anywhere in the band: every sweep examines all of it.
+        self.gate.shell = spec.band
+        #: Each band strip: (route, source view per field, own view per field).
+        self._strips = [
+            (
+                route,
+                [arrays[route.src][k][route.region.slices_from(origins[route.src])]
+                 for k in BAND_FIELDS],
+                [arrays[self.rank][k][route.region.slices_from(origins[self.rank])]
+                 for k in BAND_FIELDS],
             )
-        # -- per-step accounting -------------------------------------------
-        self._phase_index = {n: i for i, n in enumerate(spec.phase_names)}
+            for route in spec.routes
+        ]
+        #: Pull every strip at the next pull: the first, and after a restore.
+        self._pull_all = True
+        #: Ghost-invalidation epoch last honored (a checkpoint restore
+        #: bumps the shared counter; see :meth:`run`).
+        self._seen_epoch = int(spec.dirty_epoch)
+        #: The last pull: (seconds, bytes, pulled, skipped), accounted by
+        #: the open_exchange phase body (no ring writes before the step).
+        self._pending_open = (0.0, 0, 0, 0)
+        #: Active voxels of the owned box, as of the last sweep.
+        self._active = 0
+        #: Steps finished since the last sweep, and the box (global) of
+        #: this rank's writes in the last one: see :meth:`_publish`.
+        self._since_sweep = 0
+        self._written: Box | None = None
         #: Barrier-wait seconds per phase + [step_start, step_end].
         self._wait = np.zeros(len(spec.phase_names) + 2)
         self._extra_seconds = 0.0
-        self._pulled_step = 0
-        self._skipped_step = 0
         self.step_bar = ShmBarrier(
             self.ctrl.step_bar, self.rank, self.ctrl, label="step barrier",
             wakers=spec.wakers,
-        )
-        self.phase_bar = ShmBarrier(
-            self.ctrl.phase_bar, self.rank, self.ctrl, label="phase barrier",
-            wakers=spec.wakers[: spec.nranks],
         )
         # Let the coordinator win every timeout-reporting race: workers
         # blocked on a stalled peer must outlast the coordinator's wait.
@@ -426,11 +375,11 @@ class RankBackend(SingleBlockBackend):
         pending_end = None  # (start, dur, step) of the last step-end wait
         nphases = len(self.worker_spec.phase_names)
         while True:
-            # Open-wave ghost pulls run here, in the quiescent window:
-            # every peer is parked at this same barrier, so its fields are
-            # final, and none can mutate them until this worker arrives.
-            # No ring writes in this window (the coordinator is draining).
-            self._early_open_pull()
+            # The band pull runs here, in the quiescent window: every peer
+            # is parked at this same barrier, so its fields are final, and
+            # none can mutate them until this worker arrives.  No ring
+            # writes in this window (the coordinator is draining).
+            self._pull()
             t0 = perf_counter()
             self.step_bar.wait(self.timeout, heartbeat=hb)
             t1 = perf_counter()
@@ -438,6 +387,15 @@ class RankBackend(SingleBlockBackend):
             step = int(self.ctrl.command[CMD_STEP])
             if step == SHUTDOWN_STEP:
                 return
+            epoch = int(self.ctrl.dirty_epoch[0])
+            if epoch != self._seen_epoch:
+                # A restore rewrote the blocks while every rank was parked
+                # (its writes may have raced the pull above): this round
+                # releases the ranks to pull their whole band again, and
+                # the next crossing is the step start.
+                self._seen_epoch = epoch
+                self.state_restored()
+                continue
             if self.tracer:
                 # Ring-write discipline: the coordinator drains the rings
                 # between the step-end barrier and the next step-start
@@ -453,11 +411,6 @@ class RankBackend(SingleBlockBackend):
                 self.tracer.emit_span(
                     "step_start", t0, t1 - t0, cat="barrier", step=step
                 )
-            self._pulled_step = self._skipped_step = 0
-            epoch = int(self.ctrl.dirty_epoch[0])
-            if epoch != self._seen_epoch:
-                self._seen_epoch = epoch
-                self._resync(step)
             self._run_step(step, float(self.ctrl.pool[0]))
             t2 = perf_counter()
             self.step_bar.wait(self.timeout, heartbeat=hb)
@@ -487,7 +440,7 @@ class RankBackend(SingleBlockBackend):
             start = perf_counter()
             ran = self.execute(phase, ctx)
             # Work done outside the phase loop on this phase's behalf
-            # (the pre-step open pulls, a resync) is charged here.
+            # (the pre-step pull) is charged here.
             elapsed = perf_counter() - start + self._extra_seconds
             self._extra_seconds = 0.0
             skipped = ran is False
@@ -530,300 +483,112 @@ class RankBackend(SingleBlockBackend):
             raise DistAborted(f"aborted while stalled in {phase_name!r}")
 
     def _publish(self, ctx) -> None:
-        """Per-step totals + cumulative waits and strip counts, read by
-        the coordinator after the step-end barrier (``reduce`` already
-        wrote the integer statistics)."""
+        """Per-step totals + cumulative waits, read by the coordinator
+        after the step-end barrier (``reduce`` already wrote the integer
+        statistics)."""
         row = self.ctrl.results[self.rank]
         row[RES_EXTRAVASATIONS] = ctx.extravasations
         row[RES_MOVES] = ctx.moves
         row[RES_BINDS] = ctx.binds
-        row[RES_ACTIVE] = self.gate.count
+        row[RES_ACTIVE] = self._active
         self.ctrl.metrics_wait[self.rank] = self._wait
-        self.ctrl.strips[self.rank, STRIPS_PULLED] += self._pulled_step
-        self.ctrl.strips[self.rank, STRIPS_SKIPPED] += self._skipped_step
-        if self.tracer and (self._pulled_step or self._skipped_step):
-            self.tracer.counter(
-                "strips_pulled", self._pulled_step, cat="comm", step=ctx.step
-            )
-            self.tracer.counter(
-                "strips_skipped", self._skipped_step, cat="comm", step=ctx.step
-            )
+        # Strip-liveness handshake: peers gate their next pull on the part
+        # of this step's writes in the voxels this rank owns (the band is
+        # another rank's truth), read behind the step-end barrier; this
+        # rank gates on all of it.
+        self._written = self._writes_box()
+        self.ctrl.publish_region(self.rank, _crop(self._written, self.owned))
+        self._since_sweep += 1
 
-    # -- exchange phases -----------------------------------------------------
+    def _writes_box(self) -> Box | None:
+        """The box (global) of this step's writes: the raw activity the
+        last sweep saw, grown by a voxel for every step since (activity
+        spreads no faster) and one more for the writes' reach, in the
+        region."""
+        hull, region = self.gate.hull, self.gate.region_box()
+        if hull is None or region is None:
+            return None
+        origin = self.block.origin
+        seen = Box(
+            tuple(o + s.start for o, s in zip(origin, hull)),
+            tuple(o + s.stop for o, s in zip(origin, hull)),
+        )
+        return _crop(seen.expand(self._since_sweep + 1), region)
 
-    def exchange(self, phase: Phase, ctx) -> None:
-        """Run ``phase``'s wave.  It counts as a call even when it pulled
-        nothing: it crossed a barrier or (the open wave) is charged the
-        pulls before the step, so its seconds hold that wait and work."""
-        getattr(self, f"_{phase.name}")(phase, ctx)
+    # -- the one exchange ------------------------------------------------------
 
-    def _phase_barrier(self, name: str) -> None:
-        """One phase-barrier wait, timed as a ``cat="barrier"`` span and
-        charged to the owning phase's wait column."""
-        start = perf_counter()
-        self.phase_bar.wait(self.timeout)
-        dur = perf_counter() - start
-        idx = self._phase_index.get(name)
-        if idx is None:  # the resync fence is charged to the open wave
-            idx = self._phase_index["open_exchange"]
-        self._wait[idx] += dur
-        if self.tracer:
-            self.tracer.emit_span(
-                name, start, dur, cat="barrier", step=self._step
-            )
+    def _pull(self) -> None:
+        """Refresh the ghost band, in the quiescent window before a step.
 
-    def _slices(self, src_rank: int, box: Box):
-        """``box`` (global) in ``src_rank``'s block, then in this one's."""
-        origins = self.plan.origins
-        return box.slices_from(origins[src_rank]), box.slices_from(origins[self.rank])
-
-    def _copy(self, src_rank: int, box: Box, keys) -> int:
-        """Copy a global sub-box of ``keys`` from ``src_rank``; returns
-        bytes moved."""
-        src, mine = self.arrays[src_rank], self.arrays[self.rank]
-        ssl, dsl = self._slices(src_rank, box)
-        nbytes = 0
-        for key in keys:
-            strip = src[key][ssl]
-            mine[key][dsl] = strip
-            nbytes += strip.nbytes
-        return nbytes
-
-    def _account(self, phase: Phase, nbytes: int, pulled: int, skipped: int):
-        """Add one wave's strip counts to the step's."""
-        self._pulled_step += pulled
-        self._skipped_step += skipped
-        if self.tracer and nbytes:
-            self.tracer.counter(
-                "halo_bytes", nbytes, cat="comm", step=self._step,
-                phase=phase.name,
-            )
-
-    # -- the gated waves ----------------------------------------------------
-
-    def _pull_wave(self, keys, marks, cleans) -> tuple[int, int, int]:
-        """One gated REPLACE wave over the per-route dirty flags of the
-        waves in ``marks`` (this wave's first).  A strip the source's
-        published activity box touches turns dirty for every wave in
-        ``marks``; the wave pulls the strips dirty for it, which cleans
-        them for the waves in ``cleans``.  Returns (bytes, pulled,
-        skipped)."""
-        dirty = marks[0]
-        ndim = len(self.plan.origins[self.rank])
-        nbytes = pulled = 0
-        for i, route in enumerate(self.plan.replace):
-            if strip_live(
-                self._route_boxes[i], self.ctrl.read_region(route.src, ndim)
-            ):
-                for flags in marks:
-                    flags[i] = True
-            if dirty[i]:
-                nbytes += self._copy(route.src, route.region, keys)
-                for flags in cleans:
-                    flags[i] = False
-                pulled += 1
-        return nbytes, pulled, len(self.plan.replace) - pulled
-
-    def _early_open_pull(self) -> None:
-        """Gated open-wave ghost pulls in the pre-step quiescent window.
-
-        Every peer is parked at the step-start barrier, so its previous-
-        step fields are final and stay frozen until this worker arrives —
-        the barrier itself is the copies-done fence.  Liveness is judged
-        against the regions peers published *last* step (exactly the box
-        their writes since our previous pull were confined to), so a live
-        strip is stale for the in-step waves too.  OPEN_FIELDS covers the
-        concentrations, so a pull freshens the concentration wave's view
-        as well; the tissue/bound times are *not* in the open wave, so the
-        boundary wave stays dirty until it pulls them itself.  No ring
-        writes here (the coordinator is draining); telemetry is stashed
-        and accounted in the open_exchange phase body.
+        Every peer is parked at the step-start barrier, so its fields are
+        final and stay frozen until this worker arrives — the barrier is
+        the copies-done fence.  A strip is stale when its owner wrote into
+        it last step (the owned box the owner published) or this rank did
+        (:meth:`_writes_box`: the band's provisional values); the others
+        still hold the owner's bytes.  Timings are stashed for the open_exchange
+        phase body: no ring writes here (the coordinator is draining).
         """
         start = perf_counter()
-        pulls = self._pull_wave(
-            OPEN_FIELDS,
-            (self._dirty_open, self._dirty_bnd, self._dirty_conc),
-            (self._dirty_open, self._dirty_conc),
-        )
-        self._pending_open = (perf_counter() - start, *pulls)
-
-    def _open_exchange(self, phase: Phase, ctx):
-        """Account the pre-step pulls (see :meth:`_early_open_pull`): the
-        copies themselves already ran in the quiescent window.  The ghosts
-        are fresh, so the gate is stale: ``age_extravasate`` sweeps."""
-        seconds, *pulls = self._pending_open
-        self._pending_open = None
-        self.gate.stale = True
-        self._extra_seconds += seconds
-        self._account(phase, *pulls)
-
-    def _state_wave(self, phase: Phase, dirty) -> None:
-        """One gated in-step REPLACE wave of ``phase``'s fields."""
-        keys = [k for fs in phase.exchanges for k in self._keys(fs)]
-        self._account(phase, *self._pull_wave(keys, (dirty,), (dirty,)))
-
-    @staticmethod
-    def _keys(fs: FieldSet) -> list[str]:
-        prefix = "intent_" if fs.scope == "intent" else ""
-        return [prefix + name for name in fs.fields]
-
-    def _boundary_exchange(self, phase: Phase, ctx):
-        """Overlap: clear the intents and run the intents parts before the
-        fence — the region's core, whose stencil never leaves this rank's
-        non-ghost cells — then fence on peers and pull the T-cell strips
-        the boundary slabs need.  The clear is the dirty slab (region
-        grown by one voxel, united with last step's): the intents kernel
-        scatters bids one voxel outward, and the tiebreak's REPLACE copies
-        land in ghost cells of ``region_box().expand(1)`` — the same slab
-        — so every cell outside it still holds the sentinel a peer's pull
-        or max-merge expects."""
-        self._open_intents(ctx)
-        # Entry barrier: peers are done mutating T-cell fields; the next
-        # mutation (resolve) sits behind the tiebreak barrier, which every
-        # reader passes first.
-        self._phase_barrier(phase.name)
-        self._state_wave(phase, self._dirty_bnd)
-        # The ghosts may now hold neighbours' T cells: tcell_age's box is stale.
-        ctx.extras.pop("aged", None)
-
-    def _tiebreak_exchange(self, phase: Phase, ctx):
-        """The single tiebreak wave: entry barrier (everyone's intents are
-        final — raw arrays are never mutated after the intents phase),
-        then gated REPLACE pulls of neighbor intents cropped to the
-        one-voxel neighborhood resolve actually reads, then max-merge the
-        bid strips into this rank's *private* buffers.  No exit fence:
-        peers still copying read only raw arrays, whose next mutation
-        (next step's clear) sits behind the concentration barriers."""
-        self._phase_barrier(phase.name)
-        my_box = self.gate.region_box()
-        if my_box is None:
-            # No resolve this step: no intent ghosts are read.  Peers pull
-            # this rank's raw (fully cleared) arrays directly.
-            self._skipped_step += len(self.plan.replace) + len(self.plan.max_merge)
-            return
-        read_box = my_box.expand(1)
-        ndim = len(self.plan.origins[self.rank])
-        keys = [
-            k for fs in phase.exchanges if fs.merge is MergeMode.REPLACE
-            for k in self._keys(fs)
-        ]
+        ndim = self.spec.ndim
+        mine = self._written
         nbytes = pulled = 0
-        for route in self.plan.replace:
-            box = route.region.intersect(read_box)
-            if not box.is_empty and strip_live(
-                box, self.ctrl.read_region(route.src, ndim), dilate=1
-            ):
-                nbytes += self._copy(route.src, box, keys)
+        for route, src, dst in self._strips:
+            box = route.region
+            if (self._pull_all or strip_live(box, mine)
+                    or strip_live(box, self.ctrl.read_region(route.src, ndim))):
+                for s, d in zip(src, dst):
+                    d[...] = s
+                    nbytes += s.nbytes
                 pulled += 1
-        nbytes += self._merge_max_bids(read_box, ndim)
-        self._account(phase, nbytes, pulled, len(self.plan.replace) - pulled)
-
-    def _merge_max_bids(self, read_box: Box, ndim: int) -> int:
-        """Refresh the private merged-bid buffers: copy this rank's raw
-        bids over the resolve read neighborhood, then max-merge every live
-        neighbor strip (cropped to that neighborhood) on top.  Raw bid
-        arrays — this rank's and every peer's — are left untouched, which
-        is what makes the merge fence-free."""
-        if not self.plan.max_merge:
-            return 0
-        region = self.gate.region()
-        shape = self._merged_move_bid.shape
-        mr = tuple(
-            slice(max(0, s.start - 1), min(n, s.stop + 1))
-            for s, n in zip(region, shape)
+        self._pull_all = False
+        self._pending_open = (
+            perf_counter() - start, nbytes, pulled, len(self._strips) - pulled
         )
-        self._merged_move_bid[mr] = self.intents.move_bid[mr]
-        self._merged_bind_bid[mr] = self.intents.bind_bid[mr]
-        merged = {
-            "intent_move_bid": self._merged_move_bid,
-            "intent_bind_bid": self._merged_bind_bid,
-        }
-        trace = bool(self.tracer)
-        nbytes = 0
-        won = lost = 0
-        for route in self.plan.max_merge:
-            box = route.region.intersect(read_box)
-            if box.is_empty or not strip_live(
-                box, self.ctrl.read_region(route.src, ndim), dilate=1
-            ):
-                self._skipped_step += 1
-                continue
-            ssl, dsl = self._slices(route.src, box)
-            for key, buf in merged.items():
-                payload = self.arrays[route.src][key][ssl]
-                view = buf[dsl]
-                if trace:
-                    # A conflict is a boundary slot both sides bid on;
-                    # this rank loses where the incoming bid beats its own.
-                    contested = (payload > 0) & (view > 0)
-                    lost_here = int((contested & (payload > view)).sum())
-                    lost += lost_here
-                    won += int(contested.sum()) - lost_here
-                np.maximum(view, payload, out=view)
-                nbytes += payload.nbytes
-            self._pulled_step += 1
-        if trace and (won or lost):
-            self.tracer.counter("bids_won", won, step=self._step)
-            self.tracer.counter("bids_lost", lost, step=self._step)
-        return nbytes
 
-    def _concentration_exchange(self, phase: Phase, ctx):
-        """Entry barrier (production done everywhere), gated concentration
-        pulls, then — overlapping any peer still copying — the no-flux
-        mirror and the diffusion parts before the fence, into scratch.
-        The exit barrier fences the copies from the diffuse phase's
-        commit, which overwrites the owned strips peers read."""
-        self._phase_barrier(phase.name)
-        self._state_wave(phase, self._dirty_conc)
-        self._open_diffuse(ctx)
-        self._phase_barrier(phase.name)
-
-    def _resync(self, step: int) -> None:
-        """Honor a ghost-invalidation epoch bump (checkpoint restore wrote
-        fields behind the workers' backs): drop what was derived from the
-        old state (:meth:`state_restored`), re-pull every exchanged field
-        unconditionally, since every strip may be stale, then fence so no
-        rank starts mutating restored state a peer is still copying.
-        Every worker observes the same bump at the same step-start, so the
-        extra phase-barrier epoch stays in lock step."""
-        start = perf_counter()
-        self.state_restored()
-        keys = sorted({*OPEN_FIELDS, *BOUNDARY_FIELDS, *CONCENTRATION_FIELDS})
-        waves = (self._dirty_open, self._dirty_bnd, self._dirty_conc)
-        for flags in waves:
-            flags[:] = [True] * len(flags)
-        self._pulled_step += self._pull_wave(keys, waves, waves)[1]
-        self._phase_barrier("resync")
-        self._extra_seconds += perf_counter() - start
+    def exchange(self, phase: Phase, ctx) -> None:
+        """``open_exchange``: account the pull that ran before the step
+        (:meth:`_pull`) — a call even when it pulled nothing.  The gate is
+        stale when the pull changed the band — activity arriving from a
+        peer, which no sweep has seen — or when its period is due (what
+        ``tile_sweep`` does on one block): ``age_extravasate`` sweeps.
+        Between sweeps nothing but this rank's kernels writes its block,
+        so the single block's periodic rule holds."""
+        seconds, nbytes, pulled, skipped = self._pending_open
+        if pulled or ctx.step % self.gate.sweep_period == 0:
+            self.gate.stale = True
+        self._extra_seconds += seconds
+        self.ctrl.strips[self.rank, STRIPS_PULLED] += pulled
+        self.ctrl.strips[self.rank, STRIPS_SKIPPED] += skipped
+        if self.tracer and self._strips:
+            if nbytes:
+                self.tracer.counter(
+                    "halo_bytes", nbytes, cat="comm", step=ctx.step,
+                    phase=phase.name,
+                )
+            self.tracer.counter("strips_pulled", pulled, cat="comm", step=ctx.step)
+            self.tracer.counter("strips_skipped", skipped, cat="comm", step=ctx.step)
 
     # -- what a rank does differently ----------------------------------------
 
-    def _fence_parts(self, region):
-        """The stencil-safe core of ``region`` runs before the fence, the
-        boundary slabs after it (a region too thin for a core waits
-        whole: the slabs of a failed split do not tile it)."""
-        if region is None:
-            return (), ()
-        interior, slabs = split_interior_boundary(
-            region, self.block.virions.shape, self.block.ghost
-        )
-        return ((), (region,)) if interior is None else ((interior,), tuple(slabs))
+    def state_restored(self) -> None:
+        super().state_restored()
+        self._pull_all = True
 
     def _sweep(self) -> None:
         super()._sweep()
-        # Strip-liveness handshake: peers gate their pulls on this box.
-        # Published before this rank's boundary-entry barrier arrival, so
-        # every in-step reader (fenced behind that barrier) sees it; the
-        # next step's early pulls are fenced by step_end/step_start.
-        self.ctrl.publish_region(self.rank, self.gate.region_box())
+        self._since_sweep = 0
+        box = _crop(self.gate.region_box(), self.owned)
+        self._active = 0 if box is None else int(
+            np.count_nonzero(self.gate.mask[box.slices_from(self.block.owned.lo)])
+        )
         if self.tracer:
             self.tracer.gauge(
-                "active_voxels", self.gate.count, cat="gating", step=self._step
+                "active_voxels", self._active, cat="gating", step=self._step
             )
 
     def phase_reduce(self, ctx):
-        # This rank's integer statistics, counted in parallel with its
-        # peers; the coordinator adds them (exact in any order).  The
+        # This rank's owned integer statistics, counted in parallel with
+        # its peers; the coordinator adds them (exact in any order).  The
         # float totals are the coordinator's: their bits depend on the
         # solo layout.
         self.ctrl.results[self.rank, RES_COUNTS] = self.reducer.counts(

@@ -14,9 +14,11 @@ backend that runs numpy kernels over region slices:
   because nothing in SIMCoV moves faster than one voxel per step;
 - **refresh mode** (``sweep_period == 1``): the per-voxel mask is
   recomputed every step and dilated by one voxel — the CPU active-list of
-  §2.2, which every ``repro.dist`` rank runs after its start-of-step
-  ghost exchange so activity arriving from a neighbor rank is seen in
-  time.
+  §2.2.
+
+A ``repro.dist`` rank runs the periodic mode over its owned voxels and
+ghost band, and sweeps early whenever its start-of-step pull changed the
+band, so activity arriving from a neighbor rank is seen in time.
 
 A block may carry a leading member axis (an
 :class:`~repro.core.state.EnsembleBlock`): the sweep then runs over the
@@ -124,6 +126,10 @@ class ActivityGate:
         self._full_region = self._lead + tuple(
             slice(block.ghost, block.ghost + s) for s in owned
         )
+        #: Depth of the block's outer shell every sweep examines (see
+        #: :meth:`_examined`): the ghost ring, and on a dist rank the
+        #: whole ghost band its pulls land in.
+        self.shell = block.ghost
         self._spatial_axes = tuple(range(len(lead), len(block.shape)))
         #: The raw activity mask, padded shape, kept between sweeps: False
         #: wherever a sweep reads it.  Allocated by the first sweep, so a
@@ -151,6 +157,10 @@ class ActivityGate:
         #: Active voxels of each member (a scalar on a solo block).
         self.member_counts = self._mask.sum(axis=self._spatial_axes)
         self._region: tuple[slice, ...] | None = self._full_region
+        #: Spatial padded slices bounding the raw activity the last sweep
+        #: found (None: none); the whole interior until one has run.  A
+        #: dist rank bounds each step's writes with it.
+        self.hull = self._full_region[len(self._lead):]
         #: No sweep has seen the block's current state; cleared by
         #: :meth:`sweep`.
         self.stale = True
@@ -190,7 +200,7 @@ class ActivityGate:
         if self._raw is None:
             self._raw = np.zeros(block.shape, dtype=bool)
         native = block.xp.native
-        hull = self._fill_raw(native)
+        hull = self.hull = self._fill_raw(native)
         self._mask[self._window] = False
         self._window = (slice(0, 0),)
         if hull is None:
@@ -268,13 +278,14 @@ class ActivityGate:
         activity can reach before the next sweep (one voxel per step: the
         one-voxel dilation in refresh mode, the one-tile buffer over at
         most a tile side of steps in periodic mode) — the invariant gating
-        itself rests on.  Ghost voxels are written by exchanges, not
-        kernels, so a neighbour's activity arrives on the ghost faces.
-        Hence: the region grown by the ghost width, plus the ``2 * ndim``
-        faces.  State written behind the gate's back (a restore) breaks
-        the premise; :meth:`reset` restores it.
+        itself rests on.  Pulls, not kernels, write the outer
+        :attr:`shell` (a dist rank's ghost band), so a neighbour's
+        activity arrives there.  Hence: the region grown by the ghost
+        width, plus the ``2 * ndim`` faces of the shell.  State written
+        behind the gate's back (a restore) breaks the premise;
+        :meth:`reset` restores it.
         """
-        g, nlead = self.block.ghost, len(self._lead)
+        g, h, nlead = self.block.ghost, self.shell, len(self._lead)
         spatial = self.block.shape[nlead:]
         if self._region is not None:
             yield self._lead + tuple(
@@ -282,7 +293,7 @@ class ActivityGate:
                 for s, n in zip(self._region[nlead:], spatial)
             )
         for axis, n in enumerate(spatial):
-            for face in (slice(0, g), slice(n - g, n)):
+            for face in (slice(0, min(h, n)), slice(max(n - h, 0), n)):
                 yield self._lead + tuple(
                     face if a == axis else slice(0, m)
                     for a, m in enumerate(spatial)

@@ -6,25 +6,23 @@ ordered list of :class:`Phase` objects from one canonical order.  Two
 schedules run: the single block's (solo and ensemble) and the dist
 rank's, which the coordinator runs too (its names index the control block):
 
-====================== ======== ====== =====================================
-phase                  kind     runs   semantics
-====================== ======== ====== =====================================
-open_exchange          exchange dist   start-of-step ghost strips
-age_extravasate        kernel   both   T-cell aging + vascular extravasation
-boundary_exchange      exchange dist   post-extravasation occupancy + moves
-intents                kernel   both   T-cell bind/move target choice + bids
-tiebreak_exchange      exchange dist   the single tiebreak wave of §3.1
-resolve                kernel   both   assign winners, execute moves + binds
-epithelial             kernel   both   infection, state timers, production
-concentration_exchange exchange dist   post-production concentration strips
-diffuse                kernel   both   stencil diffusion + decay
-reduce                 kernel   both   statistics reduction
-tile_sweep             kernel   single periodic tile-activation sweep (§3.2)
-====================== ======== ====== =====================================
+=============== ======== ====== ==========================================
+phase           kind     runs   semantics
+=============== ======== ====== ==========================================
+open_exchange   exchange dist   the one ghost-band pull, before the step
+age_extravasate kernel   both   T-cell aging + vascular extravasation
+intents         kernel   both   T-cell bind/move target choice + bids
+resolve         kernel   both   the §3.1 tiebreak: winners move and bind
+epithelial      kernel   both   infection, state timers, production
+diffuse         kernel   both   stencil diffusion + decay
+reduce          kernel   both   statistics reduction
+tile_sweep      kernel   single periodic tile-activation sweep (§3.2)
+=============== ======== ====== ==========================================
 
 A backend lists only the phases it executes: one block has no exchange
-(its ghosts only mirror the no-flux boundary), and a rank's gate
-refreshes every step.  The :class:`~repro.engine.engine.StepEngine` times
+(its ghosts only mirror the no-flux boundary), and a rank — the same
+kernel phases over its owned voxels and a ghost band one step deep —
+exchanges once and sweeps its gate at the top of ``age_extravasate``.  The :class:`~repro.engine.engine.StepEngine` times
 each phase into one row of its :class:`~repro.engine.metrics.PhaseMetrics`.
 """
 
@@ -93,12 +91,9 @@ def exchange(name: str, *field_sets: FieldSet, doc: str = "") -> Phase:
 PHASE_ORDER = (
     "open_exchange",
     "age_extravasate",
-    "boundary_exchange",
     "intents",
-    "tiebreak_exchange",
     "resolve",
     "epithelial",
-    "concentration_exchange",
     "diffuse",
     "reduce",
     "tile_sweep",

@@ -30,50 +30,77 @@ import numpy as np
 from repro.core import kernels
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
-from repro.core.stats import RegionReducer
+from repro.core.stats import RegionReducer, crop
 from repro.engine.activity import ActivityGate, bounding_box
 from repro.engine.backend import ExecutionBackend
 from repro.engine.phases import Phase, kernel
 
 
-def _within(parts, box) -> list[tuple[slice, ...]]:
-    """Each part cropped to ``box``; the parts it misses are dropped."""
-    out = []
-    for part in parts:
-        crop = tuple(
-            slice(max(a.start, b.start), min(a.stop, b.stop))
-            for a, b in zip(part, box)
-        )
-        if all(s.start < s.stop for s in crop):
-            out.append(crop)
-    return out
+#: What each kernel phase reads around a voxel to write it, in voxels
+#: (Chebyshev distance), in schedule order: ``{phase: {written: {read:
+#: radius}}}`` over the T-cell fields ``T``, the epithelial fields ``E``,
+#: the concentrations ``C`` and the intents — a T cell's own choice ``M``
+#: (at its voxel) and the bids ``B`` (at their target).  A choice reads
+#: its Moore neighbourhood; a bid comes from a neighbour's choice; a
+#: mover reads its target's bid and an arrival its contenders' choices
+#: and payload; a bind lands where its bid does; diffusion reads the
+#: face neighbours.  Everything else is pointwise.
+READS = {
+    "age_extravasate": {"T": {"T": 0, "C": 0}},
+    "intents": {"M": {"T": 1, "E": 1}, "B": {"T": 1, "E": 2}},
+    "resolve": {"T": {"T": 1, "M": 1, "B": 1}, "E": {"E": 0, "B": 0}},
+    "epithelial": {"E": {"E": 0, "C": 0}, "C": {"E": 0, "C": 0}},
+    "diffuse": {"C": {"C": 1}},
+}
+
+
+def step_reach() -> int:
+    """How far one step's update of a voxel reads the state the step
+    started from: the radius of its dependency cone, folded from
+    :data:`READS` (3: the mover's target bid, its contender one voxel
+    further, and that contender's Moore neighbourhood).
+
+    A block that holds every voxel within this distance of the voxels it
+    owns, at their step-start values, computes those voxels' next state
+    itself: the width of a dist rank's ghost band
+    (:class:`~repro.dist.worker.RankBackend`).  Its outermost layer is the
+    block's ghost ring, which the kernels read but never update; what
+    they read there — a contender's bind candidates, unwritten before
+    ``resolve``, and a move target's occupancy, which decides only
+    whether a bid lands on the ring itself — reaches no owned voxel.
+    """
+    reach = {"T": 0, "E": 0, "C": 0}
+    for writes in READS.values():
+        reach.update({
+            field: max(reach[read] + radius for read, radius in reads.items())
+            for field, reads in writes.items()
+        })
+    return max(reach["T"], reach["E"], reach["C"])
 
 
 class SingleBlockBackend(ExecutionBackend):
     """Whole-domain semantics, active-region execution, canonical order.
 
-    The two stencil bodies that a halo exchange can overlap, ``intents``
-    and ``diffuse``, run over a list of *parts* that :meth:`_fence_parts`
-    splits from the region: the parts that need no fresh ghosts, run
-    before the halo fence, and the parts that wait for it.  One block has
-    no fence, so everything runs after it, in the kernel phase; a dist
-    rank (:class:`~repro.dist.worker.RankBackend`) runs the first parts in
-    its exchange and leaves the rest to the same phase bodies.
+    A dist rank (:class:`~repro.dist.worker.RankBackend`) is this backend
+    over its owned voxels plus a ghost band :func:`step_reach` deep: the
+    same bodies, with its tallies, statistics and published box cropped
+    to the voxels it owns (:attr:`counted`).
     """
 
     def _init_block(
         self, block, min_chemokine, active_gating, tile_shape, sweep_period,
-        intents=None,
+        counted=None,
     ) -> None:
-        """Shared constructor epilogue: intents, scratch arrays and the gate."""
+        """Shared constructor epilogue: intents, scratch arrays and the gate.
+
+        ``counted`` is the box (padded slices) of the voxels this block
+        accounts for: None for all of them, a dist rank's owned box
+        inside its band.
+        """
         xp = block.xp
         self.block = block
-        self.intents = (
-            kernels.IntentArrays(block.shape, xp=xp) if intents is None else intents
-        )
-        #: What ``resolve`` reads the intents through: the raw arrays here,
-        #: merged neighbour bids on a dist rank.
-        self._resolve_intents = self.intents
+        self.counted = counted
+        self.intents = kernels.IntentArrays(block.shape, xp=xp)
         self._scratch_v = xp.zeros_like(block.virions)
         self._scratch_c = xp.zeros_like(block.chemokine)
         self.gate = ActivityGate(
@@ -83,7 +110,7 @@ class SingleBlockBackend(ExecutionBackend):
             tile_shape=tile_shape,
             enabled=active_gating,
         )
-        self.reducer = RegionReducer(block)
+        self.reducer = RegionReducer(block, counted)
 
     # -- schedule ------------------------------------------------------------
 
@@ -99,57 +126,9 @@ class SingleBlockBackend(ExecutionBackend):
             kernel("tile_sweep", doc="periodic active-region sweep (§3.2)"),
         )
 
-    # -- the overlapped bodies -----------------------------------------------
-
-    def _fence_parts(self, region) -> tuple[tuple, tuple]:
-        """``region`` split into the parts a stencil kernel may run before
-        the halo fence and the parts that wait for fresh ghosts (none of
-        either when idle).  One block has no fence: all of it waits."""
-        return (), (() if region is None else (region,))
-
-    def _open_intents(self, ctx, written=None) -> tuple:
-        """Clear last step's intents and mark what this step's may reach
-        (``written``, the T cells' box — given only where it is known this
-        early — else the region, :meth:`IntentArrays.clear`) and run the
-        intents parts before the fence; returns the parts after it.
-        Runs once a step, at the first call: in a rank's exchange, or at
-        the top of :meth:`phase_intents`."""
-        after = ctx.extras.get("intents")
-        if after is None:
-            region = self.gate.region()
-            if region is None or written is None:
-                written = () if region is None else region
-            self.intents.clear(written)
-            before, after = self._fence_parts(region)
-            self._intents(ctx, before)
-            ctx.extras["intents"] = after
-        return after
-
-    def _open_diffuse(self, ctx) -> tuple:
-        """Mirror the no-flux ghosts and diffuse the parts before the fence
-        into scratch; returns the parts after it.  Once a step, like
-        :meth:`_open_intents`."""
-        after = ctx.extras.get("diffuse")
-        if after is None:
-            region = self.gate.region()
-            before, after = self._fence_parts(region)
-            if region is not None:
-                kernels.mirror_fields(self.block)
-            self._diffuse(before)
-            ctx.extras["diffuse"] = after
-        return after
-
-    def _intents(self, ctx, parts) -> None:
-        for part in parts:
-            kernels.tcell_intents(
-                self.params, self.rng, ctx.step, self.block, self.intents, part
-            )
-
-    def _diffuse(self, parts) -> None:
-        for part in parts:
-            kernels.concentration_update(
-                self.params, self.block, part, self._scratch_v, self._scratch_c
-            )
+    def _counted_part(self, region) -> tuple[slice, ...] | None:
+        """The part of ``region`` this block accounts for (None: none)."""
+        return region if self.counted is None else crop(region, self.counted)
 
     # -- kernel phases -------------------------------------------------------
 
@@ -164,13 +143,12 @@ class SingleBlockBackend(ExecutionBackend):
             return False
         ctx.extras["aged"] = kernels.tcell_age(self.block, region)
         ctx.extravasations = kernels.apply_extravasation(
-            self.params, self.block, ctx.attempts, region
+            self.params, self.block, ctx.attempts, region, self.counted
         )
 
     def _tcell_box(self, ctx, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
-        """Tight box around the T cells that can bid into ``region`` — those
-        in it or in the ghost layer around it — or None if there are none
-        (on a batched block: in any member).
+        """Tight box around the T cells in ``region``, or None if there are
+        none (on a batched block: in any member).
 
         The gate region covers the *chemokine* footprint, which is
         typically far wider than the T-cell cloud — and the T-cell kernels
@@ -181,38 +159,37 @@ class SingleBlockBackend(ExecutionBackend):
         produces no intent, and outside its one-voxel margin no move and
         no bind.  The box is the one ``tcell_age`` found — every T cell
         lies in the region (the gate's invariant) — unless a T cell entered
-        the tissue since, or the ghosts may hold one: a single block's never
-        do (``mirror_fields`` mirrors only the concentrations), a rank's
-        hold its neighbours' once the boundary wave has landed (which drops
-        ``tcell_age``'s box), and their bids into this rank's voxels must be
-        resolved here even when it owns no T cell.  Then a pass over the
-        region and its ghost layer finds it.  With gating disabled the box
-        is ``region`` itself, so the whole-domain reference stays
-        whole-domain.
+        the tissue since, which the extravasation tally tells only where it
+        counts the whole region.  Then a pass over the region finds it.  (A
+        T cell in the ghost layer — on a dist rank, a neighbour's, pulled —
+        makes no intent: it lies outside the region.)  With gating
+        disabled the box is ``region`` itself, so the whole-domain
+        reference stays whole-domain.
         """
         if not self.gate.enabled:
             return region
         first = len(region) - self.block.spec.ndim
-        if "aged" in ctx.extras and not np.any(ctx.extravasations):
+        counted = self._counted_part(region) == region
+        if "aged" in ctx.extras and counted and not np.any(ctx.extravasations):
             box = ctx.extras["aged"]
         else:
-            g = self.block.ghost
-            grown = region[:first] + tuple(
-                slice(s.start - g, s.stop + g) for s in region[first:]
-            )
-            present = self.block.xp.asnumpy(self.block.tcell[grown]) != 0
-            box = bounding_box(present, [s.start for s in grown[first:]])
+            present = self.block.xp.asnumpy(self.block.tcell[region]) != 0
+            box = bounding_box(present, [s.start for s in region[first:]])
         return None if box is None else region[:first] + box
 
     def phase_intents(self, ctx):
         region = self.gate.region()
         box = None if region is None else self._tcell_box(ctx, region)
-        after = self._open_intents(ctx, box or ())
+        # Last step's intents go, and the slab this step's may reach is
+        # marked (:meth:`~repro.core.kernels.IntentArrays.clear`).
+        self.intents.clear(box or ())
         if region is None:
             return False
         ctx.extras["tcell_box"] = box
         if box is not None:
-            self._intents(ctx, _within(after, box))
+            kernels.tcell_intents(
+                self.params, self.rng, ctx.step, self.block, self.intents, box
+            )
 
     def phase_resolve(self, ctx):
         region = self.gate.region()
@@ -228,10 +205,10 @@ class SingleBlockBackend(ExecutionBackend):
             slice(max(s.start - 1, base.start), min(s.stop + 1, base.stop))
             for s, base in zip(box, region)
         )
-        ctx.moves = kernels.resolve_moves(self.block, self._resolve_intents, box)
+        ctx.moves = kernels.resolve_moves(self.block, self.intents, box, self.counted)
         ctx.binds = kernels.resolve_binds(
-            self.params, self.rng, ctx.step, self.block, self._resolve_intents,
-            box,
+            self.params, self.rng, ctx.step, self.block, self.intents, box,
+            self.counted,
         )
 
     def phase_epithelial(self, ctx):
@@ -244,11 +221,13 @@ class SingleBlockBackend(ExecutionBackend):
         kernels.production_update(self.params, self.block, region, step=ctx.step)
 
     def phase_diffuse(self, ctx):
-        after = self._open_diffuse(ctx)
         region = self.gate.region()
         if region is None:
             return False
-        self._diffuse(after)
+        kernels.mirror_fields(self.block)
+        kernels.concentration_update(
+            self.params, self.block, region, self._scratch_v, self._scratch_c
+        )
         kernels.concentration_commit(
             self.params, self.block, [region], self._scratch_v,
             self._scratch_c, step=ctx.step,
@@ -268,6 +247,9 @@ class SingleBlockBackend(ExecutionBackend):
         self.reducer.rebase(self.gate.region())
 
     def state_restored(self) -> None:
+        # The mirrored no-flux ghosts derive from the rewritten interior:
+        # re-derive them, or a sweep would take the old ones for activity.
+        kernels.mirror_fields(self.block)
         self.gate.reset()
         self.reducer.reset()
 

@@ -108,9 +108,13 @@ class HaloExchanger:
     decomp:
         The domain decomposition.
     ghost:
-        Halo width in voxels (SIMCoV needs 1: nothing moves or diffuses
-        farther than one voxel per step — the same invariant memory tiling
-        relies on, §3.2).
+        Halo width in voxels.  A halo exchanged between every kernel
+        needs 1 — nothing moves or diffuses farther than one voxel per
+        step, the invariant memory tiling relies on (§3.2) — and that is
+        what the modeled GPU and CPU waves ship.  A dist rank pulls once
+        a step and computes the rest itself, so its halo is one step's
+        whole dependency cone deep
+        (:func:`~repro.engine.sequential.step_reach`).
     on_message:
         Optional callback ``(src_rank, dst_rank, nbytes)`` invoked for every
         point-to-point message, used by the perf model to account

@@ -139,7 +139,7 @@ def summarize(events: list[Event]) -> dict:
             {
                 "phase_seconds": 0.0,
                 "barrier_seconds": 0.0,
-                "_in_phase_barrier": 0.0,
+                "_waited_in_phase": 0.0,
             },
         )
         if e.cat == "phase":
@@ -152,9 +152,9 @@ def summarize(events: list[Event]) -> dict:
                 e.name not in ("step_start", "step_end")
                 or e.attrs.get("in_phase")
             ):
-                per_rank["_in_phase_barrier"] += e.dur
+                per_rank["_waited_in_phase"] += e.dur
     busy = {
-        r: v["phase_seconds"] - v.pop("_in_phase_barrier")
+        r: v["phase_seconds"] - v.pop("_waited_in_phase")
         for r, v in ranks.items()
     }
     # Imbalance covers compute lanes only — negative ranks are

@@ -1,11 +1,12 @@
 """Unit + regression tests for the fused-epoch barrier protocol.
 
 The :class:`ShmBarrier` is a versioned arrival vector: slots only grow,
-so any number of phases can share one vector per epoch with no reset
+so any number of barriers can share one vector per epoch with no reset
 round — the property barrier fusion leans on.  These tests drive the
-protocol in process (no worker spawn) and then pin the fused per-step
-barrier budget on a real run: 4 phase waits + 2 step waits, down from
-the seed protocol's 6 + 2.
+protocol in process (no worker spawn) and then pin the per-step barrier
+budget on a real run: the 2 step waits and nothing else, down from the
+seed protocol's 6 + 2 (each rank computes its ghost band itself, so no
+barrier sits inside a step).
 """
 
 import numpy as np
@@ -24,9 +25,7 @@ from repro.dist.worker import dist_schedule
 
 PHASES = tuple(p.name for p in dist_schedule())
 
-#: The fused protocol's per-step phase-barrier budget (boundary entry,
-#: tiebreak entry, concentration entry + exit) and step-barrier budget.
-FUSED_PHASE_WAITS = 4
+#: The per-step barrier budget: step start + step end.
 STEP_WAITS = 2
 SEED_TOTAL_WAITS = 8
 
@@ -46,15 +45,16 @@ def test_multi_phase_epochs_share_one_vector(ctrl):
     """Consecutive barriers reuse the vector with no reset phase: each
     wait bumps this party's epoch, and a peer pre-advanced through many
     phases satisfies every older epoch."""
+    epochs = 2 * STEP_WAITS
     slots = np.zeros(2, dtype=np.int64)
     bar = ShmBarrier(slots, 0, ctrl)
-    slots[1] = FUSED_PHASE_WAITS  # the peer already ran its whole step
-    for expected in range(1, FUSED_PHASE_WAITS + 1):
+    slots[1] = epochs  # the peer already ran two whole steps
+    for expected in range(1, epochs + 1):
         bar.wait(timeout=1.0)
         assert bar.epoch == expected
         assert slots[0] == expected
     # Our own slot never decreased — there is no reset to race with.
-    assert slots[0] == FUSED_PHASE_WAITS
+    assert slots[0] == epochs
 
 
 def test_out_of_order_arrival_is_monotonic(ctrl):
@@ -81,18 +81,17 @@ def test_timeout_attribution_names_rank_phase_step(ctrl):
     """A timeout dump must single out the stalled rank with the phase
     name and step it last reported."""
     slots = np.zeros(2, dtype=np.int64)
-    bar = ShmBarrier(slots, 0, ctrl, label="phase barrier")
-    stalled_phase = PHASES.index("tiebreak_exchange")
-    ctrl.set_status(0, step=7, phase=stalled_phase)
-    ctrl.set_status(1, step=7, phase=stalled_phase)
+    bar = ShmBarrier(slots, 0, ctrl, label="step barrier")
+    ctrl.set_status(0, step=7, phase=PHASES.index("reduce"))
+    ctrl.set_status(1, step=7, phase=PHASES.index("resolve"))
     ctrl.heartbeat[1] = 0.0  # rank 1 has not heartbeat since the epoch
     with pytest.raises(BarrierTimeoutError) as err:
         bar.wait(timeout=0.05)
     msg = str(err.value)
-    assert "phase barrier" in msg
+    assert "step barrier" in msg
     assert "missing rank 1" in msg
     assert "rank 0" not in msg  # the healthy arrival is not blamed
-    assert "tiebreak_exchange" in msg
+    assert "'resolve'" in msg
     assert "step 7" in msg
 
 
@@ -116,27 +115,27 @@ def test_abort_unblocks_waiter(ctrl):
 
 
 def test_per_step_barrier_count_is_fused():
-    """Regression gate for barrier fusion: a real run must spend exactly
-    4 phase-barrier epochs and 2 step-barrier epochs per step.  The seed
-    protocol spent 6 + 2; open-wave exit, the tiebreak mid-wave fence
-    and the boundary-entry double all collapsed into existing barriers.
-    """
+    """Regression gate for barrier fusion: a real run crosses exactly the
+    2 step-barrier epochs per step, and the control segment has no other
+    barrier vector.  The seed protocol spent 6 + 2; the open-wave exit
+    and every mid-step wave collapsed into the step barriers once each
+    rank computes its ghost band itself."""
     from repro.core.params import SimCovParams
 
     steps = 6
     params = SimCovParams.fast_test(dim=(24, 24), num_infections=1)
     with DistSimCov(params, nranks=2, seed=9) as sim:
         sim.run(steps)
-        phase_slots = sim.backend.runtime.ctrl.phase_bar.copy()
-        step_slots = sim.backend.runtime.ctrl.step_bar.copy()
-    assert list(phase_slots) == [FUSED_PHASE_WAITS * steps] * 2
+        ctrl = sim.backend.runtime.ctrl
+        step_slots = ctrl.step_bar.copy()
+        vectors = [k for k in ctrl.segment.arrays if k.endswith("_bar")]
+    assert vectors == ["step_bar"]
     # Coordinator slot: exactly 2 epochs per step.  Worker slots may
     # already show the *next* step's arrival (they park at step-start).
     assert step_slots[2] == STEP_WAITS * steps
     for worker_slot in step_slots[:2]:
         assert STEP_WAITS * steps <= worker_slot <= STEP_WAITS * steps + 1
-    total_per_step = FUSED_PHASE_WAITS + STEP_WAITS
-    assert total_per_step < SEED_TOTAL_WAITS
+    assert STEP_WAITS < SEED_TOTAL_WAITS
 
 
 def _parties(ctrl, n=2):

@@ -17,7 +17,7 @@ from repro.dist.shm import (
     live_segment_names,
     make_segment_name,
 )
-from repro.engine.phases import PhaseKind, validate_schedule
+from repro.engine.phases import validate_schedule
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger
 from repro.grid.spec import GridSpec
@@ -111,18 +111,13 @@ class TestBlockFromArrays:
             seg.close()
 
     def test_intents_from_arrays_sentinels(self):
-        name = make_segment_name("t_intent")
-        seg = ShmSegment.create(name, block_layout((4, 4)))
-        try:
-            arrays = {
-                f: seg.arrays[f"intent_{f}"] for f in IntentArrays.FIELD_DTYPES
-            }
-            intents = IntentArrays.from_arrays(arrays, fresh=True)
-            assert (intents.move_dir == -1).all()
-            assert (intents.bind_dir == -1).all()
-            assert not intents.bid_self.any()
-        finally:
-            seg.close()
+        """Intents are a rank's private scratch: the shared segment holds
+        the block's fields only, and fresh intents hold the sentinels."""
+        assert [f for f, _, _ in block_layout((4, 4))] == list(VoxelBlock.FIELD_DTYPES)
+        intents = IntentArrays((4, 4))
+        assert (intents.move_dir == -1).all()
+        assert (intents.bind_dir == -1).all()
+        assert not intents.bid_self.any()
 
 
 class TestPullPlan:
@@ -187,24 +182,25 @@ class TestDriverSurface:
             assert len(sim.step_work[0]["active_per_rank"]) == 2
 
     def test_only_exchanges_wait(self):
-        """Every barrier wait sits in an exchange phase or a step barrier:
-        a kernel phase is a shared single-block body, and the benchmark
-        counts its seconds as busy time."""
+        """No phase waits, the exchange included: every barrier wait sits
+        in a step barrier.  A kernel phase is a shared single-block body,
+        and the one pull runs before the step-start barrier."""
         params = SimCovParams.fast_test(
             dim=(24, 24), num_infections=2, num_steps=8
         )
         with DistSimCov(params, nranks=4, seed=3) as sim:
             sim.run(8)
             waits = sim.backend.runtime.per_rank_wait_seconds()
-        kernels = [p.name for p in dist_schedule() if p.kind is PhaseKind.KERNEL]
-        assert kernels and all(waits[name] == [0.0] * 4 for name in kernels)
-        assert sum(waits["tiebreak_exchange"]) > 0.0
+        names = [p.name for p in dist_schedule()]
+        assert "open_exchange" in names
+        assert all(waits[name] == [0.0] * 4 for name in names)
+        assert sum(waits["step_start"]) + sum(waits["step_end"]) > 0.0
 
     def test_a_phase_holds_its_waits(self):
-        """A phase's seconds hold the barrier waits it crossed: an exchange
-        that pulled no strip still counts as a call, so busy time (seconds
-        minus wait) is never negative.  Rank 1 is late to every tiebreak,
-        so rank 0 waits there on the steps it has no live region."""
+        """A phase's seconds hold the waits charged to it, so busy time
+        (seconds minus wait) is never negative.  Rank 1 is late in every
+        step, so rank 0 waits for it — at the step barriers, outside
+        every phase, whose in-phase waits stay 0."""
         from repro.dist.worker import FaultSpec
 
         params = SimCovParams.fast_test(
@@ -222,6 +218,7 @@ class TestDriverSurface:
                     assert waits[name][rank] <= seconds.get(name, 0.0), (
                         rank, name
                     )
+            assert sum(waits["step_end"]) > 0.0
 
     def test_step_by_step_matches_run(self):
         params = SimCovParams.fast_test(

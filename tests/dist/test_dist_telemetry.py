@@ -69,17 +69,13 @@ class TestDistEventStream:
             assert len(spans) == steps * nphases, f"rank {r}"
             assert all(e.attrs.get("backend", "dist") == "dist" for e in spans)
 
-        # Barrier waits: phase barriers + step barriers, per rank.  The
-        # fused protocol has no open_exchange barrier (the step-start
-        # barrier is the open wave's exit fence), so exactly these names
-        # appear — "open_exchange" reappearing here would mean a fusion
+        # Barrier waits: the step barriers only, per rank.  No barrier
+        # sits inside a step (the step-start barrier is the pull's exit
+        # fence), so a phase name reappearing here would mean a fusion
         # regression.
         barriers = ring.spans("barrier")
         names = {e.name for e in barriers}
-        assert names == {
-            "boundary_exchange", "tiebreak_exchange",
-            "concentration_exchange", "step_start", "step_end",
-        }
+        assert names == {"step_start", "step_end"}
         assert {e.rank for e in barriers} == {-1, *range(NRANKS)}
 
         # Halo pulls are visible as byte counters on worker lanes.

@@ -267,11 +267,11 @@ class TestOneImplementation:
         "name",
         [f"phase_{p}" for p in (
             "age_extravasate", "intents", "resolve", "epithelial", "diffuse",
-        )] + ["_intents", "_diffuse", "_open_intents", "_open_diffuse", "_tcell_box"],
+        )] + ["_tcell_box", "_counted_part"],
     )
     def test_rank_shares_each_kernel_body(self, name):
-        """A dist rank runs the single-block bodies; its exchanges sit
-        between the calls, not inside them."""
+        """A dist rank runs the single-block bodies over its owned voxels
+        and ghost band; its one exchange sits before the step."""
         from repro.dist.worker import RankBackend
         from repro.engine.sequential import SingleBlockBackend
 
@@ -279,13 +279,20 @@ class TestOneImplementation:
 
     def test_rank_spells_only_its_reduce(self):
         """Of the phase bodies, a rank spells only ``reduce`` (integer
-        counts for the coordinator); the rest of what it overrides is the
-        exchange, the fence split and the sweep's box publication."""
+        counts for the coordinator); the rest of what it overrides is its
+        one exchange, the sweep's box publication and the restore hook."""
         from repro.dist.worker import RankBackend
+        from repro.engine.sequential import SingleBlockBackend
 
         own = sorted(name for name in vars(RankBackend) if name.startswith("phase_"))
         assert own == ["phase_reduce"]
-        assert {"exchange", "_fence_parts", "_sweep"} <= set(vars(RankBackend))
+        overridden = {
+            name for name in vars(RankBackend)
+            if not name.startswith("__") and callable(getattr(SingleBlockBackend, name, None))
+        }
+        assert overridden == {
+            "schedule", "exchange", "_sweep", "state_restored", "phase_reduce",
+        }
 
     def test_engine_step_loop_is_not_overridden(self):
         from repro.engine.engine import StepEngine

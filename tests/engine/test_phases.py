@@ -84,7 +84,7 @@ def test_describe_schedule_lists_every_phase():
         minimal_schedule()
         + (
             exchange(
-                "concentration_exchange",
+                "open_exchange",
                 FieldSet("state", ("virions",), MergeMode.REPLACE),
             ),
         )

@@ -1,19 +1,23 @@
 """Property test: activity-gated halo exchange never changes ghost data.
 
-The dist workers skip pulling any strip whose source rank published an
-activity bounding box that misses the route (``strip_live``).  That is
-sound only if every kernel's writes are confined to the published box —
-then a skipped strip provably holds the same bytes it was left with by
-the previous pull.  This test drives exactly that contract in process:
-random decompositions at 2 and 4 ranks, random per-rank activity boxes
-(including idle ranks), writers that respect their box, and a bitwise
-comparison of gated-skip against always-exchange — plus the all-dead and
-all-live edge cases explicitly.
+The dist workers skip pulling any band strip that neither its source
+rank's published box (its writes to the voxels it owns) nor the reader's
+own region (its provisional writes to its band) touches
+(``strip_live``).  That is sound only if every kernel's writes are
+confined to the region — then a skipped strip provably still holds the
+owner's bytes from the previous pull.  This test drives exactly that
+contract in process: random decompositions at 2 and 4 ranks, halos of
+width 1 and of a dist rank's band (one step's reach), random per-rank
+activity boxes (including idle ranks, and boxes reaching into the
+reader's band), writers that respect their box, and a bitwise comparison
+of gated-skip against always-exchange — plus the all-dead and all-live
+edge cases explicitly.
 """
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine.sequential import step_reach
 from repro.grid.box import Box
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger, strip_live
@@ -26,10 +30,10 @@ SETTINGS = settings(
 )
 
 
-def _build(shape, nranks, kind):
+def _build(shape, nranks, kind, ghost=1):
     spec = GridSpec(shape)
     decomp = Decomposition.make(spec, nranks, kind)
-    return HaloExchanger(decomp, ghost=1)
+    return HaloExchanger(decomp, ghost=ghost)
 
 
 def _sub_box(draw, box: Box) -> Box:
@@ -48,16 +52,18 @@ def _scenario(draw):
     kind = draw(st.sampled_from(list(DecompositionKind)))
     w = draw(st.integers(8, 20))
     h = draw(st.integers(8, 20))
-    ex = _build((w, h), nranks, kind)
+    ex = _build((w, h), nranks, kind, draw(st.sampled_from([1, step_reach()])))
     regions = []
     for rank in range(ex.decomp.nranks):
-        mode = draw(st.sampled_from(["idle", "full", "sub"]))
+        mode = draw(st.sampled_from(["idle", "full", "sub", "band"]))
         if mode == "idle":
             regions.append(None)
         elif mode == "full":
             regions.append(ex.decomp.boxes[rank])
-        else:
+        elif mode == "sub":
             regions.append(_sub_box(draw, ex.decomp.boxes[rank]))
+        else:  # a region reaching into the rank's own band
+            regions.append(_sub_box(draw, ex.extents[rank]))
     seed = draw(st.integers(0, 2**31 - 1))
     return ex, regions, seed
 
@@ -71,7 +77,8 @@ def _consistent_arrays(ex, rng):
 
 def _write_in_regions(ex, arrays, regions, rng, dilate=0):
     """Each rank writes only inside its (optionally dilated) activity
-    box — the confinement every gated kernel honors."""
+    box — the confinement every gated kernel honors — its own voxels and
+    its band alike."""
     for rank, region in enumerate(regions):
         if region is None:
             continue
@@ -81,15 +88,27 @@ def _write_in_regions(ex, arrays, regions, rng, dilate=0):
         arrays[rank][sl] = rng.uniform(10.0, 99.0, size=arrays[rank][sl].shape)
 
 
-def _pull(ex, arrays, regions, gated, dilate=0):
+def _published(ex, regions):
+    """What each rank publishes: its region cropped to the voxels it owns."""
+    out = []
+    for region, owned in zip(regions, ex.decomp.boxes):
+        box = None if region is None else region.intersect(owned)
+        out.append(None if box is None or box.is_empty else box)
+    return out
+
+
+def _pull(ex, arrays, regions, gated):
     """One REPLACE wave over every rank's pull plan; gated skips strips
-    whose source box misses the route.  Returns (pulled, skipped)."""
+    that neither the source's published box nor the reader's own region
+    touches.  Returns (pulled, skipped)."""
+    published = _published(ex, regions)
     pulled = skipped = 0
     for rank in range(ex.decomp.nranks):
         plan = ex.pull_plan(rank)
         for route in plan.replace:
-            if gated and not strip_live(
-                route.region, regions[route.src], dilate=dilate
+            if gated and not (
+                strip_live(route.region, published[route.src])
+                or strip_live(route.region, regions[rank])
             ):
                 skipped += 1
                 continue
@@ -117,6 +136,13 @@ def test_gated_replace_wave_bitwise_identical(case):
     _pull(ex, always, regions, gated=False)
     _pull(ex, gated, regions, gated=True)
     _assert_ranks_equal(gated, always)
+    # Every strip — skipped ones included — holds its owner's bytes.
+    truth = ex.gather_global(gated)
+    for rank, ext in enumerate(ex.extents):
+        np.testing.assert_array_equal(
+            gated[rank][ex.region_slices(rank, ext)],
+            truth[ext.slices_from((0,) * ext.ndim)], err_msg=f"rank {rank}",
+        )
 
 
 @SETTINGS
