@@ -7,10 +7,10 @@ zero-copy read of neighbor blocks, coordinated by a versioned barrier
 protocol.  Bitwise identical to the sequential reference for any rank
 count (tests/dist/test_dist_golden.py).
 
-:mod:`repro.dist.resilient` adds the production fault-tolerance layer:
-:class:`ResilientDistSimCov` supervises the runtime with shadow
-checkpoints, bounded automatic restart (optionally shrinking to fewer
-ranks) and bitwise-exact replay (tests/dist/test_resilient.py).
+Recovery from a lost worker is not here: a run is a job, and
+:func:`repro.serve.runner.run_job` retries it from shadow checkpoints
+under a :class:`~repro.resilience.RestartPolicy`, at the same or one
+fewer rank count (tests/dist/test_resilient.py).
 """
 
 from repro.dist.backend import DistBackend
@@ -21,14 +21,6 @@ from repro.dist.control import (
     WorkerFailedError,
 )
 from repro.dist.driver import DistSimCov
-from repro.dist.resilient import (
-    Incident,
-    ResilientDistSimCov,
-    RestartPolicy,
-    RestartsExhaustedError,
-    format_incident_log,
-    write_incident_log,
-)
 from repro.dist.runtime import DistRuntime
 from repro.dist.worker import FAULT_MODES, FaultSpec, WorkerSpec, dist_schedule
 
@@ -41,13 +33,7 @@ __all__ = [
     "DistSimCov",
     "FAULT_MODES",
     "FaultSpec",
-    "Incident",
-    "ResilientDistSimCov",
-    "RestartPolicy",
-    "RestartsExhaustedError",
     "WorkerSpec",
     "WorkerFailedError",
     "dist_schedule",
-    "format_incident_log",
-    "write_incident_log",
 ]

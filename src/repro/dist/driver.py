@@ -80,7 +80,8 @@ class DistSimCov(EngineDriver):
     def abort(self) -> None:
         """Raise the runtime's abort flag: every worker parked at a
         barrier unblocks and exits instead of waiting out its timeout.
-        The CLI's SIGINT/SIGTERM handlers call this before teardown."""
+        A segment interrupted by SIGINT/SIGTERM calls this before
+        teardown (:func:`repro.serve.runner.run_segment`)."""
         self.backend.runtime.abort()
 
     def close(self) -> None:

@@ -149,9 +149,9 @@ class FaultSpec:
       stop refreshing the heartbeat, so liveness gauges age while the
       run stays healthy.
 
-    ``repeat`` is read by the resilient supervisor
-    (:mod:`repro.dist.resilient`): the fault is re-injected into the
-    first ``repeat - 1`` respawned runtimes, so multi-restart and
+    ``repeat`` is read by a run's retry loop
+    (:func:`repro.serve.runner.run_job`): the fault is re-injected into
+    the first ``repeat - 1`` rebuilt runtimes, so multi-restart and
     restart-exhaustion paths are testable deterministically.
     """
 
@@ -161,7 +161,7 @@ class FaultSpec:
     mode: str  # one of FAULT_MODES
     #: Seconds a "slow" rank sleeps per affected phase.
     delay: float = 0.05
-    #: How many runtime incarnations the fault fires in (supervisor-read).
+    #: How many runtime incarnations the fault fires in (read by run_job).
     repeat: int = 1
 
     def __post_init__(self):

@@ -38,11 +38,7 @@ import sys
 import numpy as np
 
 from repro.engine.driver import DRIVERS, build_driver
-from repro.experiments.configs import (
-    format_run_configs,
-    format_table1,
-    get_run_config,
-)
+from repro.experiments.configs import format_run_configs, format_table1
 from repro.experiments.correctness import (
     TRACKED_STATS,
     format_table2,
@@ -57,6 +53,7 @@ from repro.experiments.scaling import (
     run_weak_scaling,
 )
 from repro.experiments.signals import abort_on_signals
+from repro.io.checkpoint import KEEP_CHECKPOINTS
 
 
 def _cmd_table1(outdir: str) -> None:
@@ -235,20 +232,18 @@ def _parse_sweep(spec: str):
     return key, np.linspace(lo, hi, n)
 
 
-def _resolve_run_params(args: argparse.Namespace):
-    """Fold ``--config`` into the run parameters (explicit flags win)."""
-    from repro.core.params import SimCovParams
+def _run_spec(args: argparse.Namespace):
+    """The run as a serve job spec: ``--config`` with ``--dim``/``--steps``
+    over it (``JobSpec.resolve_params``), ``--num-infections`` an override."""
+    from repro.serve.jobs import JobSpec
 
-    config = get_run_config(args.config) if args.config else None
-    dim = tuple(args.dim) if args.dim else (config.dim if config else (64, 64))
-    if args.steps is None:
-        args.steps = config.steps if config else 50
-    if args.num_infections is None:
-        args.num_infections = config.num_infections if config else 2
-    return SimCovParams.fast_test(
-        dim=dim,
-        num_infections=args.num_infections,
-        num_steps=args.steps,
+    overrides = {}
+    if args.num_infections is not None:
+        overrides["num_infections"] = args.num_infections
+    return JobSpec(
+        config=args.config, overrides=overrides,
+        dim=tuple(args.dim) if args.dim else None, steps=args.steps,
+        seed=args.seed, backend=args.backend, nranks=args.nranks,
     )
 
 
@@ -329,88 +324,82 @@ def _run_ensemble(args: argparse.Namespace, params) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.backend != "dist" and (
-        args.on_failure != "fail" or args.inject_fault is not None
-    ):
-        print(
-            "--on-failure/--inject-fault require --backend dist",
-            file=sys.stderr,
-        )
-        return 2
+    from repro.core.stats import StepStats
+    from repro.resilience import (
+        PermanentError,
+        RestartPolicy,
+        RestartsExhaustedError,
+        format_incident_log,
+        write_incident_log,
+    )
+    from repro.serve.jobs import Job
+    from repro.serve.runner import run_job
+    from repro.telemetry import NULL_TRACER
+
+    retry = args.on_failure != "fail"
+    wants_ensemble = args.ensemble is not None or args.sweep is not None
+    spec = _run_spec(args)
     try:
-        params = _resolve_run_params(args)
-    except ValueError as err:  # unknown --config
+        if args.backend != "dist" and (retry or args.inject_fault is not None):
+            raise ValueError("--on-failure/--inject-fault require --backend dist")
+        params, args.steps = spec.resolve_params()  # unknown --config
+        if not wants_ensemble and args.array_module is not None:
+            raise ValueError(
+                "--array-module selects the ensemble backend's array module; "
+                "add --ensemble N or --sweep key=lo:hi:n"
+            )
+        if not wants_ensemble and args.backend == "ensemble":
+            raise ValueError(
+                "--backend ensemble needs --ensemble N or --sweep key=lo:hi:n"
+            )
+        if wants_ensemble and args.backend not in ("sequential", "ensemble"):
+            raise ValueError(
+                "--ensemble/--sweep run on the vectorized ensemble backend; "
+                f"drop --backend {args.backend} (or pass --backend ensemble)"
+            )
+        if args.ensemble is not None and args.ensemble < 1:
+            raise ValueError(
+                f"--ensemble needs at least 1 member, got {args.ensemble}"
+            )
+        if not wants_ensemble:
+            spec.validate()
+            policy = RestartPolicy(
+                max_restarts=args.max_restarts if retry else 0,
+                backoff=args.restart_backoff,
+                on_failure=args.on_failure if retry else "restart",
+            )
+            if retry and args.checkpoint_every < 1:
+                raise ValueError(
+                    f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
+                )
+    except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    wants_ensemble = args.ensemble is not None or args.sweep is not None
-    if not wants_ensemble and args.array_module is not None:
-        print(
-            "--array-module selects the ensemble backend's array module; "
-            "add --ensemble N or --sweep key=lo:hi:n",
-            file=sys.stderr,
-        )
-        return 2
-    if not wants_ensemble and args.backend == "ensemble":
-        print(
-            "--backend ensemble needs --ensemble N or --sweep key=lo:hi:n",
-            file=sys.stderr,
-        )
-        return 2
     if wants_ensemble:
-        if args.backend not in ("sequential", "ensemble"):
-            print(
-                "--ensemble/--sweep run on the vectorized ensemble backend; "
-                f"drop --backend {args.backend} (or pass "
-                "--backend ensemble)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.ensemble is not None and args.ensemble < 1:
-            print(
-                f"--ensemble needs at least 1 member, got {args.ensemble}",
-                file=sys.stderr,
-            )
-            return 2
         return _run_ensemble(args, params)
+    job = Job(id="run", spec=spec, params=params, steps=args.steps, cache_key="")
     tracer = _make_tracer(args)
-    if args.on_failure == "fail":
-        # A fault to inject means dist (checked above).
-        fault = {} if args.inject_fault is None else {"fault": args.inject_fault}
-        sim = build_driver(
-            args.backend, params, nranks=args.nranks, seed=args.seed,
-            tracer=tracer, **fault,
-        )
-    else:  # dist under the restart / shrink supervisor
-        from repro.dist import ResilientDistSimCov, RestartPolicy
-
-        sim = ResilientDistSimCov(
-            params,
-            nranks=args.nranks,
-            seed=args.seed,
-            tracer=tracer,
-            fault=args.inject_fault,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_dir=args.checkpoint_dir,
-            policy=RestartPolicy(
-                max_restarts=args.max_restarts,
-                backoff=args.restart_backoff,
-                on_failure=args.on_failure,
-            ),
-        )
     try:
-        with abort_on_signals(sim):
-            sim.run(args.steps)
-        for i in range(len(sim.series)):
-            stats = sim.series[i]
+        with abort_on_signals(None):
+            run_job(
+                job, policy, fault=args.inject_fault,
+                checkpoint_every=args.checkpoint_every if retry else None,
+                checkpoint_root=args.checkpoint_dir if retry else None,
+                tracer=tracer or NULL_TRACER,
+            )
+        for i, row in enumerate(job.rows):
             if (i + 1) % max(1, args.steps // 10) == 0 or i == args.steps - 1:
-                print(f"step {i + 1:>5}: {stats}")
+                print(f"step {i + 1:>5}: {StepStats(**row)}")
         print(
             f"done: backend={args.backend} nranks={args.nranks} "
-            f"dim={tuple(args.dim)} steps={args.steps} seed={args.seed}"
+            f"dim={tuple(params.dim)} steps={args.steps} seed={args.seed}"
         )
-        if getattr(sim, "incidents", None):
-            print(f"recovered from {sim.restarts} failure(s):")
-            print(sim.format_incident_log())
+        if job.incidents:
+            print(f"recovered from {len(job.incidents)} failure(s):")
+            print(format_incident_log(job.incidents))
+    except (RestartsExhaustedError, PermanentError) as err:
+        print(str(err), file=sys.stderr)
+        return 1
     except KeyboardInterrupt:
         print(
             "interrupted: runtime aborted, workers and shared memory "
@@ -419,14 +408,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         return 130
     finally:
-        incidents = getattr(sim, "incidents", None)
-        if args.incident_log and incidents is not None:
-            from repro.dist import write_incident_log
-
-            write_incident_log(args.incident_log, incidents)
+        if args.incident_log:
+            write_incident_log(args.incident_log, job.incidents)
             print(f"incident log written to {args.incident_log}")
-        if hasattr(sim, "close"):
-            sim.close()
         if tracer is not None:
             tracer.close()
             print(f"trace written to {args.trace} ({args.trace_format})")
@@ -762,8 +746,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     res_group.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="also persist each shadow checkpoint to DIR "
-        "(atomic, CRC-verified, keep-last-3)",
+        help="also persist each shadow checkpoint as "
+        "DIR/run/ckpt_stepNNNNNNNN.npz (atomic, CRC-verified, "
+        f"keep-last-{KEEP_CHECKPOINTS})",
     )
     res_group.add_argument(
         "--restart-backoff", type=float, default=0.0, metavar="SECONDS",

@@ -10,8 +10,9 @@ bitwise identically to the uninterrupted original.
 Two forms share one payload shape (:func:`snapshot_state` /
 :func:`restore_state`):
 
-- **shadow snapshots** — plain in-memory dicts the resilient supervisor
-  (:mod:`repro.dist.resilient`) takes every K steps at near-memcpy cost;
+- **shadow snapshots** — plain in-memory dicts a job's segment runner
+  (:mod:`repro.serve.runner`) takes every K steps, or when preempted,
+  at near-memcpy cost;
 - **on-disk checkpoints** — ``.npz`` files written *atomically* (tmp file
   + ``os.replace``, so a crash mid-write never destroys the previous
   checkpoint) with a CRC32 per array that :func:`load_checkpoint`
@@ -56,8 +57,11 @@ CHECKPOINT_FIELDS = (
 #: params codec and per-array CRCs; version-1 files are still readable.
 FORMAT_VERSION = 2
 
-#: Filename pattern of auto-checkpoints (resilient runs, rotation).
+#: Filename pattern of auto-checkpoints (a job's mirrored snapshots).
 AUTO_CHECKPOINT_PATTERN = re.compile(r"^ckpt_step(\d+)\.npz$")
+
+#: Auto-checkpoints a job's directory keeps; rotation deletes older ones.
+KEEP_CHECKPOINTS = 2
 
 
 class CheckpointCorruptError(RuntimeError):

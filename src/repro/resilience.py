@@ -1,30 +1,24 @@
 """Shared bounded-restart vocabulary for every fault-tolerant layer.
 
-PR 5 built the recovery discipline for the distributed runtime
-(:mod:`repro.dist.resilient`): a frozen :class:`RestartPolicy` bounding
-how many times a failed unit of work is re-attempted and how long to
-back off between attempts, an incident record per failure, and a
-:class:`RestartsExhaustedError` carrying the full incident log when the
-budget runs out.  The serving tier needs exactly the same shape for
-per-job retries (DESIGN.md §4g), so the policy and the generic pieces
-live here and both layers import them:
+A failed unit of work — a serving job's segment, or a ``simcov-repro
+run`` attempt, which is the same segment run in process — is retried
+under one discipline (DESIGN.md §4c, §4g):
 
 - :class:`RestartPolicy` — the bounded-restart budget + exponential
-  backoff schedule (``on_failure``/``min_ranks`` only apply to the
-  distributed runtime's shrink recovery and are ignored by other users);
-- :class:`JobIncident` — the per-attempt diagnostic record a serving
-  job accumulates (``/jobs/{id}`` surfaces these);
-- :class:`RestartsExhaustedError` — raised (dist) or recorded as the
-  terminal error string (serve) when the budget is exhausted;
+  backoff schedule, and whether a retry keeps the rank count or shrinks;
+- :class:`JobIncident` — the per-attempt diagnostic record a job
+  accumulates (``/jobs/{id}`` and ``--incident-log`` surface these);
+- :func:`judge_failure` — the one retry decision: a failed attempt
+  becomes its incident, a retry-or-give-up verdict and its
+  ``cat="resilience"`` telemetry;
+- :class:`RestartsExhaustedError` — raised by an in-process run when the
+  budget is exhausted (serve records the same message as the job error);
 - :func:`classify_exception` — the retryable/permanent split: transient
   infrastructure failures are worth re-running, deterministic model or
   spec bugs are not (re-running a ``ValueError`` burns a worker slot to
   produce the same ``ValueError``);
 - :func:`format_incident_log` / :func:`write_incident_log` — shared
   human/JSONL renderings of any incident sequence.
-
-:mod:`repro.dist.resilient` re-exports all of these, so existing
-``from repro.dist import RestartPolicy`` imports keep working.
 """
 
 from __future__ import annotations
@@ -63,7 +57,8 @@ class RestartPolicy:
     backoff_factor: float = 2.0
     #: ``"restart"`` keeps the rank count; ``"shrink"`` re-decomposes
     #: onto one fewer rank per incident (never below ``min_ranks``).
-    #: Only the distributed runtime honors these two fields.
+    #: Only a run's retry loop (``serve.runner.run_job``) shrinks; the
+    #: server retries at the submitted rank count.
     on_failure: str = "restart"
     min_ranks: int = 1
 
@@ -156,6 +151,61 @@ def classify_exception(err: BaseException) -> str:
     if isinstance(err, _permanent_types()):
         return PERMANENT
     return RETRYABLE
+
+
+def judge_failure(policy, incidents, result, tracer=None, *, start, **span_attrs):
+    """The retry decision for one failed attempt.
+
+    ``result`` describes the attempt (``error``, ``error_type``,
+    ``classification``, ``restored_step``, ``steps_run``: a
+    ``serve.runner.SegmentResult``); ``incidents`` are the job's earlier
+    ones.  Returns ``(incident, error)``: the attempt's
+    :class:`JobIncident`, and ``None`` to retry after
+    ``incident.backoff_seconds`` or the terminal error message to give up
+    with.  The ``restarts``/``steps_replayed`` counters and a
+    ``recovery`` span starting at ``start`` (``span_attrs`` on it) go to
+    ``tracer`` with ``cat="resilience"``, which ``trace report`` renders
+    as its incident table.
+    """
+    index = len(incidents) + 1
+    retry = result.classification == RETRYABLE and index <= policy.max_restarts
+    backoff = policy.backoff_seconds(index) if retry else 0.0
+    message = (result.error or "unknown error").splitlines()[0]
+    incident = JobIncident(
+        index=index,
+        step=result.restored_step + result.steps_run,
+        error_type=result.error_type or "Exception",
+        message=message,
+        classification=result.classification,
+        restored_step=result.restored_step,
+        steps_replayed=result.steps_run,
+        backoff_seconds=backoff,
+    )
+    if tracer:
+        tracer.counter("restarts", 1, cat="resilience", step=incident.step)
+        tracer.counter(
+            "steps_replayed", incident.steps_replayed,
+            cat="resilience", step=incident.step,
+        )
+        tracer.emit_span(
+            "recovery", start, backoff, cat="resilience",
+            step=incident.step, error=incident.error_type,
+            restored_step=incident.restored_step,
+            steps_replayed=incident.steps_replayed, **span_attrs,
+        )
+    if retry:
+        return incident, None
+    log = format_incident_log([*incidents, incident])
+    if result.classification == PERMANENT:
+        return incident, (
+            f"{result.error} (permanent failure, not retried)\n"
+            f"incident log:\n{log}"
+        )
+    return incident, (
+        f"RestartsExhaustedError: giving up after {policy.max_restarts} "
+        f"restart{'s' if policy.max_restarts != 1 else ''}: {message}\n"
+        f"incident log:\n{log}"
+    )
 
 
 def format_incident_log(incidents) -> str:

@@ -57,13 +57,7 @@ import warnings
 
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.registry import get_registry
-from repro.resilience import (
-    PERMANENT,
-    RETRYABLE,
-    JobIncident,
-    RestartPolicy,
-    format_incident_log,
-)
+from repro.resilience import RETRYABLE, RestartPolicy, judge_failure
 from repro.serve import runner as runner_mod
 from repro.serve.cache import ResultCache
 from repro.serve.jobs import (
@@ -725,67 +719,26 @@ class ServeApp:
     def _handle_failure(self, job: Job, result) -> None:
         """A segment failed: classify, record the incident, and either
         park the job for a backed-off retry or fail it for good."""
-        policy = self.retry_policy
-        index = len(job.incidents) + 1
-        retryable = (
-            result.classification == RETRYABLE
-            and index <= policy.max_restarts
-        )
-        backoff = policy.backoff_seconds(index) if retryable else 0.0
-        message = (result.error or "unknown error").splitlines()[0]
-        incident = JobIncident(
-            index=index,
-            step=result.restored_step + result.steps_run,
-            error_type=result.error_type or "Exception",
-            message=message,
-            classification=result.classification,
-            restored_step=result.restored_step,
-            steps_replayed=result.steps_run,
-            backoff_seconds=backoff,
+        incident, error = judge_failure(
+            self.retry_policy, job.incidents, result, self.tracer,
+            start=time.time(), job=job.id,
         )
         record = job.retry_record(incident)
         self._transition(job, record)
-        if self.tracer:
-            # The same cat="resilience" shape the dist supervisor emits,
-            # so `trace report` renders serve incidents in its table.
-            self.tracer.counter(
-                "restarts", 1, cat="resilience", step=incident.step
-            )
-            self.tracer.counter(
-                "steps_replayed", incident.steps_replayed,
-                cat="resilience", step=incident.step,
-            )
-            self.tracer.emit_span(
-                "recovery", time.time(), backoff, cat="resilience",
-                step=incident.step, error=incident.error_type,
-                job=job.id, restored_step=incident.restored_step,
-                steps_replayed=incident.steps_replayed,
-            )
-        if not retryable:
-            if result.classification == PERMANENT:
-                error = (
-                    f"{result.error} (permanent failure, not retried)\n"
-                    f"incident log:\n{format_incident_log(job.incidents)}"
-                )
-            else:
-                error = (
-                    f"RestartsExhaustedError: giving up after "
-                    f"{policy.max_restarts} restart"
-                    f"{'s' if policy.max_restarts != 1 else ''}: "
-                    f"{message}\n"
-                    f"incident log:\n{format_incident_log(job.incidents)}"
-                )
+        if error is not None:
             self._fail_job(job, error)
             return
         self._count("retries")
         self._publish(job, sse_frame("retrying", {
             "job": job.id,
-            "attempt": index + 1,
-            "backoff_seconds": backoff,
+            "attempt": incident.index + 1,
+            "backoff_seconds": incident.backoff_seconds,
             "incident": record["incident"],
         }))
-        if backoff > 0:
-            self._loop.call_later(backoff, self._requeue_retry, job)
+        if incident.backoff_seconds > 0:
+            self._loop.call_later(
+                incident.backoff_seconds, self._requeue_retry, job
+            )
         else:
             self._requeue_retry(job)
 

@@ -87,7 +87,7 @@ def test_erroring_worker_raises_worker_failed():
 
 def test_slow_rank_degrades_latency_not_correctness():
     """A slow rank delays barriers but the run completes bitwise clean
-    (the resilient supervisor's 'benign fault' class)."""
+    (the 'benign fault' class a retried run rides through)."""
     fault = FaultSpec(rank=1, step=4, phase="intents", mode="slow",
                       delay=0.01)
     with DistSimCov(_params(), nranks=2, seed=3, fault=fault) as sim:

@@ -1,12 +1,12 @@
-"""Recovery matrix for the supervised distributed runtime.
+"""Recovery matrix for a distributed run retried by ``run_job``.
 
-The headline property of the resilience layer: a run that loses a worker
-mid-flight — to a hard kill, an exception, or a stall — recovers from
-its last shadow checkpoint and finishes with per-step statistics
-**bitwise identical** to a fault-free run, whether it restarts at the
-same rank count or shrinks onto fewer ranks.  The repo-wide shm-leak
-fixture additionally asserts every recovery tears down its wrecked
-runtime completely.
+The headline property of the one fault-tolerance stack: a run that loses
+a worker mid-flight — to a hard kill, an exception, or a stall — is
+retried from its last shadow snapshot and finishes with per-step
+statistics **bitwise identical** to a fault-free run, whether it restarts
+at the same rank count or shrinks onto fewer ranks.  The repo-wide
+shm-leak fixture additionally asserts every failed attempt tears down its
+wrecked runtime completely.
 
 These tests pick their own rank counts (``ranks`` parameter), unlike the
 rest of tests/dist whose ``nranks`` fixture the CI matrix pins via
@@ -20,34 +20,51 @@ import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.dist import (
-    FaultSpec,
-    ResilientDistSimCov,
+from repro.core.stats import StepStats
+from repro.dist import FaultSpec
+from repro.io.checkpoint import KEEP_CHECKPOINTS
+from repro.resilience import (
     RestartPolicy,
     RestartsExhaustedError,
+    write_incident_log,
 )
+from repro.serve.jobs import Job, JobSpec
+from repro.serve.runner import job_checkpoint_dir, run_job
+from repro.telemetry import RingBufferSink, Tracer
 
 STEPS = 12
 FAULT_STEP = 7
 
 
-def _params(dim=(16, 16)):
+def _params():
     return SimCovParams.fast_test(
-        dim=dim, num_infections=1, num_steps=STEPS
+        dim=(16, 16), num_infections=1, num_steps=STEPS
     )
 
 
-def _reference_series(params, seed):
-    ref = SequentialSimCov(params, seed=seed)
+def _job(ranks, seed=3, steps=STEPS):
+    spec = JobSpec(backend="dist", nranks=ranks, seed=seed, steps=steps)
+    return Job(id="resilient", spec=spec, params=_params(), steps=steps,
+               cache_key="")
+
+
+def _reference_series(seed):
+    ref = SequentialSimCov(_params(), seed=seed)
     ref.run(STEPS)
     return ref
 
 
-def assert_series_bitwise(series, ref, label):
+def assert_rows_bitwise(job, ref, label):
     __tracebackhide__ = True
-    assert len(series) == len(ref.series), label
-    for i in range(len(series)):
-        assert series[i] == ref.series[i], f"{label}: step {i}"
+    assert len(job.rows) == len(ref.series), label
+    for i, row in enumerate(job.rows):
+        assert StepStats(**row) == ref.series[i], f"{label}: step {i}"
+
+
+def _recoveries(ring):
+    return [
+        e for e in ring.events if e.name == "recovery" and e.cat == "resilience"
+    ]
 
 
 MATRIX = [
@@ -66,191 +83,166 @@ MATRIX = [
 def test_recovery_is_bitwise_exact(mode, on_failure, ranks):
     """Every fault kind x policy x rank count recovers to the exact
     fault-free time series (golden-trace guarantee across restarts)."""
-    params = _params()
-    ref = _reference_series(params, seed=3)
+    ref = _reference_series(seed=3)
     fault = FaultSpec(rank=1, step=FAULT_STEP, phase="intents", mode=mode)
+    ring = RingBufferSink()
+    tracer = Tracer(backend="dist", sinks=[ring])
+    job = _job(ranks)
     # Stalls surface as barrier timeouts; keep that wait short.
     timeout = 1.0 if mode == "stall" else 30.0
-    with ResilientDistSimCov(
-        params,
-        nranks=ranks,
-        seed=3,
-        fault=fault,
-        barrier_timeout=timeout,
-        checkpoint_every=5,
-        policy=RestartPolicy(max_restarts=2, on_failure=on_failure),
-    ) as sim:
-        sim.run(STEPS)
-        label = f"{mode}/{on_failure}/{ranks}"
-        assert_series_bitwise(sim.series, ref, label)
-        assert sim.restarts == 1
-        assert sim.nranks == (ranks - 1 if on_failure == "shrink" else ranks)
-        incident = sim.incidents[0]
-        assert incident.step == FAULT_STEP
-        assert incident.restored_step == 5
-        assert incident.steps_replayed == FAULT_STEP - 5
-        assert incident.nranks_before == ranks
+    run_job(
+        job, RestartPolicy(max_restarts=2, on_failure=on_failure),
+        fault=fault, checkpoint_every=5, tracer=tracer,
+        driver_kwargs={"barrier_timeout": timeout},
+    )
+    assert_rows_bitwise(job, ref, f"{mode}/{on_failure}/{ranks}")
+    assert len(job.incidents) == 1
+    after = ranks - 1 if on_failure == "shrink" else ranks
+    assert job.spec.nranks == after
+    incident = job.incidents[0]
+    assert incident.step == FAULT_STEP
+    assert incident.restored_step == 5
+    assert incident.steps_replayed == FAULT_STEP - 5
+    (span,) = _recoveries(ring)
+    assert span.attrs["nranks_before"] == ranks
+    assert span.attrs["nranks_after"] == after
 
 
 def test_recovered_fields_match_sequential_bitwise():
-    """Beyond the reduced series: every voxel field after a recovered run
-    is identical to the fault-free sequential run's."""
-    params = _params()
-    ref = _reference_series(params, seed=3)
+    """Beyond the reduced series: every voxel field of the last periodic
+    snapshot of a recovered run is identical to the fault-free
+    sequential run's."""
+    ref = _reference_series(seed=3)
     fault = FaultSpec(rank=0, step=FAULT_STEP, phase="epithelial", mode="die")
-    with ResilientDistSimCov(
-        params, nranks=2, seed=3, fault=fault, checkpoint_every=4
-    ) as sim:
-        sim.run(STEPS)
-        assert sim.restarts == 1
-        for name in ("epi_state", "epi_timer", "virions", "chemokine",
-                     "tcell"):
-            np.testing.assert_array_equal(
-                sim.gather_field(name),
-                ref.gather_field(name),
-                err_msg=name,
-            )
+    job = _job(2)
+    run_job(job, fault=fault, checkpoint_every=4)
+    assert len(job.incidents) == 1
+    assert job.snapshot["step_num"] == STEPS
+    for name in ("epi_state", "epi_timer", "virions", "chemokine", "tcell"):
+        np.testing.assert_array_equal(
+            job.snapshot["arrays"][name], ref.gather_field(name), err_msg=name,
+        )
 
 
 def test_recovery_before_first_periodic_checkpoint():
     """A failure before step ``checkpoint_every`` rolls back to the
-    seeded step-0 snapshot, not to garbage."""
-    params = _params()
-    ref = _reference_series(params, seed=5)
+    seeded step-0 state, not to garbage."""
+    ref = _reference_series(seed=5)
     fault = FaultSpec(rank=1, step=2, phase="diffuse", mode="die")
-    with ResilientDistSimCov(
-        params, nranks=2, seed=5, fault=fault, checkpoint_every=50
-    ) as sim:
-        sim.run(STEPS)
-        assert sim.incidents[0].restored_step == 0
-        assert sim.incidents[0].steps_replayed == 2
-        assert_series_bitwise(sim.series, ref, "step0-rollback")
+    job = _job(2, seed=5)
+    run_job(job, fault=fault, checkpoint_every=50)
+    assert job.incidents[0].restored_step == 0
+    assert job.incidents[0].steps_replayed == 2
+    assert_rows_bitwise(job, ref, "step0-rollback")
 
 
 def test_repeating_fault_restarts_twice():
-    """``repeat=2`` re-injects the fault into the respawned runtime; the
-    supervisor rides through both incidents."""
-    params = _params()
-    ref = _reference_series(params, seed=3)
+    """``repeat=2`` re-injects the fault into the rebuilt runtime; the
+    retry loop rides through both incidents."""
+    ref = _reference_series(seed=3)
     fault = FaultSpec(
         rank=1, step=FAULT_STEP, phase="intents", mode="die", repeat=2
     )
-    with ResilientDistSimCov(
-        params, nranks=2, seed=3, fault=fault, checkpoint_every=5,
-        policy=RestartPolicy(max_restarts=3),
-    ) as sim:
-        sim.run(STEPS)
-        assert sim.restarts == 2
-        assert [i.index for i in sim.incidents] == [1, 2]
-        assert_series_bitwise(sim.series, ref, "repeat=2")
+    job = _job(2)
+    run_job(job, RestartPolicy(max_restarts=3), fault=fault, checkpoint_every=5)
+    assert [i.index for i in job.incidents] == [1, 2]
+    assert_rows_bitwise(job, ref, "repeat=2")
 
 
 def test_restart_budget_exhausted_raises_with_incident_log(tmp_path):
     """A fault that outlives the budget surfaces RestartsExhaustedError
-    carrying (and formatting) the full incident history — and the shm
-    segments of every incarnation are still released."""
-    params = _params()
-    fault = FaultSpec(
-        rank=1, step=3, phase="intents", mode="die", repeat=10
-    )
-    sim = ResilientDistSimCov(
-        params, nranks=2, seed=3, fault=fault, checkpoint_every=2,
-        policy=RestartPolicy(max_restarts=2),
-    )
-    try:
-        with pytest.raises(RestartsExhaustedError) as excinfo:
-            sim.run(STEPS)
-    finally:
-        sim.close()
+    carrying (and formatting) the full incident history — the failure
+    that gave up included — and the shm segments of every incarnation
+    are still released."""
+    fault = FaultSpec(rank=1, step=3, phase="intents", mode="die", repeat=10)
+    job = _job(2)
+    with pytest.raises(RestartsExhaustedError) as excinfo:
+        run_job(
+            job, RestartPolicy(max_restarts=2), fault=fault,
+            checkpoint_every=2,
+        )
     err = excinfo.value
-    assert len(err.incidents) == 2
+    assert len(err.incidents) == 3
     assert "giving up after 2 restarts" in str(err)
-    assert "incident 1" in str(err)
-    assert "incident 2" in str(err)
+    for index in (1, 2, 3):
+        assert f"incident {index}" in str(err)
     # The incident log round-trips to JSONL for CI artifacts.
     log = tmp_path / "incidents.jsonl"
-    sim.write_incident_log(str(log))
+    write_incident_log(str(log), err.incidents)
     rows = [json.loads(line) for line in log.read_text().splitlines()]
-    assert [r["index"] for r in rows] == [1, 2]
+    assert [r["index"] for r in rows] == [1, 2, 3]
     assert all(r["error_type"] == "WorkerFailedError" for r in rows)
+    assert [r["restored_step"] for r in rows] == [2, 2, 2]
 
 
 def test_shrink_stops_at_min_ranks_and_drops_the_fault():
     """Shrinking to one rank keeps working (the dist runtime degenerates
-    to a supervised single worker), and a fault pinned to a rank that no
-    longer exists cannot re-fire."""
-    params = _params()
-    ref = _reference_series(params, seed=3)
+    to a single worker), and a fault pinned to a rank that no longer
+    exists cannot re-fire."""
+    ref = _reference_series(seed=3)
     fault = FaultSpec(
         rank=1, step=FAULT_STEP, phase="intents", mode="die", repeat=5
     )
-    with ResilientDistSimCov(
-        params, nranks=2, seed=3, fault=fault, checkpoint_every=5,
-        policy=RestartPolicy(max_restarts=3, on_failure="shrink"),
-    ) as sim:
-        sim.run(STEPS)
-        # rank 1 died once; the shrunken 1-rank run has no rank 1.
-        assert sim.restarts == 1
-        assert sim.nranks == 1
-        assert_series_bitwise(sim.series, ref, "shrink-to-1")
+    job = _job(2)
+    run_job(
+        job, RestartPolicy(max_restarts=3, on_failure="shrink"),
+        fault=fault, checkpoint_every=5,
+    )
+    # rank 1 died once; the shrunken 1-rank run has no rank 1.
+    assert len(job.incidents) == 1
+    assert job.spec.nranks == 1
+    assert_rows_bitwise(job, ref, "shrink-to-1")
 
 
 def test_benign_faults_complete_without_recovery():
     """slow and freeze_heartbeat degrade observability/latency but not
     correctness: no restart, bitwise-exact output."""
-    params = _params()
-    ref = _reference_series(params, seed=3)
+    ref = _reference_series(seed=3)
     for mode in ("slow", "freeze_heartbeat"):
         fault = FaultSpec(
             rank=1, step=FAULT_STEP, phase="intents", mode=mode, delay=0.01
         )
-        with ResilientDistSimCov(
-            params, nranks=2, seed=3, fault=fault, checkpoint_every=5
-        ) as sim:
-            sim.run(STEPS)
-            assert sim.restarts == 0, mode
-            assert_series_bitwise(sim.series, ref, mode)
+        job = _job(2)
+        run_job(job, fault=fault, checkpoint_every=5)
+        assert job.incidents == [], mode
+        assert_rows_bitwise(job, ref, mode)
 
 
 def test_on_disk_checkpoints_written_atomically_and_rotated(tmp_path):
-    """--checkpoint-dir mirrors every shadow snapshot to a rotated,
-    loadable on-disk checkpoint; no tmp files survive."""
+    """A checkpoint root mirrors every shadow snapshot to a rotated,
+    loadable on-disk checkpoint in the job's directory; no tmp files
+    survive."""
     from repro.io.checkpoint import load_checkpoint
 
-    params = _params()
-    ckdir = tmp_path / "ckpts"
-    with ResilientDistSimCov(
-        params, nranks=2, seed=3,
-        checkpoint_every=2, checkpoint_dir=str(ckdir), keep_checkpoints=2,
-    ) as sim:
-        sim.run(8)
-    names = sorted(p.name for p in ckdir.iterdir())
-    assert names == ["ckpt_step00000006.npz", "ckpt_step00000008.npz"]
-    # The newest checkpoint resumes bitwise (sequential, per ISSUE 2).
-    resumed = load_checkpoint(str(ckdir / "ckpt_step00000008.npz"))
+    ckroot = tmp_path / "ckpts"
+    job = _job(2, steps=8)
+    run_job(job, checkpoint_every=2, checkpoint_root=str(ckroot))
+    ckdir = job_checkpoint_dir(str(ckroot), job)
+    names = sorted(p.name for p in (ckroot / job.id).iterdir())
+    assert names == [
+        f"ckpt_step{step:08d}.npz" for step in (2, 4, 6, 8)
+    ][-KEEP_CHECKPOINTS:]
+    # The newest checkpoint resumes bitwise on the sequential driver.
+    resumed = load_checkpoint(f"{ckdir}/ckpt_step00000008.npz")
     assert resumed.step_num == 8
-    ref = _reference_series(params, seed=3)
+    ref = _reference_series(seed=3)
     for _ in range(STEPS - 8):
         last = resumed.step()
     assert last == ref.series[STEPS - 1]
 
 
 def test_recovery_telemetry_reaches_trace_report():
-    """Counters and the recovery span land on the coordinator lane with
+    """Counters and the recovery span land in the run's one trace with
     cat="resilience", and trace report renders the incident table."""
-    from repro.telemetry import COUNTER, RingBufferSink, Tracer
+    from repro.telemetry import COUNTER
     from repro.telemetry.report import format_report, summarize
 
-    params = _params()
     ring = RingBufferSink()
     tracer = Tracer(backend="dist", sinks=[ring])
     fault = FaultSpec(rank=1, step=FAULT_STEP, phase="intents", mode="die")
-    with ResilientDistSimCov(
-        params, nranks=2, seed=3, fault=fault, checkpoint_every=5,
-        tracer=tracer,
-    ) as sim:
-        sim.run(STEPS)
-        assert sim.restarts == 1
+    job = _job(2)
+    run_job(job, fault=fault, checkpoint_every=5, tracer=tracer)
+    assert len(job.incidents) == 1
     tracer.close()
     events = list(ring.events)
     restarts = [
@@ -259,11 +251,7 @@ def test_recovery_telemetry_reaches_trace_report():
         and e.cat == "resilience"
     ]
     assert len(restarts) == 1
-    recoveries = [
-        e for e in events if e.name == "recovery" and e.cat == "resilience"
-    ]
-    assert len(recoveries) == 1
-    span = recoveries[0]
+    (span,) = _recoveries(ring)
     assert span.attrs["error"] == "WorkerFailedError"
     assert span.attrs["restored_step"] == 5
     assert span.attrs["steps_replayed"] == 2
@@ -272,7 +260,7 @@ def test_recovery_telemetry_reaches_trace_report():
     res = summary["resilience"]
     assert res["restarts"] == 1
     assert res["steps_replayed"] == 2
-    assert res["checkpoints"] >= 2  # step 0 + periodic snapshots
+    assert res["checkpoints"] >= 2  # periodic snapshots of both attempts
     assert len(res["incidents"]) == 1
     text = format_report(summary)
     assert "resilience: 1 restart" in text
@@ -286,5 +274,7 @@ def test_policy_validation():
         RestartPolicy(max_restarts=-1)
     with pytest.raises(ValueError, match="min_ranks"):
         RestartPolicy(min_ranks=0)
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        run_job(_job(2), checkpoint_every=0)
     assert RestartPolicy(backoff=0.5).backoff_seconds(3) == 2.0
     assert RestartPolicy().backoff_seconds(3) == 0.0

@@ -3,8 +3,8 @@
 The serving layer's contract: ``request_preempt`` stops an in-flight
 ``run`` before the next step starts (never mid-phase), so a shadow
 snapshot taken at the break point resumes **bitwise identically** to an
-uninterrupted run — the same argument the resilient dist runtime makes
-for crash recovery.
+uninterrupted run — the same argument a retried run makes for crash
+recovery.
 """
 
 import numpy as np
