@@ -39,7 +39,6 @@ _LAZY = {
     "DistSimCov": ("repro.dist.driver", "DistSimCov"),
     "EnsembleSimCov": ("repro.engine.ensemble", "EnsembleSimCov"),
     "expand_sweep": ("repro.engine.ensemble", "expand_sweep"),
-    "get_array_module": ("repro.core.xp", "get_array_module"),
 }
 
 __all__ = sorted(_LAZY) + ["__version__"]

@@ -38,15 +38,15 @@ import operator
 
 import numpy as np
 
+from repro.core import native
 from repro.core.params import SimCovParams
 from repro.core.state import BINDABLE, CHEMOKINE_PRODUCERS, EpiState, VIRION_PRODUCERS, VoxelBlock
-from repro.core.xp import NUMPY
 from repro.diffusion.stencil import decay_field, diffuse_region, mirror_out_of_domain
 from repro.grid.spec import moore_offsets
 from repro.rng.streams import Stream, VoxelRNG
 
 
-def _rng_members(rng, mask, xp=NUMPY):
+def _rng_members(rng, mask):
     """Batch indices of each True element of ``mask`` for member-keyed
     draws, or None for a solo (unbatched) rng.
 
@@ -56,7 +56,7 @@ def _rng_members(rng, mask, xp=NUMPY):
     """
     if not getattr(rng, "batched", False):
         return None
-    return xp.nonzero(mask)[0]
+    return np.nonzero(mask)[0]
 
 
 def _member_param(value, members):
@@ -73,17 +73,17 @@ def _member_param(value, members):
     return value.reshape(-1)[np.asarray(members)]
 
 
-def _mask_members(value, mask, block, xp):
+def _mask_members(value, mask, block):
     """Like :func:`_member_param` but keyed off the mask's extra axes:
     gathers per-member values for ``arr[mask]``-style updates when the
     block is batched and ``value`` varies across members."""
     if not isinstance(value, np.ndarray) or mask.ndim <= block.spec.ndim:
         return value
-    return _member_param(value, xp.nonzero(mask)[0])
+    return _member_param(value, np.nonzero(mask)[0])
 
 
 @functools.lru_cache(maxsize=None)
-def _flat_layout(shape: tuple[int, ...], ndim: int, xp):
+def _flat_layout(shape: tuple[int, ...], ndim: int):
     """Flat addressing of C-contiguous padded arrays of ``shape``: element
     strides, the member stride (None on a solo block), and the flat-index
     offsets of the bind stencil and of the Moore neighbourhood in the
@@ -92,8 +92,7 @@ def _flat_layout(shape: tuple[int, ...], ndim: int, xp):
     spatial = np.array(strides[len(shape) - ndim:], dtype=np.int64)
     return (
         strides, strides[0] if len(shape) > ndim else None,
-        xp.asarray(bind_stencil(ndim) @ spatial),
-        xp.asarray(moore_offsets(ndim) @ spatial),
+        bind_stencil(ndim) @ spatial, moore_offsets(ndim) @ spatial,
     )
 
 
@@ -103,7 +102,7 @@ def _flat(obj, *names):
     return [getattr(obj, name).reshape(-1) for name in names]
 
 
-def _agents(mask, region: tuple[slice, ...], strides, xp):
+def _agents(mask, region: tuple[slice, ...], strides):
     """Flat padded-array index (``int64``, ascending) of each True element
     of a mask taken over ``region``.
 
@@ -111,7 +110,7 @@ def _agents(mask, region: tuple[slice, ...], strides, xp):
     then address every field by this one index per agent, so their cost
     follows the number of T cells, not the volume or the number of axes.
     """
-    found = xp.nonzero(mask.reshape(-1))[0]
+    found = np.nonzero(mask.reshape(-1))[0]
     flat = found + sum(s.start * st for s, st in zip(region, strides))
     # Region-order -> padded index: each axis adds its padded stride less
     # what the axes inside it already counted, per step along it.
@@ -139,25 +138,25 @@ def _members(flat, lead):
     return member, flat - member * lead
 
 
-def _tally(flat, region: tuple[slice, ...], lead, xp, counted=None, shape=None):
+def _tally(flat, region: tuple[slice, ...], lead, counted=None, shape=None):
     """Gathered elements counted: a scalar, or one count per member of
     ``region`` when the block is batched.  ``counted`` (padded slices of
     a solo block of ``shape``) counts only the elements inside it."""
     if counted is not None:
-        at = np.unravel_index(xp.asnumpy(flat), shape)
+        at = np.unravel_index(flat, shape)
         return int(np.logical_and.reduce(
             [(a >= s.start) & (a < s.stop) for a, s in zip(at, counted)]
         ).sum()) if len(flat) else 0
     if lead is None:
         return len(flat)
     lo, hi = region[0].start, region[0].stop
-    return np.bincount(xp.asnumpy(flat // lead) - lo, minlength=hi - lo)
+    return np.bincount(flat // lead - lo, minlength=hi - lo)
 
 
-def _winners(src, dirs, offs, bid_self, bids, xp):
+def _winners(src, dirs, offs, bid_self, bids):
     """Those of ``src`` whose own bid is the merged maximum at the voxel
     their chosen direction points to (§3.1's tiebreak)."""
-    tgt_max = bids[src + offs[xp.astype(dirs[src], np.int64)]]
+    tgt_max = bids[src + offs[dirs[src].astype(np.int64)]]
     return src[(bid_self[src] == tgt_max) & (tgt_max > 0)]
 
 
@@ -166,13 +165,12 @@ def _retime(rng, stream, step, block, at, period) -> None:
     indices ``at``, keyed by their gids like every draw."""
     if not len(at):
         return
-    xp = block.xp
-    members, spatial = _members(at, _flat_layout(block.shape, block.spec.ndim, xp)[1])
+    members, spatial = _members(at, _flat_layout(block.shape, block.spec.ndim)[1])
     drawn = rng.poisson(
-        stream, step, block.gid_spatial.reshape(-1)[xp.asnumpy(spatial)],
+        stream, step, block.gid_spatial.reshape(-1)[spatial],
         _member_param(period, members), member=members,
     )
-    block.epi_timer.reshape(-1)[at] = xp.astype(xp.maximum(1, drawn), np.int32)
+    block.epi_timer.reshape(-1)[at] = np.maximum(1, drawn)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +181,8 @@ def _retime(rng, stream, step, block, at, period) -> None:
 def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> tuple[slice, ...] | None:
     """Decrement lifetimes; cells at end of tissue life die in place.  Returns the box
     (padded spatial slices, every member's) bounding the T cells left; None if none are."""
-    if (native := block.xp.native) is not None:
-        return native.tcell_age(block, region)
+    if (tier := native.tier()) is not None:
+        return tier.tcell_age(block, region)
     from repro.engine.activity import bounding_box  # late: repro.engine imports this module
 
     present = block.tcell[region] != 0
@@ -197,7 +195,7 @@ def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> tuple[slice, ...]
     block.tcell[region][died] = 0
     tt[died] = 0
     bt[died] = 0
-    return bounding_box(block.xp.asnumpy(present & ~died),
+    return bounding_box(present & ~died,
                         [s.start for s in region[len(region) - block.spec.ndim:]])
 
 
@@ -214,14 +212,11 @@ def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> dict[str, 
     attempt's ``member`` index alongside; its ``member == b`` slice is
     bitwise the solo schedule of ``(params.member(b), seeds[b], pools[b])``.
     """
-    asnumpy = getattr(rng, "xp", NUMPY).asnumpy
     x = np.atleast_1d(np.asarray(pool, dtype=np.float64)) * np.reshape(
         params.extravasate_fraction, -1
     )
     n = np.floor(x)
-    u = asnumpy(
-        rng.uniform(Stream.POOL_ROUND, step, np.zeros((x.size, 1), dtype=np.int64))
-    ).reshape(-1)
+    u = rng.uniform(Stream.POOL_ROUND, step, np.zeros((x.size, 1), dtype=np.int64)).reshape(-1)
     counts = n.astype(np.int64) + (u < x - n)
     idx = np.arange(int(counts.sum()), dtype=np.int64)
     member = None
@@ -233,14 +228,10 @@ def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> dict[str, 
         # Every step until the T-cell response begins: three draws of nothing.
         gid, accept_u, life = idx, np.empty(0), idx
     else:
-        gid = asnumpy(
-            rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member)
-        )
-        accept_u = asnumpy(rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member))
+        gid = rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member)
+        accept_u = rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member)
         mu = _member_param(params.tcell_tissue_period, member)
-        life = np.maximum(
-            1, asnumpy(rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member=member))
-        )
+        life = np.maximum(1, rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member=member))
     out = {"gid": gid, "accept_u": accept_u, "life": life}
     if member is not None:
         out["member"] = member
@@ -283,18 +274,17 @@ def apply_extravasation(
     and no randomness is consumed here.  ``counted`` (a solo block's
     padded slices) restricts the returned tally to the entries inside it.
     """
-    xp = block.xp
     ndim = block.spec.ndim
-    strides, lead, _, _ = _flat_layout(block.shape, ndim, xp)
+    strides, lead, _, _ = _flat_layout(block.shape, ndim)
     region = block.interior if region is None else region
     gids, member = attempts["gid"], attempts.get("member")
     if gids.size == 0:
-        return _tally(gids, region, lead, xp, counted, block.shape)
+        return _tally(gids, region, lead, counted, block.shape)
     at, mine = _locate(block, gids, region[len(region) - ndim:])
     # Attempts outside the block may not index it: gather the owned ones.
     own = np.nonzero(mine)[0]
     if own.size == 0:  # none lands in the region: no gather, unique or scatter
-        return _tally(own, region, lead, xp, counted, block.shape)
+        return _tally(own, region, lead, counted, block.shape)
     flat = at[own] @ np.array(strides[len(strides) - ndim:], dtype=np.int64)
     if member is not None:
         member = member[own]
@@ -302,20 +292,18 @@ def apply_extravasation(
     tcell, tissue_time, bound_time, chemokine = _flat(
         block, "tcell", "tcell_tissue_time", "tcell_bound_time", "chemokine"
     )
-    idx = xp.asarray(flat)
-    signal = xp.asnumpy(chemokine[idx])
+    signal = chemokine[flat]
     accepted = (
-        (xp.asnumpy(tcell[idx]) == 0)
+        (tcell[flat] == 0)
         & (signal >= _member_param(params.min_chemokine, member))
         & (attempts["accept_u"][own] < signal)
     )
     # np.unique returns first-occurrence indices: the earliest attempt.
     flat, first = np.unique(flat[accepted], return_index=True)
-    idx = xp.asarray(flat)
-    tcell[idx] = 1
-    tissue_time[idx] = xp.asarray(attempts["life"][own[accepted][first]])
-    bound_time[idx] = 0
-    return _tally(flat, region, lead, xp, counted, block.shape)
+    tcell[flat] = 1
+    tissue_time[flat] = attempts["life"][own[accepted][first]]
+    bound_time[flat] = 0
+    return _tally(flat, region, lead, counted, block.shape)
 
 
 #: The name ``benchmarks/e2e/layers.py::KERNEL_SEAMS`` wraps, which only a
@@ -341,19 +329,17 @@ class IntentArrays:
         "bind_bid": np.uint64,
     }
 
-    def __init__(self, shape: tuple[int, ...], xp=None):
-        xp = NUMPY if xp is None else xp
-        self.xp = xp
+    def __init__(self, shape: tuple[int, ...]):
         #: Chosen movement direction index into moore_offsets, -1 = none.
-        self.move_dir = xp.full(shape, -1, dtype=np.int8)
+        self.move_dir = np.full(shape, -1, dtype=np.int8)
         #: Chosen binding stencil index (0 = own voxel, 1.. = moore), -1 = none.
-        self.bind_dir = xp.full(shape, -1, dtype=np.int8)
+        self.bind_dir = np.full(shape, -1, dtype=np.int8)
         #: The T cell's own bid (0 where no bid was placed).
-        self.bid_self = xp.zeros(shape, dtype=np.uint64)
+        self.bid_self = np.zeros(shape, dtype=np.uint64)
         #: Max bid placed on this voxel as a *move* target.
-        self.move_bid = xp.zeros(shape, dtype=np.uint64)
+        self.move_bid = np.zeros(shape, dtype=np.uint64)
         #: Max bid placed on this voxel's epithelial cell as a *bind* target.
-        self.bind_bid = xp.zeros(shape, dtype=np.uint64)
+        self.bind_bid = np.zeros(shape, dtype=np.uint64)
         #: The slab holding every non-sentinel entry (None = whole array).
         self._dirty: tuple[slice, ...] | None = tuple(slice(0, 0) for _ in shape)
 
@@ -415,18 +401,17 @@ def tcell_intents(
     max-merged at the target (``move_bid``/``bind_bid``), the two stores of
     the paper's single-communication tiebreak.
     """
-    xp = block.xp
-    if (native := xp.native) is not None:
-        return native.tcell_intents(rng, step, block, intents, region)
-    strides, lead, boff, moff = _flat_layout(block.shape, block.spec.ndim, xp)
+    if (tier := native.tier()) is not None:
+        return tier.tcell_intents(rng, step, block, intents, region)
+    strides, lead, boff, moff = _flat_layout(block.shape, block.spec.ndim)
     at = _agents(
         (block.tcell[region] != 0) & (block.tcell_bound_time[region] == 0),
-        region, strides, xp,
+        region, strides,
     )
     if len(at) == 0:
         return
     members, spatial = _members(at, lead)
-    gid = block.gid_spatial.reshape(-1)[xp.asnumpy(spatial)]
+    gid = block.gid_spatial.reshape(-1)[spatial]
     bids = rng.bids(step, gid, member=members)
     move_dir, bind_dir, bid_self, move_bid, bind_bid = _flat(
         intents, "move_dir", "bind_dir", "bid_self", "move_bid", "bind_bid"
@@ -435,42 +420,42 @@ def tcell_intents(
     # --- binding choice ----------------------------------------------------
     # One gather of every agent's stencil: (stencil, agents) states.
     bindable = _in_states(
-        xp.take(block.epi_state.reshape(-1), boff[:, None] + at), BINDABLE
+        np.take(block.epi_state.reshape(-1), boff[:, None] + at), BINDABLE
     )
     binder = bindable.any(axis=0)
-    b = xp.nonzero(binder)[0]
+    b = np.nonzero(binder)[0]
     if len(b):
         # Draws are keyed by gid, so drawing for the binders alone draws
         # what drawing for everyone would have given them.
         src, candidates = at[b], bindable[:, b]
         j = rng.words(
             Stream.TCELL_BIND_SELECT, step, gid[b], member=_members(src, lead)[0]
-        ) % xp.astype(candidates.sum(axis=0), np.uint64)
+        ) % candidates.sum(axis=0).astype(np.uint64)
         # Index of the (j+1)-th True along the stencil axis.
-        cum = xp.cumsum(candidates, axis=0)
-        sel = xp.argmax(cum == xp.astype(j, np.int64) + 1, axis=0)
-        bind_dir[src] = xp.astype(sel, np.int8)
+        cum = np.cumsum(candidates, axis=0)
+        sel = np.argmax(cum == j.astype(np.int64) + 1, axis=0)
+        bind_dir[src] = sel.astype(np.int8)
         bid_self[src] = bids[b]
         # The paper's atomicMax at the target: order-free by construction.
-        xp.maximum_at(bind_bid, src + boff[sel], bids[b])
+        np.maximum.at(bind_bid, src + boff[sel], bids[b])
 
     # --- movement choice -------------------------------------------------------
-    m = xp.nonzero(~binder)[0]
+    m = np.nonzero(~binder)[0]
     if len(m):
         src = at[m]
         members, spatial = _members(src, lead)
         k_choice = rng.randint(
             Stream.TCELL_DIRECTION, step, gid[m], len(moff), member=members
         )
-        step_to = moff[xp.astype(k_choice, np.int64)]
+        step_to = moff[k_choice.astype(np.int64)]
         # Blocked: target occupied at the start of the phase, or outside.
-        ok = (block.tcell.reshape(-1)[src + step_to] == 0) & xp.asarray(
-            block.in_domain_spatial.reshape(-1)
-        )[spatial + step_to]
+        ok = (block.tcell.reshape(-1)[src + step_to] == 0) & (
+            block.in_domain_spatial.reshape(-1)[spatial + step_to]
+        )
         src, placed = src[ok], bids[m[ok]]
-        move_dir[src] = xp.astype(k_choice[ok], np.int8)
+        move_dir[src] = k_choice[ok].astype(np.int8)
         bid_self[src] = placed
-        xp.maximum_at(move_bid, src + step_to[ok], placed)
+        np.maximum.at(move_bid, src + step_to[ok], placed)
 
 
 # ---------------------------------------------------------------------------
@@ -507,25 +492,24 @@ def compute_moves(
     the winner's source device erases it, the target's owner instantiates
     it, no duplication and no loss.
     """
-    xp = block.xp
-    if (native := xp.native) is not None:
-        return native.compute_moves(block, intents, region)
-    strides, _, _, moff = _flat_layout(block.shape, block.spec.ndim, xp)
+    if (tier := native.tier()) is not None:
+        return tier.compute_moves(block, intents, region)
+    strides, _, _, moff = _flat_layout(block.shape, block.spec.ndim)
     move_dir, bid_self, move_bid = _flat(intents, "move_dir", "bid_self", "move_bid")
     # Outgoing: my cells that won their bid at the target.
-    out = _agents(intents.move_dir[region] >= 0, region, strides, xp)
-    moved_out = _winners(out, move_dir, moff, bid_self, move_bid, xp)
+    out = _agents(intents.move_dir[region] >= 0, region, strides)
+    moved_out = _winners(out, move_dir, moff, bid_self, move_bid)
     # Incoming: neighbor cells (possibly ghosts) that won a bid on my voxel;
     # per bid-on voxel, the (directions, voxels) table of its sources.
-    bid_on = _agents(intents.move_bid[region] > 0, region, strides, xp)
+    bid_on = _agents(intents.move_bid[region] > 0, region, strides)
     src = bid_on - moff[:, None]
-    src_won = (xp.take(move_dir, src) == xp.arange(len(moff))[:, None]) & (
-        xp.take(bid_self, src) == move_bid[bid_on]
+    src_won = (np.take(move_dir, src) == np.arange(len(moff))[:, None]) & (
+        np.take(bid_self, src) == move_bid[bid_on]
     )
     arrived = src_won.any(axis=0)
     arriving = bid_on[arrived]
     # The first winning direction supplies the payload.
-    first = xp.argmax(src_won[:, arrived], axis=0)
+    first = np.argmax(src_won[:, arrived], axis=0)
     new_life = block.tcell_tissue_time.reshape(-1)[arriving - moff[first]]
     return MoveSet(region, moved_out, arriving, new_life)
 
@@ -540,8 +524,8 @@ def commit_moves(block: VoxelBlock, moves: MoveSet, counted=None):
     for field, arrives_with in zip(fields, (1, moves.new_life, 0)):
         field[moves.moved_out] = 0
         field[moves.arriving] = arrives_with
-    lead = _flat_layout(block.shape, block.spec.ndim, block.xp)[1]
-    return _tally(moves.arriving, moves.region, lead, block.xp, counted, block.shape)
+    lead = _flat_layout(block.shape, block.spec.ndim)[1]
+    return _tally(moves.arriving, moves.region, lead, counted, block.shape)
 
 
 def resolve_moves(
@@ -571,27 +555,26 @@ def resolve_binds(
     Returns the number of cells driven apoptotic in the region — a scalar,
     or a per-member vector on a batched block; only those inside
     ``counted`` when given (a solo block's padded slices)."""
-    xp = block.xp
-    strides, lead, boff, _ = _flat_layout(block.shape, block.spec.ndim, xp)
-    if (native := xp.native) is not None:
-        bound = native.resolve_binds(params, block, intents, region)
+    strides, lead, boff, _ = _flat_layout(block.shape, block.spec.ndim)
+    if (tier := native.tier()) is not None:
+        bound = tier.resolve_binds(params, block, intents, region)
         _retime(rng, Stream.APOPTOSIS_PERIOD, step, block, bound, params.apoptosis_period)
-        return _tally(bound, region, lead, xp, counted, block.shape)
+        return _tally(bound, region, lead, counted, block.shape)
     bind_dir, bid_self, bind_bid = _flat(intents, "bind_dir", "bid_self", "bind_bid")
     epi_state, bound_time = _flat(block, "epi_state", "tcell_bound_time")
     # Epithelial side: any expressing cell with a positive merged bind bid
     # was won by exactly one T cell.
-    bid_on = _agents(intents.bind_bid[region] > 0, region, strides, xp)
+    bid_on = _agents(intents.bind_bid[region] > 0, region, strides)
     bound = bid_on[_in_states(epi_state[bid_on], BINDABLE)]
     epi_state[bound] = EpiState.APOPTOTIC
     _retime(rng, Stream.APOPTOSIS_PERIOD, step, block, bound, params.apoptosis_period)
     # T-cell side: my cells that won their bind enter the bound state.
-    mine = _agents(intents.bind_dir[region] >= 0, region, strides, xp)
-    won = _winners(mine, bind_dir, boff, bid_self, bind_bid, xp)
+    mine = _agents(intents.bind_dir[region] >= 0, region, strides)
+    won = _winners(mine, bind_dir, boff, bid_self, bind_bid)
     bound_time[won] = _member_param(
         params.tcell_binding_period, _members(won, lead)[0]
     )
-    return _tally(bound, region, lead, xp, counted, block.shape)
+    return _tally(bound, region, lead, counted, block.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -607,11 +590,10 @@ def epithelial_update(
     region: tuple[slice, ...],
 ) -> None:
     """Infection of healthy cells and state-timer transitions."""
-    xp = block.xp
-    if (native := xp.native) is not None:
+    if (tier := native.tier()) is not None:
         # One compiled pass; the few cells that changed state draw their
         # timers from the same exact sampler as below, keyed by gid.
-        infected, expressing = native.epithelial(params, rng, step, block, region)
+        infected, expressing = tier.epithelial(params, rng, step, block, region)
         _retime(rng, Stream.INCUBATION_PERIOD, step, block, infected, params.incubation_period)
         _retime(rng, Stream.EXPRESSING_PERIOD, step, block, expressing, params.expressing_period)
         return
@@ -619,7 +601,7 @@ def epithelial_update(
     timer = block.epi_timer[region]
     gid = block.gid[region]
     # Snapshot: a cell makes at most one transition per step.
-    state0 = xp.copy(state)
+    state0 = state.copy()
     # Infection: p = infectivity * local virion concentration.
     healthy = state0 == EpiState.HEALTHY
     if healthy.any():
@@ -627,18 +609,15 @@ def epithelial_update(
         roll = rng.uniform(Stream.INFECTION, step, gid)
         infected = healthy & (roll < p)
         if infected.any():
-            members = _rng_members(rng, infected, xp)
+            members = _rng_members(rng, infected)
             state[infected] = EpiState.INCUBATING
-            timer[infected] = xp.astype(
-                xp.maximum(
-                    1,
-                    rng.poisson(
-                        Stream.INCUBATION_PERIOD, step, gid[infected],
-                        _member_param(params.incubation_period, members),
-                        member=members,
-                    ),
+            timer[infected] = np.maximum(
+                1,
+                rng.poisson(
+                    Stream.INCUBATION_PERIOD, step, gid[infected],
+                    _member_param(params.incubation_period, members),
+                    member=members,
                 ),
-                np.int32,
             )
     # Timer transitions (decrement happens in the state held at step start).
     for from_state, stream, period, to_state in (
@@ -656,16 +635,13 @@ def epithelial_update(
             continue
         state[expired] = to_state
         if stream is not None:
-            members = _rng_members(rng, expired, xp)
-            timer[expired] = xp.astype(
-                xp.maximum(
-                    1,
-                    rng.poisson(
-                        stream, step, gid[expired],
-                        _member_param(period, members), member=members,
-                    ),
+            members = _rng_members(rng, expired)
+            timer[expired] = np.maximum(
+                1,
+                rng.poisson(
+                    stream, step, gid[expired],
+                    _member_param(period, members), member=members,
                 ),
-                np.int32,
             )
         else:
             timer[expired] = 0
@@ -680,25 +656,24 @@ def production_update(
     """Infected cells emit virions; detectable cells emit the signal.
     Concentrations are per-voxel fractions clamped to [0, 1].  Production
     is antiviral-adjusted when an intervention is configured ([25])."""
-    xp = block.xp
-    if (native := xp.native) is not None:
-        return native.production(params, block, region, step)
+    if (tier := native.tier()) is not None:
+        return tier.production(params, block, region, step)
     state = block.epi_state[region]
     producing = _in_states(state, VIRION_PRODUCERS)
     if producing.any():
         v = block.virions[region]
-        v[producing] = xp.minimum(
+        v[producing] = np.minimum(
             1.0,
             v[producing]
-            + _mask_members(params.virion_production_at(step), producing, block, xp),
+            + _mask_members(params.virion_production_at(step), producing, block),
         )
     signaling = _in_states(state, CHEMOKINE_PRODUCERS)
     if signaling.any():
         c = block.chemokine[region]
-        c[signaling] = xp.minimum(
+        c[signaling] = np.minimum(
             1.0,
             c[signaling]
-            + _mask_members(params.chemokine_production, signaling, block, xp),
+            + _mask_members(params.chemokine_production, signaling, block),
         )
 
 
@@ -720,8 +695,8 @@ def concentration_update(
     domain boundary) before calling.  Call :func:`concentration_commit`
     after all regions are processed (Jacobi semantics).
     """
-    if (native := block.xp.native) is not None:
-        return native.diffuse(params, block, region, scratch_virions, scratch_chemokine)
+    if (tier := native.tier()) is not None:
+        return tier.diffuse(params, block, region, scratch_virions, scratch_chemokine)
     ndim = block.spec.ndim
     diffuse_region(
         block.virions, scratch_virions, region, params.virion_diffusion,
@@ -743,8 +718,8 @@ def concentration_commit(
 ) -> None:
     """Copy scratch results back and apply decay + the signal threshold.
     Clearance is antibody-adjusted when an intervention is configured."""
-    if (native := block.xp.native) is not None:
-        return native.commit(params, block, regions, scratch_virions, scratch_chemokine, step)
+    if (tier := native.tier()) is not None:
+        return tier.commit(params, block, regions, scratch_virions, scratch_chemokine, step)
     for region in regions:
         v = block.virions[region]
         v[...] = scratch_virions[region]

@@ -1,6 +1,6 @@
 """The compiled tier: ``_native.c`` built by the C compiler on the box at the first native
 call (never at import), cached per user, loaded with ``ctypes``, reached only through
-``xp.native`` (DESIGN.md §4 "The compiled tier").  No compiler, a cache someone else may
+:func:`tier` (DESIGN.md §4 "The compiled tier").  No compiler, a cache someone else may
 write, a failed build or probe, and ``REPRO_NATIVE=0`` all end in ``None`` with a reason in
 :func:`status` (which ``python -m repro.core.native`` prints), never in an exception: the
 numpy bodies are then the only path.  :class:`Tier` is the one place that marshals: each
@@ -114,7 +114,7 @@ class Tier:
                 block.in_domain_spatial, np.bool_, block.shape[-ndim:]), *self._keyed(
                 block, rng, Stream.TCELL_BID, Stream.TCELL_BIND_SELECT, Stream.TCELL_DIRECTION))
             return (*[_checked(getattr(intents, n), dtypes[n], block.shape) for n in names],
-                    _checked(kernels._flat_layout(block.shape, ndim, block.xp)[2], np.int64,
+                    _checked(kernels._flat_layout(block.shape, ndim)[2], np.int64,
                              (3 ** ndim,)), *keyed)
         return bound(block, name, self._fns, fields, rates, (intents, rng), rest, found)
 
@@ -122,7 +122,7 @@ class Tier:
         self._agents("tcell_intents", block, intents, ("tcell", "tcell_bound_time", "epi_state"),
                      0, kernels.IntentArrays.FIELD_DTYPES, rng).run(region, (), step, 1)
 
-    def compute_moves(self, block, intents, region) -> kernels.MoveSet:
+    def compute_moves(self, block, intents, region) -> "kernels.MoveSet":
         moved_out, arriving, life = self._agents("compute_moves", block, intents, (
             "tcell_tissue_time",), 0, ("move_dir", "bid_self", "move_bid"), found=3).run(
             region, margin=1)

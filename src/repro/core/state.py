@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.xp import NUMPY
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 
@@ -75,11 +74,6 @@ class VoxelBlock:
     spec: GridSpec
     owned: Box
     ghost: int = 1
-
-    #: Array namespace the block's fields live in.  Plain VoxelBlocks are
-    #: always host/numpy; EnsembleBlock may carry another module.  (Class
-    #: attribute, not a dataclass field.)
-    xp = NUMPY
 
     # Filled by __post_init__:
     epi_state: np.ndarray = field(init=False)
@@ -158,7 +152,7 @@ class VoxelBlock:
         adopts the contents as-is — the attach path for processes joining
         a segment another process already initialized.  Geometry arrays
         (``gid``/``in_domain``) are always derived locally, so they never
-        occupy shared storage.  Every field must be C-contiguous: the agent
+        live in shared storage.  Every field must be C-contiguous: the agent
         kernels scatter through ``arr.reshape(-1)``, which on any other
         layout is a silent copy.
         """
@@ -262,23 +256,22 @@ class EnsembleBlock(VoxelBlock):
     (``gid``/``in_domain``) is shared by all members and exposed as a
     broadcast view, so elementwise kernels run once for the whole batch.
     Member ``b``'s slice ``field[b]`` is exactly the solo block layout,
-    which is what :meth:`member_view` hands back (a writable view under
-    numpy) for per-member code paths: seeding and checkpointing.
+    which is what :meth:`member_view` hands back (a writable view) for
+    per-member code paths: seeding and checkpointing.
     """
 
     def __init__(self, spec: GridSpec, owned: Box, batch: int,
-                 ghost: int = 1, xp=None):
+                 ghost: int = 1):
         if batch < 1:
             raise ValueError(f"ensemble batch must be >= 1, got {batch}")
         self.spec = spec
         self.owned = owned
         self.ghost = int(ghost)
         self.batch = int(batch)
-        self.xp = NUMPY if xp is None else xp
         spatial = tuple(s + 2 * self.ghost for s in owned.shape)
         shape = (self.batch,) + spatial
         for name, dtype in self.FIELD_DTYPES.items():
-            setattr(self, name, self.xp.zeros(shape, dtype=dtype))
+            setattr(self, name, np.zeros(shape, dtype=dtype))
         self._derive_geometry()
         self.epi_state[self.in_domain] = EpiState.HEALTHY
 
@@ -287,15 +280,9 @@ class EnsembleBlock(VoxelBlock):
         self.gid_spatial = gid
         self.in_domain_spatial = inside
         bshape = (self.batch,) + gid.shape
-        if self.xp.name == "numpy":
-            # Zero-copy broadcast views: all members share one geometry.
-            self.gid = np.broadcast_to(gid, bshape)
-            self.in_domain = np.broadcast_to(inside, bshape)
-        else:  # pragma: no cover - exercised only with cupy/torch present
-            self.gid = self.xp.asarray(
-                np.ascontiguousarray(np.broadcast_to(gid, bshape)))
-            self.in_domain = self.xp.asarray(
-                np.ascontiguousarray(np.broadcast_to(inside, bshape)))
+        # Zero-copy broadcast views: all members share one geometry.
+        self.gid = np.broadcast_to(gid, bshape)
+        self.in_domain = np.broadcast_to(inside, bshape)
 
     # -- geometry ------------------------------------------------------------
 
@@ -313,15 +300,11 @@ class EnsembleBlock(VoxelBlock):
     def member_view(self, b: int) -> VoxelBlock:
         """Solo-layout :class:`VoxelBlock` over member ``b``'s storage.
 
-        Under numpy the returned block's fields are *views* into the
-        batched storage — writes flow through, so solo code (seeding, a
-        checkpoint restore) mutates the ensemble state directly.
-        Other array modules get host copies (read-mostly use only).
+        The returned block's fields are *views* into the batched storage —
+        writes flow through, so solo code (seeding, a checkpoint restore)
+        mutates the ensemble state directly.
         """
-        arrays = {
-            name: self.xp.asnumpy(getattr(self, name)[b])
-            for name in self.FIELD_DTYPES
-        }
+        arrays = {name: getattr(self, name)[b] for name in self.FIELD_DTYPES}
         return VoxelBlock.from_arrays(
             self.spec, self.owned, arrays, ghost=self.ghost, fresh=False
         )

@@ -203,15 +203,10 @@ def float_totals(block, region: tuple[slice, ...] | None) -> np.ndarray:
     if not _lead(block):
         rows = None if region is None else region[0]
         return np.array([interior_sum(f, sl, rows) for f in (block.virions, block.chemokine)])
-    xp = block.xp
-    if xp.name != "numpy" or _probe(_batched_sum_exact, block.virions.shape, sl):
+    if _probe(_batched_sum_exact, block.virions.shape, sl):
         axes = tuple(range(1, block.epi_state.ndim))
         return np.stack(
-            [
-                xp.asnumpy(block.virions[sl].sum(axis=axes)),
-                xp.asnumpy(block.chemokine[sl].sum(axis=axes)),
-            ],
-            axis=-1,
+            [block.virions[sl].sum(axis=axes), block.chemokine[sl].sum(axis=axes)], axis=-1
         )
     else:  # pragma: no cover - no production layout fails the probe
         members = [block.member_view(b) for b in range(block.batch)]
@@ -226,16 +221,16 @@ def region_counts(block, region: tuple[slice, ...] | None) -> np.ndarray:
     lead = _lead(block)
     if region is None:
         return np.zeros(lead + (N_COUNTS,), dtype=np.int64)
-    if (native := block.xp.native) is not None:
-        return native.region_counts(block, region)
+    from repro.core import native  # late: native imports from this module
+
+    if (tier := native.tier()) is not None:
+        return tier.region_counts(block, region)
     state = block.epi_state[region]
     masks = [state == s for s in _COUNTED_STATES] + [block.tcell[region] != 0]
     if not lead:
         return np.array([np.count_nonzero(m) for m in masks], dtype=np.int64)
     axes = tuple(range(len(lead), state.ndim))
-    return np.stack(
-        [block.xp.asnumpy(m.sum(axis=axes)) for m in masks], axis=-1
-    ).astype(np.int64)
+    return np.stack([m.sum(axis=axes) for m in masks], axis=-1).astype(np.int64)
 
 
 def crop(region: tuple[slice, ...], box: tuple[slice, ...]) -> tuple[slice, ...] | None:

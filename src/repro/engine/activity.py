@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import native
 from repro.core.binding import EMPTY_BOX, box_slices
 from repro.core.state import VoxelBlock
 from repro.grid.tiling import TileGrid, _dilate, _expand_tiles, _tile_any
@@ -187,10 +188,10 @@ class ActivityGate:
         flags by one tile and expands them back to voxels — what an
         unpinned :meth:`TileGrid.sweep` does, here with any member axis
         carried along in front.  Both passes have a compiled body
-        (``xp.native``) beside the numpy one, with its bits; both keep the
-        raw and the result masks from sweep to sweep, clearing what the
-        last sweep set.  Returns the owned voxel count (what the modeled
-        sweep kernel scans).
+        (``native.tier()``) beside the numpy one, with its bits; both keep
+        the raw and the result masks from sweep to sweep, clearing what
+        the last sweep set.  Returns the owned voxel count (what the
+        modeled sweep kernel scans).
         """
         self.stale = False
         if not self.enabled:
@@ -199,8 +200,8 @@ class ActivityGate:
         g, owned, ndim = block.ghost, tiles.owned_shape, tiles.ndim
         if self._raw is None:
             self._raw = np.zeros(block.shape, dtype=bool)
-        native = block.xp.native
-        hull = self.hull = self._fill_raw(native)
+        tier = native.tier()
+        hull = self.hull = self._fill_raw(tier)
         self._mask[self._window] = False
         self._window = (slice(0, 0),)
         if hull is None:
@@ -217,13 +218,13 @@ class ActivityGate:
         hi = [min(((h.stop - g) // t + 2) * t, n)
               for h, t, n in zip(hull, tile, owned)]
         self._window = (...,) + tuple(slice(a, b) for a, b in zip(lo, hi))
-        if native is None:
+        if tier is None:
             box = self._sweep_window(lo, hi)
         else:
             found, members = self._found, len(self._found) - 6
             found[:members], found[members:] = 0, EMPTY_BOX
             window = self._lead + tuple(slice(a + g, b + g) for a, b in zip(lo, hi))
-            native.sweep_window(block, window, self._raw, self._native_tiles, self._padded, found)
+            tier.sweep_window(block, window, self._raw, self._native_tiles, self._padded, found)
             self.member_counts = found[:members].copy() if self._lead else found[0]
             box = box_slices(found[members:], ndim)
         # Both passes read the raw mask one voxel around the window only.
@@ -231,18 +232,18 @@ class ActivityGate:
         self._region = None if box is None else self._lead + box
         return self._mask.size
 
-    def _fill_raw(self, native) -> tuple[slice, ...] | None:
+    def _fill_raw(self, tier) -> tuple[slice, ...] | None:
         """The raw activity mask over every examined piece; the spatial
         (padded) hull of its Trues, None if there are none."""
         block, ndim = self.block, self.tiles.ndim
-        if native is not None:
+        if tier is not None:
             found = self._hull
             found[:] = EMPTY_BOX
-            native.activity(block, self._examined(), self.min_chemokine, self._raw, found)
+            tier.activity(block, self._examined(), self.min_chemokine, self._raw, found)
             return box_slices(found, ndim)
         hull = None
         for sl in self._examined():
-            piece = block.xp.asnumpy(block._activity(sl, self.min_chemokine))
+            piece = block._activity(sl, self.min_chemokine)
             box = bounding_box(piece, [s.start for s in sl[-ndim:]])
             if box is None:
                 continue

@@ -6,10 +6,9 @@ numpy dispatch overhead N times per step.  Following DeepABM's design,
 :class:`EnsembleBackend` stacks N same-shape replicas along a leading
 batch axis (:class:`~repro.core.state.EnsembleBlock`) and executes every
 StepEngine phase **once** for the whole batch — per-call overhead is paid
-once and the arrays are large enough for numpy (or any injected ``xp``
-module) to stream.
+once and the arrays are large enough for numpy to stream.
 
-Exactness contract: under numpy, member ``b`` of a batched run is
+Exactness contract: member ``b`` of a batched run is
 **bitwise identical** to the solo sequential run with that member's
 (params, seed) — the same guarantee the activity gate and the distributed
 runtime already carry.  The argument (DESIGN.md §4d):
@@ -42,7 +41,6 @@ from repro.core.params import ParamsStack, SimCovParams
 from repro.core.seeding import apply_seeds, seed_infections
 from repro.core.state import EnsembleBlock
 from repro.core.stats import REDUCED_FIELDS, StepStats
-from repro.core.xp import get_array_module
 from repro.engine.driver import EngineDriver
 from repro.engine.engine import StepContext, StepEngine
 from repro.engine.sequential import SingleBlockBackend
@@ -70,9 +68,6 @@ class EnsembleBackend(SingleBlockBackend):
     seed_gids:
         Optional explicit per-member FOI lists; default draws each
         member's FOI from its own seed, exactly as its solo run would.
-    array_module:
-        ``xp`` namespace name or adapter (default numpy — the only module
-        with the bitwise guarantee; see :mod:`repro.core.xp`).
     """
 
     name = "ensemble"
@@ -87,7 +82,6 @@ class EnsembleBackend(SingleBlockBackend):
         active_gating: bool = True,
         tile_shape: tuple[int, ...] | None = None,
         sweep_period: int | None = None,
-        array_module=None,
     ):
         if isinstance(members, SimCovParams):
             members = [members] * (batch if batch is not None else len(seeds))
@@ -97,13 +91,12 @@ class EnsembleBackend(SingleBlockBackend):
             raise ValueError(
                 f"got {seeds.size} seeds for {stack.batch} ensemble members"
             )
-        xp = get_array_module(array_module)
         self.params = stack
         self.spec = GridSpec(stack.members[0].dim)
-        self.rng = EnsembleRNG(seeds, xp=xp)
-        block = EnsembleBlock(self.spec, self.spec.domain, stack.batch, xp=xp)
-        #: Solo-layout views over each member's storage (numpy: writable
-        #: views created once — per-step per-member code paths reuse them).
+        self.rng = EnsembleRNG(seeds)
+        block = EnsembleBlock(self.spec, self.spec.domain, stack.batch)
+        #: Solo-layout views over each member's storage (writable, created
+        #: once — per-step per-member code paths reuse them).
         self.member_views = [block.member_view(b) for b in range(stack.batch)]
         if structure_gids is not None:
             from repro.core.structure import apply_structure
@@ -409,8 +402,6 @@ class EnsembleSimCov(EngineDriver):
     batch:
         Member count when ``members`` is a single params object and
         ``seeds`` is not given.
-    array_module:
-        ``xp`` plug-in selector (see :mod:`repro.core.xp`).
     """
 
     def __init__(
@@ -424,7 +415,6 @@ class EnsembleSimCov(EngineDriver):
         active_gating: bool = True,
         tile_shape: tuple[int, ...] | None = None,
         sweep_period: int | None = None,
-        array_module=None,
         tracer=None,
     ):
         if seeds is None:
@@ -435,7 +425,6 @@ class EnsembleSimCov(EngineDriver):
             members, seeds, batch=batch, seed_gids=seed_gids,
             structure_gids=structure_gids, active_gating=active_gating,
             tile_shape=tile_shape, sweep_period=sweep_period,
-            array_module=array_module,
         )
         self.backend = backend
         self.engine = EnsembleEngine(backend, tracer=tracer)

@@ -97,12 +97,11 @@ class SingleBlockBackend(ExecutionBackend):
         accounts for: None for all of them, a dist rank's owned box
         inside its band.
         """
-        xp = block.xp
         self.block = block
         self.counted = counted
-        self.intents = kernels.IntentArrays(block.shape, xp=xp)
-        self._scratch_v = xp.zeros_like(block.virions)
-        self._scratch_c = xp.zeros_like(block.chemokine)
+        self.intents = kernels.IntentArrays(block.shape)
+        self._scratch_v = np.zeros_like(block.virions)
+        self._scratch_c = np.zeros_like(block.chemokine)
         self.gate = ActivityGate(
             block,
             min_chemokine,
@@ -173,7 +172,7 @@ class SingleBlockBackend(ExecutionBackend):
         if "aged" in ctx.extras and counted and not np.any(ctx.extravasations):
             box = ctx.extras["aged"]
         else:
-            present = self.block.xp.asnumpy(self.block.tcell[region]) != 0
+            present = self.block.tcell[region] != 0
             box = bounding_box(present, [s.start for s in region[first:]])
         return None if box is None else region[:first] + box
 
@@ -265,7 +264,7 @@ class SingleBlockBackend(ExecutionBackend):
 
     def gather_field(self, name: str) -> np.ndarray:
         block = self.block
-        return block.xp.asnumpy(getattr(block, name)[block.interior]).copy()
+        return getattr(block, name)[block.interior].copy()
 
 
 class SequentialBackend(SingleBlockBackend):

@@ -32,6 +32,7 @@ telemetry (plus periodic metrics snapshots) to PATH::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -192,8 +193,9 @@ def _parse_fault(spec: str):
         raise argparse.ArgumentTypeError(str(err)) from err
 
 
-def _make_tracer(args: argparse.Namespace):
-    """A tracer writing to ``--trace`` (or None when tracing is off)."""
+def _make_tracer(args: argparse.Namespace, backend: str):
+    """A tracer writing to ``--trace`` (or None when tracing is off) whose
+    spans carry ``backend``, the driver that runs."""
     if not args.trace:
         return None
     from repro.telemetry import ChromeTraceSink, JsonlSink, Tracer
@@ -203,7 +205,7 @@ def _make_tracer(args: argparse.Namespace):
         if args.trace_format == "chrome"
         else JsonlSink(args.trace)
     )
-    return Tracer(backend=args.backend, sinks=[sink])
+    return Tracer(backend=backend, sinks=[sink])
 
 
 def _parse_sweep(spec: str):
@@ -247,40 +249,31 @@ def _run_spec(args: argparse.Namespace):
     )
 
 
-def _run_ensemble(args: argparse.Namespace, params) -> int:
-    """``run --ensemble/--sweep``: one vectorized batched simulation."""
-    from repro.core.xp import get_array_module
+def _ensemble_members(args: argparse.Namespace, params):
+    """``(members, sweep_key, sweep_values)`` of ``run --ensemble/--sweep``;
+    ValueError on a malformed sweep or one whose size ``--ensemble``
+    contradicts."""
     from repro.engine.ensemble import expand_sweep
 
-    sweep_key, sweep_values = None, None
-    if args.sweep:
-        try:
-            sweep_key, sweep_values = _parse_sweep(args.sweep)
-            members = expand_sweep(params, sweep_key, sweep_values)
-        except ValueError as err:
-            print(str(err), file=sys.stderr)
-            return 2
-        if args.ensemble is not None and args.ensemble != len(members):
-            print(
-                f"--sweep {args.sweep!r} generates {len(members)} members "
-                f"but --ensemble asks for {args.ensemble}; drop --ensemble "
-                "or make the counts match",
-                file=sys.stderr,
-            )
-            return 2
-    else:
-        members = [params] * args.ensemble
-    try:
-        xp = get_array_module(args.array_module)
-    except (ValueError, ModuleNotFoundError) as err:
-        print(str(err), file=sys.stderr)
-        return 2
+    if not args.sweep:
+        return [params] * args.ensemble, None, None
+    sweep_key, sweep_values = _parse_sweep(args.sweep)
+    members = expand_sweep(params, sweep_key, sweep_values)
+    if args.ensemble is not None and args.ensemble != len(members):
+        raise ValueError(
+            f"--sweep {args.sweep!r} generates {len(members)} members "
+            f"but --ensemble asks for {args.ensemble}; drop --ensemble "
+            "or make the counts match"
+        )
+    return members, sweep_key, sweep_values
+
+
+def _run_ensemble(args: argparse.Namespace, params, members, sweep_key, sweep_values) -> int:
+    """``run --ensemble/--sweep``: one vectorized batched simulation."""
     batch = len(members)
     seeds = args.seed + np.arange(batch, dtype=np.int64)
-    tracer = _make_tracer(args)
-    sim = build_driver(
-        "ensemble", members, seeds=seeds, array_module=xp, tracer=tracer
-    )
+    tracer = _make_tracer(args, "ensemble")
+    sim = build_driver("ensemble", members, seeds=seeds, tracer=tracer)
     try:
         sim.run(args.steps)
     finally:
@@ -318,7 +311,7 @@ def _run_ensemble(args: argparse.Namespace, params) -> int:
     write_csv(out_csv, rows)
     print(
         f"done: ensemble batch={batch} dim={tuple(params.dim)} "
-        f"steps={args.steps} xp={xp.name} -> {out_csv}"
+        f"steps={args.steps} -> {out_csv}"
     )
     return 0
 
@@ -343,11 +336,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.backend != "dist" and (retry or args.inject_fault is not None):
             raise ValueError("--on-failure/--inject-fault require --backend dist")
         params, args.steps = spec.resolve_params()  # unknown --config
-        if not wants_ensemble and args.array_module is not None:
-            raise ValueError(
-                "--array-module selects the ensemble backend's array module; "
-                "add --ensemble N or --sweep key=lo:hi:n"
-            )
         if not wants_ensemble and args.backend == "ensemble":
             raise ValueError(
                 "--backend ensemble needs --ensemble N or --sweep key=lo:hi:n"
@@ -357,12 +345,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 "--ensemble/--sweep run on the vectorized ensemble backend; "
                 f"drop --backend {args.backend} (or pass --backend ensemble)"
             )
-        if args.ensemble is not None and args.ensemble < 1:
-            raise ValueError(
-                f"--ensemble needs at least 1 member, got {args.ensemble}"
-            )
+        if wants_ensemble:
+            members, sweep_key, sweep_values = _ensemble_members(args, params)
+            spec = dataclasses.replace(spec, backend="ensemble", ensemble=(
+                len(members) if args.ensemble is None else args.ensemble))
+        spec.validate()
         if not wants_ensemble:
-            spec.validate()
             policy = RestartPolicy(
                 max_restarts=args.max_restarts if retry else 0,
                 backoff=args.restart_backoff,
@@ -376,9 +364,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(str(err), file=sys.stderr)
         return 2
     if wants_ensemble:
-        return _run_ensemble(args, params)
+        return _run_ensemble(args, params, members, sweep_key, sweep_values)
     job = Job(id="run", spec=spec, params=params, steps=args.steps, cache_key="")
-    tracer = _make_tracer(args)
+    tracer = _make_tracer(args, spec.backend)
     try:
         with abort_on_signals(None):
             run_job(
@@ -710,12 +698,6 @@ def main(argv: list[str] | None = None) -> int:
         "--sweep", default=None, metavar="KEY=LO:HI:N",
         help="parameter sweep: N members with KEY linearly spaced over "
         "[LO, HI], e.g. --sweep num_infections=1:8:4",
-    )
-    ens_group.add_argument(
-        "--array-module", default=None,
-        choices=["numpy", "cupy", "torch", "auto"],
-        help="array backend for the batched state (default numpy; only "
-        "numpy carries the bitwise guarantee)",
     )
     run_group.add_argument(
         "--trace", default=None, metavar="PATH",

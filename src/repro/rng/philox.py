@@ -12,6 +12,7 @@ overflow warning path).
 
 from __future__ import annotations
 
+import importlib
 import sys
 
 import numpy as np
@@ -110,12 +111,11 @@ def hash_keys(prefix, keys, member=None) -> np.ndarray:
     (``uint64[B]``) and ``member`` the batch index of each key.  It runs in
     the compiled tier (:mod:`repro.core.native`) when there is one and it is
     resolved, or the draw has :data:`NATIVE_FROM` keys and resolves it."""
-    # Imported late: ``repro.core`` imports this module.  Not resolved unless imported.
-    from repro.core.xp import NUMPY
-
-    native = sys.modules.get("repro.core.native")
-    resolved = native is not None and native._resolved is not None
-    if (resolved or np.size(keys) >= NATIVE_FROM) and (tier := NUMPY.native) is not None:
+    native = sys.modules.get("repro.core.native")  # not imported here: it imports this module
+    if native is None or native._resolved is None:
+        native = None if np.size(keys) < NATIVE_FROM else importlib.import_module(
+            "repro.core.native")
+    if native is not None and (tier := native.tier()) is not None:
         return tier.hash_keys(prefix, keys, member)
     s = prefix[0] if member is None else prefix[member]
     return _fold_keys(s, keys).reshape(np.shape(keys))

@@ -133,31 +133,25 @@ class EnsembleRNG(VoxelRNG):
     - *gathered draws* (``member=`` given): ``keys`` is a flat gather of
       voxel ids and ``member`` the same-shape gather of batch indices;
       each element hashes with its own member's seed.
-
-    The hash always runs on the host; draws are transferred to the
-    configured array module (a no-op view for numpy).
     """
 
-    __slots__ = ("seeds", "xp", "_folds")
+    __slots__ = ("seeds", "_folds")
 
     batched = True
 
-    def __init__(self, seeds, xp=None):
-        from repro.core.xp import NUMPY
-
+    def __init__(self, seeds):
         self.seeds = np.asarray(seeds, dtype=np.int64)
         if self.seeds.ndim != 1 or self.seeds.size == 0:
             raise ValueError(f"seeds must be a non-empty 1-D sequence, got "
                              f"shape {self.seeds.shape}")
         self.seed = int(self.seeds[0])
-        self.xp = NUMPY if xp is None else xp
         #: The member prefix table: each stream's ``(seed, stream)`` folds,
         #: ``uint64[B]``, made at its first draw.  Derived state, never
         #: pickled or copied (:meth:`__reduce__`).
         self._folds: dict[int, np.ndarray] = {}
 
     def __reduce__(self):
-        return _ensemble_rng, (self.seeds, self.xp.name)
+        return EnsembleRNG, (self.seeds,)
 
     def prefixes(self, stream: Stream, step: int) -> np.ndarray:
         """Every member's prefix as one vector fold of ``step`` into the
@@ -178,8 +172,8 @@ class EnsembleRNG(VoxelRNG):
         """The solo RNG whose draws member ``b`` reproduces bitwise."""
         return VoxelRNG(int(self.seeds[b]))
 
-    def _host_words(self, stream: Stream, step: int, keys, member) -> np.ndarray:
-        keys = self.xp.asnumpy(keys)
+    def words(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
+        keys = np.asarray(keys)
         if member is None:
             if keys.ndim < 1 or keys.shape[0] not in (1, self.batch):
                 raise ValueError(
@@ -190,34 +184,5 @@ class EnsembleRNG(VoxelRNG):
             return counter_hash(seed, int(stream), step, keys)
         # One prefix per member, gathered: three of the hash's four rounds
         # run B times, not once per element.
-        member = np.asarray(self.xp.asnumpy(member), dtype=np.int64)
+        member = np.asarray(member, dtype=np.int64)
         return hash_keys(self.prefixes(stream, step), keys, member)
-
-    def _out(self, arr: np.ndarray):
-        """Host result → configured module (identity for numpy)."""
-        return arr if self.xp.name == "numpy" else self.xp.asarray(arr)
-
-    def words(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
-        return self._out(self._host_words(stream, step, keys, member))
-
-    def uniform(self, stream: Stream, step: int, keys, member=None) -> np.ndarray:
-        return self._out(dist.uniform01(self._host_words(stream, step, keys, member)))
-
-    def randint(self, stream: Stream, step: int, keys, n: int, member=None) -> np.ndarray:
-        return self._out(
-            dist.randint_below(self._host_words(stream, step, keys, member), n)
-        )
-
-    def poisson(self, stream: Stream, step: int, keys, mu, member=None) -> np.ndarray:
-        return self._out(dist.poisson(self._host_words(stream, step, keys, member), mu))
-
-    def bids(self, step: int, keys, member=None) -> np.ndarray:
-        w = self._host_words(Stream.TCELL_BID, step, keys, member)
-        return self._out(np.maximum(w, np.uint64(1)))
-
-
-def _ensemble_rng(seeds, xp_name: str) -> EnsembleRNG:
-    """Unpickle an :class:`EnsembleRNG`: its seeds on the named array module."""
-    from repro.core.xp import get_array_module
-
-    return EnsembleRNG(seeds, xp=get_array_module(xp_name))

@@ -459,7 +459,7 @@ class ServeApp:
         raise AdmissionError(status, reason, message, retry_after)
 
     def _admit_cold(self, spec: JobSpec) -> None:
-        """Admission control for work that would occupy queue/workers.
+        """Admission control for work that would take a queue slot or a worker.
 
         Cache hits and joins are always admitted (they cost nothing);
         only a cold job can overload the server, so the bounds apply

@@ -40,15 +40,15 @@ def subprocess_env(base: dict[str, str] | None = None) -> dict[str, str]:
 
 def use_tier(name: str, monkeypatch) -> None:
     """Pin the running test to one tier of the per-voxel kernels and the
-    counter hash: ``"numpy"`` patches ``xp.native`` to None so that the
-    numpy bodies run; ``"native"`` leaves the compiled tier in place and
-    skips the test, with the loader's reason, where there is none."""
+    counter hash: ``"numpy"`` patches ``native.tier`` to return None so
+    that the numpy bodies run; ``"native"`` leaves the compiled tier in
+    place and skips the test, with the loader's reason, where there is
+    none."""
     import pytest
 
     from repro.core import native
-    from repro.core.xp import NumpyModule
 
     if name == "numpy":
-        monkeypatch.setattr(NumpyModule, "native", None)
+        monkeypatch.setattr(native, "tier", lambda: None)
     elif native.tier() is None:
         pytest.skip(f"no compiled tier: {native.status()['reason']}")

@@ -119,6 +119,22 @@ class TestIntents:
                 target = np.array([0, 0]) + off
                 assert (target >= 0).all(), f"step {step} moved out {target}"
 
+    def test_contested_target_keeps_every_bidders_max(self, params, block, rng, tier):
+        """On each tier, the bind bids of the eight T cells around one
+        expressing cell land on one index: an atomic max, not a buffered
+        ``arr[idx] = max(arr[idx], v)``, where the last write would win."""
+        block.epi_state[7, 7] = EpiState.EXPRESSING
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                if dx or dy:
+                    put_tcell(block, 6 + dx, 6 + dy)
+        intents = kernels.IntentArrays(block.shape)
+        kernels.tcell_intents(params, rng, 0, block, intents, block.interior)
+        bids = intents.bid_self[6:9, 6:9].reshape(-1)[[0, 1, 2, 3, 5, 6, 7, 8]]
+        assert (bids > 0).all() and bids[-1] != bids.max()  # the last write loses
+        assert intents.bind_bid[7, 7] == bids.max()
+        assert (intents.bind_bid > 0).sum() == 1
+
     def test_clear_resets(self, params, block, rng):
         put_tcell(block, 6, 6)
         intents = kernels.IntentArrays(block.shape)

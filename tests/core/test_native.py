@@ -24,7 +24,6 @@ import pytest
 from repro.core import kernels, native
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
-from repro.core.xp import NUMPY
 from repro.engine.engine import StepEngine
 from repro.engine.sequential import SequentialBackend
 from repro.grid.spec import GridSpec
@@ -95,7 +94,7 @@ def built_by_another_process(cache_home) -> str:
 def assert_numpy_path_with_reason(fragment: str):
     status = native.status()
     assert not status["enabled"] and fragment in status["reason"], status
-    assert NUMPY.native is None
+    assert native.tier() is None
     # ... and the kernels run all the same.
     params, block = small_world()
     scratch = np.zeros_like(block.virions), np.zeros_like(block.chemokine)
@@ -113,7 +112,7 @@ def test_the_tier_is_on_wherever_there_is_a_compiler():
         assert not status["enabled"] and status["reason"].endswith("REPRO_NATIVE=0")
     else:
         assert status["enabled"] and status["reason"] is None, status
-        assert NUMPY.native is native.tier() is not None
+        assert native.tier() is not None
         assert os.path.exists(status["path"]) and status["compiler"] == COMPILER
 
 
@@ -227,9 +226,9 @@ def test_uncreatable_cache_falls_back_to_the_temp_directory(fresh_loader, monkey
 
 @pytest.fixture
 def compiled():
-    if NUMPY.native is None:
+    if (tier := native.tier()) is None:
         pytest.skip(f"no compiled tier: {native.status()['reason']}")
-    return NUMPY.native
+    return tier
 
 
 def test_regions_and_buffers_are_validated_before_any_pointer_is_passed(compiled):

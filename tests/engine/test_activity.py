@@ -185,7 +185,7 @@ class TestFirstUse:
         sim = _first_use_sim(batch)
         gate = sim.gate
         assert gate.stale and gate.fraction() == 1.0
-        seeds = np.argwhere(sim.block.xp.asnumpy(sim.block.virions) > 0)
+        seeds = np.argwhere(sim.block.virions > 0)
         assert len(seeds) == (batch or 1)
         sim.step()
         tiles = gate.tiles.tile_shape

@@ -71,3 +71,27 @@ def test_fault_recovery_matches_sequential(capsys, tmp_path, on_failure, repeat)
         "restored_step": 5, "steps_replayed": 2, "backoff_seconds": 0.0,
     }]
     assert rows[0]["message"].startswith("WorkerFailedError: ")
+
+
+@pytest.mark.parametrize("members", [
+    ["--ensemble", "2"], ["--sweep", "num_infections=1:4:2"],
+])
+def test_an_ensemble_run_validates_its_steps_like_a_solo_run(capsys, tmp_path, members):
+    argv = ["run", *members, "--dim", "16", "16", "--steps", "0", "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.strip() == "steps must be >= 1, got 0"
+
+
+def test_an_ensemble_runs_trace_names_the_ensemble_driver(capsys, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    argv = [
+        "run", "--ensemble", "2", "--dim", "16", "16", "--steps", "2",
+        "--trace", str(trace), "--outdir", str(tmp_path),
+    ]
+    assert main(argv) == 0
+    spans = [
+        row for row in map(json.loads, trace.read_text().splitlines())
+        if row["kind"] == "span" and row["cat"] == "phase"
+    ]
+    assert spans and {row["attrs"]["backend"] for row in spans} == {"ensemble"}

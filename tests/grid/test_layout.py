@@ -53,7 +53,7 @@ class TestBijection:
 
 class TestTileContiguity:
     def test_tile_voxels_contiguous_in_memory(self):
-        """The defining property of §3.2: each tile's voxels occupy a
+        """The defining property of §3.2: each tile's voxels fill a
         contiguous span of memory."""
         tg = TileGrid((12, 12), (3, 3), ghost=0)
         lay = TiledLayout(tg)

@@ -4,7 +4,7 @@
 ``commit_moves``) and ``resolve_binds`` address every agent by one linear
 index into the padded arrays, draw bind-select words for binders only and
 direction words for movers only, and merge bids with one scatter-max
-(``xp.maximum_at``).  The reference below is the formulation they
+(``np.maximum.at``).  The reference below is the formulation they
 replaced, spelled out: one index vector per axis (a leading member axis
 included), fancy indexing through the tuple, a draw of every stream for
 *every* agent with the unrestricted modulus, and the atomic max emulated

@@ -4,8 +4,8 @@
 ``concentration_update``, ``concentration_commit``, ``region_counts``,
 the counter hash and the agent kernels ``tcell_intents``, ``compute_moves``
 and ``resolve_binds`` each have a C body (``repro/core/_native.c``) that
-the existing function dispatches to when ``xp.native`` is there.  Each is run
-once with ``NumpyModule.native`` patched to None — the numpy body, the
+the existing function dispatches to when ``native.tier()`` is there.  Each is
+run once with ``native.tier`` patched to return None — the numpy body, the
 reference — and once compiled, on copies of one block; every
 ``VoxelBlock.FIELD_DTYPES`` field, both scratch arrays, the returned counts
 and the hash words must be equal bit for bit.
@@ -35,11 +35,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import kernels
+from repro.core import kernels, native
 from repro.core.params import ParamsStack, SimCovParams
 from repro.core.state import EnsembleBlock, EpiState, VoxelBlock
 from repro.core.stats import region_counts
-from repro.core.xp import NUMPY, NumpyModule
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 from repro.rng.philox import _M64, _MIX1_INT, _MIX2_INT, _PHI_INT, NATIVE_FROM
@@ -51,9 +50,7 @@ BLOCK_FIELDS = tuple(VoxelBlock.FIELD_DTYPES)
 
 @pytest.fixture(scope="module", autouse=True)
 def _needs_the_compiled_tier():
-    if NUMPY.native is None:
-        from repro.core import native
-
+    if native.tier() is None:
         pytest.skip(f"no compiled tier: {native.status()['reason']}")
 
 
@@ -186,19 +183,19 @@ def worlds(draw):
 
 # -- both tiers ----------------------------------------------------------------------
 
-def on_tier(native: bool):
+def on_tier(compiled: bool):
     """The compiled tier as found, or the numpy bodies alone."""
-    if native:
+    if compiled:
         return contextlib.nullcontext()
-    return mock.patch.object(NumpyModule, "native", None)
+    return mock.patch.object(native, "tier", lambda: None)
 
 
-def run_tier(native: bool, block, rng, params, scratch_v, scratch_c, region, step):
+def run_tier(compiled: bool, block, rng, params, scratch_v, scratch_c, region, step):
     """Every entry point once, in step order, on copies; what it left."""
     blk, sv, sc = copy_block(block), scratch_v.copy(), scratch_c.copy()
     dv, dc = np.full(blk.shape, -1.0), np.full(blk.shape, -1.0)
-    with on_tier(native):
-        assert (blk.xp.native is not None) == native
+    with on_tier(compiled):
+        assert (native.tier() is not None) == compiled
         kernels.tcell_age(blk, region)
         kernels.epithelial_update(params, rng, step, blk, region)
         kernels.production_update(params, blk, region, step=step)
@@ -291,12 +288,12 @@ def test_production_saturates_exactly():
     virions = [0.75, float(np.nextafter(0.75, 0)), 0.9, 0.0]
     chemokine = [0.5, float(np.nextafter(0.25, 0)), 1.0, 0.0]
     results = []
-    for native in (True, False):
+    for compiled in (True, False):
         block = VoxelBlock(spec, spec.domain)
         block.epi_state[block.interior] = EpiState.EXPRESSING
         block.virions[1, 1:5] = virions
         block.chemokine[1, 1:5] = chemokine
-        with on_tier(native):
+        with on_tier(compiled):
             kernels.production_update(params, block, block.interior, step=0)
         results.append((block.virions.copy(), block.chemokine.copy()))
         assert block.virions[1, 1:5].tolist() == [min(1.0, v + 0.25) for v in virions]
@@ -343,12 +340,12 @@ def grown(region, block):
     )
 
 
-def run_agents(native: bool, block, rng, params, region, step, intents=None):
+def run_agents(compiled: bool, block, rng, params, region, step, intents=None):
     """One tiebreak round on copies: intents over ``region`` (or the given
     ones), then moves and binds resolved over it grown by a voxel.  What
     every field, intent and returned vector holds after."""
     blk = copy_block(block)
-    with on_tier(native):
+    with on_tier(compiled):
         if intents is None:
             intents = kernels.IntentArrays(blk.shape)
             kernels.tcell_intents(params, rng, step, blk, intents, region)
@@ -436,7 +433,7 @@ def test_a_zero_bid_word_still_bids(batch):
     assert rng.words(Stream.TCELL_BID, step, block.gid_spatial[3:4, 3])[0] == 0
     params = SimCovParams.fast_test(dim=dim)
     region = tuple(slice(*s.indices(n)[:2]) for s, n in zip(block.interior, block.shape))
-    results = [run_agents(native, block, rng, params, region, step) for native in (True, False)]
+    results = [run_agents(compiled, block, rng, params, region, step) for compiled in (True, False)]
     assert_same_agents(*results)
     arrays = results[0][0]
     assert (arrays["intents.bid_self"][at] == 1).all()

@@ -2,7 +2,7 @@
 
 A running job past its ``deadline_s`` is preempted-then-failed cleanly
 (checkpoint preserved for a manual resume); a queued job past its
-deadline fails without ever occupying a worker; a worker that stops
+deadline fails without ever holding a worker; a worker that stops
 heartbeating is abandoned and the job retried on a fresh thread.
 """
 
@@ -41,13 +41,17 @@ class TestDeadlines:
         assert final["steps_done"] < 5000
 
     def test_queued_job_fails_without_running(self):
-        with serve(max_workers=1) as app:
+        # The hog parks at its first step, so it holds the only worker
+        # until the starved job has failed, however fast the host.
+        fault = ServeFaultSpec(job=0, step=1, mode="worker_hang")
+        with serve(max_workers=1, fault=fault) as app:
             client = ServeClient(port=app.port)
             hog = client.submit(dict(SPEC, steps=800))
             starved = client.submit(
                 dict(SPEC, seed=9, steps=800, deadline_s=0.2)
             )
             final = client.wait(starved["job"]["id"], timeout=30.0)
+            fault.release.set()
             client.wait(hog["job"]["id"], timeout=60.0)
         assert final["state"] == "failed"
         assert "DeadlineExceededError" in final["error"]
