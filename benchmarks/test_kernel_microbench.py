@@ -3,7 +3,8 @@
 These time the kernels this reproduction actually executes — useful for
 tracking regressions in the reproduction itself (the modeled GPU times
 come from the ledger, not from these wall-clocks).  The per-voxel kernels,
-the T-cell agent kernels and the counter hash have two tiers (numpy bodies,
+the T-cell agent kernels, the extravasation pass, the Poisson timers and
+the counter hash have two tiers (numpy bodies,
 and the compiled ones of ``repro.core.native``): their rows are recorded
 once per tier, ``[tier=numpy|native]``, as ROADMAP item 3's ``kernels``
 ledger.
@@ -182,7 +183,8 @@ def _bound_calls(compiled):
     raw, mask = np.zeros(block.shape, bool), np.zeros(block.shape, bool)
     box, tiles, found = np.zeros(6, np.int64), np.array([1, 1, 1, 0]), np.zeros(7, np.int64)
     prefix = np.array([fold_prefix(1, Stream.TCELL_TISSUE_LIFE, 5)], dtype=np.uint64)
-    keys = np.arange(4)
+    keys, cells = np.arange(4), np.flatnonzero(block.epi_state == EpiState.INCUBATING)[:4]
+    attempts = kernels.extravasation_attempts(p, rng, 5, 0.0)
     calls = {
         "hash_keys": lambda: compiled.hash_keys(prefix, keys),
         "epithelial": lambda: compiled.epithelial(p, rng, 5, block, region),
@@ -196,6 +198,9 @@ def _bound_calls(compiled):
         "resolve_binds": lambda: compiled.resolve_binds(p, block, intents, region),
         "activity": lambda: compiled.activity(block, [region], p.min_chemokine, raw, box),
         "sweep_window": lambda: compiled.sweep_window(block, region, raw, tiles, mask, found),
+        "extravasate": lambda: compiled.extravasate(p, attempts, block, region, None),
+        "retime": lambda: compiled.retime(rng, Stream.INCUBATION_PERIOD, 5, block, cells,
+                                          p.incubation_period),
     }
     for call in calls.values():  # binds the block
         call()
@@ -290,17 +295,16 @@ def test_bench_resolve(benchmark, tier, agents):
 
 
 @pytest.mark.parametrize("attempts", [0, 10, 1000], ids="attempts={}".format)
-def test_bench_apply_extravasation(benchmark, attempts):
-    """One step's attempt schedule applied to ``dense_2d``'s grid: at 0
-    ``us_per_call`` is what every step before the T-cell response pays, at
-    10 what a typical step pays, at 1000 ``ns_per_attempt`` is the
-    marginal cost.  An entry occupies its voxel, so the T-cell fields are
-    restored before every round."""
+def test_bench_apply_extravasation(benchmark, tier, attempts):
+    """One step's extravasation on ``dense_2d``'s grid, per tier: a fresh attempt schedule
+    each round, drawn and applied — by the numpy bodies, or by the compiled pass that draws
+    each attempt only as far as it gets.  At 0 ``us_per_call`` is what every step before the
+    T-cell response pays, at 10 what a typical step pays, at 1000 ``ns_per_attempt`` is the
+    marginal cost.  An entry occupies its voxel, so the T-cell fields are restored before
+    every round."""
     p, block, rng = busy_world((192, 192))
-    schedule = kernels.extravasation_attempts(
-        p, rng, 5, pool=attempts / p.extravasate_fraction
-    )
-    assert schedule["gid"].size in (attempts, attempts + 1)  # stochastic round
+    pool = attempts / p.extravasate_fraction
+    assert kernels.extravasation_attempts(p, rng, 5, pool).size in (attempts, attempts + 1)
     fields = ("tcell", "tcell_tissue_time", "tcell_bound_time")
     start = {name: getattr(block, name).copy() for name in fields}
 
@@ -309,18 +313,34 @@ def test_bench_apply_extravasation(benchmark, attempts):
             getattr(block, name)[...] = saved
 
     entered = benchmark.pedantic(
-        lambda: kernels.apply_extravasation(p, block, schedule, block.interior),
+        lambda: kernels.apply_extravasation(
+            p, block, kernels.extravasation_attempts(p, rng, 5, pool), block.interior),
         setup=restore, rounds=30,
     )
-    assert entered == (block.tcell != start["tcell"]).sum() <= schedule["gid"].size
+    assert entered == (block.tcell != start["tcell"]).sum() <= attempts + 1
     assert entered > 0 or attempts <= 10
-    benchmark.extra_info["attempts"] = attempts
+    benchmark.extra_info.update(tier=tier, attempts=attempts)
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
         if attempts:
             benchmark.extra_info["ns_per_attempt"] = (
                 benchmark.stats["mean"] * 1e9 / attempts
             )
+
+
+@pytest.mark.parametrize("cells", [10, 1000], ids="cells={}".format)
+def test_bench_retime(benchmark, tier, cells):
+    """Fresh Poisson timers for ``cells`` epithelial cells of ``dense_2d``'s grid, per tier:
+    ``kernels._retime``, as a step's infections, expiries and binds call it."""
+    p, block, rng = busy_world((192, 192))
+    at = np.sort(np.random.default_rng(cells).choice(
+        np.flatnonzero(block.epi_state == EpiState.INCUBATING), cells, replace=False))
+    benchmark(kernels._retime, rng, Stream.EXPRESSING_PERIOD, 5, block, at,
+              p.expressing_period)
+    assert (block.epi_timer.reshape(-1)[at] >= 1).all()
+    benchmark.extra_info.update(tier=tier, cells=cells)
+    if benchmark.stats:  # absent under --benchmark-disable
+        benchmark.extra_info["us_per_call"] = benchmark.stats["mean"] * 1e6
 
 
 def test_bench_resolve_moves(benchmark, world):

@@ -1,6 +1,7 @@
-/* The compiled tier: the per-voxel and T-cell agent kernels, the counter hash
- * and the gate sweep of repro.core.kernels / .stats / repro.rng.philox /
- * repro.engine.activity as single passes.
+/* The compiled tier: the per-voxel and T-cell agent kernels, the extravasation
+ * pass, the Poisson timers' table search, the counter hash and the gate sweep
+ * of repro.core.kernels / .stats / repro.rng.philox / repro.engine.activity as
+ * single passes.
  *
  * Built and loaded by repro/core/native.py, which owns every check on what
  * is passed here.  Each body repeats its numpy reference operation for
@@ -237,6 +238,123 @@ void tcell_age(const i64 *g, int8_t *tcell, int32_t *tissue_time,
         if (first >= 0)
             WIDEN(box, 0, z_, z_ + 1), WIDEN(box, 1, y_, y_ + 1), WIDEN(box, 2, first, last + 1);
     }
+}
+
+/* -- kernels.apply_extravasation / _retime: draws by table ----------------- */
+
+/* distributions.uniform01 of one word. */
+static inline double unit(u64 word) { return (double)(word >> 11) * 0x1p-53; }
+
+/* np.floor, on the |x| < 2**52 where it is not x itself. */
+static inline double floor_(double x)
+{
+    if (!(x > -0x1p52 && x < 0x1p52))
+        return x;
+    const double t = (double)(i64)x;
+    return t > x ? t - 1.0 : t;
+}
+
+/* distributions._poisson_draw of u at `row` = {offset, length} of its mean's
+ * _poisson_edges table in `edges`: np.searchsorted(side="left"), then an even
+ * j is the draw j / 2; an odd j lies in a threshold's band, and -1 comes back
+ * for the caller to recompute. */
+static inline i64 poisson_search(const double *edges, const i64 *row, double u)
+{
+    const double *e = edges + row[0];
+    i64 lo = 0, hi = row[1];
+    while (lo < hi) {
+        const i64 mid = lo + (hi - lo) / 2;
+        if (e[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo & 1 ? -1 : lo >> 1;
+}
+
+/* max(1, draw) into *field, or the flat index and u of a draw in a band
+ * into band / band_u at *nb, the field left for the caller. */
+static inline void timer_draw(const double *edges, const i64 *row, double u, i64 at,
+                              int32_t *field, i64 *band, double *band_u, i64 *nb)
+{
+    const i64 k = poisson_search(edges, row, u);
+    if (k < 0)
+        band[*nb] = at, band_u[(*nb)++] = u;
+    else
+        field[at] = (int32_t)(k > 1 ? k : 1);
+}
+
+/* The step's extravasation, each attempt drawn only as far as it gets.  Per
+ * member of the region: its pool rounded to a number of attempts (the
+ * POOL_ROUND word of key 0); per attempt i, in order, the site word -> gid,
+ * its padded coordinates (where[0..2]: the domain's (Z, Y, X), where[3..5]:
+ * the block's origin); inside the region, on a voxel with no T cell and
+ * signal >= min_chemokine, the acceptance roll; for an entrant, its lifespan
+ * from table row b.  A later attempt finds an earlier entrant's voxel
+ * occupied: the first accepting attempt wins.  entered[b]: member b's
+ * entrants inside the padded box where[6..8] / where[9..11]; where[12]: the
+ * number of voxels.  fold: the POOL_ROUND, EXTRAVASATE_SITE,
+ * EXTRAVASATE_ACCEPT and TCELL_TISSUE_LIFE member folds, B each.  Lifespans
+ * in a band: see timer_draw (count in n_out[0..1]). */
+void extravasate(const i64 *g, int8_t *tcell, int32_t *tissue_time, int32_t *bound_time,
+                 const double *chemokine, const double *pool, const double *fraction,
+                 const double *min_chemokine, const u64 *fold, const i64 *where,
+                 const double *edges, const i64 *table, i64 *entered, const i64 *step,
+                 i64 *band, double *band_u, i64 *n_out)
+{
+    const i64 members = g[0], *dim = where, *origin = where + 3, *lo = where + 6,
+              *hi = where + 9;
+    i64 nb = 0;
+    for (i64 b = g[4]; b < g[8]; b++) {
+        u64 prefix[4];
+        for (int s = 0; s < 4; s++)
+            prefix[s] = step_fold(fold[s * members + b], *step);
+        const double x = pool[b] * fraction[b], n = floor_(x);
+        const i64 count = (i64)n + (unit(fold_key(prefix[0], 0)) < x - n);
+        i64 in = 0;
+        for (i64 i = 0; i < count; i++) {
+            i64 id = (i64)(fold_key(prefix[1], (u64)i) % (u64)where[12]);
+            const i64 x_ = id % dim[2] - origin[2];
+            id /= dim[2];
+            const i64 y_ = id % dim[1] - origin[1], z_ = id / dim[1] - origin[0];
+            if (z_ < g[5] || z_ >= g[9] || y_ < g[6] || y_ >= g[10] || x_ < g[7]
+                || x_ >= g[11])
+                continue;
+            const i64 at = ((b * g[1] + z_) * g[2] + y_) * g[3] + x_;
+            const double signal = chemokine[at];
+            if (tcell[at] || !(signal >= min_chemokine[b])
+                || !(unit(fold_key(prefix[2], (u64)i)) < signal))
+                continue;
+            tcell[at] = 1;
+            bound_time[at] = 0;
+            timer_draw(edges, table + 2 * b, unit(fold_key(prefix[3], (u64)i)), at,
+                       tissue_time, band, band_u, &nb);
+            in += z_ >= lo[0] && z_ < hi[0] && y_ >= lo[1] && y_ < hi[1] && x_ >= lo[2]
+                  && x_ < hi[2];
+        }
+        entered[b] = in;
+    }
+    n_out[0] = n_out[1] = nb;
+}
+
+/* kernels._retime: a timer for each cell at flat index at[i], keyed by its
+ * spatial gid, from its member's table row and (stream) fold.  counts = {n,
+ * the member stride (a solo block's size), step}; counts[3] comes back as
+ * the number of draws in a band (see timer_draw). */
+void retime(const u64 *fold, const i64 *gid, const i64 *at, const double *edges,
+            const i64 *table, int32_t *timer, i64 *band, double *band_u, i64 *counts)
+{
+    const i64 n = counts[0], lead = counts[1];
+    i64 nb = 0, b = 0;
+    u64 prefix = step_fold(fold[0], counts[2]);
+    for (i64 i = 0; i < n; i++) {
+        const i64 member = at[i] / lead;
+        if (member != b)
+            b = member, prefix = step_fold(fold[b], counts[2]);
+        timer_draw(edges, table + 2 * b, unit(fold_key(prefix, (u64)gid[at[i] - b * lead])),
+                   at[i], timer, band, band_u, &nb);
+    }
+    counts[3] = nb;
 }
 
 /* -- kernels.tcell_intents / compute_moves / resolve_binds ----------------- */

@@ -36,6 +36,10 @@ def checked(arr, dtype, shape):
     return arr
 
 
+#: A found vector that holds nothing: returned, not copied, when a pass finds nothing.
+NOTHING = np.empty(0, np.int64)
+NOTHING.flags.writeable = False
+
 #: A compiled pass's ``int64[6]`` bounds — (Z, Y, X) lower, then upper — holding nothing yet.
 EMPTY_BOX = np.array([np.iinfo(np.int64).max] * 3 + [-1] * 3)
 EMPTY_BOX.flags.writeable = False
@@ -130,4 +134,5 @@ class Slot:
             self.out, base = buffer(self.need)
             args[-len(self.offsets) - 1:] = [base + 8 * o for o in self.offsets] + [base]
         self.fns[volume >= DROP_GIL_FROM](*args)
-        return [self.out[o:o + n].copy() for o, n in zip(self.offsets, self.out[:3].tolist())]
+        return [self.out[o:o + n].copy() if n else NOTHING
+                for o, n in zip(self.offsets, self.out[:3].tolist())]

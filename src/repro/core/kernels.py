@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -165,6 +166,8 @@ def _retime(rng, stream, step, block, at, period) -> None:
     indices ``at``, keyed by their gids like every draw."""
     if not len(at):
         return
+    if (tier := native.tier()) is not None:
+        return tier.retime(rng, stream, step, block, at, period)
     members, spatial = _members(at, _flat_layout(block.shape, block.spec.ndim)[1])
     drawn = rng.poisson(
         stream, step, block.gid_spatial.reshape(-1)[spatial],
@@ -199,12 +202,67 @@ def tcell_age(block: VoxelBlock, region: tuple[slice, ...]) -> tuple[slice, ...]
                         [s.start for s in region[len(region) - block.spec.ndim:]])
 
 
-def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> dict[str, np.ndarray]:
+class Attempts(Mapping):
+    """One step's attempt schedule, read like the dict of arrays it draws
+    (:func:`extravasation_attempts`) at its first read.  The compiled pass
+    (``Tier.extravasate``) never reads it: it draws each attempt itself, as
+    far as the attempt gets."""
+
+    def __init__(self, params, rng: VoxelRNG, step: int, pool):
+        self.params, self.rng, self.step, self.pool = params, rng, step, pool
+
+    @functools.cached_property
+    def counts(self) -> np.ndarray:
+        """Attempts per member: the pool's flux, stochastically rounded."""
+        x = np.atleast_1d(np.asarray(self.pool, dtype=np.float64)) * np.reshape(
+            self.params.extravasate_fraction, -1)
+        n, keys = np.floor(x), np.zeros((x.size, 1), dtype=np.int64)
+        u = self.rng.uniform(Stream.POOL_ROUND, self.step, keys).reshape(-1)
+        return n.astype(np.int64) + (u < x - n)
+
+    @property
+    def size(self) -> int:
+        """The number of attempts, drawn or not."""
+        return int(self.counts.sum())
+
+    @functools.cached_property
+    def _drawn(self) -> dict[str, np.ndarray]:
+        params, rng, step, counts = self.params, self.rng, self.step, self.counts
+        idx, member = np.arange(self.size, dtype=np.int64), None
+        if np.ndim(self.pool):
+            member = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+            # Attempt indices restart at 0 within each member.
+            idx -= (np.cumsum(counts) - counts)[member]
+        if not idx.size:
+            # Every step until the T-cell response begins: three draws of nothing.
+            gid, accept_u, life = idx, np.empty(0), idx
+        else:
+            gid = rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member)
+            accept_u = rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member)
+            mu = _member_param(params.tcell_tissue_period, member)
+            life = np.maximum(1, rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member))
+        out = {"gid": gid, "accept_u": accept_u, "life": life}
+        if member is not None:
+            out["member"] = member
+        return out
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        return self._drawn[key]
+
+    def __iter__(self):
+        return iter(self._drawn)
+
+    def __len__(self) -> int:
+        return len(self._drawn)
+
+
+def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> Attempts:
     """The global, decomposition-independent attempt schedule for one step.
 
     Every implementation computes the identical schedule and applies the
     attempts that land in voxels it owns.  Returns arrays indexed by
-    attempt: target gid, acceptance roll, and tissue lifespan.
+    attempt: target gid, acceptance roll, and tissue lifespan — drawn at
+    the first read (:class:`Attempts`); ``.size`` counts them undrawn.
 
     ``pool`` is one vascular pool, or one per member of a batched ``rng``
     (``params`` then a :class:`~repro.core.params.ParamsStack`).  The
@@ -212,30 +270,7 @@ def extravasation_attempts(params, rng: VoxelRNG, step: int, pool) -> dict[str, 
     attempt's ``member`` index alongside; its ``member == b`` slice is
     bitwise the solo schedule of ``(params.member(b), seeds[b], pools[b])``.
     """
-    x = np.atleast_1d(np.asarray(pool, dtype=np.float64)) * np.reshape(
-        params.extravasate_fraction, -1
-    )
-    n = np.floor(x)
-    u = rng.uniform(Stream.POOL_ROUND, step, np.zeros((x.size, 1), dtype=np.int64)).reshape(-1)
-    counts = n.astype(np.int64) + (u < x - n)
-    idx = np.arange(int(counts.sum()), dtype=np.int64)
-    member = None
-    if np.ndim(pool):
-        member = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
-        # Attempt indices restart at 0 within each member.
-        idx -= (np.cumsum(counts) - counts)[member]
-    if not idx.size:
-        # Every step until the T-cell response begins: three draws of nothing.
-        gid, accept_u, life = idx, np.empty(0), idx
-    else:
-        gid = rng.randint(Stream.EXTRAVASATE_SITE, step, idx, params.num_voxels, member=member)
-        accept_u = rng.uniform(Stream.EXTRAVASATE_ACCEPT, step, idx, member=member)
-        mu = _member_param(params.tcell_tissue_period, member)
-        life = np.maximum(1, rng.poisson(Stream.TCELL_TISSUE_LIFE, step, idx, mu, member=member))
-    out = {"gid": gid, "accept_u": accept_u, "life": life}
-    if member is not None:
-        out["member"] = member
-    return out
+    return Attempts(params, rng, step, pool)
 
 
 def _locate(block, gids: np.ndarray, region: tuple[slice, ...]):
@@ -252,7 +287,7 @@ def _locate(block, gids: np.ndarray, region: tuple[slice, ...]):
 def apply_extravasation(
     params,
     block: VoxelBlock,
-    attempts: dict[str, np.ndarray],
+    attempts: Mapping[str, np.ndarray],
     region: tuple[slice, ...] | None = None,
     counted: tuple[slice, ...] | None = None,
 ):
@@ -273,10 +308,13 @@ def apply_extravasation(
     would land where the signal is sub-threshold and be rejected anyway,
     and no randomness is consumed here.  ``counted`` (a solo block's
     padded slices) restricts the returned tally to the entries inside it.
+    An :class:`Attempts` schedule goes to the compiled pass when there is one.
     """
+    region = block.interior if region is None else region
+    if isinstance(attempts, Attempts) and (tier := native.tier()) is not None:
+        return tier.extravasate(params, attempts, block, region, counted)
     ndim = block.spec.ndim
     strides, lead, _, _ = _flat_layout(block.shape, ndim)
-    region = block.interior if region is None else region
     gids, member = attempts["gid"], attempts.get("member")
     if gids.size == 0:
         return _tally(gids, region, lead, counted, block.shape)

@@ -7,6 +7,7 @@ numpy bodies are then the only path.  :class:`Tier` is the one place that marsha
 entry point through the block's binding (:mod:`repro.core.binding`)."""
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -26,6 +27,7 @@ from repro.core.binding import EMPTY_BOX, box_slices, bound, buffer, members
 from repro.core.binding import checked as _checked
 from repro.core.stats import N_COUNTS, _lead
 from repro.diffusion.stencil import diffuse_region, kept_fraction
+from repro.rng.distributions import _poisson_edges, _poisson_reference
 from repro.rng.philox import _as_u64, _fold_keys
 from repro.rng.streams import Stream
 
@@ -35,9 +37,48 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11", "-ffp-contract=off", "-fno-fast-
 #: Every function in ``_native.c`` returns void and takes this many pointers.
 _NARGS = {"hash_keys": 5, "epithelial": 11, "production": 6, "diffuse": 7,
           "commit": 8, "tcell_age": 5, "region_counts": 4, "tcell_intents": 14,
-          "compute_moves": 10, "resolve_binds": 10, "activity": 8, "sweep_window": 5}
+          "compute_moves": 10, "resolve_binds": 10, "activity": 8, "sweep_window": 5,
+          "extravasate": 17, "retime": 9}
+#: Drop the GIL at every call, whatever the size (DESIGN.md §4): once a step, where the numpy
+#: bodies' sorts did, so that serve's event loop gets the GIL while a small job steps.
+_YIELDS = {"extravasate"}
 _lock, _resolved = threading.Lock(), None  # tier()'s once-per-process result
 _WORDS = {np.dtype(np.int64), np.dtype(np.uint64)}
+#: The schedule's four streams, in the order ``extravasate`` reads their folds.
+_ATTEMPT_STREAMS = (Stream.POOL_ROUND, Stream.EXTRAVASATE_SITE, Stream.EXTRAVASATE_ACCEPT,
+                    Stream.TCELL_TISSUE_LIFE)
+#: An unbounded ``counted`` box: every entrant counts.
+_EVERYWHERE = [(-(1 << 62), 1 << 62)] * 3
+
+
+@functools.lru_cache(maxsize=64)
+def _joined(mus: tuple, rows: int):
+    """The ``_poisson_edges`` tables of ``mus`` (one mean, or one per member) joined into one
+    buffer, and each of ``rows`` members' ``(offset, length)`` in it; the tables too."""
+    tables = {mu: _poisson_edges(mu) for mu in mus}
+    starts = dict(zip(tables, np.cumsum([0, *map(len, tables.values())]).tolist()))
+    row = [(starts[mu], len(tables[mu])) for mu in (mus * rows if len(mus) == 1 else mus)]
+    return tables, np.concatenate([*tables.values()]), np.array(row, np.int64).reshape(-1)
+
+
+def _tables(period, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_joined`` for a period (scalar, or a ``ParamsStack``'s per-member array), joined
+    again once ``_poisson_edges`` no longer holds a table it was joined from."""
+    mus = tuple(period.reshape(-1).tolist()) if isinstance(period, np.ndarray) else (
+        float(period),)
+    tables, edges, row = _joined(mus, rows)
+    if any(_poisson_edges(mu) is not table for mu, table in tables.items()):
+        _joined.cache_clear()
+        tables, edges, row = _joined(mus, rows)
+    return edges, row
+
+
+def _band(field, at, u, period, lead) -> None:
+    """The timers the C search left in a threshold's band, at flat indices ``at`` (member
+    stride ``lead``) of ``field``: SciPy's formula, as ``_poisson_draw`` recomputes them."""
+    if isinstance(period, np.ndarray):
+        period = period.reshape(-1)[at // lead]
+    field.reshape(-1)[at] = np.maximum(1, _poisson_reference(u, period).astype(np.int64))
 
 
 class Tier:
@@ -45,7 +86,8 @@ class Tier:
 
     def __init__(self, path: str):
         self._libs = ctypes.PyDLL(path), ctypes.CDLL(path)  # a call holds / drops the GIL
-        self._fns = {name: tuple(getattr(lib, name) for lib in self._libs) for name in _NARGS}
+        self._fns = {name: tuple(getattr(self._libs[max(drop, name in _YIELDS)], name)
+                                 for drop in (0, 1)) for name in _NARGS}
         for fn in [fn for fns in self._fns.values() for fn in fns]:
             fn.restype, fn.argtypes = None, (ctypes.c_void_p,) * _NARGS[fn.__name__]
 
@@ -133,6 +175,57 @@ class Tier:
         return self._agents("resolve_binds", block, intents, ("epi_state", "tcell_bound_time"),
                             1, ("bind_dir", "bid_self", "bind_bid"), found=1).run(
             region, (params.tcell_binding_period,), margin=1)[0]
+
+    def extravasate(self, params, attempts, block, region, counted):
+        """``apply_extravasation`` over the schedule ``attempts`` (``kernels.Attempts``), drawn
+        in the pass: the entrants, a count or (batched) one per member of ``region``.  The
+        per-member parameters and the lifespan tables are bound with ``params``."""
+        ndim, rng = block.spec.ndim, attempts.rng
+
+        def rest():
+            pad, n = [(0, 1)] * (3 - ndim), members(block)
+            box = _EVERYWHERE if counted is None else pad + [
+                s.indices(m)[:2] for s, m in zip(counted, block.shape[-ndim:])]
+            where = [*[1] * (3 - ndim), *block.spec.shape, *[0] * (3 - ndim), *block.origin,
+                     *(lo for lo, _ in box), *(hi for _, hi in box), params.num_voxels]
+            rates = [np.ascontiguousarray(np.broadcast_to(np.reshape(v, -1), (n,)), np.float64)
+                     for v in (params.extravasate_fraction, params.min_chemokine)]
+            return (*rates, np.concatenate([rng.stream_folds(s) for s in _ATTEMPT_STREAMS]),
+                    np.array(where, np.int64), *_tables(params.tcell_tissue_period, n),
+                    np.zeros(n, np.int64), np.zeros(1, np.int64))
+        slot = bound(block, "extravasate", self._fns, (
+            "tcell", "tcell_tissue_time", "tcell_bound_time", "chemokine"), 1, (
+            rng, params, counted), rest, found=2)
+        at, u = slot.run(region, (attempts.pool,), attempts.step)
+        if len(at):
+            _band(block.tcell_tissue_time, at, u.view(np.float64), params.tcell_tissue_period,
+                  block.epi_state.size // members(block))
+        entered = slot.arrays[-2]
+        return int(entered[0]) if block.epi_state.ndim == ndim else entered[region[0]].copy()
+
+    def retime(self, rng, stream, step, block, at, period) -> None:
+        """``kernels._retime``: ``at``, the cells' ``int64`` flat indices.  The block's
+        addresses and each stream's folds are kept in its bindings."""
+        if (slots := block._native) is None:
+            slots = block._native = {}
+        bound_to = slots.get("retime")
+        if bound_to is None or bound_to[0] is not rng:
+            gid = _checked(block.gid_spatial, np.int64, block.shape[-block.spec.ndim:])
+            bound_to = slots["retime"] = (rng, {}, _address(gid), _address(_checked(
+                block.epi_timer, np.int32, block.shape)), block.epi_state.size // members(block))
+        _, folds, gid, timer, lead = bound_to
+        if (fold := folds.get(stream)) is None:  # the array is kept alive with its address
+            fold = folds[stream] = (f := rng.stream_folds(stream), _address(f))
+        at, n = np.ascontiguousarray(at, np.int64), len(at)
+        edges, table = _tables(period, members(block))
+        out, base = buffer(4 + 2 * n)
+        out[0], out[1], out[2] = n, lead, step
+        self._fns["retime"][n >= _DROP_GIL_FROM](
+            fold[1], gid, _address(at), _address(edges), _address(table), timer, base + 32,
+            base + 8 * (4 + n), base)
+        if nb := int(out[3]):
+            _band(block.epi_timer, out[4:4 + nb].copy(),
+                  out[4 + n:4 + n + nb].view(np.float64).copy(), period, lead)
 
     def tcell_age(self, block, region) -> tuple[slice, ...] | None:
         slot = bound(block, "tcell_age", self._fns, ("tcell", "tcell_tissue_time",

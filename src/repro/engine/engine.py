@@ -45,8 +45,8 @@ class StepContext:
 
     #: Step number being executed.
     step: int
-    #: Draws :attr:`attempts`; called at its first read, if any.
-    draw_attempts: Callable[[], dict]
+    #: Makes :attr:`attempts`; called at its first read, if any.
+    draw_attempts: Callable[[], kernels.Attempts]
     #: The vascular-pool value the attempt schedule was computed from
     #: (post-update, pre-debit; per member on an ensemble).  Remote
     #: backends publish it so detached workers can recompute the identical
@@ -73,10 +73,12 @@ class StepContext:
         return cls(step=step, draw_attempts=draw, pool=pool)
 
     @cached_property
-    def attempts(self) -> dict:
+    def attempts(self) -> kernels.Attempts:
         """The global, decomposition-independent extravasation-attempt
-        schedule, drawn at the first read: a backend whose ranks draw it
-        themselves from the published ``(step, pool)`` never pays for it."""
+        schedule, made at the first read and drawn at the first read of
+        its arrays — which the compiled pass never makes: it draws each
+        attempt itself.  A backend whose ranks draw it themselves from the
+        published ``(step, pool)`` never pays for it."""
         return self.draw_attempts()
 
 

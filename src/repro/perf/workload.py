@@ -53,7 +53,7 @@ class _Observed(SequentialBackend):
         self.log["wave_a"].append(
             (self._view("tcell") != 0) | np.isin(self._view("epi_state"), _LIVE_CELLS)
         )
-        self.log["attempts"].append(ctx.attempts["gid"].size)
+        self.log["attempts"].append(ctx.attempts.size)
 
     def _after_intents(self, ctx):
         it, spec = self.intents, self.spec
@@ -96,7 +96,7 @@ class WorkloadTrace:
         ``(num_steps, *dim)``: epithelial / T-cell activity after
         extravasation, concentration activity after production.
     attempts:
-        Extravasation attempts drawn per step.
+        Extravasation attempts per step (the schedule's ``size``).
     supergrid, sample_steps, counts:
         The projector's view: active voxels per supercell (``supergrid``
         cells per axis) after every ``stride``-th step.

@@ -26,6 +26,17 @@ uniform and a ``-ffp-contract=fast -march=native`` build each fail it.
 The agent kernels' cases (below) are mutation-checked the same way: the
 scatter-max made a plain store, the j-th bindable cell for the (j+1)-th,
 the last winning direction for the first, and bid 0 not reserved.
+
+The gate sweep's two passes (``activity``, ``sweep_window``) get the same
+worlds thinned to sparse activity.  The fused extravasation pass
+(``Tier.extravasate``) is compared with the numpy body and with the
+per-attempt loop of ``tests/core/test_kernels.py``, and the Poisson timers'
+``Tier.retime`` with ``kernels._retime``'s numpy body; with ``_BAND``
+widened, both send draws back to SciPy and must still agree.  Mutation-checked:
+the last accepting attempt wins, ``<=`` for ``<`` on the acceptance roll,
+the lifespan keyed by the wrong index, ``retime`` keyed by the wrong gid, and
+the band fixup removed.  The last test fails if an entry point of
+``native._NARGS`` has no fixed-world case here.
 """
 
 import contextlib
@@ -39,10 +50,12 @@ from repro.core import kernels, native
 from repro.core.params import ParamsStack, SimCovParams
 from repro.core.state import EnsembleBlock, EpiState, VoxelBlock
 from repro.core.stats import region_counts
+from repro.engine.activity import ActivityGate
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
 from repro.rng.philox import _M64, _MIX1_INT, _MIX2_INT, _PHI_INT, NATIVE_FROM
 from repro.rng.streams import EnsembleRNG, Stream, VoxelRNG
+from tests.core.test_kernels import loop_apply_extravasation
 
 FAST = settings(max_examples=120, deadline=None)
 BLOCK_FIELDS = tuple(VoxelBlock.FIELD_DTYPES)
@@ -439,3 +452,271 @@ def test_a_zero_bid_word_still_bids(batch):
     assert (arrays["intents.bid_self"][at] == 1).all()
     assert (arrays["intents.move_bid"] == 1).sum() == max(batch, 1)
     assert len(arrays["moves.moved_out"]) == max(batch, 1)
+
+
+# -- the extravasation pass and the Poisson timers ---------------------------------------
+
+def extravasation_member(base, rs):
+    """A member's parameters: the three that ``extravasate`` reads per member."""
+    return base.with_(
+        extravasate_fraction=float(rs.choice([0.05, 0.2, 1.0])),
+        min_chemokine=float(rs.choice([1e-6, 0.25, 0.5])),
+        tcell_tissue_period=int(rs.choice([1, 3, 40, 1440])),
+    )
+
+
+def padded_box(block, rs):
+    """Padded spatial slices of a random non-empty box of ``block``'s interior."""
+    box = []
+    for s, n in zip(block.interior[-block.spec.ndim:], block.shape[-block.spec.ndim:]):
+        start, stop = s.indices(n)[:2]
+        lo = int(rs.integers(start, stop))
+        box.append(slice(lo, int(rs.integers(lo + 1, stop + 1))))
+    return tuple(box)
+
+
+@st.composite
+def extravasation_worlds(draw):
+    """(params, block, rng, step, pool, region, counted): a world small enough that attempts
+    repeat on a voxel, signal on both sides of each member's floor and exactly on some
+    attempts' acceptance rolls, and T cells already present on some voxels."""
+    ndim = draw(st.sampled_from([2, 3]))
+    dim = tuple(draw(st.integers(3, 7 if ndim == 2 else 4)) for _ in range(ndim))
+    spec = GridSpec(dim)
+    lo = tuple(draw(st.integers(0, n - 2)) for n in dim)
+    hi = tuple(draw(st.integers(a + 1, n)) for a, n in zip(lo, dim))
+    owned = draw(st.sampled_from([spec.domain, Box(lo, hi)]))
+    batch, step = draw(st.sampled_from([0, 1, 2, 3])), draw(st.integers(0, 500))
+    rs = np.random.default_rng(draw(st.integers(0, 2**31)))
+    base = SimCovParams.fast_test(dim=dim)
+    pools = [0.0, 0.7, 3.5, 40.0, 400.0]
+    if batch:
+        first = extravasation_member(base, rs)
+        per_member = draw(st.booleans())
+        params = ParamsStack([first] + [
+            extravasation_member(base, rs) if per_member else first
+            for _ in range(batch - 1)])
+        block = EnsembleBlock(spec, owned, batch)
+        rng = EnsembleRNG(rs.integers(-(2**40), 2**40, size=batch))
+        pool = rs.choice(pools, size=batch)
+    else:
+        params = extravasation_member(base, rs)
+        block = VoxelBlock(spec, owned)
+        rng = VoxelRNG(int(rs.integers(-(2**40), 2**40)))
+        pool = float(rs.choice(pools))
+    floors = np.reshape(params.min_chemokine, -1)
+    palette = [0.0, 1.0, 0.75, *floors, *np.nextafter(floors, 0.0)]
+    block.chemokine[...] = rs.choice(palette, size=block.shape)
+    occupied = rs.random(block.shape) < draw(st.sampled_from([0.0, 0.3]))
+    block.tcell[occupied] = 1
+    block.tcell_tissue_time[...] = rs.integers(-1, 9, size=block.shape)
+    block.tcell_bound_time[...] = rs.integers(0, 3, size=block.shape)
+    # Signal exactly on an attempt's acceptance roll: there `<` and `<=` part.
+    drawn = dict(kernels.extravasation_attempts(params, rng, step, pool))
+    at = spec.unravel(drawn["gid"]) - np.asarray(block.origin)
+    inside = np.flatnonzero(((at >= 0) & (at < block.shape[-ndim:])).all(axis=1))
+    for i in inside[rs.random(inside.size) < 0.5]:
+        lead = (int(drawn["member"][i]),) if batch else ()
+        block.chemokine[lead + tuple(at[i])] = drawn["accept_u"][i]
+    region = block.interior if draw(st.booleans()) else (
+        block.interior[:-ndim] + padded_box(block, rs))
+    counted = padded_box(block, rs) if not batch and draw(st.booleans()) else None
+    return params, block, rng, step, pool, region, counted
+
+
+def run_extravasation(how, params, block, rng, step, pool, region, counted):
+    """One extravasation pass over a fresh schedule, on a copy: ``how`` is ``"native"``, the
+    numpy body (``"numpy"``) or the per-attempt loop of ``tests/core/test_kernels.py``
+    (``"loop"``, which counts every entrant).  The fields left and the tally."""
+    blk, attempts = copy_block(block), kernels.extravasation_attempts(params, rng, step, pool)
+    with on_tier(how == "native"):
+        if how != "loop":
+            entered = kernels.apply_extravasation(params, blk, attempts, region, counted)
+        elif not rng.batched:
+            entered = loop_apply_extravasation(params, blk, attempts, region)
+        else:
+            entered = np.array([loop_apply_extravasation(
+                params.member(b), blk.member_view(b),
+                {k: v[attempts["member"] == b] for k, v in attempts.items()}, region[1:],
+            ) for b in range(blk.batch)])
+    return {name: getattr(blk, name) for name in BLOCK_FIELDS}, entered
+
+
+def assert_same_pass(got, want, tally=True):
+    for name, w in want[0].items():
+        assert got[0][name].tobytes() == w.tobytes(), name
+    if tally:
+        assert type(got[1]) is type(want[1]) and np.shape(got[1]) == np.shape(want[1])
+        assert np.array_equal(got[1], want[1])
+
+
+@FAST
+@given(extravasation_worlds())
+def test_compiled_extravasation_matches_the_numpy_body_and_the_loop(world):
+    got = run_extravasation("native", *world)
+    assert_same_pass(got, run_extravasation("numpy", *world))
+    assert_same_pass(got, run_extravasation("loop", *world), tally=world[-1] is None)
+
+
+def retime_case(block, seed):
+    """Flat indices of a random half of ``block``'s interior (every member)."""
+    pick = np.zeros(block.shape, bool)
+    pick[block.interior] = np.random.default_rng(seed).random(pick[block.interior].shape) < 0.5
+    return np.flatnonzero(pick)
+
+
+def run_retime(compiled, block, rng, stream, step, at, period):
+    blk = copy_block(block)
+    with on_tier(compiled):
+        kernels._retime(rng, stream, step, blk, at, period)
+    return blk.epi_timer
+
+
+@FAST
+@given(worlds(), st.sampled_from(["incubation_period", "expressing_period", 1440]),
+       st.integers(0, 2**31))
+def test_compiled_retime_matches_the_numpy_body(world, period, seed):
+    block, rng, params, _, _, _, step = world
+    period = getattr(params, period) if isinstance(period, str) else period
+    at = retime_case(block, seed)
+    args = (rng, Stream.EXPRESSING_PERIOD, step, at, period)
+    assert run_retime(True, block, *args).tobytes() == run_retime(False, block, *args).tobytes()
+
+
+def busy_extravasation_world(batch):
+    """Signal 1.0 everywhere, no T cell yet, and pools that send hundreds of attempts into a
+    7 x 6 grid: most enter, and every lifespan draw is made."""
+    spec = GridSpec((7, 6))
+    base = SimCovParams.fast_test(dim=spec.shape)
+    periods = [40, 3, 1440][:max(batch, 1)]
+    members = [base.with_(tcell_tissue_period=p, extravasate_fraction=1.0) for p in periods]
+    if batch:
+        params, block = ParamsStack(members), EnsembleBlock(spec, spec.domain, batch)
+        rng, pool = EnsembleRNG(np.arange(3, 3 + batch)), np.full(batch, 300.0)
+    else:
+        params, block, rng, pool = members[0], VoxelBlock(spec, spec.domain), VoxelRNG(3), 300.0
+    block.chemokine[...] = 1.0
+    return params, block, rng, 11, pool, block.interior, None
+
+
+@pytest.mark.parametrize("batch", [0, 3])
+def test_the_extravasation_edges_are_reached(batch):
+    """One busy world per shape: sites repeat, the first accepting attempt takes the voxel,
+    and the three spellings agree (the tally counts each entrant once)."""
+    world = busy_extravasation_world(batch)
+    got = run_extravasation("native", *world)
+    assert_same_pass(got, run_extravasation("numpy", *world))
+    assert_same_pass(got, run_extravasation("loop", *world))
+    attempts = kernels.extravasation_attempts(*world[:1], *world[2:5])
+    assert attempts.size > np.sum(got[1]) > 0  # repeats: more attempts than entrants
+    assert len(np.unique(attempts["gid"])) < attempts.size
+    assert np.sum(got[1]) == (got[0]["tcell"] != 0).sum()
+
+
+@pytest.fixture
+def wide_band(monkeypatch):
+    """``_BAND`` at 2**-6: far more draws fall in a threshold's band and go back to Python;
+    every call of ``native._band`` reports how many."""
+    from repro.rng import distributions
+
+    seen = []
+    band = native._band
+    monkeypatch.setattr(distributions, "_BAND", 2.0**-6)
+    monkeypatch.setattr(native, "_band", lambda field, at, *rest: (
+        seen.append(len(at)), band(field, at, *rest)))
+    distributions._poisson_edges.cache_clear()
+    yield seen
+    distributions._poisson_edges.cache_clear()  # before the narrow band is back: rebuilt
+
+
+@pytest.mark.parametrize("batch", [0, 3])
+def test_draws_in_a_band_are_recomputed_by_scipy(wide_band, batch):
+    """Both tiers agree on the extravasation pass and on ``_retime`` while the C search
+    sends hundreds of draws back for SciPy's formula: skip that and tissue times and
+    timers keep stale values."""
+    world = busy_extravasation_world(batch)
+    assert_same_pass(run_extravasation("native", *world), run_extravasation("numpy", *world))
+    entered = sum(wide_band)
+    assert entered > 0
+    params, block, rng, step = world[:4]
+    at = retime_case(block, 5)
+    block.epi_timer[...] = -7
+    args = (rng, Stream.INCUBATION_PERIOD, step, at, params.tcell_tissue_period)
+    assert run_retime(True, block, *args).tobytes() == run_retime(False, block, *args).tobytes()
+    assert sum(wide_band) > entered
+
+
+# -- the gate sweep: activity and sweep_window -------------------------------------------
+
+def run_sweep(compiled, block, min_chemokine, period):
+    """A fresh gate's first sweep on a copy: its mask, member counts and region."""
+    blk = copy_block(block)
+    with on_tier(compiled):
+        gate = ActivityGate(blk, min_chemokine, sweep_period=period)
+        gate.sweep()
+    return gate.mask.copy(), np.array(gate.member_counts), gate.region()
+
+
+def assert_same_sweep(got, want):
+    for g, w in zip(got[:2], want[:2]):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    assert got[2] == want[2]
+
+
+@FAST
+@given(worlds(), st.sampled_from([1, None]), st.floats(0.0, 0.99), st.integers(0, 2**31))
+def test_compiled_gate_sweep_matches_the_numpy_bodies(world, period, idle, seed):
+    """The sweep's two passes on both tiers, over worlds whose activity is thinned to a
+    fraction ``1 - idle`` of the voxels (the rest: healthy, no signal, no T cell)."""
+    block, _, params = world[:3]
+    quiet = np.random.default_rng(seed).random(block.shape) < idle
+    block.epi_state[quiet] = EpiState.HEALTHY
+    for name in ("virions", "chemokine", "tcell"):
+        getattr(block, name)[quiet] = 0
+    assert_same_sweep(run_sweep(True, block, params.min_chemokine, period),
+                      run_sweep(False, block, params.min_chemokine, period))
+
+
+def test_the_gate_sweep_edges_are_reached():
+    """Activity of each kind on a few voxels of a quiet 3-member block, one of them in the
+    ghost ring: both modes give a region smaller than the interior, on both tiers."""
+    spec = GridSpec((40, 32))
+    block = EnsembleBlock(spec, spec.domain, 3)
+    block.epi_state[...] = EpiState.HEALTHY
+    block.virions[0, 3, 4] = 1e-300
+    block.chemokine[1, 9, 9] = 1e-6
+    block.tcell[2, 5, 2] = 1
+    block.epi_state[2, 0, 6] = EpiState.EXPRESSING  # a ghost: it widens the raw hull only
+    for period in (1, None):
+        got = run_sweep(True, block, 1e-6, period)
+        assert_same_sweep(got, run_sweep(False, block, 1e-6, period))
+        assert (got[1] > 0).all() and got[2] is not None
+        assert got[0].sum() < got[0].size
+
+
+# -- every entry point has a case --------------------------------------------------------
+
+class _Seen:
+    """A C function that notes its name when called."""
+
+    def __init__(self, fn, seen):
+        self.fn, self.seen, self.argtypes, self.__name__ = fn, seen, fn.argtypes, fn.__name__
+
+    def __call__(self, *args):
+        self.seen.add(self.__name__)
+        return self.fn(*args)
+
+
+def test_every_entry_point_has_an_equivalence_case(monkeypatch):
+    """Every name in ``native._NARGS`` is called by one of this module's fixed-world cases
+    (run here, with the tier's functions wrapped): an entry point added without a case
+    here fails."""
+    tier, seen = native.tier(), set()
+    monkeypatch.setattr(tier, "_fns", {name: tuple(_Seen(fn, seen) for fn in fns)
+                                       for name, fns in tier._fns.items()})
+    test_the_edges_are_reached()
+    test_the_agent_edges_are_reached()
+    test_the_gate_sweep_edges_are_reached()
+    for batch in (0, 3):
+        test_the_extravasation_edges_are_reached(batch)
+    assert seen == set(native._NARGS), set(native._NARGS) - seen

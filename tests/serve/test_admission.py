@@ -41,10 +41,10 @@ class TestQueueBound:
     def test_queue_full_is_typed_503(self):
         with serve(max_queue_depth=1) as app:
             client = ServeClient(port=app.port)
-            running = client.submit(dict(SPEC, steps=600))
-            queued = client.submit(dict(SPEC, seed=5, steps=600))
+            running = client.submit(dict(SPEC, steps=1800))
+            queued = client.submit(dict(SPEC, seed=5, steps=1800))
             status, headers, body = raw_post_jobs(
-                app.port, dict(SPEC, seed=6, steps=600)
+                app.port, dict(SPEC, seed=6, steps=1800)
             )
             assert status == 503
             assert body["reason"] == "queue_full"
@@ -64,7 +64,7 @@ class TestQueueBound:
         with serve(max_queue_depth=0) as app:
             client = ServeClient(port=app.port)
             with pytest.raises(ServeError) as excinfo:
-                client.submit(dict(SPEC, steps=600))
+                client.submit(dict(SPEC, steps=1800))
             assert excinfo.value.status == 503
             assert excinfo.value.retry_after is not None
 
@@ -74,10 +74,10 @@ class TestClientCap:
         with serve(max_inflight_per_client=1) as app:
             client = ServeClient(port=app.port)
             first = client.submit(
-                dict(SPEC, steps=600, client="alice")
+                dict(SPEC, steps=1800, client="alice")
             )
             status, headers, body = raw_post_jobs(
-                app.port, dict(SPEC, seed=5, steps=600, client="alice")
+                app.port, dict(SPEC, seed=5, steps=1800, client="alice")
             )
             assert status == 429
             assert body["reason"] == "client_limit"
@@ -98,11 +98,11 @@ class TestClientCap:
             cold = client.submit(SPEC)
             client.wait(cold["job"]["id"], timeout=60.0)
             # Saturate the cold path...
-            hog = client.submit(dict(SPEC, seed=8, steps=600))
+            hog = client.submit(dict(SPEC, seed=8, steps=1800))
             # ...hits and joins still go through (they cost nothing).
             hit = client.submit(SPEC)
             assert hit["cache"] == "hit"
-            join = client.submit(dict(SPEC, seed=8, steps=600))
+            join = client.submit(dict(SPEC, seed=8, steps=1800))
             assert join["cache"] == "join"
             client.wait(hog["job"]["id"], timeout=60.0)
 

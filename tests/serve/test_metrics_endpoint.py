@@ -129,7 +129,7 @@ class TestPreemptionCounters:
     def test_preemption_visible_in_scrape(self):
         with serve(max_workers=1) as app:
             client = ServeClient(port=app.port)
-            low = client.submit(dict(SPEC, steps=400, priority=0))
+            low = client.submit(dict(SPEC, steps=1200, priority=0))
             high = client.submit(
                 dict(SPEC, steps=10, seed=9, priority=9)
             )

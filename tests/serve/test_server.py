@@ -71,7 +71,7 @@ class TestSubmitAndResult:
     def test_inflight_duplicates_join(self):
         with serve(max_workers=1) as app:
             client = ServeClient(port=app.port)
-            long_spec = dict(SPEC, steps=300)
+            long_spec = dict(SPEC, steps=900)
             first = client.submit(long_spec)
             second = client.submit(long_spec)
             assert second["cache"] == "join"
@@ -120,7 +120,7 @@ class TestSubmitAndResult:
     def test_result_conflict_while_running(self):
         with serve(max_workers=1) as app:
             client = ServeClient(port=app.port)
-            resp = client.submit(dict(SPEC, steps=400))
+            resp = client.submit(dict(SPEC, steps=1200))
             with pytest.raises(ServeError) as exc:
                 client.result(resp["job"]["id"])
             assert exc.value.status == 409
@@ -223,7 +223,7 @@ class TestEvents:
 
 class TestPreemption:
     def test_high_priority_preempts_and_resume_is_bitwise(self):
-        low_spec = dict(SPEC, steps=250, seed=7, priority=0)
+        low_spec = dict(SPEC, steps=750, seed=7, priority=0)
         with serve(max_workers=1) as app:
             client = ServeClient(port=app.port)
             low = client.submit(low_spec)
@@ -259,8 +259,8 @@ class TestCancel:
     def test_cancel_queued_job(self):
         with serve(max_workers=1) as app:
             client = ServeClient(port=app.port)
-            running = client.submit(dict(SPEC, steps=200, seed=5))
-            queued = client.submit(dict(SPEC, steps=200, seed=6))
+            running = client.submit(dict(SPEC, steps=600, seed=5))
+            queued = client.submit(dict(SPEC, steps=600, seed=6))
             resp = client.cancel(queued["job"]["id"])
             assert resp["state"] == "cancelled"
             client.wait(running["job"]["id"])
