@@ -10,6 +10,7 @@ Fig 4 ablation axis.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
@@ -308,32 +309,75 @@ class RegionReducer:
 
 
 class TimeSeries:
-    """Accumulates StepStats and exposes numpy views per field."""
+    """The per-step statistics of a run, as columns: per step the step
+    number, the REDUCED_FIELDS row, the vascular pool and the three
+    tallies.  On a batched run (``batch`` members) each entry carries the
+    member axis and :meth:`member` is one member's view over the same
+    columns; the series itself reads member 0.  A :class:`StepStats` is
+    built only when a row is read, from the values the engine produced,
+    so each member's rows are bitwise its solo run's."""
 
-    def __init__(self):
-        self._stats: list[StepStats] = []
+    def __init__(self, batch: int | None = None):
+        self.batch = batch
+        #: Step numbers, REDUCED_FIELDS rows, pools, extravasations,
+        #: binds and moves, one entry per step each.
+        self._columns: tuple[list, ...] = ([], [], [], [], [], [])
+        #: The member this series reads; None on a solo run.
+        self._member = None if batch is None else 0
+
+    def member(self, b: int) -> TimeSeries:
+        """Member ``b``'s rows of a batched series (a view: it grows and
+        truncates with this one)."""
+        view = copy.copy(self)
+        view._member = range(self.batch)[b]
+        return view
+
+    def add(self, step, reduced, pool, extravasations, binds, moves) -> None:
+        """One step's entry as the engine produced it (per-member vectors
+        on a batched run; a tally may be the scalar 0 of an idle step)."""
+        for column, value in zip(
+            self._columns, (step, reduced, pool, extravasations, binds, moves)
+        ):
+            column.append(value)
 
     def append(self, stats: StepStats) -> None:
-        self._stats.append(stats)
+        self.add(
+            stats.step, [getattr(stats, f) for f in REDUCED_FIELDS],
+            stats.tcells_vasculature, stats.extravasations, stats.binds,
+            stats.moves,
+        )
 
     def truncate(self, length: int) -> None:
-        """Drop every entry at index >= ``length`` (recovery rollback:
-        replayed steps re-append bitwise-identical stats)."""
+        """Drop every entry at index >= ``length``, of every member
+        (recovery rollback: replayed steps re-append bitwise-identical
+        stats)."""
         if length < 0:
             raise ValueError("length must be >= 0")
-        del self._stats[length:]
+        for column in self._columns:
+            del column[length:]
 
     def __len__(self) -> int:
-        return len(self._stats)
+        return len(self._columns[0])
 
     def __getitem__(self, i: int) -> StepStats:
-        return self._stats[i]
+        steps, *columns = self._columns
+        row = [column[i] for column in columns]
+        if (b := self._member) is not None:
+            row = [v[b] if isinstance(v, np.ndarray) else v for v in row]
+        reduced, pool, ext, binds, moves = row
+        return StepStats.from_vector(
+            steps[i], reduced, pool=float(pool), extravasations=int(ext),
+            binds=int(binds), moves=int(moves),
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
     def field(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self._stats], dtype=np.float64)
+        return np.array([getattr(s, name) for s in self], dtype=np.float64)
 
     def steps(self) -> np.ndarray:
-        return np.array([s.step for s in self._stats], dtype=np.int64)
+        return np.array(self._columns[0], dtype=np.int64)
 
     def peak(self, name: str) -> tuple[int, float]:
         """(step, value) of the field's maximum — the Table 2 statistics."""
@@ -341,10 +385,8 @@ class TimeSeries:
         if vals.size == 0:
             raise ValueError("empty time series")
         i = int(np.argmax(vals))
-        return int(self._stats[i].step), float(vals[i])
+        return int(self._columns[0][i]), float(vals[i])
 
     def to_rows(self) -> list[dict]:
         """Plain dict rows (CSV/analysis helper)."""
-        return [
-            {f.name: getattr(s, f.name) for f in dc_fields(s)} for s in self._stats
-        ]
+        return [{f.name: getattr(s, f.name) for f in dc_fields(s)} for s in self]

@@ -16,11 +16,8 @@ from repro.engine.driver import EngineDriver
 from repro.engine.engine import StepContext, StepEngine
 from repro.engine.ensemble import (
     EnsembleBackend,
-    EnsembleEngine,
     EnsembleMemberView,
-    EnsembleSeries,
     EnsembleSimCov,
-    MemberSeries,
     expand_sweep,
 )
 from repro.engine.metrics import PhaseMetrics
@@ -45,13 +42,10 @@ __all__ = [
     "ActivityGate",
     "EngineDriver",
     "EnsembleBackend",
-    "EnsembleEngine",
     "EnsembleMemberView",
-    "EnsembleSeries",
     "EnsembleSimCov",
     "ExecutionBackend",
     "FieldSet",
-    "MemberSeries",
     "Phase",
     "PhaseKind",
     "PhaseMetrics",

@@ -38,6 +38,9 @@ class ExecutionBackend(abc.ABC):
     #: is the whole cost when telemetry is off.
     tracer = NULL_TRACER
 
+    #: Extra attributes the engine stamps on every phase/step span.
+    span_attrs: dict = {}
+
     params: SimCovParams
     rng: VoxelRNG
     spec: GridSpec

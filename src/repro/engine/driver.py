@@ -92,11 +92,12 @@ class EngineDriver:
     # -- engine state (checkpointable scalars have setters) -------------------
 
     @property
-    def pool(self) -> float:
+    def pool(self) -> float | np.ndarray:
+        """The vascular pool: one per member on a batched run."""
         return self.engine.pool
 
     @pool.setter
-    def pool(self, value: float) -> None:
+    def pool(self, value: float | np.ndarray) -> None:
         self.engine.pool = value
 
     @property

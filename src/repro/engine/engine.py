@@ -2,12 +2,11 @@
 
 One step loop for every backend: the engine owns the replicated scalar
 logic every driver used to duplicate (vascular-pool dynamics, the global
-extravasation-attempt schedule, the pool debit, StepStats assembly, the
-time series and per-step work records) and runs the backend's declared
-schedule phase by phase, timing each one.  A subclass that keeps that
-scalar state per ensemble member overrides the prologue, the pool debit
-and the epilogue (:meth:`StepEngine._begin_step` / :meth:`StepEngine._debit`
-/ :meth:`StepEngine._finish_step`), never the loop.
+extravasation-attempt schedule, the pool debit, the time series and
+per-step work records) and runs the backend's declared schedule phase by
+phase, timing each one.  On a batched backend (one with a ``batch``) the
+same expressions carry the member axis: the pool is a ``(B,)`` vector and
+each series entry holds every member's row.
 
 Drivers (`SequentialSimCov`, `DistSimCov`, `EnsembleSimCov`) are thin
 configuration shims: they build a backend, hand it to an engine, and
@@ -122,9 +121,20 @@ class StepEngine:
                 "Seconds this process spent building the compiled tier",
             ),
         )
-        self.pool = 0.0
+        batch = getattr(backend, "batch", None)
+        #: The vascular T-cell pool: a float, or one per member of a batch.
+        self.pool = 0.0 if batch is None else np.zeros(batch)
+        #: Its parameters; a sweep's ``(B, 1, ..., 1)`` values as ``(B,)``.
+        self._pool_params = tuple(
+            np.reshape(v, -1) if np.ndim(v) else v
+            for v in (
+                self.params.tcell_initial_delay,
+                self.params.tcell_generation_rate,
+                self.params.tcell_vascular_period,
+            )
+        )
         self.step_num = 0
-        self.series = TimeSeries()
+        self.series = TimeSeries(batch)
         #: Per-step records: the backend's extras (active counts) for the
         #: performance model.
         self.step_work: list[dict] = []
@@ -139,35 +149,23 @@ class StepEngine:
 
     # -- driver --------------------------------------------------------------
 
-    #: Extra attributes stamped on every phase/step span.
-    span_attrs: dict = {}
-
     def _begin_step(self, t: int) -> StepContext:
         """Vascular pool dynamics (replicated scalar state) + the global
-        attempt schedule every backend applies to the voxels it owns."""
-        p = self.params
-        if t >= p.tcell_initial_delay:
-            self.pool += p.tcell_generation_rate
-        self.pool -= self.pool / p.tcell_vascular_period
-        return StepContext.start(p, self.rng, t, self.pool)
+        attempt schedule every backend applies to the voxels it owns.
+        Before its delay a member's pool gains an exact ``+0.0``."""
+        delay, rate, period = self._pool_params
+        pool = self.pool + rate * (t >= delay)
+        self.pool = pool = pool - pool / period
+        return StepContext.start(self.params, self.rng, t, pool)
 
     def _debit(self, ctx: StepContext) -> None:
         """Step ``ctx.step``'s pool debit, run once: by the launch of the
-        next step or, when nothing was launched, before :meth:`_finish_step`."""
-        self.pool = ctx.pool_after = max(0.0, self.pool - ctx.extravasations)
-
-    def _finish_step(self, ctx: StepContext) -> StepStats:
-        """Statistics assembly (identical on every substrate)."""
-        stats = StepStats.from_vector(
-            ctx.step,
-            ctx.reduced,
-            pool=ctx.pool_after,
-            extravasations=ctx.extravasations,
-            binds=ctx.binds,
-            moves=ctx.moves,
+        next step or, when nothing was launched, at the end of the step.
+        Rebound, never mutated: the series holds each step's pool."""
+        pool = self.pool - ctx.extravasations
+        self.pool = ctx.pool_after = (
+            np.maximum(pool, 0.0) if isinstance(pool, np.ndarray) else max(0.0, pool)
         )
-        self.series.append(stats)
-        return stats
 
     def step(self, more: bool = False) -> StepStats:
         """Advance one timestep; returns (and records) the step's stats.
@@ -182,7 +180,7 @@ class StepEngine:
             ctx.launch_next = self._launch_next
 
         tracer = self.tracer
-        attrs = self.span_attrs
+        attrs = self.backend.span_attrs
         step_start = perf_counter()
         for row, phase in enumerate(self.schedule):
             start = perf_counter()
@@ -209,7 +207,11 @@ class StepEngine:
             )
         if ctx.pool_after is None:
             self._debit(ctx)
-        stats = self._finish_step(ctx)
+        self.series.add(
+            ctx.step, ctx.reduced, ctx.pool_after, ctx.extravasations, ctx.binds,
+            ctx.moves,
+        )
+        stats = self.series[-1]
         record = {"step": t}
         record.update(self.backend.step_record(ctx))
         if "active_voxels" in record:

@@ -21,10 +21,14 @@ runtime already carry.  The argument (DESIGN.md §4d):
 - the gate region is the **union** bounding box of the members' active
   sets — a superset of each member's own region, which the gate contract
   makes bitwise-invisible;
-- per-member scalar state (vascular pools) evolves by elementwise vector
-  ops that reproduce each solo run's float sequence; the ragged attempt
-  schedules are one flat member-keyed set of draws, and FOI seeding runs
-  per member over solo-layout member views;
+- the one :class:`~repro.engine.engine.StepEngine` keeps the vascular
+  pool as a ``(B,)`` vector updated by the solo run's expressions, which
+  are elementwise; the ragged attempt schedules are one flat member-keyed
+  set of draws, and FOI seeding runs per member over solo-layout member
+  views;
+- the one :class:`~repro.core.stats.TimeSeries` stores each step's
+  per-member rows as the engine produced them; ``series.member(b)`` builds
+  member ``b``'s :class:`~repro.core.stats.StepStats` from them when read;
 - the stats reduction is probe-guarded
   (:func:`repro.core.stats._batched_sum_exact`): the vectorized sum is
   used only on layouts where it is provably bitwise-equal to per-member
@@ -40,11 +44,11 @@ import numpy as np
 from repro.core.params import ParamsStack, SimCovParams
 from repro.core.seeding import apply_seeds, seed_infections
 from repro.core.state import EnsembleBlock
-from repro.core.stats import REDUCED_FIELDS, StepStats
+from repro.core.stats import TimeSeries
 from repro.engine.driver import EngineDriver
-from repro.engine.engine import StepContext, StepEngine
 from repro.engine.sequential import SingleBlockBackend
 from repro.grid.spec import GridSpec
+from repro.obs.registry import get_registry
 from repro.rng.streams import EnsembleRNG
 
 
@@ -116,12 +120,31 @@ class EnsembleBackend(SingleBlockBackend):
         self._init_block(
             block, stack.min_chemokine, active_gating, tile_shape, sweep_period
         )
+        self.span_attrs = {"ensemble": stack.batch}
+        reg = get_registry()
+        reg.gauge(
+            "simcov_ensemble_batch", "Members in the batched ensemble"
+        ).set(stack.batch)
+        self._obs_member_rate = reg.gauge(
+            "simcov_ensemble_member_steps_per_sec",
+            "Ensemble throughput: member-steps per wall second",
+        )
+        self._obs_t0 = None
 
     @property
     def batch(self) -> int:
         return self.params.batch
 
+    def begin_step(self, ctx) -> None:
+        if self._obs_t0 is None:
+            self._obs_t0 = perf_counter()
+
     def step_record(self, ctx) -> dict:
+        # Member-steps per second since the first step: the members
+        # advance together, so one step is ``batch`` member-steps.
+        wall = perf_counter() - self._obs_t0
+        if wall > 0:
+            self._obs_member_rate.set((ctx.step + 1) * self.batch / wall)
         if self.tracer:
             self.tracer.gauge(
                 "ensemble_batch", self.batch, cat="ensemble", step=ctx.step,
@@ -139,200 +162,6 @@ class EnsembleBackend(SingleBlockBackend):
             return super().gather_field(name)
         mv = self.member_views[member]
         return getattr(mv, name)[mv.interior].copy()
-
-
-#: Column index of each reduced stats field, for MemberSeries.field.
-_STATS_COLUMNS = {name: i for i, name in enumerate(REDUCED_FIELDS)}
-
-
-class EnsembleSeries:
-    """Column store of every member's per-step statistics.
-
-    Materializing ``B`` :class:`StepStats` objects per step is pure
-    Python overhead in the hot loop; the engine instead appends the
-    already-computed per-step arrays here, and :class:`MemberSeries`
-    views materialize a member's StepStats lazily — bitwise identical to
-    the objects the eager fan-out would have built, because the stored
-    values *are* the solo-run values.
-    """
-
-    def __init__(self, batch: int):
-        self.batch = int(batch)
-        self.steps_list: list[int] = []
-        self.reduced: list[np.ndarray] = []  # (B, 8) float64 per step
-        self.pools: list[np.ndarray] = []  # (B,) float64 per step
-        self.extravasations: list[np.ndarray] = []
-        self.binds: list[np.ndarray] = []
-        self.moves: list[np.ndarray] = []
-
-    def append_step(self, step, reduced, pools, ext, binds, moves) -> None:
-        self.steps_list.append(int(step))
-        self.reduced.append(reduced)
-        self.pools.append(pools)
-        self.extravasations.append(ext)
-        self.binds.append(binds)
-        self.moves.append(moves)
-
-    def __len__(self) -> int:
-        return len(self.steps_list)
-
-    def truncate(self, length: int) -> None:
-        """Drop entries at index >= ``length`` for every member."""
-        if length < 0:
-            raise ValueError("length must be >= 0")
-        for col in (self.steps_list, self.reduced, self.pools,
-                    self.extravasations, self.binds, self.moves):
-            del col[length:]
-
-    def member(self, b: int) -> "MemberSeries":
-        return MemberSeries(self, b)
-
-
-class MemberSeries:
-    """:class:`~repro.core.stats.TimeSeries`-compatible view of one
-    member's rows in an :class:`EnsembleSeries` (read API: ``field``,
-    ``steps``, ``peak``, ``to_rows``, indexing)."""
-
-    def __init__(self, log: EnsembleSeries, member: int):
-        self._log = log
-        self.member = int(member)
-
-    def __len__(self) -> int:
-        return len(self._log)
-
-    def __getitem__(self, i: int) -> StepStats:
-        log, b = self._log, self.member
-        return StepStats.from_vector(
-            log.steps_list[i],
-            log.reduced[i][b],
-            pool=float(log.pools[i][b]),
-            extravasations=int(log.extravasations[i][b]),
-            binds=int(log.binds[i][b]),
-            moves=int(log.moves[i][b]),
-        )
-
-    def field(self, name: str) -> np.ndarray:
-        log, b = self._log, self.member
-        if name in _STATS_COLUMNS:
-            col = _STATS_COLUMNS[name]
-            return np.array([r[b, col] for r in log.reduced], dtype=np.float64)
-        if name == "infected":
-            # Same left-to-right float adds as StepStats.infected.
-            red = self.field("incubating") + self.field("expressing")
-            return red + self.field("apoptotic")
-        if name == "tcells_vasculature":
-            return np.array([p[b] for p in log.pools], dtype=np.float64)
-        if name in ("extravasations", "binds", "moves"):
-            rows = getattr(log, name)
-            return np.array([r[b] for r in rows], dtype=np.float64)
-        if name == "step":
-            return np.array(log.steps_list, dtype=np.float64)
-        raise AttributeError(f"unknown stats field {name!r}")
-
-    def steps(self) -> np.ndarray:
-        return np.array(self._log.steps_list, dtype=np.int64)
-
-    def peak(self, name: str) -> tuple[int, float]:
-        vals = self.field(name)
-        if vals.size == 0:
-            raise ValueError("empty time series")
-        i = int(np.argmax(vals))
-        return int(self._log.steps_list[i]), float(vals[i])
-
-    def to_rows(self) -> list[dict]:
-        from dataclasses import fields as dc_fields
-
-        return [
-            {f.name: getattr(s, f.name) for f in dc_fields(s)}
-            for s in (self[i] for i in range(len(self)))
-        ]
-
-
-class EnsembleEngine(StepEngine):
-    """StepEngine with per-member replicated scalar state.
-
-    The vascular pool, the extravasation-attempt schedules and the
-    per-step statistics all fan out per member; each member's series
-    (a lazy :class:`MemberSeries` view) is bitwise identical to its solo
-    run's :class:`~repro.core.stats.TimeSeries`.  ``series`` (the base
-    attribute) tracks member 0.
-    """
-
-    def __init__(
-        self, backend: EnsembleBackend, schedule=None, tracer=None,
-        registry=None,
-    ):
-        super().__init__(backend, schedule, tracer=tracer, registry=registry)
-        self.batch = backend.batch
-        self.span_attrs = {"ensemble": self.batch}
-        self.registry.gauge(
-            "simcov_ensemble_batch", "Members in the batched ensemble"
-        ).set(backend.batch)
-        self._obs_member_rate = self.registry.gauge(
-            "simcov_ensemble_member_steps_per_sec",
-            "Ensemble throughput: member-steps per wall second",
-        )
-        self._obs_t0 = None
-        stack = backend.params
-        self.pools = np.zeros(self.batch, dtype=np.float64)
-        self.log = EnsembleSeries(self.batch)
-        self.member_series = [self.log.member(b) for b in range(self.batch)]
-        #: Base-class attribute: member 0's view (duck-typed TimeSeries).
-        self.series = self.member_series[0]
-        self._delays = np.array(
-            [p.tcell_initial_delay for p in stack.members], dtype=np.int64
-        )
-        self._gen_rates = np.array(
-            [p.tcell_generation_rate for p in stack.members], dtype=np.float64
-        )
-        self._vascular = np.array(
-            [p.tcell_vascular_period for p in stack.members], dtype=np.float64
-        )
-
-    def _vector(self, value, dtype=np.int64) -> np.ndarray:
-        """Phase outputs arrive as per-member vectors, or as the scalar 0
-        when every phase skipped (an idle step) — normalize to a vector."""
-        if np.ndim(value):
-            return np.asarray(value)
-        return np.full(self.batch, value, dtype=dtype)
-
-    def _begin_step(self, t: int) -> StepContext:
-        # Per-member vascular pools: elementwise ops replicate each solo
-        # run's float sequence exactly (x + 0 careers are avoided by the
-        # where; x / period and the max-debit below are elementwise).
-        if self._obs_t0 is None:
-            self._obs_t0 = perf_counter()
-        self.pools = np.where(
-            t >= self._delays, self.pools + self._gen_rates, self.pools
-        )
-        self.pools = self.pools - self.pools / self._vascular
-        return StepContext.start(self.params, self.backend.rng, t, self.pools)
-
-    def _debit(self, ctx: StepContext) -> None:
-        # Rebound (not mutated): `pool_after` stays this step's snapshot.
-        ext = self._vector(ctx.extravasations)
-        self.pools = ctx.pool_after = np.maximum(0.0, self.pools - ext)
-
-    def _finish_step(self, ctx: StepContext) -> StepStats:
-        """Per-member stats rows; returns member 0's."""
-        n = self.batch
-        reduced = np.asarray(ctx.reduced)
-        if reduced.shape[0] != n:
-            raise RuntimeError(
-                f"ensemble reduce returned shape {reduced.shape}, "
-                f"expected leading batch axis {n}"
-            )
-        ext = self._vector(ctx.extravasations)
-        binds = self._vector(ctx.binds)
-        moves = self._vector(ctx.moves)
-        self.log.append_step(ctx.step, reduced, ctx.pool_after, ext, binds, moves)
-        # Ensemble throughput: member-steps/sec over the engine's
-        # lifetime so far (batch members advance together, so one engine
-        # step is `batch` member-steps).
-        wall = perf_counter() - self._obs_t0
-        if wall > 0:
-            self._obs_member_rate.set((self.step_num + 1) * n / wall)
-        return self.member_series[0][-1]
 
 
 class EnsembleMemberView:
@@ -371,18 +200,18 @@ class EnsembleMemberView:
 
     @property
     def pool(self) -> float:
-        return float(self._sim.engine.pools[self.member])
+        return float(self._sim.engine.pool[self.member])
 
     @pool.setter
     def pool(self, value: float) -> None:
-        # Rebind, never mutate: the series log holds the old array.
-        pools = self._sim.engine.pools.copy()
-        pools[self.member] = value
-        self._sim.engine.pools = pools
+        # Rebind, never mutate: the series holds the old vector.
+        pool = self._sim.engine.pool.copy()
+        pool[self.member] = value
+        self._sim.engine.pool = pool
 
     @property
-    def series(self) -> MemberSeries:
-        return self._sim.member_series[self.member]
+    def series(self) -> TimeSeries:
+        return self._sim.engine.series.member(self.member)
 
     def gather_field(self, name: str) -> np.ndarray:
         return self._sim.backend.gather_field(name, member=self.member)
@@ -426,12 +255,7 @@ class EnsembleSimCov(EngineDriver):
             structure_gids=structure_gids, active_gating=active_gating,
             tile_shape=tile_shape, sweep_period=sweep_period,
         )
-        self.backend = backend
-        self.engine = EnsembleEngine(backend, tracer=tracer)
-        self.params = backend.params
-        self.rng = backend.rng
-        self.spec = backend.spec
-        self.seed_gids = backend.seed_gids
+        self._init_engine(backend, tracer=tracer)
         self.block = backend.block
         self.gate = backend.gate
 
@@ -440,14 +264,9 @@ class EnsembleSimCov(EngineDriver):
         return self.backend.batch
 
     @property
-    def member_series(self) -> list[MemberSeries]:
+    def member_series(self) -> list[TimeSeries]:
         """Per-member time series views, index-aligned with the seeds."""
-        return self.engine.member_series
-
-    @property
-    def pools(self) -> np.ndarray:
-        """Per-member vascular pools."""
-        return self.engine.pools
+        return [self.engine.series.member(b) for b in range(self.batch)]
 
     def member(self, b: int) -> EnsembleMemberView:
         """Checkpointable solo-sim facade over member ``b``."""

@@ -38,7 +38,7 @@ import sys
 
 import numpy as np
 
-from repro.engine.driver import DRIVERS, build_driver
+from repro.engine.driver import DRIVERS
 from repro.experiments.configs import format_run_configs, format_table1
 from repro.experiments.correctness import (
     TRACKED_STATS,
@@ -268,36 +268,32 @@ def _ensemble_members(args: argparse.Namespace, params):
     return members, sweep_key, sweep_values
 
 
-def _run_ensemble(args: argparse.Namespace, params, members, sweep_key, sweep_values) -> int:
-    """``run --ensemble/--sweep``: one vectorized batched simulation."""
-    batch = len(members)
-    seeds = args.seed + np.arange(batch, dtype=np.int64)
-    tracer = _make_tracer(args, "ensemble")
-    sim = build_driver("ensemble", members, seeds=seeds, tracer=tracer)
-    try:
-        sim.run(args.steps)
-    finally:
-        if tracer is not None:
-            tracer.close()
-            print(f"trace written to {args.trace} ({args.trace_format})")
+def _print_members(job, sweep_key, sweep_values, outdir: str) -> None:
+    """The member table of ``run --ensemble/--sweep`` from the job's
+    result, also written to ``ensemble_members.csv``."""
+    from repro.core.stats import StepStats, TimeSeries
+
+    seeds = job.spec.seeds()
     value_head = f"{sweep_key:>18}" if sweep_key else ""
     print(
         f"{'member':>6} {'seed':>6}{value_head} {'peak_infected':>14}"
         f" {'@step':>6} {'final_dead':>11} {'tcells':>7}"
     )
     rows = []
-    for b in range(batch):
-        series = sim.member_series[b]
+    for b, member_rows in enumerate(job.result["members"]):
+        series = TimeSeries()
+        for row in member_rows:
+            series.append(StepStats(**row))
         peak_step, peak_val = series.peak("infected")
-        last = series[len(series) - 1]
+        last = series[-1]
         value_col = f"{float(sweep_values[b]):>18.6g}" if sweep_key else ""
         print(
-            f"{b:>6} {int(seeds[b]):>6}{value_col} {peak_val:>14.6g} "
+            f"{b:>6} {seeds[b]:>6}{value_col} {peak_val:>14.6g} "
             f"{peak_step:>6} {last.dead:>11.6g} {last.tcells_tissue:>7.6g}"
         )
         row = {
             "member": b,
-            "seed": int(seeds[b]),
+            "seed": seeds[b],
             "peak_infected": peak_val,
             "peak_step": peak_step,
             "final_dead": last.dead,
@@ -307,16 +303,16 @@ def _run_ensemble(args: argparse.Namespace, params, members, sweep_key, sweep_va
         if sweep_key:
             row[sweep_key] = float(sweep_values[b])
         rows.append(row)
-    out_csv = os.path.join(args.outdir, "ensemble_members.csv")
+    out_csv = os.path.join(outdir, "ensemble_members.csv")
     write_csv(out_csv, rows)
     print(
-        f"done: ensemble batch={batch} dim={tuple(params.dim)} "
-        f"steps={args.steps} -> {out_csv}"
+        f"done: ensemble batch={len(rows)} dim={tuple(job.params.dim)} "
+        f"steps={job.steps} -> {out_csv}"
     )
-    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.core.params import ParamsStack
     from repro.core.stats import StepStats
     from repro.resilience import (
         PermanentError,
@@ -347,24 +343,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         if wants_ensemble:
             members, sweep_key, sweep_values = _ensemble_members(args, params)
+            params = ParamsStack(members)
             spec = dataclasses.replace(spec, backend="ensemble", ensemble=(
                 len(members) if args.ensemble is None else args.ensemble))
         spec.validate()
-        if not wants_ensemble:
-            policy = RestartPolicy(
-                max_restarts=args.max_restarts if retry else 0,
-                backoff=args.restart_backoff,
-                on_failure=args.on_failure if retry else "restart",
+        policy = RestartPolicy(
+            max_restarts=args.max_restarts if retry else 0,
+            backoff=args.restart_backoff,
+            on_failure=args.on_failure if retry else "restart",
+        )
+        if retry and args.checkpoint_every < 1:
+            raise ValueError(
+                f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
             )
-            if retry and args.checkpoint_every < 1:
-                raise ValueError(
-                    f"--checkpoint-every must be >= 1, got {args.checkpoint_every}"
-                )
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return 2
-    if wants_ensemble:
-        return _run_ensemble(args, params, members, sweep_key, sweep_values)
     job = Job(id="run", spec=spec, params=params, steps=args.steps, cache_key="")
     tracer = _make_tracer(args, spec.backend)
     try:
@@ -375,13 +369,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 checkpoint_root=args.checkpoint_dir if retry else None,
                 tracer=tracer or NULL_TRACER,
             )
-        for i, row in enumerate(job.rows):
-            if (i + 1) % max(1, args.steps // 10) == 0 or i == args.steps - 1:
-                print(f"step {i + 1:>5}: {StepStats(**row)}")
-        print(
-            f"done: backend={args.backend} nranks={args.nranks} "
-            f"dim={tuple(params.dim)} steps={args.steps} seed={args.seed}"
-        )
+        if wants_ensemble:
+            _print_members(job, sweep_key, sweep_values, args.outdir)
+        else:
+            for i, row in enumerate(job.rows):
+                if (i + 1) % max(1, args.steps // 10) == 0 or i == args.steps - 1:
+                    print(f"step {i + 1:>5}: {StepStats(**row)}")
+            print(
+                f"done: backend={args.backend} nranks={args.nranks} "
+                f"dim={tuple(params.dim)} steps={args.steps} seed={args.seed}"
+            )
         if job.incidents:
             print(f"recovered from {len(job.incidents)} failure(s):")
             print(format_incident_log(job.incidents))

@@ -47,7 +47,7 @@ class SweepResult:
             peak_tcells=sim.series.peak("tcells_tissue")[1],
             final_dead=sim.series[-1].dead,
             total_extravasations=sum(
-                s.extravasations for s in sim.series._stats
+                s.extravasations for s in sim.series
             ),
         )
 

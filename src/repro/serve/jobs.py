@@ -374,8 +374,9 @@ class Job:
     @property
     def preemptible(self) -> bool:
         """Ensemble batches are throughput jobs with per-member scalar
-        state the solo snapshot shape does not capture — they run to
-        completion; every solo backend preempts at step boundaries."""
+        state the solo snapshot shape does not capture — they run until
+        done, a deadline or a cancel, and are never snapshotted; every
+        solo backend preempts at step boundaries."""
         return self.spec.backend != "ensemble"
 
     def request_preempt(self) -> None:
@@ -530,7 +531,7 @@ def rebuild_jobs(records) -> dict[str, Job]:
 
 
 def stats_rows(series, count: int | None = None) -> list[dict]:
-    """Plain-JSON rows of a (Member)TimeSeries — the cached/serving form.
+    """Plain-JSON rows of a TimeSeries (or a member view) — the cached/serving form.
 
     Floats survive JSON exactly (``repr`` shortest round-trip), so rows
     from a cache hit compare bitwise-equal to rows from a cold run.

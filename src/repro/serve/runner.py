@@ -121,9 +121,11 @@ def run_segment(
     ahead — so after each chunk the state is shadow-snapshotted into
     ``job.snapshot`` (mirrored under ``checkpoint_root`` when given) and
     becomes the failure rollback point.  Without it the segment is one
-    chunk, snapshotted only when preempted.  ``tracer`` replaces the
-    segment's own SSE-streaming tracer and is left open, so one trace can
-    span a job's attempts.
+    chunk, snapshotted only when preempted.  A job that is not
+    :attr:`~repro.serve.jobs.Job.preemptible` (an ensemble) is never
+    snapshotted: a deadline or a cancel stops it, and nothing resumes it.
+    ``tracer`` replaces the segment's own SSE-streaming tracer and is left
+    open, so one trace can span a job's attempts.
 
     Crash-safety contract (DESIGN.md §4g): the generation captured at
     entry makes an *abandoned* segment (the hung-worker detector bumped
@@ -185,7 +187,7 @@ def run_segment(
             sim.run(chunk)
             if sim.preempted or job.generation != generation:
                 break
-            if every is not None:
+            if every is not None and job.preemptible:
                 job.snapshot = snapshot_state(sim)
                 if checkpoint_root is not None:
                     _mirror_snapshot(checkpoint_root, job, sim)
@@ -198,10 +200,11 @@ def run_segment(
             return SegmentResult(PREEMPTED, 0)
         if sim.preempted:
             job.preemptions += 1
-            job.snapshot = snapshot_state(sim)
             checkpoint = None
-            if checkpoint_root is not None:
-                checkpoint = _mirror_snapshot(checkpoint_root, job, sim)
+            if job.preemptible:
+                job.snapshot = snapshot_state(sim)
+                if checkpoint_root is not None:
+                    checkpoint = _mirror_snapshot(checkpoint_root, job, sim)
             publish(
                 sse_frame(
                     "preempted",

@@ -684,14 +684,15 @@ class ServeApp:
             ))
             if job.deadline_expired:
                 # The watchdog preempted it to fail it cleanly: the
-                # checkpoint above is preserved for a manual resume.
+                # checkpoint above, if the job took one, is preserved for
+                # a manual resume.
                 self.scheduler.release(job)
+                kept = " (checkpoint preserved)" if job.snapshot is not None else ""
                 self._fail_job(
                     job,
                     f"DeadlineExceededError: deadline_s="
                     f"{job.spec.deadline_s} exceeded after "
-                    f"{job.steps_done}/{job.steps} steps "
-                    f"(checkpoint preserved)",
+                    f"{job.steps_done}/{job.steps} steps{kept}",
                     reason="deadline",
                 )
             else:
@@ -777,9 +778,10 @@ class ServeApp:
                 continue
             if job.state == RUNNING:
                 if not job.deadline_expired:
-                    # Preempt-then-fail: the segment checkpoints at the
-                    # next step boundary and _segment_done converts the
-                    # requeue into a clean deadline failure.
+                    # Preempt-then-fail: the segment stops (and, if the
+                    # job is preemptible, checkpoints) at the next step
+                    # boundary and _segment_done converts the requeue
+                    # into a clean deadline failure.
                     job.deadline_expired = True
                     job.request_preempt()
                 continue

@@ -146,4 +146,4 @@ class TestRunHelper:
         sim.run(5)
         sim.run(5)
         assert sim.step_num == 10
-        assert [s.step for s in sim.series._stats] == list(range(10))
+        assert [s.step for s in sim.series] == list(range(10))

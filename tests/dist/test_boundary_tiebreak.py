@@ -80,7 +80,7 @@ class TestCrowdedTiebreaks:
     def test_conflicts_actually_happened(self, crowded):
         """The scenario must exercise contention: fewer moves than movers."""
         seq = crowded[3]
-        total_moves = sum(s.moves for s in seq.series._stats)
+        total_moves = sum(s.moves for s in seq.series)
         tcells = seq.series[0].tcells_tissue
         # With 35% density, far fewer than one move per cell per step.
         assert 0 < total_moves < 0.8 * tcells * len(seq.series)
@@ -89,7 +89,7 @@ class TestCrowdedTiebreaks:
         """Every apoptotic transition was caused by exactly one winner:
         bound T cells never exceed apoptotic conversions."""
         seq = crowded[3]
-        total_binds = sum(s.binds for s in seq.series._stats)
+        total_binds = sum(s.binds for s in seq.series)
         assert total_binds > 0
         bound_now = int((seq.block.tcell_bound_time > 0).sum())
         assert bound_now <= total_binds
@@ -117,5 +117,5 @@ class TestOneSidedSeam:
         across it later."""
         seq = one_sided[3]
         assert seq.series[0].binds > 0
-        assert sum(s.moves for s in seq.series._stats) > 0
+        assert sum(s.moves for s in seq.series) > 0
         assert seq.block.tcell[seq.block.interior][12:].any()

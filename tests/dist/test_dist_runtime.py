@@ -243,6 +243,6 @@ def test_spawn_start_method():
     ref.run(4)
     with DistSimCov(params, nranks=2, seed=11, start_method="spawn") as sim:
         sim.run(4)
-        assert [s.virions_total for s in sim.series._stats] == [
-            s.virions_total for s in ref.series._stats
+        assert [s.virions_total for s in sim.series] == [
+            s.virions_total for s in ref.series
         ]

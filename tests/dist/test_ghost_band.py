@@ -102,7 +102,7 @@ def test_the_corner_world_reaches_the_edges(corner_runs, name):
         face = np.take(chemokine, 0, axis=axis)
         assert (face > 0).sum() > 1, axis
     assert ref.gather_field("tcell").any()
-    assert sum(s.moves for s in ref.series._stats) > 0
+    assert sum(s.moves for s in ref.series) > 0
 
 
 @pytest.mark.parametrize("kind", list(DecompositionKind))
@@ -118,7 +118,7 @@ def test_a_corner_focus_is_bitwise_sequential(corner_runs, name, ranks, kind):
     ) as sim:
         sim.run()
         assert _mismatches(sim, ref) == []
-        assert [s for s in sim.series._stats] == [s for s in ref.series._stats]
+        assert list(sim.series) == list(ref.series)
 
 
 def test_published_boxes_lie_in_the_owned_boxes():

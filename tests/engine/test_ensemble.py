@@ -112,7 +112,7 @@ class TestConstruction:
         ]
 
 
-class TestMemberSeries:
+class TestSeriesMember:
     @pytest.fixture(scope="class")
     def run(self):
         p = _params(steps=40)
@@ -153,7 +153,7 @@ class TestMemberSeries:
         p = _params(steps=20)
         ens = EnsembleSimCov(p, seeds=[0, 1])
         ens.run(20)
-        ens.engine.log.truncate(5)
+        ens.series.truncate(5)
         assert len(ens.member_series[0]) == 5
         assert len(ens.member_series[1]) == 5
 
@@ -169,6 +169,29 @@ class TestEnsembleGate:
         rec = ens.step_work[-1]
         assert rec["ensemble_batch"] == 2
         assert rec["active_voxels"] == ens.gate.count
+
+
+class TestEnsembleInstruments:
+    def test_batched_run_publishes_its_gauges_and_span_attribute(self):
+        from repro.obs.registry import MetricsRegistry, set_registry
+        from repro.telemetry import RingBufferSink, Tracer
+
+        reg, ring = MetricsRegistry(), RingBufferSink()
+        prev = set_registry(reg)
+        try:
+            ens = EnsembleSimCov(
+                _params(steps=4), seeds=[0, 1, 2], tracer=Tracer(sinks=[ring])
+            )
+            ens.run(4)
+        finally:
+            set_registry(prev)
+        fams = reg.families()
+        assert fams["simcov_ensemble_batch"].series[()].value == 3
+        assert fams["simcov_ensemble_member_steps_per_sec"].series[()].value > 0
+        steps = ring.spans("step")
+        assert [s.step for s in steps] == [0, 1, 2, 3]
+        assert all(s.attrs["ensemble"] == 3 for s in ring.spans())
+        assert len(ring.spans("phase")) == 4 * len(ens.schedule)
 
 
 class TestEnsembleKernels:
@@ -295,10 +318,10 @@ class TestOneImplementation:
         }
 
     def test_engine_step_loop_is_not_overridden(self):
+        """A batched run steps the one engine, not a subclass of it."""
         from repro.engine.engine import StepEngine
-        from repro.engine.ensemble import EnsembleEngine
 
-        assert EnsembleEngine.step is StepEngine.step
+        assert type(EnsembleSimCov(_params(), batch=2).engine) is StepEngine
 
     def test_one_integer_reducer(self):
         """Solo, batched and every dist rank count through the one

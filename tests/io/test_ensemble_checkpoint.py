@@ -37,7 +37,7 @@ class TestEnsembleCheckpoint:
         assert view.params == members[1]
         assert view.step_num == 40
         assert view.rng.seed == 6
-        assert view.pool == float(sim.pools[1])
+        assert view.pool == float(sim.pool[1])
         assert len(view.series) == 40
 
     def test_saved_member_restores_into_solo_continuation(

@@ -136,6 +136,12 @@ class TestEnsembleEquivalence:
                         "tcell_generation_rate",
                         st.floats(min_value=0.0, max_value=40.0),
                     ),
+                    # The other two parameters of the one pool expression.
+                    ("tcell_initial_delay", st.integers(min_value=0, max_value=STEPS)),
+                    (
+                        "tcell_vascular_period",
+                        st.integers(min_value=1, max_value=300),
+                    ),
                 ]
             )
         )

@@ -117,7 +117,10 @@ def _assert_step_reduced_whole_domain(sim, batch, step):
         got = np.array([getattr(got_stats, f) for f in REDUCED_FIELDS])
         want = stats_vector(sim.block)
     else:
-        got = sim.engine.log.reduced[-1]
+        got = np.array([
+            [getattr(series[-1], f) for f in REDUCED_FIELDS]
+            for series in sim.member_series
+        ])
         want = np.stack(
             [stats_vector(sim.block.member_view(b)) for b in range(batch)]
         )

@@ -40,6 +40,25 @@ class TestDeadlines:
         assert job.resume_checkpoint is not None
         assert final["steps_done"] < 15000
 
+    def test_running_ensemble_fails_without_a_checkpoint(self, tmp_path):
+        """An ensemble job is not preemptible: the deadline stops it, and
+        no snapshot of it is taken, mirrored or journaled."""
+        with serve(journal_dir=str(tmp_path)) as app:
+            client = ServeClient(port=app.port)
+            resp = client.submit({
+                "config": "small_2d", "steps": 40000, "backend": "ensemble",
+                "ensemble": 4, "deadline_s": 0.5,
+            })
+            final = client.wait(resp["job"]["id"], timeout=30.0)
+            job = app.jobs[resp["job"]["id"]]
+        assert final["state"] == "failed"
+        assert "DeadlineExceededError" in final["error"]
+        assert "checkpoint preserved" not in final["error"]
+        assert final["steps_done"] < 40000
+        assert job.snapshot is None
+        assert job.resume_checkpoint is None
+        assert list(tmp_path.rglob("ckpt_step*.npz")) == []
+
     def test_queued_job_fails_without_running(self):
         # The hog parks at its first step, so it holds the only worker
         # until the starved job has failed, however fast the host.
