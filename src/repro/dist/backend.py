@@ -27,7 +27,7 @@ RNG and owner-computes winner resolution, is the determinism argument
 
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
 import numpy as np
 
@@ -49,7 +49,6 @@ from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger
 from repro.obs.imbalance import ImbalanceMonitor
 from repro.obs.registry import get_registry
-from repro.telemetry.events import GAUGE, Event
 from repro.telemetry.tracer import NULL_TRACER
 
 #: The fields whose totals the coordinator sums (the float REDUCED_FIELDS).
@@ -88,10 +87,11 @@ class DistBackend(ExecutionBackend):
     tracer:
         Optional :class:`~repro.telemetry.tracer.Tracer`.  When enabled,
         the coordinator traces on the ``rank == -1`` lane, each worker
-        records phase/barrier spans and comm counters into its
-        shared-memory ring, and the coordinator drains the rings in the
-        per-step quiescent window and forwards the decoded events —
-        original ranks and timestamps intact — into the tracer's sinks.
+        records its phase, barrier and step spans into its shared-memory
+        ring, and the coordinator drains the rings in the per-step
+        quiescent window and forwards the decoded spans — original ranks
+        and timestamps intact — into the tracer's sinks, followed by one
+        ``drain`` span of its own (see :meth:`phase_reduce`).
     """
 
     name = "dist"
@@ -191,13 +191,7 @@ class DistBackend(ExecutionBackend):
         self._prev_phase_wait = np.zeros(nranks)
         self._prev_wait_total = 0.0
         self._prev_strips = (0, 0)
-        self._last_dropped = [0] * nranks
         self.runtime.start()
-        if self.tracer:
-            for role, nbytes in self.runtime.segment_sizes().items():
-                self.tracer.gauge(
-                    "shm_segment_bytes", nbytes, cat="shm", role=role
-                )
 
     # -- schedule ------------------------------------------------------------
 
@@ -216,7 +210,14 @@ class DistBackend(ExecutionBackend):
         """Step-end barrier, then the coordinator-side reduction: every
         shared-memory read while the workers are parked and nothing else,
         then the launch of the next step, then the counter folds and the
-        float sums over the private copies."""
+        float sums over the private copies.
+
+        When tracing, the reads include draining the workers' rings; the
+        drain is recorded as one ``drain`` span (``cat="telemetry"``,
+        rank -1) carrying the step's windowed ``imbalance`` index and
+        each rank's cumulative ring-overflow count (``dropped``), which
+        ``trace report`` reads for its imbalance panel and its
+        incomplete-trace warning."""
         # Unlike the workers' step_end (between phases), this wait runs
         # inside the coordinator's reduce phase span; in_phase tells the
         # report to subtract it from busy time.
@@ -233,12 +234,20 @@ class DistBackend(ExecutionBackend):
         rows = self._refresh_floats()
         counters = self._read_counters()
         if self.tracer:
-            self._drain_telemetry(ctx.step)
+            drain_start = perf_counter()
+            for ev in self.runtime.drain_telemetry():
+                self.tracer.emit(ev)
+            drain_seconds = perf_counter() - drain_start
         if ctx.launch_next is not None:
             self._launching = True
             ctx.launch_next(ctx)
             self._launching = False
-        self._observe_step(ctx.step, *counters)
+        index = self._observe_step(ctx.step, *counters)
+        if self.tracer:
+            self.tracer.emit_span(
+                "drain", drain_start, drain_seconds, cat="telemetry",
+                step=ctx.step, imbalance=index, dropped=counters[-1],
+            )
         ctx.reduced = np.array(
             [
                 *counts,
@@ -292,7 +301,8 @@ class DistBackend(ExecutionBackend):
         """The cumulative shm counters :meth:`_observe_step` folds, read in
         the quiescent window after the step-end barrier (every worker
         parked, so the reads are stable): per-rank phase and in-phase
-        wait seconds, the total wait, the strip and dropped-event counts.
+        wait seconds, the total wait, the strip counts and each rank's
+        dropped-event count.
         """
         ctrl = self.runtime.ctrl
         # metrics_wait columns = phase names (in-phase barrier waits)
@@ -304,14 +314,15 @@ class DistBackend(ExecutionBackend):
             wait[:, : self._nphases].sum(axis=1),
             float(wait.sum()),
             self.runtime.strip_counts(),
-            sum(self.runtime.telemetry_dropped()),
+            self.runtime.telemetry_dropped(),
         )
 
     def _observe_step(self, step, phase_seconds, phase_wait, wait_total,
-                      strips, dropped) -> None:
+                      strips, dropped) -> float:
         """Fold one step's counter deltas (:meth:`_read_counters`) into the
-        registry and the imbalance monitor; runs after the next step's
-        release, reading nothing the workers write."""
+        registry and the imbalance monitor, and return the step's
+        imbalance index; runs after the next step's release, reading
+        nothing the workers write."""
         busy_delta = (phase_seconds - self._prev_phase_seconds) - (
             phase_wait - self._prev_phase_wait
         )
@@ -330,44 +341,8 @@ class DistBackend(ExecutionBackend):
         self._obs_strips_skipped.inc(skipped - self._prev_strips[1])
         self._prev_strips = strips
 
-        self._obs_dropped.set(dropped)
-
-        if self.tracer:
-            # The report's imbalance-over-time panel reads this gauge
-            # series off the coordinator (rank -1) lane.
-            self.tracer.gauge(
-                "imbalance_index", index, cat="obs", step=step
-            )
-
-    def _drain_telemetry(self, step: int) -> None:
-        """Forward this step's worker events; sample liveness gauges.
-
-        Runs in the quiescent window :meth:`phase_reduce` opened — every
-        worker is parked at the next step-start barrier, so the ring
-        count resets race with nothing.
-        """
-        for ev in self.runtime.drain_telemetry():
-            self.tracer.emit(ev)
-        now = time.monotonic()
-        for rank, age in enumerate(self.runtime.heartbeat_ages(now)):
-            self.tracer.emit(
-                Event(
-                    GAUGE, "heartbeat_age", now, value=age, cat="liveness",
-                    rank=rank, step=step,
-                )
-            )
-        # Ring overflow means the trace is *incomplete* — record that in
-        # the trace itself so `trace report` can warn loudly instead of
-        # silently presenting partial data.
-        for rank, count in enumerate(self.runtime.telemetry_dropped()):
-            if count != self._last_dropped[rank]:
-                self._last_dropped[rank] = count
-                self.tracer.emit(
-                    Event(
-                        GAUGE, "telemetry_dropped", now, value=count,
-                        cat="telemetry", rank=rank, step=step,
-                    )
-                )
+        self._obs_dropped.set(sum(dropped))
+        return index
 
     def step_record(self, ctx) -> dict:
         return {"active_per_rank": list(self._active_counts)}

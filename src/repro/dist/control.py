@@ -26,9 +26,9 @@ the workers use to run the versioned barrier protocol:
   phase the wait belongs to (0: no phase waits) plus two trailing
   columns for the step-start/step-end barriers;
 - ``strips`` — per-rank cumulative (pulled, skipped) band-strip counts,
-  the activity-gated exchange's effectiveness gauge;
-- ``tel_*`` — per-rank fixed-record telemetry rings (phase/barrier spans
-  and counters encoded by :mod:`repro.telemetry.shmring`), present only
+  the activity-gated exchange's effectiveness;
+- ``tel_*`` — per-rank fixed-record telemetry rings (phase, barrier and
+  step spans encoded by :mod:`repro.telemetry.shmring`), present only
   when the runtime was built with ``telemetry_capacity > 0``; the
   coordinator drains them in the per-step quiescent window.
 

@@ -322,7 +322,7 @@ class DistRuntime:
         return [int(n) for n in self.ctrl.tel_dropped]
 
     def heartbeat_ages(self, now: float) -> list[float]:
-        """Seconds since each rank's last heartbeat (liveness gauge)."""
+        """Seconds since each rank's last heartbeat."""
         return [
             max(0.0, now - float(self.ctrl.heartbeat[r]))
             for r in range(self.nranks)

@@ -120,9 +120,7 @@ def telemetry_name_table(phase_names) -> tuple[str, ...]:
     only.
     """
     names = [f"phase:{n}" for n in phase_names]
-    names += ["barrier:step_start", "barrier:step_end", "comm:halo_bytes"]
-    names += ["gating:active_voxels", "step:step"]
-    names += ["comm:strips_pulled", "comm:strips_skipped"]
+    names += ["barrier:step_start", "barrier:step_end", "step:step"]
     return tuple(names)
 
 
@@ -146,7 +144,7 @@ class FaultSpec:
     - ``"slow"`` — a straggler, not a failure: sleep ``delay`` seconds at
       this phase on *every* step >= ``step`` (the run still completes);
     - ``"freeze_heartbeat"`` — from (step, phase) on, keep computing but
-      stop refreshing the heartbeat, so liveness gauges age while the
+      stop refreshing the heartbeat, so its heartbeat age grows while the
       run stays healthy.
 
     ``repeat`` is read by a run's retry loop
@@ -293,9 +291,6 @@ class RankBackend(SingleBlockBackend):
                     )
                 ],
             )
-        #: Step currently executing (stamped on events emitted from
-        #: helpers that don't receive the step).
-        self._step = 0
         arrays, origins = {}, {}
         for r in {self.rank, *(route.src for route in spec.routes)}:
             padded = rank_block_box(boxes[r], self.spec.domain, spec.band).expand(1)
@@ -337,9 +332,9 @@ class RankBackend(SingleBlockBackend):
         #: Ghost-invalidation epoch last honored (a checkpoint restore
         #: bumps the shared counter; see :meth:`run`).
         self._seen_epoch = int(spec.dirty_epoch)
-        #: The last pull: (seconds, bytes, pulled, skipped), accounted by
+        #: The last pull: (seconds, pulled, skipped), accounted by
         #: the open_exchange phase body (no ring writes before the step).
-        self._pending_open = (0.0, 0, 0, 0)
+        self._pending_open = (0.0, 0, 0)
         #: Active voxels of the owned box, as of the last sweep.
         self._active = 0
         #: Steps finished since the last sweep, and the box (global) of
@@ -430,7 +425,6 @@ class RankBackend(SingleBlockBackend):
         # pool), all of which the coordinator published, so every rank
         # that reads ctx.attempts draws the identical arrays.
         ctx = StepContext.start(self.params, self.rng, step, pool)
-        self._step = step
         step_start = perf_counter()
         for index, phase in enumerate(self._schedule):
             self.ctrl.set_status(
@@ -531,18 +525,17 @@ class RankBackend(SingleBlockBackend):
         start = perf_counter()
         ndim = self.spec.ndim
         mine = self._written
-        nbytes = pulled = 0
+        pulled = 0
         for route, src, dst in self._strips:
             box = route.region
             if (self._pull_all or strip_live(box, mine)
                     or strip_live(box, self.ctrl.read_region(route.src, ndim))):
                 for s, d in zip(src, dst):
                     d[...] = s
-                    nbytes += s.nbytes
                 pulled += 1
         self._pull_all = False
         self._pending_open = (
-            perf_counter() - start, nbytes, pulled, len(self._strips) - pulled
+            perf_counter() - start, pulled, len(self._strips) - pulled
         )
 
     def exchange(self, phase: Phase, ctx) -> None:
@@ -553,20 +546,12 @@ class RankBackend(SingleBlockBackend):
         ``tile_sweep`` does on one block): ``age_extravasate`` sweeps.
         Between sweeps nothing but this rank's kernels writes its block,
         so the single block's periodic rule holds."""
-        seconds, nbytes, pulled, skipped = self._pending_open
+        seconds, pulled, skipped = self._pending_open
         if pulled or ctx.step % self.gate.sweep_period == 0:
             self.gate.stale = True
         self._extra_seconds += seconds
         self.ctrl.strips[self.rank, STRIPS_PULLED] += pulled
         self.ctrl.strips[self.rank, STRIPS_SKIPPED] += skipped
-        if self.tracer and self._strips:
-            if nbytes:
-                self.tracer.counter(
-                    "halo_bytes", nbytes, cat="comm", step=ctx.step,
-                    phase=phase.name,
-                )
-            self.tracer.counter("strips_pulled", pulled, cat="comm", step=ctx.step)
-            self.tracer.counter("strips_skipped", skipped, cat="comm", step=ctx.step)
 
     # -- what a rank does differently ----------------------------------------
 
@@ -581,10 +566,6 @@ class RankBackend(SingleBlockBackend):
         self._active = 0 if box is None else int(
             np.count_nonzero(self.gate.mask[box.slices_from(self.block.owned.lo)])
         )
-        if self.tracer:
-            self.tracer.gauge(
-                "active_voxels", self._active, cat="gating", step=self._step
-            )
 
     def phase_reduce(self, ctx):
         # This rank's owned integer statistics, counted in parallel with

@@ -33,7 +33,8 @@ class ExecutionBackend(abc.ABC):
     name: str = "backend"
 
     #: Telemetry spigot; the engine installs its tracer here when tracing
-    #: is on, so backends can emit gating/comm counters and sub-op spans.
+    #: is on, so backends can emit sub-op spans (counters and gauges go
+    #: to the :mod:`repro.obs` registry, traced or not).
     #: The class default is the shared no-op tracer — ``if self.tracer:``
     #: is the whole cost when telemetry is off.
     tracer = NULL_TRACER

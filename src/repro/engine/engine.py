@@ -101,7 +101,7 @@ class StepEngine:
         #: Structured-telemetry spigot; the no-op tracer unless a caller
         #: installs a real one.  Each phase is recorded in ``metrics``
         #: and, independently, emitted as a span; the backend sees the
-        #: tracer too, for gating/comm counters.
+        #: tracer too, for the spans it records itself (barrier waits).
         self.tracer = tracer if tracer is not None else NULL_TRACER
         if self.tracer.enabled:
             backend.tracer = self.tracer

@@ -145,10 +145,6 @@ class EnsembleBackend(SingleBlockBackend):
         wall = perf_counter() - self._obs_t0
         if wall > 0:
             self._obs_member_rate.set((ctx.step + 1) * self.batch / wall)
-        if self.tracer:
-            self.tracer.gauge(
-                "ensemble_batch", self.batch, cat="ensemble", step=ctx.step,
-            )
         record = super().step_record(ctx)
         record["ensemble_batch"] = self.batch
         return record

@@ -253,11 +253,6 @@ class SingleBlockBackend(ExecutionBackend):
         self.reducer.reset()
 
     def step_record(self, ctx) -> dict:
-        if self.tracer:
-            self.tracer.gauge(
-                "active_voxels", self.gate.count, cat="gating",
-                step=ctx.step, gated=self.gate.enabled,
-            )
         return {"active_voxels": self.gate.count}
 
     # -- inspection ----------------------------------------------------------

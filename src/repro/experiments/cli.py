@@ -10,8 +10,8 @@ final step's statistics, e.g.::
 
     simcov-repro run --backend dist --nranks 4 --dim 64 64 --steps 50
 
-``--trace PATH`` records structured telemetry (phase/barrier spans,
-comm counters, occupancy gauges) to PATH — ``--trace-format jsonl``
+``--trace PATH`` records structured telemetry (step, phase, barrier,
+checkpoint and recovery spans) to PATH — ``--trace-format jsonl``
 (default) for the archival event log, ``chrome`` for a Perfetto /
 ``chrome://tracing`` timeline with one lane per rank::
 

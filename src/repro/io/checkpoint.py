@@ -138,8 +138,15 @@ def snapshot_state(sim) -> dict:
     Contains the full-domain interior of every checkpoint field plus the
     scalars that, with the counter-based RNG, pin the rest of the run.
     Decomposition-independent: restorable onto any implementation and
-    any rank count.
+    any rank count.  A batched ensemble is snapshotted one member at a
+    time (``snapshot_state(sim.member(b))``): a whole batch raises
+    ``TypeError``.
     """
+    if np.ndim(sim.pool):
+        raise TypeError(
+            f"cannot snapshot a batch of {np.size(sim.pool)} members as one "
+            "state: checkpoint each member with sim.member(b)"
+        )
     return {
         "step_num": int(sim.step_num),
         "pool": float(sim.pool),

@@ -1,16 +1,17 @@
 """Periodic registry snapshots for runs without a /metrics endpoint.
 
 A server gets scraped; a batch run does not.  ``MetricsSnapshotSink``
-piggybacks on the telemetry event stream: every ``interval`` step-end
-events it serializes the registry (``kind: "metrics"`` JSONL record)
-into the same artifact the spans land in, so one file carries both the
-narrative (spans) and the vitals (metrics) — ``trace report`` reads the
-last snapshot for its metrics footer, and the record kind keeps
-:func:`repro.telemetry.sinks.read_jsonl` from choking on non-events.
+piggybacks on the span stream: every ``interval`` step spans it
+serializes the registry (``kind: "metrics"`` JSONL record) into the same
+artifact the spans land in, so one file carries both the narrative
+(spans) and the vitals (the registry's counters, gauges and histograms).
+The record kind keeps :func:`repro.telemetry.sinks.read_jsonl` from
+decoding it as a span; :func:`read_snapshots` reads the records back.
 
-It is an ordinary sink: attach it to any tracer (``--trace`` CLI runs,
-the serve layer's ``--trace`` mode) and forget about it; a final
-snapshot is flushed on ``close()`` so short runs still record one.
+It is an ordinary sink: attach it to any tracer and forget about it.
+The serve layer's JSONL ``--trace`` mode attaches one (``simcov-repro
+run --trace`` attaches only the trace sink).  A final snapshot is
+flushed on ``close()`` so short runs still record one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import time
 
 from repro.obs.registry import get_registry
-from repro.telemetry.events import SPAN
 
 __all__ = ["MetricsSnapshotSink", "read_snapshots"]
 
@@ -55,7 +55,7 @@ class MetricsSnapshotSink:
         return self._registry if self._registry is not None else get_registry()
 
     def on_event(self, event) -> None:
-        if event.kind != SPAN or event.cat != "step":
+        if event.cat != "step":
             return
         self._steps_seen += 1
         if self._steps_seen % self.interval == 0:

@@ -10,7 +10,7 @@ under one discipline (DESIGN.md §4c, §4g):
   accumulates (``/jobs/{id}`` and ``--incident-log`` surface these);
 - :func:`judge_failure` — the one retry decision: a failed attempt
   becomes its incident, a retry-or-give-up verdict and its
-  ``cat="resilience"`` telemetry;
+  ``cat="resilience"`` recovery span;
 - :class:`RestartsExhaustedError` — raised by an in-process run when the
   budget is exhausted (serve records the same message as the job error);
 - :func:`classify_exception` — the retryable/permanent split: transient
@@ -162,9 +162,9 @@ def judge_failure(policy, incidents, result, tracer=None, *, start, **span_attrs
     ones.  Returns ``(incident, error)``: the attempt's
     :class:`JobIncident`, and ``None`` to retry after
     ``incident.backoff_seconds`` or the terminal error message to give up
-    with.  The ``restarts``/``steps_replayed`` counters and a
-    ``recovery`` span starting at ``start`` (``span_attrs`` on it) go to
-    ``tracer`` with ``cat="resilience"``, which ``trace report`` renders
+    with.  A ``recovery`` span starting at ``start`` (``span_attrs`` on
+    it) goes to ``tracer`` with ``cat="resilience"``: ``trace report``
+    counts restarts and replayed steps from these spans and renders them
     as its incident table.
     """
     index = len(incidents) + 1
@@ -182,11 +182,6 @@ def judge_failure(policy, incidents, result, tracer=None, *, start, **span_attrs
         backoff_seconds=backoff,
     )
     if tracer:
-        tracer.counter("restarts", 1, cat="resilience", step=incident.step)
-        tracer.counter(
-            "steps_replayed", incident.steps_replayed,
-            cat="resilience", step=incident.step,
-        )
         tracer.emit_span(
             "recovery", start, backoff, cat="resilience",
             step=incident.step, error=incident.error_type,

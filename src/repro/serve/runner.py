@@ -119,8 +119,9 @@ def run_segment(
     ``checkpoint_every=K`` runs the segment in chunks that end on steps
     divisible by K.  ``sim.run`` returns quiescent — no step launched
     ahead — so after each chunk the state is shadow-snapshotted into
-    ``job.snapshot`` (mirrored under ``checkpoint_root`` when given) and
-    becomes the failure rollback point.  Without it the segment is one
+    ``job.snapshot`` (mirrored under ``checkpoint_root`` when given; a
+    ``checkpoint`` span with ``cat="resilience"`` times it) and becomes
+    the failure rollback point.  Without it the segment is one
     chunk, snapshotted only when preempted.  A job that is not
     :attr:`~repro.serve.jobs.Job.preemptible` (an ensemble) is never
     snapshotted: a deadline or a cancel stops it, and nothing resumes it.
@@ -188,12 +189,13 @@ def run_segment(
             if sim.preempted or job.generation != generation:
                 break
             if every is not None and job.preemptible:
+                start = perf_counter()
                 job.snapshot = snapshot_state(sim)
                 if checkpoint_root is not None:
                     _mirror_snapshot(checkpoint_root, job, sim)
-                tracer.counter(
-                    "shadow_checkpoints", 1, cat="resilience",
-                    step=job.steps_done,
+                tracer.emit_span(
+                    "checkpoint", start, perf_counter() - start,
+                    cat="resilience", step=job.steps_done,
                 )
                 rollback_step, rollback_rows = job.steps_done, len(job.rows)
         if job.generation != generation:

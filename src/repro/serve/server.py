@@ -54,6 +54,7 @@ import threading
 import time
 import uuid
 import warnings
+from collections import deque
 
 from repro.obs.prometheus import CONTENT_TYPE as _PROM_CONTENT_TYPE
 from repro.obs.registry import get_registry
@@ -84,6 +85,10 @@ from repro.telemetry.tracer import NULL_TRACER, Tracer
 
 #: Sentinel closing a job's event log (SSE streams drain then stop).
 _END = None
+
+#: Queue waits kept for ``/metrics.json``'s p50/p99: the newest this many
+#: cold jobs (the registry's histogram counts every one).
+WAIT_SAMPLES = 4096
 
 
 class AdmissionError(Exception):
@@ -122,11 +127,13 @@ class ServeApp:
         Optional root for preemption-snapshot mirrors (per-job
         subdirectories); in-memory shadow snapshots only when None.
     trace_path:
-        Optional telemetry log for the server's own ``cat="serving"``
-        counters/gauges/spans.  With ``trace_format="jsonl"`` (default)
-        a :class:`~repro.obs.snapshot.MetricsSnapshotSink` rides along,
-        so the one artifact carries spans *and* periodic registry
-        snapshots; ``"chrome"`` writes a Perfetto-loadable trace.
+        Optional telemetry log for the server's own spans (a
+        ``cat="serving"`` span per completed job, a ``cat="resilience"``
+        span per failed attempt).  With ``trace_format="jsonl"``
+        (default) a :class:`~repro.obs.snapshot.MetricsSnapshotSink`
+        rides along, so the one artifact carries spans *and* registry
+        snapshots, the server's counters and gauges among them;
+        ``"chrome"`` writes a Perfetto-loadable trace.
     """
 
     def __init__(
@@ -212,8 +219,9 @@ class ServeApp:
             "hung_workers": 0,
             "replayed_jobs": 0,
         }
-        #: Submit-to-first-dispatch seconds (queue wait), per cold job.
-        self.wait_seconds: list[float] = []
+        #: Submit-to-first-dispatch seconds (queue wait) of the newest
+        #: ``WAIT_SAMPLES`` cold jobs.
+        self.wait_seconds: deque[float] = deque(maxlen=WAIT_SAMPLES)
         #: Always-on registry instruments.  The `metrics` dict above
         #: stays as the JSON payload's source of truth; `_count` keeps
         #: the Prometheus counters in lockstep with it.
@@ -452,10 +460,6 @@ class ServeApp:
             )
             self._rejected_reason_counters[reason] = counter
         counter.inc()
-        if self.tracer:
-            self.tracer.counter(
-                "serve:rejected", 1, cat="serving", reason=reason
-            )
         raise AdmissionError(status, reason, message, retry_after)
 
     def _admit_cold(self, spec: JobSpec) -> None:
@@ -516,8 +520,6 @@ class ServeApp:
             if peer.state in ACTIVE_STATES:
                 peer.attached += 1
                 self._count("coalesced")
-                if self.tracer:
-                    self.tracer.counter("serve:coalesced", 1, cat="serving")
                 return peer, "join"
             self._inflight.pop(key, None)
         cached = self.cache.get(key)
@@ -527,8 +529,6 @@ class ServeApp:
             job.result = cached
             self._count("cache_hits")
             self._obs_wait.observe(0.0)
-            if self.tracer:
-                self.tracer.counter("serve:cache_hit", 1, cat="serving")
             self._transition(job, job.complete_record())
             return job, "hit"
         self._admit_cold(spec)
@@ -537,11 +537,6 @@ class ServeApp:
         self._transition(job, job.submit_record())
         self._enqueue(job)
         self._count("cache_misses")
-        if self.tracer:
-            self.tracer.counter("serve:cache_miss", 1, cat="serving")
-            self.tracer.gauge(
-                "serve:queue_depth", len(self.scheduler.queue), cat="serving"
-            )
         self._publish(job, sse_frame("state", job.summary()))
         self._maybe_preempt_for(job)
         if self._wake is not None:
@@ -577,11 +572,6 @@ class ServeApp:
             return
         victim.request_preempt()
         self._count("preemptions")
-        if self.tracer:
-            self.tracer.counter(
-                "serve:preemptions", 1, cat="serving",
-                victim=victim.id, for_job=candidate.id,
-            )
 
     async def _dispatch_loop(self) -> None:
         while True:
@@ -601,11 +591,6 @@ class ServeApp:
             job.started_at = time.time()
             self.wait_seconds.append(job.started_at - job.submitted_at)
             self._obs_wait.observe(self.wait_seconds[-1])
-            if self.tracer:
-                self.tracer.counter(
-                    "serve:wait_seconds", self.wait_seconds[-1],
-                    cat="serving", job=job.id,
-                )
         if resumed:
             self._count("resumes")
         self._transition(job, job.start_record())
@@ -697,11 +682,6 @@ class ServeApp:
                 )
             else:
                 self.scheduler.release(job, requeue=True)
-                if self.tracer:
-                    self.tracer.gauge(
-                        "serve:queue_depth", len(self.scheduler.queue),
-                        cat="serving",
-                    )
         else:
             self.scheduler.release(job)
             self._handle_failure(job, result)

@@ -1,17 +1,12 @@
 """The telemetry event model.
 
-One flat :class:`Event` record represents everything the tracer can
-observe:
-
-- **spans** — a named interval ``[ts, ts + dur]`` (a step, a phase, a
-  barrier wait, a halo pull).  Spans nest by time containment; the
-  tracer additionally stamps ``parent``/``depth`` attributes for spans
-  opened through its context-manager API, so nesting survives sinks
-  that do not reconstruct containment.
-- **counters** — a monotonic per-step contribution (halo bytes pulled,
-  bid conflicts won).
-- **gauges** — an instantaneous sample (active-voxel occupancy,
-  heartbeat age, shm segment size).
+A trace is a stream of **spans**: one flat :class:`Event` record per
+named interval ``[ts, ts + dur]`` (a step, a phase, a barrier wait, a
+ring drain, a checkpoint).  Spans nest by time containment; the tracer
+additionally stamps ``parent``/``depth`` attributes for spans opened
+through its context-manager API, so nesting survives sinks that do not
+reconstruct containment.  Counters and gauges are not trace events:
+:class:`repro.obs.registry.MetricsRegistry` owns them.
 
 Timestamps are ``time.perf_counter()`` seconds.  On Linux that clock is
 ``CLOCK_MONOTONIC``, which is system-wide, so events recorded by the
@@ -20,16 +15,17 @@ coordinator's — the property the per-rank Chrome-trace lanes rely on.
 
 ``cat`` buckets events for sinks and the report tool: the engine uses
 ``"step"``/``"phase"``, the distributed runtime adds ``"barrier"`` and
-``"halo"``, backends use ``"gating"``/``"comm"``/``"shm"``.
+``"telemetry"``, the fault-tolerance layer ``"resilience"``, the job
+server ``"serving"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+#: The ``kind`` of every event record (the JSONL discriminator that sets
+#: events apart from the metadata header and metrics snapshots).
 SPAN = "span"
-COUNTER = "counter"
-GAUGE = "gauge"
 
 #: Sentinel for "no step context" (events outside the step loop).
 NO_STEP = -1
@@ -37,16 +33,14 @@ NO_STEP = -1
 
 @dataclass(slots=True)
 class Event:
-    """One telemetry record (see module docstring for the kinds)."""
+    """One span (see module docstring)."""
 
     kind: str
     name: str
-    #: ``perf_counter`` seconds; span start or sample time.
+    #: ``perf_counter`` seconds at the span's start.
     ts: float
-    #: Span duration in seconds (0.0 for counters/gauges).
+    #: Span duration in seconds.
     dur: float = 0.0
-    #: Counter/gauge value (0.0 for spans).
-    value: float = 0.0
     cat: str = ""
     rank: int = 0
     step: int = NO_STEP
@@ -61,11 +55,8 @@ class Event:
             "cat": self.cat,
             "rank": self.rank,
             "step": self.step,
+            "dur": self.dur,
         }
-        if self.kind == SPAN:
-            out["dur"] = self.dur
-        else:
-            out["value"] = self.value
         if self.attrs:
             out["attrs"] = self.attrs
         return out
@@ -77,7 +68,6 @@ class Event:
             name=data["name"],
             ts=float(data["ts"]),
             dur=float(data.get("dur", 0.0)),
-            value=float(data.get("value", 0.0)),
             cat=data.get("cat", ""),
             rank=int(data.get("rank", 0)),
             step=int(data.get("step", NO_STEP)),

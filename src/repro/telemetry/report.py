@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 
-from repro.telemetry.events import COUNTER, GAUGE, SPAN, Event
+from repro.telemetry.events import SPAN, Event
 from repro.telemetry.sinks import read_jsonl, read_meta
 
 
@@ -59,27 +59,18 @@ def load_events(path) -> list[Event]:
 def _from_chrome(payload: dict) -> list[Event]:
     events = []
     for rec in payload.get("traceEvents", []):
-        ph = rec.get("ph")
+        if rec.get("ph") != "X":
+            continue
         args = rec.get("args", {})
-        if ph == "X":
-            attrs = {k: v for k, v in args.items() if k != "step"}
-            events.append(
-                Event(
-                    SPAN, rec["name"], rec["ts"] / 1e6,
-                    dur=rec.get("dur", 0.0) / 1e6,
-                    cat=rec.get("cat", ""), rank=int(rec.get("pid", 0)),
-                    step=int(args.get("step", -1)), attrs=attrs,
-                )
+        events.append(
+            Event(
+                SPAN, rec["name"], rec["ts"] / 1e6,
+                dur=rec.get("dur", 0.0) / 1e6,
+                cat=rec.get("cat", ""), rank=int(rec.get("pid", 0)),
+                step=int(args.get("step", -1)),
+                attrs={k: v for k, v in args.items() if k != "step"},
             )
-        elif ph == "C":
-            value = args.get(rec["name"], 0.0)
-            kind = GAUGE if rec.get("cat") == "gauge" else COUNTER
-            events.append(
-                Event(
-                    kind, rec["name"], rec["ts"] / 1e6, value=float(value),
-                    cat=rec.get("cat", ""), rank=int(rec.get("pid", 0)),
-                )
-            )
+        )
     return events
 
 
@@ -103,21 +94,21 @@ def summarize(events: list[Event]) -> dict:
     for e in events:
         if e.step >= 0:
             steps.add(e.step)
-        if e.kind == GAUGE and e.name == "telemetry_dropped":
-            # Cumulative per-rank ring-overflow count; keep the max.
-            dropped[e.rank] = max(dropped.get(e.rank, 0), int(e.value))
-            continue
-        if e.kind == GAUGE and e.name == "imbalance_index":
-            imbalance_series.append((e.step, float(e.value)))
+        if e.cat == "telemetry" and e.name == "drain":
+            # The dist coordinator's per-step ring drain: the step's
+            # imbalance index, and each rank's cumulative ring-overflow
+            # count (keep the max).
+            imbalance_series.append((e.step, float(e.attrs["imbalance"])))
+            for rank, n in enumerate(e.attrs.get("dropped", ())):
+                dropped[rank] = max(dropped.get(rank, 0), int(n))
             continue
         if e.cat == "resilience":
-            if e.kind == COUNTER and e.name == "restarts":
-                resilience["restarts"] += int(e.value)
-            elif e.kind == COUNTER and e.name == "steps_replayed":
-                resilience["steps_replayed"] += int(e.value)
-            elif e.kind == COUNTER and e.name == "shadow_checkpoints":
-                resilience["checkpoints"] += int(e.value)
-            elif e.kind == SPAN and e.name == "recovery":
+            if e.name == "checkpoint":
+                resilience["checkpoints"] += 1
+            elif e.name == "recovery":
+                replayed = e.attrs.get("steps_replayed")
+                resilience["restarts"] += 1
+                resilience["steps_replayed"] += int(replayed or 0)
                 resilience["recovery_seconds"] += e.dur
                 resilience["incidents"].append(
                     {
@@ -126,13 +117,11 @@ def summarize(events: list[Event]) -> dict:
                         "error": e.attrs.get("error", "?"),
                         "nranks_before": e.attrs.get("nranks_before"),
                         "nranks_after": e.attrs.get("nranks_after"),
-                        "steps_replayed": e.attrs.get("steps_replayed"),
+                        "steps_replayed": replayed,
                         # Serve-tier incidents carry a job id, not ranks.
                         "job": e.attrs.get("job"),
                     }
                 )
-            continue
-        if e.kind != SPAN:
             continue
         per_rank = ranks.setdefault(
             e.rank,

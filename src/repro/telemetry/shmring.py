@@ -2,33 +2,30 @@
 
 A worker process cannot stream variable-length JSON into shared memory,
 so the distributed runtime gives each rank a fixed-capacity table of
-numeric records inside the control segment, plus a per-rank count and an
-overflow drop counter.  Every record is six float64 columns::
+numeric span records inside the control segment, plus a per-rank count
+and an overflow drop counter.  Every record is five float64 columns::
 
-    [kind, name_id, step, ts, dur, value]
+    [name_id, step, ts, dur, skipped]
 
 ``name_id`` indexes a **name table** both sides derive from the same
-inputs (phase names + the fixed barrier/counter vocabulary), so the
+inputs (phase names + the fixed barrier/step vocabulary), so the
 coordinator can decode ids back into ``"cat:name"`` strings without any
 cross-process string traffic.  The coordinator drains each rank's table
 in the per-step quiescent window (after the step-end barrier, before the
 next step-start release), resets the count, and forwards decoded
-:class:`~repro.telemetry.events.Event` objects — stamped with the
-worker's rank and original timestamps — into its own tracer's sinks.
+:class:`~repro.telemetry.events.Event` spans — stamped with the worker's
+rank and original timestamps — into its own tracer's sinks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.telemetry.events import COUNTER, GAUGE, SPAN, Event
+from repro.telemetry.events import SPAN, Event
 
 #: Record columns.
-COL_KIND, COL_NAME, COL_STEP, COL_TS, COL_DUR, COL_VALUE = range(6)
-RECORD_WIDTH = 6
-
-_KIND_CODES = {SPAN: 0.0, COUNTER: 1.0, GAUGE: 2.0}
-_KIND_NAMES = {0: SPAN, 1: COUNTER, 2: GAUGE}
+COL_NAME, COL_STEP, COL_TS, COL_DUR, COL_SKIPPED = range(5)
+RECORD_WIDTH = 5
 
 
 class RingCodec:
@@ -54,28 +51,21 @@ class RingCodec:
         if not 0 <= name_id < len(self.names):
             return None
         cat, name = self._split[name_id]
-        kind = _KIND_NAMES.get(int(row[COL_KIND]))
-        if kind is None:
-            return None
         ev = Event(
-            kind, name, float(row[COL_TS]), cat=cat, rank=rank,
-            step=int(row[COL_STEP]),
+            SPAN, name, float(row[COL_TS]), dur=float(row[COL_DUR]),
+            cat=cat, rank=rank, step=int(row[COL_STEP]),
         )
-        if kind == SPAN:
-            ev.dur = float(row[COL_DUR])
-            if row[COL_VALUE]:
-                ev.attrs["skipped"] = True
-        else:
-            ev.value = float(row[COL_VALUE])
+        if row[COL_SKIPPED]:
+            ev.attrs["skipped"] = True
         return ev
 
 
 class ShmRingSink:
-    """Tracer sink writing fixed records into one rank's ring views.
+    """Tracer sink writing fixed span records into one rank's ring views.
 
-    ``data`` is the rank's ``(capacity, 6)`` float64 table, ``count`` and
-    ``dropped`` are length-1 int64 views (the rank's slots of the shared
-    per-rank vectors).  Events whose ``cat:name`` is not in the codec's
+    ``data`` is the rank's ``(capacity, RECORD_WIDTH)`` float64 table,
+    ``count`` and ``dropped`` are length-1 int64 views (the rank's slots of
+    the shared per-rank vectors).  Events whose ``cat:name`` is not in the codec's
     table, or that arrive when the table is full, bump ``dropped`` — the
     drain side surfaces that so truncation is never silent.
     """
@@ -98,16 +88,11 @@ class ShmRingSink:
             self.dropped[0] += 1
             return
         row = self.data[idx]
-        row[COL_KIND] = _KIND_CODES[event.kind]
         row[COL_NAME] = name_id
         row[COL_STEP] = event.step
         row[COL_TS] = event.ts
-        if event.kind == SPAN:
-            row[COL_DUR] = event.dur
-            row[COL_VALUE] = 1.0 if event.attrs.get("skipped") else 0.0
-        else:
-            row[COL_DUR] = 0.0
-            row[COL_VALUE] = event.value
+        row[COL_DUR] = event.dur
+        row[COL_SKIPPED] = 1.0 if event.attrs.get("skipped") else 0.0
         # Publish the record before the count: a racing reader that sees
         # the new count sees a fully written row.
         self.count[0] = idx + 1

@@ -9,9 +9,8 @@ A sink is any object with ``on_event(event)`` and (optionally)
   format ``simcov-repro trace report`` reads back;
 - :class:`ChromeTraceSink` — writes the Chrome trace-event JSON format
   (load in ``chrome://tracing`` or https://ui.perfetto.dev): spans
-  become complete (``"X"``) events on a ``pid=rank`` lane, counters and
-  gauges become counter (``"C"``) events, and metadata (``"M"``) events
-  name each rank's lane;
+  become complete (``"X"``) events on a ``pid=rank`` lane, and metadata
+  (``"M"``) events name each rank's lane;
 - :class:`SseSink` — formats each event as a server-sent-events frame
   (:func:`sse_frame`) and fans the text to subscriber callables; the
   serving layer (:mod:`repro.serve`) bridges those callables into each
@@ -42,15 +41,7 @@ class RingBufferSink:
     # -- inspection ----------------------------------------------------------
 
     def spans(self, cat: str | None = None) -> list[Event]:
-        return [
-            e for e in self.events
-            if e.kind == SPAN and (cat is None or e.cat == cat)
-        ]
-
-    def values(self, name: str) -> list[float]:
-        """Every counter/gauge sample recorded under ``name``."""
-        return [e.value for e in self.events
-                if e.kind != SPAN and e.name == name]
+        return [e for e in self.events if cat is None or e.cat == cat]
 
 
 class JsonlSink:
@@ -93,16 +84,13 @@ class JsonlSink:
             self._fh = None
 
 
-#: Record kinds that decode as telemetry events.
-_EVENT_KINDS = frozenset({"span", "counter", "gauge"})
-
-
 def read_jsonl(path) -> list[Event]:
     """Load a :class:`JsonlSink` file back into events.
 
-    Non-event records (``kind`` outside span/counter/gauge: the metadata
-    header, metrics snapshots) are skipped — use :func:`read_meta` /
-    :func:`repro.obs.snapshot.read_snapshots` for those.
+    Only ``kind: "span"`` records decode; the rest (the metadata header,
+    metrics snapshots, and the counter/gauge lines of traces written
+    before traces held spans only) are skipped — use :func:`read_meta` /
+    :func:`repro.obs.snapshot.read_snapshots` for the first two.
     """
     events = []
     with open(path) as fh:
@@ -110,7 +98,7 @@ def read_jsonl(path) -> list[Event]:
             line = line.strip()
             if line:
                 rec = json.loads(line)
-                if rec.get("kind") in _EVENT_KINDS:
+                if rec.get("kind") == SPAN:
                     events.append(Event.from_json(rec))
     return events
 
@@ -176,30 +164,18 @@ class ChromeTraceSink:
                 }
             )
         for e in events:
-            ts_us = (e.ts - base) * 1e6
-            if e.kind == SPAN:
-                rec = {
+            out.append(
+                {
                     "ph": "X",
                     "name": e.name,
                     "cat": e.cat or "span",
                     "pid": e.rank,
                     "tid": 0,
-                    "ts": ts_us,
+                    "ts": (e.ts - base) * 1e6,
                     "dur": e.dur * 1e6,
+                    "args": {"step": e.step, **e.attrs},
                 }
-                args = {"step": e.step, **e.attrs}
-                rec["args"] = args
-            else:
-                rec = {
-                    "ph": "C",
-                    "name": e.name,
-                    "cat": e.cat or e.kind,
-                    "pid": e.rank,
-                    "tid": 0,
-                    "ts": ts_us,
-                    "args": {e.name: e.value},
-                }
-            out.append(rec)
+            )
         payload = {"traceEvents": out, "displayTimeUnit": "ms"}
         if meta:
             # Chrome's trace format reserves otherData for free-form
@@ -234,7 +210,7 @@ class SseSink:
     """
 
     #: Default forwarded categories: step spans plus the serving and
-    #: resilience control-plane events — the signal a client dashboard
+    #: resilience control-plane spans — the signal a client dashboard
     #: needs, without the per-phase firehose.
     DEFAULT_CATEGORIES = frozenset({"step", "serving", "resilience"})
 

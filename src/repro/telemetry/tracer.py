@@ -1,6 +1,6 @@
 """The tracer: the one object instrumented code talks to.
 
-A :class:`Tracer` fans events out to its sinks; a :class:`NullTracer`
+A :class:`Tracer` fans spans out to its sinks; a :class:`NullTracer`
 (module singleton :data:`NULL_TRACER`) is the off-by-default stand-in
 whose every method is a no-op and whose truthiness is ``False``, so hot
 paths can guard attribute construction with ``if tracer:`` and pay one
@@ -21,7 +21,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from time import perf_counter
 
-from repro.telemetry.events import COUNTER, GAUGE, NO_STEP, SPAN, Event
+from repro.telemetry.events import NO_STEP, SPAN, Event
 
 
 class Tracer:
@@ -98,30 +98,6 @@ class Tracer:
             self._stack.pop()
             self.emit_span(name, start, duration, cat=cat, step=step, **attrs)
 
-    def counter(
-        self, name: str, value: float, cat: str = "counter",
-        step: int = NO_STEP, **attrs,
-    ) -> None:
-        """A per-step monotonic contribution (bytes pulled, bids won)."""
-        self.emit(
-            Event(
-                COUNTER, name, perf_counter(), value=float(value), cat=cat,
-                rank=self.rank, step=step, attrs=attrs,
-            )
-        )
-
-    def gauge(
-        self, name: str, value: float, cat: str = "gauge",
-        step: int = NO_STEP, **attrs,
-    ) -> None:
-        """An instantaneous sample (occupancy, heartbeat age, sizes)."""
-        self.emit(
-            Event(
-                GAUGE, name, perf_counter(), value=float(value), cat=cat,
-                rank=self.rank, step=step, attrs=attrs,
-            )
-        )
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -177,12 +153,6 @@ class NullTracer:
 
     def span(self, name, cat="span", step=NO_STEP, **attrs):
         return _NULL_SPAN
-
-    def counter(self, name, value, cat="counter", step=NO_STEP, **attrs) -> None:
-        pass
-
-    def gauge(self, name, value, cat="gauge", step=NO_STEP, **attrs) -> None:
-        pass
 
     def close(self) -> None:
         pass

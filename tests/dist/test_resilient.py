@@ -232,9 +232,9 @@ def test_on_disk_checkpoints_written_atomically_and_rotated(tmp_path):
 
 
 def test_recovery_telemetry_reaches_trace_report():
-    """Counters and the recovery span land in the run's one trace with
-    cat="resilience", and trace report renders the incident table."""
-    from repro.telemetry import COUNTER
+    """The recovery and checkpoint spans land in the run's one trace with
+    cat="resilience", and trace report counts restarts, replayed steps
+    and checkpoints from them and renders the incident table."""
     from repro.telemetry.report import format_report, summarize
 
     ring = RingBufferSink()
@@ -245,12 +245,6 @@ def test_recovery_telemetry_reaches_trace_report():
     assert len(job.incidents) == 1
     tracer.close()
     events = list(ring.events)
-    restarts = [
-        e for e in events
-        if e.kind == COUNTER and e.name == "restarts"
-        and e.cat == "resilience"
-    ]
-    assert len(restarts) == 1
     (span,) = _recoveries(ring)
     assert span.attrs["error"] == "WorkerFailedError"
     assert span.attrs["restored_step"] == 5
@@ -260,7 +254,10 @@ def test_recovery_telemetry_reaches_trace_report():
     res = summary["resilience"]
     assert res["restarts"] == 1
     assert res["steps_replayed"] == 2
-    assert res["checkpoints"] >= 2  # periodic snapshots of both attempts
+    # Periodic snapshots of both attempts, each a timed resilience span.
+    checkpoints = [e for e in events if e.name == "checkpoint"]
+    assert {e.cat for e in checkpoints} == {"resilience"}
+    assert res["checkpoints"] == len(checkpoints) >= 2
     assert len(res["incidents"]) == 1
     text = format_report(summary)
     assert "resilience: 1 restart" in text

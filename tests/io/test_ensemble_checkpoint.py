@@ -87,3 +87,18 @@ class TestEnsembleCheckpoint:
                 sim.gather_field(name, member=2),
                 err_msg=name,
             )
+
+
+class TestWholeBatchRefused:
+    @pytest.mark.parametrize("seeds", [[0, 1], [0]])
+    def test_save_checkpoint_points_at_member_view(self, seeds, tmp_path):
+        """A whole batch has one pool and one field set per member, so it
+        is not one checkpointable state: the refusal names the member
+        view instead of failing inside the snapshot."""
+        sim = EnsembleSimCov(SimCovParams.fast_test(dim=(16, 16)), seeds=seeds)
+        sim.run(2)
+        path = str(tmp_path / "batch.npz")
+        with pytest.raises(TypeError, match=r"sim\.member\(b\)"):
+            save_checkpoint(path, sim)
+        save_checkpoint(path, sim.member(0))
+        assert load_checkpoint(path).step_num == 2

@@ -105,6 +105,20 @@ class TestMetricsEndpoint:
         assert payload["completed"] == 1
         assert "wait_p99_seconds" in payload
 
+    def test_queue_wait_store_stays_bounded(self):
+        """/metrics.json's p50/p99 read the newest WAIT_SAMPLES queue
+        waits: every wait below the cap, a bounded window above it."""
+        from repro.serve.server import WAIT_SAMPLES
+
+        app = ServeApp(port=0)
+        app.wait_seconds.extend(i / 100 for i in range(100))
+        payload = app.metrics_payload()
+        assert payload["wait_p50_seconds"] == 0.5
+        assert payload["wait_p99_seconds"] == 0.99
+        app.wait_seconds.extend([7.0] * WAIT_SAMPLES)
+        assert len(app.wait_seconds) == WAIT_SAMPLES
+        assert app.metrics_payload()["wait_p50_seconds"] == 7.0
+
 
 class TestHealthz:
     def test_health_payload_carries_pool_state(self):

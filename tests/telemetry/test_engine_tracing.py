@@ -69,14 +69,19 @@ class TestEngineWiring:
         assert len(traced.engine.tracer.sinks) == 1
 
     def test_gating_gauge_emitted_every_step(self):
+        """Occupancy is the registry's gauge, set every step with tracing
+        on; the trace itself carries spans only."""
         ring = RingBufferSink()
         sim = SequentialSimCov(
             small_params(), seed=1, tracer=Tracer(sinks=[ring])
         )
-        sim.run(4)
-        occupancy = ring.values("active_voxels")
-        assert len(occupancy) == 4
-        assert all(v >= 0 for v in occupancy)
+        gauge = sim.engine.registry.families()["simcov_active_voxels"]
+        occupancy = []
+        for _ in range(4):
+            sim.step()
+            occupancy.append(gauge.series[()].value)
+        assert occupancy == [w["active_voxels"] for w in sim.step_work]
+        assert {e.cat for e in ring.events} == {"phase", "step"}
 
 
 class TestGoldenIdentityWithTracing:

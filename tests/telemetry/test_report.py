@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.telemetry import Event, GAUGE, SPAN, format_report, summarize
+from repro.telemetry import Event, SPAN, format_report, load_events, summarize
 
 
 def phase(name, dur, rank=0, step=0, skipped=False):
@@ -83,32 +83,34 @@ class TestSummarize:
         assert s["steps"] == 7
 
 
-def gauge(name, value, rank=0, step=0, cat="obs"):
-    return Event(GAUGE, name, 0.0, value=value, cat=cat, rank=rank,
-                 step=step)
+def drain(step=0, imbalance=0.0, dropped=(0, 0)):
+    """The dist coordinator's per-step ring-drain span."""
+    return Event(SPAN, "drain", 0.0, dur=1e-4, cat="telemetry", rank=-1,
+                 step=step,
+                 attrs={"imbalance": imbalance, "dropped": list(dropped)})
 
 
 class TestDroppedEvents:
     def test_summarize_keeps_max_per_rank(self):
-        """telemetry_dropped gauges are cumulative; the report keeps the
-        high-water mark per rank and hides zero rows."""
+        """Drain spans carry cumulative per-rank drop counts; the report
+        keeps the high-water mark per rank and hides zero rows."""
         s = summarize([
-            gauge("telemetry_dropped", 3, rank=1, cat="telemetry"),
-            gauge("telemetry_dropped", 7, rank=1, cat="telemetry"),
-            gauge("telemetry_dropped", 0, rank=0, cat="telemetry"),
+            drain(step=0, dropped=(0, 3)),
+            drain(step=1, dropped=(0, 7)),
             phase("diffuse", 0.1),
         ])
         assert s["dropped"] == {1: 7}
 
     def test_loud_warning_in_report(self):
         text = format_report(summarize([
-            gauge("telemetry_dropped", 42, rank=2, cat="telemetry"),
+            drain(dropped=(0, 0, 42)),
             phase("diffuse", 0.1),
         ]))
         assert "WARNING: DROPPED 42 events (rank 2)" in text
         assert "undercount" in text
-        # Dropped-count gauges never leak into the step/phase tables.
+        # Drain spans never leak into the step/phase tables.
         assert text.index("WARNING") < text.index("trace:")
+        assert "drain" not in text
 
     def test_no_warning_when_nothing_dropped(self):
         text = format_report(summarize([phase("diffuse", 0.1)]))
@@ -116,18 +118,17 @@ class TestDroppedEvents:
 
 
 class TestImbalancePanel:
-    def test_series_collected_from_gauges(self):
+    def test_series_collected_from_drain_spans(self):
         s = summarize([
-            gauge("imbalance_index", 0.5, rank=-1, step=0),
-            gauge("imbalance_index", 1.5, rank=-1, step=1),
+            drain(step=0, imbalance=0.5),
+            drain(step=1, imbalance=1.5),
             phase("diffuse", 0.1),
         ])
         assert s["imbalance_series"] == [(0, 0.5), (1, 1.5)]
 
     def test_panel_rendered_with_bars_and_peak(self):
         events = [phase("diffuse", 0.1)] + [
-            gauge("imbalance_index", 0.1 * t, rank=-1, step=t)
-            for t in range(10)
+            drain(step=t, imbalance=0.1 * t) for t in range(10)
         ]
         text = format_report(summarize(events))
         assert "imbalance over time" in text
@@ -135,10 +136,7 @@ class TestImbalancePanel:
         assert "|" in text and "#" in text
 
     def test_long_series_downsampled(self):
-        events = [
-            gauge("imbalance_index", 1.0, rank=-1, step=t)
-            for t in range(500)
-        ]
+        events = [drain(step=t, imbalance=1.0) for t in range(500)]
         text = format_report(summarize(events))
         panel_rows = [ln for ln in text.splitlines()
                       if ln.strip().startswith("step ")]
@@ -148,6 +146,28 @@ class TestImbalancePanel:
     def test_no_panel_without_series(self):
         text = format_report(summarize([phase("diffuse", 0.1)]))
         assert "imbalance over time" not in text
+
+
+class TestResilienceFromSpans:
+    def test_parent_format_jsonl_counts_from_recovery_spans(self, tmp_path):
+        """A trace written when traces still held counters and gauges
+        loads with those lines skipped; restarts and replayed steps come
+        from its recovery span."""
+        path = tmp_path / "old.jsonl"
+        path.write_text("\n".join([
+            '{"kind": "meta", "host": "vm"}',
+            '{"kind": "counter", "name": "restarts", "ts": 1.0, "value": 1}',
+            '{"kind": "gauge", "name": "imbalance_index", "ts": 1.0, "value": 0}',
+            '{"kind": "span", "name": "recovery", "ts": 1.0, "dur": 0.0, "cat":'
+            ' "resilience", "rank": -1, "step": 12, "attrs": {"error": "Worker'
+            'FailedError", "steps_replayed": 2, "nranks_before": 4, '
+            '"nranks_after": 4}}',
+        ]))
+        events = load_events(path)
+        assert [e.name for e in events] == ["recovery"]
+        text = format_report(summarize(events))
+        assert "resilience: 1 restart, 2 steps replayed" in text
+        assert "incident 1: WorkerFailedError at step 12 (4 ranks" in text
 
 
 class TestFormatReport:

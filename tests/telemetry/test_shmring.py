@@ -6,8 +6,6 @@ import numpy as np
 import pytest
 
 from repro.telemetry import (
-    COUNTER,
-    GAUGE,
     SPAN,
     RECORD_WIDTH,
     RingCodec,
@@ -20,8 +18,8 @@ from repro.telemetry.events import Event
 NAMES = (
     "phase:diffuse",
     "barrier:open_exchange",
-    "comm:halo_bytes",
-    "gating:active_voxels",
+    "barrier:step_end",
+    "step:step",
 )
 
 
@@ -40,10 +38,6 @@ class TestCodecRoundTrip:
             Event(SPAN, "diffuse", 12.5, dur=0.75, cat="phase", step=9),
             Event(SPAN, "open_exchange", 1.0, dur=0.01, cat="barrier",
                   step=2, attrs={"skipped": True}),
-            Event(COUNTER, "halo_bytes", 3.0, value=4096.0, cat="comm",
-                  step=1),
-            Event(GAUGE, "active_voxels", 4.0, value=37.0, cat="gating",
-                  step=5),
         ],
     )
     def test_event_survives_ring(self, event):
@@ -55,18 +49,15 @@ class TestCodecRoundTrip:
         assert decoded.name == event.name and decoded.cat == event.cat
         assert decoded.ts == event.ts and decoded.step == event.step
         assert decoded.rank == 3  # the drain side stamps the rank
-        if event.kind == SPAN:
-            assert decoded.dur == event.dur
-            assert bool(decoded.attrs.get("skipped")) == bool(
-                event.attrs.get("skipped")
-            )
-        else:
-            assert decoded.value == event.value
+        assert decoded.dur == event.dur
+        assert bool(decoded.attrs.get("skipped")) == bool(
+            event.attrs.get("skipped")
+        )
 
     def test_id_assignment_is_order(self):
         codec = RingCodec(NAMES)
         assert codec.name_id("phase", "diffuse") == 0
-        assert codec.name_id("gating", "active_voxels") == 3
+        assert codec.name_id("step", "step") == 3
         assert codec.name_id("phase", "nope") is None
 
 
@@ -81,13 +72,10 @@ class TestOverflowAndUnknownNames:
         data, count, dropped, codec = make_ring(capacity=2)
         sink = ShmRingSink(data, count, dropped, codec)
         for i in range(5):
-            sink.on_event(
-                Event(COUNTER, "halo_bytes", float(i), value=float(i),
-                      cat="comm")
-            )
+            sink.on_event(Event(SPAN, "step", float(i), cat="step"))
         assert int(count[0]) == 2 and int(dropped[0]) == 3
         events = drain_ring(data, count, codec, rank=0)
-        assert [e.value for e in events] == [0.0, 1.0]
+        assert [e.ts for e in events] == [0.0, 1.0]
 
 
 class TestDrain:
@@ -95,12 +83,12 @@ class TestDrain:
         data, count, dropped, codec = make_ring()
         sink = ShmRingSink(data, count, dropped, codec)
         tracer = Tracer(rank=1, sinks=[sink])
-        tracer.gauge("active_voxels", 10, cat="gating", step=0)
+        tracer.emit_span("step", 10.0, 0.5, cat="step", step=0)
         assert len(drain_ring(data, count, codec, rank=1)) == 1
         assert int(count[0]) == 0
-        tracer.gauge("active_voxels", 11, cat="gating", step=1)
+        tracer.emit_span("step", 11.0, 0.5, cat="step", step=1)
         (ev,) = drain_ring(data, count, codec, rank=1)
-        assert ev.value == 11.0 and ev.step == 1
+        assert ev.ts == 11.0 and ev.step == 1
 
     def test_empty_drain(self):
         data, count, _, codec = make_ring()

@@ -6,8 +6,6 @@ import json
 import pytest
 
 from repro.telemetry import (
-    COUNTER,
-    GAUGE,
     SPAN,
     ChromeTraceSink,
     Event,
@@ -23,14 +21,13 @@ class TestRingBufferSink:
     def test_bounded_capacity(self):
         ring = RingBufferSink(capacity=3)
         for i in range(5):
-            ring.on_event(Event(COUNTER, "c", float(i), value=float(i)))
-        assert ring.values("c") == [2.0, 3.0, 4.0]
+            ring.on_event(Event(SPAN, "s", float(i)))
+        assert [e.ts for e in ring.spans()] == [2.0, 3.0, 4.0]
 
     def test_spans_filters_by_cat(self):
         ring = RingBufferSink()
         ring.on_event(Event(SPAN, "a", 0.0, cat="phase"))
         ring.on_event(Event(SPAN, "b", 0.0, cat="barrier"))
-        ring.on_event(Event(GAUGE, "g", 0.0))
         assert [e.name for e in ring.spans()] == ["a", "b"]
         assert [e.name for e in ring.spans("barrier")] == ["b"]
 
@@ -41,21 +38,21 @@ class TestJsonlRoundTrip:
         tracer = Tracer(rank=2, backend="dist", sinks=[JsonlSink(path)])
         tracer.emit_span("diffuse", 1.5, 0.25, cat="phase", step=4,
                          skipped=False)
-        tracer.counter("halo_bytes", 8192, cat="comm", step=4)
-        tracer.gauge("active_voxels", 17, cat="gating", step=4)
+        tracer.emit_span("drain", 1.75, 0.5, cat="telemetry", step=4,
+                         imbalance=0.25, dropped=[0, 3])
         tracer.close()
 
-        span, counter, gauge = read_jsonl(path)
+        span, drain = read_jsonl(path)
         assert span.kind == SPAN and span.name == "diffuse"
         assert span.ts == 1.5 and span.dur == 0.25
         assert span.rank == 2 and span.step == 4
         assert span.attrs["backend"] == "dist"
-        assert counter.kind == COUNTER and counter.value == 8192.0
-        assert gauge.kind == GAUGE and gauge.value == 17.0
+        assert drain.attrs["imbalance"] == 0.25
+        assert drain.attrs["dropped"] == [0, 3]
         # The JSONL form is one valid JSON object per line: the
-        # run-metadata header, then the three events.
+        # run-metadata header, then the two spans.
         lines = path.read_text().strip().splitlines()
-        assert len(lines) == 4
+        assert len(lines) == 3
         assert all(isinstance(json.loads(ln), dict) for ln in lines)
         header = json.loads(lines[0])
         assert header["kind"] == "meta"
@@ -67,7 +64,6 @@ class TestChromeTraceSchema:
         Event(SPAN, "intents", 10.0, dur=0.5, cat="phase", rank=0, step=1),
         Event(SPAN, "open_exchange", 10.2, dur=0.1, cat="barrier", rank=1,
               step=1),
-        Event(COUNTER, "halo_bytes", 10.3, value=2048.0, cat="comm", rank=1),
         Event(SPAN, "step_end", 10.6, dur=0.05, cat="barrier", rank=-1,
               step=1),
     ]
@@ -93,9 +89,8 @@ class TestChromeTraceSchema:
         barrier = spans[1]
         assert barrier["cat"] == "barrier"
         assert barrier["ts"] == pytest.approx(0.2e6)
-        # Counters are "C" records keyed by their own name.
-        (counter,) = [r for r in recs if r["ph"] == "C"]
-        assert counter["args"] == {"halo_bytes": 2048.0}
+        # Nothing but lane names and spans.
+        assert {r["ph"] for r in recs} == {"M", "X"}
 
     def test_sink_writes_valid_json(self, tmp_path):
         path = tmp_path / "trace.json"

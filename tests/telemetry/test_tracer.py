@@ -1,11 +1,9 @@
-"""Tracer unit tests: span nesting/attributes, counters and gauges, the
-null tracer's short-circuit contract."""
+"""Tracer unit tests: span nesting/attributes, lifecycle, the null
+tracer's short-circuit contract."""
 
 import pytest
 
 from repro.telemetry import (
-    COUNTER,
-    GAUGE,
     NULL_TRACER,
     SPAN,
     Event,
@@ -61,19 +59,6 @@ class TestSpans:
         assert ring.spans()[0].rank == 3
 
 
-class TestCountersAndGauges:
-    def test_counter_and_gauge_kinds(self):
-        ring = RingBufferSink()
-        tracer = Tracer(sinks=[ring])
-        tracer.counter("halo_bytes", 4096, cat="comm", step=2)
-        tracer.gauge("active_voxels", 123, cat="gating", step=2)
-        counter, gauge = list(ring.events)
-        assert counter.kind == COUNTER and counter.value == 4096.0
-        assert gauge.kind == GAUGE and gauge.value == 123.0
-        assert ring.values("halo_bytes") == [4096.0]
-        assert ring.values("active_voxels") == [123.0]
-
-
 class TestLifecycle:
     def test_close_flushes_sinks_once(self):
         class Closable:
@@ -94,7 +79,7 @@ class TestLifecycle:
     def test_add_sink_chains(self):
         ring = RingBufferSink()
         tracer = Tracer().add_sink(ring)
-        tracer.counter("x", 1)
+        tracer.emit_span("x", 0.0, 1.0)
         assert len(ring.events) == 1
 
 
@@ -109,8 +94,6 @@ class TestNullTracer:
         with tracer.span("s"):
             pass
         tracer.emit_span("s", 0.0, 1.0)
-        tracer.counter("c", 1)
-        tracer.gauge("g", 1)
         tracer.emit(Event(SPAN, "s", 0.0))
         tracer.close()
         assert tracer.sinks == ()
