@@ -163,15 +163,12 @@ class EnsembleBackend(SingleBlockBackend):
 class EnsembleMemberView:
     """Solo-simulation facade over one ensemble member.
 
-    Duck-types the attributes :mod:`repro.io.checkpoint` reads
-    (``params``, ``block``, ``step_num``, ``pool``, ``rng``,
+    Duck-types the attributes :func:`~repro.io.checkpoint.snapshot_state`
+    reads (``params``, ``block``, ``step_num``, ``pool``, ``rng``,
     ``seed_gids``, ``gather_field``), so ``save_checkpoint(path,
     sim.member(b))`` writes a checkpoint that restores — on any
     implementation — into the continuation of member ``b``'s solo run.
-    It also takes what :func:`~repro.io.checkpoint.restore_state` writes
-    (``block``, settable ``step_num`` / ``pool``, ``backend``): restoring
-    one same-step snapshot per member moves the whole batch, since the
-    members share one step counter.
+    A batch restores whole, through the driver itself.
     """
 
     def __init__(self, sim: "EnsembleSimCov", member: int):
@@ -183,27 +180,12 @@ class EnsembleMemberView:
         self.seed_gids = sim.backend.member_seed_gids[member]
 
     @property
-    def backend(self) -> EnsembleBackend:
-        return self._sim.backend
-
-    @property
     def step_num(self) -> int:
         return self._sim.step_num
-
-    @step_num.setter
-    def step_num(self, value: int) -> None:
-        self._sim.step_num = value
 
     @property
     def pool(self) -> float:
         return float(self._sim.engine.pool[self.member])
-
-    @pool.setter
-    def pool(self, value: float) -> None:
-        # Rebind, never mutate: the series holds the old vector.
-        pool = self._sim.engine.pool.copy()
-        pool[self.member] = value
-        self._sim.engine.pool = pool
 
     @property
     def series(self) -> TimeSeries:

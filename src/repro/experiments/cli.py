@@ -22,7 +22,7 @@ checkpoint and recovery spans) to PATH — ``--trace-format jsonl``
 ``simcov-repro serve`` starts the SIMCoV-as-a-service job server
 (:mod:`repro.serve`); ``submit`` posts a run to it and ``status`` lists
 jobs / streams metrics.  ``--trace PATH`` on serve records the server's
-telemetry (plus periodic metrics snapshots) to PATH::
+spans to PATH (its counters and gauges are ``GET /metrics``)::
 
     simcov-repro serve --port 8642 --workers 4 --cache-dir /tmp/cache
     simcov-repro submit --config small_2d --steps 50 --watch

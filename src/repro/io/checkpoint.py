@@ -19,6 +19,11 @@ Two forms share one payload shape (:func:`snapshot_state` /
   verifies, raising :class:`CheckpointCorruptError` on any mismatch or
   undecodable container.
 
+A batched ensemble is one state with a leading member axis (``(B,)``
+pool and seeds, ``(B, …)`` interiors, one FOI list per member), written
+as ``format_version`` 3 under the solo file's keys; a solo run still
+writes version 2.
+
 Parameters are serialized by an explicit typed field codec
 (:func:`encode_params` / :func:`decode_params`): every
 :class:`~repro.core.params.SimCovParams` field is converted by its
@@ -39,7 +44,7 @@ import zlib
 
 import numpy as np
 
-from repro.core.params import SimCovParams
+from repro.core.params import ParamsStack, SimCovParams
 from repro.core.state import VoxelBlock
 
 #: Voxel fields captured in a checkpoint.
@@ -55,7 +60,12 @@ CHECKPOINT_FIELDS = (
 
 #: Format marker for forward compatibility.  Version 2 added the typed
 #: params codec and per-array CRCs; version-1 files are still readable.
+#: A batch is written as version 3: version 2's keys with a member axis.
 FORMAT_VERSION = 2
+BATCH_FORMAT_VERSION = 3
+
+#: Arrays stored with their CRC32 (``seed_gid_counts``: batch files only).
+CHECKED_ARRAYS = (*CHECKPOINT_FIELDS, "seed_gids", "seed_gid_counts")
 
 #: Filename pattern of auto-checkpoints (a job's mirrored snapshots).
 AUTO_CHECKPOINT_PATTERN = re.compile(r"^ckpt_step(\d+)\.npz$")
@@ -138,20 +148,23 @@ def snapshot_state(sim) -> dict:
     Contains the full-domain interior of every checkpoint field plus the
     scalars that, with the counter-based RNG, pin the rest of the run.
     Decomposition-independent: restorable onto any implementation and
-    any rank count.  A batched ensemble is snapshotted one member at a
-    time (``snapshot_state(sim.member(b))``): a whole batch raises
-    ``TypeError``.
+    any rank count.  A batched ensemble's snapshot carries the member
+    axis: a ``(B,)`` pool and seed vector, ``(B, …)`` interiors and one
+    FOI array per member.
     """
     if np.ndim(sim.pool):
-        raise TypeError(
-            f"cannot snapshot a batch of {np.size(sim.pool)} members as one "
-            "state: checkpoint each member with sim.member(b)"
-        )
+        pool, seed = np.array(sim.pool), sim.rng.seeds.copy()
+        seed_gids = [
+            np.array(g, dtype=np.int64) for g in sim.backend.member_seed_gids
+        ]
+    else:
+        pool, seed = float(sim.pool), int(sim.rng.seed)
+        seed_gids = np.asarray(sim.seed_gids, dtype=np.int64).copy()
     return {
         "step_num": int(sim.step_num),
-        "pool": float(sim.pool),
-        "seed": int(sim.rng.seed),
-        "seed_gids": np.asarray(sim.seed_gids, dtype=np.int64).copy(),
+        "pool": pool,
+        "seed": seed,
+        "seed_gids": seed_gids,
         "arrays": {name: _gather(sim, name) for name in CHECKPOINT_FIELDS},
     }
 
@@ -161,7 +174,7 @@ def _scatter_into_blocks(blocks: list[VoxelBlock], arrays: dict) -> None:
         box = block.owned
         gsl = box.slices_from((0,) * box.ndim)
         for name in CHECKPOINT_FIELDS:
-            getattr(block, name)[block.interior] = arrays[name][gsl]
+            getattr(block, name)[block.interior] = arrays[name][(..., *gsl)]
 
 
 def restore_state(sim, snapshot: dict) -> None:
@@ -170,9 +183,10 @@ def restore_state(sim, snapshot: dict) -> None:
     Works on every driver, fresh or already stepped: the field arrays are
     scattered into the implementation's blocks (for the distributed
     runtime these are the coordinator's shared-memory views, so parked
-    workers see the restored state at their next step), the engine
-    scalars are reset, and the backend drops what it had derived from the
-    state it held before (:meth:`ExecutionBackend.state_restored`).
+    workers see the restored state at their next step; for a batch, every
+    member at once), the engine scalars are reset, and the backend drops
+    what it had derived from the state it held before
+    (:meth:`ExecutionBackend.state_restored`).
     """
     blocks = sim.blocks if hasattr(sim, "blocks") else [sim.block]
     _scatter_into_blocks(blocks, snapshot["arrays"])
@@ -193,23 +207,30 @@ def save_checkpoint(path: str, sim) -> None:
     The write is atomic: the payload goes to a temporary file in the
     target directory first and is moved over ``path`` with
     ``os.replace``, so a crash mid-write leaves any previous checkpoint
-    at ``path`` intact.  Every array is stored alongside its CRC32.
+    at ``path`` intact.  Every array is stored alongside its CRC32.  A
+    batch is written as :data:`BATCH_FORMAT_VERSION`.
     """
     snapshot = snapshot_state(sim)
+    gids = snapshot["seed_gids"]
+    batched = np.ndim(snapshot["pool"]) > 0
+    params_text = (
+        json.dumps([encode_params(m) for m in sim.params.members])
+        if batched else encode_params(sim.params)
+    )
     payload = {
-        "format_version": FORMAT_VERSION,
+        "format_version": BATCH_FORMAT_VERSION if batched else FORMAT_VERSION,
         "step_num": snapshot["step_num"],
         "pool": snapshot["pool"],
         "seed": snapshot["seed"],
-        "seed_gids": snapshot["seed_gids"],
-        "params_json": np.frombuffer(
-            encode_params(sim.params).encode(), dtype=np.uint8
-        ),
+        "seed_gids": np.concatenate(gids) if batched else gids,
+        "params_json": np.frombuffer(params_text.encode(), dtype=np.uint8),
         **snapshot["arrays"],
     }
-    checked = (*CHECKPOINT_FIELDS, "seed_gids")
-    for name in checked:
-        payload[f"crc_{name}"] = np.uint32(_crc(payload[name]))
+    if batched:
+        payload["seed_gid_counts"] = np.array([g.size for g in gids], dtype=np.int64)
+    for name in CHECKED_ARRAYS:
+        if name in payload:
+            payload[f"crc_{name}"] = np.uint32(_crc(payload[name]))
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = f"{path}.tmp-{os.getpid()}"
     try:
@@ -221,17 +242,23 @@ def save_checkpoint(path: str, sim) -> None:
             os.unlink(tmp)
 
 
-def _load_payload(path: str) -> dict:
-    """Read + verify an on-disk checkpoint into the snapshot dict shape
-    (plus ``params``).  All corruption modes — undecodable container,
-    missing members, CRC mismatch — surface as CheckpointCorruptError."""
+def load_snapshot(path: str) -> dict:
+    """Read + CRC-verify an on-disk checkpoint into the snapshot-dict
+    shape :func:`restore_state` consumes (plus a ``params`` entry).
+
+    The restore half of :func:`save_checkpoint` for callers that build
+    their own simulation — the serve runner resumes journal-replayed
+    jobs through this.  Every corruption mode — undecodable container,
+    missing members, CRC mismatch — raises :class:`CheckpointCorruptError`.
+    """
     try:
         with np.load(path) as data:
             version = int(data["format_version"])
-            if version not in (1, FORMAT_VERSION):
-                raise ValueError(
-                    f"checkpoint format {version} != supported {FORMAT_VERSION}"
-                )
+            if version not in (1, FORMAT_VERSION, BATCH_FORMAT_VERSION):
+                raise ValueError(f"unsupported checkpoint format {version}")
+            batched = version == BATCH_FORMAT_VERSION
+            names = CHECKED_ARRAYS if batched else CHECKED_ARRAYS[:-1]
+            arrays = {name: data[name] for name in names}
             if version == 1:
                 # Legacy repr-encoded params, no CRCs.
                 import ast
@@ -240,24 +267,28 @@ def _load_payload(path: str) -> dict:
                 fields["dim"] = tuple(fields["dim"])
                 params = SimCovParams(**fields)
             else:
-                params = decode_params(bytes(data["params_json"]).decode())
-            arrays = {name: data[name] for name in CHECKPOINT_FIELDS}
-            seed_gids = data["seed_gids"]
-            if version >= 2:
-                for name in (*CHECKPOINT_FIELDS, "seed_gids"):
-                    stored = int(data[f"crc_{name}"])
-                    actual = _crc(data[name])
+                for name, arr in arrays.items():
+                    stored, actual = int(data[f"crc_{name}"]), _crc(arr)
                     if stored != actual:
                         raise CheckpointCorruptError(
                             f"checkpoint {path!r}: CRC mismatch on array "
                             f"{name!r} (stored {stored:#010x}, computed "
                             f"{actual:#010x})"
                         )
+                text = bytes(data["params_json"]).decode()
+                params = (
+                    ParamsStack([decode_params(t) for t in json.loads(text)])
+                    if batched else decode_params(text)
+                )
+            seed_gids = arrays.pop("seed_gids")
+            if batched:
+                counts = arrays.pop("seed_gid_counts")
+                seed_gids = np.split(seed_gids, np.cumsum(counts)[:-1])
             return {
                 "params": params,
                 "step_num": int(data["step_num"]),
-                "pool": float(data["pool"]),
-                "seed": int(data["seed"]),
+                "pool": data["pool"] if batched else float(data["pool"]),
+                "seed": data["seed"] if batched else int(data["seed"]),
                 "seed_gids": seed_gids,
                 "arrays": arrays,
             }
@@ -271,30 +302,23 @@ def _load_payload(path: str) -> dict:
         ) from err
 
 
-def load_snapshot(path: str) -> dict:
-    """Read + CRC-verify an on-disk checkpoint into the snapshot-dict
-    shape :func:`restore_state` consumes (plus a ``params`` entry).
-
-    The restore half of :func:`save_checkpoint` for callers that build
-    their own simulation — the serve runner resumes journal-replayed
-    jobs through this.  Raises :class:`CheckpointCorruptError` on any
-    corruption mode.
-    """
-    return _load_payload(path)
-
-
 def load_checkpoint(path: str, make_sim=None):
     """Restore a simulation from a checkpoint.
 
     ``make_sim(params, seed, seed_gids)`` builds the implementation to
-    resume on (default: the sequential reference).  The restored
-    simulation continues bitwise identically to the original run — on any
-    implementation — because randomness is keyed by (seed, step, voxel).
-    Raises :class:`CheckpointCorruptError` if the file fails CRC
-    verification or cannot be decoded.
+    resume on (default: the sequential reference, or an
+    :class:`~repro.engine.ensemble.EnsembleSimCov` for a batch file).
+    The restored simulation continues bitwise identically to the original
+    run — on any implementation — because randomness is keyed by (seed,
+    step, voxel).  Raises :class:`CheckpointCorruptError` if the file
+    fails CRC verification or cannot be decoded.
     """
-    snapshot = _load_payload(path)
-    if make_sim is None:
+    snapshot = load_snapshot(path)
+    if make_sim is None and np.ndim(snapshot["pool"]):
+        from repro.engine.ensemble import EnsembleSimCov
+
+        make_sim = lambda p, s, g: EnsembleSimCov(p, seeds=s, seed_gids=g)
+    elif make_sim is None:
         from repro.core.model import SequentialSimCov
 
         make_sim = lambda p, s, g: SequentialSimCov(p, seed=s, seed_gids=g)

@@ -3,9 +3,8 @@
 The production counterpart to :mod:`repro.telemetry`'s off-by-default
 span tracing: a low-overhead :class:`MetricsRegistry` (counters, gauges,
 fixed-bucket histograms) wired through the engine, dist, ensemble and
-serve layers; Prometheus text exposition for ``GET /metrics``; periodic
-JSONL snapshots for batch runs; a rolling per-rank
-:class:`ImbalanceMonitor`; and run-metadata stamps.
+serve layers; Prometheus text exposition for ``GET /metrics``; a
+rolling per-rank :class:`ImbalanceMonitor`; and run-metadata stamps.
 """
 
 from repro.obs.imbalance import ImbalanceMonitor, imbalance_index
@@ -20,7 +19,6 @@ from repro.obs.registry import (
     set_registry,
 )
 from repro.obs.runmeta import compatible, format_meta, run_metadata
-from repro.obs.snapshot import MetricsSnapshotSink, read_snapshots
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -29,12 +27,10 @@ __all__ = [
     "Histogram",
     "ImbalanceMonitor",
     "MetricsRegistry",
-    "MetricsSnapshotSink",
     "compatible",
     "format_meta",
     "get_registry",
     "imbalance_index",
-    "read_snapshots",
     "render_prometheus",
     "run_metadata",
     "set_registry",

@@ -306,8 +306,8 @@ class Job:
     #: Whether the result came from the cache ("hit"), an in-flight join
     #: ("join"), or a fresh run ("miss").
     cache: str = "miss"
-    #: Per-step stats rows accumulated across segments (solo backends) or
-    #: per-member row lists (ensemble).
+    #: The result payload of a done job (what ``GET /jobs/{id}/result``
+    #: and the cache serve).
     result: dict | None = None
     error: str | None = None
     #: In-memory shadow snapshot a resumed segment restores from.
@@ -315,7 +315,8 @@ class Job:
     #: Clients subscribed/attached (join dedup bumps this).
     attached: int = 1
     #: Per-step stats rows accumulated across *all* segments (a resumed
-    #: sim's own series only holds the final segment's steps).
+    #: sim's own series only holds the final segment's steps): one row per
+    #: step, or on an ensemble the step's list of member rows.
     rows: list = field(default_factory=list)
     #: While a segment runs: the live sim's ``request_preempt`` bound
     #: method (installed/cleared by the runner; called by the scheduler).
@@ -370,14 +371,6 @@ class Job:
             "incidents": [incident_json(i) for i in self.incidents],
             "spec": self.spec.to_json(),
         }
-
-    @property
-    def preemptible(self) -> bool:
-        """Ensemble batches are throughput jobs with per-member scalar
-        state the solo snapshot shape does not capture — they run until
-        done, a deadline or a cancel, and are never snapshotted; every
-        solo backend preempts at step boundaries."""
-        return self.spec.backend != "ensemble"
 
     def request_preempt(self) -> None:
         """Ask the running segment to stop at its next step boundary.

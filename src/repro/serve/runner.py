@@ -44,7 +44,7 @@ from repro.resilience import (
     judge_failure,
 )
 from repro.serve.faults import apply_fault
-from repro.serve.jobs import Job, stats_row, stats_rows
+from repro.serve.jobs import Job, stats_row
 from repro.telemetry.sinks import SseSink, sse_frame
 from repro.telemetry.tracer import Tracer
 
@@ -122,11 +122,11 @@ def run_segment(
     ``job.snapshot`` (mirrored under ``checkpoint_root`` when given; a
     ``checkpoint`` span with ``cat="resilience"`` times it) and becomes
     the failure rollback point.  Without it the segment is one
-    chunk, snapshotted only when preempted.  A job that is not
-    :attr:`~repro.serve.jobs.Job.preemptible` (an ensemble) is never
-    snapshotted: a deadline or a cancel stops it, and nothing resumes it.
-    ``tracer`` replaces the segment's own SSE-streaming tracer and is left
-    open, so one trace can span a job's attempts.
+    chunk, snapshotted only when preempted.  Every backend is handled
+    alike — a batch is snapshotted whole, its ``job.rows`` entry per step
+    being the list of member rows.  ``tracer`` replaces the segment's own
+    SSE-streaming tracer and is left open, so one trace can span a job's
+    attempts.
 
     Crash-safety contract (DESIGN.md §4g): the generation captured at
     entry makes an *abandoned* segment (the hung-worker detector bumped
@@ -159,6 +159,10 @@ def run_segment(
             restore_state(sim, snapshot)
             job.snapshot = snapshot
         job.last_heartbeat = time.monotonic()
+        row = stats_row
+        if job.spec.backend == "ensemble":
+            members = sim.member_series
+            row = lambda stats: [stats_row(m[-1]) for m in members]
 
         def on_step(stats):
             if job.generation != generation:
@@ -168,7 +172,7 @@ def run_segment(
                 return
             job.steps_done += 1
             job.last_heartbeat = time.monotonic()
-            job.rows.append(stats_row(stats))
+            job.rows.append(row(stats))
             if fault is not None:
                 apply_fault(fault, job, journal=journal)
             publish(sse_frame("step", _step_payload(job, stats)))
@@ -188,7 +192,7 @@ def run_segment(
             sim.run(chunk)
             if sim.preempted or job.generation != generation:
                 break
-            if every is not None and job.preemptible:
+            if every is not None:
                 start = perf_counter()
                 job.snapshot = snapshot_state(sim)
                 if checkpoint_root is not None:
@@ -203,10 +207,9 @@ def run_segment(
         if sim.preempted:
             job.preemptions += 1
             checkpoint = None
-            if job.preemptible:
-                job.snapshot = snapshot_state(sim)
-                if checkpoint_root is not None:
-                    checkpoint = _mirror_snapshot(checkpoint_root, job, sim)
+            job.snapshot = snapshot_state(sim)
+            if checkpoint_root is not None:
+                checkpoint = _mirror_snapshot(checkpoint_root, job, sim)
             publish(
                 sse_frame(
                     "preempted",
@@ -221,7 +224,7 @@ def run_segment(
                 PREEMPTED, job.steps_done - start_step,
                 checkpoint=checkpoint,
             )
-        job.result = _result_payload(job, sim)
+        job.result = _result_payload(job)
         return SegmentResult(COMPLETED, job.steps_done - start_step)
     except Exception as err:  # job failure must never kill the server
         steps_run = job.steps_done - rollback_step
@@ -342,17 +345,15 @@ def _step_payload(job: Job, stats) -> dict:
     }
 
 
-def _result_payload(job: Job, sim) -> dict:
+def _result_payload(job: Job) -> dict:
+    # job.rows, not the sim's series: a resumed sim's series only holds
+    # the final segment — the job accumulated every segment's rows in order.
     if job.spec.backend == "ensemble":
         return {
             "kind": "ensemble",
             "seeds": [int(s) for s in job.spec.seeds()],
-            "members": [
-                stats_rows(series) for series in sim.member_series
-            ],
+            "members": [list(rows) for rows in zip(*job.rows)],
         }
-    # job.rows, not sim.series: a resumed sim's series only holds the
-    # final segment — the job accumulated every segment's rows in order.
     return {"kind": "solo", "seed": job.spec.seed, "rows": list(job.rows)}
 
 

@@ -16,10 +16,10 @@ readable in ``/metrics``.
 
 Preemption policy (:meth:`Scheduler.pick_victim`): when every worker is
 busy and a queued job outranks a running one by priority *class*, the
-lowest-effective-priority running job that is preemptible yields at its
-next step boundary.  Fair-share differences alone never preempt — they
-only order the queue — so the system cannot thrash between equal-class
-tenants.
+lowest-effective-priority running job yields at its next step boundary
+(every backend, a batched ensemble included, snapshots there).
+Fair-share differences alone never preempt — they only order the queue
+— so the system cannot thrash between equal-class tenants.
 """
 
 from __future__ import annotations
@@ -114,15 +114,15 @@ class Scheduler:
         """The running job ``candidate`` should preempt, or None.
 
         Only fires when no slot is free, and only across priority
-        *classes*: the chosen victim is the preemptible running job with
-        the weakest effective key whose priority class is strictly below
-        the candidate's.
+        *classes*: the chosen victim is the running job with the weakest
+        effective key whose priority class is strictly below the
+        candidate's.
         """
         if self.free_slots > 0:
             return None
         victims = [
             j for j in self.running.values()
-            if j.preemptible and j.spec.priority < candidate.spec.priority
+            if j.spec.priority < candidate.spec.priority
         ]
         if not victims:
             return None

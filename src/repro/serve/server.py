@@ -129,11 +129,10 @@ class ServeApp:
     trace_path:
         Optional telemetry log for the server's own spans (a
         ``cat="serving"`` span per completed job, a ``cat="resilience"``
-        span per failed attempt).  With ``trace_format="jsonl"``
-        (default) a :class:`~repro.obs.snapshot.MetricsSnapshotSink`
-        rides along, so the one artifact carries spans *and* registry
-        snapshots, the server's counters and gauges among them;
-        ``"chrome"`` writes a Perfetto-loadable trace.
+        span per failed attempt): JSONL by default, or with
+        ``trace_format="chrome"`` a Perfetto-loadable trace.  The
+        server's counters and gauges are the registry's, served by
+        ``GET /metrics``.
     """
 
     def __init__(
@@ -271,17 +270,9 @@ class ServeApp:
 
                 sinks = [ChromeTraceSink(trace_path)]
             elif trace_format == "jsonl":
-                from repro.obs.snapshot import MetricsSnapshotSink
                 from repro.telemetry.sinks import JsonlSink
 
-                jsonl = JsonlSink(trace_path)
-                # Snapshot sink first: tracer.close() closes sinks in
-                # order, and the final snapshot must land before the
-                # JSONL file handle goes away.
-                sinks = [
-                    MetricsSnapshotSink(jsonl.write_record, registry=reg),
-                    jsonl,
-                ]
+                sinks = [JsonlSink(trace_path)]
             else:
                 raise ValueError(
                     f"trace_format must be 'jsonl' or 'chrome', "
@@ -669,15 +660,13 @@ class ServeApp:
             ))
             if job.deadline_expired:
                 # The watchdog preempted it to fail it cleanly: the
-                # checkpoint above, if the job took one, is preserved for
-                # a manual resume.
+                # checkpoint above is preserved for a manual resume.
                 self.scheduler.release(job)
-                kept = " (checkpoint preserved)" if job.snapshot is not None else ""
                 self._fail_job(
                     job,
                     f"DeadlineExceededError: deadline_s="
                     f"{job.spec.deadline_s} exceeded after "
-                    f"{job.steps_done}/{job.steps} steps{kept}",
+                    f"{job.steps_done}/{job.steps} steps (checkpoint preserved)",
                     reason="deadline",
                 )
             else:
@@ -758,10 +747,10 @@ class ServeApp:
                 continue
             if job.state == RUNNING:
                 if not job.deadline_expired:
-                    # Preempt-then-fail: the segment stops (and, if the
-                    # job is preemptible, checkpoints) at the next step
-                    # boundary and _segment_done converts the requeue
-                    # into a clean deadline failure.
+                    # Preempt-then-fail: the segment stops and
+                    # checkpoints at the next step boundary and
+                    # _segment_done converts the requeue into a clean
+                    # deadline failure.
                     job.deadline_expired = True
                     job.request_preempt()
                 continue
@@ -823,8 +812,7 @@ class ServeApp:
 
     def _drain_step(self) -> None:
         for job in list(self.scheduler.running.values()):
-            if job.preemptible:  # ensembles run to completion
-                job.request_preempt()
+            job.request_preempt()
         self._maybe_finish_drain()
 
     def _maybe_finish_drain(self) -> None:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 #: The ``kind`` of every event record (the JSONL discriminator that sets
-#: events apart from the metadata header and metrics snapshots).
+#: events apart from the metadata header).
 SPAN = "span"
 
 #: Sentinel for "no step context" (events outside the step loop).

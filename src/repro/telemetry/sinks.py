@@ -55,9 +55,7 @@ class JsonlSink:
     (:func:`repro.obs.runmeta.run_metadata`) — host, cpu count, python,
     git SHA — so a report or a diff knows which environment produced the
     numbers; pass ``write_meta=False`` to suppress it, or ``meta=`` to
-    ride extra keys along.  Non-event records (the header, metrics
-    snapshots) share the file via :meth:`write_record`; readers dispatch
-    on ``kind``.
+    ride extra keys along.  Readers dispatch on ``kind``.
     """
 
     def __init__(self, path, meta: dict | None = None, write_meta: bool = True):
@@ -66,17 +64,11 @@ class JsonlSink:
         if write_meta:
             from repro.obs.runmeta import run_metadata
 
-            self.write_record({"kind": "meta", **run_metadata(), **(meta or {})})
+            header = {"kind": "meta", **run_metadata(), **(meta or {})}
+            self._fh.write(json.dumps(header) + "\n")
 
     def on_event(self, event: Event) -> None:
         self._fh.write(json.dumps(event.to_json()) + "\n")
-
-    def write_record(self, record: dict) -> None:
-        """Append a non-event record (meta header, metrics snapshot);
-        silently dropped after close — record writers (the snapshot
-        sink) may outlive this sink in a tracer's close order."""
-        if self._fh is not None:
-            self._fh.write(json.dumps(record) + "\n")
 
     def close(self) -> None:
         if self._fh is not None:
@@ -88,9 +80,9 @@ def read_jsonl(path) -> list[Event]:
     """Load a :class:`JsonlSink` file back into events.
 
     Only ``kind: "span"`` records decode; the rest (the metadata header,
-    metrics snapshots, and the counter/gauge lines of traces written
-    before traces held spans only) are skipped — use :func:`read_meta` /
-    :func:`repro.obs.snapshot.read_snapshots` for the first two.
+    and the metrics snapshots and counter/gauge lines of traces written
+    before traces held spans only) are skipped — use :func:`read_meta`
+    for the header.
     """
     events = []
     with open(path) as fh:

@@ -1,18 +1,27 @@
 """Ensemble <-> checkpoint round trips.
 
-A batched run's member view duck-types the checkpoint save surface, so
-``save_checkpoint(path, sim.member(b))`` must produce a file that
-restores into the continuation of member ``b``'s *solo* run — the
-cross-implementation resume guarantee extended to the ensemble backend.
+A batch checkpoints whole: its snapshot carries the member axis, and a
+``format_version`` 3 file restores into an :class:`EnsembleSimCov` that
+continues bitwise like the uninterrupted batch.  A member view still
+duck-types the solo save surface, so ``save_checkpoint(path,
+sim.member(b))`` writes a file that restores into the continuation of
+member ``b``'s *solo* run, and a solo file stays format version 2.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.model import SequentialSimCov
-from repro.core.params import SimCovParams
+from repro.core.params import ParamsStack, SimCovParams
 from repro.engine.ensemble import EnsembleSimCov, expand_sweep
-from repro.io.checkpoint import CHECKPOINT_FIELDS, load_checkpoint, save_checkpoint
+from repro.io.checkpoint import (
+    CHECKPOINT_FIELDS,
+    CheckpointCorruptError,
+    load_checkpoint,
+    restore_state,
+    save_checkpoint,
+    snapshot_state,
+)
 
 SERIES_FIELDS = (
     "healthy", "dead", "tcells_tissue", "virions_total",
@@ -89,16 +98,113 @@ class TestEnsembleCheckpoint:
             )
 
 
-class TestWholeBatchRefused:
-    @pytest.mark.parametrize("seeds", [[0, 1], [0]])
-    def test_save_checkpoint_points_at_member_view(self, seeds, tmp_path):
-        """A whole batch has one pool and one field set per member, so it
-        is not one checkpointable state: the refusal names the member
-        view instead of failing inside the snapshot."""
-        sim = EnsembleSimCov(SimCovParams.fast_test(dim=(16, 16)), seeds=seeds)
-        sim.run(2)
+CUT, TOTAL = 37, 60
+#: T cells enter the tissue from step 10, so the pool, the tissue T cells
+#: and the infection all move across the cut.
+BASE = SimCovParams.fast_test(
+    dim=(20, 20), num_infections=2, num_steps=TOTAL
+).with_(tcell_initial_delay=10)
+#: A uniform batch at B = 1 and B = 4, and a sweep whose members' FOI
+#: lists are ragged (one of them empty) with repeated seeds.
+BATCHES = {
+    "B1": (BASE, [11]),
+    "B4": (BASE, [11, 12, 13, 14]),
+    "sweep": (
+        ParamsStack(expand_sweep(BASE, "num_infections", [0, 1, 3, 2])),
+        [11, 11, 12, 12],
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(BATCHES))
+def cut_batch(request):
+    """(members, seeds, the batch at step CUT, the uninterrupted batch)."""
+    members, seeds = BATCHES[request.param]
+    full = EnsembleSimCov(members, seeds=seeds)
+    full.run(TOTAL)
+    head = EnsembleSimCov(members, seeds=seeds)
+    head.run(CUT)
+    return members, seeds, head, full
+
+
+def _assert_continues(restored, head, full):
+    """``restored`` finishes the run bitwise like the uninterrupted batch:
+    fields, pools, and each member's series stitched onto ``head``'s."""
+    assert restored.step_num == CUT
+    restored.run(TOTAL - CUT)
+    tail = slice(-(TOTAL - CUT), None)
+    for name in CHECKPOINT_FIELDS:
+        assert np.array_equal(restored.gather_field(name), full.gather_field(name)), name
+    assert np.array_equal(restored.pool, full.pool)
+    for b in range(full.batch):
+        stitched = list(head.member_series[b]) + list(restored.member_series[b])[tail]
+        assert stitched == list(full.member_series[b]), f"member {b}"
+
+
+class TestBatchRoundTrip:
+    def test_in_memory(self, cut_batch):
+        members, seeds, head, full = cut_batch
+        tail = EnsembleSimCov(members, seeds=seeds)
+        tail.run(5)  # an already stepped batch: its gate describes another state
+        snapshot = snapshot_state(head)
+        assert snapshot["pool"].shape == snapshot["seed"].shape == (len(seeds),)
+        restore_state(tail, snapshot)
+        _assert_continues(tail, head, full)
+
+    def test_on_disk(self, cut_batch, tmp_path):
+        members, seeds, head, full = cut_batch
         path = str(tmp_path / "batch.npz")
-        with pytest.raises(TypeError, match=r"sim\.member\(b\)"):
-            save_checkpoint(path, sim)
-        save_checkpoint(path, sim.member(0))
-        assert load_checkpoint(path).step_num == 2
+        save_checkpoint(path, head)
+        with np.load(path) as data:
+            assert int(data["format_version"]) == 3
+            assert data["seed"].tolist() == seeds
+        restored = load_checkpoint(path)
+        assert isinstance(restored, EnsembleSimCov)
+        assert restored.params.members == head.params.members
+        for got, want in zip(
+            restored.backend.member_seed_gids, head.backend.member_seed_gids
+        ):
+            assert np.array_equal(got, want)
+        _assert_continues(restored, head, full)
+
+    def test_member_of_a_restored_batch_continues_solo(self, cut_batch, tmp_path):
+        members, seeds, head, full = cut_batch
+        path = str(tmp_path / "batch.npz")
+        save_checkpoint(path, head)
+        batch = load_checkpoint(path)
+        for b, seed in enumerate(seeds):
+            solo = SequentialSimCov(batch.params.member(b), seed=seed)
+            restore_state(solo, snapshot_state(batch.member(b)))
+            solo.run(TOTAL - CUT)
+            for name in CHECKPOINT_FIELDS:
+                assert np.array_equal(
+                    solo.gather_field(name), full.gather_field(name, member=b)
+                ), (b, name)
+            assert list(solo.series) == list(full.member_series[b])[CUT:], b
+
+    def test_corrupt_member_counts_detected(self, cut_batch, tmp_path):
+        _, _, head, _ = cut_batch
+        path = str(tmp_path / "batch.npz")
+        save_checkpoint(path, head)
+        data = dict(np.load(path))
+        data["seed_gid_counts"] = data["seed_gid_counts"][::-1] + 1
+        np.savez(path, **data)
+        with pytest.raises(CheckpointCorruptError, match="seed_gid_counts"):
+            load_checkpoint(path)
+
+
+def test_solo_file_stays_version_2_with_unchanged_keys(tmp_path):
+    sim = SequentialSimCov(BASE, seed=3)
+    sim.run(4)
+    path = str(tmp_path / "solo.npz")
+    save_checkpoint(path, sim)
+    with np.load(path) as data:
+        assert int(data["format_version"]) == 2
+        checked = (*CHECKPOINT_FIELDS, "seed_gids")
+        assert set(data.files) == {
+            "format_version", "step_num", "pool", "seed", "params_json",
+            *checked, *(f"crc_{name}" for name in checked),
+        }
+    restored = load_checkpoint(path)
+    assert type(restored) is SequentialSimCov
+    assert restored.pool == sim.pool and restored.rng.seed == 3

@@ -73,16 +73,17 @@ def test_sequential_restore_is_swept_by_its_first_step():
 
 def test_ensemble_restore_forward():
     seeds = [3, 4]
-    refs = [_reference(seed) for seed in seeds]
+    refs = [_reference(seed)[1] for seed in seeds]
+    head = EnsembleSimCov(PARAMS, seeds=seeds)
+    head.run(SNAP_AT)
     ens = EnsembleSimCov(PARAMS, seeds=seeds)
     ens.run(STEPPED)
-    for b, (snap, _) in enumerate(refs):
-        restore_state(ens.member(b), snap)
+    restore_state(ens, snapshot_state(head))
     ens.step()
     # Swept by that first step (see the sequential test above).
     assert list(ens.gate.member_counts) == [_swept_count(s) for s in seeds]
     ens.run(TOTAL - SNAP_AT - 1)
-    for b, (_, ref) in enumerate(refs):
+    for b, ref in enumerate(refs):
         series = ens.member_series[b]
         for i, step in enumerate(range(SNAP_AT, TOTAL)):
             assert series[STEPPED + i] == ref.series[step], (b, step)

@@ -6,8 +6,9 @@ run must be **bitwise identical** to the solo sequential run with the
 same (params, seed) — same voxel state and same time series at every
 step.  Both sides run the one single-block backend, so each side draws
 its own gate knobs (``active_gating``, ``tile_shape``, ``sweep_period``)
-and the solo side is additionally cut at a drawn step: its state is
-snapshotted and restored into a fresh simulation that finishes the run.
+and each side is additionally cut at its own drawn step: its state (the
+whole batch, on the batched side) is snapshotted and restored into a
+fresh simulation that finishes the run.
 This is the contract that lets the ensemble backend exist: randomness is
 keyed ``(member_seed, stream, step, voxel)``, elementwise double/int ops
 are batch-invariant, and the union gate region is a bitwise-invisible
@@ -15,6 +16,7 @@ superset per member (DESIGN.md §4d).
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.model import SequentialSimCov
@@ -74,39 +76,68 @@ def _random_gate_knobs(draw, dim):
     }
 
 
-def _solo_run_with_restore(p, seed, knobs, cut):
-    """The solo run, cut at step ``cut`` and finished by a fresh simulation
-    restored from the snapshot; returns that simulation and the stitched
-    series fields."""
-    head = SequentialSimCov(p, seed=seed, **knobs)
+def _run_with_restore(make, cut):
+    """The run of ``make()``, cut at step ``cut`` and finished by a fresh
+    simulation restored from the snapshot; returns that simulation and
+    per member (one on a solo run) the stitched series fields."""
+    head = make()
     head.run(cut)
-    tail = SequentialSimCov(p, seed=seed, **knobs)
+    tail = make()
     restore_state(tail, snapshot_state(head))
     tail.run(STEPS - cut)
-    series = {
-        f: np.concatenate([head.series.field(f), tail.series.field(f)])
-        for f in SERIES_FIELDS
-    }
-    return tail, series
+    pairs = zip(
+        getattr(head, "member_series", [head.series]),
+        getattr(tail, "member_series", [tail.series]),
+    )
+    return tail, [
+        {f: np.concatenate([h.field(f), t.field(f)]) for f in SERIES_FIELDS}
+        for h, t in pairs
+    ]
 
 
-def _assert_batched_matches_solo(draw, members, seeds):
-    dim = (members[0] if isinstance(members, list) else members).dim
-    ens = EnsembleSimCov(members, seeds=seeds, **_random_gate_knobs(draw, dim))
-    ens.run(STEPS)
-    solo_knobs = _random_gate_knobs(draw, dim)
-    cut = draw(st.integers(min_value=1, max_value=STEPS - 1))
+def _assert_batched_matches_solo(members, seeds, knobs, solo_knobs, cuts):
+    """Each member of the batch, cut at ``cuts[0]``, is bitwise its solo
+    run, cut at ``cuts[1]``."""
+    ens, ens_series = _run_with_restore(
+        lambda: EnsembleSimCov(members, seeds=seeds, **knobs), cuts[0]
+    )
     for b, seed in enumerate(seeds):
         p = members[b] if isinstance(members, list) else members
-        solo, series = _solo_run_with_restore(p, int(seed), solo_knobs, cut)
+        solo, (series,) = _run_with_restore(
+            lambda: SequentialSimCov(p, seed=int(seed), **solo_knobs), cuts[1]
+        )
         for f in SERIES_FIELDS:
             assert np.array_equal(
-                ens.member_series[b].field(f), series[f]
+                ens_series[b][f], series[f]
             ), f"member {b} series field {f} diverged"
         for f in STATE_FIELDS:
             assert np.array_equal(
                 ens.gather_field(f, member=b), solo.gather_field(f)
             ), f"member {b} state field {f} diverged"
+
+
+def _draw_and_assert(draw, members, seeds):
+    dim = (members[0] if isinstance(members, list) else members).dim
+    cut = st.integers(min_value=1, max_value=STEPS - 1)
+    _assert_batched_matches_solo(
+        members, seeds, _random_gate_knobs(draw, dim),
+        _random_gate_knobs(draw, dim), (draw(cut), draw(cut)),
+    )
+
+
+#: Per sweep key, values whose members differ within STEPS steps of
+#: SWEPT_WORLD: the pool keys in the vascular pool itself (which the
+#: series reports), the others in the infection.
+SWEPT_VALUES = {
+    "num_infections": [0, 2, 4],
+    "infectivity": [0.0, 0.5, 1.0],
+    "tcell_generation_rate": [5.0, 20.0, 40.0],
+    "tcell_initial_delay": [0, 6, 14],
+    "tcell_vascular_period": [1, 40, 300],
+}
+SWEPT_WORLD = SimCovParams.fast_test(
+    dim=(16, 16), num_infections=2, num_steps=STEPS
+).with_(tcell_initial_delay=4, infectivity=0.8, incubation_period=3)
 
 
 class TestEnsembleEquivalence:
@@ -121,7 +152,7 @@ class TestEnsembleEquivalence:
                 min_size=batch, max_size=batch, unique=True,
             )
         )
-        _assert_batched_matches_solo(data.draw, p, seeds)
+        _draw_and_assert(data.draw, p, seeds)
 
     @given(data=st.data(), seed=st.integers(min_value=0, max_value=10_000))
     @SLOW
@@ -147,4 +178,15 @@ class TestEnsembleEquivalence:
         )
         values = data.draw(st.lists(value_st, min_size=2, max_size=3))
         members = expand_sweep(p, key, values)
-        _assert_batched_matches_solo(data.draw, members, [seed] * len(members))
+        _draw_and_assert(data.draw, members, [seed] * len(members))
+
+    @pytest.mark.parametrize("key", sorted(SWEPT_VALUES))
+    def test_each_sweep_key_is_applied_per_member(self, key):
+        """A fixed world, one case per sweep key, so a slip that gives
+        every member one member's value fails on every run."""
+        members = expand_sweep(SWEPT_WORLD, key, SWEPT_VALUES[key])
+        observed = "tcells_vasculature" if key.startswith("tcell_") else "infected"
+        runs = [SequentialSimCov(p, seed=7).run(STEPS).field(observed) for p in members]
+        assert all(not np.array_equal(runs[0], run) for run in runs[1:])
+        knobs = {"active_gating": True, "tile_shape": None, "sweep_period": None}
+        _assert_batched_matches_solo(members, [7] * 3, knobs, knobs, (9, 17))

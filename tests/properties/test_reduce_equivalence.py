@@ -91,11 +91,6 @@ def _build(params, seed, batch, knobs):
     return EnsembleSimCov(params, seeds=seed + np.arange(batch), **knobs)
 
 
-def _views(sim, batch):
-    """What snapshot/restore acts on: the sim, or each ensemble member."""
-    return [sim] if batch is None else [sim.member(b) for b in range(batch)]
-
-
 def _narrower_bands(spy) -> int:
     """How many ``interior_sum`` calls ``spy`` saw sum fewer reduction
     chunks than the whole interior."""
@@ -149,8 +144,7 @@ class TestReduceEquivalence:
         # the cut: its gate and its cached counts describe another state.
         other = _build(params, seed, batch, knobs)
         other.run(stepped)
-        for src, dst in zip(_views(sim, batch), _views(other, batch)):
-            restore_state(dst, snapshot_state(src))
+        restore_state(other, snapshot_state(sim))
         for step in range(cut, STEPS):
             _assert_step_reduced_whole_domain(other, batch, step)
 

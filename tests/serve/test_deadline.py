@@ -1,16 +1,19 @@
 """Deadline watchdog and hung-worker detection.
 
-A running job past its ``deadline_s`` is preempted-then-failed cleanly
-(checkpoint preserved for a manual resume); a queued job past its
+A running job past its ``deadline_s`` — a batched ensemble included — is
+preempted-then-failed cleanly (checkpoint preserved for a manual resume); a queued job past its
 deadline fails without ever holding a worker; a worker that stops
 heartbeating is abandoned and the job retried on a fresh thread.
 """
 
 import time
 
+from repro.io.checkpoint import load_checkpoint
 from repro.resilience import RestartPolicy
 from repro.serve import BackgroundServer, ServeApp, ServeClient
 from repro.serve.faults import ServeFaultSpec
+from repro.serve.jobs import stats_rows
+from tests.serve.test_server import canonical, ensemble_result
 
 SPEC = {"config": "small_2d", "steps": 25, "seed": 4, "backend": "sequential"}
 
@@ -22,13 +25,17 @@ def serve(**kwargs):
     return BackgroundServer(ServeApp(**kwargs))
 
 
+#: A fault that holds the job's first step for longer than any deadline
+#: below, so the deadline lands mid-run however fast the host steps.
+def hold_first_step():
+    return ServeFaultSpec(job=0, step=1, mode="worker_slow", seconds=1.0)
+
+
 class TestDeadlines:
     def test_running_job_preempted_then_failed(self, tmp_path):
-        with serve(checkpoint_dir=str(tmp_path)) as app:
+        with serve(checkpoint_dir=str(tmp_path), fault=hold_first_step()) as app:
             client = ServeClient(port=app.port)
-            resp = client.submit(
-                dict(SPEC, steps=15000, deadline_s=0.3)
-            )
+            resp = client.submit(dict(SPEC, steps=60, deadline_s=0.3))
             final = client.wait(resp["job"]["id"], timeout=30.0)
             metrics = client.metrics()
             job = app.jobs[resp["job"]["id"]]
@@ -38,26 +45,33 @@ class TestDeadlines:
         assert metrics["deadline_expired"] == 1
         # The preemption checkpoint survives for a manual resume.
         assert job.resume_checkpoint is not None
-        assert final["steps_done"] < 15000
+        assert final["steps_done"] < 60
 
-    def test_running_ensemble_fails_without_a_checkpoint(self, tmp_path):
-        """An ensemble job is not preemptible: the deadline stops it, and
-        no snapshot of it is taken, mirrored or journaled."""
-        with serve(journal_dir=str(tmp_path)) as app:
+    def test_running_ensemble_keeps_a_checkpoint_that_resumes(self, tmp_path):
+        """A batch is preempted-then-failed like any job: its checkpoint
+        is mirrored and journaled, and resuming it finishes the batch
+        bitwise like the uninterrupted run."""
+        spec = {"config": "small_2d", "steps": 60, "backend": "ensemble",
+                "ensemble": 4}
+        with serve(journal_dir=str(tmp_path), fault=hold_first_step()) as app:
             client = ServeClient(port=app.port)
-            resp = client.submit({
-                "config": "small_2d", "steps": 40000, "backend": "ensemble",
-                "ensemble": 4, "deadline_s": 0.5,
-            })
+            resp = client.submit(dict(spec, deadline_s=0.3))
             final = client.wait(resp["job"]["id"], timeout=30.0)
             job = app.jobs[resp["job"]["id"]]
         assert final["state"] == "failed"
         assert "DeadlineExceededError" in final["error"]
-        assert "checkpoint preserved" not in final["error"]
-        assert final["steps_done"] < 40000
-        assert job.snapshot is None
-        assert job.resume_checkpoint is None
-        assert list(tmp_path.rglob("ckpt_step*.npz")) == []
+        assert "checkpoint preserved" in final["error"]
+        assert 0 < final["steps_done"] < 60
+        (path,) = (tmp_path / "checkpoints" / job.id).glob("ckpt_step*.npz")
+        assert job.resume_checkpoint == str(path)
+        resumed = load_checkpoint(str(path))
+        assert resumed.step_num == final["steps_done"]
+        resumed.run(60 - resumed.step_num)
+        members = [
+            [*head, *stats_rows(series)]
+            for head, series in zip(zip(*job.rows), resumed.member_series)
+        ]
+        assert canonical(members) == canonical(ensemble_result(spec)["members"])
 
     def test_queued_job_fails_without_running(self):
         # The hog parks at its first step, so it holds the only worker

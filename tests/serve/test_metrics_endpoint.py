@@ -167,5 +167,6 @@ def test_trace_format_plumbed(tmp_path, fmt, first_char):
         import json
 
         kinds = [json.loads(ln)["kind"] for ln in text.splitlines() if ln]
+        # A trace carries spans only: the registry is GET /metrics.
         assert kinds[0] == "meta"
-        assert "metrics" in kinds  # snapshot sink flushed on close
+        assert set(kinds[1:]) == {"span"}

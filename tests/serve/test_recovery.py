@@ -25,6 +25,7 @@ from repro.serve import runner as runner_mod
 from repro.serve.faults import KILL_EXIT_STATUS, ServeFaultSpec
 from repro.serve.jobs import TERMINAL_STATES, JobSpec, stats_rows
 from repro.serve.journal import JobJournal, frame_record, list_segments, segment_path
+from tests.serve.test_server import ensemble_result
 
 SPEC = {"dim": [48, 48], "steps": 300, "seed": 7, "backend": "sequential"}
 
@@ -138,6 +139,41 @@ class TestServerKillRecovery:
         for spec, got in zip(specs, rows):
             assert canonical(got) == canonical(reference_rows(spec))
 
+    def test_server_kill_after_an_ensemble_checkpoint_recovers(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        batch_spec = {"config": "small_2d", "steps": 1000, "seed": 3,
+                      "backend": "ensemble", "ensemble": 4}
+        urgent_spec = dict(SPEC, steps=10, seed=1, priority=5)
+        # Job 1 kills the server at its third step: to run at all it has
+        # preempted the batch, whose checkpoint is mirrored and journaled.
+        proc, port = spawn_server(
+            journal_dir, "--inject-serve-fault", "1:3:server_kill"
+        )
+        try:
+            client = ServeClient(port=port)
+            batch = client.submit(batch_spec)["job"]["id"]
+            wait_running(client, batch)
+            urgent = client.submit(urgent_spec)["job"]["id"]
+            assert proc.wait(timeout=120) == KILL_EXIT_STATUS
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert list((journal_dir / "checkpoints" / batch).glob("ckpt_step*.npz"))
+        proc, port = spawn_server(journal_dir)
+        try:
+            client = ServeClient(port=port)
+            final = client.wait(batch, timeout=120.0)
+            result = client.result(batch)["result"]
+            urgent_rows = client.result(urgent)["result"]["rows"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        assert final["state"] == "done"
+        assert final["preemptions"] == 1
+        assert canonical(result) == canonical(ensemble_result(batch_spec))
+        assert canonical(urgent_rows) == canonical(reference_rows(urgent_spec))
+
     def test_journal_torn_by_crash_recovers(self, tmp_path):
         journal_dir = tmp_path / "journal"
         # journal_torn writes a partial frame, then dies like SIGKILL —
@@ -200,6 +236,31 @@ class TestDrainResume:
             # It resumed from the drain checkpoint, not from step 0.
             assert metrics["resumes"] >= 1
         assert canonical(rows) == canonical(ref)
+
+    def test_drained_ensemble_resumes_bitwise(self, tmp_path):
+        journal_dir = str(tmp_path / "journal")
+        spec = {"config": "small_2d", "steps": 60, "seed": 3,
+                "backend": "ensemble", "ensemble": 4}
+        # The batch's fifth step is held, so the drain lands mid-run.
+        fault = ServeFaultSpec(job=0, step=5, mode="worker_slow", seconds=0.5)
+        with BackgroundServer(
+            ServeApp(port=0, max_workers=1, journal_dir=journal_dir, fault=fault)
+        ) as app:
+            client = ServeClient(port=app.port)
+            job_id = client.submit(spec)["job"]["id"]
+            wait_running(client, job_id, min_steps=5)
+            app.drain()
+        with BackgroundServer(
+            ServeApp(port=0, max_workers=1, journal_dir=journal_dir)
+        ) as app:
+            client = ServeClient(port=app.port)
+            final = client.wait(job_id, timeout=120.0)
+            result = client.result(job_id)["result"]
+            metrics = client.metrics()
+        assert final["state"] == "done"
+        assert metrics["replayed_jobs"] == 1
+        assert metrics["resumes"] >= 1
+        assert canonical(result) == canonical(ensemble_result(spec))
 
     def test_completed_jobs_survive_restart_via_disk_cache(self, tmp_path):
         journal_dir = str(tmp_path / "journal")

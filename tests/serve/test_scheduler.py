@@ -102,11 +102,11 @@ class TestScheduler:
         # ...a higher class does.
         assert s.pick_victim(make_job("urgent", priority=4)) is running
 
-    def test_ensemble_jobs_not_preemptible(self):
+    def test_ensemble_job_is_a_victim_like_any(self):
         s = Scheduler(max_workers=1)
         s.submit(make_job("batch", priority=0, backend="ensemble", ensemble=4))
-        s.next_dispatch()
-        assert s.pick_victim(make_job("urgent", priority=9)) is None
+        running = s.next_dispatch()
+        assert s.pick_victim(make_job("urgent", priority=9)) is running
 
     def test_weakest_victim_chosen(self):
         s = Scheduler(max_workers=2)

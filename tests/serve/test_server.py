@@ -17,7 +17,9 @@ import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.serve import BackgroundServer, ServeApp, ServeClient, ServeError
-from repro.serve.jobs import JobSpec, stats_rows
+from repro.serve.faults import ServeFaultSpec
+from repro.serve.jobs import Job, JobSpec, stats_rows
+from repro.serve.runner import run_segment
 
 
 def canonical(payload) -> str:
@@ -42,6 +44,21 @@ def reference_rows(spec_json):
     sim = SequentialSimCov(params, seed=spec.seed)
     sim.run(steps)
     return stats_rows(sim.series)
+
+
+def ensemble_result(spec_json):
+    """The in-process ground truth for an ensemble spec's result: each
+    member's solo sequential run."""
+    seeds = JobSpec.from_json(spec_json).seeds()
+    solo = {
+        k: v for k, v in spec_json.items()
+        if k in ("config", "overrides", "dim", "steps")
+    }
+    return {
+        "kind": "ensemble",
+        "seeds": list(seeds),
+        "members": [reference_rows(dict(solo, seed=s)) for s in seeds],
+    }
 
 
 class TestSubmitAndResult:
@@ -306,6 +323,43 @@ class TestEnsemble:
                 {"config": "small_2d", "steps": 12, "seed": seed}
             )
             assert canonical(rows) == canonical(solo)
+
+    def test_preempted_ensemble_resumes_bitwise(self):
+        spec = {"config": "small_2d", "steps": 60, "seed": 3,
+                "backend": "ensemble", "ensemble": 4}
+        # The batch's fifth step is held, so the urgent job lands mid-run.
+        fault = ServeFaultSpec(job=0, step=5, mode="worker_slow", seconds=0.5)
+        with serve(max_workers=1, fault=fault) as app:
+            client = ServeClient(port=app.port)
+            batch = client.submit(spec)["job"]["id"]
+            deadline = time.monotonic() + 10
+            while client.status(batch)["steps_done"] < 5:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            urgent = client.submit(
+                dict(SPEC, steps=10, seed=1, priority=5, client="urgent")
+            )
+            assert client.wait(urgent["job"]["id"])["state"] == "done"
+            final = client.wait(batch)
+            result = client.result(batch)["result"]
+        assert final["state"] == "done"
+        assert final["preemptions"] == 1
+        assert canonical(result) == canonical(ensemble_result(spec))
+
+    def test_ensemble_preempted_in_every_segment_matches(self):
+        """Every segment of a 20-step batch is asked to stop at its first
+        step, and the next restores the whole batch from its snapshot."""
+        spec_json = {"config": "small_2d", "steps": 20, "seed": 3,
+                     "backend": "ensemble", "ensemble": 4}
+        spec = JobSpec.from_json(spec_json)
+        params, steps = spec.resolve_params()
+        job = Job(id="batch", spec=spec, params=params, steps=steps, cache_key="")
+        segments = 0
+        while job.result is None:
+            run_segment(job, lambda frame: job.request_preempt())
+            segments += 1
+        assert job.preemptions == segments - 1 >= 5
+        assert canonical(job.result) == canonical(ensemble_result(spec_json))
 
 
 class TestDiskCache:
