@@ -10,8 +10,9 @@ pipeline at desktop scale:
   voxels — no epithelium, but virions/signal/T cells pass through);
 - infection seeded next to the airway, simulated on 8 worker processes
   (2x2x2 block decomposition with 26-neighbor halo exchange);
-- per-step statistics logged to disk and a checkpoint written mid-run,
-  then resumed on the sequential implementation — bitwise identically;
+- a checkpoint written mid-run, then resumed on the sequential
+  implementation — bitwise identically — whose restored series carries
+  the first half, so one CSV holds the whole run's per-step statistics;
 - the halo traffic SIMCoV-GPU would issue on 8 devices, counted from a
   traced run;
 - a 2D slice of the final state rendered.
@@ -36,7 +37,7 @@ from repro import DistSimCov, SequentialSimCov, SimCovParams
 from repro.core.structure import branching_airways_3d
 from repro.grid.decomposition import Decomposition
 from repro.grid.spec import GridSpec
-from repro.io import StatsLogger, load_checkpoint, save_checkpoint
+from repro.io import load_checkpoint, save_checkpoint, save_timeseries
 from repro.perf.work import gpu_step_work
 from repro.perf.workload import WorkloadTrace
 
@@ -51,9 +52,7 @@ def main():
           f"{params.num_infections} FOI, 8 ranks (2x2x2)")
 
     with DistSimCov(params, nranks=8, seed=21, structure_gids=airways) as dist:
-        with StatsLogger("results/lung3d_stats.csv") as log:
-            for step in range(60):
-                log.log(dist.step())
+        dist.run(60)
         save_checkpoint("results/lung3d_ck.npz", dist)
         virus = dist.series[-1].virions_total
     trace = WorkloadTrace.record(params.with_(num_steps=60), seed=21,
@@ -68,9 +67,8 @@ def main():
         "results/lung3d_ck.npz",
         make_sim=lambda p, s, g: SequentialSimCov(p, seed=s, seed_gids=g),
     )
-    with StatsLogger("results/lung3d_stats_resumed.csv") as log:
-        for step in range(60):
-            log.log(resumed.step())
+    resumed.run(60)
+    save_timeseries("results/lung3d_stats.csv", resumed.series)
 
     # Control: the same run uninterrupted.
     control = SequentialSimCov(params, seed=21, structure_gids=airways)

@@ -317,6 +317,9 @@ class TimeSeries:
     built only when a row is read, from the values the engine produced,
     so each member's rows are bitwise its solo run's."""
 
+    #: Column names, in column order (the keys of :meth:`to_arrays`).
+    COLUMNS = ("step", "reduced", "pool", "extravasations", "binds", "moves")
+
     def __init__(self, batch: int | None = None):
         self.batch = batch
         #: Step numbers, REDUCED_FIELDS rows, pools, extravasations,
@@ -326,10 +329,10 @@ class TimeSeries:
         self._member = None if batch is None else 0
 
     def member(self, b: int) -> TimeSeries:
-        """Member ``b``'s rows of a batched series (a view: it grows and
-        truncates with this one)."""
+        """Member ``b``'s rows of a batched series: a solo series over
+        the same columns (a view: it grows and truncates with this one)."""
         view = copy.copy(self)
-        view._member = range(self.batch)[b]
+        view.batch, view._member = None, range(self.batch)[b]
         return view
 
     def add(self, step, reduced, pool, extravasations, binds, moves) -> None:
@@ -340,6 +343,33 @@ class TimeSeries:
         ):
             column.append(value)
 
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The columns as fresh arrays (``(steps, …)``; a batch's entries
+        ``(steps, B, …)``, an idle step's scalar tally broadcast), keyed by
+        :data:`COLUMNS`; a member view gives its member's solo arrays."""
+        lead = () if self.batch is None else (self.batch,)
+        shapes = {"step": (), "reduced": lead + (len(REDUCED_FIELDS),)}
+        out = {}
+        for name, column in zip(self.COLUMNS, self._columns):
+            shape = shapes.get(name, lead)
+            if self._member is not None and not lead:
+                column = [v[self._member] if isinstance(v, np.ndarray) else v for v in column]
+            elif lead and name != "step":
+                column = [np.broadcast_to(v, shape) for v in column]
+            dtype = np.float64 if name in ("reduced", "pool") else np.int64
+            out[name] = np.array(column, dtype=dtype).reshape(-1, *shape)
+        return out
+
+    def load_arrays(self, arrays: dict[str, np.ndarray] | None) -> None:
+        """Replace every entry with :meth:`to_arrays` output (``None``: no
+        entries), scalars as Python ints and floats, so each row reads
+        back bitwise as recorded."""
+        self.truncate(0)
+        if arrays is not None:
+            for name, column in zip(self.COLUMNS, self._columns):
+                values = arrays[name]
+                column.extend(values.tolist() if values.ndim == 1 else list(values))
+
     def append(self, stats: StepStats) -> None:
         self.add(
             stats.step, [getattr(stats, f) for f in REDUCED_FIELDS],
@@ -348,9 +378,7 @@ class TimeSeries:
         )
 
     def truncate(self, length: int) -> None:
-        """Drop every entry at index >= ``length``, of every member
-        (recovery rollback: replayed steps re-append bitwise-identical
-        stats)."""
+        """Drop every entry at index >= ``length``, of every member."""
         if length < 0:
             raise ValueError("length must be >= 0")
         for column in self._columns:

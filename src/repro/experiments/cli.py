@@ -372,7 +372,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if wants_ensemble:
             _print_members(job, sweep_key, sweep_values, args.outdir)
         else:
-            for i, row in enumerate(job.rows):
+            for i, row in enumerate(job.result["rows"]):
                 if (i + 1) % max(1, args.steps // 10) == 0 or i == args.steps - 1:
                     print(f"step {i + 1:>5}: {StepStats(**row)}")
             print(

@@ -4,9 +4,8 @@ Provides the spatial vocabulary of the paper: the global voxel grid
 (:class:`~repro.grid.spec.GridSpec`), axis-aligned boxes
 (:class:`~repro.grid.box.Box`), linear / 2D / 3D block domain decomposition
 (:class:`~repro.grid.decomposition.Decomposition`, Fig 1B), ghost-halo
-geometry and exchange (:mod:`repro.grid.halo`, Fig 2), memory tiling with
-activation tracking (:mod:`repro.grid.tiling`, §3.2 / Fig 3) and the
-tile-contiguous zig-zag memory layout (:mod:`repro.grid.layout`, Fig 3B).
+geometry and exchange (:mod:`repro.grid.halo`, Fig 2) and memory tiling
+with activation tracking (:mod:`repro.grid.tiling`, §3.2 / Fig 3).
 """
 
 from repro.grid.box import Box
@@ -14,7 +13,6 @@ from repro.grid.spec import GridSpec, moore_offsets, von_neumann_offsets
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger, MergeMode
 from repro.grid.tiling import TileGrid
-from repro.grid.layout import TiledLayout
 
 __all__ = [
     "Box",
@@ -26,5 +24,4 @@ __all__ = [
     "HaloExchanger",
     "MergeMode",
     "TileGrid",
-    "TiledLayout",
 ]

@@ -3,9 +3,10 @@
 Paper-scale SIMCoV runs are multi-hour supercomputer jobs; production use
 needs restartable state.  Because this reproduction's randomness is a pure
 function of (seed, step, voxel), a checkpoint is just the global voxel
-state plus four scalars — and a run can resume on *any* implementation
-(sequential, CPU ranks, GPU devices, any decomposition) and continue
-bitwise identically to the uninterrupted original.
+state plus four scalars and the time series so far — and a run can resume
+on *any* implementation (sequential, CPU ranks, GPU devices, any
+decomposition) and continue bitwise identically to the uninterrupted
+original, its series the whole run's.
 
 Two forms share one payload shape (:func:`snapshot_state` /
 :func:`restore_state`):
@@ -19,10 +20,11 @@ Two forms share one payload shape (:func:`snapshot_state` /
   verifies, raising :class:`CheckpointCorruptError` on any mismatch or
   undecodable container.
 
-A batched ensemble is one state with a leading member axis (``(B,)``
-pool and seeds, ``(B, …)`` interiors, one FOI list per member), written
-as ``format_version`` 3 under the solo file's keys; a solo run still
-writes version 2.
+A batched ensemble is one state with a member axis (``(B,)`` pool and
+seeds, ``(B, …)`` interiors and series entries, one FOI list per member),
+written as ``format_version`` 3 under the solo file's keys; a solo run
+still writes version 2.  A file without the (optional) series keys
+restores a series that starts at the restored step.
 
 Parameters are serialized by an explicit typed field codec
 (:func:`encode_params` / :func:`decode_params`): every
@@ -45,7 +47,7 @@ import zlib
 import numpy as np
 
 from repro.core.params import ParamsStack, SimCovParams
-from repro.core.state import VoxelBlock
+from repro.core.stats import TimeSeries
 
 #: Voxel fields captured in a checkpoint.
 CHECKPOINT_FIELDS = (
@@ -64,8 +66,11 @@ CHECKPOINT_FIELDS = (
 FORMAT_VERSION = 2
 BATCH_FORMAT_VERSION = 3
 
+#: The time-series columns' keys (optional: older files have none).
+SERIES_ARRAYS = tuple(f"series_{name}" for name in TimeSeries.COLUMNS)
+
 #: Arrays stored with their CRC32 (``seed_gid_counts``: batch files only).
-CHECKED_ARRAYS = (*CHECKPOINT_FIELDS, "seed_gids", "seed_gid_counts")
+CHECKED_ARRAYS = (*CHECKPOINT_FIELDS, "seed_gids", "seed_gid_counts", *SERIES_ARRAYS)
 
 #: Filename pattern of auto-checkpoints (a job's mirrored snapshots).
 AUTO_CHECKPOINT_PATTERN = re.compile(r"^ckpt_step(\d+)\.npz$")
@@ -136,21 +141,16 @@ def decode_params(text: str) -> SimCovParams:
 
 # -- payload assembly --------------------------------------------------------
 
-def _gather(sim, name: str) -> np.ndarray:
-    if hasattr(sim, "gather_field"):
-        return np.ascontiguousarray(sim.gather_field(name))
-    return getattr(sim.block, name)[sim.block.interior].copy()
-
-
 def snapshot_state(sim) -> dict:
     """A self-contained in-memory snapshot of any implementation's state.
 
-    Contains the full-domain interior of every checkpoint field plus the
-    scalars that, with the counter-based RNG, pin the rest of the run.
+    Contains the full-domain interior of every checkpoint field, the
+    scalars that, with the counter-based RNG, pin the rest of the run,
+    and a copy of the series (:meth:`TimeSeries.to_arrays`).
     Decomposition-independent: restorable onto any implementation and
     any rank count.  A batched ensemble's snapshot carries the member
-    axis: a ``(B,)`` pool and seed vector, ``(B, …)`` interiors and one
-    FOI array per member.
+    axis: a ``(B,)`` pool and seed vector, ``(B, …)`` interiors and
+    series entries, and one FOI array per member.
     """
     if np.ndim(sim.pool):
         pool, seed = np.array(sim.pool), sim.rng.seeds.copy()
@@ -165,16 +165,9 @@ def snapshot_state(sim) -> dict:
         "pool": pool,
         "seed": seed,
         "seed_gids": seed_gids,
-        "arrays": {name: _gather(sim, name) for name in CHECKPOINT_FIELDS},
+        "arrays": {n: np.ascontiguousarray(sim.gather_field(n)) for n in CHECKPOINT_FIELDS},
+        "series": sim.series.to_arrays(),
     }
-
-
-def _scatter_into_blocks(blocks: list[VoxelBlock], arrays: dict) -> None:
-    for block in blocks:
-        box = block.owned
-        gsl = box.slices_from((0,) * box.ndim)
-        for name in CHECKPOINT_FIELDS:
-            getattr(block, name)[block.interior] = arrays[name][(..., *gsl)]
 
 
 def restore_state(sim, snapshot: dict) -> None:
@@ -184,14 +177,18 @@ def restore_state(sim, snapshot: dict) -> None:
     scattered into the implementation's blocks (for the distributed
     runtime these are the coordinator's shared-memory views, so parked
     workers see the restored state at their next step; for a batch, every
-    member at once), the engine scalars are reset, and the backend drops
+    member at once), the engine scalars are reset, the series is replaced
+    by the snapshot's (emptied when it has none), and the backend drops
     what it had derived from the state it held before
     (:meth:`ExecutionBackend.state_restored`).
     """
-    blocks = sim.blocks if hasattr(sim, "blocks") else [sim.block]
-    _scatter_into_blocks(blocks, snapshot["arrays"])
+    for block in sim.blocks if hasattr(sim, "blocks") else [sim.block]:
+        gsl = block.owned.slices_from((0,) * block.owned.ndim)
+        for name in CHECKPOINT_FIELDS:
+            getattr(block, name)[block.interior] = snapshot["arrays"][name][(..., *gsl)]
     sim.step_num = snapshot["step_num"]
     sim.pool = snapshot["pool"]
+    sim.series.load_arrays(snapshot.get("series"))
     sim.backend.state_restored()
 
 
@@ -225,6 +222,7 @@ def save_checkpoint(path: str, sim) -> None:
         "seed_gids": np.concatenate(gids) if batched else gids,
         "params_json": np.frombuffer(params_text.encode(), dtype=np.uint8),
         **snapshot["arrays"],
+        **{f"series_{name}": a for name, a in snapshot["series"].items()},
     }
     if batched:
         payload["seed_gid_counts"] = np.array([g.size for g in gids], dtype=np.int64)
@@ -257,7 +255,10 @@ def load_snapshot(path: str) -> dict:
             if version not in (1, FORMAT_VERSION, BATCH_FORMAT_VERSION):
                 raise ValueError(f"unsupported checkpoint format {version}")
             batched = version == BATCH_FORMAT_VERSION
-            names = CHECKED_ARRAYS if batched else CHECKED_ARRAYS[:-1]
+            series_keys = SERIES_ARRAYS if SERIES_ARRAYS[0] in data.files else ()
+            names = [*CHECKPOINT_FIELDS, "seed_gids", *series_keys]
+            if batched:
+                names.append("seed_gid_counts")
             arrays = {name: data[name] for name in names}
             if version == 1:
                 # Legacy repr-encoded params, no CRCs.
@@ -281,6 +282,7 @@ def load_snapshot(path: str) -> dict:
                     if batched else decode_params(text)
                 )
             seed_gids = arrays.pop("seed_gids")
+            series = {n: arrays.pop(k) for n, k in zip(TimeSeries.COLUMNS, series_keys)}
             if batched:
                 counts = arrays.pop("seed_gid_counts")
                 seed_gids = np.split(seed_gids, np.cumsum(counts)[:-1])
@@ -291,6 +293,7 @@ def load_snapshot(path: str) -> dict:
                 "seed": data["seed"] if batched else int(data["seed"]),
                 "seed_gids": seed_gids,
                 "arrays": arrays,
+                "series": series or None,
             }
     except (CheckpointCorruptError, FileNotFoundError, ValueError):
         raise

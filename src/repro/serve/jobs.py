@@ -13,8 +13,8 @@ which is what makes the result cache correct rather than approximate
 (DESIGN.md §4e).
 
 A :class:`Job` is the server-side record: spec + resolved params, the
-lifecycle state, accumulated per-step stats rows and — for preempted
-jobs — the shadow snapshot the resumed segment restores from.
+lifecycle state and — for preempted jobs — the shadow snapshot the
+resumed segment restores from, which carries the run's stats rows so far.
 
 A job transition *is* a journal record (DESIGN.md §4g).  The
 ``Job.*_record`` methods are the only writers of the record format;
@@ -35,7 +35,8 @@ from dataclasses import dataclass, field, fields as dc_fields
 import numpy as np
 
 from repro.core.params import SimCovParams
-from repro.io.checkpoint import encode_params
+from repro.core.stats import StepStats, TimeSeries
+from repro.io.checkpoint import CheckpointCorruptError, encode_params, load_snapshot
 from repro.resilience import JobIncident
 
 #: Job lifecycle states.
@@ -314,10 +315,6 @@ class Job:
     snapshot: dict | None = None
     #: Clients subscribed/attached (join dedup bumps this).
     attached: int = 1
-    #: Per-step stats rows accumulated across *all* segments (a resumed
-    #: sim's own series only holds the final segment's steps): one row per
-    #: step, or on an ensemble the step's list of member rows.
-    rows: list = field(default_factory=list)
     #: While a segment runs: the live sim's ``request_preempt`` bound
     #: method (installed/cleared by the runner; called by the scheduler).
     preempt_hook: object = None
@@ -344,10 +341,9 @@ class Job:
     fault: object = None
     #: Whether transitions are journaled (cold jobs under --journal-dir).
     journaled: bool = False
-    #: ``steps_done``/``len(rows)`` at the current segment's start — the
-    #: rollback point when the hang detector abandons the segment.
+    #: ``steps_done`` at the current segment's start — the rollback
+    #: point when the hang detector abandons the segment.
     segment_start_steps: int = 0
-    segment_start_rows: int = 0
 
     def summary(self) -> dict:
         """The status JSON served for this job."""
@@ -397,13 +393,12 @@ class Job:
             "attempt": len(self.incidents) + 1, "from_step": self.steps_done,
         }
 
-    def preempt_record(self, steps_done: int, n_rows: int, checkpoint) -> dict:
-        """The resume point: ``steps_done`` and the first ``n_rows`` rows,
-        restored from ``checkpoint``."""
+    def preempt_record(self, steps_done: int, checkpoint) -> dict:
+        """The resume point: ``steps_done``, restored (rows included)
+        from ``checkpoint``."""
         return {
             "type": "preempt", "job": self.id, "steps_done": steps_done,
-            "preemptions": self.preemptions, "rows": self.rows[:n_rows],
-            "checkpoint": checkpoint,
+            "preemptions": self.preemptions, "checkpoint": checkpoint,
         }
 
     def retry_record(self, incident) -> dict:
@@ -445,17 +440,15 @@ def apply_record(job: Job, record: dict) -> None:
     if rtype == "submit":
         # A job from scratch: a second submit of one id (the old segments
         # beside their compacted successor) starts it over.
-        job.state, job.steps_done, job.rows, job.preemptions = QUEUED, 0, [], 0
+        job.state, job.steps_done, job.preemptions = QUEUED, 0, 0
         job.resume_checkpoint, job.incidents = None, []
         job.error = job.finished_at = None
     elif rtype == "start":
         job.state = RUNNING
         job.segment_start_steps = job.steps_done
-        job.segment_start_rows = len(job.rows)
     elif rtype == "preempt":
         job.state = QUEUED
         job.steps_done = int(record.get("steps_done", 0))
-        job.rows = list(record.get("rows") or [])
         job.preemptions = int(record.get("preemptions", 0))
         job.resume_checkpoint = record.get("checkpoint")
     elif rtype == "retry":
@@ -490,7 +483,6 @@ def job_records(job: Job) -> list[dict]:
         running = job.state == RUNNING
         records.append(job.preempt_record(
             job.segment_start_steps if running else job.steps_done,
-            job.segment_start_rows if running else len(job.rows),
             job.resume_checkpoint,
         ))
     return records
@@ -502,6 +494,7 @@ def rebuild_jobs(records) -> dict[str, Job]:
     of anything submitted after the restart; every record of a known job
     is applied in order, and records of unknown jobs are skipped."""
     jobs: dict[str, Job] = {}
+    legacy_rows: dict[str, list | None] = {}
     for record in records:
         job_id = record.get("job")
         if job_id and job_id not in jobs and record.get("type") == "submit":
@@ -520,19 +513,44 @@ def rebuild_jobs(records) -> dict[str, Job]:
             )
         if job_id in jobs:
             apply_record(jobs[job_id], record)
+            if record.get("type") in ("submit", "preempt"):
+                legacy_rows[job_id] = record.get("rows")
+    for job_id, rows in legacy_rows.items():  # older journals only
+        job = jobs[job_id]
+        if rows and job.state not in TERMINAL_STATES:
+            job.snapshot = _legacy_snapshot(job, rows)
+            if job.snapshot is not None:
+                # Resumed from memory: compaction, which writes no rows,
+                # restarts the job from its submit, not a rowless file.
+                job.resume_checkpoint = None
     return jobs
 
 
-def stats_rows(series, count: int | None = None) -> list[dict]:
+def _legacy_snapshot(job: Job, rows: list) -> dict | None:
+    """For journals from before a checkpoint carried its series only:
+    the job's checkpoint, its series seeded from the ``preempt`` record's
+    rows.  An unreadable checkpoint is left to the runner's own load."""
+    try:
+        snapshot = load_snapshot(job.resume_checkpoint)
+    except (CheckpointCorruptError, OSError, TypeError, ValueError):
+        return None
+    batched = job.spec.backend == "ensemble"
+    parts = [TimeSeries() for _ in range(len(rows[0]) if batched else 1)]
+    for step_rows in rows:
+        for series, row in zip(parts, step_rows if batched else [step_rows]):
+            series.append(StepStats(**row))
+    arrays = [series.to_arrays() for series in parts]
+    snapshot["series"] = {
+        name: np.stack([a[name] for a in arrays], axis=1) if batched and name != "step"
+        else arrays[0][name] for name in TimeSeries.COLUMNS
+    }
+    return snapshot
+
+
+def stats_rows(series) -> list[dict]:
     """Plain-JSON rows of a TimeSeries (or a member view) — the cached/serving form.
 
     Floats survive JSON exactly (``repr`` shortest round-trip), so rows
     from a cache hit compare bitwise-equal to rows from a cold run.
     """
-    n = len(series) if count is None else count
-    return [stats_row(series[i]) for i in range(n)]
-
-
-def stats_row(stats) -> dict:
-    """One StepStats as a plain-JSON dict (exact float round-trip)."""
-    return {f.name: getattr(stats, f.name) for f in dc_fields(stats)}
+    return series.to_rows()

@@ -7,11 +7,11 @@ record *means* lives beside the job model — :mod:`repro.serve.jobs`
 builds the ``submit`` / ``start`` / ``preempt`` / ``retry`` /
 ``complete`` / ``fail`` / ``cancel`` records and applies them, in
 journal order, through the one function the live server uses too.  A
-``preempt`` record carries the job's accumulated stats rows and the
-path of its on-disk shadow checkpoint, which is what makes post-crash
-resume *bitwise* exact: the checkpoint restores the sim at the
-preemption boundary and the journal restores the rows the earlier
-segments already produced.
+``preempt`` record carries ``steps_done`` and the path of the job's
+on-disk shadow checkpoint, no rows: the checkpoint restores the sim at
+the preemption boundary with its series, every earlier segment's rows,
+which makes post-crash resume *bitwise* exact and keeps the journal
+growing with steps, not with preemptions × steps.
 
 Framing (binary, little-endian)::
 

@@ -44,7 +44,7 @@ from repro.resilience import (
     judge_failure,
 )
 from repro.serve.faults import apply_fault
-from repro.serve.jobs import Job, stats_row
+from repro.serve.jobs import Job, stats_rows
 from repro.telemetry.sinks import SseSink, sse_frame
 from repro.telemetry.tracer import Tracer
 
@@ -116,6 +116,10 @@ def run_segment(
     ``preemptions``, ``snapshot``, ``result``) are updated in place; the
     caller owns the state machine.
 
+    A job's rows are its sim's series: the snapshot a segment resumes
+    from carries every earlier segment's rows, so the result is built
+    from the completing segment's sim alone.
+
     ``checkpoint_every=K`` runs the segment in chunks that end on steps
     divisible by K.  ``sim.run`` returns quiescent — no step launched
     ahead — so after each chunk the state is shadow-snapshotted into
@@ -123,20 +127,18 @@ def run_segment(
     ``checkpoint`` span with ``cat="resilience"`` times it) and becomes
     the failure rollback point.  Without it the segment is one
     chunk, snapshotted only when preempted.  Every backend is handled
-    alike — a batch is snapshotted whole, its ``job.rows`` entry per step
-    being the list of member rows.  ``tracer`` replaces the segment's own
-    SSE-streaming tracer and is left open, so one trace can span a job's
-    attempts.
+    alike — a batch is snapshotted whole.  ``tracer`` replaces the
+    segment's own SSE-streaming tracer and is left open, so one trace can
+    span a job's attempts.
 
     Crash-safety contract (DESIGN.md §4g): the generation captured at
     entry makes an *abandoned* segment (the hung-worker detector bumped
     ``job.generation`` and handed the job to a retry) harmless — its
-    step listener and cleanup become no-ops instead of corrupting the
-    replacement attempt's state.  A failed attempt rolls ``steps_done``
-    and ``rows`` back to the last snapshot it took (else the segment's
-    start), so the retry replays from that checkpoint with nothing
-    double-counted — which is what keeps retried results bitwise
-    identical to fault-free runs.
+    step listener and cleanup become no-ops, and a row it still appends
+    lands in its own sim's series, not in the snapshot (a copy).  A
+    failed attempt rolls ``steps_done`` back to the last snapshot it took
+    (else the segment's start), so the retry replays from it with nothing
+    double-counted — bitwise identical to a fault-free run.
     """
     sse_sink = None
     if tracer is None:
@@ -145,24 +147,17 @@ def run_segment(
     sim = None
     generation = job.generation
     start_step = rollback_step = job.steps_done
-    rollback_rows = len(job.rows)
     fault = job.fault
     try:
         sim = build_sim(job, tracer=tracer, **(driver_kwargs or {}))
-        if job.snapshot is not None:
-            restore_state(sim, job.snapshot)
-        elif job.resume_checkpoint is not None:
+        if job.snapshot is None and job.resume_checkpoint is not None:
             # Journal-replayed job: the in-memory snapshot died with the
             # previous server process; the CRC-verified disk mirror is
             # the resume point.
-            snapshot = load_snapshot(job.resume_checkpoint)
-            restore_state(sim, snapshot)
-            job.snapshot = snapshot
+            job.snapshot = load_snapshot(job.resume_checkpoint)
+        if job.snapshot is not None:
+            restore_state(sim, job.snapshot)
         job.last_heartbeat = time.monotonic()
-        row = stats_row
-        if job.spec.backend == "ensemble":
-            members = sim.member_series
-            row = lambda stats: [stats_row(m[-1]) for m in members]
 
         def on_step(stats):
             if job.generation != generation:
@@ -172,7 +167,6 @@ def run_segment(
                 return
             job.steps_done += 1
             job.last_heartbeat = time.monotonic()
-            job.rows.append(row(stats))
             if fault is not None:
                 apply_fault(fault, job, journal=journal)
             publish(sse_frame("step", _step_payload(job, stats)))
@@ -201,7 +195,7 @@ def run_segment(
                     "checkpoint", start, perf_counter() - start,
                     cat="resilience", step=job.steps_done,
                 )
-                rollback_step, rollback_rows = job.steps_done, len(job.rows)
+                rollback_step = job.steps_done
         if job.generation != generation:
             return SegmentResult(PREEMPTED, 0)
         if sim.preempted:
@@ -224,15 +218,13 @@ def run_segment(
                 PREEMPTED, job.steps_done - start_step,
                 checkpoint=checkpoint,
             )
-        job.result = _result_payload(job)
+        job.result = _result_payload(job, sim)
         return SegmentResult(COMPLETED, job.steps_done - start_step)
     except Exception as err:  # job failure must never kill the server
         steps_run = job.steps_done - rollback_step
         if job.generation == generation:
-            # Roll back to the last snapshot so the retry's replay from
-            # it does not double-append rows.
+            # Roll back to the last snapshot the retry replays from.
             job.steps_done = rollback_step
-            del job.rows[rollback_rows:]
         return SegmentResult(
             FAILED, steps_run,
             error=f"{type(err).__name__}: {err}",
@@ -290,8 +282,8 @@ def run_job(
     ``i`` (0-based) while ``i < fault.repeat`` and its rank exists.
     ``tracer`` spans every attempt and stays open.
 
-    Returns the job (``rows``, ``incidents``, ``spec.nranks`` and the last
-    ``snapshot``); raises :class:`RestartsExhaustedError` (carrying the
+    Returns the job (``result``, ``incidents``, ``spec.nranks`` and the
+    last ``snapshot``); raises :class:`RestartsExhaustedError` (carrying the
     incidents) when the budget runs out, :class:`PermanentError` on a
     failure not worth retrying.
     """
@@ -345,16 +337,16 @@ def _step_payload(job: Job, stats) -> dict:
     }
 
 
-def _result_payload(job: Job) -> dict:
-    # job.rows, not the sim's series: a resumed sim's series only holds
-    # the final segment — the job accumulated every segment's rows in order.
+def _result_payload(job: Job, sim) -> dict:
+    """The result of a completed job: its sim's whole series (a resumed
+    sim's series came back with the snapshot it restored)."""
     if job.spec.backend == "ensemble":
         return {
             "kind": "ensemble",
             "seeds": [int(s) for s in job.spec.seeds()],
-            "members": [list(rows) for rows in zip(*job.rows)],
+            "members": [stats_rows(m) for m in sim.member_series],
         }
-    return {"kind": "solo", "seed": job.spec.seed, "rows": list(job.rows)}
+    return {"kind": "solo", "seed": job.spec.seed, "rows": stats_rows(sim.series)}
 
 
 def _mirror_snapshot(root: str, job: Job, sim) -> str:

@@ -321,10 +321,10 @@ class ServeApp:
 
         Every record is applied, in journal order, by the function a live
         transition uses.  Then a terminal job gets its terminal frame and
-        every other job re-enters the queue with its id, rows and
-        checkpoint resume point.  A completed job whose result is not in
-        the disk cache runs again (at-least-once, harmless by bitwise
-        determinism)."""
+        every other job re-enters the queue with its id and checkpoint
+        resume point (which holds its rows so far).  A completed job whose
+        result is not in the disk cache runs again (at-least-once,
+        harmless by bitwise determinism)."""
         try:
             records = self.journal.replay()
         except JournalCorruptError as err:
@@ -655,8 +655,7 @@ class ServeApp:
                 )
         elif result.outcome == runner_mod.PREEMPTED:
             self._transition(job, job.preempt_record(
-                job.steps_done, len(job.rows),
-                result.checkpoint or job.resume_checkpoint,
+                job.steps_done, result.checkpoint or job.resume_checkpoint,
             ))
             if job.deadline_expired:
                 # The watchdog preempted it to fail it cleanly: the
@@ -781,7 +780,6 @@ class ServeApp:
             job.preempt_hook = None
             stalled_at = job.steps_done
             job.steps_done = job.segment_start_steps
-            del job.rows[job.segment_start_rows:]
             self.scheduler.release(job)
             self._handle_failure(job, runner_mod.SegmentResult(
                 runner_mod.FAILED,

@@ -142,6 +142,6 @@ def test_only_a_restore_copies_everything(reference, nranks, kind):
     with dist() as sim, _copies(sim) as log:
         restore_state(sim, snap)
         sim.run(STEPS - 10)
-        for step in range(10, STEPS):  # the restored run's rows start at 10
-            assert sim.series[step - 10] == ref.series[step], f"diverged at step {step}"
+        # The restored series is the whole run's, rows 0-9 included.
+        assert list(sim.series) == list(ref.series)
         assert log == ["all"] + ["boxes"] * (STEPS - 11)

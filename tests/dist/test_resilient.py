@@ -56,8 +56,9 @@ def _reference_series(seed):
 
 def assert_rows_bitwise(job, ref, label):
     __tracebackhide__ = True
-    assert len(job.rows) == len(ref.series), label
-    for i, row in enumerate(job.rows):
+    rows = job.result["rows"]
+    assert len(rows) == len(ref.series), label
+    for i, row in enumerate(rows):
         assert StepStats(**row) == ref.series[i], f"{label}: step {i}"
 
 

@@ -16,6 +16,7 @@ from repro.core.params import ParamsStack, SimCovParams
 from repro.engine.ensemble import EnsembleSimCov, expand_sweep
 from repro.io.checkpoint import (
     CHECKPOINT_FIELDS,
+    SERIES_ARRAYS,
     CheckpointCorruptError,
     load_checkpoint,
     restore_state,
@@ -75,8 +76,10 @@ class TestEnsembleCheckpoint:
                     getattr(solo.block, name)[solo.block.interior],
                     err_msg=f"member {b} field {name} after resume",
                 )
-            for i in range(40, 70):
-                assert restored.series[i - 40] == solo.series[i], (
+            # The restored series is the member's whole run.
+            assert len(restored.series) == 70
+            for i in range(70):
+                assert restored.series[i] == solo.series[i], (
                     f"member {b} stats diverged at step {i}"
                 )
 
@@ -180,7 +183,7 @@ class TestBatchRoundTrip:
                 assert np.array_equal(
                     solo.gather_field(name), full.gather_field(name, member=b)
                 ), (b, name)
-            assert list(solo.series) == list(full.member_series[b])[CUT:], b
+            assert list(solo.series) == list(full.member_series[b]), b
 
     def test_corrupt_member_counts_detected(self, cut_batch, tmp_path):
         _, _, head, _ = cut_batch
@@ -200,7 +203,7 @@ def test_solo_file_stays_version_2_with_unchanged_keys(tmp_path):
     save_checkpoint(path, sim)
     with np.load(path) as data:
         assert int(data["format_version"]) == 2
-        checked = (*CHECKPOINT_FIELDS, "seed_gids")
+        checked = (*CHECKPOINT_FIELDS, "seed_gids", *SERIES_ARRAYS)
         assert set(data.files) == {
             "format_version", "step_num", "pool", "seed", "params_json",
             *checked, *(f"crc_{name}" for name in checked),

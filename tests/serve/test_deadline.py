@@ -67,10 +67,7 @@ class TestDeadlines:
         resumed = load_checkpoint(str(path))
         assert resumed.step_num == final["steps_done"]
         resumed.run(60 - resumed.step_num)
-        members = [
-            [*head, *stats_rows(series)]
-            for head, series in zip(zip(*job.rows), resumed.member_series)
-        ]
+        members = [stats_rows(series) for series in resumed.member_series]
         assert canonical(members) == canonical(ensemble_result(spec)["members"])
 
     def test_queued_job_fails_without_running(self):

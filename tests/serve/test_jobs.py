@@ -8,7 +8,7 @@ from repro.serve.jobs import (
     SpecError,
     apply_overrides,
     result_cache_key,
-    stats_row,
+    stats_rows,
 )
 
 
@@ -149,6 +149,6 @@ def test_stats_row_exact_floats():
 
     sim = SequentialSimCov(SimCovParams.fast_test(dim=(8, 8)), seed=1)
     stats = sim.step()
-    row = stats_row(stats)
+    (row,) = stats_rows(sim.series)
     assert row["virions_total"] == stats.virions_total  # no rounding
     assert row["step"] == 0

@@ -324,7 +324,12 @@ class TestCompactionRoundTrip:
             return build_sim(job, tracer=tracer)
 
         monkeypatch.setattr(runner_mod, "build_sim", build_or_fail)
-        app = ServeApp(port=0, max_workers=1, journal_dir=str(journal_dir))
+        # The third cold job (the one the drain preempts) holds its first
+        # step, so the drain lands mid-run however fast the host.
+        fault = ServeFaultSpec(job=2, step=1, mode="worker_slow", seconds=1.0)
+        app = ServeApp(
+            port=0, max_workers=1, journal_dir=str(journal_dir), fault=fault
+        )
         app.journal.compact_bytes = 1
         with BackgroundServer(app):
             client = ServeClient(port=app.port)
@@ -332,7 +337,7 @@ class TestCompactionRoundTrip:
             failed = client.submit(dict(SPEC, steps=10, seed=99))["job"]["id"]
             assert client.wait(done)["state"] == "done"
             assert client.wait(failed)["state"] == "failed"
-            preempted = client.submit(dict(SPEC, steps=2000))["job"]["id"]
+            preempted = client.submit(dict(SPEC, steps=100))["job"]["id"]
             wait_running(client, preempted)
             cancelled = client.submit(dict(SPEC, seed=8))["job"]["id"]
             assert client.cancel(cancelled)["state"] == "cancelled"

@@ -135,13 +135,18 @@ class TestSubmitAndResult:
             assert exc.value.status == 400
 
     def test_result_conflict_while_running(self):
-        with serve(max_workers=1) as app:
+        # The job parks at its first step until the test releases it.
+        fault = ServeFaultSpec(job=0, step=1, mode="worker_hang")
+        with serve(max_workers=1, fault=fault) as app:
             client = ServeClient(port=app.port)
-            resp = client.submit(dict(SPEC, steps=1200))
-            with pytest.raises(ServeError) as exc:
-                client.result(resp["job"]["id"])
-            assert exc.value.status == 409
-            client.wait(resp["job"]["id"])
+            resp = client.submit(dict(SPEC, steps=100))
+            try:
+                with pytest.raises(ServeError) as exc:
+                    client.result(resp["job"]["id"])
+                assert exc.value.status == 409
+            finally:
+                fault.release.set()
+            assert client.wait(resp["job"]["id"])["state"] == "done"
 
 
 def raw_request(port: int, head: str, body: bytes = b""):
@@ -285,17 +290,22 @@ class TestCancel:
             assert names[-1] == "done"
 
     def test_cancel_running_job(self):
-        with serve(max_workers=1) as app:
+        # The job parks at its first step until the test releases it.
+        fault = ServeFaultSpec(job=0, step=1, mode="worker_hang")
+        with serve(max_workers=1, fault=fault) as app:
             client = ServeClient(port=app.port)
-            resp = client.submit(dict(SPEC, steps=2000, seed=5))
+            resp = client.submit(dict(SPEC, steps=100, seed=5))
             deadline = time.monotonic() + 10
-            while client.status(resp["job"]["id"])["state"] != "running":
-                assert time.monotonic() < deadline
-                time.sleep(0.01)
-            client.cancel(resp["job"]["id"])
+            try:
+                while client.status(resp["job"]["id"])["state"] != "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                client.cancel(resp["job"]["id"])
+            finally:
+                fault.release.set()
             final = client.wait(resp["job"]["id"])
             assert final["state"] == "cancelled"
-            assert final["steps_done"] < 2000
+            assert final["steps_done"] < 100
 
     def test_cancel_done_job_conflicts(self):
         with serve() as app:
