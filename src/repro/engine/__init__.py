@@ -28,7 +28,6 @@ from repro.engine.phases import (
     FieldSet,
     Phase,
     PhaseKind,
-    describe_schedule,
     exchange,
     kernel,
     validate_schedule,
@@ -53,7 +52,6 @@ __all__ = [
     "SingleBlockBackend",
     "StepContext",
     "StepEngine",
-    "describe_schedule",
     "exchange",
     "expand_sweep",
     "kernel",

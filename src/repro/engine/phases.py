@@ -138,17 +138,3 @@ def validate_schedule(schedule: tuple[Phase, ...] | list[Phase]) -> None:
         raise ValueError(
             f"schedule order {names} violates canonical order {PHASE_ORDER}"
         )
-
-
-def describe_schedule(schedule: tuple[Phase, ...] | list[Phase]) -> str:
-    """Human-readable schedule table (debugging/docs helper)."""
-    lines = []
-    for p in schedule:
-        detail = ""
-        if p.kind is PhaseKind.EXCHANGE and p.exchanges:
-            detail = "; ".join(
-                f"{fs.scope}[{','.join(fs.fields)}]:{fs.merge.name}"
-                for fs in p.exchanges
-            )
-        lines.append(f"{p.name:<24}{p.kind.value:<10}{detail or p.doc}")
-    return "\n".join(lines)

@@ -11,8 +11,8 @@ This reproduction runs the same protocol at reduced scale (the full
 §2).  Because the paper's implementations used different PRNGs, trials use
 *different seeds per implementation* here too — two seed families — so the
 statistical comparison is meaningful.  Every decomposition computes the
-single-block stepper's trace bit for bit (tests/dist, tests/golden), so
-both families run on that stepper, whatever the rank or device count.
+single-block stepper's trace bit for bit (tests/dist, tests/golden), and so
+does each member of a batch (DESIGN.md §4d): both families run as one batch.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.core.stats import TimeSeries
+from repro.core.stats import REDUCED_FIELDS
+from repro.engine.ensemble import EnsembleSimCov
 
 #: The Fig 5 panels / Table 2 rows: (stat field, display name).
 TRACKED_STATS = (
@@ -67,27 +67,22 @@ def run_correctness(
     base_seed: int = 100,
 ) -> CorrectnessResult:
     """Run the §4.1 protocol: ``trials`` runs of each implementation with
-    per-trial seeds, compared statistically."""
+    per-trial seeds (``base_seed + t`` and ``base_seed + 1000 + t``), all
+    stepped as one batch, compared statistically."""
     if params is None:
         params = SimCovParams.fast_test(
             dim=(64, 64), num_infections=4, num_steps=320
         )
-    cpu_runs: list[TimeSeries] = []
-    gpu_runs: list[TimeSeries] = []
-    for trial in range(trials):
-        cpu_runs.append(SequentialSimCov(params, seed=base_seed + trial).run())
-        # Offset seeds: like the paper's PRNG-distinct implementations.
-        gpu = SequentialSimCov(params, seed=base_seed + 1000 + trial)
-        gpu_runs.append(gpu.run())
-    steps = cpu_runs[0].steps()
-    cpu_series = {}
-    gpu_series = {}
-    table2 = {}
+    # Offset seeds: like the paper's PRNG-distinct implementations.
+    seeds = [base_seed + family + t for family in (0, 1000) for t in range(trials)]
+    arrays = EnsembleSimCov(params, seeds=seeds).run().to_arrays()
+    # (members, REDUCED_FIELDS, steps): one member's run per row block.
+    runs = np.ascontiguousarray(arrays["reduced"].transpose(1, 2, 0))
+    cpu_series, gpu_series, table2 = {}, {}, {}
     for stat, display in TRACKED_STATS:
-        c = np.stack([ts.field(stat) for ts in cpu_runs])
-        g = np.stack([ts.field(stat) for ts in gpu_runs])
-        cpu_series[stat] = c
-        gpu_series[stat] = g
+        column = runs[:, REDUCED_FIELDS.index(stat)]
+        c = cpu_series[stat] = column[:trials]
+        g = gpu_series[stat] = column[trials:]
         cpu_peaks = c.max(axis=1)
         gpu_peaks = g.max(axis=1)
         cpu_peak = float(cpu_peaks.mean())
@@ -101,7 +96,7 @@ def run_correctness(
             "cpu_std": float(cpu_peaks.std(ddof=1)) if trials > 1 else 0.0,
             "gpu_std": float(gpu_peaks.std(ddof=1)) if trials > 1 else 0.0,
         }
-    return CorrectnessResult(steps, cpu_series, gpu_series, table2)
+    return CorrectnessResult(arrays["step"], cpu_series, gpu_series, table2)
 
 
 def format_table2(result: CorrectnessResult) -> str:

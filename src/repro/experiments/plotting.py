@@ -99,7 +99,3 @@ def hbar_chart(rows: list[tuple[str, dict[str, float]]], width: int = 50,
         + "  ".join(f"{f}={n}" for n, f in zip(seg_names, fills))
     )
     return "\n".join(lines)
-
-
-def speedup_annotation(cpu_seconds: float, gpu_seconds: float) -> str:
-    return f"{cpu_seconds / gpu_seconds:.2f}x" if gpu_seconds > 0 else "inf"

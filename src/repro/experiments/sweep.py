@@ -7,19 +7,20 @@ simulations because they require many runs with varied configurations.'
 This module runs factorial sweeps of SimCovParams fields with stochastic
 replicates, collecting per-run summary statistics — the workflow SIMCoV
 users run for model fitting (three key parameters were fit to patient
-data in [25]).
+data in [25]).  The runs that share ``dim`` and ``num_steps`` step as one
+batch, each member bitwise its solo run (DESIGN.md §4d).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
+from repro.core.stats import TimeSeries
+from repro.engine.ensemble import EnsembleSimCov
 
 
 @dataclass(frozen=True)
@@ -36,19 +37,17 @@ class SweepResult:
     total_extravasations: int
 
     @classmethod
-    def from_run(cls, config: dict, trial: int, seed: int, sim) -> "SweepResult":
-        peak_step, peak = sim.series.peak("virions_total")
+    def from_run(cls, config: dict, trial: int, seed: int, series: TimeSeries) -> "SweepResult":
+        peak_step, peak = series.peak("virions_total")
         return cls(
             config=config,
             trial=trial,
             seed=seed,
             peak_virions=peak,
             peak_step=peak_step,
-            peak_tcells=sim.series.peak("tcells_tissue")[1],
-            final_dead=sim.series[-1].dead,
-            total_extravasations=sum(
-                s.extravasations for s in sim.series
-            ),
+            peak_tcells=series.peak("tcells_tissue")[1],
+            final_dead=series[-1].dead,
+            total_extravasations=sum(s.extravasations for s in series),
         )
 
 
@@ -57,28 +56,33 @@ def run_sweep(
     grid: dict[str, list],
     trials: int = 3,
     base_seed: int = 0,
-    make_sim: Callable[[SimCovParams, int], object] | None = None,
 ) -> list[SweepResult]:
     """Run the full factorial sweep ``grid`` with ``trials`` replicates.
 
-    ``grid`` maps SimCovParams field names to value lists; every
-    combination runs ``trials`` times with distinct seeds.  ``make_sim``
-    lets callers swap the implementation (e.g. ``DistSimCov`` with a rank
-    count) — the default is the sequential reference.
+    ``grid`` maps SimCovParams field names to value lists; trial ``t`` of
+    combination ``i`` (``itertools.product`` order over the sorted names)
+    has seed ``base_seed + i * 10_000 + t``.  Results come in that order.
     """
-    if make_sim is None:
-        make_sim = lambda params, seed: SequentialSimCov(params, seed=seed)
     names = sorted(grid)
-    results = []
+    batches: dict[tuple, list] = {}
     for combo_idx, values in enumerate(itertools.product(*(grid[n] for n in names))):
         config = dict(zip(names, values))
         params = base.with_(**config)
-        for trial in range(trials):
-            seed = base_seed + combo_idx * 10_000 + trial
-            sim = make_sim(params, seed)
-            sim.run()
-            results.append(SweepResult.from_run(config, trial, seed, sim))
-    return results
+        # One batch per (dim, num_steps): the keys a ParamsStack holds uniform.
+        batches.setdefault((params.dim, params.num_steps), []).extend(
+            (combo_idx, config, trial, base_seed + combo_idx * 10_000 + trial, params)
+            for trial in range(trials)
+        )
+    results = []
+    for batch in batches.values():
+        sim = EnsembleSimCov([p for *_, p in batch], seeds=[seed for *_, seed, _ in batch])
+        sim.run()
+        results += [
+            (combo_idx, SweepResult.from_run(config, trial, seed, series))
+            for (combo_idx, config, trial, seed, _), series in zip(batch, sim.member_series)
+        ]
+    # A stable sort by combination keeps each one's trials in order.
+    return [result for _, result in sorted(results, key=lambda r: r[0])]
 
 
 def summarize(results: list[SweepResult], field: str = "peak_virions") -> dict:

@@ -9,7 +9,7 @@ with activation tracking (:mod:`repro.grid.tiling`, §3.2 / Fig 3).
 """
 
 from repro.grid.box import Box
-from repro.grid.spec import GridSpec, moore_offsets, von_neumann_offsets
+from repro.grid.spec import GridSpec, moore_offsets
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger, MergeMode
 from repro.grid.tiling import TileGrid
@@ -18,7 +18,6 @@ __all__ = [
     "Box",
     "GridSpec",
     "moore_offsets",
-    "von_neumann_offsets",
     "Decomposition",
     "DecompositionKind",
     "HaloExchanger",

@@ -33,18 +33,6 @@ def moore_offsets(ndim: int) -> np.ndarray:
     return np.array(offs, dtype=np.int64)
 
 
-@functools.lru_cache(maxsize=None)
-def von_neumann_offsets(ndim: int) -> np.ndarray:
-    """Unit axis offsets: 4 in 2D, 6 in 3D.  The diffusion stencil."""
-    offs = []
-    for axis in range(ndim):
-        for sign in (-1, 1):
-            o = [0] * ndim
-            o[axis] = sign
-            offs.append(tuple(o))
-    return np.array(offs, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """The global voxel grid.

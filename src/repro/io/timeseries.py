@@ -27,7 +27,7 @@ def save_timeseries(path: str, series: TimeSeries) -> None:
 
 
 def load_timeseries(path: str) -> TimeSeries:
-    """Read a CSV written by :func:`save_timeseries` (or a StatsLogger)."""
+    """Read a CSV written by :func:`save_timeseries`."""
     series = TimeSeries()
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
@@ -38,39 +38,3 @@ def load_timeseries(path: str) -> TimeSeries:
             }
             series.append(StepStats(**kwargs))
     return series
-
-
-class StatsLogger:
-    """Incremental per-step logger (the SIMCoV 'log the totals to a file
-    on disk' behaviour; §3.3).
-
-    Appends one CSV row per :meth:`log` call and flushes immediately, so a
-    crashed/interrupted run leaves a usable partial log.  Usable as a
-    context manager.
-    """
-
-    def __init__(self, path: str):
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        self.path = path
-        self._fh = open(path, "w", newline="")
-        self._writer = csv.DictWriter(self._fh, fieldnames=list(COLUMNS))
-        self._writer.writeheader()
-        self._fh.flush()
-        self.rows_written = 0
-
-    def log(self, stats: StepStats) -> None:
-        self._writer.writerow(
-            {name: getattr(stats, name) for name in COLUMNS}
-        )
-        self._fh.flush()
-        self.rows_written += 1
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-
-    def __enter__(self) -> "StatsLogger":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

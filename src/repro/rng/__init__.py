@@ -11,24 +11,21 @@ bitwise equivalent (a stronger property than the statistical agreement the
 paper demonstrates, which we also evaluate).
 """
 
-from repro.rng.philox import hash_u64, counter_hash, PHI64
+from repro.rng.philox import counter_hash, PHI64
 from repro.rng.streams import Stream, VoxelRNG
 from repro.rng.distributions import (
     uniform01,
-    bernoulli,
     randint_below,
     poisson,
     exponential,
 )
 
 __all__ = [
-    "hash_u64",
     "counter_hash",
     "PHI64",
     "Stream",
     "VoxelRNG",
     "uniform01",
-    "bernoulli",
     "randint_below",
     "poisson",
     "exponential",

@@ -41,11 +41,6 @@ def uniform01(words: np.ndarray) -> np.ndarray:
     return (words >> np.uint64(11)).astype(np.float64) * _U53
 
 
-def bernoulli(words: np.ndarray, p) -> np.ndarray:
-    """Boolean array, True with probability ``p`` (scalar or array)."""
-    return uniform01(words) < p
-
-
 def randint_below(words: np.ndarray, n: int) -> np.ndarray:
     """Integers uniform on [0, n).
 

@@ -56,18 +56,6 @@ def _mix_int(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def hash_u64(x) -> np.ndarray:
-    """splitmix64 finalizer: avalanche a uint64 (array) into a uint64 (array).
-
-    Preserves the input's shape (scalars map to 0-d arrays).  Passes
-    practical avalanche requirements: flipping any input bit flips each
-    output bit with probability ~1/2 (exercised by the test suite).
-    """
-    shape = np.shape(x)
-    out = _mix(_as_u64(x) + PHI64)
-    return out.reshape(shape)
-
-
 #: Keys from which a :func:`hash_keys` draw may resolve the compiled tier.
 #: Below, a draw takes the tier only once something else has resolved it (a
 #: step's first kernel): a constructor's few seeding draws must not be what

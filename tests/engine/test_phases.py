@@ -8,7 +8,6 @@ from repro.engine.phases import (
     FieldSet,
     Phase,
     PhaseKind,
-    describe_schedule,
     exchange,
     kernel,
     validate_schedule,
@@ -77,18 +76,3 @@ class TestValidateSchedule:
         shuffled = minimal_schedule()[::-1]
         with pytest.raises(ValueError, match="canonical order"):
             validate_schedule(shuffled)
-
-
-def test_describe_schedule_lists_every_phase():
-    text = describe_schedule(
-        minimal_schedule()
-        + (
-            exchange(
-                "open_exchange",
-                FieldSet("state", ("virions",), MergeMode.REPLACE),
-            ),
-        )
-    )
-    # one line per phase; field sets rendered for exchanges
-    assert len(text.splitlines()) == 7
-    assert "state[virions]:REPLACE" in text

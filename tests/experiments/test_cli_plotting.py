@@ -10,7 +10,6 @@ from repro.experiments.cli import COMMANDS, main
 from repro.experiments.plotting import (
     ascii_series,
     hbar_chart,
-    speedup_annotation,
     write_csv,
 )
 
@@ -43,10 +42,6 @@ class TestPlotting:
         a_len = chart.splitlines()[1].count("#") + chart.splitlines()[1].count("=")
         b_len = chart.splitlines()[2].count("#") + chart.splitlines()[2].count("=")
         assert a_len > b_len
-
-    def test_speedup_annotation(self):
-        assert speedup_annotation(100.0, 20.0) == "5.00x"
-        assert speedup_annotation(1.0, 0.0) == "inf"
 
     def test_write_csv_roundtrip(self, tmp_path):
         path = str(tmp_path / "sub" / "rows.csv")

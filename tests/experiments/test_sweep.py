@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.experiments.sweep import SweepResult, best_fit, run_sweep, summarize
 
@@ -29,15 +28,6 @@ class TestRunSweep:
         lo = [r.peak_virions for r in results if r.config["infectivity"] == 0.02]
         hi = [r.peak_virions for r in results if r.config["infectivity"] == 0.15]
         assert max(lo) < min(hi) or sum(hi) / len(hi) > sum(lo) / len(lo)
-
-    def test_custom_implementation(self):
-        base = SimCovParams.fast_test(dim=(16, 16), num_infections=1,
-                                      num_steps=40)
-        out = run_sweep(
-            base, {"num_infections": [1, 2]}, trials=1,
-            make_sim=lambda p, s: SequentialSimCov(p, seed=s, active_gating=False),
-        )
-        assert len(out) == 2
 
 
 class TestSummarize:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.grid.box import Box
-from repro.grid.spec import GridSpec, moore_offsets, von_neumann_offsets
+from repro.grid.spec import GridSpec, moore_offsets
 
 
 class TestStencils:
@@ -13,14 +13,9 @@ class TestStencils:
         assert len(moore_offsets(2)) == 8
         assert len(moore_offsets(3)) == 26
 
-    def test_von_neumann_counts(self):
-        assert len(von_neumann_offsets(2)) == 4
-        assert len(von_neumann_offsets(3)) == 6
-
     def test_no_zero_offset(self):
         for nd in (2, 3):
             assert not np.any(np.all(moore_offsets(nd) == 0, axis=1))
-            assert not np.any(np.all(von_neumann_offsets(nd) == 0, axis=1))
 
     def test_deterministic_order(self):
         np.testing.assert_array_equal(moore_offsets(2), moore_offsets(2))

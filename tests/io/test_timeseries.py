@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.core.stats import StepStats
-from repro.io.timeseries import StatsLogger, load_timeseries, save_timeseries
+from repro.io.timeseries import load_timeseries, save_timeseries
 
 
 @pytest.fixture(scope="module")
@@ -38,35 +37,3 @@ class TestSaveLoad:
         path = str(tmp_path / "a" / "b" / "stats.csv")
         save_timeseries(path, run.series)
         assert load_timeseries(path)[0].step == 0
-
-
-class TestStatsLogger:
-    def test_incremental_logging(self, tmp_path):
-        path = str(tmp_path / "log.csv")
-        p = SimCovParams.fast_test(dim=(12, 12), num_infections=1, num_steps=10)
-        sim = SequentialSimCov(p, seed=2)
-        with StatsLogger(path) as logger:
-            for _ in range(10):
-                logger.log(sim.step())
-            assert logger.rows_written == 10
-        loaded = load_timeseries(path)
-        assert len(loaded) == 10
-        np.testing.assert_allclose(
-            loaded.field("virions_total"), sim.series.field("virions_total")
-        )
-
-    def test_partial_log_readable(self, tmp_path):
-        """Flush-per-row: an interrupted run leaves usable output."""
-        path = str(tmp_path / "log.csv")
-        logger = StatsLogger(path)
-        logger.log(StepStats(0, 1, 0, 0, 0, 0, 0, 0.5, 0.0))
-        # Do NOT close; read anyway.
-        loaded = load_timeseries(path)
-        assert len(loaded) == 1
-        assert loaded[0].virions_total == 0.5
-        logger.close()
-
-    def test_double_close_safe(self, tmp_path):
-        logger = StatsLogger(str(tmp_path / "x.csv"))
-        logger.close()
-        logger.close()

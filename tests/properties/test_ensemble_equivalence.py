@@ -133,6 +133,7 @@ def _draw_and_assert(draw, members, seeds):
 SWEPT_VALUES = {
     "num_infections": [0, 2, 4],
     "infectivity": [0.0, 0.5, 1.0],
+    "incubation_period": [1, 3, 10],
     "tcell_generation_rate": [5.0, 20.0, 40.0],
     "tcell_initial_delay": [0, 6, 14],
     "tcell_vascular_period": [1, 40, 300],

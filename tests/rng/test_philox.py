@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.rng.philox import hash_u64, counter_hash
+from repro.rng.philox import PHI64, _as_u64, _mix, counter_hash
+
+
+def hash_u64(x):
+    """splitmix64's finalizer on a uint64 (array), shape kept: the round
+    that every fold of :func:`counter_hash` applies."""
+    return _mix(_as_u64(x) + PHI64).reshape(np.shape(x))
 
 
 class TestHashU64:
