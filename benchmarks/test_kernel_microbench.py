@@ -21,7 +21,7 @@ import timeit
 import numpy as np
 import pytest
 
-from repro.core import kernels, native
+from repro.core import kernels, native, stats
 from repro.core.params import SimCovParams
 from repro.core.state import EpiState, VoxelBlock
 from repro.core.stats import region_counts, stats_vector
@@ -185,6 +185,7 @@ def _bound_calls(compiled):
     prefix = np.array([fold_prefix(1, Stream.TCELL_TISSUE_LIFE, 5)], dtype=np.uint64)
     keys, cells = np.arange(4), np.flatnonzero(block.epi_state == EpiState.INCUBATING)[:4]
     attempts = kernels.extravasation_attempts(p, rng, 5, 0.0)
+    chunk = stats._probe(stats._chunk_rows, block.shape, region)
     calls = {
         "hash_keys": lambda: compiled.hash_keys(prefix, keys),
         "epithelial": lambda: compiled.epithelial(p, rng, 5, block, region),
@@ -201,6 +202,8 @@ def _bound_calls(compiled):
         "extravasate": lambda: compiled.extravasate(p, attempts, block, region, None),
         "retime": lambda: compiled.retime(rng, Stream.INCUBATION_PERIOD, 5, block, cells,
                                           p.incubation_period),
+        "float_totals": lambda: compiled.float_totals(block, region, chunk),
+        "mirror": lambda: compiled.mirror(block, 0b1111),
     }
     for call in calls.values():  # binds the block
         call()
@@ -391,24 +394,28 @@ def test_bench_region_reducer(benchmark):
         )
 
 
-@pytest.mark.parametrize("support", ["band", "whole"], ids="support={}".format)
-def test_bench_float_totals(benchmark, support):
-    """us per virion + chemokine total pair on 1024 x 1024 (``focus_2d``'s
-    layout, 8 rows per numpy reduction chunk) with the fields non-zero in a
-    100 x 100 box: summed over the chunk-aligned band of its rows, or over
-    the whole interior, the support of a first step, a restore or gating
-    off.  Both give the whole-interior bits."""
-    from repro.core.stats import float_totals
-
-    spec = GridSpec((1024, 1024))
+@pytest.mark.parametrize("dim, support", [
+    ((1024, 1024), 100), ((192, 192), None), ((48, 48, 32), None),
+], ids=["1024x1024-box100", "192x192-whole", "48x48x32-whole"])
+def test_bench_float_totals(benchmark, tier, dim, support):
+    """us per virion + chemokine total pair, per tier: the compiled pass,
+    which reads the leaves of numpy's summation tree that meet the region,
+    beside the numpy band, which sums the region's rows widened to numpy's
+    chunks.  On 1024 x 1024 (``focus_2d``'s layout, 8 rows per chunk) the
+    fields are non-zero in a 100 x 100 box, the region; on ``dense_2d``'s
+    and ``dense_3d``'s grids the region is the whole interior.  Both give
+    the whole-interior bits."""
+    spec = GridSpec(dim)
     block = VoxelBlock(spec, spec.domain)
-    box = (slice(401, 501), slice(300, 400))
+    region = block.interior
+    if support:
+        region = (slice(401, 401 + support), slice(300, 300 + support))
     rng = np.random.default_rng(0)
-    block.virions[box] = rng.random((100, 100))
-    block.chemokine[box] = rng.random((100, 100))
-    region = box if support == "band" else block.interior
-    out = benchmark(lambda: float_totals(block, region))
+    for field in (block.virions, block.chemokine):
+        field[region] = rng.random(field[region].shape)
+    out = benchmark(lambda: stats.float_totals(block, region))
     assert np.array_equal(out, stats_vector(block)[-2:])
+    benchmark.extra_info["tier"] = tier
     if benchmark.stats:  # absent under --benchmark-disable
         benchmark.extra_info["us_per_pair"] = benchmark.stats["mean"] * 1e6
 

@@ -499,6 +499,147 @@ void region_counts(const i64 *g, const int8_t *state, const int8_t *tcell,
     }
 }
 
+/* -- stats.float_totals ---------------------------------------------------- */
+
+/* One field of one member as numpy sums its interior view (the padded array
+ * less its one-voxel ghost ring, 2-D or 3-D): C order, `w` elements a row,
+ * `h` rows a plane, at padded strides `sy` / `sz` from `at`; `lo` / `hi`:
+ * the box on (z, y, x) in view coordinates, zero outside. */
+typedef struct {
+    const double *at;
+    i64 w, h, sy, sz, lo[3], hi[3];
+} View;
+
+/* Whether view row r (plane r / h, row r % h) lies in the box's rows. */
+static inline int row_in(const View *v, i64 r)
+{
+    const i64 z = r / v->h, y = r % v->h;
+    return z >= v->lo[0] && z < v->hi[0] && y >= v->lo[1] && y < v->hi[1];
+}
+
+/* Where elements [s, e) of the view lie: 0 clear of the box, 2 all in it,
+ * 1 some in it.  The two partial end rows by their columns, the whole
+ * rows between by plane. */
+static int relation(const View *v, i64 s, i64 e)
+{
+    const i64 w = v->w, h = v->h, r0 = s / w, r1 = (e - 1) / w, a = s - r0 * w,
+              b = e - r1 * w;
+    if (r0 == r1)
+        return !row_in(v, r0) || a >= v->hi[2] || b <= v->lo[2] ? 0
+               : a >= v->lo[2] && b <= v->hi[2] ? 2 : 1;
+    if (v->lo[2] == 0 && v->hi[2] == w && v->lo[1] == 0 && v->hi[1] == h
+        && r0 / h >= v->lo[0] && r1 / h < v->hi[0])
+        return 2;
+    if ((row_in(v, r0) && a < v->hi[2]) || (row_in(v, r1) && b > v->lo[2]))
+        return 1;
+    for (i64 z = MAX(v->lo[0], (r0 + 1) / h); z < v->hi[0] && z * h < r1; z++)
+        if (MAX(r0 + 1, z * h + v->lo[1]) < MIN(r1, z * h + v->hi[1]))
+            return 1;
+    return 0;
+}
+
+/* numpy's pairwise_sum of n <= 128 elements from s: fewer than 8 in turn
+ * from 0.0; else eight lanes, combined pairwise, then the n % 8 tail.  A
+ * leaf that wraps a row is gathered first. */
+static double leaf(const View *v, i64 s, i64 n)
+{
+    i64 r = s / v->w, x = s - r * v->w, z = r / v->h, y = r - z * v->h;
+    const double *a = v->at + z * v->sz + y * v->sy + x;
+    double buf[128];
+    if (x + n > v->w) {
+        for (i64 i = 0, m = v->w - x; i < n; i += m, m = MIN(v->w, n - i)) {
+            for (i64 j = 0; j < m; j++)
+                buf[i + j] = a[j];
+            z += ++y == v->h, y = y == v->h ? 0 : y;
+            a = v->at + z * v->sz + y * v->sy;
+        }
+        a = buf;
+    }
+    double res = 0.0;
+    i64 i = 0;
+    if (n >= 8) {
+        double r0 = a[0], r1 = a[1], r2 = a[2], r3 = a[3], r4 = a[4], r5 = a[5], r6 = a[6],
+               r7 = a[7];
+        for (i = 8; i < n - n % 8; i += 8) {
+            r0 += a[i], r1 += a[i + 1], r2 += a[i + 2], r3 += a[i + 3];
+            r4 += a[i + 4], r5 += a[i + 5], r6 += a[i + 6], r7 += a[i + 7];
+        }
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7));
+    }
+    for (; i < n; i++)
+        res += a[i];
+    return res;
+}
+
+/* numpy's pairwise_sum of elements [s, s + n): halves split at n / 2 less
+ * its remainder mod 8, down to leaves of at most 128.  A subtree clear of
+ * the box holds only +0.0 and sums to it: it is not read.  `check`: the
+ * subtree may reach outside the box. */
+static double pairwise(const View *v, i64 s, i64 n, int check)
+{
+    if (check) {
+        const int where = relation(v, s, s + n);
+        if (!where)
+            return 0.0;
+        check = where == 1;
+    }
+    if (n <= 128)
+        return leaf(v, s, n);
+    const i64 n2 = n / 2 - n / 2 % 8;
+    return pairwise(v, s, n2, check) + pairwise(v, s + n2, n - n2, check);
+}
+
+/* Each member's field[interior].sum() of both fields, for fields zero
+ * outside the region: numpy's chunks of k[0] outer slices (rows in 2-D,
+ * planes in 3-D), each summed pairwise, folded in order from +0.0.  Into
+ * out[2 * b] (virions) and out[2 * b + 1] (chemokine); 0.0 for a member
+ * outside the region. */
+void float_totals(const i64 *g, const double *virions, const double *chemokine,
+                  const i64 *k, double *out)
+{
+    const i64 d3 = g[12] == 3, planes = d3 ? g[1] - 2 : 1;
+    View v = {.w = g[3] - 2, .h = g[2] - 2, .sy = g[3], .sz = g[2] * g[3],
+              .lo = {g[5] - d3, g[6] - 1, g[7] - 1}, .hi = {g[9] - d3, g[10] - 1, g[11] - 1}};
+    const i64 n = planes * v.h * v.w, chunk = k[0] * (d3 ? v.h * v.w : v.w);
+    for (i64 b = 0; b < g[0]; b++)
+        for (int f = 0; f < 2; f++) {
+            v.at = (f ? chemokine : virions) + b * g[1] * v.sz + d3 * v.sz + v.sy + 1;
+            double acc = 0.0;
+            for (i64 s = 0; s < n && b >= g[4] && b < g[8]; s += chunk)
+                acc += pairwise(&v, s, MIN(chunk, n - s), 1);
+            out[2 * b + f] = acc;
+        }
+}
+
+/* -- kernels.mirror_fields -------------------------------------------------- */
+
+/* stencil.mirror_out_of_domain on the faces of faces[0] (bit 2a, 2a + 1:
+ * the low, high face of the a-th spatial axis), faces[1] ghost layers deep:
+ * each ghost layer a copy of the edge layer beside it, whole across the
+ * other axes, axis by axis in order, so that a corner takes its edge
+ * voxel's value. */
+void mirror(const i64 *g, double *virions, double *chemokine, const i64 *faces)
+{
+    const i64 gh = faces[1];
+    for (int f = 0; f < 2; f++)
+        for (i64 a = 3 - g[12]; a < 3; a++) {
+            const i64 n = g[1 + a], inner = a == 2 ? 1 : a == 1 ? g[3] : g[2] * g[3];
+            const i64 outer = (g[8] - g[4]) * (a > 0 ? g[1] : 1) * (a > 1 ? g[2] : 1);
+            double *p = (f ? chemokine : virions) + g[4] * g[1] * g[2] * g[3];
+            for (int side = 0; side < 2; side++) {
+                if (!(faces[0] >> (2 * (a - 3 + g[12]) + side) & 1))
+                    continue;
+                const i64 src = side ? n - gh - 1 : gh;
+                for (i64 l = 0; l < gh; l++) {
+                    const i64 dst = side ? n - gh + l : l;
+                    for (i64 o = 0; o < outer; o++)
+                        for (i64 i = 0; i < inner; i++)
+                            p[(o * n + dst) * inner + i] = p[(o * n + src) * inner + i];
+                }
+            }
+        }
+}
+
 /* -- engine.activity.ActivityGate.sweep ------------------------------------ */
 
 /* VoxelBlock._activity into raw over the region; box widened to its Trues. */

@@ -106,7 +106,7 @@ class Slot:
         if len(self.args) != len(fns[0].argtypes):  # ctypes would pass a surplus on
             raise TypeError(f"{fns[0].__name__} takes {len(fns[0].argtypes)} pointers, "
                             f"not {len(self.args)}")
-        self.shape, self.ndim, size = block.shape, block.spec.ndim, block.epi_state.size
+        self.shape, self.ndim, size = block.shape, block.spec.ndim, int(np.prod(block.shape))
         self.offsets, self.need = [3 + k * size for k in range(found)], 3 + found * size
 
     def run(self, region, rates=(), step=None, margin=0) -> list[np.ndarray]:

@@ -42,7 +42,7 @@ import numpy as np
 from repro.core import native
 from repro.core.params import SimCovParams
 from repro.core.state import BINDABLE, CHEMOKINE_PRODUCERS, EpiState, VIRION_PRODUCERS, VoxelBlock
-from repro.diffusion.stencil import decay_field, diffuse_region, mirror_out_of_domain
+from repro.diffusion.stencil import decay_field, diffuse_region
 from repro.grid.spec import moore_offsets
 from repro.rng.streams import Stream, VoxelRNG
 
@@ -768,11 +768,44 @@ def concentration_commit(
         c[c < params.min_chemokine] = 0.0
 
 
-def mirror_fields(block: VoxelBlock) -> None:
-    """No-flux boundary: mirror field ghosts that fall outside the domain."""
-    mirror_out_of_domain(
-        block.virions, block.owned, block.spec.domain, block.ghost
-    )
-    mirror_out_of_domain(
-        block.chemokine, block.owned, block.spec.domain, block.ghost
-    )
+def mirror_fields(
+    block: VoxelBlock,
+    region: tuple[slice, ...] | None = None,
+    written: tuple[slice, ...] | None = None,
+) -> None:
+    """No-flux boundary: mirror the field ghosts that fall outside the
+    domain — every such face without a ``region``, else only the faces
+    whose edge layer ``region`` (this step's) or ``written`` (the region
+    the last mirror was made for: its step's commit wrote after it)
+    reaches.  Kernels write the fields only inside their step's region, so
+    every other face's edge is as its last mirror left it, and so are its
+    ghosts: each ghost holds what a whole mirror gives (DESIGN.md §4)."""
+    faces = _faces(block, region, written)
+    if not faces:
+        return
+    if (tier := native.tier()) is not None:
+        return tier.mirror(block, faces)
+    g, lead = block.ghost, block.epi_state.ndim - block.spec.ndim
+    for field in (block.virions, block.chemokine):
+        for axis, n in enumerate(field.shape[lead:]):
+            for side, (ghosts, edge) in enumerate(((0, g), (n - g, n - g - 1))):
+                if faces >> (2 * axis + side) & 1:
+                    at = (slice(None),) * (lead + axis)
+                    field[at + (slice(ghosts, ghosts + g),)] = field[at + (slice(edge, edge + 1),)]
+
+
+def _faces(block, region, written) -> int:
+    """The out-of-domain ghost faces (bit ``2a``: spatial axis ``a``'s low
+    face, ``2a + 1``: its high one) whose edge layer ``region`` or
+    ``written`` reaches; all of them when ``region`` is None."""
+    g, nd, owned = block.ghost, block.spec.ndim, block.owned
+    faces = 0
+    for a, n in enumerate(block.shape[-nd:]):
+        outside = (owned.lo[a] == 0) << 2 * a | (owned.hi[a] == block.spec.shape[a]) << 2 * a + 1
+        if region is None:
+            faces |= outside
+        for r in (region, written):
+            if r is not None:
+                faces |= ((r[a - nd].start <= g) << 2 * a | (r[a - nd].stop >= n - g) << 2 * a + 1
+                          ) & outside
+    return faces

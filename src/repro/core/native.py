@@ -38,7 +38,7 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-std=c11", "-ffp-contract=off", "-fno-fast-
 _NARGS = {"hash_keys": 5, "epithelial": 11, "production": 6, "diffuse": 7,
           "commit": 8, "tcell_age": 5, "region_counts": 4, "tcell_intents": 14,
           "compute_moves": 10, "resolve_binds": 10, "activity": 8, "sweep_window": 5,
-          "extravasate": 17, "retime": 9}
+          "extravasate": 17, "retime": 9, "float_totals": 5, "mirror": 4}
 #: Drop the GIL at every call, whatever the size (DESIGN.md §4): once a step, where the numpy
 #: bodies' sorts did, so that serve's event loop gets the GIL while a small job steps.
 _YIELDS = {"extravasate"}
@@ -59,6 +59,12 @@ def _joined(mus: tuple, rows: int):
     starts = dict(zip(tables, np.cumsum([0, *map(len, tables.values())]).tolist()))
     row = [(starts[mu], len(tables[mu])) for mu in (mus * rows if len(mus) == 1 else mus)]
     return tables, np.concatenate([*tables.values()]), np.array(row, np.int64).reshape(-1)
+
+
+@functools.lru_cache(maxsize=16)
+def _whole(shape) -> tuple[slice, ...]:
+    """The whole padded ``shape`` as a region: one object per shape, as a slot keeps it."""
+    return tuple(slice(0, n) for n in shape)
 
 
 def _tables(period, rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -240,6 +246,22 @@ class Tier:
         slot.run(region)  # the C zeroes the region's members' rows first
         out = slot.arrays[-1]
         return out[region[0]].copy() if out.ndim > 1 else out.copy()
+
+    def float_totals(self, block, region, k) -> np.ndarray:
+        """:func:`repro.core.stats.float_totals` of fields zero outside ``region``, in numpy's
+        chunks of ``k`` outer slices (the layout's probed ``_chunk_rows``)."""
+        slot = bound(block, "float_totals", self._fns, ("virions", "chemokine"), rest=lambda: (
+            np.zeros(1, np.int64), np.zeros(_lead(block) + (2,))))
+        slot.arrays[-2][0] = k
+        slot.run(region, margin=1)
+        return slot.arrays[-1].copy()
+
+    def mirror(self, block, faces) -> None:
+        """``kernels.mirror_fields`` on the faces of the bit mask ``faces``."""
+        slot = bound(block, "mirror", self._fns, ("virions", "chemokine"), rest=lambda: (
+            np.array([0, block.ghost], np.int64),))
+        slot.arrays[-1][0] = faces
+        slot.run(_whole(block.shape))
 
     def activity(self, block, regions, min_chemokine, raw, box) -> None:
         """``block._activity`` into ``raw`` over each region; ``box`` widened to their Trues."""

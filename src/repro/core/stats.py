@@ -16,6 +16,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from repro.core.state import EpiState, VoxelBlock
+from repro.grid.spec import GridSpec
 
 #: Reduction vector layout shared by every implementation.
 REDUCED_FIELDS = (
@@ -106,7 +107,7 @@ def interior_sum(
     over ``rows`` widened outward to chunk boundaries has the whole
     interior's bits.  When :func:`_chunk_rows` refuses the layout, or
     ``rows`` covers the interior, the band is the whole interior
-    (DESIGN.md §4, "The float totals in the active band").
+    (DESIGN.md §4, "The float totals in the active region").
     """
     if rows is None:
         return 0.0
@@ -180,11 +181,25 @@ def _chunk_rows(view: np.ndarray) -> int:
     return k if folds(view) and folds(view[k : (len(view) - 1) // k * k]) else 0
 
 
+def _compiled_fold(view: np.ndarray) -> int:
+    """:func:`_chunk_rows`' ``k`` if the compiled ``float_totals`` pass, in
+    chunks of ``k``, has the bits of numpy's sum of this solo view (the
+    view of a random padded array), else 0.  The pass replays numpy's
+    whole tree here, every leaf read; pruning a leaf it then skips only
+    drops an exact ``+0.0``, whatever the values."""
+    from repro.core import native  # late: native imports from this module
+
+    if not (k := _chunk_rows(view)) or (tier := native.tier()) is None:
+        return 0
+    fields = FloatFields(GridSpec(view.shape), view.base, view.base)
+    return k if tier.float_totals(fields, fields.interior, k)[0] == view.sum() else 0
+
+
 def _batched_sum_exact(view: np.ndarray) -> bool:
     """Whether ``view.sum(axis=(1..))`` of a batched view is bitwise each
     member's solo sum.  When it is (for all production layouts) the
-    per-member totals run as one vectorized call; otherwise the caller
-    loops over members, trivially exact because a member view has the
+    numpy twin's per-member totals run as one vectorized call; otherwise
+    it loops over members, trivially exact because a member view has the
     solo block's layout."""
     vec = view.sum(axis=tuple(range(1, view.ndim)), dtype=np.float64)
     return np.array_equal(vec, [m.sum(dtype=np.float64) for m in view])
@@ -195,15 +210,49 @@ def _lead(block) -> tuple[int, ...]:
     return block.shape[: len(block.shape) - block.spec.ndim]
 
 
+class FloatFields:
+    """A solo block's two float fields alone, in its padded layout (one
+    ghost voxel a side), which :func:`float_totals` sums as a block's: the
+    dist coordinator's copies of its ranks' fields, a probe's random one."""
+
+    FIELD_DTYPES = {"virions": np.float64, "chemokine": np.float64}
+    #: The compiled tier's binding (:mod:`repro.core.binding`).
+    _native = None
+
+    def __init__(self, spec: GridSpec, virions: np.ndarray, chemokine: np.ndarray):
+        self.spec, self.virions, self.chemokine = spec, virions, chemokine
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.virions.shape
+
+    @property
+    def interior(self) -> tuple[slice, ...]:
+        return tuple(slice(1, n - 1) for n in self.shape)
+
+
 def float_totals(block, region: tuple[slice, ...] | None) -> np.ndarray:
     """Virion and chemokine totals of a block whose fields are zero outside
-    ``region``: shape ``(2,)`` on a solo block (the :func:`interior_sum`
-    pair over the region's rows) and ``(B, 2)`` on a batched one (whole
-    interior), each row bitwise equal to that member's solo pair."""
-    sl = block.interior
-    if not _lead(block):
-        rows = None if region is None else region[0]
-        return np.array([interior_sum(f, sl, rows) for f in (block.virions, block.chemokine)])
+    ``region`` (None: everywhere): shape ``(2,)`` on a solo block and
+    ``(B, 2)`` on a batched one, each row bitwise ``field[interior].sum()``
+    of that member's solo layout.
+
+    The compiled pass replays numpy's summation tree and reads only its
+    leaves that meet ``region``, on each layout :func:`_compiled_fold`
+    certifies (DESIGN.md §4, "The float totals in the active region").
+    Elsewhere numpy sums: the :func:`interior_sum` band of the region's rows
+    on a solo block, the whole interior of a batched one."""
+    lead, sl = _lead(block), block.interior
+    if region is None:
+        return np.zeros(lead + (2,))
+    from repro.core import native  # late: native imports from this module
+
+    if (tier := native.tier()) is not None and (
+        k := _probe(_compiled_fold, block.shape[len(lead):], sl[len(lead):])
+    ):
+        return tier.float_totals(block, region, k)
+    if not lead:
+        return np.array([interior_sum(f, sl, region[0]) for f in (block.virions, block.chemokine)])
     if _probe(_batched_sum_exact, block.virions.shape, sl):
         axes = tuple(range(1, block.epi_state.ndim))
         return np.stack(
@@ -256,8 +305,8 @@ class RegionReducer:
     the whole interior and ``outside`` is zero: the reference path is this
     code, not a fork of it.
 
-    The two float totals are :func:`interior_sum` over the region's rows,
-    which is exact only if both float fields are zero outside ``region``
+    The two float totals are :func:`float_totals` over the region, which
+    is exact only if both float fields are zero outside ``region``
     (the gate's invariant: a voxel with virions or supra-threshold
     chemokine is active, and sub-threshold chemokine is zeroed).  The
     integer half holds for any region.

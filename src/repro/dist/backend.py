@@ -18,9 +18,9 @@ active region (exact in any order), copies the float fields' live boxes
 into coordinator-side full-domain arrays in the sequential backend's
 layout, releases step n+1 when one follows (its ``pool`` needs only the
 integer ``extravasations``), and sums those private arrays while the
-workers compute, over the row hull of the boxes it copied: the
-*identical* numpy summation order, restricted to chunks that are not all
-zero (:func:`~repro.core.stats.interior_sum`) — that, plus counter-based
+workers compute, over the hull of the boxes it copied: the *identical*
+numpy summation order, restricted to the parts of it that are not all
+zero (:func:`~repro.core.stats.float_totals`) — that, plus counter-based
 RNG and owner-computes winner resolution, is the determinism argument
 (DESIGN.md §4a).
 """
@@ -32,7 +32,7 @@ from time import perf_counter
 import numpy as np
 
 from repro.core.params import SimCovParams
-from repro.core.stats import interior_sum
+from repro.core.stats import FloatFields, float_totals
 from repro.dist.control import (
     RES_ACTIVE,
     RES_BINDS,
@@ -50,9 +50,6 @@ from repro.grid.halo import HaloExchanger
 from repro.obs.imbalance import ImbalanceMonitor
 from repro.obs.registry import get_registry
 from repro.telemetry.tracer import NULL_TRACER
-
-#: The fields whose totals the coordinator sums (the float REDUCED_FIELDS).
-_FLOAT_FIELDS = ("virions", "chemokine")
 
 #: Per-rank telemetry-ring capacity when tracing is on.  Rings are
 #: drained every step, so this only needs to hold one step's records
@@ -144,8 +141,7 @@ class DistBackend(ExecutionBackend):
         #: current by copying each rank's live box per step.
         padded = self.spec.domain.expand(1)
         self._float_origin = padded.lo
-        self._float_interior = self.spec.domain.slices_from(padded.lo)
-        self._floats = {name: np.zeros(padded.shape) for name in _FLOAT_FIELDS}
+        self._floats = FloatFields(self.spec, np.zeros(padded.shape), np.zeros(padded.shape))
         #: ``dirty_epoch`` the copies are current for.  A fresh run's are:
         #: zeros, like every rank field outside the box its first sweep
         #: publishes; a restore moves the epoch on.
@@ -231,7 +227,7 @@ class DistBackend(ExecutionBackend):
         ctx.binds = int(res[:, RES_BINDS].sum())
         self._active_counts = [int(v) for v in res[:, RES_ACTIVE]]
         counts = res[:, RES_COUNTS].sum(axis=0)
-        rows = self._refresh_floats()
+        hull = self._refresh_floats()
         counters = self._read_counters()
         if self.tracer:
             drain_start = perf_counter()
@@ -248,21 +244,12 @@ class DistBackend(ExecutionBackend):
                 "drain", drain_start, drain_seconds, cat="telemetry",
                 step=ctx.step, imbalance=index, dropped=counters[-1],
             )
-        ctx.reduced = np.array(
-            [
-                *counts,
-                *(
-                    interior_sum(full, self._float_interior, rows)
-                    for full in self._floats.values()
-                ),
-            ],
-            dtype=np.float64,
-        )
+        ctx.reduced = np.concatenate([counts, float_totals(self._floats, hull)])
 
-    def _refresh_floats(self) -> slice | None:
+    def _refresh_floats(self) -> tuple[slice, ...] | None:
         """Bring the private float fields up to date with the rank blocks
-        and return the padded row range they can be non-zero in (None:
-        nowhere), the support :func:`interior_sum` sums.
+        and return the padded box they can be non-zero in (None: nowhere),
+        the region :func:`float_totals` sums.
 
         Every write of the step just finished to the voxels a rank owns
         lies inside the owned box it published (its band is another
@@ -270,13 +257,13 @@ class DistBackend(ExecutionBackend):
         on the first step too, whose sweep sees all of the seeded state —
         except after a restore, when the whole owned interior of every
         rank is new.  Outside its box a rank's float fields are zero, so
-        the copies are zero outside the row hull of the boxes.
+        the copies are zero outside the hull of the boxes.
         """
         ctrl = self.runtime.ctrl
         epoch = int(ctrl.dirty_epoch[0])
         everything = epoch != self._floats_epoch
         self._floats_epoch = epoch
-        rows = []
+        boxes = []
         for rank, block in enumerate(self.blocks):
             box = (
                 self.decomp.boxes[rank] if everything
@@ -286,10 +273,12 @@ class DistBackend(ExecutionBackend):
                 continue
             src = box.slices_from(block.origin)
             dst = box.slices_from(self._float_origin)
-            rows.append(dst[0])
-            for name, full in self._floats.items():
-                full[dst] = getattr(block, name)[src]
-        return slice(min(r.start for r in rows), max(r.stop for r in rows)) if rows else None
+            boxes.append(dst)
+            for name in FloatFields.FIELD_DTYPES:
+                getattr(self._floats, name)[dst] = getattr(block, name)[src]
+        return tuple(
+            slice(min(s.start for s in axis), max(s.stop for s in axis)) for axis in zip(*boxes)
+        ) or None
 
     def state_restored(self) -> None:
         # Workers must not trust strips pulled, nor statistics counted,

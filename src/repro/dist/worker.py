@@ -534,6 +534,8 @@ class RankBackend(SingleBlockBackend):
                     d[...] = s
                 pulled += 1
         self._pull_all = False
+        if pulled:  # the band's edge layers: the next mirror reaches every face
+            self._mirrored = self.block.interior
         self._pending_open = (
             perf_counter() - start, pulled, len(self._strips) - pulled
         )

@@ -100,8 +100,13 @@ class SingleBlockBackend(ExecutionBackend):
         self.block = block
         self.counted = counted
         self.intents = kernels.IntentArrays(block.shape)
-        self._scratch_v = np.zeros_like(block.virions)
-        self._scratch_c = np.zeros_like(block.chemokine)
+        # Fresh zero pages: the diffusion writes only the region's.
+        self._scratch_v = np.zeros(block.shape)
+        self._scratch_c = np.zeros(block.shape)
+        #: The region the last mirror was made for (None: none since the
+        #: block was made or restored): its commit wrote the fields after
+        #: that mirror, so the next one reaches its faces too.
+        self._mirrored = None
         self.gate = ActivityGate(
             block,
             min_chemokine,
@@ -223,7 +228,8 @@ class SingleBlockBackend(ExecutionBackend):
         region = self.gate.region()
         if region is None:
             return False
-        kernels.mirror_fields(self.block)
+        kernels.mirror_fields(self.block, region, self._mirrored)
+        self._mirrored = region
         kernels.concentration_update(
             self.params, self.block, region, self._scratch_v, self._scratch_c
         )
@@ -247,8 +253,9 @@ class SingleBlockBackend(ExecutionBackend):
 
     def state_restored(self) -> None:
         # The mirrored no-flux ghosts derive from the rewritten interior:
-        # re-derive them, or a sweep would take the old ones for activity.
+        # re-derive them all, or a sweep would take the old ones for activity.
         kernels.mirror_fields(self.block)
+        self._mirrored = None
         self.gate.reset()
         self.reducer.reset()
 

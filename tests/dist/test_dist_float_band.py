@@ -1,13 +1,15 @@
 """The coordinator's float totals over the row hull of the live boxes.
 
 Each step the dist coordinator sums its private float arrays only over the
-rows of the boxes it just copied, widened to numpy's reduction chunks
-(:func:`repro.core.stats.interior_sum`).  On a 60 x 1024 grid a chunk is
-eight rows (the last one four), so a wrong band shows in the bits.  The
-series must equal the sequential run's at every step when every rank is
-idle (the band is empty from the first step on), after a restore (the
-``everything`` refresh: the band is the whole interior), and while two
-foci on different ranks and rows grow across chunk boundaries.  Which
+hull of the boxes it just copied (:func:`repro.core.stats.float_totals`:
+the compiled pass reads the parts of numpy's summation tree that meet the
+hull, the numpy twin the hull's rows widened to numpy's reduction chunks).
+On a 60 x 1024 grid a chunk is eight rows (the last one four), so a wrong
+support shows in the bits.  The series must equal the sequential run's at
+every step when every rank is idle (there is no hull from the first step
+on), after a restore (the ``everything`` refresh: the hull is the whole
+interior), and while two foci on different ranks and rows grow across
+chunk boundaries.  Which
 refresh ran is pinned too: a fresh run copies only the published boxes,
 its first step included, and a restore makes exactly one whole copy.
 """
@@ -20,7 +22,7 @@ import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.core.stats import interior_sum
+from repro.core.stats import float_totals
 from repro.dist import DistSimCov
 from repro.dist import backend as dist_backend
 from repro.grid.decomposition import DecompositionKind
@@ -47,14 +49,12 @@ def reference():
 
 
 def _bands(spy) -> list:
-    """The ``rows`` of each step's two sums, one entry per step."""
-    rows = [call.args[2] for call in spy.call_args_list]
-    assert rows[::2] == rows[1::2]
-    return rows[::2]
+    """The rows of each step's hull (None: no hull), one entry per step."""
+    return [None if call.args[1] is None else call.args[1][0] for call in spy.call_args_list]
 
 
 def _spy():
-    return mock.patch.object(dist_backend, "interior_sum", wraps=interior_sum)
+    return mock.patch.object(dist_backend, "float_totals", wraps=float_totals)
 
 
 @contextlib.contextmanager

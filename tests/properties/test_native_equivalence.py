@@ -49,7 +49,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core import kernels, native
 from repro.core.params import ParamsStack, SimCovParams
 from repro.core.state import EnsembleBlock, EpiState, VoxelBlock
-from repro.core.stats import region_counts
+from repro.core.stats import float_totals, region_counts
+from repro.diffusion.stencil import mirror_out_of_domain
 from repro.engine.activity import ActivityGate
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
@@ -694,6 +695,36 @@ def test_the_gate_sweep_edges_are_reached():
         assert got[0].sum() < got[0].size
 
 
+# -- the float totals and the no-flux mirror --------------------------------------------
+
+def test_the_float_totals_and_mirror_edges_are_reached():
+    """Both tiers' float totals and mirror on a solo 200 x 136 block and a 3-member 3-D batch
+    whose fields are non-zero in a box on the domain's low edges: the totals over the box
+    are each member's whole-interior sums, and the mirror of the faces the box reaches
+    leaves every ghost what a whole mirror gives."""
+    for spec, batch in ((GridSpec((200, 136)), 0), (GridSpec((12, 10, 9)), 3)):
+        block = EnsembleBlock(spec, spec.domain, batch) if batch else VoxelBlock(spec, spec.domain)
+        lead = block.interior[:len(block.shape) - spec.ndim]
+        box = lead + tuple(slice(1, n // 2) for n in block.shape[-spec.ndim:])
+        fields = (block.virions, block.chemokine)
+        for field in fields:
+            field[box] = np.random.default_rng(spec.ndim).random(field[box].shape)
+        solo = [block.member_view(b) for b in range(batch)] if batch else [block]
+        want = np.array([[f[m.interior].sum() for f in (m.virions, m.chemokine)] for m in solo])
+        whole = copy_block(block)
+        for field in (whole.virions, whole.chemokine):
+            mirror_out_of_domain(field, block.owned, spec.domain)
+        for compiled in (True, False):
+            blk = copy_block(block)
+            with on_tier(compiled):
+                got = float_totals(blk, box)
+                kernels.mirror_fields(blk, box)
+            assert np.array_equal(got, want if batch else want[0])
+            for name in ("virions", "chemokine"):
+                assert np.array_equal(getattr(blk, name), getattr(whole, name))
+        assert not np.array_equal(whole.virions, block.virions)
+
+
 # -- every entry point has a case --------------------------------------------------------
 
 class _Seen:
@@ -719,4 +750,5 @@ def test_every_entry_point_has_an_equivalence_case(monkeypatch):
     test_the_gate_sweep_edges_are_reached()
     for batch in (0, 3):
         test_the_extravasation_edges_are_reached(batch)
+    test_the_float_totals_and_mirror_edges_are_reached()
     assert seen == set(native._NARGS), set(native._NARGS) - seen

@@ -18,24 +18,24 @@ voxels lying mostly outside the region, and a cut where the state is
 snapshotted and restored into another, already stepped simulation that
 finishes the run.
 
-The float totals are summed over the region's rows widened to numpy's
-reduction chunks (:func:`~repro.core.stats.interior_sum`).  On the small
-grids a chunk holds every row, so only the wide 48 x 1024 layout (six
-chunks of eight rows) sums fewer chunks than the interior: such steps are
-a hypothesis event, and a fixed run on that layout asserts they occur.
+The float totals read only the part of numpy's summation tree that the
+region meets (:func:`~repro.core.stats.float_totals`).  On the small grids
+a chunk holds every row and most leaves span several rows, so a fixed run
+on the wide 48 x 1024 layout (six chunks of eight rows, eight leaves a
+row) pins that the part read is narrower than the interior: with every
+element outside it poisoned, the totals keep the whole-domain bits.
 """
 
-from unittest import mock
-
 import numpy as np
-from hypothesis import HealthCheck, event, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core import stats
+from repro.core import native, stats
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.core.stats import REDUCED_FIELDS, stats_vector
 from repro.engine.ensemble import EnsembleSimCov
 from repro.io.checkpoint import restore_state, snapshot_state
+from tests.core.test_float_band import leaves
 
 SLOW = settings(
     max_examples=12,
@@ -91,23 +91,25 @@ def _build(params, seed, batch, knobs):
     return EnsembleSimCov(params, seeds=seed + np.arange(batch), **knobs)
 
 
-def _narrower_bands(spy) -> int:
-    """How many ``interior_sum`` calls ``spy`` saw sum fewer reduction
-    chunks than the whole interior."""
-    narrower = 0
-    for (field, interior, rows), _ in spy.call_args_list:
-        top, end = interior[0].start, interior[0].stop
-        k = rows and stats._probe(stats._chunk_rows, field.shape, interior)
-        if k and (rows.start - top >= k or -(-(rows.stop - top) // k) * k < end - top):
-            narrower += 1
-    return narrower
+def _support(block, region) -> np.ndarray:
+    """The interior elements the float totals read for ``region``: the
+    leaves that meet it (compiled pass), or its rows widened to numpy's
+    chunks (numpy twin)."""
+    sl = block.interior
+    view = block.virions[sl]
+    if native.tier() is not None:
+        k = stats._probe(stats._compiled_fold, block.shape, sl)
+        box = tuple(slice(r.start - 1, r.stop - 1) for r in region)
+        return leaves(view.shape, k, box)
+    k = stats._probe(stats._chunk_rows, block.shape, sl)
+    lo, hi = region[0].start - 1, region[0].stop - 1
+    read = np.zeros(view.shape, bool)
+    read[lo // k * k:-(-hi // k) * k] = True
+    return read
 
 
 def _assert_step_reduced_whole_domain(sim, batch, step):
-    with mock.patch.object(stats, "interior_sum", wraps=stats.interior_sum) as spy:
-        got_stats = sim.step()
-    if _narrower_bands(spy):
-        event("band narrower than the interior")
+    got_stats = sim.step()
     if batch is None:
         got = np.array([getattr(got_stats, f) for f in REDUCED_FIELDS])
         want = stats_vector(sim.block)
@@ -149,15 +151,28 @@ class TestReduceEquivalence:
             _assert_step_reduced_whole_domain(other, batch, step)
 
     def test_a_wide_layout_sums_a_narrower_band(self):
-        """48 x 1024 with one focus: the region's rows are a few of the six
-        chunks, so the float totals prune, and stay the whole-domain bits."""
+        """48 x 1024 with one focus: the float totals read only the part of
+        numpy's summation tree that the region meets — on the compiled
+        tier its leaves, on the numpy twin the region's reduction chunks —
+        and that is less than the interior on some steps.  Every element
+        outside that part is set to NaN in a copy of the fields, whose
+        totals must still be the whole-domain bits."""
         params = SimCovParams.fast_test(dim=(48, 1024), num_infections=1, num_steps=STEPS)
         sim = SequentialSimCov(params, seed=11)
         narrower = 0
         for step in range(STEPS):
-            with mock.patch.object(stats, "interior_sum", wraps=stats.interior_sum) as spy:
-                got = sim.step()
-            narrower += _narrower_bands(spy)
+            got = sim.step()
             want = stats_vector(sim.block)
             assert np.array_equal([getattr(got, f) for f in REDUCED_FIELDS], want), step
+            region = sim.backend.gate.region()
+            if region is None:
+                continue
+            block, sl = sim.block, sim.block.interior
+            unread = ~_support(block, region)
+            narrower += bool(unread.any())
+            poisoned = [getattr(block, name).copy() for name in ("virions", "chemokine")]
+            for field in poisoned:
+                field[sl][unread] = np.nan
+            copies = stats.FloatFields(block.spec, *poisoned)
+            assert np.array_equal(stats.float_totals(copies, region), want[-2:]), step
         assert narrower > 0
