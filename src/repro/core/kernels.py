@@ -16,18 +16,21 @@ All randomness is keyed by global voxel id (or attempt index), so results
 are identical regardless of how the domain is decomposed — see
 :mod:`repro.rng`.
 
-Step phase order (the staged semantics of paper §4.1):
+Step order (the staged semantics of paper §4.1), by the phase of
+:mod:`repro.engine.phases` that runs each kernel:
 
-1. T-cell aging (local);
-2. extravasation (new T cells enter from the vasculature);
-3. [parallel: boundary-state exchange]
-4. T-cell intents: bind/move target choice + bids (local);
-5. [parallel: the single tiebreak exchange of §3.1]
-6. resolution: apply winning moves and binds (local, deterministic);
-7. epithelial updates: infection, state-timer transitions, production;
-8. [parallel: concentration-halo exchange]
-9. diffusion + decay;
-10. statistics reduction.
+- ``age_extravasate``: T-cell aging, then extravasation (new T cells
+  enter from the vasculature);
+- ``intents``: bind/move target choice + bids (local);
+- ``resolve``: apply winning moves and binds (local, deterministic: the
+  §3.1 tiebreak);
+- ``epithelial``: infection, state-timer transitions, production;
+- ``diffuse``: diffusion + decay;
+- ``reduce``: statistics reduction (:mod:`repro.core.stats`).
+
+The paper's implementations exchange halos between some of these
+(:mod:`repro.perf.work` counts those waves); a ``repro.dist`` rank pulls
+its band once, before the step.
 """
 
 from __future__ import annotations
@@ -177,7 +180,7 @@ def _retime(rng, stream, step, block, at, period) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1-2: T-cell aging and extravasation
+# age_extravasate: T-cell aging and extravasation
 # ---------------------------------------------------------------------------
 
 
@@ -350,7 +353,7 @@ ensemble_apply_extravasation = apply_extravasation
 
 
 # ---------------------------------------------------------------------------
-# Phase 4: T-cell intents (choose + bid; paper §3.1 / Fig 2)
+# intents: T-cell intents (choose + bid; paper §3.1 / Fig 2)
 # ---------------------------------------------------------------------------
 
 
@@ -497,7 +500,7 @@ def tcell_intents(
 
 
 # ---------------------------------------------------------------------------
-# Phase 6: resolution (winner moves / binds; fully local & deterministic)
+# resolve: winner moves / binds (fully local & deterministic)
 # ---------------------------------------------------------------------------
 
 
@@ -572,10 +575,11 @@ def resolve_moves(
     region: tuple[slice, ...],
     counted: tuple[slice, ...] | None = None,
 ):
-    """Single-region convenience: compute + commit in one call.  Safe only
-    when ``region`` is the block's sole processed region (the single-block
-    and CPU implementations); multi-tile callers must stage compute_moves
-    for all regions before any commit_moves."""
+    """The ``resolve`` phase's moves: every winner in ``region`` is chosen
+    (:func:`compute_moves`) before any cell moves (:func:`commit_moves`).
+    ``region`` is the one region a block steps — solo, batched or a dist
+    rank's owned voxels and band — so no other region's commit can race
+    this one's choice."""
     return commit_moves(block, compute_moves(block, intents, region), counted)
 
 
@@ -616,7 +620,7 @@ def resolve_binds(
 
 
 # ---------------------------------------------------------------------------
-# Phase 7: epithelial updates
+# epithelial: infection, state timers, production
 # ---------------------------------------------------------------------------
 
 
@@ -716,7 +720,7 @@ def production_update(
 
 
 # ---------------------------------------------------------------------------
-# Phase 9: concentrations
+# diffuse: concentrations (diffusion + decay)
 # ---------------------------------------------------------------------------
 
 

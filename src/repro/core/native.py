@@ -361,19 +361,24 @@ def _resolve() -> tuple[Tier | None, dict]:
     return tier, info
 
 
-def tier() -> Tier | None:
-    """The process's compiled tier, or None; resolved at the first call."""
+def _resolution() -> tuple[Tier | None, dict]:
+    """The process's ``(tier, info)``, resolved at the first call."""
     global _resolved
     if _resolved is None:  # no lock once resolved: nothing to inherit held across a fork
         with _lock:
             _resolved = _resolved or _resolve()
-    return _resolved[0]
+    return _resolved
+
+
+def tier() -> Tier | None:
+    """The process's compiled tier, or None; resolved at the first call."""
+    return _resolution()[0]
 
 
 def status() -> dict:
-    """``enabled``, ``path``, ``build_seconds``, ``reason``, ``compiler``."""
-    tier()
-    return dict(_resolved[1])
+    """``enabled``, ``path``, ``build_seconds``, ``reason``, ``compiler``;
+    resolves the tier itself, so a patched :func:`tier` does not skip it."""
+    return dict(_resolution()[1])
 
 
 if __name__ == "__main__":

@@ -194,21 +194,6 @@ class VoxelBlock:
         """Global coordinate of the padded array's [0, 0, ...] element."""
         return tuple(l - self.ghost for l in self.owned.lo)
 
-    # -- field bundles (for halo exchange) ---------------------------------------
-
-    #: Fields exchanged in the per-step boundary-state wave.
-    STATE_FIELDS = (
-        "epi_state",
-        "virions",
-        "chemokine",
-        "tcell",
-        "tcell_tissue_time",
-        "tcell_bound_time",
-    )
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in self.STATE_FIELDS}
-
     # -- activity -----------------------------------------------------------------
 
     def activity_mask(self, min_chemokine: float) -> np.ndarray:

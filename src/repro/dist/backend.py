@@ -9,14 +9,15 @@ band one step's dependency cone deep, against field arrays allocated in
 ``multiprocessing.shared_memory`` so the one band pull a step is a
 zero-copy read of neighbor blocks.
 
-The engine still drives the canonical schedule on the coordinator:
+The engine still drives the rank's schedule on the coordinator:
 ``begin_step`` publishes ``(step, pool)`` and releases the workers; the
-kernel phases are no-ops here (the workers run them behind the same
-phase names); ``phase_reduce`` meets the workers at the step-end
-barrier, adds the integer statistics each rank counted over its own
-active region (exact in any order), copies the float fields' live boxes
-into coordinator-side full-domain arrays in the sequential backend's
-layout, releases step n+1 when one follows (its ``pool`` needs only the
+coordinator has a body only for ``reduce``, so it skips the pull and the
+kernel phases (the workers run them behind the same phase names);
+``phase_reduce`` meets the workers at the step-end barrier, adds the
+integer statistics each rank counted over its own active region (exact
+in any order), copies the float fields' live boxes into
+coordinator-side full-domain arrays in the sequential backend's layout,
+releases step n+1 when one follows (its ``pool`` needs only the
 integer ``extravasations``), and sums those private arrays while the
 workers compute, over the hull of the boxes it copied: the *identical*
 numpy summation order, restricted to the parts of it that are not all

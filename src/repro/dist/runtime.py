@@ -328,14 +328,6 @@ class DistRuntime:
             for r in range(self.nranks)
         ]
 
-    def segment_sizes(self) -> dict[str, int]:
-        """Bytes of every live shared-memory segment, keyed by role."""
-        sizes = {}
-        for i, seg in enumerate(self._segments):
-            role = "control" if i == 0 else f"rank{i - 1}"
-            sizes[role] = int(seg.shm.size)
-        return sizes
-
     # -- teardown ------------------------------------------------------------
 
     def abort(self) -> None:

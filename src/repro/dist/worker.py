@@ -67,10 +67,10 @@ from repro.dist.control import (
 from repro.dist.shm import ShmSegment, block_layout
 from repro.engine.engine import StepContext
 from repro.engine.metrics import PhaseMetrics
-from repro.engine.phases import FieldSet, Phase, exchange, kernel
+from repro.engine.phases import Phase
 from repro.engine.sequential import SingleBlockBackend, step_reach
 from repro.grid.box import Box
-from repro.grid.halo import MergeMode, PullRoute, strip_live
+from repro.grid.halo import PullRoute, strip_live
 from repro.telemetry.shmring import RingCodec, ShmRingSink
 from repro.telemetry.tracer import Tracer
 
@@ -82,19 +82,10 @@ def dist_schedule() -> tuple[Phase, ...]:
     """The multi-process schedule: the one pull a step, then the
     single-block kernel phases; no tile_sweep (a rank sweeps at the top
     of ``age_extravasate``, when the pull or the period stales its gate)."""
-    return (
-        exchange(
-            "open_exchange",
-            FieldSet("state", BAND_FIELDS, MergeMode.REPLACE),
-            doc="the ghost band, pulled before the step-start barrier",
-        ),
-        kernel("age_extravasate"),
-        kernel("intents"),
-        kernel("resolve"),
-        kernel("epithelial"),
-        kernel("diffuse"),
-        kernel("reduce", doc="per-rank integer counts; coordinator sums floats"),
-    )
+    return tuple(map(Phase, (
+        "open_exchange", "age_extravasate", "intents", "resolve", "epithelial",
+        "diffuse", "reduce",
+    )))
 
 
 def _crop(box: Box | None, to: Box) -> Box | None:
@@ -540,12 +531,12 @@ class RankBackend(SingleBlockBackend):
             perf_counter() - start, pulled, len(self._strips) - pulled
         )
 
-    def exchange(self, phase: Phase, ctx) -> None:
-        """``open_exchange``: account the pull that ran before the step
-        (:meth:`_pull`) — a call even when it pulled nothing.  The gate is
-        stale when the pull changed the band — activity arriving from a
-        peer, which no sweep has seen — or when its period is due (what
-        ``tile_sweep`` does on one block): ``age_extravasate`` sweeps.
+    def phase_open_exchange(self, ctx) -> None:
+        """Account the pull that ran before the step (:meth:`_pull`) — a
+        call even when it pulled nothing.  The gate is stale when the pull
+        changed the band — activity arriving from a peer, which no sweep
+        has seen — or when its period is due (what ``tile_sweep`` does on
+        one block): ``age_extravasate`` sweeps.
         Between sweeps nothing but this rank's kernels writes its block,
         so the single block's periodic rule holds."""
         seconds, pulled, skipped = self._pending_open

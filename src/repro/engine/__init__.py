@@ -1,13 +1,13 @@
 """Phase-pipeline execution engine.
 
-The per-step schedule of the simulation is data: an ordered tuple of
-:class:`Phase` objects (kernel phases and exchange barriers, drawn from
-the canonical :data:`PHASE_ORDER` vocabulary).  A :class:`StepEngine`
-executes a schedule against an :class:`ExecutionBackend`, timing every
-phase: the single-block backend (one phase-body implementation, run solo
-as :class:`SequentialBackend` or batched as :class:`EnsembleBackend`) and
-the multi-process ``repro.dist`` runtime.  The drivers are thin shims
-over this machinery (see :mod:`repro.engine.driver`).
+The per-step schedule of the simulation is an ordered tuple of named
+:class:`Phase` entries.  A :class:`StepEngine` runs an
+:class:`ExecutionBackend`'s schedule, each name as the backend's
+``phase_<name>`` method, timing every phase: the single-block backend
+(one phase-body implementation, run solo as :class:`SequentialBackend`
+or batched as :class:`EnsembleBackend`) and the multi-process
+``repro.dist`` runtime.  The drivers are thin shims over this machinery
+(see :mod:`repro.engine.driver`).
 """
 
 from repro.engine.activity import ActivityGate
@@ -21,39 +21,21 @@ from repro.engine.ensemble import (
     expand_sweep,
 )
 from repro.engine.metrics import PhaseMetrics
-from repro.engine.phases import (
-    PHASE_KINDS,
-    PHASE_ORDER,
-    REQUIRED_PHASES,
-    FieldSet,
-    Phase,
-    PhaseKind,
-    exchange,
-    kernel,
-    validate_schedule,
-)
+from repro.engine.phases import Phase
 from repro.engine.sequential import SequentialBackend, SingleBlockBackend
 
 __all__ = [
-    "PHASE_KINDS",
-    "PHASE_ORDER",
-    "REQUIRED_PHASES",
     "ActivityGate",
     "EngineDriver",
     "EnsembleBackend",
     "EnsembleMemberView",
     "EnsembleSimCov",
     "ExecutionBackend",
-    "FieldSet",
     "Phase",
-    "PhaseKind",
     "PhaseMetrics",
     "SequentialBackend",
     "SingleBlockBackend",
     "StepContext",
     "StepEngine",
-    "exchange",
     "expand_sweep",
-    "kernel",
-    "validate_schedule",
 ]

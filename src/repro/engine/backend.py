@@ -1,10 +1,9 @@
 """The execution-backend protocol the StepEngine drives.
 
 A backend owns the substrate state (blocks, gates, worker processes)
-and implements the kernel phases of its declared schedule as
-``phase_<name>`` methods plus one :meth:`ExecutionBackend.exchange`
-method that maps exchange barriers onto its communication primitive —
-halo pulls (a ``repro.dist`` rank) or a no-op (the dist coordinator).
+and implements each phase of its schedule as a ``phase_<name>`` method;
+a phase it has no method for is skipped (the dist coordinator has only
+``phase_reduce``: its ranks run the rest of the schedule).
 
 A phase handler returns ``False`` to report "reached but skipped" (a
 kernel with no live region, a periodic phase that is not due); any
@@ -20,7 +19,7 @@ import numpy as np
 from repro.core.params import SimCovParams
 from repro.core.seeding import apply_seeds, seed_infections
 from repro.core.state import VoxelBlock
-from repro.engine.phases import Phase, PhaseKind
+from repro.engine.phases import Phase
 from repro.grid.spec import GridSpec
 from repro.rng.streams import VoxelRNG
 from repro.telemetry.tracer import NULL_TRACER
@@ -77,7 +76,7 @@ class ExecutionBackend(abc.ABC):
 
     @abc.abstractmethod
     def schedule(self) -> tuple[Phase, ...]:
-        """This backend's per-step schedule (validated by the engine)."""
+        """This backend's per-step schedule."""
 
     def begin_step(self, ctx) -> None:
         """Reset per-step scratch state / take accounting snapshots; runs
@@ -85,18 +84,10 @@ class ExecutionBackend(abc.ABC):
 
     def execute(self, phase: Phase, ctx):
         """Dispatch one phase; ``False`` means skipped."""
-        if phase.kind is PhaseKind.EXCHANGE:
-            return self.exchange(phase, ctx)
         handler = getattr(self, f"phase_{phase.name}", None)
         if handler is None:
             return False
         return handler(ctx)
-
-    def exchange(self, phase: Phase, ctx):
-        """Map an exchange barrier to this substrate's primitive.
-
-        Default: no communication."""
-        return False
 
     def state_restored(self) -> None:
         """The field arrays were rewritten behind the backend's back

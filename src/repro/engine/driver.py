@@ -51,14 +51,9 @@ class EngineDriver:
     backend: ExecutionBackend
     engine: StepEngine
 
-    def _init_engine(
-        self,
-        backend: ExecutionBackend,
-        schedule: tuple[Phase, ...] | None = None,
-        tracer=None,
-    ) -> None:
+    def _init_engine(self, backend: ExecutionBackend, tracer=None) -> None:
         self.backend = backend
-        self.engine = StepEngine(backend, schedule, tracer=tracer)
+        self.engine = StepEngine(backend, tracer=tracer)
         self.params = backend.params
         self.rng = backend.rng
         self.spec = backend.spec
@@ -123,7 +118,7 @@ class EngineDriver:
 
     @property
     def schedule(self) -> tuple[Phase, ...]:
-        """The declarative phase schedule this driver executes."""
+        """The phase schedule this driver executes."""
         return self.engine.schedule
 
     @property

@@ -26,7 +26,6 @@ from repro.core import kernels
 from repro.core.stats import StepStats, TimeSeries
 from repro.engine.backend import ExecutionBackend
 from repro.engine.metrics import PhaseMetrics
-from repro.engine.phases import Phase, validate_schedule
 from repro.obs.registry import get_registry
 from repro.telemetry.tracer import NULL_TRACER
 
@@ -82,20 +81,18 @@ class StepContext:
 
 
 class StepEngine:
-    """Executes a declarative phase schedule against an ExecutionBackend."""
+    """Runs an ExecutionBackend's phase schedule, one step at a time."""
 
     def __init__(
         self,
         backend: ExecutionBackend,
-        schedule: tuple[Phase, ...] | None = None,
         tracer=None,
         registry=None,
     ):
         self.backend = backend
         self.params = backend.params
         self.rng = backend.rng
-        self.schedule = tuple(schedule if schedule is not None else backend.schedule())
-        validate_schedule(self.schedule)
+        self.schedule = backend.schedule()
         #: The one table each phase is timed into, a row per phase.
         self.metrics = PhaseMetrics(ph.name for ph in self.schedule)
         #: Structured-telemetry spigot; the no-op tracer unless a caller

@@ -33,7 +33,7 @@ from repro.core.state import VoxelBlock
 from repro.core.stats import RegionReducer, crop
 from repro.engine.activity import ActivityGate, bounding_box
 from repro.engine.backend import ExecutionBackend
-from repro.engine.phases import Phase, kernel
+from repro.engine.phases import Phase
 
 
 #: What each kernel phase reads around a voxel to write it, in voxels
@@ -120,15 +120,10 @@ class SingleBlockBackend(ExecutionBackend):
 
     def schedule(self) -> tuple[Phase, ...]:
         """The kernel phases: one block exchanges nothing."""
-        return (
-            kernel("age_extravasate"),
-            kernel("intents"),
-            kernel("resolve"),
-            kernel("epithelial"),
-            kernel("diffuse"),
-            kernel("reduce"),
-            kernel("tile_sweep", doc="periodic active-region sweep (§3.2)"),
-        )
+        return tuple(map(Phase, (
+            "age_extravasate", "intents", "resolve", "epithelial", "diffuse",
+            "reduce", "tile_sweep",
+        )))
 
     def _counted_part(self, region) -> tuple[slice, ...] | None:
         """The part of ``region`` this block accounts for (None: none)."""

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.grid.box import Box
 from repro.grid.spec import GridSpec
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 
 class DecompositionKind(enum.Enum):
@@ -167,19 +163,6 @@ class Decomposition:
             if not self.boxes[other].intersect(ext).is_empty:
                 out.append(other)
         return out
-
-    def neighbor_graph(self, ghost: int = 1) -> nx.Graph:
-        """The rank adjacency graph (used for validation and comm modeling)."""
-        # Imported here: this is networkx's only user, and every driver
-        # imports this module (tests/test_import_budget.py).
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.nranks))
-        for r in range(self.nranks):
-            for o in self.neighbors(r, ghost):
-                g.add_edge(r, o)
-        return g
 
     def halo_surface_voxels(self, rank: int, ghost: int = 1) -> int:
         """Number of ghost voxels around ``rank``'s box (communication volume

@@ -250,14 +250,6 @@ class HaloExchanger:
             else:
                 np.maximum(view, payload, out=view)
 
-    def exchange_many(
-        self, field_sets: dict[str, list[np.ndarray]], mode: MergeMode
-    ) -> None:
-        """Exchange several named fields in one wave (messages are batched in
-        real implementations; accounting still sees each field's bytes)."""
-        for arrays in field_sets.values():
-            self.exchange(arrays, mode)
-
     # -- verification helpers -------------------------------------------------
 
     def gather_global(self, arrays: list[np.ndarray]) -> np.ndarray:

@@ -323,6 +323,35 @@ def test_engine_reports_the_tier_at_its_first_step_not_before(monkeypatch):
     assert gauges() == (float(status["enabled"]), status["build_seconds"])
 
 
+NUMPY_PINNED_FIRST_STEP = """
+import pytest
+from repro.core import native
+from repro.core.model import SequentialSimCov
+from repro.core.params import SimCovParams
+from repro.testing import use_tier
+
+params = SimCovParams.fast_test(dim=(8, 8), num_infections=1, num_steps=2)
+with pytest.MonkeyPatch.context() as mp:
+    use_tier("numpy", mp)
+    sim = SequentialSimCov(params, seed=1)
+    assert native._resolved is None
+    sim.run(2)
+print(sorted(native.status()))
+"""
+
+
+def test_a_numpy_pinned_step_may_be_the_first_tier_use():
+    """The engine's first step reads ``native.status()``: with ``tier``
+    patched to None before the tier was ever resolved in the process,
+    ``status`` resolves it itself rather than indexing nothing."""
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PINNED_FIRST_STEP],
+        env=subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "enabled" in done.stdout
+
+
 # -- the binding: built once per block, rebuilt when the block moves ------------------
 
 def digest(sim) -> str:

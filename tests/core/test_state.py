@@ -47,13 +47,6 @@ class TestVoxelBlock:
         blk = VoxelBlock(spec, spec.domain)
         assert blk.gid[0, 0] == -1
 
-    def test_state_arrays_bundle(self):
-        spec = GridSpec((4, 4))
-        blk = VoxelBlock(spec, spec.domain)
-        bundle = blk.state_arrays()
-        assert set(bundle) == set(VoxelBlock.STATE_FIELDS)
-        assert bundle["virions"] is blk.virions
-
     def test_3d_block(self):
         spec = GridSpec((4, 4, 4))
         blk = VoxelBlock(spec, spec.domain)

@@ -17,7 +17,7 @@ from repro.dist.shm import (
     live_segment_names,
     make_segment_name,
 )
-from repro.engine.phases import validate_schedule
+from repro.engine.phases import Phase
 from repro.grid.decomposition import Decomposition, DecompositionKind
 from repro.grid.halo import HaloExchanger
 from repro.grid.spec import GridSpec
@@ -156,7 +156,12 @@ class TestPullPlan:
 
 class TestSchedule:
     def test_dist_schedule_is_valid(self):
-        validate_schedule(dist_schedule())
+        """The one pull a step, then the single block's kernel phases."""
+        from repro.engine.sequential import SequentialBackend
+
+        params = SimCovParams.fast_test(dim=(8, 8), num_infections=1, num_steps=1)
+        single = SequentialBackend(params, seed=1).schedule()
+        assert dist_schedule() == (Phase("open_exchange"),) + single[:-1]
 
     def test_no_tile_sweep(self):
         assert "tile_sweep" not in [p.name for p in dist_schedule()]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
-from repro.engine import PhaseMetrics, SequentialBackend, StepEngine, kernel
+from repro.engine import PhaseMetrics, SequentialBackend, StepEngine
 
 
 def small_params(steps=5):
@@ -82,11 +82,6 @@ class TestStepEngine:
         engine = StepEngine(backend)
         engine.step()
         assert engine.metrics.skips["tile_sweep"] == 1
-
-    def test_custom_schedule_validated(self):
-        backend = SequentialBackend(small_params(), seed=3)
-        with pytest.raises(ValueError, match="missing required"):
-            StepEngine(backend, schedule=(kernel("reduce"),))
 
     def test_run_defaults_to_params_num_steps(self):
         engine = StepEngine(SequentialBackend(small_params(steps=3), seed=3))

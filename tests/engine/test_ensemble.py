@@ -301,20 +301,21 @@ class TestOneImplementation:
         assert getattr(RankBackend, name) is getattr(SingleBlockBackend, name)
 
     def test_rank_spells_only_its_reduce(self):
-        """Of the phase bodies, a rank spells only ``reduce`` (integer
-        counts for the coordinator); the rest of what it overrides is its
-        one exchange, the sweep's box publication and the restore hook."""
+        """Of the single block's phase bodies, a rank spells only ``reduce``
+        (integer counts for the coordinator) and adds its one exchange; the
+        rest of what it overrides is the sweep's box publication and the
+        restore hook."""
         from repro.dist.worker import RankBackend
         from repro.engine.sequential import SingleBlockBackend
 
         own = sorted(name for name in vars(RankBackend) if name.startswith("phase_"))
-        assert own == ["phase_reduce"]
+        assert own == ["phase_open_exchange", "phase_reduce"]
         overridden = {
             name for name in vars(RankBackend)
             if not name.startswith("__") and callable(getattr(SingleBlockBackend, name, None))
         }
         assert overridden == {
-            "schedule", "exchange", "_sweep", "state_restored", "phase_reduce",
+            "schedule", "_sweep", "state_restored", "phase_reduce",
         }
 
     def test_engine_step_loop_is_not_overridden(self):

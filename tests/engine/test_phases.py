@@ -1,78 +1,83 @@
-"""Unit tests for the declarative schedule vocabulary."""
+"""The two schedules that run, checked once here.
 
-import pytest
+A schedule is an ordered tuple of phase names, each run as its backend's
+``phase_<name>``, and a name with no handler counts as a skip: a misspelt
+name would be skipped on every step and nothing would raise.  So these
+tests check what a schedule validator would, of the two schedules there
+are: the single block's (solo and ensemble) and the dist rank's (which
+its coordinator runs too).
+"""
 
-from repro.engine.phases import (
-    PHASE_KINDS,
-    PHASE_ORDER,
-    FieldSet,
-    Phase,
-    PhaseKind,
-    exchange,
-    kernel,
-    validate_schedule,
+from repro.core.params import SimCovParams
+from repro.dist.backend import DistBackend
+from repro.dist.worker import RankBackend, dist_schedule
+from repro.engine import EnsembleBackend, Phase, SequentialBackend
+
+KERNEL_PHASES = (
+    "age_extravasate", "intents", "resolve", "epithelial", "diffuse", "reduce",
 )
-from repro.grid.halo import MergeMode
 
 
-def minimal_schedule():
-    return (
-        kernel("age_extravasate"),
-        kernel("intents"),
-        kernel("resolve"),
-        kernel("epithelial"),
-        kernel("diffuse"),
-        kernel("reduce"),
-    )
+def names(schedule) -> tuple[str, ...]:
+    return tuple(phase.name for phase in schedule)
+
+
+def schedules() -> dict:
+    """Each backend class that runs a whole step, with its schedule (the
+    ensemble's is the single block's method: ``test_ensemble.py``'s
+    ``TestOneImplementation``)."""
+    params = SimCovParams.fast_test(dim=(8, 8), num_infections=1, num_steps=1)
+    single = SequentialBackend(params, seed=1).schedule()
+    return {SequentialBackend: single, EnsembleBackend: single, RankBackend: dist_schedule()}
+
+
+def handled(cls, schedule) -> set[str]:
+    return {name for name in names(schedule) if callable(getattr(cls, f"phase_{name}", None))}
 
 
 class TestPhaseConstruction:
-    def test_kind_helpers(self):
-        assert kernel("reduce").kind is PhaseKind.KERNEL
-        assert exchange("open_exchange").kind is PhaseKind.EXCHANGE
-
-    def test_kernel_phase_rejects_field_sets(self):
-        fs = FieldSet("state", ("tcell",), MergeMode.REPLACE)
-        with pytest.raises(ValueError, match="cannot carry field sets"):
-            Phase("reduce", PhaseKind.KERNEL, exchanges=(fs,))
-
-    def test_field_set_rejects_unknown_scope(self):
-        with pytest.raises(ValueError, match="unknown field scope"):
-            FieldSet("halo", ("tcell",), MergeMode.REPLACE)
-
-    def test_canonical_kinds_follow_naming(self):
-        for name in PHASE_ORDER:
-            expected = (
-                PhaseKind.EXCHANGE
-                if name.endswith("_exchange")
-                else PhaseKind.KERNEL
-            )
-            assert PHASE_KINDS[name] is expected
+    def test_a_phase_is_its_name(self):
+        """What the engine and a traced run read of a phase is its name."""
+        assert Phase("reduce").name == "reduce"
+        assert Phase._fields == ("name",)
+        for schedule in schedules().values():
+            assert isinstance(schedule, tuple)
+            assert all(type(phase) is Phase for phase in schedule)
 
 
 class TestValidateSchedule:
     def test_minimal_schedule_valid(self):
-        validate_schedule(minimal_schedule())
+        found = {cls.__name__: names(s) for cls, s in schedules().items()}
+        assert found == {
+            "SequentialBackend": KERNEL_PHASES + ("tile_sweep",),
+            "EnsembleBackend": KERNEL_PHASES + ("tile_sweep",),
+            "RankBackend": ("open_exchange",) + KERNEL_PHASES,
+        }
 
     def test_unknown_phase(self):
-        with pytest.raises(ValueError, match="unknown phase"):
-            validate_schedule(minimal_schedule() + (kernel("teleport"),))
-
-    def test_duplicate_phase(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            validate_schedule(minimal_schedule() + (kernel("reduce"),))
+        """Every name a backend schedules is one it has a body for."""
+        for cls, schedule in schedules().items():
+            assert handled(cls, schedule) == set(names(schedule)), cls.__name__
 
     def test_kind_mismatch(self):
-        bad = (Phase("open_exchange", PhaseKind.KERNEL),) + minimal_schedule()
-        with pytest.raises(ValueError, match="canonical kind"):
-            validate_schedule(bad)
+        """The exchange is the ranks' alone: of the rank's schedule the
+        coordinator runs only ``reduce``, and skips the pull and the kernel
+        phases, which its ranks run behind the same names."""
+        assert handled(DistBackend, dist_schedule()) == {"reduce"}
+        assert not hasattr(SequentialBackend, "phase_open_exchange")
+
+    def test_duplicate_phase(self):
+        """A phase is one row of the metrics table, keyed by its name."""
+        for schedule in schedules().values():
+            assert len(set(names(schedule))) == len(schedule)
 
     def test_missing_required_phase(self):
-        partial = tuple(p for p in minimal_schedule() if p.name != "reduce")
-        with pytest.raises(ValueError, match="missing required"):
-            validate_schedule(partial)
+        for schedule in schedules().values():
+            assert set(KERNEL_PHASES) <= set(names(schedule))
 
     def test_out_of_canonical_order(self):
-        shuffled = minimal_schedule()[::-1]
-        with pytest.raises(ValueError, match="canonical order"):
-            validate_schedule(shuffled)
+        """Both schedules run the kernel phases in one order: the rank's
+        pull comes before them, the single block's sweep after."""
+        for schedule in schedules().values():
+            kernel_order = [n for n in names(schedule) if n in KERNEL_PHASES]
+            assert tuple(kernel_order) == KERNEL_PHASES

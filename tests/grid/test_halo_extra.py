@@ -1,4 +1,4 @@
-"""Gap-filling tests: multi-field exchange, ghost widths, edge cases."""
+"""Gap-filling tests: ghost widths, edge cases."""
 
 import numpy as np
 import pytest
@@ -6,24 +6,6 @@ import pytest
 from repro.grid.decomposition import Decomposition
 from repro.grid.halo import HaloExchanger, MergeMode
 from repro.grid.spec import GridSpec
-
-
-class TestExchangeMany:
-    def test_multiple_fields_one_wave(self):
-        spec = GridSpec((8, 8))
-        decomp = Decomposition.blocks(spec, 4)
-        ex = HaloExchanger(decomp)
-        rng = np.random.default_rng(0)
-        ga = rng.integers(0, 9, size=spec.shape).astype(np.int32)
-        gb = rng.random(spec.shape)
-        fields = {"a": ex.scatter_global(ga), "b": ex.scatter_global(gb)}
-        # Perturb ghosts.
-        for arrays in fields.values():
-            for arr in arrays:
-                arr[0, :] = 0
-        ex.exchange_many(fields, MergeMode.REPLACE)
-        np.testing.assert_array_equal(ex.gather_global(fields["a"]), ga)
-        np.testing.assert_allclose(ex.gather_global(fields["b"]), gb)
 
 
 class TestGhostWidth2:

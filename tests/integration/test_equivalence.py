@@ -55,23 +55,15 @@ class TestEngineUnification:
             yield p, [SequentialSimCov(p, seed=5), dist]
 
     def test_all_drivers_share_the_step_engine(self):
-        from repro.engine import (
-            PHASE_ORDER,
-            ExecutionBackend,
-            StepEngine,
-            validate_schedule,
-        )
+        from repro.engine import ExecutionBackend, StepEngine
 
         with self._drivers_2d() as (_, sims):
             for sim in sims:
                 assert isinstance(sim.engine, StepEngine)
                 assert isinstance(sim.backend, ExecutionBackend)
                 assert sim.engine.backend is sim.backend
-                # The declared schedule is a valid subsequence of the
-                # canonical phase order.
-                validate_schedule(sim.schedule)
-                names = [ph.name for ph in sim.schedule]
-                assert set(names) <= set(PHASE_ORDER)
+                # The engine runs the backend's own schedule.
+                assert sim.schedule == sim.backend.schedule()
                 # Stepping goes through the engine: state advances in lockstep.
                 sim.step()
                 assert sim.step_num == sim.engine.step_num == 1

@@ -17,7 +17,7 @@ alone.  Mutation-checked: ignoring ``written`` fails the last case.
 import numpy as np
 import pytest
 
-from repro.core import kernels, native
+from repro.core import kernels
 from repro.core.model import SequentialSimCov
 from repro.core.params import SimCovParams
 from repro.core.state import VoxelBlock
@@ -30,10 +30,7 @@ from repro.io.checkpoint import restore_state, snapshot_state
 @pytest.fixture
 def mirrors(monkeypatch):
     """Each ``mirror_fields`` call, checked: the faces its ``region`` and its
-    ``written`` reach (none for None), or None for a whole mirror.  Asked
-    for before ``tier``: the tier is resolved first, as a run's first step
-    reports its status."""
-    native.status()
+    ``written`` reach (none for None), or None for a whole mirror."""
     log, mirror = [], kernels.mirror_fields
 
     def checked(block, region=None, written=None):

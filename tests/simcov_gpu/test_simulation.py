@@ -140,7 +140,11 @@ class TestDeviceMemory:
         box = Decomposition.blocks(spec, 4).boxes[0]
         block = VoxelBlock(spec, box)
         intents = IntentArrays(block.virions.shape)
-        buffers = [getattr(block, n) for n in VoxelBlock.STATE_FIELDS + ("epi_timer", "gid")]
+        state = (
+            "epi_state", "virions", "chemokine", "tcell", "tcell_tissue_time",
+            "tcell_bound_time", "epi_timer", "gid",
+        )
+        buffers = [getattr(block, n) for n in state]
         buffers += [getattr(intents, n)
                     for n in IntentArrays.REPLACE_FIELDS + IntentArrays.MAX_FIELDS]
         buffers += [block.virions, block.chemokine]  # the scratch copies

@@ -1,14 +1,12 @@
 """Import hygiene: what every driver pays before its first step.
 
-`scipy.stats` (0.75 s, ~45 MB) and `networkx` (0.12 s) were once pulled in
-by `rng.distributions` and `grid.decomposition` at import time, i.e. by
-every workload's set-up.  The Poisson sampler needs `scipy.special` only,
-and `networkx` has one user (`Decomposition.neighbor_graph`), which imports
-it when called.  The compiled tier (`repro.core.native`) is built and
-loaded at the first native call: importing the drivers must neither map the
-library nor start a compiler, and neither may constructing one.  Counted
-work (`repro.perf`, its stream model included) is priced after a run,
-never during one: no driver's set-up imports it, nor any package the
+`scipy.stats` (0.75 s, ~45 MB) was once pulled in by `rng.distributions`
+at import time, i.e. by every workload's set-up; the Poisson sampler needs
+`scipy.special` only.  The compiled tier (`repro.core.native`) is built
+and loaded at the first native call: importing the drivers must neither
+map the library nor start a compiler, and neither may constructing one.
+Counted work (`repro.perf`, its stream model included) is priced after a
+run, never during one: no driver's set-up imports it, nor any package the
 executing PGAS / GPU substrates or the stream model once lived in.
 """
 
